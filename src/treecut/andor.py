@@ -17,7 +17,7 @@ arcs are lexical are numbered ``t1``, ``t2``, ...
 from dataclasses import dataclass, field
 
 from treecut.entropy import Slot
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, yield_length
+from treecut.grammar import LEX, LexLeaf, RuleInventory, yield_length
 
 
 class PathNotInIndexError(Exception):

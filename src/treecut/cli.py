@@ -5,6 +5,7 @@ requested coverage target is unattainable.
 """
 
 import argparse
+import math
 import sys
 
 from treecut.andor import index_treebank
@@ -38,7 +39,13 @@ from treecut.pipeline import (
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
 
+
+class FlagError(Exception):
+    """A command-line value is out of range; the message names the flag."""
+
+
 HANDLED_ERRORS = (
+    FlagError,
     InputError,
     RuleFileError,
     ChunkExplosionError,
@@ -46,7 +53,7 @@ HANDLED_ERRORS = (
 )
 
 
-def _add_corpus_args(p, test_default_used=False):
+def _add_corpus_args(p):
     p.add_argument("--grammar", required=True, help="grammar rule file")
     p.add_argument("--train", required=True, help="training treebank")
     p.add_argument("--test", help="held-out treebank")
@@ -87,7 +94,22 @@ def _add_extract_args(p):
     )
 
 
+def _check_flags(args) -> None:
+    coverage = getattr(args, "coverage", None)
+    if coverage is not None and not 0.0 <= coverage <= 1.0:
+        raise FlagError(f"--coverage must be a number in [0, 1], got {coverage}")
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and not math.isfinite(threshold):
+        raise FlagError(f"--threshold must be a finite number, got {threshold}")
+    delta_s = getattr(args, "delta_s", None)
+    if delta_s is not None and not (math.isfinite(delta_s) and delta_s > 0):
+        raise FlagError(
+            f"--delta-s must be a finite number above 0, got {delta_s}"
+        )
+
+
 def _config(args) -> PipelineConfig:
+    _check_flags(args)
     return PipelineConfig(
         grammar_path=args.grammar,
         train_path=args.train,
@@ -162,8 +184,7 @@ def cmd_extract(args) -> int:
 
 def cmd_evaluate(args) -> int:
     inv = _load(args.grammar, lambda t: parse_rule_inventory(t, args.top))
-    rules = _load(args.rules, parse_rule_file)
-    validate_rules(rules, inv)
+    rules = _load(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
     test = _load(args.test, lambda t: parse_treebank(t, inv, require_top=True))
     report = evaluate_coverage(rules, test)
     sys.stdout.write(_coverage_report(report))

@@ -11,9 +11,9 @@ tree position and required category.  Among alternatives it prefers the
 longest reduction, then rule name order, so reported tilings are stable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from treecut.extraction import Apply, Frontier, LexSlot, RuleSet, SpecializedRule
+from treecut.extraction import Frontier, LexSlot, RuleSet, SpecializedRule
 from treecut.grammar import Internal, LexLeaf
 
 
@@ -34,9 +34,14 @@ class Tiling:
 _MISS = object()
 
 
-def covers(rules: RuleSet, tree) -> Tiling | None:
-    """The preferred tiling of *tree*, or None when it has none."""
-    by_root = rules.by_root_rule()
+def covers(rules: RuleSet, tree, by_root: dict | None = None) -> Tiling | None:
+    """The preferred tiling of *tree*, or None when it has none.
+
+    *by_root* is ``rules.by_root_rule()``; callers tiling many trees
+    with one rule set pass it so it is built once.
+    """
+    if by_root is None:
+        by_root = rules.by_root_rule()
     memo: dict[tuple[int, str | None], object] = {}
 
     def tile(node, category: str | None) -> Tiling | None:
@@ -127,8 +132,9 @@ class CoverageReport:
 def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
     """Tile every tree; an empty test set counts as (vacuously) covered."""
     report = CoverageReport([], [], vacuous=not trees)
+    by_root = rules.by_root_rule()
     for tree in trees:
-        tiling = covers(rules, tree)
+        tiling = covers(rules, tree, by_root)
         report.verdicts.append(tiling is not None)
         report.tilings.append(tiling)
     return report
@@ -162,22 +168,27 @@ class ReductionStats:
 
 
 def reduction_stats(
-    rules: RuleSet, trees: list | None = None, weighted: bool = False
+    rules: RuleSet,
+    trees: list | None = None,
+    weighted: bool = False,
+    tilings: list | None = None,
 ) -> ReductionStats:
     """Reduction-length histogram over buckets 1, 2, 3 and 4+.
 
     Unweighted counts each distinct rule once.  Weighted counts rule
     applications in the preferred tilings of *trees*; untileable trees
-    are skipped and reported.
+    are skipped and reported.  Pass *tilings* (a CoverageReport's) to
+    reuse tilings already made instead of tiling *trees* again.
     """
     counts = {b: 0 for b in BUCKETS}
     if not weighted:
         for rule in rules:
             counts[_bucket(rule.reduction_length)] += 1
         return ReductionStats(counts)
+    if tilings is None:
+        tilings = evaluate_coverage(rules, trees or []).tilings
     skipped = 0
-    for tree in trees or []:
-        tiling = covers(rules, tree)
+    for tiling in tilings:
         if tiling is None:
             skipped += 1
             continue

@@ -16,10 +16,10 @@ rule's own attachment and its tightest (lowest-entropy) RHS slot, which
 would otherwise reintroduce the original rule as a degenerate chunk.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from treecut.andor import AndOrTree, OrNode
-from treecut.entropy import LHS_POSITION, PhraseEntropyTable, Slot
+from treecut.entropy import PhraseEntropyTable, Slot
 from treecut.grammar import LEX
 from treecut.node_entropy import (
     EntropyScheme,
@@ -321,16 +321,20 @@ def select_by_threshold(
     aot: AndOrTree,
     table: PhraseEntropyTable,
     cfg: SelectionConfig,
+    scores: NodeEntropyMap | None = None,
 ) -> CutnodeSet:
     """Cut every node scoring strictly above *s_min*, then close.
 
     Nodes without lexical yield never seed a cut.  Valid for the
     rhs-local and mixed schemes; arc-frequency needs select_iterative.
+    Their scores do not depend on the threshold, so a caller probing
+    many thresholds can pass the scores of *cfg*'s scheme once.
     """
     if cfg.scheme is EntropyScheme.ARC_FREQUENCY:
         raise ValueError("arc-frequency scores shift with the assignment; "
                          "use select_iterative")
-    scores = compute_node_entropies(aot, table, cfg.scheme, cfg.decimals)
+    if scores is None:
+        scores = compute_node_entropies(aot, table, cfg.scheme, cfg.decimals)
     seeds = _threshold_seeds(scores, s_min, aot)
     if not cfg.neighbor_restrictions:
         return closure(seeds, aot)

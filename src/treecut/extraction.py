@@ -319,33 +319,42 @@ def extract_andor(
     return collector.result()
 
 
-def validate_rules(rules: RuleSet, inv: RuleInventory) -> None:
-    """Check every chunk against the inventory's arities and categories."""
+def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
+    """Check every chunk against the inventory's arities and categories.
+
+    Returns *rules*; raises RuleFileError on the first violation.
+    """
+
+    def grammar_rule(rule_id: str):
+        if rule_id not in inv:
+            raise RuleFileError(f"unknown rule id '{rule_id}'")
+        return inv[rule_id]
 
     def check(chunk: ChunkTree, expected_cat: str | None) -> None:
         if isinstance(chunk, (LexSlot, Frontier)):
             if expected_cat is not None and chunk.category != expected_cat:
-                raise ValueError(
+                raise RuleFileError(
                     f"leaf category '{chunk.category}', slot wants '{expected_cat}'"
                 )
             return
-        rule = inv[chunk.rule]
+        rule = grammar_rule(chunk.rule)
         if expected_cat is not None and rule.lhs != expected_cat:
-            raise ValueError(
+            raise RuleFileError(
                 f"'{chunk.rule}' has category '{rule.lhs}', slot wants "
                 f"'{expected_cat}'"
             )
         if len(chunk.children) != rule.arity:
-            raise ValueError(f"'{chunk.rule}' arity {rule.arity} violated")
+            raise RuleFileError(f"'{chunk.rule}' arity {rule.arity} violated")
         for cat, child in zip(rule.rhs, chunk.children):
             check(child, cat)
 
     for rule in rules:
         if rule.reduction_length == 0:
-            raise ValueError(f"rule '{rule.name}' has an empty body")
-        if inv[rule.chunk.rule].lhs != rule.lhs:
-            raise ValueError(f"rule '{rule.name}' lhs mismatch")
+            raise RuleFileError(f"rule '{rule.name}' has an empty body")
+        if grammar_rule(rule.chunk.rule).lhs != rule.lhs:
+            raise RuleFileError(f"rule '{rule.name}' lhs mismatch")
         check(rule.chunk, None)
+    return rules
 
 
 def render_rule_file(rules: RuleSet, header: list[str] | None = None) -> str:
@@ -389,7 +398,12 @@ def parse_rule_file(text: str) -> RuleSet:
         for line in lines[1:]:
             stripped = line.strip()
             if stripped.startswith("support:"):
-                support = int(stripped.split(":", 1)[1])
+                count = stripped.split(":", 1)[1].strip()
+                if not count.isdigit():
+                    raise RuleFileError(
+                        f"rule {name.strip()!r}: support {count!r} is not a count"
+                    )
+                support = int(count)
             else:
                 body.append(line)
         exprs = read_all("\n".join(body))

@@ -11,7 +11,7 @@ for an application of ``rule``, ``(lex word)`` for a lexical lookup.
 Both internal applications and lexical lookups may fill any slot.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from treecut.sexpr import Symbol, SexprError, quote_if_needed, read_all
 

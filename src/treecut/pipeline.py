@@ -28,6 +28,7 @@ from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
     TRAINING_CUT,
+    RuleFileError,
     RuleSet,
     extract_andor,
     extract_training,
@@ -119,7 +120,13 @@ def _load(path: str, parse):
             return parse(handle.read())
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    except (SexprError, GrammarFormatError, TreebankFormatError) as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text (byte offset {exc.start})"
+        ) from exc
+    except (
+        SexprError, GrammarFormatError, TreebankFormatError, RuleFileError
+    ) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -127,12 +134,15 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     """Read and validate the grammar and tree files.
 
     Raises InputError, with the offending path and line in the message,
-    for unreadable or malformed files.
+    for unreadable or malformed files and for a training file without
+    trees.
     """
     inv = _load(cfg.grammar_path, lambda t: parse_rule_inventory(t, cfg.top))
     training = _load(
         cfg.train_path, lambda t: parse_treebank(t, inv, require_top=True)
     )
+    if not training:
+        raise InputError(f"{cfg.train_path}: no training trees")
     test = []
     if cfg.test_path is not None:
         test = _load(
@@ -150,18 +160,6 @@ def selection_config(cfg: PipelineConfig) -> SelectionConfig:
     )
 
 
-def select_cutnodes(
-    threshold: float,
-    aot: AndOrTree,
-    table: PhraseEntropyTable,
-    cfg: PipelineConfig,
-) -> CutnodeSet:
-    sel = selection_config(cfg)
-    if cfg.scheme is EntropyScheme.ARC_FREQUENCY:
-        return select_iterative(threshold, aot, sel, table=table)
-    return select_by_threshold(threshold, aot, table, sel)
-
-
 def extract_rules(
     treebank: Treebank, aot: AndOrTree, cutnodes: CutnodeSet, cfg: PipelineConfig
 ) -> RuleSet:
@@ -170,16 +168,51 @@ def extract_rules(
     return extract_training(treebank.training, aot, cutnodes)
 
 
-def make_evaluator(treebank: Treebank, aot, table, cfg: PipelineConfig):
-    """Threshold probe for the coverage search: select, extract, score."""
+def partition_key(cutnodes: CutnodeSet) -> tuple:
+    """Every class's member seqs and cut flag: all that extraction reads."""
+    return tuple(
+        (tuple(m.seq for m in cls.members), cls.cut) for cls in cutnodes.classes
+    )
 
-    def evaluate(threshold: float) -> ThresholdProbe:
-        cutnodes = select_cutnodes(threshold, aot, table, cfg)
-        rules = extract_rules(treebank, aot, cutnodes, cfg)
-        report = evaluate_coverage(rules, treebank.test)
-        return ThresholdProbe(cutnodes, report.fraction, rules)
 
-    return evaluate
+@dataclass
+class SearchContext:
+    """The threshold-independent work of one run, shared by its probes.
+
+    Under the mixed and rhs-local schemes node scores do not depend on
+    the threshold, so coverage is a step function of it and a search
+    keeps landing on partitions it has already seen.  Rules in both
+    extraction modes depend only on the closed partition, so *probe*
+    extracts and tiles once per distinct partition and serves repeats
+    from its memo.
+    """
+
+    treebank: Treebank
+    aot: AndOrTree
+    table: PhraseEntropyTable
+    cfg: PipelineConfig
+    scores: NodeEntropyMap
+    memo: dict = field(default_factory=dict, init=False)
+
+    def select(self, threshold: float) -> CutnodeSet:
+        sel = selection_config(self.cfg)
+        if self.cfg.scheme is EntropyScheme.ARC_FREQUENCY:
+            return select_iterative(threshold, self.aot, sel, table=self.table)
+        return select_by_threshold(
+            threshold, self.aot, self.table, sel, scores=self.scores
+        )
+
+    def probe(self, threshold: float) -> ThresholdProbe:
+        cutnodes = self.select(threshold)
+        key = partition_key(cutnodes)
+        seen = self.memo.get(key)
+        if seen is None:
+            rules = extract_rules(self.treebank, self.aot, cutnodes, self.cfg)
+            seen = self.memo[key] = (
+                rules, evaluate_coverage(rules, self.treebank.test)
+            )
+        rules, report = seen
+        return ThresholdProbe(cutnodes, report.fraction, rules, report)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -187,37 +220,34 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     table = build_phrase_table(treebank.training, treebank.inventory)
     aot = index_treebank(treebank.training, treebank.inventory)
     scores = compute_node_entropies(aot, table, cfg.scheme, decimals=cfg.decimals)
+    context = SearchContext(treebank, aot, table, cfg, scores)
 
     search = None
-    attainable = True
     if cfg.coverage_target is not None:
         bis = BisectionConfig(
             s_high_init=scores.max_value() + 1.0,
             delta_s=cfg.delta_s,
         )
-        evaluate = make_evaluator(treebank, aot, table, cfg)
         if cfg.neighbor_restrictions:
-            search = search_unimodal(cfg.coverage_target, evaluate, bis)
+            search = search_unimodal(cfg.coverage_target, context.probe, bis)
         else:
-            search = bisect(cfg.coverage_target, evaluate, bis)
-        attainable = search.attainable
+            search = bisect(cfg.coverage_target, context.probe, bis)
         threshold = search.threshold
-        cutnodes = search.cutnodes
-        rules = search.rules
+        cutnodes, rules, report = search.cutnodes, search.rules, search.report
     else:
         threshold = cfg.threshold if cfg.threshold is not None else 0.0
-        cutnodes = select_cutnodes(threshold, aot, table, cfg)
-        rules = extract_rules(treebank, aot, cutnodes, cfg)
+        probe = context.probe(threshold)
+        cutnodes, rules, report = probe.cutnodes, probe.rules, probe.report
 
-    report = None
-    if treebank.test or cfg.test_path is not None:
-        report = evaluate_coverage(rules, treebank.test)
-    stat_trees = treebank.test if cfg.weighted_stats else None
-    stats = reduction_stats(rules, trees=stat_trees, weighted=cfg.weighted_stats)
+    stats = reduction_stats(
+        rules, weighted=cfg.weighted_stats, tilings=report.tilings
+    )
+    if cfg.test_path is None:
+        report = None  # coverage.tsv is written only for a given test file
 
     result = PipelineResult(
         treebank, table, aot, scores, threshold, search, cutnodes, rules,
-        report, stats, attainable,
+        report, stats, search is None or search.attainable,
     )
     if cfg.out_dir is not None:
         result.written = write_reports(result, cfg)

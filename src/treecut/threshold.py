@@ -7,7 +7,9 @@ monotone, only peaked, so a coarse grid locates the peak first and
 bisection then sharpens the decreasing flank.
 
 Both searches probe a single callable from threshold to (cutnodes,
-coverage, rules), so they are independent of how probes are produced.
+coverage, rules, report), so they are independent of how probes are
+produced.  Every call counts as one search step, whether or not the
+callable served it from a cache.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ class ThresholdProbe:
     cutnodes: CutnodeSet
     coverage: float
     rules: object = None
+    report: object = None
 
 
 Evaluator = Callable[[float], ThresholdProbe]
@@ -45,6 +48,21 @@ class ThresholdResult:
     bracket_high: float | None = None
     coverage_at_high: float | None = None
     steps: int = 0
+    report: object = None
+
+
+def _result(
+    threshold: float,
+    probe: ThresholdProbe,
+    attainable: bool,
+    bracket_high: float | None = None,
+    coverage_at_high: float | None = None,
+    steps: int = 0,
+) -> ThresholdResult:
+    return ThresholdResult(
+        threshold, probe.cutnodes, probe.coverage, attainable, probe.rules,
+        bracket_high, coverage_at_high, steps, probe.report,
+    )
 
 
 def bisect(c0: float, evaluate: Evaluator, cfg: BisectionConfig) -> ThresholdResult:
@@ -56,14 +74,11 @@ def bisect(c0: float, evaluate: Evaluator, cfg: BisectionConfig) -> ThresholdRes
     """
     low = evaluate(0.0)
     if low.coverage < c0:
-        return ThresholdResult(0.0, low.cutnodes, low.coverage, False, low.rules)
+        return _result(0.0, low, False)
     s_low, s_high = 0.0, cfg.s_high_init
     high = evaluate(s_high)
     if high.coverage >= c0:
-        return ThresholdResult(
-            s_high, high.cutnodes, high.coverage, True, high.rules, s_high,
-            high.coverage, steps=2,
-        )
+        return _result(s_high, high, True, s_high, high.coverage, steps=2)
     best = low
     cov_high = high.coverage
     steps = 2
@@ -77,10 +92,7 @@ def bisect(c0: float, evaluate: Evaluator, cfg: BisectionConfig) -> ThresholdRes
         else:
             s_low = mid
             best = probe
-    return ThresholdResult(
-        s_low, best.cutnodes, best.coverage, True, best.rules, s_high,
-        cov_high, steps,
-    )
+    return _result(s_low, best, True, s_high, cov_high, steps)
 
 
 def search_unimodal(
@@ -101,19 +113,13 @@ def search_unimodal(
     steps = len(grid)
     peak = max(range(len(grid)), key=lambda i: (probes[i].coverage, -i))
     if probes[peak].coverage < c0:
-        p = probes[peak]
-        return ThresholdResult(
-            grid[peak], p.cutnodes, p.coverage, False, p.rules, steps=steps
-        )
+        return _result(grid[peak], probes[peak], False, steps=steps)
     last_ok = peak
     while last_ok + 1 < len(grid) and probes[last_ok + 1].coverage >= c0:
         last_ok += 1
     if last_ok == len(grid) - 1:
         p = probes[last_ok]
-        return ThresholdResult(
-            grid[last_ok], p.cutnodes, p.coverage, True, p.rules,
-            grid[last_ok], p.coverage, steps,
-        )
+        return _result(grid[last_ok], p, True, grid[last_ok], p.coverage, steps)
     s_low, s_high = grid[last_ok], grid[last_ok + 1]
     best = probes[last_ok]
     cov_high = probes[last_ok + 1].coverage
@@ -127,7 +133,4 @@ def search_unimodal(
         else:
             s_low = mid
             best = probe
-    return ThresholdResult(
-        s_low, best.cutnodes, best.coverage, True, best.rules, s_high,
-        cov_high, steps,
-    )
+    return _result(s_low, best, True, s_high, cov_high, steps)

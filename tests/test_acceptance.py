@@ -21,7 +21,7 @@ from treecut.node_entropy import (
     compute_node_entropies,
     unified_node_entropy,
 )
-from treecut.pipeline import PipelineConfig, make_evaluator, run_pipeline
+from treecut.pipeline import PipelineConfig, SearchContext, run_pipeline
 from treecut.pipeline import load_treebank
 from treecut.threshold import BisectionConfig, bisect
 
@@ -186,10 +186,10 @@ def test_coverage_and_bisection():
         coverage_target=1.0,
     )
     treebank = load_treebank(cfg)
-    evaluate = make_evaluator(treebank, aot, table, cfg)
     scores = compute_node_entropies(aot, table, EntropyScheme.MIXED)
+    context = SearchContext(treebank, aot, table, cfg, scores)
     result = bisect(
-        1.0, evaluate, BisectionConfig(s_high_init=scores.max_value() + 1.0)
+        1.0, context.probe, BisectionConfig(s_high_init=scores.max_value() + 1.0)
     )
     assert result.attainable
     assert result.threshold < 1.08

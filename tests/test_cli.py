@@ -198,3 +198,81 @@ def test_chunk_cap_exits_one(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--coverage", "1.5"], "--coverage"),
+        (["--coverage", "-0.1"], "--coverage"),
+        (["--coverage", "nan"], "--coverage"),
+        (["--threshold", "nan"], "--threshold"),
+        (["--threshold", "inf"], "--threshold"),
+        (["--coverage", "0.9", "--delta-s", "0"], "--delta-s"),
+        (["--coverage", "0.9", "--delta-s", "-0.5"], "--delta-s"),
+        (["--coverage", "0.9", "--delta-s", "nan"], "--delta-s"),
+    ],
+)
+def test_run_rejects_bad_search_flags_before_work(capsys, tmp_path, flags, named):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", *WITH_TEST, *flags, "--out", str(out))
+    assert code == 1
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["bisect", "--coverage", "2"], "--coverage"),
+        (["bisect", "--coverage", "1.0", "--delta-s", "0"], "--delta-s"),
+        (["cut", "--threshold", "nan"], "--threshold"),
+        (["extract", "--threshold=-inf"], "--threshold"),
+    ],
+)
+def test_subcommands_reject_bad_search_flags(capsys, args, named):
+    code, out, err = run_cli(capsys, *args, *WITH_TEST)
+    assert code == 1
+    assert named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("which", ["--grammar", "--train"])
+def test_non_utf8_input_exits_one(capsys, tmp_path, which):
+    source = TOY / ("grammar.txt" if which == "--grammar" else "train.txt")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(source.read_bytes() + "# café\n".encode("latin-1"))
+    paths = {"--grammar": str(TOY / "grammar.txt"), "--train": str(TOY / "train.txt")}
+    paths[which] = str(bad)
+    code, _, err = run_cli(
+        capsys, "entropy-table", "--grammar", paths["--grammar"],
+        "--train", paths["--train"],
+    )
+    assert code == 1
+    assert str(bad) in err
+    assert "UTF-8" in err
+
+
+def test_evaluate_rejects_rule_with_wrong_arity(capsys, tmp_path):
+    rules_file = tmp_path / "rules.txt"
+    rules_file.write_text("np_x: np => det\n  (np_det_n (lex det))\n")
+    code, out, err = run_cli(
+        capsys, "evaluate", "--grammar", str(TOY / "grammar.txt"),
+        "--rules", str(rules_file), "--test", str(TOY / "test.txt"),
+    )
+    assert code == 1
+    assert out == ""
+    assert str(rules_file) in err
+    assert "arity" in err
+
+
+def test_empty_training_treebank_exits_one(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no trees here\n")
+    code, _, err = run_cli(
+        capsys, "run", "--grammar", str(TOY / "grammar.txt"),
+        "--train", str(empty), "--threshold", "1.0", "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert str(empty) in err
+    assert "no training trees" in err

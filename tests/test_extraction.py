@@ -151,11 +151,15 @@ def test_validate_rules_passes_extracted(training_rules, inventory):
 def test_validate_rules_rejects_bad_chunks(inventory):
     bad_cat = Apply("np_det_n", (LexSlot("det"), LexSlot("x")))
     rule = SpecializedRule("np_bad", "np", bad_cat, flat_rhs(bad_cat), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuleFileError):
         validate_rules(RuleSet([rule]), inventory)
     bad_arity = Apply("np_det_n", (LexSlot("det"),))
     rule = SpecializedRule("np_bad2", "np", bad_arity, flat_rhs(bad_arity), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuleFileError):
+        validate_rules(RuleSet([rule]), inventory)
+    unknown = Apply("np_missing", (LexSlot("det"),))
+    rule = SpecializedRule("np_bad3", "np", unknown, flat_rhs(unknown), 0)
+    with pytest.raises(RuleFileError, match="unknown rule id"):
         validate_rules(RuleSet([rule]), inventory)
 
 
@@ -163,7 +167,7 @@ def test_validate_rules_rejects_empty_body():
     inv = parse_rule_inventory("s_x s -> x\nx_e x ->\n", "s")
     chunk = Apply("x_e", ())
     rule = SpecializedRule("x_empty", "x", chunk, flat_rhs(chunk), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuleFileError):
         validate_rules(RuleSet([rule]), inv)
 
 
@@ -193,6 +197,7 @@ def test_rule_file_round_trip(training_rules):
         "np_x np det n\n  (np_det_n (lex det) (lex n))\n",
         "np_x: np => det\n  (np_det_n (lex det) (lex n))\n",
         "np_x: np => det n\n",
+        "np_x: np => det n\n  (np_det_n (lex det) (lex n))\n  support: many\n",
     ],
 )
 def test_rule_file_rejects_malformed_records(text):

@@ -1,0 +1,68 @@
+"""run_pipeline reuses the search's tilings for its coverage and stats."""
+
+import importlib
+
+import pytest
+
+from treecut import pipeline
+from treecut.coverage import evaluate_coverage, reduction_stats, render_stats
+from treecut.pipeline import PipelineConfig, run_pipeline
+
+# the package exports a coverage() function under the module's name
+coverage_module = importlib.import_module("treecut.coverage")
+
+UNTILEABLE = "(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))\n"
+
+
+@pytest.fixture
+def test_file(tmp_path, toy_dir):
+    path = tmp_path / "test.txt"
+    path.write_text((toy_dir / "test.txt").read_text() + UNTILEABLE)
+    return path
+
+
+@pytest.mark.parametrize(
+    "goal", [{"threshold": 1.0}, {"coverage_target": 0.5}], ids=["fixed", "search"]
+)
+def test_reports_reuse_the_chosen_tiling(
+    toy_dir, test_file, tmp_path, monkeypatch, goal
+):
+    tiled = []
+    covers = coverage_module.covers
+    monkeypatch.setattr(
+        coverage_module, "covers",
+        lambda *args: tiled.append(args[1]) or covers(*args),
+    )
+    selected = set()
+    select = pipeline.select_by_threshold
+
+    def recording_select(*args, **kwargs):
+        cutnodes = select(*args, **kwargs)
+        selected.add(pipeline.partition_key(cutnodes))
+        return cutnodes
+
+    monkeypatch.setattr(pipeline, "select_by_threshold", recording_select)
+    cfg = PipelineConfig(
+        grammar_path=str(toy_dir / "grammar.txt"),
+        train_path=str(toy_dir / "train.txt"),
+        test_path=str(test_file),
+        weighted_stats=True,
+        out_dir=str(tmp_path / "out"),
+        **goal,
+    )
+    result = run_pipeline(cfg)
+    test = result.treebank.test
+    # the test set is tiled once per distinct partition, and never again
+    assert len(tiled) == len(selected) * len(test)
+
+    fresh = evaluate_coverage(result.rules, test)
+    assert result.coverage.verdicts == fresh.verdicts == [True, False]
+    assert (tmp_path / "out" / "coverage.tsv").read_text().splitlines()[1:] == (
+        pipeline._coverage_report(fresh).splitlines()
+    )
+    stats = render_stats(
+        reduction_stats(result.rules, trees=test, weighted=True), "weighted"
+    )
+    assert "# skipped untileable trees: 1" in stats
+    written = (tmp_path / "out" / "reduction_stats.tsv").read_text()
+    assert written.split("\n", 1)[1] == stats

@@ -6,20 +6,35 @@ the corpora are small enough to read.
 
 import random
 
+from treecut import pipeline
 from treecut.andor import index_treebank
 from treecut.coverage import covers, evaluate_coverage
 from treecut.cutnodes import SelectionConfig, closure, select_by_threshold
 from treecut.entropy import build_phrase_table
 from treecut.extraction import (
-    Apply,
+    ANDOR_ENUM,
+    TRAINING_CUT,
     ChunkExplosionError,
     Frontier,
     LexSlot,
     extract_andor,
     extract_training,
 )
-from treecut.grammar import Internal, LexLeaf, parse_rule_inventory, yield_length
-from treecut.node_entropy import EntropyScheme
+from treecut.grammar import (
+    Internal,
+    LexLeaf,
+    Treebank,
+    parse_rule_inventory,
+    yield_length,
+)
+from treecut.node_entropy import EntropyScheme, compute_node_entropies
+from treecut.pipeline import PipelineConfig, selection_config
+from treecut.threshold import (
+    BisectionConfig,
+    ThresholdProbe,
+    bisect,
+    search_unimodal,
+)
 
 MIXED = SelectionConfig(scheme=EntropyScheme.MIXED)
 
@@ -212,3 +227,94 @@ def test_covers_agrees_with_exhaustive_tiler():
             assert got == want, seed
             cases += 1
     assert cases >= 500
+
+
+def reference_probe(treebank, aot, table, cfg):
+    """Plain evaluator: fresh scores, extraction and tiling on every call."""
+    sel = selection_config(cfg)
+
+    def probe(threshold):
+        cutnodes = select_by_threshold(threshold, aot, table, sel)
+        if cfg.mode == ANDOR_ENUM:
+            rules = extract_andor(aot, cutnodes, max_chunks=cfg.max_chunks)
+        else:
+            rules = extract_training(treebank.training, aot, cutnodes)
+        report = evaluate_coverage(rules, treebank.test)
+        return ThresholdProbe(cutnodes, report.fraction, rules, report)
+
+    return probe
+
+
+def search_outcome(c0, evaluate, cfg, s_high_init):
+    """Everything a search reports, or the error that stopped it."""
+    search = search_unimodal if cfg.neighbor_restrictions else bisect
+    try:
+        r = search(c0, evaluate, BisectionConfig(s_high_init=s_high_init))
+    except ChunkExplosionError:
+        return "chunk explosion"
+    return (
+        r.threshold, r.achieved_coverage, r.attainable, r.bracket_high,
+        r.coverage_at_high, r.steps, sorted(r.cutnodes.cut_node_ids()),
+        [rule.name for rule in r.rules], r.report.verdicts,
+    )
+
+
+SEARCHES = [
+    (scheme, restrictions, mode)
+    for scheme, restrictions in [
+        (EntropyScheme.MIXED, False),
+        (EntropyScheme.RHS_LOCAL, False),
+        (EntropyScheme.MIXED, True),
+    ]
+    for mode in (TRAINING_CUT, ANDOR_ENUM)
+]
+
+
+def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
+    selected, extracted = [], []
+    select, extract = pipeline.select_by_threshold, pipeline.extract_rules
+
+    def counting_select(*args, **kwargs):
+        cutnodes = select(*args, **kwargs)
+        selected.append(pipeline.partition_key(cutnodes))
+        return cutnodes
+
+    def counting_extract(treebank, aot, cutnodes, cfg):
+        extracted.append(pipeline.partition_key(cutnodes))
+        return extract(treebank, aot, cutnodes, cfg)
+
+    monkeypatch.setattr(pipeline, "select_by_threshold", counting_select)
+    monkeypatch.setattr(pipeline, "extract_rules", counting_extract)
+
+    corpora = [(treebank, 1.0)]
+    for seed in range(25):
+        rng = random.Random(7000 + seed)
+        inv, training = gen_corpus(rng, rng.randint(2, 8))
+        test = [gen_root(rng, inv) for _ in range(4)]
+        corpora.append((Treebank(inv, training, test), rng.choice([0.5, 0.75, 1.0])))
+
+    searches = repeats = 0
+    for bank, c0 in corpora:
+        aot = index_treebank(bank.training, bank.inventory)
+        table = build_phrase_table(bank.training, bank.inventory)
+        for scheme, restrictions, mode in SEARCHES:
+            cfg = PipelineConfig(
+                grammar_path="", train_path="", scheme=scheme,
+                neighbor_restrictions=restrictions, mode=mode,
+            )
+            scores = compute_node_entropies(aot, table, scheme, cfg.decimals)
+            s_high = scores.max_value() + 1.0
+            want = search_outcome(
+                c0, reference_probe(bank, aot, table, cfg), cfg, s_high
+            )
+            selected.clear()
+            extracted.clear()
+            context = pipeline.SearchContext(bank, aot, table, cfg, scores)
+            got = search_outcome(c0, context.probe, cfg, s_high)
+            assert got == want, (bank.training, scheme, restrictions, mode)
+            # one extraction per distinct partition, none for repeats
+            assert len(extracted) == len(set(extracted)) == len(set(selected))
+            searches += want != "chunk explosion"
+            repeats += len(selected) - len(extracted)
+    assert searches >= 100
+    assert repeats >= 500  # the memo served many probes

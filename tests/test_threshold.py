@@ -1,6 +1,6 @@
 import pytest
 
-from treecut.pipeline import PipelineConfig, make_evaluator
+from treecut.pipeline import PipelineConfig, SearchContext
 from treecut.threshold import (
     BisectionConfig,
     ThresholdProbe,
@@ -90,9 +90,11 @@ def test_unimodal_constant_pass_returns_last_grid_point():
     assert result.coverage_at_high == 1.0
 
 
-def test_toy_bisection_stops_under_first_boundary(treebank, aot, table):
+def test_toy_bisection_stops_under_first_boundary(
+    treebank, aot, table, mixed_scores
+):
     cfg = PipelineConfig(grammar_path="", train_path="")
-    evaluate = make_evaluator(treebank, aot, table, cfg)
+    evaluate = SearchContext(treebank, aot, table, cfg, mixed_scores).probe
     result = bisect(1.0, evaluate, BisectionConfig(s_high_init=2.76))
     assert result.attainable
     assert result.threshold < 1.08
