@@ -59,9 +59,13 @@ class OrNode:
 
 @dataclass
 class AndOrTree:
+    """The index, and the closed partitions ``cutnodes.closure`` memoised
+    for it, keyed on the cut set."""
+
     root: OrNode
     node_index: dict[str, OrNode]
     inventory: RuleInventory
+    closures: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, node_id: str) -> OrNode:
         return self.node_index[node_id]

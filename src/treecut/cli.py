@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for unreadable or malformed input, 2 when a
-requested coverage target is unattainable.
+Exit codes: 0 on success, 1 for unreadable or malformed input or an
+unwritable report directory, 2 when a requested coverage target is
+unattainable.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from treecut.node_entropy import (
 )
 from treecut.pipeline import (
     InputError,
+    OutputError,
     PipelineConfig,
     _coverage_report,
     _load,
@@ -47,6 +49,7 @@ class FlagError(Exception):
 HANDLED_ERRORS = (
     FlagError,
     InputError,
+    OutputError,
     RuleFileError,
     ChunkExplosionError,
     IterationLimitError,

@@ -73,7 +73,12 @@ class EquivalenceClass:
 
 @dataclass
 class CutnodeSet:
-    """A full partition of the or-nodes with some classes marked cut."""
+    """A full partition of the or-nodes with some classes marked cut.
+
+    ``closure`` memoises its results per index and hands the same
+    instance to every caller that closes an equal cut set, so a closed
+    ``CutnodeSet`` is shared and must never be mutated.
+    """
 
     classes: tuple[EquivalenceClass, ...]
     node_to_class: dict[str, EquivalenceClass] = field(default_factory=dict)
@@ -100,11 +105,13 @@ class CutnodeSet:
         return self.node_to_class[node_id]
 
     def grouping(self) -> dict[str, list[OrNode]]:
-        return {
-            m.node_id: list(cls.members)
-            for cls in self.classes
-            for m in cls.members
-        }
+        """Node id to its class's members; a class's members share one list."""
+        grouping = {}
+        for cls in self.classes:
+            members = list(cls.members)
+            for m in members:
+                grouping[m.node_id] = members
+        return grouping
 
 
 def singleton_cutnodes(cut_ids: frozenset[str], aot: AndOrTree) -> CutnodeSet:
@@ -116,82 +123,83 @@ def singleton_cutnodes(cut_ids: frozenset[str], aot: AndOrTree) -> CutnodeSet:
     return CutnodeSet(classes)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 def closure(cut_ids, aot: AndOrTree) -> CutnodeSet:
     """Least coherent assignment containing the given cutnodes.
 
     Idempotent and monotone in the cut set.  Classes whose members all
-    lack lexical yield are demoted to uncut at the end.
+    lack lexical yield are demoted to uncut at the end.  Results are
+    memoised per index on the cut set, so equal cut sets given as any
+    iterable of node ids share one ``CutnodeSet``.
+    """
+    key = frozenset(cut_ids)
+    cutset = aot.closures.get(key)
+    if cutset is None:
+        cutset = aot.closures[key] = _close(key, aot)
+    return cutset
+
+
+def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
+    """Worklist congruence closure over a union-find of node seqs.
+
+    Each class root keeps a table from rule to one and-node of its
+    members.  Merging two classes walks the smaller table; a rule found
+    in both tables queues its child pairs for merging (congruence);
+    lexical arcs have no children, so they never queue a pair.
+    Every class holds a single category, so joining all cutnodes of a
+    category up front leaves at most one cut class per category, and a
+    cut flag ORed on each union is all promotion needs.
     """
     nodes = sorted(aot.nodes(), key=lambda n: n.seq)
-    uf = _UnionFind(len(nodes))
-    cut_seqs = {aot[node_id].seq for node_id in cut_ids}
+    parent = list(range(len(nodes)))
+    tables: dict[int, dict] = {}  # merged roots only; others read their arcs
+    cut = [False] * len(nodes)
+    pending: list[tuple[OrNode, OrNode]] = []
 
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[int, list[OrNode]] = {}
-        for node in nodes:
-            groups.setdefault(uf.find(node.seq), []).append(node)
-        # same-category cutnodes are equated
-        by_cat: dict[str, list[int]] = {}
-        for root, members in groups.items():
-            if any(m.seq in cut_seqs for m in members):
-                by_cat.setdefault(members[0].category, []).append(root)
-        for roots in by_cat.values():
-            for other in roots[1:]:
-                changed |= uf.union(roots[0], other)
-        # congruence: children of equated nodes along the same arc align
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            arcs: dict[str, list[OrNode]] = {}
-            for m in members:
-                for rule, and_node in m.arcs.items():
-                    if rule == LEX:
-                        continue
-                    first = arcs.get(rule)
-                    if first is None:
-                        arcs[rule] = and_node.children
-                    else:
-                        for a, b in zip(first, and_node.children):
-                            changed |= uf.union(a.seq, b.seq)
-        # a class with one cutnode is cut as a whole
-        for members in groups.values():
-            seqs = {m.seq for m in members}
-            if seqs & cut_seqs and not seqs <= cut_seqs:
-                cut_seqs |= seqs
-                changed = True
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    groups = {}
+    def table(root: int) -> dict:
+        own = tables.get(root)
+        return nodes[root].arcs if own is None else own
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return
+        if len(table(ra)) < len(table(rb)):
+            ra, rb = rb, ra
+        parent[rb] = ra
+        cut[ra] = cut[ra] or cut[rb]
+        into = tables.get(ra)
+        if into is None:
+            into = tables[ra] = dict(nodes[ra].arcs)
+        for rule, and_node in table(rb).items():
+            seen = into.get(rule)
+            if seen is None:
+                into[rule] = and_node
+            else:
+                pending.extend(zip(seen.children, and_node.children))
+        tables.pop(rb, None)
+
+    first_of: dict[str, int] = {}
+    for node_id in cut_ids:
+        node = aot[node_id]
+        union(first_of.setdefault(node.category, node.seq), node.seq)
+        cut[find(node.seq)] = True
+    while pending:
+        a, b = pending.pop()
+        union(a.seq, b.seq)
+
+    members: dict[int, list[OrNode]] = {}
     for node in nodes:
-        groups.setdefault(uf.find(node.seq), []).append(node)
+        members.setdefault(find(node.seq), []).append(node)
     classes = []
-    for root in sorted(groups):
-        members = tuple(sorted(groups[root], key=lambda n: n.seq))
-        is_cut = any(m.seq in cut_seqs for m in members)
-        if is_cut and not any(m.has_lexical_yield for m in members):
-            is_cut = False
-        classes.append(EquivalenceClass(members, is_cut))
+    for root, group in members.items():
+        is_cut = cut[root] and any(m.has_lexical_yield for m in group)
+        classes.append(EquivalenceClass(tuple(group), is_cut))
     return CutnodeSet(tuple(classes))
 
 

@@ -22,8 +22,6 @@ from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
 ROOT_CONTEXT = "ROOT"
 LHS_POSITION = 0
 
-_CENT = Decimal("0.01")
-
 
 @dataclass(frozen=True)
 class Slot:
@@ -65,12 +63,16 @@ def entropy(counts: dict[str, int] | CountDistribution) -> float:
     return acc
 
 
+def quantize_decimal(value: float | Decimal, decimals: int) -> Decimal:
+    """*value* exactly, rounded half-to-even at *decimals* places."""
+    return Decimal(value).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_EVEN)
+
+
 def quantize(value: float, decimals: int | None) -> float:
     """Round half-to-even at *decimals* places; None means exact."""
     if decimals is None:
         return value
-    unit = Decimal(1).scaleb(-decimals)
-    return float(Decimal(value).quantize(unit, ROUND_HALF_EVEN))
+    return float(quantize_decimal(value, decimals))
 
 
 @dataclass

@@ -18,11 +18,17 @@ The root (and any unseen slot) scores 0 under rhs-local and mixed.
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import Decimal
 from enum import Enum
 
 from treecut.andor import AndOrTree, OrNode
-from treecut.entropy import LHS_POSITION, PhraseEntropyTable, Slot, entropy
+from treecut.entropy import (
+    LHS_POSITION,
+    PhraseEntropyTable,
+    Slot,
+    entropy,
+    quantize_decimal,
+)
 from treecut.grammar import LEX
 
 
@@ -38,11 +44,6 @@ class EntropyScheme(str, Enum):
     RHS_LOCAL = "rhs-local"
     MIXED = "mixed"
     ARC_FREQUENCY = "arc-frequency"
-
-
-def _published_decimal(table: PhraseEntropyTable, slot: Slot, decimals: int) -> Decimal:
-    unit = Decimal(1).scaleb(-decimals)
-    return Decimal(table.value(slot)).quantize(unit, ROUND_HALF_EVEN)
 
 
 def node_entropy_rhs_local(
@@ -65,13 +66,13 @@ def node_entropy_mixed(
             if rule != LEX and total:
                 acc += (count / total) * table.value(Slot(rule, LHS_POSITION))
         return acc
-    unit = Decimal(1).scaleb(-decimals)
-    acc = _published_decimal(table, node.parent_slot, decimals)
+    acc = quantize_decimal(table.value(node.parent_slot), decimals)
     for rule, count in node.arc_counts.items():
         if rule != LEX and total:
             weight = Decimal(count) / Decimal(total)
-            acc += weight * _published_decimal(table, Slot(rule, LHS_POSITION), decimals)
-    return float(acc.quantize(unit, ROUND_HALF_EVEN))
+            lhs = table.value(Slot(rule, LHS_POSITION))
+            acc += weight * quantize_decimal(lhs, decimals)
+    return float(quantize_decimal(acc, decimals))
 
 
 def node_entropy_arc_frequency(
@@ -110,11 +111,10 @@ def unified_node_entropy(
     lhs_slot = Slot(child_rule, LHS_POSITION)
     if decimals is None:
         return table.value(parent_slot) + table.value(lhs_slot)
-    unit = Decimal(1).scaleb(-decimals)
-    acc = _published_decimal(table, parent_slot, decimals) + _published_decimal(
-        table, lhs_slot, decimals
+    acc = quantize_decimal(table.value(parent_slot), decimals) + quantize_decimal(
+        table.value(lhs_slot), decimals
     )
-    return float(acc.quantize(unit, ROUND_HALF_EVEN))
+    return float(quantize_decimal(acc, decimals))
 
 
 def local_perplexity(node_entropy: float) -> float:
@@ -147,13 +147,24 @@ def compute_node_entropies(
 
     ``grouping`` maps node ids to equivalence-class member lists and is
     only consulted by the arc-frequency scheme; omitted, every node is
-    its own class.  The other schemes require *table*.
+    its own class.  Nodes that share one member list (as
+    ``CutnodeSet.grouping`` hands out) are pooled once and share the
+    score.  The other schemes require *table*.
     """
     values: dict[str, float] = {}
+    pooled: dict[int, float] = {}
     for node in aot.nodes():
         if scheme is EntropyScheme.ARC_FREQUENCY:
             members = grouping.get(node.node_id) if grouping else None
-            values[node.node_id] = node_entropy_arc_frequency(node, members)
+            if not members:
+                values[node.node_id] = node_entropy_arc_frequency(node)
+                continue
+            score = pooled.get(id(members))
+            if score is None:
+                score = pooled[id(members)] = node_entropy_arc_frequency(
+                    node, members
+                )
+            values[node.node_id] = score
         elif node.parent_slot is None:
             values[node.node_id] = 0.0
         elif scheme is EntropyScheme.RHS_LOCAL:

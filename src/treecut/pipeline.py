@@ -130,6 +130,20 @@ def _load(path: str, parse):
         raise InputError(f"{path}: {exc}") from exc
 
 
+class OutputError(Exception):
+    """A report directory or file could not be written; the message names it."""
+
+
+def make_out_dir(path: str) -> None:
+    """Create the report directory, or raise OutputError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(
+            f"{path}: cannot create report directory ({exc.strerror or exc})"
+        ) from exc
+
+
 def load_treebank(cfg: PipelineConfig) -> Treebank:
     """Read and validate the grammar and tree files.
 
@@ -216,6 +230,8 @@ class SearchContext:
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    if cfg.out_dir is not None:
+        make_out_dir(cfg.out_dir)  # fail before the work, not after it
     treebank = load_treebank(cfg)
     table = build_phrase_table(treebank.training, treebank.inventory)
     aot = index_treebank(treebank.training, treebank.inventory)
@@ -286,7 +302,7 @@ def _coverage_report(report: CoverageReport) -> str:
 
 def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
     """Write every report file; returns the paths in write order."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    make_out_dir(cfg.out_dir)
     header = config_line(cfg)
     files = {
         "entropy_table.tsv": render_entropy_table(result.table),
@@ -307,7 +323,10 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
         body = files[name]
         if not body.endswith("\n"):
             body += "\n"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(header + "\n" + body)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(header + "\n" + body)
+        except OSError as exc:
+            raise OutputError(f"{path}: {exc.strerror or exc}") from exc
         written.append(path)
     return written

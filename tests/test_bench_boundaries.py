@@ -1,0 +1,91 @@
+"""The benchmark's stage boundaries still exist and are still crossed.
+
+``bench/child.py`` wraps treecut functions by module and name, and the
+benchmark exits without a result when one is missing or when a stage
+its workload requires is never crossed.  These tests catch such a
+rename or rerouting here, without running the benchmark.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+import treecut.cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+TOY = ROOT / "corpora" / "toy"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved = list(sys.path)  # the bench modules put their own directory first
+    try:
+        yield load_bench_module("child"), load_bench_module("run")
+    finally:
+        sys.path[:] = saved
+
+
+def test_every_boundary_is_a_callable_of_its_module(bench):
+    child, _ = bench
+    for module_name, func_name, _, _ in child.LAYERS + child.END_TO_END:
+        module = importlib.import_module(f"treecut.{module_name}")
+        assert callable(getattr(module, func_name, None)), (module_name, func_name)
+
+
+def install_counters(monkeypatch, child):
+    """Count calls at every boundary, wherever the function is bound."""
+    calls, spans = {}, {}
+    modules = [
+        m for name, m in sys.modules.items()
+        if name == "treecut" or name.startswith("treecut.")
+    ]
+    for module_name, func_name, span, _ in child.LAYERS:
+        original = getattr(sys.modules[f"treecut.{module_name}"], func_name)
+
+        def counting(*args, _original=original, _key=func_name, _span=span, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            spans[_span] = spans.get(_span, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls, spans
+
+
+def test_arc_restricted_run_crosses_its_stages(bench, monkeypatch, tmp_path, capsys):
+    child, run = bench
+    workload = run.WORKLOADS["arc-restricted"]
+    calls, spans = install_counters(monkeypatch, child)
+    code = treecut.cli.main([  # looked up now, so its wrapper is called
+        "run",
+        "--grammar", str(TOY / "grammar.txt"),
+        "--train", str(TOY / "train.txt"),
+        "--test", str(TOY / "test.txt"),
+        "--out", str(tmp_path / "out"),
+        *workload["flags"],
+    ])
+    capsys.readouterr()
+    assert code == 0
+    for name in (
+        "closure",
+        "compute_node_entropies",
+        "node_entropy_arc_frequency",
+        "neighbor_conflicts",
+        "select_iterative",
+    ):
+        assert calls.get(name), name
+    missing = [s for s in ["select", "evaluate"] + workload["spans"] if not spans.get(s)]
+    assert not missing

@@ -276,3 +276,32 @@ def test_empty_training_treebank_exits_one(capsys, tmp_path):
     assert code == 1
     assert str(empty) in err
     assert "no training trees" in err
+
+
+def test_uncreatable_out_dir_exits_one_before_loading(capsys, tmp_path, monkeypatch):
+    from treecut import pipeline
+
+    def never(cfg):
+        raise AssertionError("the corpus was loaded before --out was checked")
+
+    monkeypatch.setattr(pipeline, "load_treebank", never)
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "sub"
+    code, out, err = run_cli(
+        capsys, "run", *WITH_TEST, "--threshold", "1.0", "--out", str(out_dir)
+    )
+    assert code == 1
+    assert out == ""
+    assert str(out_dir) in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_report_file_exits_one(capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    (out_dir / "rules.txt").mkdir(parents=True)
+    code, _, err = run_cli(
+        capsys, "run", *WITH_TEST, "--threshold", "1.0", "--out", str(out_dir)
+    )
+    assert code == 1
+    assert str(out_dir / "rules.txt") in err

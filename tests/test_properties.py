@@ -9,8 +9,15 @@ import random
 from treecut import pipeline
 from treecut.andor import index_treebank
 from treecut.coverage import covers, evaluate_coverage
-from treecut.cutnodes import SelectionConfig, closure, select_by_threshold
-from treecut.entropy import build_phrase_table
+from treecut import node_entropy
+from treecut.cutnodes import (
+    CutnodeSet,
+    EquivalenceClass,
+    SelectionConfig,
+    closure,
+    select_by_threshold,
+)
+from treecut.entropy import build_phrase_table, entropy
 from treecut.extraction import (
     ANDOR_ENUM,
     TRAINING_CUT,
@@ -21,6 +28,7 @@ from treecut.extraction import (
     extract_training,
 )
 from treecut.grammar import (
+    LEX,
     Internal,
     LexLeaf,
     Treebank,
@@ -100,6 +108,206 @@ def test_closure_idempotent_and_monotone_on_random_corpora():
         }, seed
 
         assert once.cut_node_ids() <= closure(large, aot).cut_node_ids(), seed
+
+
+class ReferenceUnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+def reference_closure(cut_ids, aot):
+    """Plain fixpoint closure: rebuild every group each round, no memo."""
+    nodes = sorted(aot.nodes(), key=lambda n: n.seq)
+    uf = ReferenceUnionFind(len(nodes))
+    cut_seqs = {aot[node_id].seq for node_id in cut_ids}
+
+    changed = True
+    while changed:
+        changed = False
+        groups = {}
+        for node in nodes:
+            groups.setdefault(uf.find(node.seq), []).append(node)
+        # same-category cutnodes are equated
+        by_cat = {}
+        for root, members in groups.items():
+            if any(m.seq in cut_seqs for m in members):
+                by_cat.setdefault(members[0].category, []).append(root)
+        for roots in by_cat.values():
+            for other in roots[1:]:
+                changed |= uf.union(roots[0], other)
+        # congruence: children of equated nodes along the same arc align
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            arcs = {}
+            for m in members:
+                for rule, and_node in m.arcs.items():
+                    if rule == LEX:
+                        continue
+                    first = arcs.get(rule)
+                    if first is None:
+                        arcs[rule] = and_node.children
+                    else:
+                        for a, b in zip(first, and_node.children):
+                            changed |= uf.union(a.seq, b.seq)
+        # a class with one cutnode is cut as a whole
+        for members in groups.values():
+            seqs = {m.seq for m in members}
+            if seqs & cut_seqs and not seqs <= cut_seqs:
+                cut_seqs |= seqs
+                changed = True
+
+    groups = {}
+    for node in nodes:
+        groups.setdefault(uf.find(node.seq), []).append(node)
+    classes = []
+    for root in sorted(groups):
+        members = tuple(sorted(groups[root], key=lambda n: n.seq))
+        is_cut = any(m.seq in cut_seqs for m in members)
+        if is_cut and not any(m.has_lexical_yield for m in members):
+            is_cut = False
+        classes.append(EquivalenceClass(members, is_cut))
+    return CutnodeSet(tuple(classes))
+
+
+def oracle_corpora(treebank, count=30):
+    """The toy index, then *count* seeded generated ones of varied size."""
+    yield "toy", index_treebank(treebank.training, treebank.inventory)
+    for seed in range(count):
+        rng = random.Random(8000 + seed)
+        inv, training = gen_corpus(rng, rng.randint(1, 30))
+        yield seed, index_treebank(training, inv)
+
+
+def random_cut_sets(rng, aot, count=12):
+    """Empty, every node, the yieldless nodes, and random subsets."""
+    ids = sorted(aot.node_index)
+    yieldless = [i for i in ids if not aot[i].has_lexical_yield]
+    yield frozenset()
+    yield frozenset(ids)
+    yield frozenset(yieldless)
+    for _ in range(count):
+        p = rng.choice([0.05, 0.2, 0.5, 0.9])
+        picked = {i for i in ids if rng.random() < p}
+        if yieldless and rng.random() < 0.5:
+            picked.add(rng.choice(yieldless))
+        yield frozenset(picked)
+
+
+def test_closure_agrees_with_reference_closure(treebank):
+    compared = yieldless_cuts = 0
+    for name, aot in oracle_corpora(treebank):
+        rng = random.Random(f"closure-{name}")
+        for cut_ids in random_cut_sets(rng, aot):
+            want = reference_closure(cut_ids, aot)
+            got = closure(cut_ids, aot)
+            # class order, member seqs and cut flags
+            assert pipeline.partition_key(got) == pipeline.partition_key(want), (
+                name, sorted(cut_ids)
+            )
+            assert [c.members for c in got.classes] == [
+                c.members for c in want.classes
+            ]
+            compared += 1
+            yieldless_cuts += any(
+                not aot[i].has_lexical_yield for i in cut_ids
+            )
+    assert compared >= 31 * 15
+    assert yieldless_cuts >= 40
+
+
+def test_closure_memo_is_keyed_on_the_cut_set(aot):
+    ids = ["n3", "n6", "n3"]
+    as_list = closure(ids, aot)
+    assert closure(set(ids), aot) is as_list
+    assert closure(frozenset(ids), aot) is as_list
+    assert closure(iter(ids), aot) is as_list
+    assert as_list.cut_node_ids() == reference_closure(ids, aot).cut_node_ids()
+    assert closure(["n3"], aot) is not as_list
+
+
+def test_indices_with_equal_node_ids_keep_their_own_memo(treebank):
+    first = index_treebank(treebank.training, treebank.inventory)
+    second = index_treebank(treebank.training, treebank.inventory)
+    assert first.node_index.keys() == second.node_index.keys()
+    ids = frozenset({"n3", "n4"})
+    a, b = closure(ids, first), closure(ids, second)
+    assert a is not b
+    assert pipeline.partition_key(a) == pipeline.partition_key(b)
+    for cutset, aot in ((a, first), (b, second)):
+        for cls in cutset.classes:
+            assert all(m is aot[m.node_id] for m in cls.members)
+    # a differently built index sharing some ids is not served either
+    other_inv, other_training = gen_corpus(random.Random(8001), 6)
+    other = index_treebank(other_training, other_inv)
+    assert closure(frozenset(), other) is not closure(frozenset(), first)
+    assert pipeline.partition_key(closure(frozenset(), other)) == (
+        pipeline.partition_key(reference_closure(frozenset(), other))
+    )
+
+
+def per_node_arc_scores(aot, cutset):
+    """Each node's arc counts pooled over its class, one node at a time."""
+    scores = {}
+    for node in aot.nodes():
+        members = cutset.class_of(node.node_id).members if cutset else (node,)
+        pooled = {}
+        for member in members:
+            for rule, count in member.arc_counts.items():
+                pooled[rule] = pooled.get(rule, 0) + count
+        scores[node.node_id] = entropy(pooled)
+    return scores
+
+
+def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
+    calls = []
+    original = node_entropy.node_entropy_arc_frequency
+
+    def counting(node, members=None):
+        calls.append(node.node_id)
+        return original(node, members)
+
+    monkeypatch.setattr(node_entropy, "node_entropy_arc_frequency", counting)
+    for name, aot in oracle_corpora(treebank, count=25):
+        rng = random.Random(f"pool-{name}")
+        calls.clear()
+        alone = compute_node_entropies(aot, None, EntropyScheme.ARC_FREQUENCY)
+        assert alone.values == per_node_arc_scores(aot, None), name
+        assert len(calls) == len(aot.node_index)
+        for cut_ids in random_cut_sets(rng, aot, count=4):
+            cutset = closure(cut_ids, aot)
+            grouping = cutset.grouping()
+            for cls in cutset.classes:
+                assert all(
+                    grouping[m.node_id] is grouping[cls.representative.node_id]
+                    for m in cls.members
+                )
+            calls.clear()
+            pooled = compute_node_entropies(
+                aot, None, EntropyScheme.ARC_FREQUENCY, grouping=grouping
+            )
+            assert pooled.values == per_node_arc_scores(aot, cutset), name
+            assert len(calls) == len(cutset.classes)
+            # member lists that are not shared are pooled per node, same values
+            unshared = {k: list(v) for k, v in grouping.items()}
+            assert compute_node_entropies(
+                aot, None, EntropyScheme.ARC_FREQUENCY, grouping=unshared
+            ).values == pooled.values
 
 
 def test_one_cut_class_per_category():
