@@ -17,7 +17,7 @@ arcs are lexical are numbered ``t1``, ``t2``, ...
 from dataclasses import dataclass, field
 
 from treecut.entropy import Slot
-from treecut.grammar import LEX, LexLeaf, RuleInventory, yield_length
+from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
 
 
 class PathNotInIndexError(Exception):
@@ -74,31 +74,33 @@ class AndOrTree:
         return list(self.node_index.values())
 
 
-def _insert(node: OrNode, tree, inv: RuleInventory) -> None:
-    if yield_length(tree) > 0:
-        node.has_lexical_yield = True
-    if isinstance(tree, LexLeaf):
-        node.arcs.setdefault(LEX, AndNode(LEX, []))
-        node.arc_counts[LEX] = node.arc_counts.get(LEX, 0) + 1
-        return
-    rule = inv[tree.rule]
-    if tree.rule not in node.arcs:
-        children = [
-            OrNode(category=cat, parent_slot=Slot(tree.rule, k))
-            for k, cat in enumerate(rule.rhs, start=1)
-        ]
-        node.arcs[tree.rule] = AndNode(tree.rule, children)
-    node.arc_counts[tree.rule] = node.arc_counts.get(tree.rule, 0) + 1
-    and_node = node.arcs[tree.rule]
-    for child_or, child_tree in zip(and_node.children, tree.children):
-        _insert(child_or, child_tree, inv)
+def _insert(root: OrNode, tree, inv: RuleInventory) -> None:
+    """Merge one tree into the index, visiting its nodes in preorder."""
+    stack = [(root, tree)]
+    while stack:
+        node, tree = stack.pop()
+        if tree.length > 0:
+            node.has_lexical_yield = True
+        rule = tree.rule if tree.__class__ is Internal else LEX
+        and_node = node.arcs.get(rule)
+        if and_node is None:
+            children = [] if rule == LEX else [
+                OrNode(category=cat, parent_slot=Slot(rule, k))
+                for k, cat in enumerate(inv[rule].rhs, start=1)
+            ]
+            and_node = node.arcs[rule] = AndNode(rule, children)
+        node.arc_counts[rule] = node.arc_counts.get(rule, 0) + 1
+        if rule != LEX:
+            stack.extend(reversed(list(zip(and_node.children, tree.children))))
 
 
 def _assign_ids(root: OrNode) -> dict[str, OrNode]:
+    """Number the or-nodes in preorder, arcs in rule-id order."""
     index: dict[str, OrNode] = {}
     counters = {"n": 0, "t": 0}
-
-    def visit(node: OrNode) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
         if node is root:
             node.node_id = "root"
         else:
@@ -107,11 +109,11 @@ def _assign_ids(root: OrNode) -> dict[str, OrNode]:
             node.node_id = f"{kind}{counters[kind]}"
         node.seq = len(index)
         index[node.node_id] = node
-        for _, and_node in node.sorted_arcs():
-            for child in and_node.children:
-                visit(child)
-
-    visit(root)
+        stack.extend(
+            child
+            for _, and_node in reversed(node.sorted_arcs())
+            for child in reversed(and_node.children)
+        )
     return index
 
 

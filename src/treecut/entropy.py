@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
+from treecut.grammar import LEX, LexLeaf, RuleInventory
 
 ROOT_CONTEXT = "ROOT"
 LHS_POSITION = 0
@@ -95,24 +95,57 @@ class PhraseEntropyTable:
         return quantize(self.value(slot), decimals)
 
 
-def _walk(tree, parent_context: str, table: dict[Slot, CountDistribution]) -> None:
-    rule = tree.rule
-    table.setdefault(Slot(rule, LHS_POSITION), CountDistribution()).add(parent_context)
-    for k, child in enumerate(tree.children, start=1):
-        dist = table.setdefault(Slot(rule, k), CountDistribution())
-        if isinstance(child, LexLeaf):
-            dist.add(LEX)
-        else:
-            dist.add(child.rule)
-            _walk(child, f"{rule}/{k}", table)
+class _RuleCounts:
+    """One rule's slots, their counts (None until first seen) and the
+    contexts its children attach in, built once per rule."""
+
+    __slots__ = ("slots", "counts", "contexts")
+
+    def __init__(self, rule: str, arity: int):
+        self.slots = [Slot(rule, k) for k in range(arity + 1)]
+        self.counts: list[dict[str, int] | None] = [None] * (arity + 1)
+        self.contexts = [f"{rule}/{k}" for k in range(1, arity + 1)]
 
 
 def build_phrase_table(training: list, inv: RuleInventory) -> PhraseEntropyTable:
-    """Count every slot over the training trees and take entropies."""
-    dists: dict[Slot, CountDistribution] = {}
-    for tree in training:
-        if isinstance(tree, Internal):
-            _walk(tree, ROOT_CONTEXT, dists)
+    """Count every slot over the training trees and take entropies.
+
+    Trees are walked in preorder with an explicit stack, so slots and
+    their outcomes are first seen (and kept) in the same order as a
+    recursive walk would see them.
+    """
+    seen: list[tuple[Slot, dict[str, int]]] = []
+    by_rule: dict[str, _RuleCounts] = {}
+
+    def count(rule: _RuleCounts, k: int, outcome: str) -> None:
+        counts = rule.counts[k]
+        if counts is None:
+            counts = rule.counts[k] = {}
+            seen.append((rule.slots[k], counts))
+        counts[outcome] = counts.get(outcome, 0) + 1
+
+    # (node, its LHS context, the parent's counts, its slot there); each
+    # child is counted in its parent's slot just before its own subtree
+    stack = [(tree, ROOT_CONTEXT, None, 0) for tree in reversed(training)]
+    while stack:
+        node, context, parent, k = stack.pop()
+        if node.__class__ is LexLeaf:
+            if parent is not None:
+                count(parent, k, LEX)
+            continue
+        if parent is not None:
+            count(parent, k, node.rule)
+        children = node.children
+        rule = by_rule.get(node.rule)
+        if rule is None:
+            rule = by_rule[node.rule] = _RuleCounts(node.rule, len(children))
+        count(rule, LHS_POSITION, context)
+        contexts = rule.contexts
+        stack.extend(
+            (children[j], contexts[j], rule, j + 1)
+            for j in range(len(children) - 1, -1, -1)
+        )
+    dists = {slot: CountDistribution(counts) for slot, counts in seen}
     return PhraseEntropyTable(
         inventory=inv,
         distributions=dists,

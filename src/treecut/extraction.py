@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, yield_length
+from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
 from treecut.sexpr import Symbol, read_all
 
 TRAINING_CUT = "training"
@@ -181,7 +181,7 @@ def cut_tree(tree: Internal, aot: AndOrTree, cutset: CutnodeSet) -> list[Apply]:
                     parts.append(Frontier(child_or.category))
                 else:
                     parts.append(LexSlot(child_or.category))
-            elif cutset.is_cut(child_or.node_id) and yield_length(child) > 0:
+            elif cutset.is_cut(child_or.node_id) and child.length > 0:
                 parts.append(Frontier(child_or.category))
                 pending.append((child, child_or))
             else:

@@ -11,9 +11,9 @@ for an application of ``rule``, ``(lex word)`` for a lexical lookup.
 Both internal applications and lexical lookups may fill any slot.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from treecut.sexpr import Symbol, SexprError, quote_if_needed, read_all
+from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all
 
 LEX = "lex"
 
@@ -87,19 +87,32 @@ class RuleInventory:
         return frozenset(r.lhs for r in self.rules.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexLeaf:
     """A lexical lookup yielding one word."""
 
     word: str
 
+    # yield length: a lexical lookup spans one word
+    length = 1
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Internal:
-    """An application of a grammar rule to child subtrees."""
+    """An application of a grammar rule to child subtrees.
+
+    ``length`` is the yield length, the number of lexical lookups the
+    node dominates.  The loader passes it in; when it is left out it is
+    summed from the children's.
+    """
 
     rule: str
     children: tuple
+    length: int = field(default=-1, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.length < 0:
+            object.__setattr__(self, "length", sum(c.length for c in self.children))
 
     def __iter__(self):
         return iter(self.children)
@@ -158,94 +171,86 @@ def parse_rule_inventory(text: str, top: str, strict: bool = False) -> RuleInven
     return inv
 
 
-def infer_rule_from_id(rule_id: str) -> GrammarRule | None:
-    """Read ``<lhs>_<rhs1>_<rhs2>...`` off a mnemonic rule id.
-
-    Returns None for ids without an underscore.  Offered as a
-    convenience check only; the grammar file stays authoritative.
-    """
-    parts = rule_id.split("_")
-    if len(parts) < 2 or not all(parts):
-        return None
-    return GrammarRule(rule_id, parts[0], tuple(parts[1:]))
-
-
-def mnemonic_mismatches(inv: RuleInventory) -> list[str]:
-    """Rule ids whose mnemonic reading disagrees with the declaration."""
-    bad = []
-    for rule in inv.in_order():
-        inferred = infer_rule_from_id(rule.rule_id)
-        if inferred is not None and (inferred.lhs, inferred.rhs) != (rule.lhs, rule.rhs):
-            bad.append(rule.rule_id)
-    return bad
-
-
-def _tree_from_sexpr(expr, inv: RuleInventory) -> ParseTree:
-    if isinstance(expr, Symbol):
-        raise TreebankFormatError(
-            f"bare symbol '{expr.text}' outside a rule application", expr.line_no
-        )
-    if not expr:
-        raise TreebankFormatError("empty '()' expression", 0)
-    head = expr[0]
-    if not isinstance(head, Symbol):
-        raise TreebankFormatError("expression head must be a rule id", 0)
-    if head.text == LEX:
-        if len(expr) != 2 or not isinstance(expr[1], Symbol):
-            raise ArityMismatchError(
-                f"'{LEX}' takes exactly one word", head.line_no
-            )
-        return LexLeaf(expr[1].text)
-    if head.text not in inv:
-        raise UnknownRuleIdError(f"unknown rule id '{head.text}'", head.line_no)
-    rule = inv[head.text]
-    args = expr[1:]
-    if len(args) != rule.arity:
-        raise ArityMismatchError(
-            f"'{rule.rule_id}' expects {rule.arity} children, got {len(args)}",
-            head.line_no,
-        )
-    children = []
-    for k, sub in enumerate(args):
-        child = _tree_from_sexpr(sub, inv)
-        if isinstance(child, Internal):
-            got = inv[child.rule].lhs
-            want = rule.rhs[k]
-            if got != want:
-                raise CategoryMismatchError(
-                    f"child {k + 1} of '{rule.rule_id}' has category "
-                    f"'{got}', expected '{want}'",
-                    head.line_no,
-                )
-        children.append(child)
-    return Internal(rule.rule_id, tuple(children))
-
-
 def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> list:
-    """Parse every tree in a treebank file, validating against *inv*."""
+    """Parse every tree in a treebank file, validating against *inv*.
+
+    Each tree is built bottom-up while the text is read: every list is
+    checked and folded into a node as soon as its ')' is read.
+    """
+    rules = inv.rules
+    lhs_of = {rule_id: rule.lhs for rule_id, rule in rules.items()}
+
+    def close(items: list, at: int):
+        if not items:
+            raise TreebankFormatError("empty '()' expression", 0)
+        head = items[0]
+        if head.__class__ is not str:
+            raise TreebankFormatError("expression head must be a rule id", 0)
+        if head == LEX:
+            if len(items) != 2 or items[1].__class__ is not str:
+                raise ArityMismatchError(
+                    f"'{LEX}' takes exactly one word", item_line(text, at, 0)
+                )
+            return LexLeaf(items[1])
+        rule = rules.get(head)
+        if rule is None:
+            raise UnknownRuleIdError(
+                f"unknown rule id '{head}'", item_line(text, at, 0)
+            )
+        rhs = rule.rhs
+        if len(items) - 1 != len(rhs):
+            raise ArityMismatchError(
+                f"'{head}' expects {len(rhs)} children, got {len(items) - 1}",
+                item_line(text, at, 0),
+            )
+        length = 0
+        for k, want in enumerate(rhs, start=1):
+            child = items[k]
+            kind = child.__class__
+            if kind is Internal:
+                got = lhs_of[child.rule]
+                if got != want:
+                    raise CategoryMismatchError(
+                        f"child {k} of '{head}' has category "
+                        f"'{got}', expected '{want}'",
+                        item_line(text, at, 0),
+                    )
+                length += child.length
+            elif kind is LexLeaf:
+                length += 1
+            else:
+                raise _bare_symbol(child, item_line(text, at, k))
+        # the inventory's id string is shared by every node of the rule
+        return Internal(rule.rule_id, tuple(items[1:]), length)
+
     try:
-        exprs = read_all(text)
+        trees = read_all(text, close=close)
     except SexprError as err:
         raise TreebankFormatError(str(err).split(": ", 1)[1], err.line_no) from err
-    trees = []
-    for expr in exprs:
-        tree = _tree_from_sexpr(expr, inv)
+    for k, tree in enumerate(trees):
+        if tree.__class__ is str:
+            raise _bare_symbol(tree, item_line(text, None, k))
         if require_top:
             if isinstance(tree, LexLeaf):
                 raise TreebankFormatError(
                     "a complete parse cannot be a bare lexical lookup", 0
                 )
-            root_lhs = inv[tree.rule].lhs
+            root_lhs = lhs_of[tree.rule]
             if root_lhs != inv.top:
                 raise CategoryMismatchError(
                     f"root category '{root_lhs}' is not '{inv.top}'", 0
                 )
-            if yield_length(tree) == 0:
+            if tree.length == 0:
                 raise TreebankFormatError(
                     "a complete parse must span at least one word", 0
                 )
-        trees.append(tree)
     return trees
+
+
+def _bare_symbol(word: str, line_no: int) -> TreebankFormatError:
+    return TreebankFormatError(
+        f"bare symbol '{word}' outside a rule application", line_no
+    )
 
 
 def render_tree(tree: ParseTree) -> str:
@@ -258,25 +263,3 @@ def render_tree(tree: ParseTree) -> str:
 
 def render_treebank(trees: list) -> str:
     return "".join(render_tree(t) + "\n" for t in trees)
-
-
-def yield_length(tree: ParseTree) -> int:
-    """Number of lexical lookups dominated by *tree*."""
-    if isinstance(tree, LexLeaf):
-        return 1
-    return sum(yield_length(c) for c in tree.children)
-
-
-def tree_size(tree: ParseTree) -> int:
-    """Total node count, lexical leaves included."""
-    if isinstance(tree, LexLeaf):
-        return 1
-    return 1 + sum(tree_size(c) for c in tree.children)
-
-
-def subtree_at(tree: ParseTree, path: tuple[int, ...]) -> ParseTree:
-    """Follow 0-based child indices from the root."""
-    node = tree
-    for k in path:
-        node = node.children[k]
-    return node

@@ -3,10 +3,19 @@
 Expressions are nested lists of symbols.  A symbol is any run of
 characters other than whitespace, parentheses, double quotes and ``#``;
 double-quoted symbols may contain those characters (with ``\\`` escapes
-for ``"`` and ``\\``).  ``#`` starts a comment running to end of line.
+for ``"`` and ``\\``).  ``#`` outside quotes starts a comment running to
+end of line.
 """
 
+import re
 from dataclasses import dataclass
+
+# One token per match, in text order: a parenthesis, a bare symbol, a
+# quoted symbol, a lone '"' that no closing quote ends, or a comment.
+# Whitespace between tokens is skipped by the search.
+_TOKEN = re.compile(r'[()]|[^\s()"#]+|"(?:[^"\\]|\\.)*"|"|#[^\n]*', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_DANGLING = re.compile(r'(?:[^"\\]|\\.)*\\', re.S)
 
 
 class SexprError(Exception):
@@ -26,59 +35,86 @@ class Symbol:
     quoted: bool = False
 
 
+def _line_at(text: str, offset: int) -> int:
+    """1-based line of the character at *offset*."""
+    return text.count("\n", 0, offset) + 1
+
+
+def _unquote(token: str) -> str:
+    """Body of a quoted token with escapes resolved."""
+    body = token[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
+def _unterminated(text: str, offset: int) -> SexprError:
+    """The error for a '"' at *offset* that no closing quote ends.
+
+    The text ends inside the quoted symbol, either on a dangling escape
+    or before any closing quote.
+    """
+    if _DANGLING.fullmatch(text, offset + 1):
+        return SexprError("dangling escape", _line_at(text, len(text) - 1))
+    return SexprError("unterminated quoted symbol", _line_at(text, offset))
+
+
+def _token_offset(text: str, index: int) -> int:
+    """Offset of the *index*-th token of *text* (0-based, comments counted)."""
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return match.start()
+    raise IndexError(index)
+
+
+def item_line(text: str, at: int | None, k: int) -> int:
+    """Line of the *k*-th item of the list whose '(' is token *at*.
+
+    With *at* None the items are the top-level expressions.  Only error
+    reporting needs this, so it rescans the text.
+    """
+    matches = _TOKEN.finditer(text)
+    if at is not None:
+        for _ in range(at + 1):
+            next(matches)
+    depth = 0
+    count = 0
+    for match in matches:
+        token = match.group()
+        if token[0] == "#":
+            continue
+        if depth == 0 and token != ")":
+            if count == k:
+                return _line_at(text, match.start())
+            count += 1
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+    raise IndexError(k)
+
+
 def tokenize(text: str):
     """Yield '(' / ')' markers and Symbol atoms with line numbers."""
-    i = 0
     line_no = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line_no += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line_no
-            i += 1
-        elif ch == '"':
-            start = line_no
-            i += 1
-            out = []
-            while True:
-                if i >= n:
-                    raise SexprError("unterminated quoted symbol", start)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise SexprError("dangling escape", line_no)
-                    out.append(text[i + 1])
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    if c == "\n":
-                        line_no += 1
-                    out.append(c)
-                    i += 1
-            yield Symbol("".join(out), start, quoted=True), start
+    last = 0
+    for match in _TOKEN.finditer(text):
+        token = match.group()
+        start = match.start()
+        line_no += text.count("\n", last, start)
+        last = start
+        head = token[0]
+        if head == "#":
+            continue
+        if head in "()":
+            yield token, line_no
+        elif len(token) == 1 and head == '"':
+            raise _unterminated(text, start)
+        elif head == '"':
+            yield Symbol(_unquote(token), line_no, quoted=True), line_no
         else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in '()"#':
-                i += 1
-            yield Symbol(text[start:i], line_no), line_no
+            yield Symbol(token, line_no), line_no
 
 
-def read_all(text: str) -> list:
-    """Parse every top-level expression in *text*.
-
-    Returns a list whose elements are Symbol atoms or nested lists of
-    them.  Raises SexprError on unbalanced parentheses.
-    """
+def _read_lists(text: str) -> list:
     stack: list[list] = []
     top: list = []
     open_lines: list[int] = []
@@ -103,6 +139,46 @@ def read_all(text: str) -> list:
     if stack:
         raise SexprError("unclosed '('", open_lines[-1])
     return top
+
+
+def read_all(text: str, close=None) -> list:
+    """Parse every top-level expression in *text*.
+
+    Without *close*, returns a list whose elements are Symbol atoms or
+    nested lists of them.  With *close*, atoms are plain strings and
+    each list becomes ``close(items, at)`` as soon as its ')' is read,
+    where *at* is the index of its '(' among the text's tokens (see
+    ``item_line``).  Raises SexprError on unbalanced parentheses and
+    unterminated quoted symbols.
+    """
+    if close is None:
+        return _read_lists(text)
+    stack: list[list] = []  # the item lists of the open lists
+    opens: list[int] = []  # token index of each open list's '('
+    items: list = []
+    for index, token in enumerate(_TOKEN.findall(text)):
+        head = token[0]
+        if head == "(":
+            stack.append(items)
+            opens.append(index)
+            items = []
+        elif head == ")":
+            if not stack:
+                offset = _token_offset(text, index)
+                raise SexprError("unbalanced ')'", _line_at(text, offset))
+            done = close(items, opens.pop())
+            items = stack.pop()
+            items.append(done)
+        elif head == '"':
+            if len(token) == 1:
+                raise _unterminated(text, _token_offset(text, index))
+            items.append(_unquote(token))
+        elif head != "#":
+            items.append(token)
+    if stack:
+        offset = _token_offset(text, opens[-1])
+        raise SexprError("unclosed '('", _line_at(text, offset))
+    return items
 
 
 def quote_if_needed(word: str) -> str:

@@ -1,5 +1,7 @@
 import pytest
 
+from treecut.andor import index_treebank
+from treecut.entropy import Slot, build_phrase_table
 from treecut.grammar import (
     ArityMismatchError,
     CategoryMismatchError,
@@ -8,16 +10,12 @@ from treecut.grammar import (
     Internal,
     LexLeaf,
     UnknownRuleIdError,
-    infer_rule_from_id,
-    mnemonic_mismatches,
     parse_rule_inventory,
     parse_treebank,
     render_tree,
     render_treebank,
-    subtree_at,
-    tree_size,
-    yield_length,
 )
+from treecut.sexpr import read_all
 
 MINI = """\
 s_np_vp s -> np vp
@@ -87,9 +85,8 @@ def test_parse_builds_expected_shape(inventory):
             Internal("vp_v", (LexLeaf("left"),)),
         ),
     )
-    assert yield_length(tree) == 2
-    assert tree_size(tree) == 5
-    assert subtree_at(tree, (0, 0)) == LexLeaf("I")
+    assert tree.length == 2
+    assert [child.length for child in tree.children] == [1, 1]
 
 
 def test_unknown_rule_id_has_line_number(inventory):
@@ -128,11 +125,53 @@ def test_quoted_words_round_trip(inventory):
     assert again == tree
 
 
-def test_mnemonic_helpers(inventory):
-    inferred = infer_rule_from_id("np_det_n")
-    assert inferred.lhs == "np"
-    assert inferred.rhs == ("det", "n")
-    assert infer_rule_from_id("plain") is None
-    assert mnemonic_mismatches(inventory) == []
-    odd = parse_rule_inventory("np_det_n x -> y\n", "x")
-    assert mnemonic_mismatches(odd) == ["np_det_n"]
+def test_escaped_newline_in_a_quoted_word_counts_as_a_line(inventory):
+    text = '(np_pron (lex "a\\\nb"))\n(bogus (lex x))\n'
+    assert parse_treebank(text[: text.index("\n(")], inventory)[0].children == (
+        LexLeaf("a\nb"),
+    )
+    with pytest.raises(UnknownRuleIdError) as info:
+        parse_treebank(text, inventory)
+    assert info.value.line_no == 3
+    assert str(info.value) == "line 3: unknown rule id 'bogus'"
+    symbols = read_all(text)[1]
+    assert [s.line_no for s in (symbols[0], symbols[1][1])] == [3, 3]
+
+
+def test_comment_may_start_mid_line(inventory):
+    text = '(np_pron # a comment with ( and "\n  (lex "#not a comment"))'
+    tree = parse_treebank(text, inventory)[0]
+    assert tree.children == (LexLeaf("#not a comment"),)
+
+
+def test_hand_built_trees_sum_their_yield(inventory):
+    tree = Internal(
+        "s_np_vp",
+        (Internal("np_pron", (LexLeaf("I"),)), Internal("vp_v", (LexLeaf("left"),))),
+    )
+    assert tree.length == 2
+    # the yield is derived data: it takes no part in equality or repr
+    assert tree == Internal("s_np_vp", tree.children, length=7)
+    assert "length" not in repr(tree)
+
+
+def test_deep_chain_loads_counts_and_indexes(inventory):
+    depth = 10_000
+    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
+    text = (
+        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
+        + " (vp_v (lex left)))\n"
+    )
+    (tree,) = parse_treebank(text, inventory, require_top=True)
+    assert tree.length == 2 * depth + 2
+
+    table = build_phrase_table([tree], inventory)
+    lhs = table.distributions[Slot("np_np_pp", 0)].counts
+    assert lhs == {"s_np_vp/1": 1, "np_np_pp/1": depth - 1}
+    assert table.distributions[Slot("pp_prep_np", 2)].counts == {"np_num": depth}
+
+    aot = index_treebank([tree], inventory)
+    # per chain level: np, pp, prep, np, num; then np_pron's np and pron,
+    # and the root, vp and v
+    assert len(aot.node_index) == 5 * depth + 5
+    assert aot["root"].visit_count == 1

@@ -1,10 +1,17 @@
 """Randomized invariants over small generated corpora.
 
-Generation is seeded, so failures reproduce; shrinkage is manual but
-the corpora are small enough to read.
+Most generation is seeded, so failures reproduce; shrinkage is manual
+but the corpora are small enough to read.  The loader's inputs come
+from Hypothesis strategies, which shrink a failure to a minimal text.
 """
 
+import importlib.util
+import pathlib
 import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecut import pipeline
 from treecut.andor import index_treebank
@@ -17,7 +24,7 @@ from treecut.cutnodes import (
     closure,
     select_by_threshold,
 )
-from treecut.entropy import build_phrase_table, entropy
+from treecut.entropy import CountDistribution, Slot, build_phrase_table, entropy
 from treecut.extraction import (
     ANDOR_ENUM,
     TRAINING_CUT,
@@ -29,14 +36,19 @@ from treecut.extraction import (
 )
 from treecut.grammar import (
     LEX,
+    ArityMismatchError,
+    CategoryMismatchError,
     Internal,
     LexLeaf,
     Treebank,
+    TreebankFormatError,
+    UnknownRuleIdError,
     parse_rule_inventory,
-    yield_length,
+    parse_treebank,
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 from treecut.pipeline import PipelineConfig, selection_config
+from treecut.sexpr import SexprError, Symbol
 from treecut.threshold import (
     BisectionConfig,
     ThresholdProbe,
@@ -45,6 +57,10 @@ from treecut.threshold import (
 )
 
 MIXED = SelectionConfig(scheme=EntropyScheme.MIXED)
+
+ROOT_DIR = pathlib.Path(__file__).resolve().parent.parent
+TOY_DIR = ROOT_DIR / "corpora" / "toy"
+BENCH_DIR = ROOT_DIR / "bench"
 
 WORDS = ["po", "ki", "ra", "lu", "mek", "soto", "vi", "na"]
 
@@ -80,7 +96,7 @@ def gen_root(rng, inv):
         rule = rng.choice(rules)
         children = tuple(gen_tree(rng, inv, c, 3) for c in rule.rhs)
         tree = Internal(rule.rule_id, children)
-        if yield_length(tree) > 0:
+        if tree.length > 0:
             return tree
 
 
@@ -526,3 +542,394 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
             repeats += len(selected) - len(extracted)
     assert searches >= 100
     assert repeats >= 500  # the memo served many probes
+
+
+# --- The one-pass loader against the two-pass one it replaced ----------
+
+
+def reference_tokenize(text):
+    """The character-loop tokenizer the regex one replaced.
+
+    One change: a ``\\``-escaped newline inside a quoted symbol advances
+    the line count, as the offset-based line numbers of the loader do.
+    """
+    i = 0
+    line_no = 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line_no += 1
+            i += 1
+        elif ch.isspace():
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch, line_no
+            i += 1
+        elif ch == '"':
+            start = line_no
+            i += 1
+            out = []
+            while True:
+                if i >= n:
+                    raise SexprError("unterminated quoted symbol", start)
+                c = text[i]
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise SexprError("dangling escape", line_no)
+                    if text[i + 1] == "\n":
+                        line_no += 1
+                    out.append(text[i + 1])
+                    i += 2
+                elif c == '"':
+                    i += 1
+                    break
+                else:
+                    if c == "\n":
+                        line_no += 1
+                    out.append(c)
+                    i += 1
+            yield Symbol("".join(out), start, quoted=True), start
+        else:
+            start = i
+            while i < n and not text[i].isspace() and text[i] not in '()"#':
+                i += 1
+            yield Symbol(text[start:i], line_no), line_no
+
+
+def reference_read_all(text):
+    stack = []
+    top = []
+    open_lines = []
+    for token, line_no in reference_tokenize(text):
+        if token == "(":
+            stack.append([])
+            open_lines.append(line_no)
+        elif token == ")":
+            if not stack:
+                raise SexprError("unbalanced ')'", line_no)
+            done = stack.pop()
+            open_lines.pop()
+            if stack:
+                stack[-1].append(done)
+            else:
+                top.append(done)
+        elif stack:
+            stack[-1].append(token)
+        else:
+            top.append(token)
+    if stack:
+        raise SexprError("unclosed '('", open_lines[-1])
+    return top
+
+
+def reference_tree_from_sexpr(expr, inv):
+    if isinstance(expr, Symbol):
+        raise TreebankFormatError(
+            f"bare symbol '{expr.text}' outside a rule application", expr.line_no
+        )
+    if not expr:
+        raise TreebankFormatError("empty '()' expression", 0)
+    head = expr[0]
+    if not isinstance(head, Symbol):
+        raise TreebankFormatError("expression head must be a rule id", 0)
+    if head.text == LEX:
+        if len(expr) != 2 or not isinstance(expr[1], Symbol):
+            raise ArityMismatchError(f"'{LEX}' takes exactly one word", head.line_no)
+        return LexLeaf(expr[1].text)
+    if head.text not in inv:
+        raise UnknownRuleIdError(f"unknown rule id '{head.text}'", head.line_no)
+    rule = inv[head.text]
+    args = expr[1:]
+    if len(args) != rule.arity:
+        raise ArityMismatchError(
+            f"'{rule.rule_id}' expects {rule.arity} children, got {len(args)}",
+            head.line_no,
+        )
+    children = []
+    for k, sub in enumerate(args):
+        child = reference_tree_from_sexpr(sub, inv)
+        if isinstance(child, Internal):
+            got = inv[child.rule].lhs
+            want = rule.rhs[k]
+            if got != want:
+                raise CategoryMismatchError(
+                    f"child {k + 1} of '{rule.rule_id}' has category "
+                    f"'{got}', expected '{want}'",
+                    head.line_no,
+                )
+        children.append(child)
+    return Internal(rule.rule_id, tuple(children))
+
+
+def reference_yield_length(tree):
+    if isinstance(tree, LexLeaf):
+        return 1
+    return sum(reference_yield_length(c) for c in tree.children)
+
+
+def reference_parse_treebank(text, inv, require_top=False):
+    """Read every list first, then build and check each tree recursively."""
+    try:
+        exprs = reference_read_all(text)
+    except SexprError as err:
+        raise TreebankFormatError(str(err).split(": ", 1)[1], err.line_no) from err
+    trees = []
+    for expr in exprs:
+        tree = reference_tree_from_sexpr(expr, inv)
+        if require_top:
+            if isinstance(tree, LexLeaf):
+                raise TreebankFormatError(
+                    "a complete parse cannot be a bare lexical lookup", 0
+                )
+            root_lhs = inv[tree.rule].lhs
+            if root_lhs != inv.top:
+                raise CategoryMismatchError(
+                    f"root category '{root_lhs}' is not '{inv.top}'", 0
+                )
+            if reference_yield_length(tree) == 0:
+                raise TreebankFormatError(
+                    "a complete parse must span at least one word", 0
+                )
+        trees.append(tree)
+    return trees
+
+
+def load_outcome(parse, text, inv, require_top):
+    """The trees, or the class and message of the error, of one load."""
+    try:
+        return parse(text, inv, require_top=require_top)
+    except Exception as err:  # compared by class and message
+        return type(err), str(err)
+
+
+def assert_lengths_are_yields(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        assert node.length == reference_yield_length(node)
+        if isinstance(node, Internal):
+            stack.extend(node.children)
+
+
+def assert_loaders_agree(text, inv, require_top):
+    want = load_outcome(reference_parse_treebank, text, inv, require_top)
+    got = load_outcome(parse_treebank, text, inv, require_top)
+    assert got == want
+    if isinstance(want, list):
+        for tree in got:
+            assert_lengths_are_yields(tree)
+
+
+# Grammar with wordless rules, so that a complete parse can span no words.
+LOADER_GRAMMAR = parse_rule_inventory(
+    (TOY_DIR / "grammar.txt").read_text()
+    + "np_none np ->\nvp_none vp ->\nvp_v_np_np vp -> v np np\n",
+    "s",
+)
+# whitespace str.isspace() accepts beyond ASCII, and plain characters
+WORD_CHARS = "ab√ç" + '()"#\\' + " \n\t\r\x1c\x1f\x85\xa0　"
+# separators: mostly one space; a comment may start mid-line
+GAPS = [" "] * 6 + [
+    " ", "", "\n", "\t\r\n", "\x1c", "\x85 ", "　", "\xa0", ' # c(")\\ \n'
+]
+
+
+@st.composite
+def loader_exprs(draw, cat, depth, root=False):
+    """One parse of *cat* as nested lists: rule id first, words as str.
+
+    A root is always a rule application.
+    """
+    rules = [r for r in LOADER_GRAMMAR.in_order() if r.lhs == cat]
+    if not root and (not rules or depth == 0 or draw(st.integers(0, 2)) == 0):
+        return [LEX, draw(st.text(WORD_CHARS, min_size=1, max_size=4))]
+    rule = draw(st.sampled_from(rules))
+    return [rule.rule_id] + [
+        draw(loader_exprs(child, depth - 1)) for child in rule.rhs
+    ]
+
+
+def all_lists(expr):
+    out = [expr]
+    for item in expr[1:]:
+        if isinstance(item, list):
+            out.extend(all_lists(item))
+    return out
+
+
+def is_rule(expr):
+    return expr[0] != LEX
+
+
+def is_lex(expr):
+    return expr[0] == LEX
+
+
+def has_children(expr):
+    return is_rule(expr) and len(expr) > 1
+
+
+# Faults inside one list: (which lists it applies to, the edit).
+LIST_FAULTS = {
+    "unknown rule": (is_rule, lambda e: e.__setitem__(0, "bogus")),
+    "extra child": (lambda e: True, lambda e: e.append([LEX, "x"])),
+    "missing child": (lambda e: len(e) > 1, lambda e: e.pop()),
+    "bare word child": (has_children, lambda e: e.__setitem__(1, "w")),
+    "empty list child": (has_children, lambda e: e.__setitem__(1, [])),
+    "list head": (lambda e: True, lambda e: e.__setitem__(0, [LEX, "h"])),
+    "lex with two words": (is_lex, lambda e: e.append("y")),
+    # np <-> vp keeps the arity and breaks the parent's category
+    "category swap": (
+        lambda e: e[0] in SWAPS, lambda e: e.__setitem__(0, SWAPS[e[0]])
+    ),
+}
+SWAPS = {"np_pron": "vp_v", "vp_v": "np_pron", "np_num": "vp_v"}
+# one extra top-level expression that is not a complete parse
+TOP_FAULTS = {
+    "bare top": "loose",
+    "lex top": [LEX, "w"],
+    "np top": ["np_pron", [LEX, "w"]],
+    "wordless top": ["s_np_vp", ["np_none"], ["vp_none"]],
+}
+TEXT_FAULTS = ["unbalanced", "unclosed", "unterminated", "dangling"]
+
+
+@st.composite
+def loader_texts(draw, fault):
+    """A treebank text with at most one *fault*, and whether to require top."""
+    roots = loader_exprs("s", 4, root=True).filter(
+        lambda e: any(map(is_lex, all_lists(e)))
+    )
+    trees = draw(st.lists(roots, min_size=1, max_size=3))
+    if fault in LIST_FAULTS:
+        applies, edit = LIST_FAULTS[fault]
+        targets = [e for tree in trees for e in all_lists(tree) if applies(e)]
+        if targets:
+            edit(draw(st.sampled_from(targets)))
+    elif fault in TOP_FAULTS:
+        trees.insert(draw(st.integers(0, len(trees))), TOP_FAULTS[fault])
+
+    def gap():
+        return draw(st.sampled_from(GAPS))
+
+    def word(text):
+        if draw(st.booleans()) and not any(
+            c.isspace() or c in '()"#\\' for c in text
+        ):
+            return text
+        # bit k of the mask escapes character k as well
+        mask = draw(st.integers(0, 2 ** len(text) - 1))
+        return '"' + "".join(
+            "\\" + c if c in '"\\' or mask >> k & 1 else c
+            for k, c in enumerate(text)
+        ) + '"'
+
+    def render(expr):
+        if isinstance(expr, str):
+            return word(expr)
+        inner = [render(item) for item in expr]
+        return "(" + gap() + (" " + gap()).join(inner) + gap() + ")"
+
+    rendered = [render(t) for t in trees]
+    if fault == "unbalanced":
+        k = draw(st.integers(0, len(rendered) - 1))
+        rendered[k] += ")"
+    elif fault == "unclosed":
+        rendered[-1] = rendered[-1][:-1]
+    text = gap() + ("\n" + gap()).join(rendered) + gap()
+    if fault == "unterminated":
+        text += '\n"ab\nc'
+    elif fault == "dangling":
+        text += '\n"ab\\\nc\\'
+    return text, draw(st.booleans())
+
+
+@pytest.mark.parametrize(
+    "fault", [None, *LIST_FAULTS, *TOP_FAULTS, *TEXT_FAULTS]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_loader_agrees_with_reference_loader(fault, data):
+    text, require_top = data.draw(loader_texts(fault))
+    assert_loaders_agree(text, LOADER_GRAMMAR, require_top)
+
+
+def bench_corpus_texts():
+    """Small corpora of the benchmark's generator: (id, grammar, trees)."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_DIR / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    out = []
+    for corpus in ("toy", "layered"):
+        training, test = gen.generate(corpus, 150, 50, 4.0)
+        for role, trees in (("train", training), ("test", test)):
+            text = "".join(gen.render(t) + "\n" for t in trees)
+            out.append((f"{corpus}-{role}", gen.grammar_text(corpus), text))
+    return out
+
+
+FIXED_CORPORA = [
+    (f"toy-{role}", (TOY_DIR / "grammar.txt").read_text(),
+     (TOY_DIR / f"{role}.txt").read_text())
+    for role in ("train", "test")
+] + bench_corpus_texts()
+
+
+@pytest.mark.parametrize(
+    "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
+)
+def test_loader_agrees_with_reference_loader_on_corpora(grammar, text):
+    inv = parse_rule_inventory(grammar, "s")
+    assert_loaders_agree(text, inv, require_top=True)
+
+
+def reference_walk(tree, parent_context, table):
+    """The recursive slot count build_phrase_table replaced."""
+    rule = tree.rule
+    table.setdefault(Slot(rule, 0), CountDistribution()).add(parent_context)
+    for k, child in enumerate(tree.children, start=1):
+        dist = table.setdefault(Slot(rule, k), CountDistribution())
+        if isinstance(child, LexLeaf):
+            dist.add(LEX)
+        else:
+            dist.add(child.rule)
+            reference_walk(child, f"{rule}/{k}", table)
+
+
+def reference_phrase_table(training):
+    dists = {}
+    for tree in training:
+        if isinstance(tree, Internal):
+            reference_walk(tree, "ROOT", dists)
+    return dists, {slot: entropy(d) for slot, d in dists.items()}
+
+
+def assert_phrase_table_order(training, inv):
+    want_dists, want_entropies = reference_phrase_table(training)
+    table = build_phrase_table(training, inv)
+    assert list(table.distributions) == list(want_dists)
+    for slot, dist in want_dists.items():
+        assert list(table.distributions[slot].counts.items()) == list(
+            dist.counts.items()
+        )
+    # float sums follow the outcome order, so the values match exactly
+    assert list(table.entropies.items()) == list(want_entropies.items())
+
+
+@pytest.mark.parametrize(
+    "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
+)
+def test_phrase_table_keeps_first_seen_order_on_corpora(grammar, text):
+    inv = parse_rule_inventory(grammar, "s")
+    assert_phrase_table_order(parse_treebank(text, inv), inv)
+
+
+def test_phrase_table_keeps_first_seen_order_on_random_corpora():
+    for seed in range(100):
+        rng = random.Random(9000 + seed)
+        inv, training = gen_corpus(rng, rng.randint(1, 10))
+        assert_phrase_table_order(training, inv)
