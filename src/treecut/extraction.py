@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
 from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
-from treecut.sexpr import Symbol, read_all
+from treecut.sexpr import read_all
 
 TRAINING_CUT = "training"
 ANDOR_ENUM = "andor"
@@ -370,15 +370,15 @@ def render_rule_file(rules: RuleSet, header: list[str] | None = None) -> str:
 
 
 def _chunk_from_sexpr(expr) -> ChunkTree:
-    if isinstance(expr, Symbol):
-        return Frontier(expr.text)
-    if not expr or not isinstance(expr[0], Symbol):
+    if isinstance(expr, str):
+        return Frontier(expr)
+    if not expr or not isinstance(expr[0], str):
         raise RuleFileError("malformed chunk expression")
-    head = expr[0].text
+    head = expr[0]
     if head == "lex":
-        if len(expr) != 2 or not isinstance(expr[1], Symbol):
+        if len(expr) != 2 or not isinstance(expr[1], str):
             raise RuleFileError("lex slot takes exactly one category")
-        return LexSlot(expr[1].text)
+        return LexSlot(expr[1])
     return Apply(head, tuple(_chunk_from_sexpr(e) for e in expr[1:]))
 
 

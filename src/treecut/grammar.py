@@ -171,37 +171,57 @@ def parse_rule_inventory(text: str, top: str, strict: bool = False) -> RuleInven
     return inv
 
 
+@dataclass(frozen=True, slots=True)
+class _Fault:
+    """A list that failed its checks, standing in for its tree.
+
+    Faults are reported as a walk from each root would meet them: all
+    text errors first, then a list's own checks before its children's,
+    children in order.  A list whose own checks pass but holds a faulty
+    child therefore passes on that child's fault, and a fault is raised
+    only once the whole text has been read.
+    """
+
+    kind: type
+    message: str
+    where: tuple | None = None  # (at, k) of item_line, or None for line 0
+
+    def error(self, text: str) -> TreebankFormatError:
+        line = 0 if self.where is None else item_line(text, *self.where)
+        return self.kind(self.message, line)
+
+
 def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> list:
     """Parse every tree in a treebank file, validating against *inv*.
 
     Each tree is built bottom-up while the text is read: every list is
-    checked and folded into a node as soon as its ')' is read.
+    checked and folded into a node (or a fault) as soon as its ')' is
+    read.
     """
     rules = inv.rules
     lhs_of = {rule_id: rule.lhs for rule_id, rule in rules.items()}
 
     def close(items: list, at: int):
         if not items:
-            raise TreebankFormatError("empty '()' expression", 0)
+            return _Fault(TreebankFormatError, "empty '()' expression")
         head = items[0]
         if head.__class__ is not str:
-            raise TreebankFormatError("expression head must be a rule id", 0)
+            return _Fault(TreebankFormatError, "expression head must be a rule id")
         if head == LEX:
             if len(items) != 2 or items[1].__class__ is not str:
-                raise ArityMismatchError(
-                    f"'{LEX}' takes exactly one word", item_line(text, at, 0)
+                return _Fault(
+                    ArityMismatchError, f"'{LEX}' takes exactly one word", (at, 0)
                 )
             return LexLeaf(items[1])
         rule = rules.get(head)
         if rule is None:
-            raise UnknownRuleIdError(
-                f"unknown rule id '{head}'", item_line(text, at, 0)
-            )
+            return _Fault(UnknownRuleIdError, f"unknown rule id '{head}'", (at, 0))
         rhs = rule.rhs
         if len(items) - 1 != len(rhs):
-            raise ArityMismatchError(
+            return _Fault(
+                ArityMismatchError,
                 f"'{head}' expects {len(rhs)} children, got {len(items) - 1}",
-                item_line(text, at, 0),
+                (at, 0),
             )
         length = 0
         for k, want in enumerate(rhs, start=1):
@@ -210,28 +230,34 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
             if kind is Internal:
                 got = lhs_of[child.rule]
                 if got != want:
-                    raise CategoryMismatchError(
+                    return _Fault(
+                        CategoryMismatchError,
                         f"child {k} of '{head}' has category "
                         f"'{got}', expected '{want}'",
-                        item_line(text, at, 0),
+                        (at, 0),
                     )
                 length += child.length
             elif kind is LexLeaf:
                 length += 1
+            elif kind is _Fault:
+                return child
             else:
-                raise _bare_symbol(child, item_line(text, at, k))
+                return _bare_symbol(child, (at, k))
         # the inventory's id string is shared by every node of the rule
         return Internal(rule.rule_id, tuple(items[1:]), length)
 
     try:
-        trees = read_all(text, close=close)
+        trees = read_all(text, close)
     except SexprError as err:
         raise TreebankFormatError(str(err).split(": ", 1)[1], err.line_no) from err
     for k, tree in enumerate(trees):
-        if tree.__class__ is str:
-            raise _bare_symbol(tree, item_line(text, None, k))
+        kind = tree.__class__
+        if kind is _Fault:
+            raise tree.error(text)
+        if kind is str:
+            raise _bare_symbol(tree, (None, k)).error(text)
         if require_top:
-            if isinstance(tree, LexLeaf):
+            if kind is LexLeaf:
                 raise TreebankFormatError(
                     "a complete parse cannot be a bare lexical lookup", 0
                 )
@@ -247,9 +273,9 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
     return trees
 
 
-def _bare_symbol(word: str, line_no: int) -> TreebankFormatError:
-    return TreebankFormatError(
-        f"bare symbol '{word}' outside a rule application", line_no
+def _bare_symbol(word: str, where: tuple) -> _Fault:
+    return _Fault(
+        TreebankFormatError, f"bare symbol '{word}' outside a rule application", where
     )
 
 

@@ -8,12 +8,14 @@ end of line.
 """
 
 import re
-from dataclasses import dataclass
 
 # One token per match, in text order: a parenthesis, a bare symbol, a
-# quoted symbol, a lone '"' that no closing quote ends, or a comment.
+# quoted symbol or a comment.  A '"' that no closing quote ends takes the
+# rest of the text as its token, so even malformed text is scanned once.
 # Whitespace between tokens is skipped by the search.
-_TOKEN = re.compile(r'[()]|[^\s()"#]+|"(?:[^"\\]|\\.)*"|"|#[^\n]*', re.S)
+_QUOTED = r'"(?:[^"\\]|\\.)*"'
+_TOKEN = re.compile(rf'[()]|[^\s()"#]+|{_QUOTED}|".*|#[^\n]*', re.S)
+_CLOSED = re.compile(_QUOTED, re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _DANGLING = re.compile(r'(?:[^"\\]|\\.)*\\', re.S)
 
@@ -24,15 +26,6 @@ class SexprError(Exception):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """An atom plus the line it started on (for diagnostics)."""
-
-    text: str
-    line_no: int
-    quoted: bool = False
 
 
 def _line_at(text: str, offset: int) -> int:
@@ -92,67 +85,19 @@ def item_line(text: str, at: int | None, k: int) -> int:
     raise IndexError(k)
 
 
-def tokenize(text: str):
-    """Yield '(' / ')' markers and Symbol atoms with line numbers."""
-    line_no = 1
-    last = 0
-    for match in _TOKEN.finditer(text):
-        token = match.group()
-        start = match.start()
-        line_no += text.count("\n", last, start)
-        last = start
-        head = token[0]
-        if head == "#":
-            continue
-        if head in "()":
-            yield token, line_no
-        elif len(token) == 1 and head == '"':
-            raise _unterminated(text, start)
-        elif head == '"':
-            yield Symbol(_unquote(token), line_no, quoted=True), line_no
-        else:
-            yield Symbol(token, line_no), line_no
+def _keep(items: list, at: int) -> list:
+    return items
 
 
-def _read_lists(text: str) -> list:
-    stack: list[list] = []
-    top: list = []
-    open_lines: list[int] = []
-    for token, line_no in tokenize(text):
-        if token == "(":
-            stack.append([])
-            open_lines.append(line_no)
-        elif token == ")":
-            if not stack:
-                raise SexprError("unbalanced ')'", line_no)
-            done = stack.pop()
-            open_lines.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                top.append(done)
-        else:
-            if stack:
-                stack[-1].append(token)
-            else:
-                top.append(token)
-    if stack:
-        raise SexprError("unclosed '('", open_lines[-1])
-    return top
-
-
-def read_all(text: str, close=None) -> list:
+def read_all(text: str, close=_keep) -> list:
     """Parse every top-level expression in *text*.
 
-    Without *close*, returns a list whose elements are Symbol atoms or
-    nested lists of them.  With *close*, atoms are plain strings and
-    each list becomes ``close(items, at)`` as soon as its ')' is read,
-    where *at* is the index of its '(' among the text's tokens (see
-    ``item_line``).  Raises SexprError on unbalanced parentheses and
-    unterminated quoted symbols.
+    Atoms are plain strings.  Each list becomes ``close(items, at)`` as
+    soon as its ')' is read, where *at* is the index of its '(' among the
+    text's tokens (see ``item_line``); by default it stays a list.
+    Raises SexprError on unbalanced parentheses and unterminated quoted
+    symbols.
     """
-    if close is None:
-        return _read_lists(text)
     stack: list[list] = []  # the item lists of the open lists
     opens: list[int] = []  # token index of each open list's '('
     items: list = []
@@ -170,8 +115,8 @@ def read_all(text: str, close=None) -> list:
             items = stack.pop()
             items.append(done)
         elif head == '"':
-            if len(token) == 1:
-                raise _unterminated(text, _token_offset(text, index))
+            if not _CLOSED.fullmatch(token):
+                raise _unterminated(text, len(text) - len(token))
             items.append(_unquote(token))
         elif head != "#":
             items.append(token)

@@ -9,13 +9,13 @@ from treecut.grammar import (
     GrammarFormatError,
     Internal,
     LexLeaf,
+    TreebankFormatError,
     UnknownRuleIdError,
     parse_rule_inventory,
     parse_treebank,
     render_tree,
     render_treebank,
 )
-from treecut.sexpr import read_all
 
 MINI = """\
 s_np_vp s -> np vp
@@ -118,6 +118,31 @@ def test_lex_takes_exactly_one_word(inventory):
         parse_treebank("(lex a b)", inventory)
 
 
+@pytest.mark.parametrize(
+    "text, err, message",
+    [
+        # a list's own checks come before its children's
+        ("(() (lex x))", TreebankFormatError, "line 0: expression head must be a rule id"),
+        ("((bogus) (lex x))", TreebankFormatError, "line 0: expression head must be a rule id"),
+        ("(lex ())", ArityMismatchError, "line 1: 'lex' takes exactly one word"),
+        ("(lex\n(bogus))", ArityMismatchError, "line 1: 'lex' takes exactly one word"),
+        ("(bogus ())", UnknownRuleIdError, "line 1: unknown rule id 'bogus'"),
+        ("(np_pron (lex a) ())", ArityMismatchError, "line 1: 'np_pron' expects 1 children, got 2"),
+        # children in order, each child's own faults before its category
+        ("(s_np_vp (vp_v (lex a))\n())", CategoryMismatchError, "line 1: child 1 of 's_np_vp' has category 'vp', expected 'np'"),
+        ("(s_np_vp (np_pron ())\n(bogus))", TreebankFormatError, "line 0: empty '()' expression"),
+        # every text error before any tree error
+        ("(bogus)\n(lex x))", TreebankFormatError, "line 2: unbalanced ')'"),
+        ('(bogus)\n"x', TreebankFormatError, "line 2: unterminated quoted symbol"),
+    ],
+)
+def test_first_fault_is_found_root_first(inventory, text, err, message):
+    with pytest.raises(err) as info:
+        parse_treebank(text, inventory)
+    assert type(info.value) is err
+    assert str(info.value) == message
+
+
 def test_quoted_words_round_trip(inventory):
     tree = parse_treebank('(np_pron (lex "a b(c)"))', inventory)[0]
     assert tree.children[0] == LexLeaf("a b(c)")
@@ -134,8 +159,9 @@ def test_escaped_newline_in_a_quoted_word_counts_as_a_line(inventory):
         parse_treebank(text, inventory)
     assert info.value.line_no == 3
     assert str(info.value) == "line 3: unknown rule id 'bogus'"
-    symbols = read_all(text)[1]
-    assert [s.line_no for s in (symbols[0], symbols[1][1])] == [3, 3]
+    with pytest.raises(TreebankFormatError) as info:
+        parse_treebank(text.replace("(bogus (lex x))", "(np_pron x)"), inventory)
+    assert str(info.value) == "line 3: bare symbol 'x' outside a rule application"
 
 
 def test_comment_may_start_mid_line(inventory):

@@ -5,9 +5,12 @@ but the corpora are small enough to read.  The loader's inputs come
 from Hypothesis strategies, which shrink a failure to a minimal text.
 """
 
+import copy
 import importlib.util
 import pathlib
 import random
+import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +51,7 @@ from treecut.grammar import (
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 from treecut.pipeline import PipelineConfig, selection_config
-from treecut.sexpr import SexprError, Symbol
+from treecut.sexpr import SexprError
 from treecut.threshold import (
     BisectionConfig,
     ThresholdProbe,
@@ -547,6 +550,15 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
 # --- The one-pass loader against the two-pass one it replaced ----------
 
 
+@dataclass(frozen=True)
+class Symbol:
+    """An atom of the reference reader plus the line it started on."""
+
+    text: str
+    line_no: int
+    quoted: bool = False
+
+
 def reference_tokenize(text):
     """The character-loop tokenizer the regex one replaced.
 
@@ -773,6 +785,10 @@ def has_children(expr):
     return is_rule(expr) and len(expr) > 1
 
 
+def has_word(expr):
+    return is_lex(expr) and len(expr) > 1
+
+
 # Faults inside one list: (which lists it applies to, the edit).
 LIST_FAULTS = {
     "unknown rule": (is_rule, lambda e: e.__setitem__(0, "bogus")),
@@ -781,7 +797,11 @@ LIST_FAULTS = {
     "bare word child": (has_children, lambda e: e.__setitem__(1, "w")),
     "empty list child": (has_children, lambda e: e.__setitem__(1, [])),
     "list head": (lambda e: True, lambda e: e.__setitem__(0, [LEX, "h"])),
+    "empty list head": (lambda e: True, lambda e: e.__setitem__(0, [])),
+    "faulty list head": (lambda e: True, lambda e: e.__setitem__(0, ["bogus"])),
     "lex with two words": (is_lex, lambda e: e.append("y")),
+    "lex with a list": (has_word, lambda e: e.__setitem__(1, [])),
+    "lex with a faulty list": (has_word, lambda e: e.__setitem__(1, ["bogus"])),
     # np <-> vp keeps the arity and breaks the parent's category
     "category swap": (
         lambda e: e[0] in SWAPS, lambda e: e.__setitem__(0, SWAPS[e[0]])
@@ -796,22 +816,29 @@ TOP_FAULTS = {
     "wordless top": ["s_np_vp", ["np_none"], ["vp_none"]],
 }
 TEXT_FAULTS = ["unbalanced", "unclosed", "unterminated", "dangling"]
+ALL_FAULTS = [*LIST_FAULTS, *TOP_FAULTS, *TEXT_FAULTS]
 
 
 @st.composite
-def loader_texts(draw, fault):
-    """A treebank text with at most one *fault*, and whether to require top."""
+def loader_texts(draw, faults):
+    """A treebank text with the given *faults*, and whether to require top."""
     roots = loader_exprs("s", 4, root=True).filter(
         lambda e: any(map(is_lex, all_lists(e)))
     )
     trees = draw(st.lists(roots, min_size=1, max_size=3))
-    if fault in LIST_FAULTS:
-        applies, edit = LIST_FAULTS[fault]
-        targets = [e for tree in trees for e in all_lists(tree) if applies(e)]
-        if targets:
-            edit(draw(st.sampled_from(targets)))
-    elif fault in TOP_FAULTS:
-        trees.insert(draw(st.integers(0, len(trees))), TOP_FAULTS[fault])
+    for fault in faults:
+        if fault in LIST_FAULTS:
+            applies, edit = LIST_FAULTS[fault]
+            targets = [
+                e for tree in trees if isinstance(tree, list)
+                for e in all_lists(tree) if e and isinstance(e[0], str)
+                and applies(e)
+            ]
+            if targets:
+                edit(draw(st.sampled_from(targets)))
+        elif fault in TOP_FAULTS:
+            top = copy.deepcopy(TOP_FAULTS[fault])  # later faults may edit it
+            trees.insert(draw(st.integers(0, len(trees))), top)
 
     def gap():
         return draw(st.sampled_from(GAPS))
@@ -835,27 +862,42 @@ def loader_texts(draw, fault):
         return "(" + gap() + (" " + gap()).join(inner) + gap() + ")"
 
     rendered = [render(t) for t in trees]
-    if fault == "unbalanced":
+    if "unbalanced" in faults:
         k = draw(st.integers(0, len(rendered) - 1))
         rendered[k] += ")"
-    elif fault == "unclosed":
+    if "unclosed" in faults:
         rendered[-1] = rendered[-1][:-1]
     text = gap() + ("\n" + gap()).join(rendered) + gap()
-    if fault == "unterminated":
+    if "unterminated" in faults:
         text += '\n"ab\nc'
-    elif fault == "dangling":
+    elif "dangling" in faults:
         text += '\n"ab\\\nc\\'
     return text, draw(st.booleans())
 
 
-@pytest.mark.parametrize(
-    "fault", [None, *LIST_FAULTS, *TOP_FAULTS, *TEXT_FAULTS]
-)
+@pytest.mark.parametrize("fault", [None, *ALL_FAULTS])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_loader_agrees_with_reference_loader(fault, data):
-    text, require_top = data.draw(loader_texts(fault))
+    text, require_top = data.draw(loader_texts([fault]))
     assert_loaders_agree(text, LOADER_GRAMMAR, require_top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loader_reports_the_first_of_several_faults_as_before(data):
+    faults = data.draw(st.lists(st.sampled_from(ALL_FAULTS), min_size=2, max_size=4))
+    text, require_top = data.draw(loader_texts(faults))
+    assert_loaders_agree(text, LOADER_GRAMMAR, require_top)
+
+
+def test_unterminated_quote_is_found_in_linear_time():
+    # each '"' after the first could start a quoted symbol running to the end
+    text = "(np_pron (lex w))\n" + '"' + '\\"' * 200_000
+    start = time.perf_counter()
+    with pytest.raises(TreebankFormatError, match="line 2: unterminated"):
+        parse_treebank(text, LOADER_GRAMMAR)
+    assert time.perf_counter() - start < 2.0
 
 
 def bench_corpus_texts():
