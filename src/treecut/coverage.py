@@ -7,7 +7,7 @@ frontier also accepts a bare lexical lookup directly, since the lexicon
 is always available at parse time.
 
 Matching is top-down with backtracking over candidate rules, memoized by
-tree position and required category.  Among alternatives it prefers the
+subtree shape and required category.  Among alternatives it prefers the
 longest reduction, then rule name order, so reported tilings are stable.
 """
 
@@ -34,20 +34,26 @@ class Tiling:
 _MISS = object()
 
 
-def covers(rules: RuleSet, tree, by_root: dict | None = None) -> Tiling | None:
+def covers(
+    rules: RuleSet, tree, by_root: dict | None = None, memo: dict | None = None
+) -> Tiling | None:
     """The preferred tiling of *tree*, or None when it has none.
 
-    *by_root* is ``rules.by_root_rule()``; callers tiling many trees
-    with one rule set pass it so it is built once.
+    *by_root* is ``rules.by_root_rule()`` and *memo* a dict; callers
+    tiling many trees with one rule set pass the same two each time, so
+    the index is built once and each distinct subtree shape is tiled
+    once per category.  The memo is keyed on ``(node.shape, category)``:
+    a tiling never refers to tree nodes, so trees of one shape share it.
     """
     if by_root is None:
         by_root = rules.by_root_rule()
-    memo: dict[tuple[int, str | None], object] = {}
+    if memo is None:
+        memo = {}
 
     def tile(node, category: str | None) -> Tiling | None:
         if isinstance(node, LexLeaf):
             return Tiling(None)
-        key = (id(node), category)
+        key = (node.shape, category)
         hit = memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
@@ -69,20 +75,25 @@ def covers(rules: RuleSet, tree, by_root: dict | None = None) -> Tiling | None:
         memo[key] = result
         return result
 
-    def _match(chunk, node, frontiers: list) -> bool:
-        if isinstance(chunk, LexSlot):
-            return isinstance(node, LexLeaf)
-        if isinstance(chunk, Frontier):
-            frontiers.append((node, chunk.category))
-            return True
-        if not isinstance(node, Internal) or node.rule != chunk.rule:
-            return False
-        for sub_chunk, sub_node in zip(chunk.children, node.children):
-            if not _match(sub_chunk, sub_node, frontiers):
-                return False
-        return True
-
     return tile(tree, None)
+
+
+def _match(chunk, node, frontiers: list) -> bool:
+    """Whether *chunk* matches the structure at *node*.
+
+    Appends ``(subtree, category)`` for each frontier, left to right.
+    """
+    if isinstance(chunk, LexSlot):
+        return isinstance(node, LexLeaf)
+    if isinstance(chunk, Frontier):
+        frontiers.append((node, chunk.category))
+        return True
+    if not isinstance(node, Internal) or node.rule != chunk.rule:
+        return False
+    for sub_chunk, sub_node in zip(chunk.children, node.children):
+        if not _match(sub_chunk, sub_node, frontiers):
+            return False
+    return True
 
 
 def validate_tiling(tiling: Tiling, tree) -> bool:
@@ -90,7 +101,7 @@ def validate_tiling(tiling: Tiling, tree) -> bool:
     if tiling.rule is None:
         return isinstance(tree, LexLeaf)
     frontiers: list[tuple] = []
-    if not _structure_matches(tiling.rule.chunk, tree, frontiers):
+    if not _match(tiling.rule.chunk, tree, frontiers):
         return False
     if len(frontiers) != len(tiling.children):
         return False
@@ -100,20 +111,6 @@ def validate_tiling(tiling: Tiling, tree) -> bool:
         if not validate_tiling(child, sub):
             return False
     return True
-
-
-def _structure_matches(chunk, node, frontiers: list) -> bool:
-    if isinstance(chunk, LexSlot):
-        return isinstance(node, LexLeaf)
-    if isinstance(chunk, Frontier):
-        frontiers.append((node, chunk.category))
-        return True
-    if not isinstance(node, Internal) or node.rule != chunk.rule:
-        return False
-    return all(
-        _structure_matches(c, n, frontiers)
-        for c, n in zip(chunk.children, node.children)
-    )
 
 
 @dataclass
@@ -130,11 +127,16 @@ class CoverageReport:
 
 
 def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
-    """Tile every tree; an empty test set counts as (vacuously) covered."""
+    """Tile every tree; an empty test set counts as (vacuously) covered.
+
+    The trees share one tiling memo, so trees of one shape share their
+    tiling.
+    """
     report = CoverageReport([], [], vacuous=not trees)
     by_root = rules.by_root_rule()
+    memo: dict = {}
     for tree in trees:
-        tiling = covers(rules, tree, by_root)
+        tiling = covers(rules, tree, by_root, memo)
         report.verdicts.append(tiling is not None)
         report.tilings.append(tiling)
     return report

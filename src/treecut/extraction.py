@@ -15,6 +15,7 @@ are always a subset of the enumerated ones.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
@@ -168,14 +169,29 @@ def cut_tree(tree: Internal, aot: AndOrTree, cutset: CutnodeSet) -> list[Apply]:
     pending: list[tuple[Internal, OrNode]] = [(tree, aot.root)]
     chunks: list[Apply] = []
 
-    def build(node: Internal, or_node: OrNode) -> Apply:
+    def arc(node: Internal, or_node: OrNode):
         and_node = or_node.arcs.get(node.rule)
         if and_node is None:
             raise PathNotInIndexError(
                 f"rule '{node.rule}' unseen at {or_node.node_id}"
             )
-        parts: list[ChunkTree] = []
-        for child, child_or in zip(node.children, and_node.children):
+        return and_node.children
+
+    def build(node: Internal, or_node: OrNode) -> Apply:
+        # one frame per inlined node: (node, its child or-nodes, parts so
+        # far); a frame's next child is the one at index len(parts)
+        stack = [(node, arc(node, or_node), [])]
+        while True:
+            node, child_ors, parts = stack[-1]
+            k = len(parts)
+            if k == len(child_ors):
+                stack.pop()
+                chunk = Apply(node.rule, tuple(parts))
+                if not stack:
+                    return chunk
+                stack[-1][2].append(chunk)
+                continue
+            child, child_or = node.children[k], child_ors[k]
             if isinstance(child, LexLeaf):
                 if cutset.is_cut(child_or.node_id):
                     parts.append(Frontier(child_or.category))
@@ -185,22 +201,30 @@ def cut_tree(tree: Internal, aot: AndOrTree, cutset: CutnodeSet) -> list[Apply]:
                 parts.append(Frontier(child_or.category))
                 pending.append((child, child_or))
             else:
-                parts.append(build(child, child_or))
-        return Apply(node.rule, tuple(parts))
+                stack.append((child, arc(child, child_or), []))
 
-    while pending:
-        chunks.append(build(*pending.pop(0)))
+    for node, or_node in pending:  # grows while it is walked
+        chunks.append(build(node, or_node))
     return chunks
 
 
 def extract_training(
     training: list, aot: AndOrTree, cutset: CutnodeSet
 ) -> RuleSet:
-    """Union of per-tree chunks, deduplicated, with occurrence support."""
-    collector = _Collector(aot.inventory)
+    """Union of per-tree chunks, deduplicated, with occurrence support.
+
+    Cutting reads only a tree's word-blind shape, so each distinct root
+    shape is cut once and its chunks count once for every tree of that
+    shape.
+    """
+    first: dict[int, Internal] = {}
     for tree in training:
+        first.setdefault(tree.shape, tree)
+    multiplicity = Counter(tree.shape for tree in training)
+    collector = _Collector(aot.inventory)
+    for shape, tree in first.items():
         for chunk in cut_tree(tree, aot, cutset):
-            collector.add(chunk, 1)
+            collector.add(chunk, multiplicity[shape])
     return collector.result()
 
 

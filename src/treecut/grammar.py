@@ -11,6 +11,7 @@ for an application of ``rule``, ``(lex word)`` for a lexical lookup.
 Both internal applications and lexical lookups may fill any slot.
 """
 
+import gc
 from dataclasses import dataclass, field
 
 from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all
@@ -87,6 +88,21 @@ class RuleInventory:
         return frozenset(r.lhs for r in self.rules.values())
 
 
+# Every shape id handed out in this process, keyed on (rule, *child
+# shapes).  Ids are only ever added, so equal keys keep one id for the
+# life of the process and trees from different files share ids.
+_SHAPES: dict[tuple, int] = {}
+
+
+def intern_shape(key: tuple) -> int:
+    """The shape id of ``(rule, *child shapes)``, assigned on first sight.
+
+    Ids start at 1 (0 is a lexical lookup) and a new id is one more than
+    the last, so a child's id is always lower than its parent's.
+    """
+    return _SHAPES.setdefault(key, len(_SHAPES) + 1)
+
+
 @dataclass(frozen=True, slots=True)
 class LexLeaf:
     """A lexical lookup yielding one word."""
@@ -95,6 +111,8 @@ class LexLeaf:
 
     # yield length: a lexical lookup spans one word
     length = 1
+    # shape id: every lexical lookup has the same word-blind shape
+    shape = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,17 +120,24 @@ class Internal:
     """An application of a grammar rule to child subtrees.
 
     ``length`` is the yield length, the number of lexical lookups the
-    node dominates.  The loader passes it in; when it is left out it is
-    summed from the children's.
+    node dominates.  ``shape`` is a word-blind shape id: two nodes have
+    the same id exactly when they apply the same rules in the same
+    places and differ at most in their words (see ``intern_shape``).
+    The loader passes both in; when they are left out they are worked
+    out from the children's.
     """
 
     rule: str
     children: tuple
     length: int = field(default=-1, compare=False, repr=False)
+    shape: int = field(default=-1, compare=False, repr=False)
 
     def __post_init__(self):
         if self.length < 0:
             object.__setattr__(self, "length", sum(c.length for c in self.children))
+        if self.shape < 0:
+            key = (self.rule, *(c.shape for c in self.children))
+            object.__setattr__(self, "shape", intern_shape(key))
 
     def __iter__(self):
         return iter(self.children)
@@ -196,7 +221,7 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
 
     Each tree is built bottom-up while the text is read: every list is
     checked and folded into a node (or a fault) as soon as its ')' is
-    read.
+    read, and each node's shape is interned as it is built.
     """
     rules = inv.rules
     lhs_of = {rule_id: rule.lhs for rule_id, rule in rules.items()}
@@ -224,6 +249,7 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                 (at, 0),
             )
         length = 0
+        key = [rule.rule_id]
         for k, want in enumerate(rhs, start=1):
             child = items[k]
             kind = child.__class__
@@ -237,19 +263,29 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                         (at, 0),
                     )
                 length += child.length
+                key.append(child.shape)
             elif kind is LexLeaf:
                 length += 1
+                key.append(0)
             elif kind is _Fault:
                 return child
             else:
                 return _bare_symbol(child, (at, k))
+        shape = intern_shape(tuple(key))
         # the inventory's id string is shared by every node of the rule
-        return Internal(rule.rule_id, tuple(items[1:]), length)
+        return Internal(rule.rule_id, tuple(items[1:]), length, shape)
 
+    # The fold makes no cyclic garbage, but the collector would rescan
+    # the growing treebank every time it grew by a quarter.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         trees = read_all(text, close)
     except SexprError as err:
         raise TreebankFormatError(str(err).split(": ", 1)[1], err.line_no) from err
+    finally:
+        if collecting:
+            gc.enable()
     for k, tree in enumerate(trees):
         kind = tree.__class__
         if kind is _Fault:

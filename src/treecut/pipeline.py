@@ -5,6 +5,7 @@ outputs are deterministic functions of the inputs and the config, so a
 rerun into the same directory rewrites byte-identical files.
 """
 
+import gc
 import os
 from dataclasses import dataclass, field
 
@@ -233,6 +234,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.out_dir is not None:
         make_out_dir(cfg.out_dir)  # fail before the work, not after it
     treebank = load_treebank(cfg)
+    # The treebank lives until the run ends and holds no cycles, so the
+    # collector need not scan it again.  unfreeze() thaws every frozen
+    # object, not only the treebank.
+    gc.freeze()
+    try:
+        return _run(cfg, treebank)
+    finally:
+        gc.unfreeze()
+
+
+def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:
+    """Everything after loading: search, extraction, tiling and reports."""
     table = build_phrase_table(treebank.training, treebank.inventory)
     aot = index_treebank(treebank.training, treebank.inventory)
     scores = compute_node_entropies(aot, table, cfg.scheme, decimals=cfg.decimals)

@@ -108,8 +108,8 @@ def test_render_stats(toy_rules):
 
 
 def test_memo_handles_shared_categories(inventory):
-    # One np both as subject and object: the np rule must tile both
-    # positions even though the memo is keyed by position.
+    # One np shape both as subject and object: the np rule must tile
+    # both positions, which share one memo entry.
     trees = parse_treebank(
         "(s_np_vp (np_det_n (lex the) (lex cat)) "
         "(vp_v_np (lex saw) (np_det_n (lex the) (lex dog))))",
@@ -125,3 +125,17 @@ def test_memo_handles_shared_categories(inventory):
     tiling = covers(rules, trees[0])
     assert tiling is not None
     assert validate_tiling(tiling, trees[0])
+
+
+def test_trees_of_one_shape_share_their_tiling(toy_rules, treebank, inventory):
+    # the test tree's shape with other words
+    again = parse_treebank(
+        "(s_np_vp (np_pron (lex She)) (vp_v_np (lex paid) (np_np_pp"
+        " (np_det_n (lex the) (lex fare)) (pp_prep_np (lex of) (np_np_pp"
+        " (np_det_n (lex the) (lex trip)) (pp_prep_np (lex to) (lex Rome)))))))",
+        inventory,
+    )
+    report = evaluate_coverage(toy_rules, treebank.test + again)
+    assert report.tilings[1] is report.tilings[0]
+    assert covers(toy_rules, again[0]) == report.tilings[0]
+    assert validate_tiling(report.tilings[0], again[0])

@@ -1,5 +1,6 @@
 import pytest
 
+from treecut import extraction
 from treecut.andor import PathNotInIndexError, index_treebank
 from treecut.cutnodes import SelectionConfig, closure, select_by_threshold
 from treecut.extraction import (
@@ -210,3 +211,81 @@ def test_by_root_rule_prefers_longer_reductions(training_rules):
     s_chunks = groups["s_np_vp"]
     lengths = [r.reduction_length for r in s_chunks]
     assert lengths == sorted(lengths, reverse=True)
+
+
+def test_each_root_shape_is_cut_once(treebank, aot, toy_cut, monkeypatch):
+    # the first tree's shape again, with other words
+    again = parse_treebank(
+        "(s_np_vp (np_pron (lex you))"
+        " (vp_v_np (lex saw) (np_det_n (lex a) (lex seat))))",
+        treebank.inventory,
+    )
+    training = treebank.training + treebank.training[:2] + again
+    shapes = {tree.shape for tree in training}
+    assert len(shapes) < len(training)
+    cut = []
+    original = extraction.cut_tree
+    monkeypatch.setattr(
+        extraction, "cut_tree", lambda *args: cut.append(args[0]) or original(*args)
+    )
+    rules = extract_training(training, aot, toy_cut)
+    assert len(cut) == len(shapes)
+    # support counts every tree, cut or not
+    want = {}
+    for tree in training:
+        for chunk in original(tree, aot, toy_cut):
+            key = render_chunk(chunk)
+            want[key] = want.get(key, 0) + 1
+    assert {render_chunk(r.chunk): r.support for r in rules} == want
+
+
+DEEP = 10_000
+
+
+@pytest.fixture(scope="module")
+def deep_chain(inventory):
+    """One DEEP-level np_np_pp chain and its index."""
+    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
+    text = (
+        "(s_np_vp " + "(np_np_pp " * DEEP + "(np_pron (lex I))" + pp * DEEP
+        + " (vp_v (lex left)))\n"
+    )
+    (tree,) = parse_treebank(text, inventory, require_top=True)
+    return tree, index_treebank([tree], inventory)
+
+
+def test_deep_chain_is_cut_at_every_np(deep_chain):
+    tree, aot = deep_chain
+    nps = frozenset(n.node_id for n in aot.nodes() if n.category == "np")
+    cutset = closure(nps, aot)
+    chunks = cut_tree(tree, aot, cutset)
+    assert len(chunks) == 2 * DEEP + 2
+    # the root chunk, then each level's chunk and its pp's np in turn
+    assert render_chunk(chunks[0]) == "(s_np_vp np (vp_v (lex v)))"
+    level = "(np_np_pp np (pp_prep_np (lex prep) np))"
+    assert [render_chunk(c) for c in chunks[1:4]] == [
+        level, level, "(np_num (lex num))"
+    ]
+    rules = extract_training([tree, tree], aot, cutset)
+    assert {r.flat_form(): r.support for r in rules} == {
+        "s => np v": 2,
+        "np => np prep np": 2 * DEEP,
+        "np => num": 2 * DEEP,
+        "np => pron": 2,
+    }
+
+
+def test_deep_chain_is_cut_without_recursion(deep_chain):
+    tree, aot = deep_chain
+    (chunk,) = cut_tree(tree, aot, closure(frozenset(), aot))
+    # walk the one chunk down its np spine; == and render would recurse
+    assert chunk.rule == "s_np_vp"
+    node = chunk.children[0]
+    for _ in range(DEEP):
+        assert node.rule == "np_np_pp"
+        pp = node.children[1]
+        assert (pp.rule, pp.children[0], pp.children[1].rule) == (
+            "pp_prep_np", LexSlot("prep"), "np_num"
+        )
+        node = node.children[0]
+    assert (node.rule, node.children) == ("np_pron", (LexSlot("pron"),))

@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from treecut import grammar
 from treecut.andor import index_treebank
 from treecut.entropy import Slot, build_phrase_table
 from treecut.grammar import (
@@ -176,9 +179,41 @@ def test_hand_built_trees_sum_their_yield(inventory):
         (Internal("np_pron", (LexLeaf("I"),)), Internal("vp_v", (LexLeaf("left"),))),
     )
     assert tree.length == 2
-    # the yield is derived data: it takes no part in equality or repr
-    assert tree == Internal("s_np_vp", tree.children, length=7)
-    assert "length" not in repr(tree)
+    # yield and shape are derived data: they take no part in equality or repr
+    assert tree == Internal("s_np_vp", tree.children, length=7, shape=7)
+    assert "length" not in repr(tree) and "shape" not in repr(tree)
+    # a hand-built tree gets the shape id the loader gives its shape
+    loaded = parse_treebank("(s_np_vp (np_pron (lex we)) (vp_v (lex go)))", inventory)
+    assert tree.shape == loaded[0].shape
+    assert tree.children[0].shape < tree.shape
+    assert LexLeaf("I").shape == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loader_pauses_the_collector_and_restores_it(inventory, enabled, monkeypatch):
+    collecting = []
+    read_all = grammar.read_all
+
+    def recording_read_all(*args):
+        collecting.append(gc.isenabled())
+        return read_all(*args)
+
+    monkeypatch.setattr(grammar, "read_all", recording_read_all)
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        text = "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n"
+        parse_treebank(text, inventory)
+        assert gc.isenabled() == enabled
+        with pytest.raises(UnknownRuleIdError):
+            parse_treebank(text + "(bogus)", inventory)
+        assert gc.isenabled() == enabled
+        with pytest.raises(TreebankFormatError):
+            parse_treebank(text + "(", inventory)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert collecting == [False, False, False]
 
 
 def test_deep_chain_loads_counts_and_indexes(inventory):

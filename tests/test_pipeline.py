@@ -1,5 +1,6 @@
 """run_pipeline reuses the search's tilings for its coverage and stats."""
 
+import gc
 import importlib
 
 import pytest
@@ -66,3 +67,31 @@ def test_reports_reuse_the_chosen_tiling(
     assert "# skipped untileable trees: 1" in stats
     written = (tmp_path / "out" / "reduction_stats.tsv").read_text()
     assert written.split("\n", 1)[1] == stats
+
+
+def test_run_freezes_the_treebank_and_thaws_it(toy_dir, monkeypatch):
+    cfg = PipelineConfig(
+        grammar_path=str(toy_dir / "grammar.txt"),
+        train_path=str(toy_dir / "train.txt"),
+        threshold=1.0,
+    )
+    frozen = []
+    build = pipeline.build_phrase_table
+
+    def recording_build(*args):
+        frozen.append(gc.get_freeze_count())
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "build_phrase_table", recording_build)
+    before = gc.get_freeze_count()
+    run_pipeline(cfg)
+    assert frozen[0] > before
+    assert gc.get_freeze_count() == before
+
+    def failing_index(*args):
+        raise RuntimeError("index failed")
+
+    monkeypatch.setattr(pipeline, "index_treebank", failing_index)
+    with pytest.raises(RuntimeError):
+        run_pipeline(cfg)
+    assert gc.get_freeze_count() == before

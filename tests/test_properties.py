@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecut import pipeline
-from treecut.andor import index_treebank
-from treecut.coverage import covers, evaluate_coverage
+from treecut.andor import PathNotInIndexError, index_treebank
+from treecut.coverage import Tiling, covers, evaluate_coverage
 from treecut import node_entropy
 from treecut.cutnodes import (
     CutnodeSet,
@@ -31,11 +31,15 @@ from treecut.entropy import CountDistribution, Slot, build_phrase_table, entropy
 from treecut.extraction import (
     ANDOR_ENUM,
     TRAINING_CUT,
+    Apply,
     ChunkExplosionError,
     Frontier,
     LexSlot,
+    _Collector,
+    cut_tree,
     extract_andor,
     extract_training,
+    render_chunk,
 )
 from treecut.grammar import (
     LEX,
@@ -900,11 +904,17 @@ def test_unterminated_quote_is_found_in_linear_time():
     assert time.perf_counter() - start < 2.0
 
 
-def bench_corpus_texts():
-    """Small corpora of the benchmark's generator: (id, grammar, trees)."""
+def bench_gen():
+    """The benchmark's corpus generator, ``bench/gen.py``."""
     spec = importlib.util.spec_from_file_location("bench_gen", BENCH_DIR / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def bench_corpus_texts():
+    """Small corpora of the benchmark's generator: (id, grammar, trees)."""
+    gen = bench_gen()
     out = []
     for corpus in ("toy", "layered"):
         training, test = gen.generate(corpus, 150, 50, 4.0)
@@ -975,3 +985,201 @@ def test_phrase_table_keeps_first_seen_order_on_random_corpora():
         rng = random.Random(9000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 10))
         assert_phrase_table_order(training, inv)
+
+
+def reference_cut_tree(tree, aot, cutset):
+    """The recursive cut_tree that the explicit-stack walk replaced."""
+    pending = [(tree, aot.root)]
+    chunks = []
+
+    def build(node, or_node):
+        and_node = or_node.arcs.get(node.rule)
+        if and_node is None:
+            raise PathNotInIndexError(
+                f"rule '{node.rule}' unseen at {or_node.node_id}"
+            )
+        parts = []
+        for child, child_or in zip(node.children, and_node.children):
+            if isinstance(child, LexLeaf):
+                if cutset.is_cut(child_or.node_id):
+                    parts.append(Frontier(child_or.category))
+                else:
+                    parts.append(LexSlot(child_or.category))
+            elif cutset.is_cut(child_or.node_id) and child.length > 0:
+                parts.append(Frontier(child_or.category))
+                pending.append((child, child_or))
+            else:
+                parts.append(build(child, child_or))
+        return Apply(node.rule, tuple(parts))
+
+    while pending:
+        chunks.append(build(*pending.pop(0)))
+    return chunks
+
+
+def reference_extract_training(training, aot, cutset):
+    """The per-tree loop extract_training replaced: every tree is cut."""
+    collector = _Collector(aot.inventory)
+    for tree in training:
+        for chunk in reference_cut_tree(tree, aot, cutset):
+            collector.add(chunk, 1)
+    return collector.result()
+
+
+def reference_covers(rules, tree):
+    """The tiler keyed on node identity, with a memo for one tree only."""
+    by_root = rules.by_root_rule()
+    memo = {}
+
+    def tile(node, category):
+        if isinstance(node, LexLeaf):
+            return Tiling(None)
+        key = (id(node), category)
+        if key in memo:
+            return memo[key]
+        result = None
+        for rule in by_root.get(node.rule, []):
+            if category is not None and rule.lhs != category:
+                continue
+            frontiers = []
+            if brute_match(rule.chunk, node, frontiers):
+                children = []
+                for sub, cat in frontiers:
+                    sub_tiling = tile(sub, cat)
+                    if sub_tiling is None:
+                        break
+                    children.append(sub_tiling)
+                else:
+                    result = Tiling(rule, tuple(children))
+                    break
+        memo[key] = result
+        return result
+
+    return tile(tree, None)
+
+
+def rule_records(rules):
+    return [(r.name, render_chunk(r.chunk), r.support) for r in rules]
+
+
+def assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=4):
+    """Per-shape extraction and tiling give the per-tree results."""
+    aot = index_treebank(training, inv)
+    for cut_ids in random_cut_sets(rng, aot, count=cut_sets):
+        cutset = closure(cut_ids, aot)
+        for tree in training:
+            assert cut_tree(tree, aot, cutset) == reference_cut_tree(
+                tree, aot, cutset
+            )
+        rules = extract_training(training, aot, cutset)
+        assert rule_records(rules) == rule_records(
+            reference_extract_training(training, aot, cutset)
+        )
+        trees = test + training
+        report = evaluate_coverage(rules, trees)
+        for tree, verdict, tiling in zip(trees, report.verdicts, report.tilings):
+            want = reference_covers(rules, tree)
+            assert verdict == (want is not None)
+            assert covers(rules, tree) == tiling == want
+            if want is not None:
+                names = [r.name for r in tiling.applications()]
+                assert names == [r.name for r in want.applications()]
+
+
+def test_shape_keyed_work_agrees_on_the_toy_corpus(treebank):
+    assert_shape_keyed_work_agrees(
+        treebank.inventory, treebank.training, treebank.test, random.Random(1)
+    )
+
+
+@pytest.mark.parametrize("corpus", ["toy", "layered"])
+def test_shape_keyed_work_agrees_on_bench_corpora(corpus):
+    gen = bench_gen()
+    training, test = gen.generate(corpus, 300, 60, 4.0)
+    inv = parse_rule_inventory(gen.grammar_text(corpus), "s")
+
+    def load(trees):
+        return parse_treebank("".join(gen.render(t) + "\n" for t in trees), inv)
+
+    training, test = load(training), load(test)
+    # the generator repeats shapes, which is what per-shape work saves
+    assert len({t.shape for t in training}) < len(training)
+    assert_shape_keyed_work_agrees(inv, training, test, random.Random(2))
+
+
+def test_shape_keyed_work_agrees_on_random_corpora():
+    for seed in range(40):
+        rng = random.Random(10000 + seed)
+        inv, training = gen_corpus(rng, rng.randint(1, 12))
+        training += [copy_with_words(rng.choice(training), rng) for _ in range(4)]
+        test = [gen_root(rng, inv) for _ in range(4)] + [
+            copy_with_words(rng.choice(training), rng) for _ in range(4)
+        ]
+        assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=2)
+
+
+def copy_with_words(tree, rng):
+    """A hand-built copy of *tree* with fresh words."""
+    if isinstance(tree, LexLeaf):
+        return LexLeaf(rng.choice(WORDS))
+    return Internal(tree.rule, tuple(copy_with_words(c, rng) for c in tree.children))
+
+
+def blind(tree):
+    """The word-blind rendering of *tree*."""
+    if isinstance(tree, LexLeaf):
+        return "(lex)"
+    return "(" + " ".join([tree.rule, *map(blind, tree.children)]) + ")"
+
+
+def all_nodes(tree):
+    out = [tree]
+    for child in getattr(tree, "children", ()):
+        out.extend(all_nodes(child))
+    return out
+
+
+@st.composite
+def repeated_shape_treebanks(draw):
+    """Treebank text whose trees repeat a few shapes with different words."""
+    roots = loader_exprs("s", 4, root=True).filter(
+        lambda e: any(map(is_lex, all_lists(e)))
+    )
+    shapes = draw(st.lists(roots, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(shapes), min_size=2, max_size=12))
+
+    def render(expr):
+        if is_lex(expr):
+            return f"({LEX} {draw(st.sampled_from(WORDS))})"
+        return "(" + " ".join([expr[0], *map(render, expr[1:])]) + ")"
+
+    return "\n".join(render(e) for e in picks) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=repeated_shape_treebanks(), split=st.integers(1, 12), seed=st.integers())
+def test_shape_keyed_work_agrees_on_repeated_shapes(text, split, seed):
+    trees = parse_treebank(text, LOADER_GRAMMAR)
+    training, test = trees[:split], trees[split:]
+    assert_shape_keyed_work_agrees(
+        LOADER_GRAMMAR, training, test, random.Random(seed), cut_sets=2
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=repeated_shape_treebanks(), seed=st.integers())
+def test_equal_shapes_are_equal_word_blind_renderings(text, seed):
+    rng = random.Random(seed)
+    trees = parse_treebank(text, LOADER_GRAMMAR)
+    # hand-built copies are interned in the same table as loaded trees
+    copies = [copy_with_words(t, rng) for t in trees]
+    nodes = [n for t in trees + copies for n in all_nodes(t)]
+    by_shape, by_rendering = {}, {}
+    for node in nodes:
+        by_shape.setdefault(node.shape, set()).add(blind(node))
+        by_rendering.setdefault(blind(node), set()).add(node.shape)
+        for child in getattr(node, "children", ()):
+            assert child.shape < node.shape
+    assert all(len(r) == 1 for r in by_shape.values())
+    assert all(len(s) == 1 for s in by_rendering.values())
+    assert by_rendering["(lex)"] == {0}
