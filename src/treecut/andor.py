@@ -17,7 +17,7 @@ arcs are lexical are numbered ``t1``, ``t2``, ...
 from dataclasses import dataclass, field
 
 from treecut.entropy import Slot
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
+from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
 
 
 class PathNotInIndexError(Exception):
@@ -74,8 +74,9 @@ class AndOrTree:
         return list(self.node_index.values())
 
 
-def _insert(root: OrNode, tree, inv: RuleInventory) -> None:
-    """Merge one tree into the index, visiting its nodes in preorder."""
+def _insert(root: OrNode, tree, inv: RuleInventory, weight: int) -> None:
+    """Merge one tree into the index *weight* times over, visiting its
+    nodes in preorder."""
     stack = [(root, tree)]
     while stack:
         node, tree = stack.pop()
@@ -89,7 +90,7 @@ def _insert(root: OrNode, tree, inv: RuleInventory) -> None:
                 for k, cat in enumerate(inv[rule].rhs, start=1)
             ]
             and_node = node.arcs[rule] = AndNode(rule, children)
-        node.arc_counts[rule] = node.arc_counts.get(rule, 0) + 1
+        node.arc_counts[rule] = node.arc_counts.get(rule, 0) + weight
         if rule != LEX:
             stack.extend(reversed(list(zip(and_node.children, tree.children))))
 
@@ -118,10 +119,16 @@ def _assign_ids(root: OrNode) -> dict[str, OrNode]:
 
 
 def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
-    """Merge the training trees into one and-or tree."""
+    """Merge the training trees into one and-or tree.
+
+    Indexing reads no words, so each distinct root shape is inserted
+    once with its multiplicity.  A repeated shape would add no or-node
+    or arc that its first tree did not, so every arc is still created
+    in the order a tree-by-tree merge would create it.
+    """
     root = OrNode(category=inv.top, parent_slot=None)
-    for tree in training:
-        _insert(root, tree, inv)
+    for tree, n in shape_groups(training):
+        _insert(root, tree, inv, n)
     return AndOrTree(root=root, node_index=_assign_ids(root), inventory=inv)
 
 
@@ -147,17 +154,21 @@ def match_path(aot: AndOrTree, tree, path: tuple[int, ...] = ()) -> OrNode | Non
 def dump(aot: AndOrTree) -> str:
     """Readable indented rendering: ids, categories, arcs and counts."""
     lines: list[str] = []
-
-    def visit(node: OrNode, depth: int) -> None:
+    # (or-node, depth) still to visit, and arc lines due before the
+    # or-nodes below them
+    stack: list = [(aot.root, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            lines.append(item)
+            continue
+        node, depth = item
         pad = "  " * depth
         flag = "" if node.has_lexical_yield else "  [no lexical yield]"
         lines.append(
             f"{pad}{node.node_id} ({node.category}) visits={node.visit_count}{flag}"
         )
-        for rule, and_node in node.sorted_arcs():
-            lines.append(f"{pad}  -{rule} x{node.arc_counts[rule]}")
-            for child in and_node.children:
-                visit(child, depth + 2)
-
-    visit(aot.root, 0)
+        for rule, and_node in reversed(node.sorted_arcs()):
+            stack.extend((child, depth + 2) for child in reversed(and_node.children))
+            stack.append(f"{pad}  -{rule} x{node.arc_counts[rule]}")
     return "\n".join(lines) + "\n"

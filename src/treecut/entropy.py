@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from treecut.grammar import LEX, LexLeaf, RuleInventory
+from treecut.grammar import LEX, LexLeaf, RuleInventory, shape_groups
 
 ROOT_CONTEXT = "ROOT"
 LHS_POSITION = 0
@@ -110,41 +110,45 @@ class _RuleCounts:
 def build_phrase_table(training: list, inv: RuleInventory) -> PhraseEntropyTable:
     """Count every slot over the training trees and take entropies.
 
-    Trees are walked in preorder with an explicit stack, so slots and
-    their outcomes are first seen (and kept) in the same order as a
-    recursive walk would see them.
+    Slots read no words, so each distinct root shape is walked once and
+    counted with its multiplicity.  Trees are walked in preorder with an
+    explicit stack, so slots and their outcomes are first seen (and
+    kept) in the same order as a recursive walk of every tree would see
+    them: a repeated shape adds no outcome its first tree did not.
     """
     seen: list[tuple[Slot, dict[str, int]]] = []
     by_rule: dict[str, _RuleCounts] = {}
 
-    def count(rule: _RuleCounts, k: int, outcome: str) -> None:
+    def count(rule: _RuleCounts, k: int, outcome: str, n: int) -> None:
         counts = rule.counts[k]
         if counts is None:
             counts = rule.counts[k] = {}
             seen.append((rule.slots[k], counts))
-        counts[outcome] = counts.get(outcome, 0) + 1
+        counts[outcome] = counts.get(outcome, 0) + n
 
-    # (node, its LHS context, the parent's counts, its slot there); each
-    # child is counted in its parent's slot just before its own subtree
-    stack = [(tree, ROOT_CONTEXT, None, 0) for tree in reversed(training)]
-    while stack:
-        node, context, parent, k = stack.pop()
-        if node.__class__ is LexLeaf:
+    for tree, n in shape_groups(training):
+        # (node, its LHS context, the parent's counts, its slot there);
+        # each child is counted in its parent's slot just before its own
+        # subtree
+        stack = [(tree, ROOT_CONTEXT, None, 0)]
+        while stack:
+            node, context, parent, k = stack.pop()
+            if node.__class__ is LexLeaf:
+                if parent is not None:
+                    count(parent, k, LEX, n)
+                continue
             if parent is not None:
-                count(parent, k, LEX)
-            continue
-        if parent is not None:
-            count(parent, k, node.rule)
-        children = node.children
-        rule = by_rule.get(node.rule)
-        if rule is None:
-            rule = by_rule[node.rule] = _RuleCounts(node.rule, len(children))
-        count(rule, LHS_POSITION, context)
-        contexts = rule.contexts
-        stack.extend(
-            (children[j], contexts[j], rule, j + 1)
-            for j in range(len(children) - 1, -1, -1)
-        )
+                count(parent, k, node.rule, n)
+            children = node.children
+            rule = by_rule.get(node.rule)
+            if rule is None:
+                rule = by_rule[node.rule] = _RuleCounts(node.rule, len(children))
+            count(rule, LHS_POSITION, context, n)
+            contexts = rule.contexts
+            stack.extend(
+                (children[j], contexts[j], rule, j + 1)
+                for j in range(len(children) - 1, -1, -1)
+            )
     dists = {slot: CountDistribution(counts) for slot, counts in seen}
     return PhraseEntropyTable(
         inventory=inv,

@@ -15,12 +15,11 @@ are always a subset of the enumerated ones.
 """
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory
+from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
 from treecut.sexpr import read_all
 
 TRAINING_CUT = "training"
@@ -64,21 +63,41 @@ ChunkTree = Apply | LexSlot | Frontier
 
 def render_chunk(chunk: ChunkTree) -> str:
     """Canonical S-expression: identity, hashing and file format."""
-    if isinstance(chunk, LexSlot):
+    kind = chunk.__class__
+    if kind is LexSlot:
         return f"(lex {chunk.category})"
-    if isinstance(chunk, Frontier):
+    if kind is Frontier:
         return chunk.category
-    inner = " ".join(render_chunk(c) for c in chunk.children)
-    return f"({chunk.rule} {inner})" if inner else f"({chunk.rule})"
+    # every part after the root's opens with its separating space; the
+    # stack holds the chunks still to render and the ")" that close them
+    parts = ["(" + chunk.rule]
+    stack: list = [")", *reversed(chunk.children)]
+    while stack:
+        item = stack.pop()
+        kind = item.__class__
+        if kind is Apply:
+            parts.append(" (" + item.rule)
+            stack.append(")")
+            stack.extend(reversed(item.children))
+        elif kind is LexSlot:
+            parts.append(" (lex " + item.category + ")")
+        elif kind is Frontier:
+            parts.append(" " + item.category)
+        else:
+            parts.append(item)
+    return "".join(parts)
 
 
 def flat_rhs(chunk: ChunkTree) -> tuple[str, ...]:
     """Left-to-right leaf categories: the flattened rule body."""
-    if isinstance(chunk, (LexSlot, Frontier)):
-        return (chunk.category,)
     out: list[str] = []
-    for child in chunk.children:
-        out.extend(flat_rhs(child))
+    stack = [chunk]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Apply:
+            stack.extend(reversed(node.children))
+        else:
+            out.append(node.category)
     return tuple(out)
 
 
@@ -135,29 +154,21 @@ class _Collector:
         self.chunks: dict[str, SpecializedRule] = {}
 
     def add(self, chunk: Apply, occurrences: int) -> None:
-        if not flat_rhs_nonempty(chunk):
-            return
         key = render_chunk(chunk)
         rule = self.chunks.get(key)
         if rule is None:
+            rhs = flat_rhs(chunk)
+            if not rhs:  # a chunk spanning no slot is no rule
+                return
             lhs = self.inv[chunk.rule].lhs
             rule = SpecializedRule(
-                name=rule_name(lhs, chunk),
-                lhs=lhs,
-                chunk=chunk,
-                rhs=flat_rhs(chunk),
+                name=rule_name(lhs, chunk), lhs=lhs, chunk=chunk, rhs=rhs
             )
             self.chunks[key] = rule
         rule.support += occurrences
 
     def result(self) -> RuleSet:
         return RuleSet(sorted(self.chunks.values(), key=lambda r: (r.lhs, r.name)))
-
-
-def flat_rhs_nonempty(chunk: ChunkTree) -> bool:
-    if isinstance(chunk, (LexSlot, Frontier)):
-        return True
-    return any(flat_rhs_nonempty(c) for c in chunk.children)
 
 
 def cut_tree(tree: Internal, aot: AndOrTree, cutset: CutnodeSet) -> list[Apply]:
@@ -217,14 +228,10 @@ def extract_training(
     shape is cut once and its chunks count once for every tree of that
     shape.
     """
-    first: dict[int, Internal] = {}
-    for tree in training:
-        first.setdefault(tree.shape, tree)
-    multiplicity = Counter(tree.shape for tree in training)
     collector = _Collector(aot.inventory)
-    for shape, tree in first.items():
+    for tree, n in shape_groups(training):
         for chunk in cut_tree(tree, aot, cutset):
-            collector.add(chunk, multiplicity[shape])
+            collector.add(chunk, n)
     return collector.result()
 
 

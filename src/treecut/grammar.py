@@ -146,6 +146,23 @@ class Internal:
 ParseTree = Internal | LexLeaf
 
 
+def shape_groups(trees: list) -> list[list]:
+    """``[first tree, multiplicity]`` per distinct root shape of *trees*.
+
+    Groups come in the order their shapes are first seen.  Word-blind
+    stages work on each group's first tree once and weight it by the
+    multiplicity.
+    """
+    groups: dict[int, list] = {}
+    for tree in trees:
+        group = groups.get(tree.shape)
+        if group is None:
+            groups[tree.shape] = [tree, 1]
+        else:
+            group[1] += 1
+    return list(groups.values())
+
+
 @dataclass
 class Treebank:
     """Training and held-out test parses over one inventory."""
@@ -221,10 +238,13 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
 
     Each tree is built bottom-up while the text is read: every list is
     checked and folded into a node (or a fault) as soon as its ')' is
-    read, and each node's shape is interned as it is built.
+    read, and each node's shape is interned as it is built.  Lookups of
+    one word share one ``LexLeaf``.
     """
     rules = inv.rules
     lhs_of = {rule_id: rule.lhs for rule_id, rule in rules.items()}
+    # leaves are immutable, so every lookup of one word shares one leaf
+    leaves: dict[str, LexLeaf] = {}
 
     def close(items: list, at: int):
         if not items:
@@ -237,7 +257,11 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                 return _Fault(
                     ArityMismatchError, f"'{LEX}' takes exactly one word", (at, 0)
                 )
-            return LexLeaf(items[1])
+            word = items[1]
+            leaf = leaves.get(word)
+            if leaf is None:
+                leaf = leaves[word] = LexLeaf(word)
+            return leaf
         rule = rules.get(head)
         if rule is None:
             return _Fault(UnknownRuleIdError, f"unknown rule id '{head}'", (at, 0))
@@ -322,6 +346,3 @@ def render_tree(tree: ParseTree) -> str:
     inner = " ".join(render_tree(c) for c in tree.children)
     return f"({tree.rule} {inner})" if inner else f"({tree.rule})"
 
-
-def render_treebank(trees: list) -> str:
-    return "".join(render_tree(t) + "\n" for t in trees)

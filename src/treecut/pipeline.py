@@ -233,11 +233,19 @@ class SearchContext:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.out_dir is not None:
         make_out_dir(cfg.out_dir)  # fail before the work, not after it
-    treebank = load_treebank(cfg)
-    # The treebank lives until the run ends and holds no cycles, so the
-    # collector need not scan it again.  unfreeze() thaws every frozen
-    # object, not only the treebank.
-    gc.freeze()
+    # Loading makes no cyclic garbage.  The treebank lives until the run
+    # ends and holds no cycles, so it is frozen before the collector is
+    # back on: freezing also clears the young generation, so no
+    # collection rescans the treebank just built.  unfreeze() thaws
+    # every frozen object, not only the treebank.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        treebank = load_treebank(cfg)
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
     try:
         return _run(cfg, treebank)
     finally:

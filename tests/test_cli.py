@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -122,6 +123,41 @@ def test_run_reports_are_deterministic(capsys, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize("threshold", ["1.0", "0.0"])
+def test_run_without_test_set_writes_reports_for_a_deep_chain(
+    capsys, tmp_path, threshold
+):
+    # deeper than the recursion limit; andor_index.txt indents each
+    # or-node by its depth, so its size grows with the square of it
+    depth = sys.getrecursionlimit() + 500
+    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
+    train = tmp_path / "train.txt"
+    train.write_text(
+        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
+        + " (vp_v (lex left)))\n"
+    )
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "run", "--grammar", str(TOY / "grammar.txt"), "--train", str(train),
+        "--threshold", threshold, "--out", str(out),
+    )
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "andor_index.txt",
+        "cutnodes.txt",
+        "entropy_table.tsv",
+        "node_entropy.tsv",
+        "reduction_stats.tsv",
+        "rules.txt",
+        "threshold.txt",
+    ]
+    # the config line, then one line per or-node and one per arc: the
+    # chain's or-nodes each have a single arc
+    with open(out / "andor_index.txt") as handle:
+        assert sum(1 for _ in handle) == 1 + 2 * (5 * depth + 5)
+    assert "support: 1" in (out / "rules.txt").read_text()
 
 
 def test_run_requires_exactly_one_goal(capsys, tmp_path):

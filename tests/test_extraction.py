@@ -278,7 +278,7 @@ def test_deep_chain_is_cut_at_every_np(deep_chain):
 def test_deep_chain_is_cut_without_recursion(deep_chain):
     tree, aot = deep_chain
     (chunk,) = cut_tree(tree, aot, closure(frozenset(), aot))
-    # walk the one chunk down its np spine; == and render would recurse
+    # walk the one chunk down its np spine; == would recurse
     assert chunk.rule == "s_np_vp"
     node = chunk.children[0]
     for _ in range(DEEP):
@@ -289,3 +289,13 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
         )
         node = node.children[0]
     assert (node.rule, node.children) == ("np_pron", (LexSlot("pron"),))
+
+    assert render_chunk(chunk) == (
+        "(s_np_vp " + "(np_np_pp " * DEEP + "(np_pron (lex pron))"
+        + " (pp_prep_np (lex prep) (np_num (lex num))))" * DEEP
+        + " (vp_v (lex v)))"
+    )
+    body = ("pron",) + ("prep", "num") * DEEP + ("v",)
+    assert flat_rhs(chunk) == body
+    (rule,) = extract_training([tree] * 3, aot, closure(frozenset(), aot))
+    assert (rule.rhs, rule.support) == (body, 3)

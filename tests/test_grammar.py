@@ -17,7 +17,6 @@ from treecut.grammar import (
     parse_rule_inventory,
     parse_treebank,
     render_tree,
-    render_treebank,
 )
 
 MINI = """\
@@ -73,8 +72,25 @@ def test_strict_mode_rejects_unfilled_categories():
 def test_treebank_round_trip(inventory, toy_dir):
     text = (toy_dir / "train.txt").read_text()
     trees = parse_treebank(text, inventory)
-    rendered = render_treebank(trees)
+    rendered = "".join(render_tree(t) + "\n" for t in trees)
     assert parse_treebank(rendered, inventory) == trees
+    # the toy file is written one tree a line in the canonical form
+    assert rendered.splitlines() == [
+        line for line in text.splitlines() if not line.startswith("#")
+    ]
+
+
+def test_leaves_of_one_word_are_one_object(inventory):
+    text = (
+        "(s_np_vp (np_num (lex ten)) (vp_v_np (lex left) (np_num (lex ten))))\n"
+        "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n"
+    )
+    first, second = parse_treebank(text, inventory)
+    ten = first.children[0].children[0]
+    assert ten is first.children[1].children[1].children[0]
+    assert first.children[1].children[0] is second.children[1].children[0]
+    assert ten == LexLeaf("ten")
+    assert "".join(render_tree(t) + "\n" for t in (first, second)) == text
 
 
 def test_parse_builds_expected_shape(inventory):

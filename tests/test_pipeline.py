@@ -95,3 +95,56 @@ def test_run_freezes_the_treebank_and_thaws_it(toy_dir, monkeypatch):
     with pytest.raises(RuntimeError):
         run_pipeline(cfg)
     assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_run_loads_with_the_collector_off_and_freezes_before_restoring_it(
+    toy_dir, monkeypatch, enabled
+):
+    cfg = PipelineConfig(
+        grammar_path=str(toy_dir / "grammar.txt"),
+        train_path=str(toy_dir / "train.txt"),
+        threshold=1.0,
+    )
+    events = []
+    load, build, freeze = (
+        pipeline.load_treebank, pipeline.build_phrase_table, gc.freeze
+    )
+
+    def recording_load(*args):
+        events.append(("load", gc.isenabled()))
+        return load(*args)
+
+    def recording_freeze():
+        events.append(("freeze", gc.isenabled()))
+        freeze()
+
+    def recording_build(*args):
+        events.append(("build", gc.isenabled()))
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "load_treebank", recording_load)
+    monkeypatch.setattr(gc, "freeze", recording_freeze)
+    monkeypatch.setattr(pipeline, "build_phrase_table", recording_build)
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        run_pipeline(cfg)
+        # the collector is off while loading and freezing, then as it was
+        assert events == [("load", False), ("freeze", False), ("build", enabled)]
+        assert gc.isenabled() == enabled
+
+        events.clear()
+        missing = PipelineConfig(
+            grammar_path=cfg.grammar_path,
+            train_path=str(toy_dir / "missing.txt"),
+            threshold=1.0,
+        )
+        before = gc.get_freeze_count()
+        with pytest.raises(pipeline.InputError):
+            run_pipeline(missing)
+        assert events == [("load", False)]
+        assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.enable() if was else gc.disable()

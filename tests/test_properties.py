@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecut import pipeline
-from treecut.andor import PathNotInIndexError, index_treebank
+from treecut.andor import (
+    AndNode,
+    AndOrTree,
+    OrNode,
+    PathNotInIndexError,
+    _assign_ids,
+    dump,
+    index_treebank,
+)
 from treecut.coverage import Tiling, covers, evaluate_coverage
 from treecut import node_entropy
 from treecut.cutnodes import (
@@ -39,6 +47,7 @@ from treecut.extraction import (
     cut_tree,
     extract_andor,
     extract_training,
+    flat_rhs,
     render_chunk,
 )
 from treecut.grammar import (
@@ -52,6 +61,7 @@ from treecut.grammar import (
     UnknownRuleIdError,
     parse_rule_inventory,
     parse_treebank,
+    shape_groups,
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 from treecut.pipeline import PipelineConfig, selection_config
@@ -1058,7 +1068,27 @@ def reference_covers(rules, tree):
     return tile(tree, None)
 
 
+def reference_render_chunk(chunk):
+    """The recursive render_chunk that the explicit-stack walk replaced."""
+    if isinstance(chunk, LexSlot):
+        return f"(lex {chunk.category})"
+    if isinstance(chunk, Frontier):
+        return chunk.category
+    inner = " ".join(reference_render_chunk(c) for c in chunk.children)
+    return f"({chunk.rule} {inner})" if inner else f"({chunk.rule})"
+
+
+def reference_flat_rhs(chunk):
+    """The recursive flat_rhs that the explicit-stack walk replaced."""
+    if isinstance(chunk, (LexSlot, Frontier)):
+        return (chunk.category,)
+    return tuple(cat for c in chunk.children for cat in reference_flat_rhs(c))
+
+
 def rule_records(rules):
+    for rule in rules:
+        assert render_chunk(rule.chunk) == reference_render_chunk(rule.chunk)
+        assert rule.rhs == flat_rhs(rule.chunk) == reference_flat_rhs(rule.chunk)
     return [(r.name, render_chunk(r.chunk), r.support) for r in rules]
 
 
@@ -1183,3 +1213,110 @@ def test_equal_shapes_are_equal_word_blind_renderings(text, seed):
     assert all(len(r) == 1 for r in by_shape.values())
     assert all(len(s) == 1 for s in by_rendering.values())
     assert by_rendering["(lex)"] == {0}
+
+
+def reference_insert(root, tree, inv):
+    """The per-tree merge that index_treebank replaced: one tree, weight 1."""
+    stack = [(root, tree)]
+    while stack:
+        node, tree = stack.pop()
+        if tree.length > 0:
+            node.has_lexical_yield = True
+        rule = tree.rule if isinstance(tree, Internal) else LEX
+        and_node = node.arcs.get(rule)
+        if and_node is None:
+            children = [] if rule == LEX else [
+                OrNode(category=cat, parent_slot=Slot(rule, k))
+                for k, cat in enumerate(inv[rule].rhs, start=1)
+            ]
+            and_node = node.arcs[rule] = AndNode(rule, children)
+        node.arc_counts[rule] = node.arc_counts.get(rule, 0) + 1
+        if rule != LEX:
+            stack.extend(reversed(list(zip(and_node.children, tree.children))))
+
+
+def reference_index_treebank(training, inv):
+    root = OrNode(category=inv.top, parent_slot=None)
+    for tree in training:
+        reference_insert(root, tree, inv)
+    return AndOrTree(root=root, node_index=_assign_ids(root), inventory=inv)
+
+
+def reference_dump(aot):
+    """The recursive dump that the explicit-stack walk replaced."""
+    lines = []
+
+    def visit(node, depth):
+        pad = "  " * depth
+        flag = "" if node.has_lexical_yield else "  [no lexical yield]"
+        lines.append(
+            f"{pad}{node.node_id} ({node.category}) visits={node.visit_count}{flag}"
+        )
+        for rule, and_node in node.sorted_arcs():
+            lines.append(f"{pad}  -{rule} x{node.arc_counts[rule]}")
+            for child in and_node.children:
+                visit(child, depth + 2)
+
+    visit(aot.root, 0)
+    return "\n".join(lines) + "\n"
+
+
+def or_node_record(node):
+    """Everything an or-node holds, arcs and their counts in their order."""
+    return (
+        node.node_id,
+        node.seq,
+        node.category,
+        node.parent_slot,
+        node.has_lexical_yield,
+        list(node.arc_counts.items()),
+        [(rule, [c.node_id for c in a.children]) for rule, a in node.arcs.items()],
+    )
+
+
+def assert_set_up_agrees(training, inv):
+    """Per-shape phrase table and index give the per-tree ones."""
+    groups = shape_groups(training)
+    assert sum(n for _, n in groups) == len(training)
+    first = {}
+    for tree in training:
+        first.setdefault(tree.shape, tree)
+    # each group is the first tree of its shape, in first-seen order
+    assert [(id(tree), n) for tree, n in groups] == [
+        (id(tree), sum(t.shape == shape for t in training))
+        for shape, tree in first.items()
+    ]
+
+    assert_phrase_table_order(training, inv)
+    aot = index_treebank(training, inv)
+    want = reference_index_treebank(training, inv)
+    assert [or_node_record(n) for n in aot.nodes()] == [
+        or_node_record(n) for n in want.nodes()
+    ]
+    assert dump(aot) == reference_dump(want)
+
+
+@pytest.mark.parametrize(
+    "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
+)
+def test_set_up_agrees_with_per_tree_references_on_corpora(grammar, text):
+    inv = parse_rule_inventory(grammar, "s")
+    assert_set_up_agrees(parse_treebank(text, inv), inv)
+
+
+def test_set_up_agrees_with_per_tree_references_on_random_corpora():
+    for seed in range(100):
+        rng = random.Random(11000 + seed)
+        inv, training = gen_corpus(rng, rng.randint(1, 10))
+        copies = [copy_with_words(rng.choice(training), rng) for _ in range(6)]
+        if seed % 4 == 0:  # a bare lexical root is shape 0 and has no slots
+            copies.append(LexLeaf(rng.choice(WORDS)))
+        for tree in copies:
+            training.insert(rng.randint(0, len(training)), tree)
+        assert_set_up_agrees(training, inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=repeated_shape_treebanks())
+def test_set_up_agrees_with_per_tree_references_on_repeated_shapes(text):
+    assert_set_up_agrees(parse_treebank(text, LOADER_GRAMMAR), LOADER_GRAMMAR)
