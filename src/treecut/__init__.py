@@ -1,7 +1,7 @@
 """Grammar specialization by cutting treebank parses at entropy peaks."""
 
 from treecut.andor import AndOrTree, OrNode, index_treebank, match_path
-from treecut.coverage import covers, coverage, evaluate_coverage, reduction_stats
+from treecut.coverage import covers, evaluate_coverage, reduction_stats
 from treecut.cutnodes import (
     CutnodeSet,
     EquivalenceClass,
@@ -62,7 +62,6 @@ __all__ = [
     "build_phrase_table",
     "closure",
     "compute_node_entropies",
-    "coverage",
     "covers",
     "entropy",
     "evaluate_coverage",

@@ -207,6 +207,10 @@ def cmd_stats(args) -> int:
         trees = _load(
             args.test, lambda t: parse_treebank(t, inv, require_top=True)
         )
+        try:  # the tiler takes the rules to be well typed for the grammar
+            validate_rules(rules, inv)
+        except RuleFileError as exc:
+            raise InputError(f"{args.rules}: {exc}") from exc
     stats = reduction_stats(rules, trees=trees, weighted=args.weighted)
     sys.stdout.write(
         render_stats(stats, "weighted" if args.weighted else "unweighted")

@@ -1,116 +1,192 @@
 """Tiling test parses with specialized rules, and coverage statistics.
 
 A tree is covered when it can be tiled: some rule's chunk matches at the
-root, every frontier is tiled recursively by a rule of the frontier's
-category, and every lexical slot lines up with a lexical lookup.  A
-frontier also accepts a bare lexical lookup directly, since the lexicon
-is always available at parse time.
+root, every frontier is tiled by a rule in turn, and every lexical slot
+lines up with a lexical lookup.  A frontier also accepts a bare lexical
+lookup directly, since the lexicon is always available at parse time.
 
-Matching is top-down with backtracking over candidate rules, memoized by
-subtree shape and required category.  Among alternatives it prefers the
-longest reduction, then rule name order, so reported tilings are stable.
+The rules are compiled into a discrimination tree over each chunk's
+preorder symbols: an inlined application is its rule id, a lexical slot
+is ``lex`` and a frontier is a wildcard that skips one whole subtree.
+Retrieval at a node walks the node only as deep as the deepest chunk and
+yields every matching rule with its frontier subtrees.
+
+A tiling reads only a subtree's word-blind shape, and a child's shape id
+is always below its parent's, so one pass over the test set's distinct
+shapes in increasing id tiles each shape once from tilings already made.
+Among alternatives a shape takes the first rule whose frontiers are all
+tiled, in the order longest reduction first, then rule name, so reported
+tilings are stable.  Frontier categories are not checked: a validated
+rule's frontier category is the category of its slot, which the loader
+has checked against the subtree filling it.
 """
 
 from dataclasses import dataclass
 
 from treecut.extraction import Frontier, LexSlot, RuleSet, SpecializedRule
-from treecut.grammar import Internal, LexLeaf
+from treecut.grammar import LEX, LexLeaf
 
 
-@dataclass
+@dataclass(slots=True)
 class Tiling:
-    """One rule application (or lexicon lookup when rule is None)."""
+    """One rule application (or lexicon lookup when rule is None).
+
+    Equality and repr walk the tiling without recursion, so a tiling as
+    deep as a test tree can be compared and printed.
+    """
 
     rule: SpecializedRule | None
     children: tuple = ()
 
+    def _preorder(self):
+        stack = [self]
+        while stack:
+            tiling = stack.pop()
+            yield tiling
+            stack.extend(reversed(tiling.children))
+
     def applications(self) -> list[SpecializedRule]:
-        out = [] if self.rule is None else [self.rule]
-        for child in self.children:
-            out.extend(child.applications())
-        return out
+        """Applied rules in preorder; lexicon lookups are left out."""
+        return [t.rule for t in self._preorder() if t.rule is not None]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tiling):
+            return NotImplemented
+        pairs = zip(self._preorder(), other._preorder())
+        return all(
+            a.rule == b.rule and len(a.children) == len(b.children) for a, b in pairs
+        )
+
+    def __repr__(self) -> str:
+        name = "lex" if self.rule is None else self.rule.name
+        return f"Tiling({name}, {len(self.children)} children)"
 
 
-_MISS = object()
+LEXICON = Tiling(None)
 
 
-def covers(
-    rules: RuleSet, tree, by_root: dict | None = None, memo: dict | None = None
-) -> Tiling | None:
-    """The preferred tiling of *tree*, or None when it has none.
+def preference(rule: SpecializedRule) -> tuple:
+    """Sort key of the tiler's preference: longest reduction, then name."""
+    return (-rule.reduction_length, rule.name)
 
-    *by_root* is ``rules.by_root_rule()`` and *memo* a dict; callers
-    tiling many trees with one rule set pass the same two each time, so
-    the index is built once and each distinct subtree shape is tiled
-    once per category.  The memo is keyed on ``(node.shape, category)``:
-    a tiling never refers to tree nodes, so trees of one shape share it.
+
+# Keys of a discrimination-tree node besides the symbols: the wildcard
+# edge of a frontier, the rules whose chunk ends at the node, and the
+# rules still to be sorted into the node's edges.
+_ANY, _END, _PENDING = object(), object(), object()
+
+
+class RuleIndex:
+    """A discrimination tree over the rules' chunks, as nested dicts.
+
+    A chunk ends at a node that holds ``(rank, rule)`` under ``_END``,
+    rank being the rule's place in the tiler's preference.  Chunks are
+    taken to have their rules' grammar arities, as validated rules do.
+
+    Retrieval reads only a small part of the tree, so a node is built
+    when retrieval first reaches it: until then it holds its rules
+    under ``_PENDING``, each with the linked list of chunk pieces it
+    still has to match.
     """
-    if by_root is None:
-        by_root = rules.by_root_rule()
-    if memo is None:
-        memo = {}
 
-    def tile(node, category: str | None) -> Tiling | None:
-        if isinstance(node, LexLeaf):
-            return Tiling(None)
-        key = (node.shape, category)
-        hit = memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        result = None
-        for rule in by_root.get(node.rule, []):
-            if category is not None and rule.lhs != category:
+    def __init__(self, rules):
+        ranked = sorted(rules, key=preference)
+        self.root = {_PENDING: [(k, r, (r.chunk, None)) for k, r in enumerate(ranked)]}
+
+    @staticmethod
+    def _build(trie: dict) -> None:
+        for rank, rule, todo in trie.pop(_PENDING):
+            if todo is None:
+                trie.setdefault(_END, []).append((rank, rule))
                 continue
-            frontiers: list[tuple] = []
-            if _match(rule.chunk, node, frontiers):
-                children = []
-                for sub, cat in frontiers:
-                    sub_tiling = tile(sub, cat)
-                    if sub_tiling is None:
-                        break
-                    children.append(sub_tiling)
-                else:
-                    result = Tiling(rule, tuple(children))
-                    break
-        memo[key] = result
-        return result
+            piece, rest = todo
+            kind = piece.__class__
+            if kind is Frontier:
+                key = _ANY
+            elif kind is LexSlot:
+                key = LEX
+            else:
+                key = piece.rule
+                for child in reversed(piece.children):
+                    rest = (child, rest)
+            step = trie.get(key)
+            if step is None:
+                step = trie[key] = {_PENDING: []}
+            step[_PENDING].append((rank, rule, rest))
 
-    return tile(tree, None)
+    def retrieve(self, node) -> list[tuple[SpecializedRule, tuple]]:
+        """Every rule whose chunk matches at *node*, in preference order.
+
+        Each comes with its frontier subtrees, left to right.  The walk
+        keeps the subtrees still to match as a linked list, ``(subtree,
+        rest)`` or None, so a wildcard skips a subtree without reading
+        it.
+        """
+        found = []
+        states = [(self.root, (node, None), ())]
+        while states:
+            trie, todo, frontiers = states.pop()
+            if _PENDING in trie:
+                self._build(trie)
+            if todo is None:
+                found += [(entry, frontiers) for entry in trie.get(_END, ())]
+                continue
+            sub, rest = todo
+            wild = trie.get(_ANY)
+            if wild is not None:
+                states.append((wild, rest, frontiers + (sub,)))
+            if sub.__class__ is LexLeaf:
+                step = trie.get(LEX)
+            else:
+                step = trie.get(sub.rule)
+                if step is not None:
+                    for child in reversed(sub.children):
+                        rest = (child, rest)
+            if step is not None:
+                states.append((step, rest, frontiers))
+        found.sort(key=lambda match: match[0][0])
+        return [(rule, frontiers) for (_, rule), frontiers in found]
 
 
-def _match(chunk, node, frontiers: list) -> bool:
-    """Whether *chunk* matches the structure at *node*.
-
-    Appends ``(subtree, category)`` for each frontier, left to right.
-    """
-    if isinstance(chunk, LexSlot):
-        return isinstance(node, LexLeaf)
-    if isinstance(chunk, Frontier):
-        frontiers.append((node, chunk.category))
-        return True
-    if not isinstance(node, Internal) or node.rule != chunk.rule:
-        return False
-    for sub_chunk, sub_node in zip(chunk.children, node.children):
-        if not _match(sub_chunk, sub_node, frontiers):
-            return False
-    return True
+def covers(rules: RuleSet, tree) -> Tiling | None:
+    """The preferred tiling of *tree*, or None when it has none."""
+    return evaluate_coverage(rules, [tree]).tilings[0]
 
 
 def validate_tiling(tiling: Tiling, tree) -> bool:
-    """Re-walk a tiling bottom-up to confirm it really derives *tree*."""
-    if tiling.rule is None:
-        return isinstance(tree, LexLeaf)
-    frontiers: list[tuple] = []
-    if not _match(tiling.rule.chunk, tree, frontiers):
-        return False
-    if len(frontiers) != len(tiling.children):
-        return False
-    for (sub, cat), child in zip(frontiers, tiling.children):
-        if child.rule is not None and child.rule.lhs != cat:
+    """Re-walk a tiling to confirm it really derives *tree*.
+
+    Unlike the tiler, this checks each frontier's category against the
+    rule that fills it.
+    """
+    index = RuleIndex({id(r): r for r in tiling.applications()}.values())
+    stack = [(tiling, tree, None)]
+    while stack:
+        tiling, tree, category = stack.pop()
+        if tiling.rule is None:
+            if tree.__class__ is not LexLeaf:
+                return False
+            continue
+        if category is not None and tiling.rule.lhs != category:
             return False
-        if not validate_tiling(child, sub):
+        matches = [f for r, f in index.retrieve(tree) if r is tiling.rule]
+        if not matches or len(matches[0]) != len(tiling.children):
             return False
+        stack.extend(
+            zip(tiling.children, matches[0], _frontier_categories(tiling.rule.chunk))
+        )
     return True
+
+
+def _frontier_categories(chunk) -> list[str]:
+    out, stack = [], [chunk]
+    while stack:
+        piece = stack.pop()
+        if piece.__class__ is Frontier:
+            out.append(piece.category)
+        elif piece.__class__ is not LexSlot:
+            stack += piece.children[::-1]
+    return out
 
 
 @dataclass
@@ -129,21 +205,38 @@ class CoverageReport:
 def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
     """Tile every tree; an empty test set counts as (vacuously) covered.
 
-    The trees share one tiling memo, so trees of one shape share their
-    tiling.
+    The rules are indexed once per call and every distinct internal
+    shape of *trees* is tiled once, in increasing shape id: a shape's
+    subtrees have lower ids, so each frontier's tiling is already made.
+    Trees of one shape share their tiling.
     """
+    index = RuleIndex(rules)
+    nodes = {}
+    stack = [t for t in trees if t.__class__ is not LexLeaf]
+    while stack:
+        node = stack.pop()
+        if node.shape not in nodes:
+            nodes[node.shape] = node
+            stack.extend(c for c in node.children if c.__class__ is not LexLeaf)
+    tilings: dict[int, Tiling | None] = {}
+    for shape in sorted(nodes):
+        tilings[shape] = None
+        for rule, frontiers in index.retrieve(nodes[shape]):
+            children = []
+            for sub in frontiers:
+                child = LEXICON if sub.__class__ is LexLeaf else tilings[sub.shape]
+                if child is None:
+                    break
+                children.append(child)
+            else:
+                tilings[shape] = Tiling(rule, tuple(children))
+                break
     report = CoverageReport([], [], vacuous=not trees)
-    by_root = rules.by_root_rule()
-    memo: dict = {}
     for tree in trees:
-        tiling = covers(rules, tree, by_root, memo)
+        tiling = LEXICON if tree.__class__ is LexLeaf else tilings[tree.shape]
         report.verdicts.append(tiling is not None)
         report.tilings.append(tiling)
     return report
-
-
-def coverage(rules: RuleSet, trees: list) -> float:
-    return evaluate_coverage(rules, trees).fraction
 
 
 BUCKETS = ("1", "2", "3", "4+")

@@ -138,15 +138,6 @@ class RuleSet:
     def chunk_keys(self) -> frozenset[str]:
         return frozenset(render_chunk(r.chunk) for r in self.rules)
 
-    def by_root_rule(self) -> dict[str, list[SpecializedRule]]:
-        index: dict[str, list[SpecializedRule]] = {}
-        for rule in self.rules:
-            index.setdefault(rule.chunk.rule, []).append(rule)
-        # longest reduction first, then name: the matcher's preference
-        for group in index.values():
-            group.sort(key=lambda r: (-r.reduction_length, r.name))
-        return index
-
 
 class _Collector:
     def __init__(self, inv: RuleInventory):

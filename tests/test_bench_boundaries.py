@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import treecut.cli
+from treecut.grammar import parse_rule_inventory, parse_treebank
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -43,13 +44,21 @@ def test_every_boundary_is_a_callable_of_its_module(bench):
         assert callable(getattr(module, func_name, None)), (module_name, func_name)
 
 
-def install_counters(monkeypatch, child):
-    """Count calls at every boundary, wherever the function is bound."""
-    calls, spans = {}, {}
+def rebind(monkeypatch, original, replacement):
+    """Replace *original* wherever a treecut module binds it."""
     modules = [
         m for name, m in sys.modules.items()
         if name == "treecut" or name.startswith("treecut.")
     ]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def install_counters(monkeypatch, child):
+    """Count calls at every boundary, wherever the function is bound."""
+    calls, spans = {}, {}
     for module_name, func_name, span, _ in child.LAYERS:
         original = getattr(sys.modules[f"treecut.{module_name}"], func_name)
 
@@ -58,11 +67,45 @@ def install_counters(monkeypatch, child):
             spans[_span] = spans.get(_span, 0) + 1
             return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+        rebind(monkeypatch, original, counting)
     return calls, spans
+
+
+def test_toy_search_tiles_the_test_set_once_per_partition(
+    bench, monkeypatch, tmp_path, capsys
+):
+    # the bench reads evaluate_coverage's arguments as (rules, trees);
+    # if their meaning moved, its tiling counts would silently skew
+    child, run = bench
+    tracer = child.Tracer(child.HostClock())
+    for module_name, func_name, _, hook in child.LAYERS:
+        if hook not in (child._selected, child._tiled):
+            continue
+        original = getattr(sys.modules[f"treecut.{module_name}"], func_name)
+
+        def hooked(*args, _original=original, _hook=hook, **kwargs):
+            result = _original(*args, **kwargs)
+            _hook(tracer, args, result)
+            return result
+
+        rebind(monkeypatch, original, hooked)
+    test = tmp_path / "test.txt"
+    test.write_text((TOY / "test.txt").read_text() + (TOY / "train.txt").read_text())
+    code = treecut.cli.main([
+        "run",
+        "--grammar", str(TOY / "grammar.txt"),
+        "--train", str(TOY / "train.txt"),
+        "--test", str(test),
+        "--out", str(tmp_path / "out"),
+        *run.WORKLOADS["bisect-mixed"]["flags"],
+    ])
+    capsys.readouterr()
+    assert code == 0
+    inv = parse_rule_inventory((TOY / "grammar.txt").read_text(), "s")
+    test_size = len(parse_treebank(test.read_text(), inv))
+    assert len(tracer.cutsets) > 1
+    assert tracer.counts["trees_tiled"] == len(tracer.cutsets) * test_size
+    assert tracer.counts.get("repeat_evaluations", 0) == 0
 
 
 def test_arc_restricted_run_crosses_its_stages(bench, monkeypatch, tmp_path, capsys):

@@ -160,6 +160,40 @@ def test_run_without_test_set_writes_reports_for_a_deep_chain(
     assert "support: 1" in (out / "rules.txt").read_text()
 
 
+@pytest.mark.parametrize("threshold, per_level", [("0.0", 3), ("1.0", 2)])
+def test_run_tiles_a_test_chain_deeper_than_the_recursion_limit(
+    capsys, tmp_path, threshold, per_level
+):
+    # training holds a two-level chain; the test chain nests the same
+    # np_np_pp and pp_prep_np levels far deeper than the recursion limit
+    def chain(depth):
+        pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
+        return (
+            "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
+            + " (vp_v (lex left)))\n"
+        )
+
+    depth = sys.getrecursionlimit() + 500
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    train.write_text((TOY / "train.txt").read_text() + chain(2))
+    test.write_text(chain(depth))
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "run", "--grammar", str(TOY / "grammar.txt"), "--train", str(train),
+        "--test", str(test), "--threshold", threshold, "--weighted",
+        "--out", str(out),
+    )
+    assert code == 0
+    # at 0.0 every level is its own application; at 1.0 each np_np_pp
+    # rule inlines its pp: s, np_pron and vp_v come on top
+    rows = (out / "coverage.tsv").read_text().splitlines()[1:]
+    assert rows == [
+        "tree\tcovered\tapplications",
+        f"0\tyes\t{per_level * depth + 3}",
+        "fraction\t1.000000\t",
+    ]
+
+
 def test_run_requires_exactly_one_goal(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", *WITH_TEST, "--out", str(tmp_path))
     assert code == 1
@@ -225,6 +259,22 @@ def test_stats_weighted_requires_corpus(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stats", "--rules", str(rules_file), "--weighted")
     assert code == 1
     assert "--weighted needs" in err
+
+
+def test_stats_weighted_rejects_rules_that_do_not_fit_the_grammar(capsys, tmp_path):
+    # the chunk is an np, but the record calls it a vp rule; the tiler
+    # would take it for an np rule, so the rules are checked first
+    rules_file = tmp_path / "rules.txt"
+    rules_file.write_text("vp_x: vp => det n\n  (np_det_n (lex det) (lex n))\n")
+    code, _, err = run_cli(
+        capsys, "stats", "--rules", str(rules_file), "--weighted",
+        "--grammar", str(TOY / "grammar.txt"), "--test", str(TOY / "test.txt"),
+    )
+    assert code == 1
+    assert f"{rules_file}: rule 'vp_x' lhs mismatch" in err
+    code, out, _ = run_cli(capsys, "stats", "--rules", str(rules_file))
+    assert code == 0
+    assert "2\t1\t100.0" in out
 
 
 def test_chunk_cap_exits_one(capsys):

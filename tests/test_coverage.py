@@ -1,15 +1,24 @@
 import pytest
 
 from treecut.coverage import (
+    RuleIndex,
     covers,
     evaluate_coverage,
+    preference,
     reduction_stats,
     render_stats,
     validate_tiling,
 )
 from treecut.cutnodes import SelectionConfig, select_by_threshold
-from treecut.extraction import RuleSet, extract_training
-from treecut.grammar import parse_treebank
+from treecut.extraction import (
+    Apply,
+    Frontier,
+    LexSlot,
+    RuleSet,
+    SpecializedRule,
+    extract_training,
+)
+from treecut.grammar import CategoryMismatchError, Internal, LexLeaf, parse_treebank
 from treecut.node_entropy import EntropyScheme
 
 
@@ -139,3 +148,38 @@ def test_trees_of_one_shape_share_their_tiling(toy_rules, treebank, inventory):
     assert report.tilings[1] is report.tilings[0]
     assert covers(toy_rules, again[0]) == report.tilings[0]
     assert validate_tiling(report.tilings[0], again[0])
+
+
+def test_retrieval_prefers_longer_reductions(treebank, aot, table):
+    # pool the rules of three cuts, so several chunks match at one node
+    cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
+    pooled = {}
+    for threshold in (0.0, 1.0, 9.0):
+        cutset = select_by_threshold(threshold, aot, table, cfg)
+        for rule in extract_training(treebank.training, aot, cutset):
+            pooled[rule.name] = rule
+    index = RuleIndex(pooled.values())
+    lengths = set()
+    for tree in treebank.training:
+        keys = [preference(rule) for rule, _ in index.retrieve(tree)]
+        assert keys == sorted(keys)
+        lengths.update(-length for length, _ in keys)
+    assert len(lengths) > 1
+
+
+def test_covers_does_not_check_categories_of_hand_built_trees(inventory):
+    # s_np_vp wants an np first; this hand-built tree puts a vp there,
+    # which the loader would refuse
+    vp = Internal("vp_v", (LexLeaf("left"),))
+    tree = Internal("s_np_vp", (vp, vp))
+    with pytest.raises(CategoryMismatchError):
+        parse_treebank("(s_np_vp (vp_v (lex left)) (vp_v (lex left)))", inventory)
+    s_rule = SpecializedRule(
+        "s_x", "s", Apply("s_np_vp", (Frontier("np"), Frontier("vp"))), ("np", "vp")
+    )
+    vp_rule = SpecializedRule("vp_x", "vp", Apply("vp_v", (LexSlot("v"),)), ("v",))
+    # the tiler trusts the rules' frontier categories to fit the tree, so
+    # it fills the np frontier with the vp rule; validation catches it
+    tiling = covers(RuleSet([s_rule, vp_rule]), tree)
+    assert tiling.applications() == [s_rule, vp_rule, vp_rule]
+    assert not validate_tiling(tiling, tree)

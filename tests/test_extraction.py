@@ -206,13 +206,6 @@ def test_rule_file_rejects_malformed_records(text):
         parse_rule_file(text)
 
 
-def test_by_root_rule_prefers_longer_reductions(training_rules):
-    groups = training_rules.by_root_rule()
-    s_chunks = groups["s_np_vp"]
-    lengths = [r.reduction_length for r in s_chunks]
-    assert lengths == sorted(lengths, reverse=True)
-
-
 def test_each_root_shape_is_cut_once(treebank, aot, toy_cut, monkeypatch):
     # the first tree's shape again, with other words
     again = parse_treebank(

@@ -1,16 +1,12 @@
 """run_pipeline reuses the search's tilings for its coverage and stats."""
 
 import gc
-import importlib
 
 import pytest
 
 from treecut import pipeline
 from treecut.coverage import evaluate_coverage, reduction_stats, render_stats
 from treecut.pipeline import PipelineConfig, run_pipeline
-
-# the package exports a coverage() function under the module's name
-coverage_module = importlib.import_module("treecut.coverage")
 
 UNTILEABLE = "(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))\n"
 
@@ -29,10 +25,10 @@ def test_reports_reuse_the_chosen_tiling(
     toy_dir, test_file, tmp_path, monkeypatch, goal
 ):
     tiled = []
-    covers = coverage_module.covers
+    evaluate = pipeline.evaluate_coverage
     monkeypatch.setattr(
-        coverage_module, "covers",
-        lambda *args: tiled.append(args[1]) or covers(*args),
+        pipeline, "evaluate_coverage",
+        lambda rules, trees: tiled.extend(trees) or evaluate(rules, trees),
     )
     selected = set()
     select = pipeline.select_by_threshold

@@ -6,6 +6,7 @@ from Hypothesis strategies, which shrink a failure to a minimal text.
 """
 
 import copy
+import functools
 import importlib.util
 import pathlib
 import random
@@ -26,7 +27,7 @@ from treecut.andor import (
     dump,
     index_treebank,
 )
-from treecut.coverage import Tiling, covers, evaluate_coverage
+from treecut.coverage import RuleIndex, Tiling, covers, evaluate_coverage
 from treecut import node_entropy
 from treecut.cutnodes import (
     CutnodeSet,
@@ -43,6 +44,7 @@ from treecut.extraction import (
     ChunkExplosionError,
     Frontier,
     LexSlot,
+    RuleSet,
     _Collector,
     cut_tree,
     extract_andor,
@@ -449,8 +451,20 @@ def brute_covers(rules, tree, category=None):
     return False
 
 
-def test_covers_agrees_with_exhaustive_tiler():
-    cases = 0
+def by_root_rule(rules):
+    """Rules by their chunk's root rule, in the tiler's preference order."""
+    index = {}
+    for rule in rules:
+        index.setdefault(rule.chunk.rule, []).append(rule)
+    for group in index.values():
+        group.sort(key=lambda r: (-r.reduction_length, r.name))
+    return index
+
+
+@functools.cache
+def random_rule_subsets():
+    """Random rule subsets of random corpora, with trees to tile."""
+    cases = []
     for seed in range(120):
         rng = random.Random(6000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 5))
@@ -459,15 +473,69 @@ def test_covers_agrees_with_exhaustive_tiler():
         cutset = select_by_threshold(rng.choice([0.0, 0.5]), aot, table, MIXED)
         full = extract_training(training, aot, cutset)
         kept = [r for r in full if rng.random() > 0.4]
-        from treecut.extraction import RuleSet
+        trees = training + [gen_root(rng, inv) for _ in range(3)]
+        cases.append((seed, kept, trees))
+    return cases
 
+
+def test_covers_agrees_with_exhaustive_tiler():
+    cases = 0
+    for seed, kept, trees in random_rule_subsets():
         subset = RuleSet(kept)
-        for tree in training + [gen_root(rng, inv) for _ in range(3)]:
+        for tree in trees:
             got = covers(subset, tree) is not None
             want = brute_covers(kept, tree)
             assert got == want, seed
             cases += 1
     assert cases >= 500
+
+
+def lex_slot_faces_internal(chunk, node):
+    """Whether the chunk puts a lexical slot where *node* has an application."""
+    if isinstance(chunk, LexSlot):
+        return isinstance(node, Internal)
+    if isinstance(chunk, Frontier) or chunk.rule != getattr(node, "rule", None):
+        return False
+    return any(
+        lex_slot_faces_internal(c, n) for c, n in zip(chunk.children, node.children)
+    )
+
+
+def has_wordless_piece(chunk):
+    return isinstance(chunk, Apply) and (
+        not chunk.children or any(has_wordless_piece(c) for c in chunk.children)
+    )
+
+
+def test_retrieval_agrees_with_the_linear_matcher():
+    seen = {"lex frontier": 0, "lex slot on a phrase": 0, "wordless piece": 0}
+    for seed, kept, trees in random_rule_subsets():
+        index = RuleIndex(kept)
+        by_root = by_root_rule(kept)
+        stack = list(trees)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, LexLeaf):
+                continue
+            stack.extend(node.children)
+            want = []
+            for rule in by_root.get(node.rule, []):
+                frontiers = []
+                if brute_match(rule.chunk, node, frontiers):
+                    subs = [sub for sub, _ in frontiers]
+                    want.append((rule.name, [id(sub) for sub in subs]))
+                    seen["lex frontier"] += any(isinstance(t, LexLeaf) for t in subs)
+                    seen["wordless piece"] += has_wordless_piece(rule.chunk)
+                else:
+                    seen["lex slot on a phrase"] += lex_slot_faces_internal(
+                        rule.chunk, node
+                    )
+            got = [
+                (rule.name, [id(sub) for sub in frontiers])
+                for rule, frontiers in index.retrieve(node)
+            ]
+            assert got == want, seed
+    assert all(seen.values()), seen
 
 
 def reference_probe(treebank, aot, table, cfg):
@@ -1038,7 +1106,7 @@ def reference_extract_training(training, aot, cutset):
 
 def reference_covers(rules, tree):
     """The tiler keyed on node identity, with a memo for one tree only."""
-    by_root = rules.by_root_rule()
+    by_root = by_root_rule(rules)
     memo = {}
 
     def tile(node, category):
