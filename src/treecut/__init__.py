@@ -1,6 +1,6 @@
 """Grammar specialization by cutting treebank parses at entropy peaks."""
 
-from treecut.andor import AndOrTree, OrNode, index_treebank, match_path
+from treecut.andor import AndOrTree, OrNode, index_treebank
 from treecut.coverage import covers, evaluate_coverage, reduction_stats
 from treecut.cutnodes import (
     CutnodeSet,
@@ -32,7 +32,6 @@ from treecut.grammar import (
 from treecut.node_entropy import (
     EntropyScheme,
     compute_node_entropies,
-    local_perplexity,
     unified_node_entropy,
 )
 from treecut.pipeline import PipelineConfig, run_pipeline
@@ -68,8 +67,6 @@ __all__ = [
     "extract_andor",
     "extract_training",
     "index_treebank",
-    "local_perplexity",
-    "match_path",
     "neighbor_conflicts",
     "parse_rule_file",
     "parse_rule_inventory",

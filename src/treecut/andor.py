@@ -17,7 +17,7 @@ arcs are lexical are numbered ``t1``, ``t2``, ...
 from dataclasses import dataclass, field
 
 from treecut.entropy import Slot
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
+from treecut.grammar import LEX, Internal, RuleInventory, shape_groups
 
 
 class PathNotInIndexError(Exception):
@@ -130,25 +130,6 @@ def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
     for tree, n in shape_groups(training):
         _insert(root, tree, inv, n)
     return AndOrTree(root=root, node_index=_assign_ids(root), inventory=inv)
-
-
-def match_path(aot: AndOrTree, tree, path: tuple[int, ...] = ()) -> OrNode | None:
-    """Or-node reached by replaying *tree*'s rules along *path*.
-
-    *path* is a sequence of 0-based child indices from the tree root.
-    Returns None when the walked rule sequence is absent from the index.
-    """
-    node = aot.root
-    current = tree
-    for k in path:
-        if isinstance(current, LexLeaf):
-            return None
-        and_node = node.arcs.get(current.rule)
-        if and_node is None or k >= len(and_node.children):
-            return None
-        node = and_node.children[k]
-        current = current.children[k]
-    return node
 
 
 def dump(aot: AndOrTree) -> str:

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for unreadable or malformed input or an
-unwritable report directory, 2 when a requested coverage target is
-unattainable.
+Exit codes: 0 on success, 2 when a requested coverage target is
+unattainable, and 1 for every error in HANDLED_ERRORS: a bad flag,
+unreadable or malformed input, or an unwritable report directory.
+Commands raise them and ``main`` alone prints them and returns 1.
 """
 
 import argparse
@@ -11,7 +12,8 @@ import sys
 
 from treecut.andor import index_treebank
 from treecut.andor import dump as dump_index
-from treecut.coverage import evaluate_coverage, reduction_stats, render_stats
+from treecut.coverage import evaluate_coverage, reduction_stats
+from treecut.coverage import render_coverage, render_stats
 from treecut.cutnodes import IterationLimitError, render_cut_classes
 from treecut.entropy import build_phrase_table, render_entropy_table
 from treecut.extraction import (
@@ -33,10 +35,9 @@ from treecut.pipeline import (
     InputError,
     OutputError,
     PipelineConfig,
-    _coverage_report,
-    _load,
-    _threshold_report,
+    load_file,
     load_treebank,
+    render_threshold_report,
     run_pipeline,
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
@@ -174,7 +175,7 @@ def cmd_cut(args) -> int:
 def cmd_bisect(args) -> int:
     cfg = _config(args)
     result = run_pipeline(cfg)
-    sys.stdout.write(_threshold_report(result, cfg))
+    sys.stdout.write(render_threshold_report(result, cfg))
     return 0 if result.attainable else 2
 
 
@@ -186,32 +187,27 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    inv = _load(args.grammar, lambda t: parse_rule_inventory(t, args.top))
-    rules = _load(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
-    test = _load(args.test, lambda t: parse_treebank(t, inv, require_top=True))
-    report = evaluate_coverage(rules, test)
-    sys.stdout.write(_coverage_report(report))
+    inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
+    rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
+    test = load_file(args.test, lambda t: parse_treebank(t, inv, require_top=True))
+    sys.stdout.write(render_coverage(evaluate_coverage(rules, test)))
     return 0
 
 
 def cmd_stats(args) -> int:
-    rules = _load(args.rules, parse_rule_file)
-    trees = None
+    rules = load_file(args.rules, parse_rule_file)
+    tilings = []
     if args.weighted:
         if not (args.grammar and args.test):
-            print(
-                "error: --weighted needs --grammar and --test", file=sys.stderr
-            )
-            return 1
-        inv = _load(args.grammar, lambda t: parse_rule_inventory(t, args.top))
-        trees = _load(
-            args.test, lambda t: parse_treebank(t, inv, require_top=True)
-        )
+            raise FlagError("--weighted needs --grammar and --test")
+        inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
+        trees = load_file(args.test, lambda t: parse_treebank(t, inv, require_top=True))
         try:  # the tiler takes the rules to be well typed for the grammar
             validate_rules(rules, inv)
         except RuleFileError as exc:
             raise InputError(f"{args.rules}: {exc}") from exc
-    stats = reduction_stats(rules, trees=trees, weighted=args.weighted)
+        tilings = evaluate_coverage(rules, trees).tilings
+    stats = reduction_stats(rules, weighted=args.weighted, tilings=tilings)
     sys.stdout.write(
         render_stats(stats, "weighted" if args.weighted else "unweighted")
     )
@@ -221,8 +217,7 @@ def cmd_stats(args) -> int:
 def cmd_run(args) -> int:
     cfg = _config(args)
     if (cfg.threshold is None) == (cfg.coverage_target is None):
-        print("error: pass exactly one of --threshold / --coverage", file=sys.stderr)
-        return 1
+        raise FlagError("pass exactly one of --threshold / --coverage")
     result = run_pipeline(cfg)
     for path in result.written:
         print(f"wrote {path}")

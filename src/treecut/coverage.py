@@ -263,25 +263,19 @@ class ReductionStats:
 
 
 def reduction_stats(
-    rules: RuleSet,
-    trees: list | None = None,
-    weighted: bool = False,
-    tilings: list | None = None,
+    rules: RuleSet, weighted: bool = False, tilings: list | tuple = ()
 ) -> ReductionStats:
     """Reduction-length histogram over buckets 1, 2, 3 and 4+.
 
     Unweighted counts each distinct rule once.  Weighted counts rule
-    applications in the preferred tilings of *trees*; untileable trees
-    are skipped and reported.  Pass *tilings* (a CoverageReport's) to
-    reuse tilings already made instead of tiling *trees* again.
+    applications in *tilings*, a CoverageReport's preferred tilings;
+    untileable trees are skipped and reported.
     """
     counts = {b: 0 for b in BUCKETS}
     if not weighted:
         for rule in rules:
             counts[_bucket(rule.reduction_length)] += 1
         return ReductionStats(counts)
-    if tilings is None:
-        tilings = evaluate_coverage(rules, trees or []).tilings
     skipped = 0
     for tiling in tilings:
         if tiling is None:
@@ -290,6 +284,16 @@ def reduction_stats(
         for rule in tiling.applications():
             counts[_bucket(rule.reduction_length)] += 1
     return ReductionStats(counts, skipped=skipped)
+
+
+def render_coverage(report: CoverageReport) -> str:
+    """coverage.tsv: each tree's verdict and rule applications."""
+    lines = ["tree\tcovered\tapplications"]
+    for i, verdict in enumerate(report.verdicts):
+        apps = len(report.tilings[i].applications()) if verdict else 0
+        lines.append(f"{i}\t{'yes' if verdict else 'no'}\t{apps}")
+    lines.append(f"fraction\t{report.fraction:.6f}\t")
+    return "\n".join(lines) + "\n"
 
 
 def render_stats(stats: ReductionStats, title: str) -> str:

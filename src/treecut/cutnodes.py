@@ -40,12 +40,14 @@ class IterationLimitError(Exception):
         self.last = last
 
 
+NEAR_CYCLE_FRACTION = 0.10  # of two iterates' summed sizes; see near_cycle
+
+
 @dataclass
 class SelectionConfig:
     scheme: EntropyScheme = EntropyScheme.MIXED
     neighbor_restrictions: bool = False
     max_iterations: int = 50
-    cycle_rho_delta_fraction: float = 0.10
     decimals: int | None = 2
 
 
@@ -81,13 +83,12 @@ class CutnodeSet:
     """
 
     classes: tuple[EquivalenceClass, ...]
-    node_to_class: dict[str, EquivalenceClass] = field(default_factory=dict)
+    node_to_class: dict[str, EquivalenceClass] = field(init=False)
 
     def __post_init__(self):
-        if not self.node_to_class:
-            self.node_to_class = {
-                m.node_id: cls for cls in self.classes for m in cls.members
-            }
+        self.node_to_class = {
+            m.node_id: cls for cls in self.classes for m in cls.members
+        }
 
     def cut_classes(self) -> list[EquivalenceClass]:
         return [c for c in self.classes if c.cut]
@@ -221,7 +222,7 @@ def _iterate(step, initial: frozenset, cfg: SelectionConfig) -> frozenset:
             if nxt == prev:
                 return prev
         for prev in history:
-            if near_cycle(prev, nxt, cfg.cycle_rho_delta_fraction):
+            if near_cycle(prev, nxt, NEAR_CYCLE_FRACTION):
                 return prev
         history.append(nxt)
     raise IterationLimitError(history[-2] if len(history) > 1 else initial, history[-1])
@@ -359,7 +360,7 @@ def select_iterative(
 
     Each round rescoring pools arc counts over the previous round's
     classes.  Stops on a fixpoint, an exact revisit, or a near-cycle
-    (symmetric difference under the configured fraction of the sizes),
+    (symmetric difference under NEAR_CYCLE_FRACTION of the sizes),
     returning the earlier member of the detected pair.  Neighbor
     restrictions, when enabled, need the phrase table for slot ranking.
     """

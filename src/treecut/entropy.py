@@ -157,8 +157,8 @@ def build_phrase_table(training: list, inv: RuleInventory) -> PhraseEntropyTable
     )
 
 
-def render_entropy_table(table: PhraseEntropyTable, decimals: int = 2) -> str:
-    """TSV with one row per rule: LHS entropy then each RHS slot.
+def render_entropy_table(table: PhraseEntropyTable) -> str:
+    """TSV with one row per rule: LHS entropy then each RHS slot, to 2 decimals.
 
     Rules follow inventory order; slots a rule does not have print as
     ``---``; unseen slots print as 0 with a trailing ``*``.
@@ -174,7 +174,7 @@ def render_entropy_table(table: PhraseEntropyTable, decimals: int = 2) -> str:
                 row.append("---")
                 continue
             slot = Slot(rule.rule_id, pos)
-            cell = f"{table.published_value(slot, decimals):.{decimals}f}"
+            cell = f"{table.published_value(slot):.2f}"
             if not table.is_seen(slot):
                 cell += "*"
             row.append(cell)

@@ -352,36 +352,36 @@ def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
             raise RuleFileError(f"unknown rule id '{rule_id}'")
         return inv[rule_id]
 
-    def check(chunk: ChunkTree, expected_cat: str | None) -> None:
-        if isinstance(chunk, (LexSlot, Frontier)):
-            if expected_cat is not None and chunk.category != expected_cat:
-                raise RuleFileError(
-                    f"leaf category '{chunk.category}', slot wants '{expected_cat}'"
-                )
-            return
-        rule = grammar_rule(chunk.rule)
-        if expected_cat is not None and rule.lhs != expected_cat:
-            raise RuleFileError(
-                f"'{chunk.rule}' has category '{rule.lhs}', slot wants "
-                f"'{expected_cat}'"
-            )
-        if len(chunk.children) != rule.arity:
-            raise RuleFileError(f"'{chunk.rule}' arity {rule.arity} violated")
-        for cat, child in zip(rule.rhs, chunk.children):
-            check(child, cat)
-
     for rule in rules:
         if rule.reduction_length == 0:
             raise RuleFileError(f"rule '{rule.name}' has an empty body")
         if grammar_rule(rule.chunk.rule).lhs != rule.lhs:
             raise RuleFileError(f"rule '{rule.name}' lhs mismatch")
-        check(rule.chunk, None)
+        # each piece with the category its slot wants, in preorder
+        stack = [(rule.chunk, rule.lhs)]
+        while stack:
+            chunk, expected_cat = stack.pop()
+            if chunk.__class__ is not Apply:
+                if chunk.category != expected_cat:
+                    raise RuleFileError(
+                        f"leaf category '{chunk.category}', slot wants '{expected_cat}'"
+                    )
+                continue
+            grammar = grammar_rule(chunk.rule)
+            if grammar.lhs != expected_cat:
+                raise RuleFileError(
+                    f"'{chunk.rule}' has category '{grammar.lhs}', slot wants "
+                    f"'{expected_cat}'"
+                )
+            if len(chunk.children) != grammar.arity:
+                raise RuleFileError(f"'{chunk.rule}' arity {grammar.arity} violated")
+            stack.extend(reversed(list(zip(chunk.children, grammar.rhs))))
     return rules
 
 
-def render_rule_file(rules: RuleSet, header: list[str] | None = None) -> str:
+def render_rule_file(rules: RuleSet) -> str:
     """One record per rule: flat line, indented chunk, support line."""
-    lines = [f"# {h}" for h in header or []]
+    lines = []
     for rule in rules:
         if lines:
             lines.append("")
@@ -391,17 +391,27 @@ def render_rule_file(rules: RuleSet, header: list[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _chunk_from_sexpr(expr) -> ChunkTree:
-    if isinstance(expr, str):
-        return Frontier(expr)
-    if not expr or not isinstance(expr[0], str):
-        raise RuleFileError("malformed chunk expression")
-    head = expr[0]
+def _close_chunk(items: list, at: int):
+    """Fold one list of a chunk text into its piece when its ')' is read.
+
+    A list that fails its own check becomes the RuleFileError to raise;
+    one that passes but holds a faulty list passes on its first, so the
+    error is the first a walk from the chunk's root would meet.  Bare
+    symbols below the root are frontiers.
+    """
+    if not items or items[0].__class__ is not str:
+        return RuleFileError("malformed chunk expression")
+    head = items[0]
     if head == "lex":
-        if len(expr) != 2 or not isinstance(expr[1], str):
-            raise RuleFileError("lex slot takes exactly one category")
-        return LexSlot(expr[1])
-    return Apply(head, tuple(_chunk_from_sexpr(e) for e in expr[1:]))
+        if len(items) != 2 or items[1].__class__ is not str:
+            return RuleFileError("lex slot takes exactly one category")
+        return LexSlot(items[1])
+    children = []
+    for item in items[1:]:
+        if item.__class__ is RuleFileError:
+            return item
+        children.append(Frontier(item) if item.__class__ is str else item)
+    return Apply(head, tuple(children))
 
 
 def parse_rule_file(text: str) -> RuleSet:
@@ -428,11 +438,13 @@ def parse_rule_file(text: str) -> RuleSet:
                 support = int(count)
             else:
                 body.append(line)
-        exprs = read_all("\n".join(body))
+        exprs = read_all("\n".join(body), _close_chunk)
         if len(exprs) != 1:
             raise RuleFileError(f"rule {name.strip()!r} needs exactly one chunk")
-        chunk = _chunk_from_sexpr(exprs[0])
-        if not isinstance(chunk, Apply):
+        chunk = exprs[0]
+        if chunk.__class__ is RuleFileError:
+            raise chunk
+        if chunk.__class__ is not Apply:
             raise RuleFileError(f"rule {name.strip()!r} chunk must be an application")
         rule = SpecializedRule(
             name=name.strip(),

@@ -68,11 +68,6 @@ class RuleInventory:
 
     rules: dict[str, GrammarRule]
     top: str
-    order: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.order:
-            self.order = tuple(self.rules)
 
     def __getitem__(self, rule_id: str) -> GrammarRule:
         return self.rules[rule_id]
@@ -81,11 +76,8 @@ class RuleInventory:
         return rule_id in self.rules
 
     def in_order(self) -> list[GrammarRule]:
-        return [self.rules[r] for r in self.order]
-
-    @property
-    def phrase_categories(self) -> frozenset[str]:
-        return frozenset(r.lhs for r in self.rules.values())
+        """Rules in the order the grammar file declares them."""
+        return list(self.rules.values())
 
 
 # Every shape id handed out in this process, keyed on (rule, *child
@@ -172,13 +164,8 @@ class Treebank:
     test: list
 
 
-def parse_rule_inventory(text: str, top: str, strict: bool = False) -> RuleInventory:
-    """Parse a grammar file.
-
-    ``top`` names the root category of complete parses.  With ``strict``
-    every rhs category must also occur as some lhs, which rejects
-    grammars whose terminals are lexicon-filled; it is off by default.
-    """
+def parse_rule_inventory(text: str, top: str) -> RuleInventory:
+    """Parse a grammar file; ``top`` names the root category of complete parses."""
     rules: dict[str, GrammarRule] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -199,18 +186,7 @@ def parse_rule_inventory(text: str, top: str, strict: bool = False) -> RuleInven
         if rule_id in rules:
             raise DuplicateRuleIdError(f"duplicate rule id '{rule_id}'", line_no)
         rules[rule_id] = GrammarRule(rule_id, lhs, rhs)
-    inv = RuleInventory(rules, top)
-    if strict:
-        known = inv.phrase_categories
-        for rule in inv.in_order():
-            for cat in rule.rhs:
-                if cat not in known:
-                    raise GrammarFormatError(
-                        f"rhs category '{cat}' of '{rule.rule_id}' "
-                        "never occurs as a lhs",
-                        0,
-                    )
-    return inv
+    return RuleInventory(rules, top)
 
 
 @dataclass(frozen=True, slots=True)

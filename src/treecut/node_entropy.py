@@ -16,7 +16,6 @@ arithmetic digit for digit; pass ``decimals=None`` for exact values.
 The root (and any unseen slot) scores 0 under rhs-local and mixed.
 """
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -32,14 +31,6 @@ from treecut.entropy import (
 from treecut.grammar import LEX
 
 
-class RootHasNoParentError(Exception):
-    """Per-node scoring was asked for the root's (absent) parent slot."""
-
-
-class CategoryMismatchError(Exception):
-    """Unified scoring combined a slot with a rule of another category."""
-
-
 class EntropyScheme(str, Enum):
     RHS_LOCAL = "rhs-local"
     MIXED = "mixed"
@@ -50,7 +41,7 @@ def node_entropy_rhs_local(
     node: OrNode, table: PhraseEntropyTable, decimals: int | None = 2
 ) -> float:
     if node.parent_slot is None:
-        raise RootHasNoParentError(node.node_id)
+        raise ValueError(f"{node.node_id} has no parent slot")
     return table.published_value(node.parent_slot, decimals)
 
 
@@ -58,7 +49,7 @@ def node_entropy_mixed(
     node: OrNode, table: PhraseEntropyTable, decimals: int | None = 2
 ) -> float:
     if node.parent_slot is None:
-        raise RootHasNoParentError(node.node_id)
+        raise ValueError(f"{node.node_id} has no parent slot")
     total = node.visit_count
     if decimals is None:
         acc = table.value(node.parent_slot)
@@ -101,13 +92,11 @@ def unified_node_entropy(
     inv = table.inventory
     slot_rule = inv[parent_slot.rule]
     if parent_slot.position == LHS_POSITION or parent_slot.position > slot_rule.arity:
-        raise CategoryMismatchError(f"{parent_slot} is not an RHS slot")
+        raise ValueError(f"{parent_slot} is not an RHS slot")
     slot_cat = slot_rule.rhs[parent_slot.position - 1]
     child_cat = inv[child_rule].lhs
     if slot_cat != child_cat:
-        raise CategoryMismatchError(
-            f"slot category '{slot_cat}' vs rule category '{child_cat}'"
-        )
+        raise ValueError(f"slot category '{slot_cat}' vs rule category '{child_cat}'")
     lhs_slot = Slot(child_rule, LHS_POSITION)
     if decimals is None:
         return table.value(parent_slot) + table.value(lhs_slot)
@@ -115,11 +104,6 @@ def unified_node_entropy(
         table.value(lhs_slot), decimals
     )
     return float(quantize_decimal(acc, decimals))
-
-
-def local_perplexity(node_entropy: float) -> float:
-    """e**s, the effective branching factor at entropy s."""
-    return math.exp(node_entropy)
 
 
 @dataclass
@@ -174,9 +158,9 @@ def compute_node_entropies(
     return NodeEntropyMap(scheme=scheme, values=values)
 
 
-def render_node_entropies(aot: AndOrTree, scores: NodeEntropyMap, decimals: int = 4) -> str:
-    """TSV of id, category, score in index (DFS) order."""
+def render_node_entropies(aot: AndOrTree, scores: NodeEntropyMap) -> str:
+    """TSV of id, category, score to 4 decimals in index (DFS) order."""
     lines = ["node\tcategory\tentropy"]
     for node in sorted(aot.nodes(), key=lambda n: n.seq):
-        lines.append(f"{node.node_id}\t{node.category}\t{scores[node.node_id]:.{decimals}f}")
+        lines.append(f"{node.node_id}\t{node.category}\t{scores[node.node_id]:.4f}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from treecut.coverage import (
     ReductionStats,
     evaluate_coverage,
     reduction_stats,
+    render_coverage,
     render_stats,
 )
 from treecut.cutnodes import (
@@ -115,7 +116,8 @@ class InputError(Exception):
     """A file could not be read or parsed; the message names it."""
 
 
-def _load(path: str, parse):
+def load_file(path: str, parse):
+    """*parse* applied to the text of *path*; InputError names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             return parse(handle.read())
@@ -152,15 +154,15 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     for unreadable or malformed files and for a training file without
     trees.
     """
-    inv = _load(cfg.grammar_path, lambda t: parse_rule_inventory(t, cfg.top))
-    training = _load(
+    inv = load_file(cfg.grammar_path, lambda t: parse_rule_inventory(t, cfg.top))
+    training = load_file(
         cfg.train_path, lambda t: parse_treebank(t, inv, require_top=True)
     )
     if not training:
         raise InputError(f"{cfg.train_path}: no training trees")
     test = []
     if cfg.test_path is not None:
-        test = _load(
+        test = load_file(
             cfg.test_path, lambda t: parse_treebank(t, inv, require_top=True)
         )
     return Treebank(inv, training, test)
@@ -291,7 +293,8 @@ def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:
     return result
 
 
-def _threshold_report(result: PipelineResult, cfg: PipelineConfig) -> str:
+def render_threshold_report(result: PipelineResult, cfg: PipelineConfig) -> str:
+    """threshold.txt: the search's outcome, or the fixed threshold."""
     lines = []
     if result.search is None:
         lines.append("mode\tfixed")
@@ -312,15 +315,6 @@ def _threshold_report(result: PipelineResult, cfg: PipelineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coverage_report(report: CoverageReport) -> str:
-    lines = ["tree\tcovered\tapplications"]
-    for i, verdict in enumerate(report.verdicts):
-        apps = len(report.tilings[i].applications()) if verdict else 0
-        lines.append(f"{i}\t{'yes' if verdict else 'no'}\t{apps}")
-    lines.append(f"fraction\t{report.fraction:.6f}\t")
-    return "\n".join(lines) + "\n"
-
-
 def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
     """Write every report file; returns the paths in write order."""
     make_out_dir(cfg.out_dir)
@@ -329,7 +323,7 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
         "entropy_table.tsv": render_entropy_table(result.table),
         "node_entropy.tsv": render_node_entropies(result.aot, result.scores),
         "andor_index.txt": dump(result.aot),
-        "threshold.txt": _threshold_report(result, cfg),
+        "threshold.txt": render_threshold_report(result, cfg),
         "cutnodes.txt": render_cut_classes(result.cutnodes, result.scores),
         "rules.txt": render_rule_file(result.rules),
         "reduction_stats.tsv": render_stats(
@@ -337,7 +331,7 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
         ),
     }
     if result.coverage is not None:
-        files["coverage.tsv"] = _coverage_report(result.coverage)
+        files["coverage.tsv"] = render_coverage(result.coverage)
     written = []
     for name in sorted(files):
         path = os.path.join(cfg.out_dir, name)

@@ -31,11 +31,14 @@ class ThresholdProbe:
 Evaluator = Callable[[float], ThresholdProbe]
 
 
+# Probes either search makes at most, its grid scan included.
+MAX_STEPS = 200
+
+
 @dataclass
 class BisectionConfig:
     s_high_init: float
     delta_s: float = 0.01
-    max_steps: int = 200
 
 
 @dataclass
@@ -74,25 +77,11 @@ def bisect(c0: float, evaluate: Evaluator, cfg: BisectionConfig) -> ThresholdRes
     """
     low = evaluate(0.0)
     if low.coverage < c0:
-        return _result(0.0, low, False)
-    s_low, s_high = 0.0, cfg.s_high_init
+        return _result(0.0, low, False, steps=1)
+    s_high = cfg.s_high_init
     high = evaluate(s_high)
-    if high.coverage >= c0:
-        return _result(s_high, high, True, s_high, high.coverage, steps=2)
-    best = low
-    cov_high = high.coverage
-    steps = 2
-    while s_high - s_low >= cfg.delta_s and steps < cfg.max_steps:
-        mid = (s_low + s_high) / 2
-        probe = evaluate(mid)
-        steps += 1
-        if probe.coverage < c0:
-            s_high = mid
-            cov_high = probe.coverage
-        else:
-            s_low = mid
-            best = probe
-    return _result(s_low, best, True, s_high, cov_high, steps)
+    s_low, best = (s_high, high) if high.coverage >= c0 else (0.0, low)
+    return _narrow(c0, evaluate, cfg, s_low, best, s_high, high.coverage, 2)
 
 
 def search_unimodal(
@@ -117,13 +106,22 @@ def search_unimodal(
     last_ok = peak
     while last_ok + 1 < len(grid) and probes[last_ok + 1].coverage >= c0:
         last_ok += 1
-    if last_ok == len(grid) - 1:
-        p = probes[last_ok]
-        return _result(grid[last_ok], p, True, grid[last_ok], p.coverage, steps)
-    s_low, s_high = grid[last_ok], grid[last_ok + 1]
-    best = probes[last_ok]
-    cov_high = probes[last_ok + 1].coverage
-    while s_high - s_low >= cfg.delta_s and steps < cfg.max_steps:
+    miss = min(last_ok + 1, len(grid) - 1)  # the last point if none misses
+    return _narrow(
+        c0, evaluate, cfg, grid[last_ok], probes[last_ok],
+        grid[miss], probes[miss].coverage, steps,
+    )
+
+
+def _narrow(c0, evaluate, cfg, s_low, best, s_high, cov_high, steps):
+    """Halve [s_low, s_high] until it is narrower than delta_s.
+
+    *best* is the probe at s_low, which meets *c0*; s_high misses it
+    with *cov_high*, unless the bracket has width 0 and is narrow
+    already.  *steps* probes were made before; the search stops at
+    MAX_STEPS.
+    """
+    while s_high - s_low >= cfg.delta_s and steps < MAX_STEPS:
         mid = (s_low + s_high) / 2
         probe = evaluate(mid)
         steps += 1

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from treecut.andor import index_treebank, match_path
+from treecut.andor import index_treebank
 from treecut.entropy import Slot
-from treecut.grammar import parse_treebank
 
 # The toy index, transcribed by hand from the four training trees.
 # Keys are node ids; values are (category, parent slot, arc counts).
@@ -86,34 +85,6 @@ def test_ids_invariant_under_training_order(treebank):
         rng.shuffle(shuffled)
         again = index_treebank(shuffled, treebank.inventory)
         assert {n: o.arc_counts for n, o in again.node_index.items()} == baseline
-
-
-def test_match_path_finds_indexed_positions(aot, treebank):
-    tree = treebank.training[1]
-    assert match_path(aot, tree, ()) is aot["root"]
-    assert match_path(aot, tree, (1, 1)).node_id == "n3"
-    assert match_path(aot, tree, (1, 1, 1)).node_id == "n5"
-    assert match_path(aot, tree, (1, 1, 1, 1)).node_id == "n6"
-
-
-def test_match_path_none_for_unindexed_rule_sequences(aot, inventory):
-    # A subject np_np_pp never occurs in training, so the walk dies at
-    # the first step below the root.
-    tree = parse_treebank(
-        "(s_np_vp (np_np_pp (np_pron (lex I)) (pp_prep_np (lex at) (lex ten)))"
-        " (vp_v (lex left)))",
-        inventory,
-    )[0]
-    assert match_path(aot, tree, ()) is aot["root"]
-    assert match_path(aot, tree, (0,)).node_id == "n1"
-    assert match_path(aot, tree, (0, 0)) is None
-    assert match_path(aot, tree, (1,)).node_id == "n2"
-
-
-def test_match_path_none_past_leaves(aot, treebank):
-    tree = treebank.training[0]
-    assert match_path(aot, tree, (0, 0)).node_id == "t3"
-    assert match_path(aot, tree, (0, 0, 0)) is None
 
 
 def test_lexical_alternative_recorded_with_counts(aot):

@@ -92,6 +92,7 @@ def test_bisect_unattainable(capsys, tmp_path):
     )
     assert code == 2
     assert "attainable\tno" in out
+    assert "probes\t1" in out.splitlines()
 
 
 def test_run_reports_are_deterministic(capsys, tmp_path):
@@ -194,15 +195,52 @@ def test_run_tiles_a_test_chain_deeper_than_the_recursion_limit(
     ]
 
 
+def test_rules_of_a_chain_deeper_than_the_recursion_limit_read_back(
+    capsys, tmp_path
+):
+    # one training tree cuts nowhere, so its one rule is the whole chain
+    depth = sys.getrecursionlimit() + 500
+    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
+    train = tmp_path / "train.txt"
+    train.write_text(
+        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
+        + " (vp_v (lex left)))\n"
+    )
+    grammar = ["--grammar", str(TOY / "grammar.txt")]
+    out = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "run", *grammar, "--train", str(train), "--threshold", "1.0",
+        "--out", str(out),
+    )
+    assert code == 0
+    rules = out / "rules.txt"
+    code, text, _ = run_cli(
+        capsys, "extract", *grammar, "--train", str(train), "--threshold", "1.0"
+    )
+    assert code == 0
+    assert text == rules.read_text().split("\n", 1)[1]
+    code, text, _ = run_cli(
+        capsys, "evaluate", *grammar, "--rules", str(rules), "--test", str(train)
+    )
+    assert (code, text.splitlines()[1:]) == (0, ["0\tyes\t1", "fraction\t1.000000\t"])
+    code, text, _ = run_cli(capsys, "stats", "--rules", str(rules))
+    assert (code, text.splitlines()[-1]) == (0, "4+\t1\t100.0")
+    code, text, _ = run_cli(
+        capsys, "stats", "--rules", str(rules), "--weighted", *grammar,
+        "--test", str(train),
+    )
+    assert (code, text.splitlines()[-1]) == (0, "4+\t1\t100.0")
+
+
 def test_run_requires_exactly_one_goal(capsys, tmp_path):
+    want = "error: pass exactly one of --threshold / --coverage\n"
     code, _, err = run_cli(capsys, "run", *WITH_TEST, "--out", str(tmp_path))
-    assert code == 1
-    assert "exactly one" in err
+    assert (code, err) == (1, want)
     code, _, err = run_cli(
         capsys, "run", *WITH_TEST, "--threshold", "1.0", "--coverage", "1.0",
         "--out", str(tmp_path),
     )
-    assert code == 1
+    assert (code, err) == (1, want)
 
 
 def test_missing_file_exits_one(capsys):
@@ -257,8 +295,7 @@ def test_stats_weighted_requires_corpus(capsys, tmp_path):
     rules_file = tmp_path / "rules.txt"
     rules_file.write_text("np_x: np => det n\n  (np_det_n (lex det) (lex n))\n")
     code, _, err = run_cli(capsys, "stats", "--rules", str(rules_file), "--weighted")
-    assert code == 1
-    assert "--weighted needs" in err
+    assert (code, err) == (1, "error: --weighted needs --grammar and --test\n")
 
 
 def test_stats_weighted_rejects_rules_that_do_not_fit_the_grammar(capsys, tmp_path):

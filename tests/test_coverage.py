@@ -92,7 +92,8 @@ def test_unweighted_stats(toy_rules):
 
 
 def test_weighted_stats(toy_rules, treebank):
-    stats = reduction_stats(toy_rules, trees=treebank.test, weighted=True)
+    tilings = evaluate_coverage(toy_rules, treebank.test).tilings
+    stats = reduction_stats(toy_rules, weighted=True, tilings=tilings)
     assert stats.counts == {"1": 0, "2": 2, "3": 3, "4+": 0}
     assert stats.percentages() == {"1": 0.0, "2": 40.0, "3": 60.0, "4+": 0.0}
     assert stats.skipped == 0
@@ -101,7 +102,8 @@ def test_weighted_stats(toy_rules, treebank):
 def test_weighted_stats_skips_untileable(toy_rules, treebank, inventory):
     flats = by_flat(toy_rules)
     partial = RuleSet([flats["np => num"]])
-    stats = reduction_stats(partial, trees=treebank.test, weighted=True)
+    tilings = evaluate_coverage(partial, treebank.test).tilings
+    stats = reduction_stats(partial, weighted=True, tilings=tilings)
     assert stats.skipped == 1
     assert stats.total == 0
     assert stats.percentages() == {"1": 0.0, "2": 0.0, "3": 0.0, "4+": 0.0}

@@ -181,7 +181,8 @@ def test_collector_drops_empty_chunks():
 
 
 def test_rule_file_round_trip(training_rules):
-    text = render_rule_file(training_rules, header=["toy rules"])
+    # every rules.txt opens with a "# config:" line, which parsing skips
+    text = "# toy rules\n" + render_rule_file(training_rules)
     parsed = parse_rule_file(text)
     assert len(parsed) == len(training_rules)
     assert parsed.chunk_keys() == training_rules.chunk_keys()
@@ -292,3 +293,8 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
     assert flat_rhs(chunk) == body
     (rule,) = extract_training([tree] * 3, aot, closure(frozenset(), aot))
     assert (rule.rhs, rule.support) == (body, 3)
+    # the rule file reads back and validates without recursion too
+    (again,) = validate_rules(
+        parse_rule_file(render_rule_file(RuleSet([rule]))), aot.inventory
+    )
+    assert (render_chunk(again.chunk), again.rhs) == (render_chunk(chunk), body)

@@ -32,7 +32,6 @@ def test_inventory_order_and_lookup():
     assert inv["np_det_n"].arity == 2
     assert inv["np_det_n"].lhs == "np"
     assert inv.top == "s"
-    assert inv.phrase_categories == {"s", "np", "vp"}
 
 
 def test_comments_and_blank_lines_ignored():
@@ -61,12 +60,6 @@ def test_duplicate_rule_id_rejected():
     with pytest.raises(DuplicateRuleIdError) as info:
         parse_rule_inventory(text, "s")
     assert info.value.line_no == 4
-
-
-def test_strict_mode_rejects_unfilled_categories():
-    parse_rule_inventory(MINI, "s")
-    with pytest.raises(GrammarFormatError):
-        parse_rule_inventory(MINI, "s", strict=True)
 
 
 def test_treebank_round_trip(inventory, toy_dir):

@@ -4,11 +4,8 @@ import pytest
 
 from treecut.entropy import Slot
 from treecut.node_entropy import (
-    CategoryMismatchError,
     EntropyScheme,
-    RootHasNoParentError,
     compute_node_entropies,
-    local_perplexity,
     node_entropy_arc_frequency,
     node_entropy_mixed,
     node_entropy_rhs_local,
@@ -96,9 +93,9 @@ def test_mixed_dominates_rhs_local(aot, table, mixed_scores):
 
 
 def test_root_has_no_parent(aot, table):
-    with pytest.raises(RootHasNoParentError):
+    with pytest.raises(ValueError, match="root has no parent slot"):
         node_entropy_rhs_local(aot["root"], table)
-    with pytest.raises(RootHasNoParentError):
+    with pytest.raises(ValueError, match="root has no parent slot"):
         node_entropy_mixed(aot["root"], table)
 
 
@@ -143,15 +140,10 @@ def test_unified_score(table):
 
 
 def test_unified_rejects_category_mix(table):
-    with pytest.raises(CategoryMismatchError):
+    with pytest.raises(ValueError, match="slot category 'vp' vs rule category 'np'"):
         unified_node_entropy(Slot("s_np_vp", 2), "np_det_n", table)
-    with pytest.raises(CategoryMismatchError):
+    with pytest.raises(ValueError, match="is not an RHS slot"):
         unified_node_entropy(Slot("np_det_n", 0), "np_det_n", table)
-
-
-def test_local_perplexity():
-    assert local_perplexity(0.0) == 1.0
-    assert local_perplexity(1.08) == pytest.approx(2.944679551065524, abs=1e-9)
 
 
 def test_render_scores_in_index_order(aot, mixed_scores):

@@ -5,7 +5,12 @@ import gc
 import pytest
 
 from treecut import pipeline
-from treecut.coverage import evaluate_coverage, reduction_stats, render_stats
+from treecut.coverage import (
+    evaluate_coverage,
+    reduction_stats,
+    render_coverage,
+    render_stats,
+)
 from treecut.pipeline import PipelineConfig, run_pipeline
 
 UNTILEABLE = "(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))\n"
@@ -55,10 +60,11 @@ def test_reports_reuse_the_chosen_tiling(
     fresh = evaluate_coverage(result.rules, test)
     assert result.coverage.verdicts == fresh.verdicts == [True, False]
     assert (tmp_path / "out" / "coverage.tsv").read_text().splitlines()[1:] == (
-        pipeline._coverage_report(fresh).splitlines()
+        render_coverage(fresh).splitlines()
     )
     stats = render_stats(
-        reduction_stats(result.rules, trees=test, weighted=True), "weighted"
+        reduction_stats(result.rules, weighted=True, tilings=fresh.tilings),
+        "weighted",
     )
     assert "# skipped untileable trees: 1" in stats
     written = (tmp_path / "out" / "reduction_stats.tsv").read_text()

@@ -44,13 +44,17 @@ from treecut.extraction import (
     ChunkExplosionError,
     Frontier,
     LexSlot,
+    RuleFileError,
     RuleSet,
+    SpecializedRule,
     _Collector,
     cut_tree,
     extract_andor,
     extract_training,
     flat_rhs,
+    parse_rule_file,
     render_chunk,
+    validate_rules,
 )
 from treecut.grammar import (
     LEX,
@@ -67,7 +71,7 @@ from treecut.grammar import (
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 from treecut.pipeline import PipelineConfig, selection_config
-from treecut.sexpr import SexprError
+from treecut.sexpr import SexprError, read_all
 from treecut.threshold import (
     BisectionConfig,
     ThresholdProbe,
@@ -79,6 +83,7 @@ MIXED = SelectionConfig(scheme=EntropyScheme.MIXED)
 
 ROOT_DIR = pathlib.Path(__file__).resolve().parent.parent
 TOY_DIR = ROOT_DIR / "corpora" / "toy"
+TOY_INVENTORY = parse_rule_inventory((TOY_DIR / "grammar.txt").read_text(), "s")
 BENCH_DIR = ROOT_DIR / "bench"
 
 WORDS = ["po", "ki", "ra", "lu", "mek", "soto", "vi", "na"]
@@ -980,6 +985,141 @@ def test_unterminated_quote_is_found_in_linear_time():
     with pytest.raises(TreebankFormatError, match="line 2: unterminated"):
         parse_treebank(text, LOADER_GRAMMAR)
     assert time.perf_counter() - start < 2.0
+
+
+def reference_chunk_from_sexpr(expr):
+    """The recursive chunk builder that reading a rule file used before
+    chunks were folded as their lists close; it checks each list before
+    its items."""
+    if isinstance(expr, str):
+        return Frontier(expr)
+    if not expr or not isinstance(expr[0], str):
+        raise RuleFileError("malformed chunk expression")
+    head = expr[0]
+    if head == "lex":
+        if len(expr) != 2 or not isinstance(expr[1], str):
+            raise RuleFileError("lex slot takes exactly one category")
+        return LexSlot(expr[1])
+    return Apply(head, tuple(reference_chunk_from_sexpr(e) for e in expr[1:]))
+
+
+def reference_rule_chunk(body):
+    exprs = read_all(body)  # lists stay lists
+    if len(exprs) != 1:
+        raise RuleFileError("rule 'r' needs exactly one chunk")
+    chunk = reference_chunk_from_sexpr(exprs[0])
+    if not isinstance(chunk, Apply):
+        raise RuleFileError("rule 'r' chunk must be an application")
+    return chunk
+
+
+def reference_check(chunk, expected_cat, inv):
+    """The recursive chunk check of ``validate_rules`` before it walked
+    with a stack."""
+    if isinstance(chunk, (LexSlot, Frontier)):
+        if expected_cat is not None and chunk.category != expected_cat:
+            raise RuleFileError(
+                f"leaf category '{chunk.category}', slot wants '{expected_cat}'"
+            )
+        return
+    if chunk.rule not in inv:
+        raise RuleFileError(f"unknown rule id '{chunk.rule}'")
+    rule = inv[chunk.rule]
+    if expected_cat is not None and rule.lhs != expected_cat:
+        raise RuleFileError(
+            f"'{chunk.rule}' has category '{rule.lhs}', slot wants '{expected_cat}'"
+        )
+    if len(chunk.children) != rule.arity:
+        raise RuleFileError(f"'{chunk.rule}' arity {rule.arity} violated")
+    for cat, child in zip(rule.rhs, chunk.children):
+        reference_check(child, cat, inv)
+
+
+def reference_validate(rules, inv):
+    for rule in rules:
+        if rule.reduction_length == 0:
+            raise RuleFileError(f"rule '{rule.name}' has an empty body")
+        if rule.chunk.rule not in inv:
+            raise RuleFileError(f"unknown rule id '{rule.chunk.rule}'")
+        if inv[rule.chunk.rule].lhs != rule.lhs:
+            raise RuleFileError(f"rule '{rule.name}' lhs mismatch")
+        reference_check(rule.chunk, None, inv)
+    return rules
+
+
+def chunk_outcome(read, body):
+    try:
+        return read(body)
+    except RuleFileError as err:
+        return type(err), str(err)
+
+
+def render_items(expr):
+    if isinstance(expr, str):
+        return expr
+    return "(" + " ".join(render_items(e) for e in expr) + ")"
+
+
+@st.composite
+def chunk_items(draw, depth=0):
+    """A chunk as nested lists, with any number of faults: empty lists,
+    lists as heads, and lex slots with no, two or a list for a category."""
+    kinds = ["frontier", "lex", "empty", "list head", "lex arity", "lex list"]
+    kind = draw(st.sampled_from(kinds + ["apply"] * (4 if depth < 3 else 0)))
+    if kind == "frontier":
+        return "det"
+    if kind == "lex":
+        return [LEX, "det"]
+    if kind == "empty":
+        return []
+    if kind == "lex arity":
+        return [LEX] + ["det"] * draw(st.sampled_from([0, 2]))
+    children = draw(st.lists(chunk_items(depth + 1), max_size=3))
+    if kind == "list head":
+        return [children, "det"]
+    if kind == "lex list":
+        return [LEX, children]
+    return ["np_det_n", *children]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    root=chunk_items(),
+    extra=chunk_items(),
+    # one text in eight holds a second expression, which is an error
+    second=st.sampled_from([False] * 7 + [True]),
+)
+def test_rule_file_chunks_agree_with_the_recursive_builder(root, extra, second):
+    body = " ".join(render_items(e) for e in ([root, extra] if second else [root]))
+    want = chunk_outcome(reference_rule_chunk, body)
+    flat = " ".join(flat_rhs(want)) if isinstance(want, Apply) else ""
+    got = chunk_outcome(
+        lambda b: parse_rule_file(f"r: x => {flat}\n  {b}\n").rules[0].chunk, body
+    )
+    assert got == want
+
+
+@st.composite
+def toy_chunks(draw, depth=0):
+    """A chunk over the toy grammar, with any number of faults: unknown
+    rules, arities one off and leaves or rules of the wrong category."""
+    if depth == 3 or (depth > 0 and draw(st.booleans())):
+        kind = draw(st.sampled_from([LexSlot, Frontier]))
+        return kind(draw(st.sampled_from(["det", "n", "np", "pp", "prep"])))
+    rule = draw(st.sampled_from(["np_det_n", "np_np_pp", "pp_prep_np", "bogus"]))
+    arity = TOY_INVENTORY[rule].arity if rule in TOY_INVENTORY else 2
+    arity += draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    children = [draw(toy_chunks(depth + 1)) for _ in range(arity)]
+    return Apply(rule, tuple(children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk=toy_chunks(), lhs=st.sampled_from(["np", "np", "np", "pp"]))
+def test_validate_rules_agrees_with_the_recursive_check(chunk, lhs):
+    rules = RuleSet([SpecializedRule("r", lhs, chunk, flat_rhs(chunk))])
+    assert chunk_outcome(
+        lambda r: validate_rules(r, TOY_INVENTORY), rules
+    ) == chunk_outcome(lambda r: reference_validate(r, TOY_INVENTORY), rules)
 
 
 def bench_gen():

@@ -50,6 +50,7 @@ def test_bisect_unattainable_reports_threshold_zero():
     assert result.threshold == 0.0
     assert result.achieved_coverage == 0.4
     assert evaluate.calls == [0.0]
+    assert result.steps == 1
 
 
 def test_bisect_probe_count_is_logarithmic():
