@@ -37,10 +37,11 @@ from treecut.pipeline import (
     PipelineConfig,
     load_file,
     load_treebank,
+    load_trees,
     render_threshold_report,
     run_pipeline,
 )
-from treecut.grammar import parse_rule_inventory, parse_treebank
+from treecut.grammar import parse_rule_inventory
 
 
 class FlagError(Exception):
@@ -189,7 +190,7 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
     rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
-    test = load_file(args.test, lambda t: parse_treebank(t, inv, require_top=True))
+    test = load_trees(args.test, inv)
     sys.stdout.write(render_coverage(evaluate_coverage(rules, test)))
     return 0
 
@@ -201,7 +202,7 @@ def cmd_stats(args) -> int:
         if not (args.grammar and args.test):
             raise FlagError("--weighted needs --grammar and --test")
         inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
-        trees = load_file(args.test, lambda t: parse_treebank(t, inv, require_top=True))
+        trees = load_trees(args.test, inv)
         try:  # the tiler takes the rules to be well typed for the grammar
             validate_rules(rules, inv)
         except RuleFileError as exc:

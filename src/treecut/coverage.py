@@ -193,7 +193,6 @@ def _frontier_categories(chunk) -> list[str]:
 class CoverageReport:
     verdicts: list[bool]
     tilings: list
-    vacuous: bool = False
 
     @property
     def fraction(self) -> float:
@@ -231,7 +230,7 @@ def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
             else:
                 tilings[shape] = Tiling(rule, tuple(children))
                 break
-    report = CoverageReport([], [], vacuous=not trees)
+    report = CoverageReport([], [])
     for tree in trees:
         tiling = LEXICON if tree.__class__ is LexLeaf else tilings[tree.shape]
         report.verdicts.append(tiling is not None)

@@ -12,6 +12,7 @@ Both internal applications and lexical lookups may fill any slot.
 """
 
 import gc
+import re
 from dataclasses import dataclass, field
 
 from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all
@@ -309,6 +310,40 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
     return trees
 
 
+# A lexical lookup of one bare word, written as the renderers write it.
+_LEX_WORD = re.compile(rf'\({LEX} [^\s()"#]+\)')
+
+
+def parse_shapes(text: str, inv: RuleInventory) -> list:
+    """``parse_treebank(text, inv, require_top=True)`` without the words.
+
+    Nothing after loading reads a word, and a treebank repeats few
+    word-blind trees many times.  So when every line that is not blank
+    or a whole-line comment holds one tree, each bare word is read as
+    ``_``, each distinct line is folded once, and every line with that
+    text gets the same tree object.  Any other text, and any text with
+    a fault, is parsed word for word by ``parse_treebank``, so errors
+    keep their class, message and line.
+    """
+    if '"' not in text:
+        lines = (line.strip() for line in _LEX_WORD.sub(f"({LEX} _)", text).split("\n"))
+        kept = [line for line in lines if line and line[0] != "#"]
+        distinct = dict.fromkeys(kept)
+        # A line is one tree when it is balanced, has no comment and the
+        # fold finds no fault and as many trees as lines: every line then
+        # opens and closes at depth 0 and holds at least one item.
+        if all("#" not in line and line.count("(") == line.count(")")
+               for line in distinct):
+            try:
+                trees = parse_treebank("\n".join(distinct), inv, require_top=True)
+            except TreebankFormatError:
+                trees = None
+            if trees is not None and len(trees) == len(distinct):
+                tree_of = dict(zip(distinct, trees))
+                return [tree_of[line] for line in kept]
+    return parse_treebank(text, inv, require_top=True)
+
+
 def _bare_symbol(word: str, where: tuple) -> _Fault:
     return _Fault(
         TreebankFormatError, f"bare symbol '{word}' outside a rule application", where
@@ -317,8 +352,20 @@ def _bare_symbol(word: str, where: tuple) -> _Fault:
 
 def render_tree(tree: ParseTree) -> str:
     """Single-line S-expression form; inverse of parse_treebank."""
-    if isinstance(tree, LexLeaf):
-        return f"({LEX} {quote_if_needed(tree.word)})"
-    inner = " ".join(render_tree(c) for c in tree.children)
-    return f"({tree.rule} {inner})" if inner else f"({tree.rule})"
+    # every part opens with its separating space, the root's too; the
+    # stack holds the subtrees still to render and the ")" that close them
+    parts = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        kind = item.__class__
+        if kind is Internal:
+            parts.append(" (" + item.rule)
+            stack.append(")")
+            stack.extend(reversed(item.children))
+        elif kind is LexLeaf:
+            parts.append(f" ({LEX} {quote_if_needed(item.word)})")
+        else:
+            parts.append(item)
+    return "".join(parts)[1:]
 

@@ -38,10 +38,11 @@ from treecut.extraction import (
 )
 from treecut.grammar import (
     GrammarFormatError,
+    RuleInventory,
     Treebank,
     TreebankFormatError,
     parse_rule_inventory,
-    parse_treebank,
+    parse_shapes,
 )
 from treecut.sexpr import SexprError
 from treecut.node_entropy import (
@@ -147,6 +148,15 @@ def make_out_dir(path: str) -> None:
         ) from exc
 
 
+def load_trees(path: str, inv: RuleInventory) -> list:
+    """The complete parses in the treebank file *path*, without their words.
+
+    Lines with equal word-blind text share one tree (see
+    ``grammar.parse_shapes``); no stage after loading reads a word.
+    """
+    return load_file(path, lambda text: parse_shapes(text, inv))
+
+
 def load_treebank(cfg: PipelineConfig) -> Treebank:
     """Read and validate the grammar and tree files.
 
@@ -155,16 +165,10 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     trees.
     """
     inv = load_file(cfg.grammar_path, lambda t: parse_rule_inventory(t, cfg.top))
-    training = load_file(
-        cfg.train_path, lambda t: parse_treebank(t, inv, require_top=True)
-    )
+    training = load_trees(cfg.train_path, inv)
     if not training:
         raise InputError(f"{cfg.train_path}: no training trees")
-    test = []
-    if cfg.test_path is not None:
-        test = load_file(
-            cfg.test_path, lambda t: parse_treebank(t, inv, require_top=True)
-        )
+    test = [] if cfg.test_path is None else load_trees(cfg.test_path, inv)
     return Treebank(inv, training, test)
 
 

@@ -81,7 +81,7 @@ def test_uncovered_without_np_rules(toy_rules, treebank):
 
 def test_empty_test_set_is_vacuously_covered(toy_rules):
     report = evaluate_coverage(toy_rules, [])
-    assert report.vacuous
+    assert report.verdicts == []
     assert report.fraction == 1.0
 
 

@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from treecut.grammar import (
     TreebankFormatError,
     UnknownRuleIdError,
     parse_rule_inventory,
+    parse_shapes,
     parse_treebank,
     render_tree,
 )
@@ -245,3 +247,74 @@ def test_deep_chain_loads_counts_and_indexes(inventory):
     # and the root, vp and v
     assert len(aot.node_index) == 5 * depth + 5
     assert aot["root"].visit_count == 1
+
+
+def test_render_tree_of_a_chain_deeper_than_the_recursion_limit(inventory):
+    low = 400
+    depth = low + 300
+    tree = LexLeaf("a b")
+    for _ in range(depth):
+        tree = Internal("np_np_pp", (tree,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(low)
+    try:
+        text = render_tree(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "(np_np_pp " * depth + '(lex "a b")' + ")" * depth
+
+
+def test_word_blind_loader_shares_one_tree_per_line_text(inventory):
+    text = (
+        "# two parses that differ only in their words\r\n"
+        "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\r\n"
+        "\n"
+        "  (s_np_vp (np_pron (lex We)) (vp_v (lex came)))\n"
+        "(s_np_vp (np_det_n (lex the) (lex flight)) (vp_v (lex left)))"
+    )
+    first, second, third = parse_shapes(text, inventory)
+    assert first is second
+    assert first == Internal(
+        "s_np_vp",
+        (Internal("np_pron", (LexLeaf("_"),)), Internal("vp_v", (LexLeaf("_"),))),
+    )
+    words = parse_treebank(text, inventory, require_top=True)
+    assert [t.shape for t in (first, second, third)] == [t.shape for t in words]
+    assert [t.length for t in (first, second, third)] == [2, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a quoted word, two trees on one line, a tree over two lines, a
+        # comment after a tree
+        '(s_np_vp (np_pron (lex "I")) (vp_v (lex left)))',
+        "(s_np_vp (np_pron (lex I)) (vp_v (lex left))) "
+        "(s_np_vp (np_pron (lex we)) (vp_v (lex go)))",
+        "(s_np_vp (np_pron (lex I))\n (vp_v (lex left)))",
+        "(s_np_vp (np_pron (lex I)) (vp_v (lex left))) # a comment",
+    ],
+)
+def test_word_blind_loader_reads_other_layouts_word_for_word(inventory, text):
+    assert parse_shapes(text, inventory) == parse_treebank(
+        text, inventory, require_top=True
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(bogus (lex x))",
+         "line 2: unknown rule id 'bogus'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(np_pron (lex I))",
+         "line 0: root category 'np' is not 's'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left))))", "line 1: unbalanced ')'"),
+    ],
+)
+def test_word_blind_loader_reports_faults_word_for_word(inventory, text, message):
+    with pytest.raises(TreebankFormatError) as want:
+        parse_treebank(text, inventory, require_top=True)
+    with pytest.raises(TreebankFormatError) as got:
+        parse_shapes(text, inventory)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == message

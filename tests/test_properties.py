@@ -66,12 +66,14 @@ from treecut.grammar import (
     TreebankFormatError,
     UnknownRuleIdError,
     parse_rule_inventory,
+    parse_shapes,
     parse_treebank,
+    render_tree,
     shape_groups,
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 from treecut.pipeline import PipelineConfig, selection_config
-from treecut.sexpr import SexprError, read_all
+from treecut.sexpr import SexprError, quote_if_needed, read_all
 from treecut.threshold import (
     BisectionConfig,
     ThresholdProbe,
@@ -838,17 +840,17 @@ GAPS = [" "] * 6 + [
 
 
 @st.composite
-def loader_exprs(draw, cat, depth, root=False):
+def loader_exprs(draw, cat, depth, root=False, chars=WORD_CHARS):
     """One parse of *cat* as nested lists: rule id first, words as str.
 
-    A root is always a rule application.
+    A root is always a rule application.  Words are drawn from *chars*.
     """
     rules = [r for r in LOADER_GRAMMAR.in_order() if r.lhs == cat]
     if not root and (not rules or depth == 0 or draw(st.integers(0, 2)) == 0):
-        return [LEX, draw(st.text(WORD_CHARS, min_size=1, max_size=4))]
+        return [LEX, draw(st.text(chars, min_size=1, max_size=4))]
     rule = draw(st.sampled_from(rules))
     return [rule.rule_id] + [
-        draw(loader_exprs(child, depth - 1)) for child in rule.rhs
+        draw(loader_exprs(child, depth - 1, chars=chars)) for child in rule.rhs
     ]
 
 
@@ -907,12 +909,27 @@ ALL_FAULTS = [*LIST_FAULTS, *TOP_FAULTS, *TEXT_FAULTS]
 
 
 @st.composite
-def loader_texts(draw, faults):
-    """A treebank text with the given *faults*, and whether to require top."""
-    roots = loader_exprs("s", 4, root=True).filter(
+def loader_texts(
+    draw, faults, chars=WORD_CHARS, gaps=GAPS, breaks=("\n",),
+    quote=st.booleans(), copies=0,
+):
+    """A treebank text with the given *faults*, and whether to require top.
+
+    Words are drawn from *chars*; one that needs no quotes is quoted when
+    *quote* draws true.  Items are parted by one of *gaps*, and root
+    parses by one of *breaks* and a gap.  With *copies* above 0, the text
+    holds up to that many picks of its parses, each with new words.
+    """
+    roots = loader_exprs("s", 4, root=True, chars=chars).filter(
         lambda e: any(map(is_lex, all_lists(e)))
     )
     trees = draw(st.lists(roots, min_size=1, max_size=3))
+    if copies:
+        picks = draw(st.lists(st.sampled_from(trees), min_size=1, max_size=copies))
+        trees = [copy.deepcopy(e) for e in picks]
+        for tree in trees:
+            for e in filter(has_word, all_lists(tree)):
+                e[1] = draw(st.text(chars, min_size=1, max_size=4))
     for fault in faults:
         if fault in LIST_FAULTS:
             applies, edit = LIST_FAULTS[fault]
@@ -928,12 +945,10 @@ def loader_texts(draw, faults):
             trees.insert(draw(st.integers(0, len(trees))), top)
 
     def gap():
-        return draw(st.sampled_from(GAPS))
+        return draw(st.sampled_from(gaps))
 
     def word(text):
-        if draw(st.booleans()) and not any(
-            c.isspace() or c in '()"#\\' for c in text
-        ):
+        if not any(c.isspace() or c in '()"#\\' for c in text) and not draw(quote):
             return text
         # bit k of the mask escapes character k as well
         mask = draw(st.integers(0, 2 ** len(text) - 1))
@@ -954,7 +969,12 @@ def loader_texts(draw, faults):
         rendered[k] += ")"
     if "unclosed" in faults:
         rendered[-1] = rendered[-1][:-1]
-    text = gap() + ("\n" + gap()).join(rendered) + gap()
+    text = gap()
+    for k, tree in enumerate(rendered):
+        if k:
+            text += draw(st.sampled_from(breaks)) + gap()
+        text += tree
+    text += gap()
     if "unterminated" in faults:
         text += '\n"ab\nc'
     elif "dangling" in faults:
@@ -976,6 +996,40 @@ def test_loader_reports_the_first_of_several_faults_as_before(data):
     faults = data.draw(st.lists(st.sampled_from(ALL_FAULTS), min_size=2, max_size=4))
     text, require_top = data.draw(loader_texts(faults))
     assert_loaders_agree(text, LOADER_GRAMMAR, require_top)
+
+
+# The one-tree-per-line layout the word-blind loader folds itself, and
+# the ways a text can leave it: quoted words, trees over several lines,
+# mid-line comments, and two trees on one line.
+LAYOUT_GAPS = [""] * 12 + [" ", "\t", "\n", "\r\n", " # c(\n"]
+LAYOUT_BREAKS = ["\n"] * 3 + ["\r\n", "\n\n", "\n \t\n", "\n# a (comment\n", " ", " "]
+
+
+def blind_outcome(outcome):
+    """Each tree's shape and length, or the class and message of the error."""
+    if isinstance(outcome, list):
+        return [(tree.shape, tree.length) for tree in outcome]
+    return outcome
+
+
+@pytest.mark.parametrize("fault", [None, *ALL_FAULTS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_word_blind_loader_agrees_with_the_loader(fault, data):
+    # one gap or quote anywhere sends a text down the word-for-word path,
+    # so half of the texts draw neither
+    gaps = data.draw(st.sampled_from([[""], LAYOUT_GAPS]))
+    quote = data.draw(st.sampled_from([st.just(False), st.integers(0, 29).map(
+        lambda k: k == 0
+    )]))
+    text, _ = data.draw(loader_texts(
+        [fault], "ab", gaps, LAYOUT_BREAKS, quote=quote, copies=6
+    ))
+    want = load_outcome(parse_treebank, text, LOADER_GRAMMAR, require_top=True)
+    got = load_outcome(
+        lambda t, inv, require_top: parse_shapes(t, inv), text, LOADER_GRAMMAR, True
+    )
+    assert blind_outcome(got) == blind_outcome(want)
 
 
 def test_unterminated_quote_is_found_in_linear_time():
@@ -1122,6 +1176,29 @@ def test_validate_rules_agrees_with_the_recursive_check(chunk, lhs):
     ) == chunk_outcome(lambda r: reference_validate(r, TOY_INVENTORY), rules)
 
 
+def reference_render_tree(tree):
+    """The recursive renderer the stack walk replaced."""
+    if isinstance(tree, LexLeaf):
+        return f"({LEX} {quote_if_needed(tree.word)})"
+    inner = " ".join(reference_render_tree(c) for c in tree.children)
+    return f"({tree.rule} {inner})" if inner else f"({tree.rule})"
+
+
+def tree_of(expr):
+    if is_lex(expr):
+        return LexLeaf(expr[1])
+    return Internal(expr[0], tuple(tree_of(item) for item in expr[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=loader_exprs("s", 4, root=True))
+def test_render_tree_agrees_with_the_recursive_renderer(expr):
+    tree = tree_of(expr)
+    text = render_tree(tree)
+    assert text == reference_render_tree(tree)
+    assert parse_treebank(text, LOADER_GRAMMAR) == [tree]
+
+
 def bench_gen():
     """The benchmark's corpus generator, ``bench/gen.py``."""
     spec = importlib.util.spec_from_file_location("bench_gen", BENCH_DIR / "gen.py")
@@ -1155,6 +1232,29 @@ FIXED_CORPORA = [
 def test_loader_agrees_with_reference_loader_on_corpora(grammar, text):
     inv = parse_rule_inventory(grammar, "s")
     assert_loaders_agree(text, inv, require_top=True)
+
+
+@pytest.mark.parametrize(
+    "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
+)
+def test_word_blind_loader_folds_each_corpus_line_text_once(grammar, text, monkeypatch):
+    inv = parse_rule_inventory(grammar, "s")
+    want = parse_treebank(text, inv, require_top=True)
+    folded = []
+
+    def recording_parse_treebank(text, inv, require_top=False):
+        folded.append(text)
+        return parse_treebank(text, inv, require_top)
+
+    monkeypatch.setattr("treecut.grammar.parse_treebank", recording_parse_treebank)
+    got = parse_shapes(text, inv)
+    assert blind_outcome(got) == blind_outcome(want)
+    # the corpora write each word-blind shape as one line text, so the
+    # fast path folds one line per distinct shape and shares its tree
+    shapes = len({tree.shape for tree in want})
+    assert len(folded) == 1
+    assert len(folded[0].split("\n")) == shapes
+    assert len({id(tree) for tree in got}) == shapes
 
 
 def reference_walk(tree, parent_context, table):
