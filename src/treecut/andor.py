@@ -59,12 +59,15 @@ class OrNode:
 
 @dataclass
 class AndOrTree:
-    """The index, and the closed partitions ``cutnodes.closure`` memoised
-    for it, keyed on the cut set."""
+    """The index, every arc ``(or-node, rule)`` in the order it was
+    created (``entropy.build_phrase_table`` sums them), and the closed
+    partitions ``cutnodes.closure`` memoised for it, keyed on the cut
+    set."""
 
     root: OrNode
     node_index: dict[str, OrNode]
     inventory: RuleInventory
+    arc_order: list = field(default_factory=list, compare=False, repr=False)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, node_id: str) -> OrNode:
@@ -74,9 +77,11 @@ class AndOrTree:
         return list(self.node_index.values())
 
 
-def _insert(root: OrNode, tree, inv: RuleInventory, weight: int) -> None:
+def _insert(
+    root: OrNode, tree, inv: RuleInventory, weight: int, arc_order: list
+) -> None:
     """Merge one tree into the index *weight* times over, visiting its
-    nodes in preorder."""
+    nodes in preorder; each new arc is appended to *arc_order*."""
     stack = [(root, tree)]
     while stack:
         node, tree = stack.pop()
@@ -90,6 +95,7 @@ def _insert(root: OrNode, tree, inv: RuleInventory, weight: int) -> None:
                 for k, cat in enumerate(inv[rule].rhs, start=1)
             ]
             and_node = node.arcs[rule] = AndNode(rule, children)
+            arc_order.append((node, rule))
         node.arc_counts[rule] = node.arc_counts.get(rule, 0) + weight
         if rule != LEX:
             stack.extend(reversed(list(zip(and_node.children, tree.children))))
@@ -127,9 +133,10 @@ def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
     in the order a tree-by-tree merge would create it.
     """
     root = OrNode(category=inv.top, parent_slot=None)
+    arc_order: list = []
     for tree, n in shape_groups(training):
-        _insert(root, tree, inv, n)
-    return AndOrTree(root=root, node_index=_assign_ids(root), inventory=inv)
+        _insert(root, tree, inv, n, arc_order)
+    return AndOrTree(root, _assign_ids(root), inv, arc_order)
 
 
 def dump(aot: AndOrTree) -> str:

@@ -137,8 +137,8 @@ def _config(args) -> PipelineConfig:
 def cmd_entropy_table(args) -> int:
     cfg = _config(args)
     treebank = load_treebank(cfg)
-    table = build_phrase_table(treebank.training, treebank.inventory)
-    sys.stdout.write(render_entropy_table(table))
+    aot = index_treebank(treebank.training, treebank.inventory)
+    sys.stdout.write(render_entropy_table(build_phrase_table(aot)))
     return 0
 
 
@@ -160,8 +160,8 @@ def cmd_index(args) -> int:
 def cmd_entropy(args) -> int:
     cfg = _config(args)
     treebank = load_treebank(cfg)
-    table = build_phrase_table(treebank.training, treebank.inventory)
     aot = index_treebank(treebank.training, treebank.inventory)
+    table = build_phrase_table(aot)
     scores = compute_node_entropies(aot, table, cfg.scheme, decimals=cfg.decimals)
     sys.stdout.write(render_node_entropies(aot, scores))
     return 0

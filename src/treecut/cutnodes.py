@@ -330,20 +330,19 @@ def select_by_threshold(
     aot: AndOrTree,
     table: PhraseEntropyTable,
     cfg: SelectionConfig,
-    scores: NodeEntropyMap | None = None,
+    scores: NodeEntropyMap,
 ) -> CutnodeSet:
     """Cut every node scoring strictly above *s_min*, then close.
 
     Nodes without lexical yield never seed a cut.  Valid for the
     rhs-local and mixed schemes; arc-frequency needs select_iterative.
-    Their scores do not depend on the threshold, so a caller probing
-    many thresholds can pass the scores of *cfg*'s scheme once.
+    *scores* are the node scores of *cfg*'s scheme, which do not depend
+    on the threshold, so a caller probing many thresholds computes them
+    once.
     """
     if cfg.scheme is EntropyScheme.ARC_FREQUENCY:
         raise ValueError("arc-frequency scores shift with the assignment; "
                          "use select_iterative")
-    if scores is None:
-        scores = compute_node_entropies(aot, table, cfg.scheme, cfg.decimals)
     seeds = _threshold_seeds(scores, s_min, aot)
     if not cfg.neighbor_restrictions:
         return closure(seeds, aot)
@@ -380,16 +379,15 @@ def select_iterative(
     return closure(_iterate(step, frozenset(), cfg), aot)
 
 
-def render_cut_classes(cutset: CutnodeSet, scores: NodeEntropyMap | None = None) -> str:
-    """One line per cut class: representative, category, members, scores."""
+def render_cut_classes(cutset: CutnodeSet, scores: NodeEntropyMap) -> str:
+    """One line per cut class: representative, category, members, peak score."""
     lines = []
     for cls in sorted(cutset.cut_classes(), key=lambda c: c.representative.seq):
         members = " ".join(m.node_id for m in cls.members)
-        line = f"{cls.representative.node_id}\t{cls.category}\t{{{members}}}"
-        if scores is not None:
-            peak = max(scores[m.node_id] for m in cls.members)
-            line += f"\t{peak:.4f}"
-        lines.append(line)
+        peak = max(scores[m.node_id] for m in cls.members)
+        lines.append(
+            f"{cls.representative.node_id}\t{cls.category}\t{{{members}}}\t{peak:.4f}"
+        )
     if not lines:
         return "(no cut classes)\n"
     return "\n".join(lines) + "\n"

@@ -8,16 +8,24 @@ children observed at that position, with ``lex`` as an ordinary outcome.
 Probabilities are maximum-likelihood relative frequencies, unsmoothed,
 and entropies use the natural logarithm.
 
+The counts are read off the and-or index (``andor.index_treebank``),
+not off the trees: its arcs already count how often each rule fills
+each slot of each rule.
+
 Tables are reported at two decimal places.  ``published_value`` exposes
 that reading, which downstream node scoring reuses so that reported
 scores and selection thresholds agree exactly with the printed table.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from typing import TYPE_CHECKING
 
-from treecut.grammar import LEX, LexLeaf, RuleInventory, shape_groups
+from treecut.grammar import LEX, RuleInventory
+
+if TYPE_CHECKING:  # andor imports Slot from here
+    from treecut.andor import AndOrTree
 
 ROOT_CONTEXT = "ROOT"
 LHS_POSITION = 0
@@ -34,24 +42,8 @@ class Slot:
         return "LHS" if self.position == LHS_POSITION else f"RHS{self.position}"
 
 
-@dataclass
-class CountDistribution:
-    """Observed outcome counts for one slot; zero counts are dropped."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def add(self, outcome: str, n: int = 1) -> None:
-        self.counts[outcome] = self.counts.get(outcome, 0) + n
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def entropy(counts: dict[str, int] | CountDistribution) -> float:
+def entropy(counts: dict[str, int]) -> float:
     """Natural-log entropy of a count distribution, sum of -p*ln(p)."""
-    if isinstance(counts, CountDistribution):
-        counts = counts.counts
     total = sum(counts.values())
     if total == 0:
         return 0.0
@@ -80,7 +72,7 @@ class PhraseEntropyTable:
     """Slot distributions and entropies for one training corpus."""
 
     inventory: RuleInventory
-    distributions: dict[Slot, CountDistribution]
+    distributions: dict[Slot, dict[str, int]]
     entropies: dict[Slot, float]
 
     def is_seen(self, slot: Slot) -> bool:
@@ -95,65 +87,37 @@ class PhraseEntropyTable:
         return quantize(self.value(slot), decimals)
 
 
-class _RuleCounts:
-    """One rule's slots, their counts (None until first seen) and the
-    contexts its children attach in, built once per rule."""
+def build_phrase_table(aot: "AndOrTree") -> PhraseEntropyTable:
+    """Sum the and-or index's arc counts per slot and take entropies.
 
-    __slots__ = ("slots", "counts", "contexts")
-
-    def __init__(self, rule: str, arity: int):
-        self.slots = [Slot(rule, k) for k in range(arity + 1)]
-        self.counts: list[dict[str, int] | None] = [None] * (arity + 1)
-        self.contexts = [f"{rule}/{k}" for k in range(1, arity + 1)]
-
-
-def build_phrase_table(training: list, inv: RuleInventory) -> PhraseEntropyTable:
-    """Count every slot over the training trees and take entropies.
-
-    Slots read no words, so each distinct root shape is walked once and
-    counted with its multiplicity.  Trees are walked in preorder with an
-    explicit stack, so slots and their outcomes are first seen (and
-    kept) in the same order as a recursive walk of every tree would see
-    them: a repeated shape adds no outcome its first tree did not.
+    A slot's counts are the arc counts of the or-nodes that fill it:
+    an arc ``(or-node, rule)`` counts *rule* (``lex`` included) in the
+    or-node's parent slot and, for a non-lexical rule, the or-node's
+    attachment context in the rule's LHS slot.  Arcs are summed in the
+    order the index created them, which is the order a preorder walk of
+    every tree would first see each slot and outcome, so slots, their
+    outcomes and the float entropy sums come out in that order.
     """
-    seen: list[tuple[Slot, dict[str, int]]] = []
-    by_rule: dict[str, _RuleCounts] = {}
+    dists: dict[Slot, dict[str, int]] = {}
 
-    def count(rule: _RuleCounts, k: int, outcome: str, n: int) -> None:
-        counts = rule.counts[k]
-        if counts is None:
-            counts = rule.counts[k] = {}
-            seen.append((rule.slots[k], counts))
+    def add(slot: Slot, outcome: str, n: int) -> None:
+        counts = dists.setdefault(slot, {})
         counts[outcome] = counts.get(outcome, 0) + n
 
-    for tree, n in shape_groups(training):
-        # (node, its LHS context, the parent's counts, its slot there);
-        # each child is counted in its parent's slot just before its own
-        # subtree
-        stack = [(tree, ROOT_CONTEXT, None, 0)]
-        while stack:
-            node, context, parent, k = stack.pop()
-            if node.__class__ is LexLeaf:
-                if parent is not None:
-                    count(parent, k, LEX, n)
-                continue
-            if parent is not None:
-                count(parent, k, node.rule, n)
-            children = node.children
-            rule = by_rule.get(node.rule)
-            if rule is None:
-                rule = by_rule[node.rule] = _RuleCounts(node.rule, len(children))
-            count(rule, LHS_POSITION, context, n)
-            contexts = rule.contexts
-            stack.extend(
-                (children[j], contexts[j], rule, j + 1)
-                for j in range(len(children) - 1, -1, -1)
+    for node, rule in aot.arc_order:
+        n = node.arc_counts[rule]
+        parent = node.parent_slot
+        if parent is not None:
+            add(parent, rule, n)
+        if rule != LEX:
+            context = (
+                ROOT_CONTEXT if parent is None else f"{parent.rule}/{parent.position}"
             )
-    dists = {slot: CountDistribution(counts) for slot, counts in seen}
+            add(Slot(rule, LHS_POSITION), context, n)
     return PhraseEntropyTable(
-        inventory=inv,
+        inventory=aot.inventory,
         distributions=dists,
-        entropies={slot: entropy(d) for slot, d in dists.items()},
+        entropies={slot: entropy(counts) for slot, counts in dists.items()},
     )
 
 

@@ -226,6 +226,29 @@ def extract_training(
     return collector.result()
 
 
+def _run_calls(call):
+    """Run *call*, a generator, and return what it returns.
+
+    A generator here asks for a sub-call by yielding another such
+    generator and gets back that call's result.  Calls wait on an
+    explicit stack, so their depth is bounded by memory, not by the
+    interpreter's recursion limit.
+    """
+    stack = [call]
+    value = None
+    while True:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+
+
 def extract_andor(
     aot: AndOrTree,
     cutset: CutnodeSet,
@@ -236,10 +259,15 @@ def extract_andor(
     Chunk roots are the root's class and every cut class; lexical arcs
     never root a chunk.  Bodies are enumerated once per class and
     reused.  Raises ChunkExplosionError past *max_chunks* or when class
-    merging has produced a self-recursive structure.
+    merging has produced a self-recursive structure.  The walks below
+    are written as recursion, but each sub-call is a generator that
+    ``_run_calls`` keeps on its own stack.
     """
     budget = {"left": max_chunks}
     memo: dict[int, list[Apply]] = {}
+    # classes whose expansion has begun: a finished one is served from
+    # memo first, so one met here again is still on the walk's path
+    started: set[int] = set()
 
     def class_of(node: OrNode):
         return cutset.class_of(node.node_id)
@@ -251,7 +279,7 @@ def extract_andor(
 
     wordless_memo: dict[int, list[Apply]] = {}
 
-    def wordless_pieces(node: OrNode) -> list[Apply]:
+    def wordless_pieces(node: OrNode):
         """Expansions at this index position spanning no words.
 
         Walks the index itself, not the class graph: index nodes form a
@@ -266,7 +294,7 @@ def extract_andor(
                 continue
             combos: list[tuple] = [()]
             for child in and_node.children:
-                alternatives = wordless_pieces(child)
+                alternatives = yield wordless_pieces(child)
                 combos = [
                     prefix + (alt,) for prefix in combos for alt in alternatives
                 ]
@@ -276,34 +304,35 @@ def extract_andor(
         wordless_memo[node.seq] = out
         return out
 
-    def position_alternatives(node: OrNode, stack: frozenset) -> list[ChunkTree]:
+    def position_alternatives(node: OrNode):
         cls = class_of(node)
         if cls.cut:
             # a boundary at a wordless expansion could never be
             # re-filled, so those shapes stay available inline
             alts: list[ChunkTree] = [Frontier(node.category)]
-            seen: set[Apply] = set()
+            seen: set[str] = set()
             for member in cls.members:
-                for piece in wordless_pieces(member):
-                    if piece not in seen:
-                        seen.add(piece)
+                for piece in (yield wordless_pieces(member)):
+                    key = render_chunk(piece)
+                    if key not in seen:
+                        seen.add(key)
                         alts.append(piece)
             return alts
         alts = []
         if any(LEX == rule for m in cls.members for rule in m.arcs):
             alts.append(LexSlot(node.category))
-        alts.extend(expansions(cls, stack))
+        alts.extend((yield expansions(cls)))
         return alts
 
-    def expansions(cls, stack: frozenset) -> list[Apply]:
+    def expansions(cls):
         key = cls.representative.seq
         if key in memo:
             return memo[key]
-        if key in stack:
+        if key in started:
             raise ChunkExplosionError(
                 f"recursive class structure at {cls.representative.node_id}"
             )
-        stack = stack | {key}
+        started.add(key)
         out: list[Apply] = []
         seen_shapes: set[tuple] = set()
         for member in cls.members:
@@ -316,9 +345,9 @@ def extract_andor(
                 if shape in seen_shapes:
                     continue
                 seen_shapes.add(shape)
-                slots = [
-                    position_alternatives(c, stack) for c in and_node.children
-                ]
+                slots = []
+                for c in and_node.children:
+                    slots.append((yield position_alternatives(c)))
                 combos: list[tuple] = [()]
                 for alternatives in slots:
                     combos = [
@@ -336,7 +365,7 @@ def extract_andor(
         if cls is not roots[0]:
             roots.append(cls)
     for cls in roots:
-        for chunk in expansions(cls, frozenset()):
+        for chunk in _run_calls(expansions(cls)):
             collector.add(chunk, 0)
     return collector.result()
 

@@ -260,8 +260,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
 def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:
     """Everything after loading: search, extraction, tiling and reports."""
-    table = build_phrase_table(treebank.training, treebank.inventory)
     aot = index_treebank(treebank.training, treebank.inventory)
+    table = build_phrase_table(aot)
     scores = compute_node_entropies(aot, table, cfg.scheme, decimals=cfg.decimals)
     context = SearchContext(treebank, aot, table, cfg, scores)
 

@@ -29,8 +29,8 @@ def treebank(inventory):
 
 
 @pytest.fixture(scope="session")
-def table(treebank):
-    return build_phrase_table(treebank.training, treebank.inventory)
+def table(aot):
+    return build_phrase_table(aot)
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,7 @@ from treecut.cutnodes import SelectionConfig, select_by_threshold
 from treecut.entropy import Slot, build_phrase_table
 from treecut.extraction import extract_andor, extract_training
 from treecut.grammar import parse_rule_inventory, parse_treebank
-from treecut.node_entropy import (
-    EntropyScheme,
-    compute_node_entropies,
-    unified_node_entropy,
-)
+from treecut.node_entropy import EntropyScheme, unified_node_entropy
 from treecut.pipeline import PipelineConfig, SearchContext, run_pipeline
 from treecut.pipeline import load_treebank
 from treecut.threshold import BisectionConfig, bisect
@@ -105,7 +101,7 @@ def _toy():
 def test_entropy_table_published_values():
     started = time.perf_counter()
     inv, training, _ = _toy()
-    table = build_phrase_table(training, inv)
+    table = build_phrase_table(index_treebank(training, inv))
     checked = 0
     for rule, row in TABLE_EXPECTED.items():
         for position, expected in enumerate(row):
@@ -128,9 +124,7 @@ def test_entropy_table_published_values():
 @_verdict("2. mixed node scores match all nine published annotations")
 def test_node_scores_published_values():
     inv, training, _ = _toy()
-    table = build_phrase_table(training, inv)
-    aot = index_treebank(training, inv)
-    scores = compute_node_entropies(aot, table, EntropyScheme.MIXED)
+    aot, table, scores = props.mixed_set_up(training, inv)
     for node_id, expected in NODE_EXPECTED.items():
         got = scores.values[node_id]
         assert abs(got - expected) <= TOLERANCE, (node_id, got)
@@ -150,18 +144,16 @@ def test_node_scores_published_values():
 @_verdict("3. threshold 1.00 cuts exactly {n3, n4, n6, n9}")
 def test_threshold_one_selection():
     inv, training, _ = _toy()
-    table = build_phrase_table(training, inv)
-    aot = index_treebank(training, inv)
-    cutset = select_by_threshold(1.00, aot, table, MIXED)
+    aot, table, scores = props.mixed_set_up(training, inv)
+    cutset = select_by_threshold(1.00, aot, table, MIXED, scores)
     assert set(cutset.cut_node_ids()) == CUT_AT_ONE
 
 
 @_verdict("4. extraction yields the 5 training forms, plus 2 more enumerated")
 def test_extraction_rule_sets():
     inv, training, _ = _toy()
-    table = build_phrase_table(training, inv)
-    aot = index_treebank(training, inv)
-    cutset = select_by_threshold(1.00, aot, table, MIXED)
+    aot, table, scores = props.mixed_set_up(training, inv)
+    cutset = select_by_threshold(1.00, aot, table, MIXED, scores)
     trained = extract_training(training, aot, cutset)
     assert trained.flat_forms() == TRAINING_FORMS
     assert len(trained.rules) == 5
@@ -173,9 +165,8 @@ def test_extraction_rule_sets():
 @_verdict("5. training rules cover the test tree; bisection stays below 1.08")
 def test_coverage_and_bisection():
     inv, training, test = _toy()
-    table = build_phrase_table(training, inv)
-    aot = index_treebank(training, inv)
-    cutset = select_by_threshold(1.00, aot, table, MIXED)
+    aot, table, scores = props.mixed_set_up(training, inv)
+    cutset = select_by_threshold(1.00, aot, table, MIXED, scores)
     rules = extract_training(training, aot, cutset)
     assert evaluate_coverage(rules, test).fraction == 1.0
 
@@ -186,7 +177,6 @@ def test_coverage_and_bisection():
         coverage_target=1.0,
     )
     treebank = load_treebank(cfg)
-    scores = compute_node_entropies(aot, table, EntropyScheme.MIXED)
     context = SearchContext(treebank, aot, table, cfg, scores)
     result = bisect(
         1.0, context.probe, BisectionConfig(s_high_init=scores.max_value() + 1.0)
@@ -199,7 +189,7 @@ def test_coverage_and_bisection():
 @_verdict("6. unified score of the pp object slot and np_det_n is 2.43")
 def test_unified_diagnostic():
     inv, training, _ = _toy()
-    table = build_phrase_table(training, inv)
+    table = build_phrase_table(index_treebank(training, inv))
     got = unified_node_entropy(Slot("pp_prep_np", 2), "np_det_n", table)
     assert abs(got - 2.43) <= TOLERANCE
 

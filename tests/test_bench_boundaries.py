@@ -132,3 +132,41 @@ def test_arc_restricted_run_crosses_its_stages(bench, monkeypatch, tmp_path, cap
         assert calls.get(name), name
     missing = [s for s in ["select", "evaluate"] + workload["spans"] if not spans.get(s)]
     assert not missing
+
+
+def install_bench_tracer(monkeypatch, child):
+    """The benchmark's own tracer at every layer boundary, undone at
+    teardown: every callable a treecut module binds is saved first."""
+    for name, module in list(sys.modules.items()):
+        if name == "treecut" or name.startswith("treecut."):
+            for attr, value in list(vars(module).items()):
+                if callable(value):
+                    monkeypatch.setattr(module, attr, value)
+    tracer = child.Tracer(child.HostClock())
+    child.install(tracer, child.LAYERS)
+    return tracer
+
+
+@pytest.mark.parametrize("name", ["bisect-mixed", "fixed-large", "arc-restricted"])
+def test_each_workload_crosses_its_spans(bench, monkeypatch, tmp_path, capsys, name):
+    # a small corpus of the workload's kind, run with its flags the way
+    # a traced benchmark run wraps it: every required span is crossed,
+    # and the counters read their boundaries' arguments as meant
+    child, run = bench
+    workload = run.WORKLOADS[name]
+    training, test = child.gen.generate(workload["corpus"], 150, 30, 4.0)
+    paths = child.gen.write_corpus(
+        str(tmp_path / "corpus"), workload["corpus"], training, test
+    )
+    tracer = install_bench_tracer(monkeypatch, child)
+    code = treecut.cli.main(
+        run.run_argv(paths, workload["flags"], str(tmp_path / "out"))
+    )
+    capsys.readouterr()
+    assert code == 0
+    spans = ["select", "evaluate"] + workload["spans"]
+    assert [s for s in spans if not tracer.calls.get(s)] == []
+    assert tracer.counts["slots"] == len(child.check.slot_counts(training))
+    rhs_of = {rid: rhs for rid, _, rhs in child.gen.GRAMMARS[workload["corpus"]]}
+    index = child.check.Index(training, rhs_of, "s")
+    assert tracer.counts["or_nodes"] == len(index)

@@ -232,6 +232,55 @@ def test_rules_of_a_chain_deeper_than_the_recursion_limit_read_back(
     assert (code, text.splitlines()[-1]) == (0, "4+\t1\t100.0")
 
 
+# a chain with words, and a wordless a-chain under each of two roots
+DEEP_CHAINS = {
+    "np_np_pp": (
+        (TOY / "grammar.txt").read_text(),
+        lambda depth: "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))"
+        + " (pp_prep_np (lex to) (np_num (lex ten))))" * depth
+        + " (vp_v (lex left)))\n",
+    ),
+    "wordless": (
+        "s_a s -> a\na_a a -> a\na_aa a -> a a\na_w a -> w\na_none a ->\n",
+        lambda depth: "(s_a (a_aa {0} (a_w (lex x))))\n"
+        "(s_a (a_aa (a_w (lex y)) {0}))\n".format(
+            "(a_a " * depth + "(a_none)" + ")" * depth
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "chain, threshold, rules",
+    [("np_np_pp", "1.0", 1), ("np_np_pp", "0.0", 3), ("wordless", "0.0", 4)],
+)
+def test_run_andor_on_a_chain_deeper_than_the_recursion_limit(
+    capsys, tmp_path, chain, threshold, rules
+):
+    # at 1.0 the enumeration expands the uncut np chain class by class;
+    # at 0.0 every class with words is cut, the wordless walk visits the
+    # whole index and the wordless chain is kept whole, inline
+    low = 400
+    grammar_text, treebank_text = DEEP_CHAINS[chain]
+    grammar, train = tmp_path / "grammar.txt", tmp_path / "train.txt"
+    grammar.write_text(grammar_text)
+    train.write_text(treebank_text(low + 300))
+    out = tmp_path / "out"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(low)
+    try:
+        code, text, err = run_cli(
+            capsys, "run", "--grammar", str(grammar), "--train", str(train),
+            "--mode", "andor", "--threshold", threshold, "--out", str(out),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, err) == (0, "")
+    assert f"rules\t{rules}" in text.splitlines()
+    records = (out / "rules.txt").read_text().split("\n\n")
+    assert len(records) == rules
+
+
 def test_run_requires_exactly_one_goal(capsys, tmp_path):
     want = "error: pass exactly one of --threshold / --coverage\n"
     code, _, err = run_cli(capsys, "run", *WITH_TEST, "--out", str(tmp_path))

@@ -23,9 +23,9 @@ from treecut.node_entropy import EntropyScheme
 
 
 @pytest.fixture(scope="module")
-def toy_rules(treebank, aot, table):
+def toy_rules(treebank, aot, table, mixed_scores):
     cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
-    cutset = select_by_threshold(1.0, aot, table, cfg)
+    cutset = select_by_threshold(1.0, aot, table, cfg, mixed_scores)
     return extract_training(treebank.training, aot, cutset)
 
 
@@ -152,12 +152,12 @@ def test_trees_of_one_shape_share_their_tiling(toy_rules, treebank, inventory):
     assert validate_tiling(report.tilings[0], again[0])
 
 
-def test_retrieval_prefers_longer_reductions(treebank, aot, table):
+def test_retrieval_prefers_longer_reductions(treebank, aot, table, mixed_scores):
     # pool the rules of three cuts, so several chunks match at one node
     cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
     pooled = {}
     for threshold in (0.0, 1.0, 9.0):
-        cutset = select_by_threshold(threshold, aot, table, cfg)
+        cutset = select_by_threshold(threshold, aot, table, cfg, mixed_scores)
         for rule in extract_training(treebank.training, aot, cutset):
             pooled[rule.name] = rule
     index = RuleIndex(pooled.values())

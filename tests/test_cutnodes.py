@@ -82,21 +82,25 @@ def test_closure_never_cuts_yieldless_classes():
     assert cutset.cut_classes() == []
 
 
-def test_select_threshold_one(aot, table):
-    cutset = select_by_threshold(1.0, aot, table, MIXED)
+def test_select_threshold_one(aot, table, mixed_scores):
+    cutset = select_by_threshold(1.0, aot, table, MIXED, mixed_scores)
     assert cut_ids(cutset) == {"n3", "n4", "n6", "n9"}
     assert len(cutset.cut_classes()) == 1
 
 
-def test_select_threshold_above_all_scores(aot, table):
+def test_select_threshold_above_all_scores(aot, table, mixed_scores):
     # The selection is strict, so the top score itself stays uncut.
-    assert cut_ids(select_by_threshold(1.76, aot, table, MIXED)) == set()
-    assert cut_ids(select_by_threshold(2.5, aot, table, MIXED)) == set()
+    for threshold in (1.76, 2.5):
+        cutset = select_by_threshold(threshold, aot, table, MIXED, mixed_scores)
+        assert cut_ids(cutset) == set()
 
 
-def test_select_threshold_templates(aot, table):
-    assert cut_ids(select_by_threshold(1.20, aot, table, MIXED)) == {"n4", "n6"}
-    assert cut_ids(select_by_threshold(1.05, aot, table, MIXED)) == {
+def test_select_threshold_templates(aot, table, mixed_scores):
+    def select(threshold):
+        return select_by_threshold(threshold, aot, table, MIXED, mixed_scores)
+
+    assert cut_ids(select(1.20)) == {"n4", "n6"}
+    assert cut_ids(select(1.05)) == {
         "n3",
         "n4",
         "n6",
@@ -104,10 +108,10 @@ def test_select_threshold_templates(aot, table):
     }
 
 
-def test_select_threshold_rejects_arc_frequency(aot, table):
+def test_select_threshold_rejects_arc_frequency(aot, table, mixed_scores):
     cfg = SelectionConfig(scheme=EntropyScheme.ARC_FREQUENCY)
     with pytest.raises(ValueError):
-        select_by_threshold(1.0, aot, table, cfg)
+        select_by_threshold(1.0, aot, table, cfg, mixed_scores)
 
 
 def test_neighbor_conflicts_first_round(aot, table, mixed_scores):
@@ -124,8 +128,8 @@ def test_neighbor_conflicts_empty_assignment(aot, table, mixed_scores):
     assert neighbor_conflicts(empty, aot, table, mixed_scores) == []
 
 
-def test_select_restricted(aot, table):
-    cutset = select_by_threshold(1.0, aot, table, RESTRICTED)
+def test_select_restricted(aot, table, mixed_scores):
+    cutset = select_by_threshold(1.0, aot, table, RESTRICTED, mixed_scores)
     assert cut_ids(cutset) == {"n4", "n6", "n9"}
     assert len(cutset.cut_classes()) == 1
     assert cutset.cut_classes()[0].representative.node_id == "n4"
@@ -179,7 +183,8 @@ def test_select_iterative_restrictions_need_table(aot):
     )
     with pytest.raises(ValueError):
         select_iterative(0.60, aot, cfg)
-    select_iterative(0.60, aot, cfg, table=build_phrase_table([], aot.inventory))
+    empty = build_phrase_table(index_treebank([], aot.inventory))
+    select_iterative(0.60, aot, cfg, table=empty)
 
 
 def test_cutnode_set_helpers(aot):
@@ -193,7 +198,8 @@ def test_cutnode_set_helpers(aot):
 
 
 def test_render_cut_classes(aot, table, mixed_scores):
-    cutset = select_by_threshold(1.0, aot, table, MIXED)
+    cutset = select_by_threshold(1.0, aot, table, MIXED, mixed_scores)
     out = render_cut_classes(cutset, mixed_scores)
     assert out == "n3\tnp\t{n3 n4 n6 n9}\t1.7600\n"
-    assert render_cut_classes(closure(frozenset(), aot)) == "(no cut classes)\n"
+    none = closure(frozenset(), aot)
+    assert render_cut_classes(none, mixed_scores) == "(no cut classes)\n"

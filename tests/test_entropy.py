@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from treecut.andor import index_treebank
 from treecut.entropy import (
     ROOT_CONTEXT,
-    CountDistribution,
     Slot,
     build_phrase_table,
     entropy,
@@ -37,15 +37,6 @@ def test_entropy_scale_invariance():
     base = {"a": 2, "b": 1, "c": 1}
     scaled = {k: 1000 * v for k, v in base.items()}
     assert entropy(scaled) == pytest.approx(entropy(base))
-
-
-def test_count_distribution_add():
-    d = CountDistribution()
-    d.add("x")
-    d.add("x", 2)
-    d.add("y")
-    assert d.counts == {"x": 3, "y": 1}
-    assert d.total == 4
 
 
 # Every defined toy table cell, hand-counted from the four training
@@ -92,19 +83,19 @@ def test_toy_table_cell(table, rule, position):
 
 def test_lhs_distribution_contexts(table):
     lhs = table.distributions[Slot("np_det_n", 0)]
-    assert lhs.counts == {
+    assert lhs == {
         "s_np_vp/1": 1,
         "vp_v_np/2": 1,
         "np_np_pp/1": 2,
         "pp_prep_np/2": 1,
     }
     root = table.distributions[Slot("s_np_vp", 0)]
-    assert root.counts == {ROOT_CONTEXT: 4}
+    assert root == {ROOT_CONTEXT: 4}
 
 
 def test_rhs_distribution_includes_lex_outcome(table):
     dist = table.distributions[Slot("pp_prep_np", 2)]
-    assert dist.counts == {"lex": 1, "np_det_n": 1, "np_num": 1}
+    assert dist == {"lex": 1, "np_det_n": 1, "np_num": 1}
 
 
 def test_published_value_rounds_half_even(table):
@@ -130,7 +121,7 @@ def test_unseen_rule_slots_read_zero_and_render_starred():
     trees = parse_treebank(
         "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))", inv
     )
-    table = build_phrase_table(trees, inv)
+    table = build_phrase_table(index_treebank(trees, inv))
     unseen = Slot("vp_v_np", 2)
     assert not table.is_seen(unseen)
     assert table.value(unseen) == 0.0

@@ -26,9 +26,9 @@ from treecut.node_entropy import EntropyScheme
 
 
 @pytest.fixture(scope="module")
-def toy_cut(aot, table):
+def toy_cut(aot, table, mixed_scores):
     cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
-    return select_by_threshold(1.0, aot, table, cfg)
+    return select_by_threshold(1.0, aot, table, cfg, mixed_scores)
 
 
 @pytest.fixture(scope="module")

@@ -237,12 +237,12 @@ def test_deep_chain_loads_counts_and_indexes(inventory):
     (tree,) = parse_treebank(text, inventory, require_top=True)
     assert tree.length == 2 * depth + 2
 
-    table = build_phrase_table([tree], inventory)
-    lhs = table.distributions[Slot("np_np_pp", 0)].counts
-    assert lhs == {"s_np_vp/1": 1, "np_np_pp/1": depth - 1}
-    assert table.distributions[Slot("pp_prep_np", 2)].counts == {"np_num": depth}
-
     aot = index_treebank([tree], inventory)
+    table = build_phrase_table(aot)
+    lhs = table.distributions[Slot("np_np_pp", 0)]
+    assert lhs == {"s_np_vp/1": 1, "np_np_pp/1": depth - 1}
+    assert table.distributions[Slot("pp_prep_np", 2)] == {"np_num": depth}
+
     # per chain level: np, pp, prep, np, num; then np_pron's np and pron,
     # and the root, vp and v
     assert len(aot.node_index) == 5 * depth + 5

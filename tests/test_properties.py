@@ -36,9 +36,10 @@ from treecut.cutnodes import (
     closure,
     select_by_threshold,
 )
-from treecut.entropy import CountDistribution, Slot, build_phrase_table, entropy
+from treecut.entropy import Slot, build_phrase_table, entropy
 from treecut.extraction import (
     ANDOR_ENUM,
+    DEFAULT_MAX_CHUNKS,
     TRAINING_CUT,
     Apply,
     ChunkExplosionError,
@@ -364,14 +365,20 @@ def test_one_cut_class_per_category():
         assert len(cats) == len(set(cats)), seed
 
 
+def mixed_set_up(training, inv):
+    """The index of *training*, its phrase table and its mixed node scores."""
+    aot = index_treebank(training, inv)
+    table = build_phrase_table(aot)
+    return aot, table, compute_node_entropies(aot, table, EntropyScheme.MIXED)
+
+
 def test_extracted_rules_never_have_empty_bodies():
     for seed in range(80):
         rng = random.Random(2000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 6))
-        aot = index_treebank(training, inv)
-        table = build_phrase_table(training, inv)
+        aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.2, 0.5, 1.0])
-        cutset = select_by_threshold(threshold, aot, table, MIXED)
+        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
         rules = extract_training(training, aot, cutset)
         assert all(r.reduction_length > 0 for r in rules), seed
         assert all(len(r.rhs) == r.reduction_length for r in rules), seed
@@ -381,10 +388,9 @@ def test_training_rules_cover_their_own_corpus():
     for seed in range(80):
         rng = random.Random(3000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 6))
-        aot = index_treebank(training, inv)
-        table = build_phrase_table(training, inv)
+        aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.3, 0.8])
-        cutset = select_by_threshold(threshold, aot, table, MIXED)
+        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
         rules = extract_training(training, aot, cutset)
         report = evaluate_coverage(rules, training)
         assert report.fraction == 1.0, seed
@@ -395,12 +401,11 @@ def test_coverage_antitone_in_threshold():
         rng = random.Random(4000 + seed)
         inv, training = gen_corpus(rng, rng.randint(2, 8))
         test = [gen_root(rng, inv) for _ in range(4)]
-        aot = index_treebank(training, inv)
-        table = build_phrase_table(training, inv)
+        aot, table, scores = mixed_set_up(training, inv)
         fractions = []
         previous_ids = None
         for threshold in (0.0, 0.3, 0.7, 1.2, 2.5):
-            cutset = select_by_threshold(threshold, aot, table, MIXED)
+            cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
             if previous_ids is not None:
                 assert cutset.cut_node_ids() <= previous_ids, (seed, threshold)
             previous_ids = cutset.cut_node_ids()
@@ -414,9 +419,9 @@ def test_training_chunks_subset_of_enumerated():
     for seed in range(80):
         rng = random.Random(5000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 6))
-        aot = index_treebank(training, inv)
-        table = build_phrase_table(training, inv)
-        cutset = select_by_threshold(rng.choice([0.0, 0.4, 0.9]), aot, table, MIXED)
+        aot, table, scores = mixed_set_up(training, inv)
+        threshold = rng.choice([0.0, 0.4, 0.9])
+        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
         trained = extract_training(training, aot, cutset)
         try:
             enumerated = extract_andor(aot, cutset)
@@ -475,9 +480,9 @@ def random_rule_subsets():
     for seed in range(120):
         rng = random.Random(6000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 5))
-        aot = index_treebank(training, inv)
-        table = build_phrase_table(training, inv)
-        cutset = select_by_threshold(rng.choice([0.0, 0.5]), aot, table, MIXED)
+        aot, table, scores = mixed_set_up(training, inv)
+        threshold = rng.choice([0.0, 0.5])
+        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
         full = extract_training(training, aot, cutset)
         kept = [r for r in full if rng.random() > 0.4]
         trees = training + [gen_root(rng, inv) for _ in range(3)]
@@ -550,7 +555,8 @@ def reference_probe(treebank, aot, table, cfg):
     sel = selection_config(cfg)
 
     def probe(threshold):
-        cutnodes = select_by_threshold(threshold, aot, table, sel)
+        scores = compute_node_entropies(aot, table, sel.scheme, sel.decimals)
+        cutnodes = select_by_threshold(threshold, aot, table, sel, scores)
         if cfg.mode == ANDOR_ENUM:
             rules = extract_andor(aot, cutnodes, max_chunks=cfg.max_chunks)
         else:
@@ -612,7 +618,7 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
     searches = repeats = 0
     for bank, c0 in corpora:
         aot = index_treebank(bank.training, bank.inventory)
-        table = build_phrase_table(bank.training, bank.inventory)
+        table = build_phrase_table(aot)
         for scheme, restrictions, mode in SEARCHES:
             cfg = PipelineConfig(
                 grammar_path="", train_path="", scheme=scheme,
@@ -1258,15 +1264,19 @@ def test_word_blind_loader_folds_each_corpus_line_text_once(grammar, text, monke
 
 
 def reference_walk(tree, parent_context, table):
-    """The recursive slot count build_phrase_table replaced."""
+    """A recursive slot count over the trees themselves, tree by tree."""
+
+    def add(slot, outcome):
+        counts = table.setdefault(slot, {})
+        counts[outcome] = counts.get(outcome, 0) + 1
+
     rule = tree.rule
-    table.setdefault(Slot(rule, 0), CountDistribution()).add(parent_context)
+    add(Slot(rule, 0), parent_context)
     for k, child in enumerate(tree.children, start=1):
-        dist = table.setdefault(Slot(rule, k), CountDistribution())
         if isinstance(child, LexLeaf):
-            dist.add(LEX)
+            add(Slot(rule, k), LEX)
         else:
-            dist.add(child.rule)
+            add(Slot(rule, k), child.rule)
             reference_walk(child, f"{rule}/{k}", table)
 
 
@@ -1279,13 +1289,12 @@ def reference_phrase_table(training):
 
 
 def assert_phrase_table_order(training, inv):
+    """The table summed off the index is the tree walk's, in its order."""
     want_dists, want_entropies = reference_phrase_table(training)
-    table = build_phrase_table(training, inv)
+    table = build_phrase_table(index_treebank(training, inv))
     assert list(table.distributions) == list(want_dists)
     for slot, dist in want_dists.items():
-        assert list(table.distributions[slot].counts.items()) == list(
-            dist.counts.items()
-        )
+        assert list(table.distributions[slot].items()) == list(dist.items())
     # float sums follow the outcome order, so the values match exactly
     assert list(table.entropies.items()) == list(want_entropies.items())
 
@@ -1454,6 +1463,167 @@ def test_shape_keyed_work_agrees_on_random_corpora():
             copy_with_words(rng.choice(training), rng) for _ in range(4)
         ]
         assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=2)
+
+
+def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
+    """The recursive enumerator that the explicit-stack walk replaced."""
+    budget = {"left": max_chunks}
+    memo = {}
+
+    def class_of(node):
+        return cutset.class_of(node.node_id)
+
+    def spend(n=1):
+        budget["left"] -= n
+        if budget["left"] < 0:
+            raise ChunkExplosionError(f"more than {max_chunks} chunks")
+
+    wordless_memo = {}
+
+    def wordless_pieces(node):
+        if node.seq in wordless_memo:
+            return wordless_memo[node.seq]
+        out = []
+        for rule, and_node in node.sorted_arcs():
+            if rule == LEX:
+                continue
+            combos = [()]
+            for child in and_node.children:
+                alternatives = wordless_pieces(child)
+                combos = [
+                    prefix + (alt,) for prefix in combos for alt in alternatives
+                ]
+                if combos:
+                    spend(len(combos))
+            out.extend(Apply(rule, combo) for combo in combos)
+        wordless_memo[node.seq] = out
+        return out
+
+    def position_alternatives(node, stack):
+        cls = class_of(node)
+        if cls.cut:
+            alts = [Frontier(node.category)]
+            seen = set()
+            for member in cls.members:
+                for piece in wordless_pieces(member):
+                    if piece not in seen:
+                        seen.add(piece)
+                        alts.append(piece)
+            return alts
+        alts = []
+        if any(LEX == rule for m in cls.members for rule in m.arcs):
+            alts.append(LexSlot(node.category))
+        alts.extend(expansions(cls, stack))
+        return alts
+
+    def expansions(cls, stack):
+        key = cls.representative.seq
+        if key in memo:
+            return memo[key]
+        if key in stack:
+            raise ChunkExplosionError(
+                f"recursive class structure at {cls.representative.node_id}"
+            )
+        stack = stack | {key}
+        out = []
+        seen_shapes = set()
+        for member in cls.members:
+            for rule, and_node in member.sorted_arcs():
+                if rule == LEX:
+                    continue
+                shape = (rule,) + tuple(
+                    class_of(c).representative.seq for c in and_node.children
+                )
+                if shape in seen_shapes:
+                    continue
+                seen_shapes.add(shape)
+                slots = [
+                    position_alternatives(c, stack) for c in and_node.children
+                ]
+                combos = [()]
+                for alternatives in slots:
+                    combos = [
+                        prefix + (alt,) for prefix in combos for alt in alternatives
+                    ]
+                    spend(len(combos))
+                for combo in combos:
+                    out.append(Apply(rule, combo))
+        memo[key] = out
+        return out
+
+    collector = _Collector(aot.inventory)
+    roots = [class_of(aot.root)]
+    for cls in sorted(cutset.cut_classes(), key=lambda c: c.representative.seq):
+        if cls is not roots[0]:
+            roots.append(cls)
+    for cls in roots:
+        for chunk in expansions(cls, frozenset()):
+            collector.add(chunk, 0)
+    return collector.result()
+
+
+def andor_outcome(extract, aot, cutset, max_chunks):
+    """The enumerated rules, or the class and message of the error."""
+    try:
+        rules = extract(aot, cutset, max_chunks=max_chunks)
+    except ChunkExplosionError as exc:
+        return type(exc), str(exc)
+    return [(r.name, r.lhs, render_chunk(r.chunk), r.rhs, r.support) for r in rules]
+
+
+# Cutting the wordless nodes of nested a-chains, and closing, demotes
+# an a-class that holds a node and its own descendant: a class structure
+# extract_andor reports as recursive.
+CYCLIC_GRAMMAR = parse_rule_inventory(
+    "s_a s -> a\na_a a -> a\na_aa a -> a a\na_w a -> w\na_none a ->\n", "s"
+)
+
+
+def gen_cyclic_root(rng):
+    """An s over a-chains with words, some of them over wordless a-chains."""
+
+    def chain(depth, words):
+        if depth == 0 or rng.random() < 0.3:
+            if words:
+                return Internal("a_w", (LexLeaf(rng.choice(WORDS)),))
+            return Internal("a_none", ())
+        if rng.random() < 0.4:
+            return Internal("a_a", (chain(depth - 1, words),))
+        children = [chain(depth - 1, words), chain(depth - 1, False)]
+        rng.shuffle(children)
+        return Internal("a_aa", tuple(children))
+
+    return Internal("s_a", (chain(4, True),))
+
+
+def test_extract_andor_agrees_with_the_recursive_enumerator():
+    seen = {"rules": 0, "wordless piece": 0, "chunk cap": 0, "recursive classes": 0}
+    for seed in range(60):
+        rng = random.Random(12000 + seed)
+        if seed % 2:
+            inv, training = gen_corpus(rng, rng.randint(1, 8))
+        else:
+            inv = CYCLIC_GRAMMAR
+            training = [gen_cyclic_root(rng) for _ in range(rng.randint(1, 4))]
+        aot = index_treebank(training, inv)
+        for cut_ids in random_cut_sets(rng, aot, count=3):
+            cutset = closure(cut_ids, aot)
+            max_chunks = rng.choice([0, 1, 3, 10, 50, DEFAULT_MAX_CHUNKS])
+            want = andor_outcome(reference_extract_andor, aot, cutset, max_chunks)
+            got = andor_outcome(extract_andor, aot, cutset, max_chunks)
+            assert got == want, (seed, sorted(cut_ids), max_chunks)
+            if isinstance(want, list):
+                seen["rules"] += 1
+                seen["wordless piece"] += any(
+                    has_wordless_piece(rule.chunk)
+                    for rule in extract_andor(aot, cutset, max_chunks)
+                )
+            elif want[1].startswith("more than"):
+                seen["chunk cap"] += 1
+            else:
+                seen["recursive classes"] += 1
+    # every outcome, including both errors, is reached many times over
+    assert min(seen.values()) >= 10, seen
 
 
 def copy_with_words(tree, rng):
