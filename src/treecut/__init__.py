@@ -5,7 +5,6 @@ from treecut.coverage import covers, evaluate_coverage, reduction_stats
 from treecut.cutnodes import (
     CutnodeSet,
     EquivalenceClass,
-    SelectionConfig,
     closure,
     neighbor_conflicts,
     select_by_threshold,
@@ -35,13 +34,12 @@ from treecut.node_entropy import (
     unified_node_entropy,
 )
 from treecut.pipeline import PipelineConfig, run_pipeline
-from treecut.threshold import BisectionConfig, ThresholdResult, bisect, search_unimodal
+from treecut.threshold import ThresholdResult, bisect, search_unimodal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AndOrTree",
-    "BisectionConfig",
     "CutnodeSet",
     "EntropyScheme",
     "EquivalenceClass",
@@ -52,7 +50,6 @@ __all__ = [
     "PipelineConfig",
     "RuleInventory",
     "RuleSet",
-    "SelectionConfig",
     "Slot",
     "SpecializedRule",
     "ThresholdResult",

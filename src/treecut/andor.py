@@ -74,6 +74,7 @@ class AndOrTree:
         return self.node_index[node_id]
 
     def nodes(self) -> list[OrNode]:
+        """Every or-node, in ``seq`` order (``_assign_ids`` inserts them so)."""
         return list(self.node_index.values())
 
 

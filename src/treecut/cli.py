@@ -7,6 +7,7 @@ Commands raise them and ``main`` alone prints them and returns 1.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -18,7 +19,6 @@ from treecut.cutnodes import IterationLimitError, render_cut_classes
 from treecut.entropy import build_phrase_table, render_entropy_table
 from treecut.extraction import (
     ANDOR_ENUM,
-    DEFAULT_MAX_CHUNKS,
     TRAINING_CUT,
     ChunkExplosionError,
     RuleFileError,
@@ -58,80 +58,83 @@ HANDLED_ERRORS = (
 )
 
 
+def _flag(p, *names, **kwargs):
+    """A flag that fills the PipelineConfig field its dest names.  A flag
+    not given stays unset, so the config's defaults are the only ones."""
+    p.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
+
+
 def _add_corpus_args(p):
-    p.add_argument("--grammar", required=True, help="grammar rule file")
-    p.add_argument("--train", required=True, help="training treebank")
-    p.add_argument("--test", help="held-out treebank")
-    p.add_argument("--top", default="s", help="root category (default: s)")
+    _flag(p, "--grammar", dest="grammar_path", metavar="GRAMMAR",
+          required=True, help="grammar rule file")
+    _flag(p, "--train", dest="train_path", metavar="TRAIN", required=True,
+          help="training treebank")
+    _flag(p, "--test", dest="test_path", metavar="TEST",
+          help="held-out treebank")
+    _flag(p, "--top", help=f"root category (default: {PipelineConfig.top})")
 
 
 def _add_scoring_args(p):
-    p.add_argument(
+    _flag(
+        p,
         "--scheme",
         choices=[s.value for s in EntropyScheme],
-        default=EntropyScheme.MIXED.value,
-        help="node scoring scheme (default: mixed)",
+        help=f"node scoring scheme (default: {PipelineConfig.scheme.value})",
     )
-    p.add_argument(
+    _flag(
+        p,
         "--exact",
-        action="store_true",
+        dest="decimals",
+        action="store_const",
+        const=None,
         help="score with full float precision instead of 2 decimals",
     )
-    p.add_argument(
+    _flag(
+        p,
         "--restrictions",
+        dest="neighbor_restrictions",
         action="store_true",
         help="resolve neighboring-cut conflicts",
     )
 
 
 def _add_extract_args(p):
-    p.add_argument(
+    _flag(
+        p,
         "--mode",
         choices=[TRAINING_CUT, ANDOR_ENUM],
-        default=TRAINING_CUT,
-        help="chunk source (default: training)",
+        help=f"chunk source (default: {PipelineConfig.mode})",
     )
-    p.add_argument(
+    _flag(
+        p,
         "--max-chunks",
         type=int,
-        default=DEFAULT_MAX_CHUNKS,
         help="abort andor enumeration past this many chunks",
     )
 
 
-def _check_flags(args) -> None:
-    coverage = getattr(args, "coverage", None)
+def _check_flags(cfg: PipelineConfig) -> None:
+    coverage = cfg.coverage_target
     if coverage is not None and not 0.0 <= coverage <= 1.0:
         raise FlagError(f"--coverage must be a number in [0, 1], got {coverage}")
-    threshold = getattr(args, "threshold", None)
+    threshold = cfg.threshold
     if threshold is not None and not math.isfinite(threshold):
         raise FlagError(f"--threshold must be a finite number, got {threshold}")
-    delta_s = getattr(args, "delta_s", None)
-    if delta_s is not None and not (math.isfinite(delta_s) and delta_s > 0):
+    delta_s = cfg.delta_s
+    if not (math.isfinite(delta_s) and delta_s > 0):
         raise FlagError(
             f"--delta-s must be a finite number above 0, got {delta_s}"
         )
 
 
 def _config(args) -> PipelineConfig:
-    _check_flags(args)
-    return PipelineConfig(
-        grammar_path=args.grammar,
-        train_path=args.train,
-        test_path=getattr(args, "test", None),
-        top=args.top,
-        scheme=EntropyScheme(getattr(args, "scheme", "mixed")),
-        neighbor_restrictions=getattr(args, "restrictions", False),
-        decimals=None if getattr(args, "exact", False) else 2,
-        threshold=getattr(args, "threshold", None),
-        coverage_target=getattr(args, "coverage", None),
-        mode=getattr(args, "mode", TRAINING_CUT),
-        max_chunks=getattr(args, "max_chunks", DEFAULT_MAX_CHUNKS),
-        delta_s=getattr(args, "delta_s", 0.01),
-        max_iterations=getattr(args, "max_iterations", 50),
-        weighted_stats=getattr(args, "weighted", False),
-        out_dir=getattr(args, "out", None),
-    )
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    given = {k: v for k, v in vars(args).items() if k in fields}
+    if "scheme" in given:
+        given["scheme"] = EntropyScheme(given["scheme"])
+    cfg = PipelineConfig(**given)
+    _check_flags(cfg)
+    return cfg
 
 
 def cmd_entropy_table(args) -> int:
@@ -161,8 +164,8 @@ def cmd_entropy(args) -> int:
     cfg = _config(args)
     treebank = load_treebank(cfg)
     aot = index_treebank(treebank.training, treebank.inventory)
-    table = build_phrase_table(aot)
-    scores = compute_node_entropies(aot, table, cfg.scheme, decimals=cfg.decimals)
+    table = build_phrase_table(aot, cfg.decimals)
+    scores = compute_node_entropies(aot, table, cfg.scheme)
     sys.stdout.write(render_node_entropies(aot, scores))
     return 0
 
@@ -257,37 +260,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut", help="select cutnode classes at a threshold")
     _add_corpus_args(p)
     _add_scoring_args(p)
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--max-iterations", type=int, default=50)
+    _flag(p, "--threshold", type=float, required=True)
+    _flag(p, "--max-iterations", type=int)
     p.set_defaults(handler=cmd_cut)
 
     p = sub.add_parser("bisect", help="search the threshold for a coverage target")
     _add_corpus_args(p)
     _add_scoring_args(p)
     _add_extract_args(p)
-    p.add_argument("--coverage", type=float, required=True)
-    p.add_argument("--delta-s", dest="delta_s", type=float, default=0.01)
+    _flag(p, "--coverage", dest="coverage_target", metavar="COVERAGE",
+          type=float, required=True)
+    _flag(p, "--delta-s", type=float)
     p.set_defaults(handler=cmd_bisect)
 
     p = sub.add_parser("extract", help="extract specialized rules")
     _add_corpus_args(p)
     _add_scoring_args(p)
     _add_extract_args(p)
-    p.add_argument("--threshold", type=float, required=True)
+    _flag(p, "--threshold", type=float, required=True)
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("evaluate", help="score a rule file against a treebank")
     p.add_argument("--grammar", required=True)
     p.add_argument("--rules", required=True, help="rule file to evaluate")
     p.add_argument("--test", required=True)
-    p.add_argument("--top", default="s")
+    p.add_argument("--top", default=PipelineConfig.top)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("stats", help="reduction-length histogram of a rule file")
     p.add_argument("--rules", required=True)
     p.add_argument("--grammar")
     p.add_argument("--test")
-    p.add_argument("--top", default="s")
+    p.add_argument("--top", default=PipelineConfig.top)
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(handler=cmd_stats)
 
@@ -295,12 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_scoring_args(p)
     _add_extract_args(p)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--coverage", type=float)
-    p.add_argument("--delta-s", dest="delta_s", type=float, default=0.01)
-    p.add_argument("--max-iterations", type=int, default=50)
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--out", required=True, help="report directory")
+    _flag(p, "--threshold", type=float)
+    _flag(p, "--coverage", dest="coverage_target", metavar="COVERAGE",
+          type=float)
+    _flag(p, "--delta-s", type=float)
+    _flag(p, "--max-iterations", type=int)
+    _flag(p, "--weighted", dest="weighted_stats", action="store_true")
+    _flag(p, "--out", dest="out_dir", metavar="OUT", required=True,
+          help="report directory")
     p.set_defaults(handler=cmd_run)
 
     return parser

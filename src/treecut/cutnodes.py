@@ -41,14 +41,7 @@ class IterationLimitError(Exception):
 
 
 NEAR_CYCLE_FRACTION = 0.10  # of two iterates' summed sizes; see near_cycle
-
-
-@dataclass
-class SelectionConfig:
-    scheme: EntropyScheme = EntropyScheme.MIXED
-    neighbor_restrictions: bool = False
-    max_iterations: int = 50
-    decimals: int | None = 2
+MAX_ITERATIONS = 50  # rounds an iterated selection may take to settle
 
 
 @dataclass(frozen=True)
@@ -65,12 +58,6 @@ class EquivalenceClass:
     @property
     def category(self) -> str:
         return self.representative.category
-
-    def member_ids(self) -> frozenset[str]:
-        return frozenset(m.node_id for m in self.members)
-
-    def has_lexical_yield(self) -> bool:
-        return any(m.has_lexical_yield for m in self.members)
 
 
 @dataclass
@@ -119,7 +106,7 @@ def singleton_cutnodes(cut_ids: frozenset[str], aot: AndOrTree) -> CutnodeSet:
     """Every node its own class; no closure applied."""
     classes = tuple(
         EquivalenceClass((node,), node.node_id in cut_ids)
-        for node in sorted(aot.nodes(), key=lambda n: n.seq)
+        for node in aot.nodes()
     )
     return CutnodeSet(classes)
 
@@ -150,7 +137,7 @@ def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
     category up front leaves at most one cut class per category, and a
     cut flag ORed on each union is all promotion needs.
     """
-    nodes = sorted(aot.nodes(), key=lambda n: n.seq)
+    nodes = aot.nodes()
     parent = list(range(len(nodes)))
     tables: dict[int, dict] = {}  # merged roots only; others read their arcs
     cut = [False] * len(nodes)
@@ -209,14 +196,14 @@ def near_cycle(prev: frozenset, nxt: frozenset, fraction: float) -> bool:
     return len(prev ^ nxt) < fraction * (len(prev) + len(nxt))
 
 
-def _iterate(step, initial: frozenset, cfg: SelectionConfig) -> frozenset:
+def _iterate(step, initial: frozenset, max_iterations: int) -> frozenset:
     """Run *step* until exact repetition or a near-cycle.
 
     Returns the earlier member of the detected pair, keeping the result
     close to the initial assignment.
     """
     history = [initial]
-    for i in range(cfg.max_iterations):
+    for i in range(max_iterations):
         nxt = step(history[-1], i)
         for prev in history:
             if nxt == prev:
@@ -241,7 +228,6 @@ def neighbor_conflicts(
     aot: AndOrTree,
     table: PhraseEntropyTable,
     scores: NodeEntropyMap,
-    decimals: int | None = 2,
 ) -> list[EquivalenceClass]:
     """Classes to remove so no rule has both neighboring boundaries cut.
 
@@ -279,7 +265,7 @@ def neighbor_conflicts(
             continue
         k_star = min(
             range(1, grammar_rule.arity + 1),
-            key=lambda k: (table.published_value(Slot(rule, k), decimals), k),
+            key=lambda k: (table.published_value(Slot(rule, k)), k),
         )
         slot = Slot(rule, k_star)
         for lhs_cls in lhs_of.get(rule, []):
@@ -304,7 +290,7 @@ def _restricted_fixpoint(
     aot: AndOrTree,
     table: PhraseEntropyTable,
     scores: NodeEntropyMap,
-    cfg: SelectionConfig,
+    max_iterations: int,
 ) -> CutnodeSet:
     """Alternate conflict removal and closure until both settle.
 
@@ -316,44 +302,48 @@ def _restricted_fixpoint(
         current = (
             singleton_cutnodes(cut_ids, aot) if i == 0 else closure(cut_ids, aot)
         )
-        conflicts = neighbor_conflicts(current, aot, table, scores, cfg.decimals)
+        conflicts = neighbor_conflicts(current, aot, table, scores)
         dropped = frozenset(
             m.node_id for cls in conflicts for m in cls.members
         )
         return closure(current.cut_node_ids() - dropped, aot).cut_node_ids()
 
-    return closure(_iterate(step, seeds, cfg), aot)
+    return closure(_iterate(step, seeds, max_iterations), aot)
 
 
 def select_by_threshold(
     s_min: float,
     aot: AndOrTree,
     table: PhraseEntropyTable,
-    cfg: SelectionConfig,
     scores: NodeEntropyMap,
+    *,
+    restrictions: bool = False,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> CutnodeSet:
     """Cut every node scoring strictly above *s_min*, then close.
 
     Nodes without lexical yield never seed a cut.  Valid for the
     rhs-local and mixed schemes; arc-frequency needs select_iterative.
-    *scores* are the node scores of *cfg*'s scheme, which do not depend
-    on the threshold, so a caller probing many thresholds computes them
-    once.
+    *scores* do not depend on the threshold, so a caller probing many
+    thresholds computes them once.  *max_iterations* bounds the rounds
+    of neighbor restrictions.
     """
-    if cfg.scheme is EntropyScheme.ARC_FREQUENCY:
+    if scores.scheme is EntropyScheme.ARC_FREQUENCY:
         raise ValueError("arc-frequency scores shift with the assignment; "
                          "use select_iterative")
     seeds = _threshold_seeds(scores, s_min, aot)
-    if not cfg.neighbor_restrictions:
+    if not restrictions:
         return closure(seeds, aot)
-    return _restricted_fixpoint(seeds, aot, table, scores, cfg)
+    return _restricted_fixpoint(seeds, aot, table, scores, max_iterations)
 
 
 def select_iterative(
     s_min: float,
     aot: AndOrTree,
-    cfg: SelectionConfig,
     table: PhraseEntropyTable | None = None,
+    *,
+    restrictions: bool = False,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> CutnodeSet:
     """Iterate arc-frequency selection until the assignment settles.
 
@@ -363,7 +353,7 @@ def select_iterative(
     returning the earlier member of the detected pair.  Neighbor
     restrictions, when enabled, need the phrase table for slot ranking.
     """
-    if cfg.neighbor_restrictions and table is None:
+    if restrictions and table is None:
         raise ValueError("neighbor restrictions need the phrase entropy table")
 
     def step(cut_ids: frozenset, i: int) -> frozenset:
@@ -372,11 +362,13 @@ def select_iterative(
             aot, None, EntropyScheme.ARC_FREQUENCY, grouping=current.grouping()
         )
         seeds = _threshold_seeds(scores, s_min, aot)
-        if not cfg.neighbor_restrictions:
+        if not restrictions:
             return closure(seeds, aot).cut_node_ids()
-        return _restricted_fixpoint(seeds, aot, table, scores, cfg).cut_node_ids()
+        return _restricted_fixpoint(
+            seeds, aot, table, scores, max_iterations
+        ).cut_node_ids()
 
-    return closure(_iterate(step, frozenset(), cfg), aot)
+    return closure(_iterate(step, frozenset(), max_iterations), aot)
 
 
 def render_cut_classes(cutset: CutnodeSet, scores: NodeEntropyMap) -> str:

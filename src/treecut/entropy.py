@@ -12,9 +12,10 @@ The counts are read off the and-or index (``andor.index_treebank``),
 not off the trees: its arcs already count how often each rule fills
 each slot of each rule.
 
-Tables are reported at two decimal places.  ``published_value`` exposes
-that reading, which downstream node scoring reuses so that reported
-scores and selection thresholds agree exactly with the printed table.
+Tables are reported at two decimal places.  A table carries the
+precision it is read at; ``published_value`` gives that reading, which
+node scoring reuses so that reported scores and selection thresholds
+agree exactly with the printed table.
 """
 
 import math
@@ -69,11 +70,12 @@ def quantize(value: float, decimals: int | None) -> float:
 
 @dataclass
 class PhraseEntropyTable:
-    """Slot distributions and entropies for one training corpus."""
+    """Slot distributions and entropies, read at *decimals* places."""
 
     inventory: RuleInventory
     distributions: dict[Slot, dict[str, int]]
     entropies: dict[Slot, float]
+    decimals: int | None
 
     def is_seen(self, slot: Slot) -> bool:
         return slot in self.entropies
@@ -82,12 +84,14 @@ class PhraseEntropyTable:
         """Exact entropy; unseen slots read as 0."""
         return self.entropies.get(slot, 0.0)
 
-    def published_value(self, slot: Slot, decimals: int | None = 2) -> float:
-        """Entropy at the table's reporting precision."""
-        return quantize(self.value(slot), decimals)
+    def published_value(self, slot: Slot) -> float:
+        """Entropy at the table's precision."""
+        return quantize(self.value(slot), self.decimals)
 
 
-def build_phrase_table(aot: "AndOrTree") -> PhraseEntropyTable:
+def build_phrase_table(
+    aot: "AndOrTree", decimals: int | None = 2
+) -> PhraseEntropyTable:
     """Sum the and-or index's arc counts per slot and take entropies.
 
     A slot's counts are the arc counts of the or-nodes that fill it:
@@ -118,6 +122,7 @@ def build_phrase_table(aot: "AndOrTree") -> PhraseEntropyTable:
         inventory=aot.inventory,
         distributions=dists,
         entropies={slot: entropy(counts) for slot, counts in dists.items()},
+        decimals=decimals,
     )
 
 
@@ -138,7 +143,7 @@ def render_entropy_table(table: PhraseEntropyTable) -> str:
                 row.append("---")
                 continue
             slot = Slot(rule.rule_id, pos)
-            cell = f"{table.published_value(slot):.2f}"
+            cell = f"{quantize(table.value(slot), 2):.2f}"
             if not table.is_seen(slot):
                 cell += "*"
             row.append(cell)

@@ -13,7 +13,7 @@ Both internal applications and lexical lookups may fill any slot.
 
 import gc
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all
 
@@ -108,7 +108,7 @@ class LexLeaf:
     shape = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Internal:
     """An application of a grammar rule to child subtrees.
 
@@ -118,12 +118,16 @@ class Internal:
     places and differ at most in their words (see ``intern_shape``).
     The loader passes both in; when they are left out they are worked
     out from the children's.
+
+    Trees are equal when their rules and words are.  ``==``, ``hash``
+    and ``repr`` walk with a stack, so their depth is bounded by memory,
+    not by the interpreter's recursion limit.
     """
 
     rule: str
     children: tuple
-    length: int = field(default=-1, compare=False, repr=False)
-    shape: int = field(default=-1, compare=False, repr=False)
+    length: int = -1
+    shape: int = -1
 
     def __post_init__(self):
         if self.length < 0:
@@ -134,6 +138,32 @@ class Internal:
 
     def __iter__(self):
         return iter(self.children)
+
+    def __eq__(self, other):
+        if other.__class__ is not Internal:
+            return NotImplemented
+        if self.shape != other.shape:
+            return False
+        # Equal shapes apply the same rules in the same places, so only
+        # the words, at the leaves, can differ.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if x.__class__ is LexLeaf:
+                    if x.word != y.word:
+                        return False
+                else:
+                    stack.append((x, y))
+        return True
+
+    def __hash__(self):
+        return hash((self.rule, self.shape, self.length))
+
+    def __repr__(self):
+        return f"Internal({render_tree(self)})"
 
 
 ParseTree = Internal | LexLeaf

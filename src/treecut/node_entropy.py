@@ -10,9 +10,9 @@ Three schemes:
   distribution, with counts pooled over the node's equivalence class
   under a given cutnode assignment.
 
-The first two read table entries at the table's reporting precision and
-round the result the same way, so scores match the printed table
-arithmetic digit for digit; pass ``decimals=None`` for exact values.
+The first two read table entries at the table's precision and round
+the result the same way, so scores match the printed table arithmetic
+digit for digit; an exact table gives exact scores.
 The root (and any unseen slot) scores 0 under rhs-local and mixed.
 """
 
@@ -37,20 +37,17 @@ class EntropyScheme(str, Enum):
     ARC_FREQUENCY = "arc-frequency"
 
 
-def node_entropy_rhs_local(
-    node: OrNode, table: PhraseEntropyTable, decimals: int | None = 2
-) -> float:
+def node_entropy_rhs_local(node: OrNode, table: PhraseEntropyTable) -> float:
     if node.parent_slot is None:
         raise ValueError(f"{node.node_id} has no parent slot")
-    return table.published_value(node.parent_slot, decimals)
+    return table.published_value(node.parent_slot)
 
 
-def node_entropy_mixed(
-    node: OrNode, table: PhraseEntropyTable, decimals: int | None = 2
-) -> float:
+def node_entropy_mixed(node: OrNode, table: PhraseEntropyTable) -> float:
     if node.parent_slot is None:
         raise ValueError(f"{node.node_id} has no parent slot")
     total = node.visit_count
+    decimals = table.decimals
     if decimals is None:
         acc = table.value(node.parent_slot)
         for rule, count in node.arc_counts.items():
@@ -78,10 +75,7 @@ def node_entropy_arc_frequency(
 
 
 def unified_node_entropy(
-    parent_slot: Slot,
-    child_rule: str,
-    table: PhraseEntropyTable,
-    decimals: int | None = 2,
+    parent_slot: Slot, child_rule: str, table: PhraseEntropyTable
 ) -> float:
     """Sum of a slot's entropy and a child rule's LHS entropy.
 
@@ -98,6 +92,7 @@ def unified_node_entropy(
     if slot_cat != child_cat:
         raise ValueError(f"slot category '{slot_cat}' vs rule category '{child_cat}'")
     lhs_slot = Slot(child_rule, LHS_POSITION)
+    decimals = table.decimals
     if decimals is None:
         return table.value(parent_slot) + table.value(lhs_slot)
     acc = quantize_decimal(table.value(parent_slot), decimals) + quantize_decimal(
@@ -124,7 +119,6 @@ def compute_node_entropies(
     aot: AndOrTree,
     table: PhraseEntropyTable | None,
     scheme: EntropyScheme,
-    decimals: int | None = 2,
     grouping: dict[str, list[OrNode]] | None = None,
 ) -> NodeEntropyMap:
     """Score every or-node.
@@ -152,15 +146,15 @@ def compute_node_entropies(
         elif node.parent_slot is None:
             values[node.node_id] = 0.0
         elif scheme is EntropyScheme.RHS_LOCAL:
-            values[node.node_id] = node_entropy_rhs_local(node, table, decimals)
+            values[node.node_id] = node_entropy_rhs_local(node, table)
         else:
-            values[node.node_id] = node_entropy_mixed(node, table, decimals)
+            values[node.node_id] = node_entropy_mixed(node, table)
     return NodeEntropyMap(scheme=scheme, values=values)
 
 
 def render_node_entropies(aot: AndOrTree, scores: NodeEntropyMap) -> str:
     """TSV of id, category, score to 4 decimals in index (DFS) order."""
     lines = ["node\tcategory\tentropy"]
-    for node in sorted(aot.nodes(), key=lambda n: n.seq):
+    for node in aot.nodes():
         lines.append(f"{node.node_id}\t{node.category}\t{scores[node.node_id]:.4f}")
     return "\n".join(lines) + "\n"

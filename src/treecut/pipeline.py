@@ -19,8 +19,8 @@ from treecut.coverage import (
     render_stats,
 )
 from treecut.cutnodes import (
+    MAX_ITERATIONS,
     CutnodeSet,
-    SelectionConfig,
     render_cut_classes,
     select_by_threshold,
     select_iterative,
@@ -52,7 +52,6 @@ from treecut.node_entropy import (
     render_node_entropies,
 )
 from treecut.threshold import (
-    BisectionConfig,
     ThresholdProbe,
     ThresholdResult,
     bisect,
@@ -74,7 +73,7 @@ class PipelineConfig:
     mode: str = TRAINING_CUT
     max_chunks: int = DEFAULT_MAX_CHUNKS
     delta_s: float = 0.01
-    max_iterations: int = 50
+    max_iterations: int = MAX_ITERATIONS
     weighted_stats: bool = False
     out_dir: str | None = None
 
@@ -172,15 +171,6 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     return Treebank(inv, training, test)
 
 
-def selection_config(cfg: PipelineConfig) -> SelectionConfig:
-    return SelectionConfig(
-        scheme=cfg.scheme,
-        neighbor_restrictions=cfg.neighbor_restrictions,
-        max_iterations=cfg.max_iterations,
-        decimals=cfg.decimals,
-    )
-
-
 def extract_rules(
     treebank: Treebank, aot: AndOrTree, cutnodes: CutnodeSet, cfg: PipelineConfig
 ) -> RuleSet:
@@ -216,11 +206,15 @@ class SearchContext:
     memo: dict = field(default_factory=dict, init=False)
 
     def select(self, threshold: float) -> CutnodeSet:
-        sel = selection_config(self.cfg)
-        if self.cfg.scheme is EntropyScheme.ARC_FREQUENCY:
-            return select_iterative(threshold, self.aot, sel, table=self.table)
+        cfg = self.cfg
+        settings = dict(
+            restrictions=cfg.neighbor_restrictions,
+            max_iterations=cfg.max_iterations,
+        )
+        if cfg.scheme is EntropyScheme.ARC_FREQUENCY:
+            return select_iterative(threshold, self.aot, self.table, **settings)
         return select_by_threshold(
-            threshold, self.aot, self.table, sel, scores=self.scores
+            threshold, self.aot, self.table, self.scores, **settings
         )
 
     def probe(self, threshold: float) -> ThresholdProbe:
@@ -261,26 +255,22 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:
     """Everything after loading: search, extraction, tiling and reports."""
     aot = index_treebank(treebank.training, treebank.inventory)
-    table = build_phrase_table(aot)
-    scores = compute_node_entropies(aot, table, cfg.scheme, decimals=cfg.decimals)
+    table = build_phrase_table(aot, cfg.decimals)
+    scores = compute_node_entropies(aot, table, cfg.scheme)
     context = SearchContext(treebank, aot, table, cfg, scores)
 
     search = None
     if cfg.coverage_target is not None:
-        bis = BisectionConfig(
-            s_high_init=scores.max_value() + 1.0,
-            delta_s=cfg.delta_s,
+        find = search_unimodal if cfg.neighbor_restrictions else bisect
+        search = find(
+            cfg.coverage_target, context.probe, scores.max_value() + 1.0,
+            cfg.delta_s,
         )
-        if cfg.neighbor_restrictions:
-            search = search_unimodal(cfg.coverage_target, context.probe, bis)
-        else:
-            search = bisect(cfg.coverage_target, context.probe, bis)
-        threshold = search.threshold
-        cutnodes, rules, report = search.cutnodes, search.rules, search.report
+        threshold, probe = search.threshold, search.probe
     else:
         threshold = cfg.threshold if cfg.threshold is not None else 0.0
         probe = context.probe(threshold)
-        cutnodes, rules, report = probe.cutnodes, probe.rules, probe.report
+    cutnodes, rules, report = probe.cutnodes, probe.rules, probe.report
 
     stats = reduction_stats(
         rules, weighted=cfg.weighted_stats, tilings=report.tilings
@@ -309,7 +299,7 @@ def render_threshold_report(result: PipelineResult, cfg: PipelineConfig) -> str:
         lines.append(f"target\t{cfg.coverage_target:.6f}")
         lines.append(f"attainable\t{'yes' if s.attainable else 'no'}")
         lines.append(f"threshold\t{s.threshold:.6f}")
-        lines.append(f"coverage\t{s.achieved_coverage:.6f}")
+        lines.append(f"coverage\t{s.probe.coverage:.6f}")
         if s.bracket_high is not None:
             lines.append(f"bracket_high\t{s.bracket_high:.6f}")
             lines.append(f"coverage_at_bracket_high\t{s.coverage_at_high:.6f}")
@@ -320,8 +310,8 @@ def render_threshold_report(result: PipelineResult, cfg: PipelineConfig) -> str:
 
 
 def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
-    """Write every report file; returns the paths in write order."""
-    make_out_dir(cfg.out_dir)
+    """Write every report file into the existing *cfg.out_dir*; returns
+    the paths in write order."""
     header = config_line(cfg)
     files = {
         "entropy_table.tsv": render_entropy_table(result.table),
@@ -339,12 +329,9 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
     written = []
     for name in sorted(files):
         path = os.path.join(cfg.out_dir, name)
-        body = files[name]
-        if not body.endswith("\n"):
-            body += "\n"
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(header + "\n" + body)
+                handle.write(header + "\n" + files[name])
         except OSError as exc:
             raise OutputError(f"{path}: {exc.strerror or exc}") from exc
         written.append(path)

@@ -36,40 +36,21 @@ MAX_STEPS = 200
 
 
 @dataclass
-class BisectionConfig:
-    s_high_init: float
-    delta_s: float = 0.01
-
-
-@dataclass
 class ThresholdResult:
+    """The threshold found and the probe made at it."""
+
     threshold: float
-    cutnodes: CutnodeSet
-    achieved_coverage: float
+    probe: ThresholdProbe
     attainable: bool
-    rules: object = None
     bracket_high: float | None = None
     coverage_at_high: float | None = None
     steps: int = 0
-    report: object = None
 
 
-def _result(
-    threshold: float,
-    probe: ThresholdProbe,
-    attainable: bool,
-    bracket_high: float | None = None,
-    coverage_at_high: float | None = None,
-    steps: int = 0,
+def bisect(
+    c0: float, evaluate: Evaluator, s_high: float, delta_s: float
 ) -> ThresholdResult:
-    return ThresholdResult(
-        threshold, probe.cutnodes, probe.coverage, attainable, probe.rules,
-        bracket_high, coverage_at_high, steps, probe.report,
-    )
-
-
-def bisect(c0: float, evaluate: Evaluator, cfg: BisectionConfig) -> ThresholdResult:
-    """Highest threshold with coverage >= c0, to within delta_s.
+    """Highest threshold up to s_high with coverage >= c0, to within delta_s.
 
     Assumes coverage is non-increasing in the threshold.  When even
     threshold 0 misses the target the result carries attainable = False
@@ -77,43 +58,42 @@ def bisect(c0: float, evaluate: Evaluator, cfg: BisectionConfig) -> ThresholdRes
     """
     low = evaluate(0.0)
     if low.coverage < c0:
-        return _result(0.0, low, False, steps=1)
-    s_high = cfg.s_high_init
+        return ThresholdResult(0.0, low, False, steps=1)
     high = evaluate(s_high)
     s_low, best = (s_high, high) if high.coverage >= c0 else (0.0, low)
-    return _narrow(c0, evaluate, cfg, s_low, best, s_high, high.coverage, 2)
+    return _narrow(c0, evaluate, delta_s, s_low, best, s_high, high.coverage, 2)
 
 
 def search_unimodal(
-    c0: float, evaluate: Evaluator, cfg: BisectionConfig
+    c0: float, evaluate: Evaluator, s_high: float, delta_s: float
 ) -> ThresholdResult:
     """Grid scan for the coverage peak, then bisect its falling flank.
 
-    The grid step is 16 * delta_s over [0, s_high_init].  When the peak
+    The grid step is 16 * delta_s over [0, s_high].  When the peak
     itself misses the target the result is the peak, unattainable.
     """
-    step = cfg.delta_s * 16
+    step = delta_s * 16
     grid = [0.0]
-    while grid[-1] + step < cfg.s_high_init:
+    while grid[-1] + step < s_high:
         grid.append(grid[-1] + step)
-    if grid[-1] < cfg.s_high_init:
-        grid.append(cfg.s_high_init)
+    if grid[-1] < s_high:
+        grid.append(s_high)
     probes = [evaluate(t) for t in grid]
     steps = len(grid)
     peak = max(range(len(grid)), key=lambda i: (probes[i].coverage, -i))
     if probes[peak].coverage < c0:
-        return _result(grid[peak], probes[peak], False, steps=steps)
+        return ThresholdResult(grid[peak], probes[peak], False, steps=steps)
     last_ok = peak
     while last_ok + 1 < len(grid) and probes[last_ok + 1].coverage >= c0:
         last_ok += 1
     miss = min(last_ok + 1, len(grid) - 1)  # the last point if none misses
     return _narrow(
-        c0, evaluate, cfg, grid[last_ok], probes[last_ok],
+        c0, evaluate, delta_s, grid[last_ok], probes[last_ok],
         grid[miss], probes[miss].coverage, steps,
     )
 
 
-def _narrow(c0, evaluate, cfg, s_low, best, s_high, cov_high, steps):
+def _narrow(c0, evaluate, delta_s, s_low, best, s_high, cov_high, steps):
     """Halve [s_low, s_high] until it is narrower than delta_s.
 
     *best* is the probe at s_low, which meets *c0*; s_high misses it
@@ -121,7 +101,7 @@ def _narrow(c0, evaluate, cfg, s_low, best, s_high, cov_high, steps):
     already.  *steps* probes were made before; the search stops at
     MAX_STEPS.
     """
-    while s_high - s_low >= cfg.delta_s and steps < MAX_STEPS:
+    while s_high - s_low >= delta_s and steps < MAX_STEPS:
         mid = (s_low + s_high) / 2
         probe = evaluate(mid)
         steps += 1
@@ -131,4 +111,4 @@ def _narrow(c0, evaluate, cfg, s_low, best, s_high, cov_high, steps):
         else:
             s_low = mid
             best = probe
-    return _result(s_low, best, True, s_high, cov_high, steps)
+    return ThresholdResult(s_low, best, True, s_high, cov_high, steps)

@@ -12,22 +12,20 @@ from pathlib import Path
 
 from treecut.andor import index_treebank
 from treecut.coverage import evaluate_coverage
-from treecut.cutnodes import SelectionConfig, select_by_threshold
+from treecut.cutnodes import select_by_threshold
 from treecut.entropy import Slot, build_phrase_table
 from treecut.extraction import extract_andor, extract_training
 from treecut.grammar import parse_rule_inventory, parse_treebank
-from treecut.node_entropy import EntropyScheme, unified_node_entropy
+from treecut.node_entropy import unified_node_entropy
 from treecut.pipeline import PipelineConfig, SearchContext, run_pipeline
 from treecut.pipeline import load_treebank
-from treecut.threshold import BisectionConfig, bisect
+from treecut.threshold import bisect
 
 import test_properties as props
 
 TOY = Path(__file__).resolve().parent.parent / "corpora" / "toy"
 
 TOLERANCE = 0.005
-
-MIXED = SelectionConfig(scheme=EntropyScheme.MIXED)
 
 # rule -> (LHS, RHS1, RHS2); None marks slots the rule does not have
 TABLE_EXPECTED = {
@@ -145,7 +143,7 @@ def test_node_scores_published_values():
 def test_threshold_one_selection():
     inv, training, _ = _toy()
     aot, table, scores = props.mixed_set_up(training, inv)
-    cutset = select_by_threshold(1.00, aot, table, MIXED, scores)
+    cutset = select_by_threshold(1.00, aot, table, scores)
     assert set(cutset.cut_node_ids()) == CUT_AT_ONE
 
 
@@ -153,7 +151,7 @@ def test_threshold_one_selection():
 def test_extraction_rule_sets():
     inv, training, _ = _toy()
     aot, table, scores = props.mixed_set_up(training, inv)
-    cutset = select_by_threshold(1.00, aot, table, MIXED, scores)
+    cutset = select_by_threshold(1.00, aot, table, scores)
     trained = extract_training(training, aot, cutset)
     assert trained.flat_forms() == TRAINING_FORMS
     assert len(trained.rules) == 5
@@ -166,7 +164,7 @@ def test_extraction_rule_sets():
 def test_coverage_and_bisection():
     inv, training, test = _toy()
     aot, table, scores = props.mixed_set_up(training, inv)
-    cutset = select_by_threshold(1.00, aot, table, MIXED, scores)
+    cutset = select_by_threshold(1.00, aot, table, scores)
     rules = extract_training(training, aot, cutset)
     assert evaluate_coverage(rules, test).fraction == 1.0
 
@@ -178,12 +176,10 @@ def test_coverage_and_bisection():
     )
     treebank = load_treebank(cfg)
     context = SearchContext(treebank, aot, table, cfg, scores)
-    result = bisect(
-        1.0, context.probe, BisectionConfig(s_high_init=scores.max_value() + 1.0)
-    )
+    result = bisect(1.0, context.probe, scores.max_value() + 1.0, cfg.delta_s)
     assert result.attainable
     assert result.threshold < 1.08
-    assert result.achieved_coverage == 1.0
+    assert result.probe.coverage == 1.0
 
 
 @_verdict("6. unified score of the pp object slot and np_det_n is 2.43")

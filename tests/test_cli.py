@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from treecut.cli import main
+from treecut.cli import _config, build_parser, main
+from treecut.pipeline import PipelineConfig
 
 TOY = pathlib.Path(__file__).resolve().parent.parent / "corpora" / "toy"
 CORPUS = [
@@ -477,3 +478,22 @@ def test_unwritable_report_file_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert str(out_dir / "rules.txt") in err
+
+
+@pytest.mark.parametrize(
+    "command, required, fields",
+    [
+        ("entropy-table", [], {}),
+        ("index", [], {}),
+        ("entropy", [], {}),
+        ("cut", ["--threshold", "1.5"], {"threshold": 1.5}),
+        ("bisect", ["--coverage", "0.5"], {"coverage_target": 0.5}),
+        ("extract", ["--threshold", "1.5"], {"threshold": 1.5}),
+        ("run", ["--out", "reports"], {"out_dir": "reports"}),
+    ],
+)
+def test_flags_not_given_leave_the_config_defaults(command, required, fields):
+    args = build_parser().parse_args(
+        [command, "--grammar", "g.txt", "--train", "t.txt", *required]
+    )
+    assert _config(args) == PipelineConfig("g.txt", "t.txt", **fields)

@@ -9,7 +9,7 @@ from treecut.coverage import (
     render_stats,
     validate_tiling,
 )
-from treecut.cutnodes import SelectionConfig, select_by_threshold
+from treecut.cutnodes import select_by_threshold
 from treecut.extraction import (
     Apply,
     Frontier,
@@ -19,13 +19,11 @@ from treecut.extraction import (
     extract_training,
 )
 from treecut.grammar import CategoryMismatchError, Internal, LexLeaf, parse_treebank
-from treecut.node_entropy import EntropyScheme
 
 
 @pytest.fixture(scope="module")
 def toy_rules(treebank, aot, table, mixed_scores):
-    cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
-    cutset = select_by_threshold(1.0, aot, table, cfg, mixed_scores)
+    cutset = select_by_threshold(1.0, aot, table, mixed_scores)
     return extract_training(treebank.training, aot, cutset)
 
 
@@ -154,10 +152,9 @@ def test_trees_of_one_shape_share_their_tiling(toy_rules, treebank, inventory):
 
 def test_retrieval_prefers_longer_reductions(treebank, aot, table, mixed_scores):
     # pool the rules of three cuts, so several chunks match at one node
-    cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
     pooled = {}
     for threshold in (0.0, 1.0, 9.0):
-        cutset = select_by_threshold(threshold, aot, table, cfg, mixed_scores)
+        cutset = select_by_threshold(threshold, aot, table, mixed_scores)
         for rule in extract_training(treebank.training, aot, cutset):
             pooled[rule.name] = rule
     index = RuleIndex(pooled.values())

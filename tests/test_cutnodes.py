@@ -2,8 +2,8 @@ import pytest
 
 from treecut.andor import index_treebank
 from treecut.cutnodes import (
+    MAX_ITERATIONS,
     IterationLimitError,
-    SelectionConfig,
     _iterate,
     closure,
     near_cycle,
@@ -17,19 +17,20 @@ from treecut.entropy import build_phrase_table
 from treecut.grammar import parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 
-MIXED = SelectionConfig(scheme=EntropyScheme.MIXED)
-RESTRICTED = SelectionConfig(scheme=EntropyScheme.MIXED, neighbor_restrictions=True)
-
 
 def cut_ids(cutset):
     return cutset.cut_node_ids()
+
+
+def member_ids(cls):
+    return {m.node_id for m in cls.members}
 
 
 def test_closure_equates_cut_nodes_of_one_category(aot):
     cutset = closure(frozenset({"n3", "n4", "n6", "n9"}), aot)
     cut = cutset.cut_classes()
     assert len(cut) == 1
-    assert cut[0].member_ids() == {"n3", "n4", "n6", "n9"}
+    assert member_ids(cut[0]) == {"n3", "n4", "n6", "n9"}
     assert cut[0].category == "np"
     assert cut[0].representative.node_id == "n3"
 
@@ -39,10 +40,10 @@ def test_closure_congruence_aligns_children(aot):
     # arcs, without cutting them.
     cutset = closure(frozenset({"n3", "n4", "n6", "n9"}), aot)
     det_class = cutset.class_of("t5")
-    assert det_class.member_ids() == {"t5", "t7", "t10"}
+    assert member_ids(det_class) == {"t5", "t7", "t10"}
     assert not det_class.cut
     n_class = cutset.class_of("t6")
-    assert n_class.member_ids() == {"t6", "t8", "t11"}
+    assert member_ids(n_class) == {"t6", "t8", "t11"}
     assert not n_class.cut
 
 
@@ -61,8 +62,8 @@ def test_closure_idempotent_on_toy(aot):
     first = closure(frozenset({"n3", "n6"}), aot)
     second = closure(first.cut_node_ids(), aot)
     assert cut_ids(first) == cut_ids(second)
-    assert [c.member_ids() for c in first.classes] == [
-        c.member_ids() for c in second.classes
+    assert [member_ids(c) for c in first.classes] == [
+        member_ids(c) for c in second.classes
     ]
 
 
@@ -83,7 +84,7 @@ def test_closure_never_cuts_yieldless_classes():
 
 
 def test_select_threshold_one(aot, table, mixed_scores):
-    cutset = select_by_threshold(1.0, aot, table, MIXED, mixed_scores)
+    cutset = select_by_threshold(1.0, aot, table, mixed_scores)
     assert cut_ids(cutset) == {"n3", "n4", "n6", "n9"}
     assert len(cutset.cut_classes()) == 1
 
@@ -91,13 +92,13 @@ def test_select_threshold_one(aot, table, mixed_scores):
 def test_select_threshold_above_all_scores(aot, table, mixed_scores):
     # The selection is strict, so the top score itself stays uncut.
     for threshold in (1.76, 2.5):
-        cutset = select_by_threshold(threshold, aot, table, MIXED, mixed_scores)
+        cutset = select_by_threshold(threshold, aot, table, mixed_scores)
         assert cut_ids(cutset) == set()
 
 
 def test_select_threshold_templates(aot, table, mixed_scores):
     def select(threshold):
-        return select_by_threshold(threshold, aot, table, MIXED, mixed_scores)
+        return select_by_threshold(threshold, aot, table, mixed_scores)
 
     assert cut_ids(select(1.20)) == {"n4", "n6"}
     assert cut_ids(select(1.05)) == {
@@ -109,9 +110,9 @@ def test_select_threshold_templates(aot, table, mixed_scores):
 
 
 def test_select_threshold_rejects_arc_frequency(aot, table, mixed_scores):
-    cfg = SelectionConfig(scheme=EntropyScheme.ARC_FREQUENCY)
+    arc_scores = compute_node_entropies(aot, None, EntropyScheme.ARC_FREQUENCY)
     with pytest.raises(ValueError):
-        select_by_threshold(1.0, aot, table, cfg, mixed_scores)
+        select_by_threshold(1.0, aot, table, arc_scores)
 
 
 def test_neighbor_conflicts_first_round(aot, table, mixed_scores):
@@ -129,7 +130,9 @@ def test_neighbor_conflicts_empty_assignment(aot, table, mixed_scores):
 
 
 def test_select_restricted(aot, table, mixed_scores):
-    cutset = select_by_threshold(1.0, aot, table, RESTRICTED, mixed_scores)
+    cutset = select_by_threshold(
+        1.0, aot, table, mixed_scores, restrictions=True
+    )
     assert cut_ids(cutset) == {"n4", "n6", "n9"}
     assert len(cutset.cut_classes()) == 1
     assert cutset.cut_classes()[0].representative.node_id == "n4"
@@ -151,40 +154,33 @@ def test_iterate_returns_earlier_member_of_cycle():
     def flip(current, i):
         return b if current == a else a
 
-    cfg = SelectionConfig()
-    assert _iterate(flip, a, cfg) == a
+    assert _iterate(flip, a, MAX_ITERATIONS) == a
 
 
 def test_iterate_limit():
     def drift(current, i):
         return frozenset({f"x{i}.{j}" for j in range(10)})
 
-    cfg = SelectionConfig(max_iterations=5)
     with pytest.raises(IterationLimitError) as info:
-        _iterate(drift, frozenset(), cfg)
+        _iterate(drift, frozenset(), 5)
     assert len(info.value.last) == 10
 
 
 def test_select_iterative_toy_fixpoint(aot):
-    cfg = SelectionConfig(scheme=EntropyScheme.ARC_FREQUENCY)
-    cutset = select_iterative(0.60, aot, cfg)
+    cutset = select_iterative(0.60, aot)
     assert cut_ids(cutset) == {"n3", "n6"}
     assert len(cutset.cut_classes()) == 1
 
 
 def test_select_iterative_high_threshold_is_empty(aot):
-    cfg = SelectionConfig(scheme=EntropyScheme.ARC_FREQUENCY)
-    assert cut_ids(select_iterative(5.0, aot, cfg)) == set()
+    assert cut_ids(select_iterative(5.0, aot)) == set()
 
 
 def test_select_iterative_restrictions_need_table(aot):
-    cfg = SelectionConfig(
-        scheme=EntropyScheme.ARC_FREQUENCY, neighbor_restrictions=True
-    )
     with pytest.raises(ValueError):
-        select_iterative(0.60, aot, cfg)
+        select_iterative(0.60, aot, restrictions=True)
     empty = build_phrase_table(index_treebank([], aot.inventory))
-    select_iterative(0.60, aot, cfg, table=empty)
+    select_iterative(0.60, aot, empty, restrictions=True)
 
 
 def test_cutnode_set_helpers(aot):
@@ -198,7 +194,7 @@ def test_cutnode_set_helpers(aot):
 
 
 def test_render_cut_classes(aot, table, mixed_scores):
-    cutset = select_by_threshold(1.0, aot, table, MIXED, mixed_scores)
+    cutset = select_by_threshold(1.0, aot, table, mixed_scores)
     out = render_cut_classes(cutset, mixed_scores)
     assert out == "n3\tnp\t{n3 n4 n6 n9}\t1.7600\n"
     none = closure(frozenset(), aot)

@@ -2,7 +2,7 @@ import pytest
 
 from treecut import extraction
 from treecut.andor import PathNotInIndexError, index_treebank
-from treecut.cutnodes import SelectionConfig, closure, select_by_threshold
+from treecut.cutnodes import closure, select_by_threshold
 from treecut.extraction import (
     Apply,
     ChunkExplosionError,
@@ -22,13 +22,11 @@ from treecut.extraction import (
     validate_rules,
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
-from treecut.node_entropy import EntropyScheme
 
 
 @pytest.fixture(scope="module")
 def toy_cut(aot, table, mixed_scores):
-    cfg = SelectionConfig(scheme=EntropyScheme.MIXED)
-    return select_by_threshold(1.0, aot, table, cfg, mixed_scores)
+    return select_by_threshold(1.0, aot, table, mixed_scores)
 
 
 @pytest.fixture(scope="module")

@@ -190,8 +190,9 @@ def test_hand_built_trees_sum_their_yield(inventory):
         (Internal("np_pron", (LexLeaf("I"),)), Internal("vp_v", (LexLeaf("left"),))),
     )
     assert tree.length == 2
-    # yield and shape are derived data: they take no part in equality or repr
-    assert tree == Internal("s_np_vp", tree.children, length=7, shape=7)
+    # yield and shape are derived data: passed in, as the loader does, or
+    # worked out, they give equal trees, and repr shows neither
+    assert tree == Internal("s_np_vp", tree.children, length=2, shape=tree.shape)
     assert "length" not in repr(tree) and "shape" not in repr(tree)
     # a hand-built tree gets the shape id the loader gives its shape
     loaded = parse_treebank("(s_np_vp (np_pron (lex we)) (vp_v (lex go)))", inventory)
@@ -262,6 +263,30 @@ def test_render_tree_of_a_chain_deeper_than_the_recursion_limit(inventory):
     finally:
         sys.setrecursionlimit(limit)
     assert text == "(np_np_pp " * depth + '(lex "a b")' + ")" * depth
+
+
+def test_chains_deeper_than_the_recursion_limit_compare_hash_and_print():
+    low = 400
+    depth = low + 300
+
+    def chain(word):
+        tree = LexLeaf(word)
+        for _ in range(depth):
+            tree = Internal("np_np_pp", (tree,))
+        return tree
+
+    a, b, c = chain("a"), chain("a"), chain("b")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(low)
+    try:
+        equal, unequal = a == b, a == c
+        hashes = hash(a), hash(b), hash(c)
+        text = repr(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert equal and not unequal
+    assert hashes[0] == hashes[1]
+    assert text == "Internal(" + "(np_np_pp " * depth + "(lex a)" + ")" * depth + ")"
 
 
 def test_word_blind_loader_shares_one_tree_per_line_text(inventory):

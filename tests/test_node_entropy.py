@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from treecut.entropy import Slot
+from treecut.entropy import Slot, build_phrase_table
 from treecut.node_entropy import (
     EntropyScheme,
     compute_node_entropies,
@@ -70,7 +70,9 @@ def test_mixed_exact_values(aot, table):
         total = sum(counts)
         return -sum(c / total * math.log(c / total) for c in counts if c)
 
-    exact = compute_node_entropies(aot, table, EntropyScheme.MIXED, decimals=None)
+    exact = compute_node_entropies(
+        aot, build_phrase_table(aot, decimals=None), EntropyScheme.MIXED
+    )
     det_n_lhs = h(2, 1, 1, 1)
     assert exact["n1"] == pytest.approx(h(3, 1) + det_n_lhs / 4, abs=1e-12)
     assert exact["n3"] == pytest.approx(h(2, 1) + det_n_lhs / 3, abs=1e-12)

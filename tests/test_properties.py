@@ -32,7 +32,6 @@ from treecut import node_entropy
 from treecut.cutnodes import (
     CutnodeSet,
     EquivalenceClass,
-    SelectionConfig,
     closure,
     select_by_threshold,
 )
@@ -73,16 +72,13 @@ from treecut.grammar import (
     shape_groups,
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
-from treecut.pipeline import PipelineConfig, selection_config
+from treecut.pipeline import PipelineConfig
 from treecut.sexpr import SexprError, quote_if_needed, read_all
 from treecut.threshold import (
-    BisectionConfig,
     ThresholdProbe,
     bisect,
     search_unimodal,
 )
-
-MIXED = SelectionConfig(scheme=EntropyScheme.MIXED)
 
 ROOT_DIR = pathlib.Path(__file__).resolve().parent.parent
 TOY_DIR = ROOT_DIR / "corpora" / "toy"
@@ -146,8 +142,10 @@ def test_closure_idempotent_and_monotone_on_random_corpora():
         once = closure(small, aot)
         again = closure(once.cut_node_ids(), aot)
         assert once.cut_node_ids() == again.cut_node_ids(), seed
-        assert {c.member_ids() for c in once.cut_classes()} == {
-            c.member_ids() for c in again.cut_classes()
+        assert {
+            frozenset(m.node_id for m in c.members) for c in once.cut_classes()
+        } == {
+            frozenset(m.node_id for m in c.members) for c in again.cut_classes()
         }, seed
 
         assert once.cut_node_ids() <= closure(large, aot).cut_node_ids(), seed
@@ -378,7 +376,7 @@ def test_extracted_rules_never_have_empty_bodies():
         inv, training = gen_corpus(rng, rng.randint(1, 6))
         aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.2, 0.5, 1.0])
-        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
+        cutset = select_by_threshold(threshold, aot, table, scores)
         rules = extract_training(training, aot, cutset)
         assert all(r.reduction_length > 0 for r in rules), seed
         assert all(len(r.rhs) == r.reduction_length for r in rules), seed
@@ -390,7 +388,7 @@ def test_training_rules_cover_their_own_corpus():
         inv, training = gen_corpus(rng, rng.randint(1, 6))
         aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.3, 0.8])
-        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
+        cutset = select_by_threshold(threshold, aot, table, scores)
         rules = extract_training(training, aot, cutset)
         report = evaluate_coverage(rules, training)
         assert report.fraction == 1.0, seed
@@ -405,7 +403,7 @@ def test_coverage_antitone_in_threshold():
         fractions = []
         previous_ids = None
         for threshold in (0.0, 0.3, 0.7, 1.2, 2.5):
-            cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
+            cutset = select_by_threshold(threshold, aot, table, scores)
             if previous_ids is not None:
                 assert cutset.cut_node_ids() <= previous_ids, (seed, threshold)
             previous_ids = cutset.cut_node_ids()
@@ -421,7 +419,7 @@ def test_training_chunks_subset_of_enumerated():
         inv, training = gen_corpus(rng, rng.randint(1, 6))
         aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.4, 0.9])
-        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
+        cutset = select_by_threshold(threshold, aot, table, scores)
         trained = extract_training(training, aot, cutset)
         try:
             enumerated = extract_andor(aot, cutset)
@@ -482,7 +480,7 @@ def random_rule_subsets():
         inv, training = gen_corpus(rng, rng.randint(1, 5))
         aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.5])
-        cutset = select_by_threshold(threshold, aot, table, MIXED, scores)
+        cutset = select_by_threshold(threshold, aot, table, scores)
         full = extract_training(training, aot, cutset)
         kept = [r for r in full if rng.random() > 0.4]
         trees = training + [gen_root(rng, inv) for _ in range(3)]
@@ -552,11 +550,14 @@ def test_retrieval_agrees_with_the_linear_matcher():
 
 def reference_probe(treebank, aot, table, cfg):
     """Plain evaluator: fresh scores, extraction and tiling on every call."""
-    sel = selection_config(cfg)
 
     def probe(threshold):
-        scores = compute_node_entropies(aot, table, sel.scheme, sel.decimals)
-        cutnodes = select_by_threshold(threshold, aot, table, sel, scores)
+        scores = compute_node_entropies(aot, table, cfg.scheme)
+        cutnodes = select_by_threshold(
+            threshold, aot, table, scores,
+            restrictions=cfg.neighbor_restrictions,
+            max_iterations=cfg.max_iterations,
+        )
         if cfg.mode == ANDOR_ENUM:
             rules = extract_andor(aot, cutnodes, max_chunks=cfg.max_chunks)
         else:
@@ -571,13 +572,13 @@ def search_outcome(c0, evaluate, cfg, s_high_init):
     """Everything a search reports, or the error that stopped it."""
     search = search_unimodal if cfg.neighbor_restrictions else bisect
     try:
-        r = search(c0, evaluate, BisectionConfig(s_high_init=s_high_init))
+        r = search(c0, evaluate, s_high_init, cfg.delta_s)
     except ChunkExplosionError:
         return "chunk explosion"
     return (
-        r.threshold, r.achieved_coverage, r.attainable, r.bracket_high,
-        r.coverage_at_high, r.steps, sorted(r.cutnodes.cut_node_ids()),
-        [rule.name for rule in r.rules], r.report.verdicts,
+        r.threshold, r.probe.coverage, r.attainable, r.bracket_high,
+        r.coverage_at_high, r.steps, sorted(r.probe.cutnodes.cut_node_ids()),
+        [rule.name for rule in r.probe.rules], r.probe.report.verdicts,
     )
 
 
@@ -624,7 +625,7 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
                 grammar_path="", train_path="", scheme=scheme,
                 neighbor_restrictions=restrictions, mode=mode,
             )
-            scores = compute_node_entropies(aot, table, scheme, cfg.decimals)
+            scores = compute_node_entropies(aot, table, scheme)
             s_high = scores.max_value() + 1.0
             want = search_outcome(
                 c0, reference_probe(bank, aot, table, cfg), cfg, s_high
@@ -1203,6 +1204,43 @@ def test_render_tree_agrees_with_the_recursive_renderer(expr):
     text = render_tree(tree)
     assert text == reference_render_tree(tree)
     assert parse_treebank(text, LOADER_GRAMMAR) == [tree]
+
+
+@dataclass(frozen=True)
+class DataclassTree:
+    """The dataclass ``==`` and ``hash`` that ``Internal`` had: its rule and
+    its children, compared and hashed recursively."""
+
+    rule: str
+    children: tuple
+
+
+def as_dataclass(tree):
+    if isinstance(tree, LexLeaf):
+        return tree
+    return DataclassTree(tree.rule, tuple(as_dataclass(c) for c in tree.children))
+
+
+def test_tree_equality_agrees_with_the_dataclass_reference():
+    seen = {"equal copies": 0, "same shape, other words": 0}
+    for seed in range(20):
+        rng = random.Random(9000 + seed)
+        inv, trees = gen_corpus(rng, 25)
+        # loaded copies: equal trees that are other objects, with the
+        # shapes passed in rather than worked out
+        trees += parse_treebank("\n".join(map(render_tree, trees)), inv)
+        refs = [as_dataclass(t) for t in trees]
+        for a, ref_a in zip(trees, refs):
+            assert parse_treebank(repr(a)[len("Internal("):-1], inv) == [a]
+            for b, ref_b in zip(trees, refs):
+                same = a == b
+                assert same == (ref_a == ref_b), seed
+                if same:
+                    assert hash(a) == hash(b), seed
+                    seen["equal copies"] += a is not b
+                elif a.shape == b.shape:
+                    seen["same shape, other words"] += 1
+    assert all(seen.values()), seen
 
 
 def bench_gen():

@@ -1,7 +1,9 @@
 """The package's public surface.
 
 No module of the package imports another's underscore-prefixed names,
-and every name ``treecut.__all__`` exports resolves.
+and every name ``treecut.__all__`` exports resolves.  Each setting is
+decided in one place: the reading precision is a property of the phrase
+table, and ``PipelineConfig`` is the one config class.
 """
 
 import ast
@@ -37,3 +39,27 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_every_exported_name_resolves():
     assert [name for name in treecut.__all__ if not hasattr(treecut, name)] == []
+
+
+# The functions that set or apply a precision, rather than read a table's.
+PRECISION_SETTERS = {"build_phrase_table", "quantize", "quantize_decimal"}
+
+
+def test_only_the_table_builder_and_rounding_take_a_precision():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if node.name not in PRECISION_SETTERS and any(
+                p.arg == "decimals" for p in params
+            ):
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert found == []
+
+
+def test_pipeline_config_is_the_only_exported_config():
+    configs = [name for name in treecut.__all__ if name.endswith("Config")]
+    assert configs == ["PipelineConfig"]

@@ -1,12 +1,7 @@
 import pytest
 
 from treecut.pipeline import PipelineConfig, SearchContext
-from treecut.threshold import (
-    BisectionConfig,
-    ThresholdProbe,
-    bisect,
-    search_unimodal,
-)
+from treecut.threshold import ThresholdProbe, bisect, search_unimodal
 
 
 def profile(fn):
@@ -23,12 +18,11 @@ def profile(fn):
 
 def test_bisect_finds_step_boundary():
     evaluate = profile(lambda t: 1.0 if t < 1.08 else 0.0)
-    cfg = BisectionConfig(s_high_init=2.76, delta_s=0.01)
-    result = bisect(1.0, evaluate, cfg)
+    result = bisect(1.0, evaluate, 2.76, 0.01)
     assert result.attainable
     assert 1.08 - 0.01 <= result.threshold < 1.08
-    assert result.achieved_coverage == 1.0
-    assert result.cutnodes == f"cut@{result.threshold}"
+    assert result.probe.coverage == 1.0
+    assert result.probe.cutnodes == f"cut@{result.threshold}"
     assert result.bracket_high >= 1.08
     assert result.coverage_at_high == 0.0
     assert result.bracket_high - result.threshold < 0.01
@@ -36,8 +30,7 @@ def test_bisect_finds_step_boundary():
 
 def test_bisect_zero_target_returns_initial_high():
     evaluate = profile(lambda t: 0.0)
-    cfg = BisectionConfig(s_high_init=2.76)
-    result = bisect(0.0, evaluate, cfg)
+    result = bisect(0.0, evaluate, 2.76, 0.01)
     assert result.attainable
     assert result.threshold == 2.76
     assert evaluate.calls == [0.0, 2.76]
@@ -45,18 +38,17 @@ def test_bisect_zero_target_returns_initial_high():
 
 def test_bisect_unattainable_reports_threshold_zero():
     evaluate = profile(lambda t: 0.4)
-    result = bisect(0.95, evaluate, BisectionConfig(s_high_init=2.0))
+    result = bisect(0.95, evaluate, 2.0, 0.01)
     assert not result.attainable
     assert result.threshold == 0.0
-    assert result.achieved_coverage == 0.4
+    assert result.probe.coverage == 0.4
     assert evaluate.calls == [0.0]
     assert result.steps == 1
 
 
 def test_bisect_probe_count_is_logarithmic():
     evaluate = profile(lambda t: 1.0 if t < 0.37 else 0.0)
-    cfg = BisectionConfig(s_high_init=2.56, delta_s=0.01)
-    result = bisect(1.0, evaluate, cfg)
+    result = bisect(1.0, evaluate, 2.56, 0.01)
     # 2 endpoint probes plus at most ceil(log2(2.56 / 0.01)) midpoints.
     assert result.steps <= 2 + 9
     assert abs(result.threshold - 0.37) <= 0.01
@@ -64,28 +56,25 @@ def test_bisect_probe_count_is_logarithmic():
 
 def test_unimodal_bisects_falling_flank():
     evaluate = profile(lambda t: 1.0 - abs(t - 0.5))
-    cfg = BisectionConfig(s_high_init=1.0, delta_s=0.01)
-    result = search_unimodal(0.8, evaluate, cfg)
+    result = search_unimodal(0.8, evaluate, 1.0, 0.01)
     assert result.attainable
     assert abs(result.threshold - 0.7) <= 0.01
-    assert result.achieved_coverage >= 0.8
+    assert result.probe.coverage >= 0.8
     assert result.coverage_at_high < 0.8
 
 
 def test_unimodal_peak_below_target_is_unattainable():
     evaluate = profile(lambda t: 0.9 - abs(t - 0.5))
-    cfg = BisectionConfig(s_high_init=1.0, delta_s=0.01)
-    result = search_unimodal(0.95, evaluate, cfg)
+    result = search_unimodal(0.95, evaluate, 1.0, 0.01)
     assert not result.attainable
     # the best grid point: the grid steps by 16 * delta_s from 0
     assert result.threshold == pytest.approx(0.48)
-    assert result.achieved_coverage == pytest.approx(0.88)
+    assert result.probe.coverage == pytest.approx(0.88)
 
 
 def test_unimodal_constant_pass_returns_last_grid_point():
     evaluate = profile(lambda t: 1.0)
-    cfg = BisectionConfig(s_high_init=1.0, delta_s=0.01)
-    result = search_unimodal(1.0, evaluate, cfg)
+    result = search_unimodal(1.0, evaluate, 1.0, 0.01)
     assert result.attainable
     assert result.threshold == 1.0
     assert result.coverage_at_high == 1.0
@@ -96,11 +85,11 @@ def test_toy_bisection_stops_under_first_boundary(
 ):
     cfg = PipelineConfig(grammar_path="", train_path="")
     evaluate = SearchContext(treebank, aot, table, cfg, mixed_scores).probe
-    result = bisect(1.0, evaluate, BisectionConfig(s_high_init=2.76))
+    result = bisect(1.0, evaluate, 2.76, 0.01)
     assert result.attainable
     assert result.threshold < 1.08
-    assert result.achieved_coverage == 1.0
+    assert result.probe.coverage == 1.0
     # Re-verify both bracket ends independently.
     assert evaluate(result.threshold).coverage == 1.0
     assert evaluate(1.08).coverage < 1.0
-    assert result.rules is not None and len(result.rules) == 5
+    assert result.probe.rules is not None and len(result.probe.rules) == 5
