@@ -12,6 +12,14 @@ boundary there could never be re-filled.
 Two modes: ``training`` cuts exactly the observed trees, ``andor``
 enumerates every arc combination the index supports.  Training chunks
 are always a subset of the enumerated ones.
+
+Both modes build their pieces through one ``_Pieces`` per call, which
+hash-conses them, so equal chunks are one object and each distinct
+chunk is rendered and named once.  Training mode also memoises the
+cutting itself: a subtree's piece, and the chunk roots cut below it,
+depend only on the subtree's word-blind shape and its or-node's cut
+class, so a ``ChunkMemo`` builds each distinct ``(shape, class)`` once,
+however many trees and or-nodes reach it.
 """
 
 import hashlib
@@ -139,75 +147,199 @@ class RuleSet:
         return frozenset(render_chunk(r.chunk) for r in self.rules)
 
 
+class _Pieces:
+    """Hash-consed chunk pieces: each distinct piece is built once.
+
+    ``LexSlot`` and ``Frontier`` are kept per category and ``Apply`` per
+    rule and child objects.  Every child is itself a piece built here, so
+    two pieces built through one ``_Pieces`` are equal exactly when they
+    are one object.  Keys hold the children's ids, never an ``Apply``'s
+    own hash, which would walk the whole piece.
+    """
+
+    def __init__(self):
+        self.applies: dict[tuple, Apply] = {}
+        self.leaves: dict[tuple, LexSlot | Frontier] = {}
+
+    def apply(self, rule: str, children) -> Apply:
+        key = (rule, *map(id, children))
+        piece = self.applies.get(key)
+        if piece is None:
+            piece = self.applies[key] = Apply(rule, tuple(children))
+        return piece
+
+    def leaf(self, kind: type, category: str) -> LexSlot | Frontier:
+        piece = self.leaves.get((kind, category))
+        if piece is None:
+            piece = self.leaves[kind, category] = kind(category)
+        return piece
+
+
 class _Collector:
+    """Support per chunk; rules are named once per distinct chunk.
+
+    Chunks are keyed on identity, so they must all come from one
+    ``_Pieces``.
+    """
+
     def __init__(self, inv: RuleInventory):
         self.inv = inv
-        self.chunks: dict[str, SpecializedRule] = {}
+        self.support: dict[int, list] = {}  # id(chunk) -> [chunk, support]
 
-    def add(self, chunk: Apply, occurrences: int) -> None:
-        key = render_chunk(chunk)
-        rule = self.chunks.get(key)
-        if rule is None:
-            rhs = flat_rhs(chunk)
-            if not rhs:  # a chunk spanning no slot is no rule
-                return
-            lhs = self.inv[chunk.rule].lhs
-            rule = SpecializedRule(
-                name=rule_name(lhs, chunk), lhs=lhs, chunk=chunk, rhs=rhs
-            )
-            self.chunks[key] = rule
-        rule.support += occurrences
+    def add(self, chunks, occurrences: int) -> None:
+        """Count each of *chunks* *occurrences* times."""
+        support = self.support
+        for chunk in chunks:
+            entry = support.get(id(chunk))
+            if entry is None:
+                support[id(chunk)] = [chunk, occurrences]
+            else:
+                entry[1] += occurrences
 
     def result(self) -> RuleSet:
-        return RuleSet(sorted(self.chunks.values(), key=lambda r: (r.lhs, r.name)))
+        rules = []
+        for chunk, support in self.support.values():
+            rhs = flat_rhs(chunk)
+            if rhs:  # a chunk spanning no slot is no rule
+                lhs = self.inv[chunk.rule].lhs
+                rules.append(
+                    SpecializedRule(rule_name(lhs, chunk), lhs, chunk, rhs, support)
+                )
+        return RuleSet(sorted(rules, key=lambda r: (r.lhs, r.name)))
 
 
-def cut_tree(tree: Internal, aot: AndOrTree, cutset: CutnodeSet) -> list[Apply]:
-    """Chunks of one training tree under the cutnode assignment.
+class _Position:
+    """One (subtree shape, or-node class) that training trees reach.
 
-    The first chunk is rooted at the tree root; one more per frontier
-    whose subtree spans at least one word.
+    ``node`` and ``or_node`` are its first occurrence, from which it is
+    built.  Once built, ``piece`` is the subtree's chunk piece and
+    ``below`` lists, left to right, what the piece leaves to later
+    chunks: ``(position, True)`` for a chunk root cut below it, and
+    ``(position, False)`` for an inlined child with such roots of its
+    own.  ``roots`` is ``below`` flattened to the chunk roots alone,
+    kept once a chunk is rooted here.
     """
-    pending: list[tuple[Internal, OrNode]] = [(tree, aot.root)]
-    chunks: list[Apply] = []
 
-    def arc(node: Internal, or_node: OrNode):
-        and_node = or_node.arcs.get(node.rule)
-        if and_node is None:
-            raise PathNotInIndexError(
-                f"rule '{node.rule}' unseen at {or_node.node_id}"
-            )
-        return and_node.children
+    __slots__ = ("node", "or_node", "piece", "below", "roots")
 
-    def build(node: Internal, or_node: OrNode) -> Apply:
-        # one frame per inlined node: (node, its child or-nodes, parts so
-        # far); a frame's next child is the one at index len(parts)
-        stack = [(node, arc(node, or_node), [])]
-        while True:
-            node, child_ors, parts = stack[-1]
+    def __init__(self, node: Internal, or_node: OrNode):
+        self.node = node
+        self.or_node = or_node
+        self.piece = None
+        self.below = None
+        self.roots = None
+
+
+class ChunkMemo:
+    """Every subtree position cut so far under one cut set.
+
+    A subtree's piece, and the chunk roots cut below it, depend only on
+    its word-blind shape and on the class of its or-node: the closure
+    equates the children of equated or-nodes along each rule, so every
+    position below lies in the same class, with the same cut flag and
+    category, from any member.  So each ``(shape, class)`` is built
+    once, as one ``_Position``, whether a chunk is rooted there or it is
+    inlined into a larger chunk, and every piece is hash-consed.  The
+    cut set must be coherent, as ``closure`` and ``singleton_cutnodes``
+    give, and the trees must be ones the index holds: a subtree met
+    again under another member of its class is not looked up in the
+    index again.
+    """
+
+    def __init__(self, cutset: CutnodeSet):
+        self.cutset = cutset
+        self.positions: dict[tuple, _Position] = {}
+        self.pieces = _Pieces()
+
+    def at(self, node: Internal, or_node: OrNode) -> _Position:
+        """The position of *node* at *or_node*, built with all below it."""
+        key = (node.shape, id(self.cutset.node_to_class[or_node.node_id]))
+        top = self.positions.get(key)
+        if top is None:
+            top = self.positions[key] = _Position(node, or_node)
+        if top.piece is None:  # new, or left unbuilt by a failed build
+            self._build(top)
+        return top
+
+    def _build(self, top: _Position) -> None:
+        """Build *top* and every position below it not built yet,
+        children first, on an explicit stack."""
+        class_of = self.cutset.node_to_class
+        positions = self.positions
+        leaf, apply = self.pieces.leaf, self.pieces.apply
+        # one frame per position being built: (position, its child
+        # or-nodes, parts so far, below so far); a frame's next child is
+        # the one at index len(parts), met again once it is built
+        stack = [(top, _arc(top.node, top.or_node), [], [])]
+        while stack:
+            at, child_ors, parts, below = stack[-1]
             k = len(parts)
             if k == len(child_ors):
                 stack.pop()
-                chunk = Apply(node.rule, tuple(parts))
-                if not stack:
-                    return chunk
-                stack[-1][2].append(chunk)
+                at.piece = apply(at.node.rule, parts)
+                at.below = below
                 continue
-            child, child_or = node.children[k], child_ors[k]
-            if isinstance(child, LexLeaf):
-                if cutset.is_cut(child_or.node_id):
-                    parts.append(Frontier(child_or.category))
-                else:
-                    parts.append(LexSlot(child_or.category))
-            elif cutset.is_cut(child_or.node_id) and child.length > 0:
-                parts.append(Frontier(child_or.category))
-                pending.append((child, child_or))
+            child, child_or = at.node.children[k], child_ors[k]
+            cls = class_of[child_or.node_id]
+            if child.__class__ is LexLeaf:
+                parts.append(leaf(Frontier if cls.cut else LexSlot, child_or.category))
+                continue
+            key = (child.shape, id(cls))
+            sub = positions.get(key)
+            if sub is None:
+                sub = positions[key] = _Position(child, child_or)
+            if sub.piece is None:
+                stack.append((sub, _arc(child, child_or), [], []))
+            elif cls.cut and child.length > 0:
+                parts.append(leaf(Frontier, child_or.category))
+                below.append((sub, True))
             else:
-                stack.append((child, arc(child, child_or), []))
+                parts.append(sub.piece)
+                if sub.below:
+                    below.append((sub, False))
 
-    for node, or_node in pending:  # grows while it is walked
-        chunks.append(build(node, or_node))
-    return chunks
+
+def _roots(at: _Position) -> list[_Position]:
+    """The chunk roots cut below *at*'s piece, left to right."""
+    if at.roots is None:
+        roots = []
+        stack = at.below[::-1]
+        while stack:
+            sub, is_root = stack.pop()
+            if is_root:
+                roots.append(sub)
+            else:
+                stack.extend(reversed(sub.below))
+        at.roots = roots
+    return at.roots
+
+
+def _arc(node: Internal, or_node: OrNode) -> list:
+    and_node = or_node.arcs.get(node.rule)
+    if and_node is None:
+        raise PathNotInIndexError(f"rule '{node.rule}' unseen at {or_node.node_id}")
+    return and_node.children
+
+
+def cut_tree(
+    tree: Internal, aot: AndOrTree, cutset: CutnodeSet, memo: ChunkMemo | None = None
+) -> list[Apply]:
+    """Chunks of one training tree under the cutnode assignment.
+
+    The first chunk is rooted at the tree root; one more per frontier
+    whose subtree spans at least one word, breadth first.  A *memo* for
+    this cut set, shared across calls, builds each distinct chunk root
+    and inlined subtree once (see ``ChunkMemo``); without one, each call
+    starts afresh.
+    """
+    if memo is None:
+        memo = ChunkMemo(cutset)
+    elif memo.cutset is not cutset:
+        raise ValueError("the memo was built under another cut set")
+    pending = [memo.at(tree, aot.root)]
+    for at in pending:  # grows while it is walked
+        pending.extend(_roots(at))
+    return [at.piece for at in pending]
 
 
 def extract_training(
@@ -217,12 +349,14 @@ def extract_training(
 
     Cutting reads only a tree's word-blind shape, so each distinct root
     shape is cut once and its chunks count once for every tree of that
-    shape.
+    shape.  One ``ChunkMemo`` serves every root shape, so each distinct
+    (subtree shape, class) is built once, equal chunks are one object,
+    and each distinct chunk is rendered and named once.
     """
     collector = _Collector(aot.inventory)
+    memo = ChunkMemo(cutset)
     for tree, n in shape_groups(training):
-        for chunk in cut_tree(tree, aot, cutset):
-            collector.add(chunk, n)
+        collector.add(cut_tree(tree, aot, cutset, memo), n)
     return collector.result()
 
 
@@ -261,9 +395,11 @@ def extract_andor(
     reused.  Raises ChunkExplosionError past *max_chunks* or when class
     merging has produced a self-recursive structure.  The walks below
     are written as recursion, but each sub-call is a generator that
-    ``_run_calls`` keeps on its own stack.
+    ``_run_calls`` keeps on its own stack.  Pieces are hash-consed, so
+    a repeated alternative or chunk is the same object.
     """
     budget = {"left": max_chunks}
+    pieces = _Pieces()
     memo: dict[int, list[Apply]] = {}
     # classes whose expansion has begun: a finished one is served from
     # memo first, so one met here again is still on the walk's path
@@ -300,7 +436,7 @@ def extract_andor(
                 ]
                 if combos:
                     spend(len(combos))
-            out.extend(Apply(rule, combo) for combo in combos)
+            out.extend(pieces.apply(rule, combo) for combo in combos)
         wordless_memo[node.seq] = out
         return out
 
@@ -309,18 +445,17 @@ def extract_andor(
         if cls.cut:
             # a boundary at a wordless expansion could never be
             # re-filled, so those shapes stay available inline
-            alts: list[ChunkTree] = [Frontier(node.category)]
-            seen: set[str] = set()
+            alts: list[ChunkTree] = [pieces.leaf(Frontier, node.category)]
+            seen: set[int] = set()
             for member in cls.members:
                 for piece in (yield wordless_pieces(member)):
-                    key = render_chunk(piece)
-                    if key not in seen:
-                        seen.add(key)
+                    if id(piece) not in seen:
+                        seen.add(id(piece))
                         alts.append(piece)
             return alts
         alts = []
         if any(LEX == rule for m in cls.members for rule in m.arcs):
-            alts.append(LexSlot(node.category))
+            alts.append(pieces.leaf(LexSlot, node.category))
         alts.extend((yield expansions(cls)))
         return alts
 
@@ -355,7 +490,7 @@ def extract_andor(
                     ]
                     spend(len(combos))
                 for combo in combos:
-                    out.append(Apply(rule, combo))
+                    out.append(pieces.apply(rule, combo))
         memo[key] = out
         return out
 
@@ -365,8 +500,7 @@ def extract_andor(
         if cls is not roots[0]:
             roots.append(cls)
     for cls in roots:
-        for chunk in _run_calls(expansions(cls)):
-            collector.add(chunk, 0)
+        collector.add(_run_calls(expansions(cls)), 0)
     return collector.result()
 
 

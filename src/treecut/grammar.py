@@ -326,16 +326,19 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
         if require_top:
             if kind is LexLeaf:
                 raise TreebankFormatError(
-                    "a complete parse cannot be a bare lexical lookup", 0
+                    "a complete parse cannot be a bare lexical lookup",
+                    item_line(text, None, k),
                 )
             root_lhs = lhs_of[tree.rule]
             if root_lhs != inv.top:
                 raise CategoryMismatchError(
-                    f"root category '{root_lhs}' is not '{inv.top}'", 0
+                    f"root category '{root_lhs}' is not '{inv.top}'",
+                    item_line(text, None, k),
                 )
             if tree.length == 0:
                 raise TreebankFormatError(
-                    "a complete parse must span at least one word", 0
+                    "a complete parse must span at least one word",
+                    item_line(text, None, k),
                 )
     return trees
 

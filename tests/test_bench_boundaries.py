@@ -170,3 +170,59 @@ def test_each_workload_crosses_its_spans(bench, monkeypatch, tmp_path, capsys, n
     rhs_of = {rid: rhs for rid, _, rhs in child.gen.GRAMMARS[workload["corpus"]]}
     index = child.check.Index(training, rhs_of, "s")
     assert tracer.counts["or_nodes"] == len(index)
+
+
+def blind(tree):
+    """A generated tree without its words: its word-blind shape."""
+    if tree[0] == "lex":
+        return ("lex",)
+    return (tree[0], *map(blind, tree[1:]))
+
+
+def words(tree):
+    return 1 if tree[0] == "lex" else sum(map(words, tree[1:]))
+
+
+def chunk_roots(index, tree, cut):
+    """The chunks one tree is cut into: its root, and every rule
+    application below it at a cut position that spans a word."""
+    count = 1
+    stack = [(0, tree)]
+    while stack:
+        pos, node = stack.pop()
+        for kid, sub in zip(index.kids[pos].get(node[0], ()), node[1:]):
+            if sub[0] != "lex":
+                count += kid in cut and words(sub) > 0
+                stack.append((kid, sub))
+    return count
+
+
+def test_fixed_large_counts_the_chunk_roots_of_each_root_shape(
+    bench, monkeypatch, tmp_path, capsys
+):
+    # extraction.chunks sums len(cut_tree(...)) over its calls: one per
+    # distinct word-blind root shape, each giving that tree's chunk roots.
+    # They are counted here from the generated trees and the reported cut
+    # classes alone, so a rerouted or skewed counter shows.
+    child, run = bench
+    workload = run.WORKLOADS["fixed-large"]
+    training, test = child.gen.generate(workload["corpus"], 300, 30, 4.0)
+    paths = child.gen.write_corpus(
+        str(tmp_path / "corpus"), workload["corpus"], training, test
+    )
+    tracer = install_bench_tracer(monkeypatch, child)
+    out = str(tmp_path / "out")
+    code = treecut.cli.main(run.run_argv(paths, workload["flags"], out))
+    capsys.readouterr()
+    assert code == 0
+    rhs_of = {rid: rhs for rid, _, rhs in child.gen.GRAMMARS[workload["corpus"]]}
+    index = child.check.Index(training, rhs_of, "s")
+    cut = {
+        index.by_id[m] for _, members in child.check.cut_classes(out) for m in members
+    }
+    shapes = {blind(tree): tree for tree in training}
+    assert len(shapes) < len(training)
+    assert tracer.calls["cut_tree"] == len(shapes)
+    want = sum(chunk_roots(index, tree, cut) for tree in shapes.values())
+    assert want > len(shapes)
+    assert tracer.counts["chunks"] == want

@@ -1,11 +1,16 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from treecut import extraction
 from treecut.andor import PathNotInIndexError, index_treebank
 from treecut.cutnodes import closure, select_by_threshold
+from treecut.entropy import Slot
 from treecut.extraction import (
     Apply,
     ChunkExplosionError,
+    ChunkMemo,
     Frontier,
     LexSlot,
     RuleFileError,
@@ -296,3 +301,63 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
         parse_rule_file(render_rule_file(RuleSet([rule]))), aot.inventory
     )
     assert (render_chunk(again.chunk), again.rhs) == (render_chunk(chunk), body)
+
+
+def test_deep_spine_with_a_cut_child_at_every_level_is_cut_in_linear_space(
+    deep_chain, monkeypatch
+):
+    # cut only the np under each level's pp: the np spine stays inline in
+    # the root chunk, and every level leaves one chunk root behind
+    tree, aot = deep_chain
+    objects = [n.node_id for n in aot.nodes() if n.parent_slot == Slot("pp_prep_np", 2)]
+    assert len(objects) == DEEP
+    cutset = closure(objects, aot)
+
+    def refuse(*args):
+        raise AssertionError("an Apply was hashed or compared; that recurses")
+
+    monkeypatch.setattr(Apply, "__hash__", refuse)
+    monkeypatch.setattr(Apply, "__eq__", refuse)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    tracemalloc.start()
+    try:
+        chunks = cut_tree(tree, aot, cutset)
+        rules = extract_training([tree, tree], aot, cutset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    # pending roots copied up the spine, level by level, would hold
+    # DEEP**2 / 2 references: 400 MB; the positions and pieces need a few
+    assert peak < 40 * 2**20
+    assert len(chunks) == DEEP + 1
+    assert all(chunk is chunks[1] for chunk in chunks[1:])
+    assert render_chunk(chunks[1]) == "(np_num (lex num))"
+    body = ("pron",) + ("prep", "np") * DEEP + ("v",)
+    assert flat_rhs(chunks[0]) == body
+    assert {(r.rhs, r.support) for r in rules} == {(body, 2), (("num",), 2 * DEEP)}
+
+
+def test_a_memo_serves_one_cut_set_only(treebank, aot, toy_cut):
+    memo = ChunkMemo(toy_cut)
+    tree = treebank.training[0]
+    assert cut_tree(tree, aot, toy_cut, memo) == cut_tree(tree, aot, toy_cut)
+    with pytest.raises(ValueError):
+        cut_tree(tree, aot, closure(frozenset(), aot), memo)
+
+
+def test_a_memo_recovers_from_a_tree_the_index_does_not_hold(
+    treebank, aot, inventory, toy_cut
+):
+    unindexed = parse_treebank(
+        "(s_np_vp (np_pron (lex I)) (vp_v_np (lex saw) (np_np_pp (np_num (lex 9))"
+        " (pp_prep_np (lex to) (np_pron (lex me))))))",
+        inventory,
+    )[0]
+    memo = ChunkMemo(toy_cut)
+    for _ in range(2):  # the failed build is not served as a finished one
+        with pytest.raises(PathNotInIndexError):
+            cut_tree(unindexed, aot, toy_cut, memo)
+    for tree in treebank.training:
+        assert cut_tree(tree, aot, toy_cut, memo) == cut_tree(tree, aot, toy_cut)

@@ -332,7 +332,9 @@ def test_word_blind_loader_reads_other_layouts_word_for_word(inventory, text):
         ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(bogus (lex x))",
          "line 2: unknown rule id 'bogus'"),
         ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(np_pron (lex I))",
-         "line 0: root category 'np' is not 's'"),
+         "line 2: root category 'np' is not 's'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n  (lex I)",
+         "line 3: a complete parse cannot be a bare lexical lookup"),
         ("(s_np_vp (np_pron (lex I)) (vp_v (lex left))))", "line 1: unbalanced ')'"),
     ],
 )
@@ -343,3 +345,24 @@ def test_word_blind_loader_reports_faults_word_for_word(inventory, text, message
         parse_shapes(text, inventory)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, err, message",
+    [
+        ("(s_np_vp (np_det_n (lex a) (lex b)) (vp_v (lex c)))\n(np_none)",
+         CategoryMismatchError, "line 2: root category 'np' is not 's'"),
+        ("(s_np_vp (np_det_n (lex a) (lex b)) (vp_v (lex c)))\n  # a comment\n(lex a)",
+         TreebankFormatError,
+         "line 3: a complete parse cannot be a bare lexical lookup"),
+        ("(s_np_vp (np_none)\n  (vp_v (lex c)))\n\n(s_np_vp\n (np_none) (vp_none))",
+         TreebankFormatError, "line 4: a complete parse must span at least one word"),
+    ],
+)
+def test_a_parse_that_is_not_complete_is_reported_at_its_line(text, err, message):
+    inv = parse_rule_inventory(MINI + "np_none np ->\nvp_none vp ->\n", "s")
+    for load in (parse_shapes, lambda t, i: parse_treebank(t, i, require_top=True)):
+        with pytest.raises(err) as info:
+            load(text, inv)
+        assert type(info.value) is err
+        assert str(info.value) == message

@@ -42,18 +42,19 @@ from treecut.extraction import (
     TRAINING_CUT,
     Apply,
     ChunkExplosionError,
+    ChunkMemo,
     Frontier,
     LexSlot,
     RuleFileError,
     RuleSet,
     SpecializedRule,
-    _Collector,
     cut_tree,
     extract_andor,
     extract_training,
     flat_rhs,
     parse_rule_file,
     render_chunk,
+    rule_name,
     validate_rules,
 )
 from treecut.grammar import (
@@ -734,6 +735,20 @@ def reference_read_all(text):
     return top
 
 
+def reference_top_lines(text):
+    """The line each top-level expression of *text* starts on."""
+    lines = []
+    depth = 0
+    for token, line_no in reference_tokenize(text):
+        if depth == 0 and token != ")":
+            lines.append(line_no)
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+    return lines
+
+
 def reference_tree_from_sexpr(expr, inv):
     if isinstance(expr, Symbol):
         raise TreebankFormatError(
@@ -786,21 +801,21 @@ def reference_parse_treebank(text, inv, require_top=False):
     except SexprError as err:
         raise TreebankFormatError(str(err).split(": ", 1)[1], err.line_no) from err
     trees = []
-    for expr in exprs:
+    for expr, line_no in zip(exprs, reference_top_lines(text)):
         tree = reference_tree_from_sexpr(expr, inv)
         if require_top:
             if isinstance(tree, LexLeaf):
                 raise TreebankFormatError(
-                    "a complete parse cannot be a bare lexical lookup", 0
+                    "a complete parse cannot be a bare lexical lookup", line_no
                 )
             root_lhs = inv[tree.rule].lhs
             if root_lhs != inv.top:
                 raise CategoryMismatchError(
-                    f"root category '{root_lhs}' is not '{inv.top}'", 0
+                    f"root category '{root_lhs}' is not '{inv.top}'", line_no
                 )
             if reference_yield_length(tree) == 0:
                 raise TreebankFormatError(
-                    "a complete parse must span at least one word", 0
+                    "a complete parse must span at least one word", line_no
                 )
         trees.append(tree)
     return trees
@@ -1382,13 +1397,34 @@ def reference_cut_tree(tree, aot, cutset):
     return chunks
 
 
+def reference_collect(inv, chunks):
+    """The rule set of ``(chunk, occurrences)`` pairs, told apart by
+    their rendered text, so the chunks need not be hash-consed: the
+    first of equal texts is named and every pair adds to its support.
+    """
+    rules = {}
+    for chunk, occurrences in chunks:
+        key = render_chunk(chunk)
+        rule = rules.get(key)
+        if rule is None:
+            rhs = flat_rhs(chunk)
+            if not rhs:
+                continue
+            lhs = inv[chunk.rule].lhs
+            rule = rules[key] = SpecializedRule(
+                rule_name(lhs, chunk), lhs, chunk, rhs
+            )
+        rule.support += occurrences
+    return RuleSet(sorted(rules.values(), key=lambda r: (r.lhs, r.name)))
+
+
 def reference_extract_training(training, aot, cutset):
     """The per-tree loop extract_training replaced: every tree is cut."""
-    collector = _Collector(aot.inventory)
-    for tree in training:
-        for chunk in reference_cut_tree(tree, aot, cutset):
-            collector.add(chunk, 1)
-    return collector.result()
+    return reference_collect(aot.inventory, (
+        (chunk, 1)
+        for tree in training
+        for chunk in reference_cut_tree(tree, aot, cutset)
+    ))
 
 
 def reference_covers(rules, tree):
@@ -1452,10 +1488,12 @@ def assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=4):
     aot = index_treebank(training, inv)
     for cut_ids in random_cut_sets(rng, aot, count=cut_sets):
         cutset = closure(cut_ids, aot)
+        memo = ChunkMemo(cutset)
         for tree in training:
-            assert cut_tree(tree, aot, cutset) == reference_cut_tree(
-                tree, aot, cutset
-            )
+            want = reference_cut_tree(tree, aot, cutset)
+            assert cut_tree(tree, aot, cutset) == want
+            # one memo across the trees serves what a fresh cut builds
+            assert cut_tree(tree, aot, cutset, memo) == want
         rules = extract_training(training, aot, cutset)
         assert rule_records(rules) == rule_records(
             reference_extract_training(training, aot, cutset)
@@ -1589,15 +1627,13 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
         memo[key] = out
         return out
 
-    collector = _Collector(aot.inventory)
     roots = [class_of(aot.root)]
     for cls in sorted(cutset.cut_classes(), key=lambda c: c.representative.seq):
         if cls is not roots[0]:
             roots.append(cls)
-    for cls in roots:
-        for chunk in expansions(cls, frozenset()):
-            collector.add(chunk, 0)
-    return collector.result()
+    return reference_collect(aot.inventory, (
+        (chunk, 0) for cls in roots for chunk in expansions(cls, frozenset())
+    ))
 
 
 def andor_outcome(extract, aot, cutset, max_chunks):
@@ -1710,6 +1746,134 @@ def test_shape_keyed_work_agrees_on_repeated_shapes(text, split, seed):
     assert_shape_keyed_work_agrees(
         LOADER_GRAMMAR, training, test, random.Random(seed), cut_sets=2
     )
+
+
+# Places for one np subtree inside a complete parse: as the subject, as a
+# verb's object, under a verb phrase's pp and as the head of a np_np_pp.
+NP_FRAMES = [
+    lambda np, vp: ["s_np_vp", np, vp],
+    lambda np, vp: ["s_np_vp", ["np_pron", [LEX, "we"]], ["vp_v_np", [LEX, "saw"], np]],
+    lambda np, vp: ["s_np_vp", ["np_num", [LEX, "9"]],
+                    ["vp_vp_pp", vp, ["pp_prep_np", [LEX, "to"], np]]],
+    lambda np, vp: ["s_np_vp", ["np_np_pp", np, ["pp_prep_np", [LEX, "on"], np]], vp],
+]
+
+
+def sexpr_text(expr):
+    if isinstance(expr, str):
+        return expr
+    return "(" + " ".join(map(sexpr_text, expr)) + ")"
+
+
+@st.composite
+def shared_subtree_treebanks(draw):
+    """Trees that put a few np subtrees in several places.
+
+    The first subtree goes into at least two frames, so its shape sits
+    under several root shapes and at several or-nodes of the np
+    category.
+    """
+    nps = draw(st.lists(
+        loader_exprs("np", 3, root=True, chars="ab"), min_size=1, max_size=3
+    ))
+    # every vp spans a word, so that every parse does
+    vps = draw(st.lists(
+        loader_exprs("vp", 2, root=True, chars="ab").filter(
+            lambda e: any(map(is_lex, all_lists(e)))
+        ),
+        min_size=1, max_size=2,
+    ))
+    frames = draw(st.permutations(range(len(NP_FRAMES))))
+    picks = [(frames[0], 0), (frames[1], 0)] + draw(st.lists(
+        st.tuples(st.integers(0, len(NP_FRAMES) - 1), st.integers(0, len(nps) - 1)),
+        max_size=6,
+    ))
+    trees = [
+        NP_FRAMES[f](nps[k], draw(st.sampled_from(vps))) for f, k in picks
+    ]
+    return nps[0], "".join(sexpr_text(t) + "\n" for t in trees)
+
+
+def or_nodes_of_shape(training, aot, shape):
+    """The or-nodes at which some training subtree of *shape* sits, and
+    the root shapes above them."""
+    at, roots = set(), set()
+    for tree in training:
+        stack = [(tree, aot.root)]
+        while stack:
+            node, or_node = stack.pop()
+            if node.shape == shape:
+                at.add(or_node)
+                roots.add(tree.shape)
+            if isinstance(node, Internal):
+                stack.extend(zip(node.children, or_node.arcs[node.rule].children))
+    return at, roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=shared_subtree_treebanks(), seed=st.integers())
+def test_shape_keyed_work_agrees_when_a_subtree_recurs_across_one_class(corpus, seed):
+    first, text = corpus
+    training = parse_treebank(text, LOADER_GRAMMAR, require_top=True)
+    aot = index_treebank(training, LOADER_GRAMMAR)
+    (shape,) = {n.shape for n in parse_treebank(sexpr_text(first), LOADER_GRAMMAR)}
+    at, roots = or_nodes_of_shape(training, aot, shape)
+    assert len(at) >= 2 and len(roots) >= 2
+    # cutting every np joins those or-nodes into one class, whether the
+    # subtree is a chunk root there or, wordless, stays inline
+    nps = frozenset(n.node_id for n in aot.nodes() if n.category == "np")
+    cutset = closure(nps, aot)
+    assert len({id(cutset.class_of(n.node_id)) for n in at}) == 1
+    memo = ChunkMemo(cutset)
+    for tree in training:
+        want = reference_cut_tree(tree, aot, cutset)
+        assert cut_tree(tree, aot, cutset, memo) == want
+    assert rule_records(extract_training(training, aot, cutset)) == rule_records(
+        reference_extract_training(training, aot, cutset)
+    )
+    assert_shape_keyed_work_agrees(
+        LOADER_GRAMMAR, training, [], random.Random(seed), cut_sets=3
+    )
+
+
+def test_subtrees_that_differ_only_below_a_cut_give_one_rule(inventory):
+    # two np_np_pp subtrees whose pp objects differ: with those objects
+    # cut, both give the same chunk, from different shapes, as a chunk
+    # root (the object of vp_v_np, cut too) and inline (the subject)
+    heads = [
+        "(np_np_pp (np_pron (lex I)) (pp_prep_np (lex to) (np_num (lex ten))))",
+        "(np_np_pp (np_pron (lex I)) (pp_prep_np (lex to)"
+        " (np_det_n (lex a) (lex town))))",
+    ]
+    text = "".join(
+        f"(s_np_vp {head} (vp_v (lex left)))\n"
+        f"(s_np_vp (np_pron (lex we)) (vp_v_np (lex saw) {head}))\n"
+        for head in heads
+    )
+    training = parse_treebank(text, inventory, require_top=True)
+    aot = index_treebank(training, inventory)
+    objects = [
+        n.node_id for n in aot.nodes()
+        if n.parent_slot in (Slot("pp_prep_np", 2), Slot("vp_v_np", 2))
+    ]
+    cutset = closure(objects, aot)
+    memo = ChunkMemo(cutset)
+    chunks = [cut_tree(tree, aot, cutset, memo) for tree in training]
+    # the subject-np trees give one root chunk, the object-np trees give
+    # one np chunk, each from two shapes
+    assert training[0].shape != training[2].shape
+    assert chunks[0][0] is chunks[2][0]
+    assert chunks[1][1] is chunks[3][1]
+    assert render_chunk(chunks[1][1]) == (
+        "(np_np_pp (np_pron (lex pron)) (pp_prep_np (lex prep) np))"
+    )
+    rules = extract_training(training, aot, cutset)
+    assert rule_records(rules) == rule_records(
+        reference_extract_training(training, aot, cutset)
+    )
+    by_body = {render_chunk(r.chunk): r.support for r in rules}
+    assert by_body["(np_np_pp (np_pron (lex pron)) (pp_prep_np (lex prep) np))"] == 2
+    assert len(by_body) == len(rules)
 
 
 @settings(max_examples=60, deadline=None)
