@@ -14,6 +14,7 @@ numbered ``n1``, ``n2``, ... in visit order, and or-nodes whose only
 arcs are lexical are numbered ``t1``, ``t2``, ...
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from treecut.entropy import Slot
@@ -140,24 +141,21 @@ def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
     return AndOrTree(root, _assign_ids(root), inv, arc_order)
 
 
-def dump(aot: AndOrTree) -> str:
-    """Readable indented rendering: ids, categories, arcs and counts."""
-    lines: list[str] = []
-    # (or-node, depth) still to visit, and arc lines due before the
-    # or-nodes below them
-    stack: list = [(aot.root, 0)]
+def dump(aot: AndOrTree) -> Iterator[str]:
+    """Readable indented lines: ids, categories, arcs and counts."""
+    # (or-node, depth, None) still to visit, and (or-node, depth, rule)
+    # for arc lines due before the or-nodes below them
+    stack: list = [(aot.root, 0, None)]
     while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            lines.append(item)
-            continue
-        node, depth = item
+        node, depth, rule = stack.pop()
         pad = "  " * depth
+        if rule is not None:
+            yield f"{pad}  -{rule} x{node.arc_counts[rule]}\n"
+            continue
         flag = "" if node.has_lexical_yield else "  [no lexical yield]"
-        lines.append(
-            f"{pad}{node.node_id} ({node.category}) visits={node.visit_count}{flag}"
-        )
+        yield f"{pad}{node.node_id} ({node.category}) visits={node.visit_count}{flag}\n"
         for rule, and_node in reversed(node.sorted_arcs()):
-            stack.extend((child, depth + 2) for child in reversed(and_node.children))
-            stack.append(f"{pad}  -{rule} x{node.arc_counts[rule]}")
-    return "\n".join(lines) + "\n"
+            stack.extend(
+                (child, depth + 2, None) for child in reversed(and_node.children)
+            )
+            stack.append((node, depth, rule))

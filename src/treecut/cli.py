@@ -141,7 +141,7 @@ def cmd_entropy_table(args) -> int:
     cfg = _config(args)
     treebank = load_treebank(cfg)
     aot = index_treebank(treebank.training, treebank.inventory)
-    sys.stdout.write(render_entropy_table(build_phrase_table(aot)))
+    sys.stdout.writelines(render_entropy_table(build_phrase_table(aot)))
     return 0
 
 
@@ -150,7 +150,7 @@ def cmd_index(args) -> int:
     treebank = load_treebank(cfg)
     aot = index_treebank(treebank.training, treebank.inventory)
     if args.dump:
-        sys.stdout.write(dump_index(aot))
+        sys.stdout.writelines(dump_index(aot))
         return 0
     phrase = sum(1 for n in aot.node_index if n.startswith("n"))
     lexical = sum(1 for n in aot.node_index if n.startswith("t"))
@@ -166,27 +166,27 @@ def cmd_entropy(args) -> int:
     aot = index_treebank(treebank.training, treebank.inventory)
     table = build_phrase_table(aot, cfg.decimals)
     scores = compute_node_entropies(aot, table, cfg.scheme)
-    sys.stdout.write(render_node_entropies(aot, scores))
+    sys.stdout.writelines(render_node_entropies(aot, scores))
     return 0
 
 
 def cmd_cut(args) -> int:
     result = run_pipeline(_config(args))
-    sys.stdout.write(render_cut_classes(result.cutnodes, result.scores))
+    sys.stdout.writelines(render_cut_classes(result.cutnodes, result.scores))
     return 0
 
 
 def cmd_bisect(args) -> int:
     cfg = _config(args)
     result = run_pipeline(cfg)
-    sys.stdout.write(render_threshold_report(result, cfg))
+    sys.stdout.writelines(render_threshold_report(result, cfg))
     return 0 if result.attainable else 2
 
 
 def cmd_extract(args) -> int:
     result = run_pipeline(_config(args))
     validate_rules(result.rules, result.treebank.inventory)
-    sys.stdout.write(render_rule_file(result.rules))
+    sys.stdout.writelines(render_rule_file(result.rules))
     return 0
 
 
@@ -194,7 +194,7 @@ def cmd_evaluate(args) -> int:
     inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
     rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
     test = load_trees(args.test, inv)
-    sys.stdout.write(render_coverage(evaluate_coverage(rules, test)))
+    sys.stdout.writelines(render_coverage(evaluate_coverage(rules, test)))
     return 0
 
 
@@ -212,7 +212,7 @@ def cmd_stats(args) -> int:
             raise InputError(f"{args.rules}: {exc}") from exc
         tilings = evaluate_coverage(rules, trees).tilings
     stats = reduction_stats(rules, weighted=args.weighted, tilings=tilings)
-    sys.stdout.write(
+    sys.stdout.writelines(
         render_stats(stats, "weighted" if args.weighted else "unweighted")
     )
     return 0

@@ -21,6 +21,7 @@ rule's frontier category is the category of its slot, which the loader
 has checked against the subtree filling it.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from treecut.extraction import Frontier, LexSlot, RuleSet, SpecializedRule
@@ -285,21 +286,20 @@ def reduction_stats(
     return ReductionStats(counts, skipped=skipped)
 
 
-def render_coverage(report: CoverageReport) -> str:
-    """coverage.tsv: each tree's verdict and rule applications."""
-    lines = ["tree\tcovered\tapplications"]
+def render_coverage(report: CoverageReport) -> Iterator[str]:
+    """coverage.tsv, line by line: each tree's verdict and rule applications."""
+    yield "tree\tcovered\tapplications\n"
     for i, verdict in enumerate(report.verdicts):
         apps = len(report.tilings[i].applications()) if verdict else 0
-        lines.append(f"{i}\t{'yes' if verdict else 'no'}\t{apps}")
-    lines.append(f"fraction\t{report.fraction:.6f}\t")
-    return "\n".join(lines) + "\n"
+        yield f"{i}\t{'yes' if verdict else 'no'}\t{apps}\n"
+    yield f"fraction\t{report.fraction:.6f}\t\n"
 
 
-def render_stats(stats: ReductionStats, title: str) -> str:
-    lines = [f"# {title}", "reduction_length\tcount\tpercent"]
+def render_stats(stats: ReductionStats, title: str) -> Iterator[str]:
+    yield f"# {title}\n"
+    yield "reduction_length\tcount\tpercent\n"
     pct = stats.percentages()
     for bucket in BUCKETS:
-        lines.append(f"{bucket}\t{stats.counts[bucket]}\t{pct[bucket]:.1f}")
+        yield f"{bucket}\t{stats.counts[bucket]}\t{pct[bucket]:.1f}\n"
     if stats.skipped:
-        lines.append(f"# skipped untileable trees: {stats.skipped}")
-    return "\n".join(lines) + "\n"
+        yield f"# skipped untileable trees: {stats.skipped}\n"

@@ -16,6 +16,7 @@ rule's own attachment and its tightest (lowest-entropy) RHS slot, which
 would otherwise reintroduce the original rule as a degenerate chunk.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from treecut.andor import AndOrTree, OrNode
@@ -84,10 +85,6 @@ class CutnodeSet:
         return frozenset(
             m.node_id for c in self.classes if c.cut for m in c.members
         )
-
-    def is_cut(self, node_id: str) -> bool:
-        cls = self.node_to_class.get(node_id)
-        return cls is not None and cls.cut
 
     def class_of(self, node_id: str) -> EquivalenceClass:
         return self.node_to_class[node_id]
@@ -371,15 +368,15 @@ def select_iterative(
     return closure(_iterate(step, frozenset(), max_iterations), aot)
 
 
-def render_cut_classes(cutset: CutnodeSet, scores: NodeEntropyMap) -> str:
+def render_cut_classes(cutset: CutnodeSet, scores: NodeEntropyMap) -> Iterator[str]:
     """One line per cut class: representative, category, members, peak score."""
-    lines = []
-    for cls in sorted(cutset.cut_classes(), key=lambda c: c.representative.seq):
+    classes = sorted(cutset.cut_classes(), key=lambda c: c.representative.seq)
+    if not classes:
+        yield "(no cut classes)\n"
+    for cls in classes:
         members = " ".join(m.node_id for m in cls.members)
         peak = max(scores[m.node_id] for m in cls.members)
-        lines.append(
-            f"{cls.representative.node_id}\t{cls.category}\t{{{members}}}\t{peak:.4f}"
+        yield (
+            f"{cls.representative.node_id}\t{cls.category}\t"
+            f"{{{members}}}\t{peak:.4f}\n"
         )
-    if not lines:
-        return "(no cut classes)\n"
-    return "\n".join(lines) + "\n"

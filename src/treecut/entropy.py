@@ -19,6 +19,7 @@ agree exactly with the printed table.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import TYPE_CHECKING
@@ -126,8 +127,8 @@ def build_phrase_table(
     )
 
 
-def render_entropy_table(table: PhraseEntropyTable) -> str:
-    """TSV with one row per rule: LHS entropy then each RHS slot, to 2 decimals.
+def render_entropy_table(table: PhraseEntropyTable) -> Iterator[str]:
+    """TSV lines, one row per rule: LHS entropy then each RHS slot, to 2 decimals.
 
     Rules follow inventory order; slots a rule does not have print as
     ``---``; unseen slots print as 0 with a trailing ``*``.
@@ -135,7 +136,7 @@ def render_entropy_table(table: PhraseEntropyTable) -> str:
     inv = table.inventory
     width = max((r.arity for r in inv.in_order()), default=0)
     header = ["rule", "LHS"] + [f"RHS{k}" for k in range(1, width + 1)]
-    lines = ["\t".join(header)]
+    yield "\t".join(header) + "\n"
     for rule in inv.in_order():
         row = [rule.rule_id]
         for pos in range(0, width + 1):
@@ -147,5 +148,4 @@ def render_entropy_table(table: PhraseEntropyTable) -> str:
             if not table.is_seen(slot):
                 cell += "*"
             row.append(cell)
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+        yield "\t".join(row) + "\n"

@@ -23,6 +23,7 @@ however many trees and or-nodes reach it.
 """
 
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
@@ -139,12 +140,6 @@ class RuleSet:
 
     def __len__(self):
         return len(self.rules)
-
-    def flat_forms(self) -> set[str]:
-        return {r.flat_form() for r in self.rules}
-
-    def chunk_keys(self) -> frozenset[str]:
-        return frozenset(render_chunk(r.chunk) for r in self.rules)
 
 
 class _Pieces:
@@ -542,16 +537,17 @@ def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
     return rules
 
 
-def render_rule_file(rules: RuleSet) -> str:
-    """One record per rule: flat line, indented chunk, support line."""
-    lines = []
-    for rule in rules:
-        if lines:
-            lines.append("")
-        lines.append(f"{rule.name}: {rule.flat_form()}")
-        lines.append(f"  {render_chunk(rule.chunk)}")
-        lines.append(f"  support: {rule.support}")
-    return "\n".join(lines) + "\n"
+def render_rule_file(rules: RuleSet) -> Iterator[str]:
+    """One record per rule, a blank line between records: flat line,
+    indented chunk, support line.  No rules render as one empty line."""
+    if not rules.rules:
+        yield "\n"
+    for k, rule in enumerate(rules):
+        if k:
+            yield "\n"
+        yield f"{rule.name}: {rule.flat_form()}\n"
+        yield f"  {render_chunk(rule.chunk)}\n"
+        yield f"  support: {rule.support}\n"
 
 
 def _close_chunk(items: list, at: int):

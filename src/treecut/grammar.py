@@ -15,7 +15,7 @@ import gc
 import re
 from dataclasses import dataclass
 
-from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all
+from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all, token_line
 
 LEX = "lex"
 
@@ -233,10 +233,11 @@ class _Fault:
 
     kind: type
     message: str
-    where: tuple | None = None  # (at, k) of item_line, or None for line 0
+    where: tuple  # (at, k) of item_line, or (at, None) for the list's '('
 
     def error(self, text: str) -> TreebankFormatError:
-        line = 0 if self.where is None else item_line(text, *self.where)
+        at, k = self.where
+        line = token_line(text, at) if k is None else item_line(text, at, k)
         return self.kind(self.message, line)
 
 
@@ -255,10 +256,12 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
 
     def close(items: list, at: int):
         if not items:
-            return _Fault(TreebankFormatError, "empty '()' expression")
+            return _Fault(TreebankFormatError, "empty '()' expression", (at, None))
         head = items[0]
         if head.__class__ is not str:
-            return _Fault(TreebankFormatError, "expression head must be a rule id")
+            return _Fault(
+                TreebankFormatError, "expression head must be a rule id", (at, 0)
+            )
         if head == LEX:
             if len(items) != 2 or items[1].__class__ is not str:
                 return _Fault(

@@ -16,6 +16,7 @@ digit for digit; an exact table gives exact scores.
 The root (and any unseen slot) scores 0 under rhs-local and mixed.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -152,9 +153,8 @@ def compute_node_entropies(
     return NodeEntropyMap(scheme=scheme, values=values)
 
 
-def render_node_entropies(aot: AndOrTree, scores: NodeEntropyMap) -> str:
-    """TSV of id, category, score to 4 decimals in index (DFS) order."""
-    lines = ["node\tcategory\tentropy"]
+def render_node_entropies(aot: AndOrTree, scores: NodeEntropyMap) -> Iterator[str]:
+    """TSV lines of id, category, score to 4 decimals in index (DFS) order."""
+    yield "node\tcategory\tentropy\n"
     for node in aot.nodes():
-        lines.append(f"{node.node_id}\t{node.category}\t{scores[node.node_id]:.4f}")
-    return "\n".join(lines) + "\n"
+        yield f"{node.node_id}\t{node.category}\t{scores[node.node_id]:.4f}\n"

@@ -7,6 +7,7 @@ rerun into the same directory rewrites byte-identical files.
 
 import gc
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from treecut.andor import AndOrTree, dump, index_treebank
@@ -287,32 +288,32 @@ def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:
     return result
 
 
-def render_threshold_report(result: PipelineResult, cfg: PipelineConfig) -> str:
-    """threshold.txt: the search's outcome, or the fixed threshold."""
-    lines = []
+def render_threshold_report(
+    result: PipelineResult, cfg: PipelineConfig
+) -> Iterator[str]:
+    """threshold.txt's lines: the search's outcome, or the fixed threshold."""
     if result.search is None:
-        lines.append("mode\tfixed")
-        lines.append(f"threshold\t{result.threshold:.6f}")
+        yield "mode\tfixed\n"
+        yield f"threshold\t{result.threshold:.6f}\n"
     else:
         s = result.search
-        lines.append("mode\tsearch")
-        lines.append(f"target\t{cfg.coverage_target:.6f}")
-        lines.append(f"attainable\t{'yes' if s.attainable else 'no'}")
-        lines.append(f"threshold\t{s.threshold:.6f}")
-        lines.append(f"coverage\t{s.probe.coverage:.6f}")
+        yield "mode\tsearch\n"
+        yield f"target\t{cfg.coverage_target:.6f}\n"
+        yield f"attainable\t{'yes' if s.attainable else 'no'}\n"
+        yield f"threshold\t{s.threshold:.6f}\n"
+        yield f"coverage\t{s.probe.coverage:.6f}\n"
         if s.bracket_high is not None:
-            lines.append(f"bracket_high\t{s.bracket_high:.6f}")
-            lines.append(f"coverage_at_bracket_high\t{s.coverage_at_high:.6f}")
-        lines.append(f"probes\t{s.steps}")
-    lines.append(f"cut_classes\t{len(result.cutnodes.cut_classes())}")
-    lines.append(f"cut_nodes\t{len(result.cutnodes.cut_node_ids())}")
-    return "\n".join(lines) + "\n"
+            yield f"bracket_high\t{s.bracket_high:.6f}\n"
+            yield f"coverage_at_bracket_high\t{s.coverage_at_high:.6f}\n"
+        yield f"probes\t{s.steps}\n"
+    yield f"cut_classes\t{len(result.cutnodes.cut_classes())}\n"
+    yield f"cut_nodes\t{len(result.cutnodes.cut_node_ids())}\n"
 
 
 def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
-    """Write every report file into the existing *cfg.out_dir*; returns
-    the paths in write order."""
-    header = config_line(cfg)
+    """Write every report file into the existing *cfg.out_dir*, each line
+    as its renderer yields it; returns the paths in write order."""
+    header = config_line(cfg) + "\n"
     files = {
         "entropy_table.tsv": render_entropy_table(result.table),
         "node_entropy.tsv": render_node_entropies(result.aot, result.scores),
@@ -331,7 +332,8 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
         path = os.path.join(cfg.out_dir, name)
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(header + "\n" + files[name])
+                handle.write(header)
+                handle.writelines(files[name])
         except OSError as exc:
             raise OutputError(f"{path}: {exc.strerror or exc}") from exc
         written.append(path)

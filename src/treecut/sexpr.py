@@ -50,11 +50,11 @@ def _unterminated(text: str, offset: int) -> SexprError:
     return SexprError("unterminated quoted symbol", _line_at(text, offset))
 
 
-def _token_offset(text: str, index: int) -> int:
-    """Offset of the *index*-th token of *text* (0-based, comments counted)."""
+def token_line(text: str, index: int) -> int:
+    """Line of the *index*-th token of *text* (0-based, comments counted)."""
     for i, match in enumerate(_TOKEN.finditer(text)):
         if i == index:
-            return match.start()
+            return _line_at(text, match.start())
     raise IndexError(index)
 
 
@@ -94,9 +94,9 @@ def read_all(text: str, close=_keep) -> list:
 
     Atoms are plain strings.  Each list becomes ``close(items, at)`` as
     soon as its ')' is read, where *at* is the index of its '(' among the
-    text's tokens (see ``item_line``); by default it stays a list.
-    Raises SexprError on unbalanced parentheses and unterminated quoted
-    symbols.
+    text's tokens (see ``token_line`` and ``item_line``); by default it
+    stays a list.  Raises SexprError on unbalanced parentheses and
+    unterminated quoted symbols.
     """
     stack: list[list] = []  # the item lists of the open lists
     opens: list[int] = []  # token index of each open list's '('
@@ -109,8 +109,7 @@ def read_all(text: str, close=_keep) -> list:
             items = []
         elif head == ")":
             if not stack:
-                offset = _token_offset(text, index)
-                raise SexprError("unbalanced ')'", _line_at(text, offset))
+                raise SexprError("unbalanced ')'", token_line(text, index))
             done = close(items, opens.pop())
             items = stack.pop()
             items.append(done)
@@ -121,8 +120,7 @@ def read_all(text: str, close=_keep) -> list:
         elif head != "#":
             items.append(token)
     if stack:
-        offset = _token_offset(text, opens[-1])
-        raise SexprError("unclosed '('", _line_at(text, offset))
+        raise SexprError("unclosed '('", token_line(text, opens[-1]))
     return items
 
 

@@ -4,11 +4,17 @@ import pytest
 
 from treecut.andor import index_treebank
 from treecut.entropy import build_phrase_table
+from treecut.extraction import render_chunk
 from treecut.grammar import Treebank, parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOY = ROOT / "corpora" / "toy"
+
+
+def chunk_keys(rules) -> frozenset[str]:
+    """Every rule's chunk, rendered: what makes two rules the same rule."""
+    return frozenset(render_chunk(r.chunk) for r in rules)
 
 
 @pytest.fixture(scope="session")

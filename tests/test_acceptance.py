@@ -153,10 +153,10 @@ def test_extraction_rule_sets():
     aot, table, scores = props.mixed_set_up(training, inv)
     cutset = select_by_threshold(1.00, aot, table, scores)
     trained = extract_training(training, aot, cutset)
-    assert trained.flat_forms() == TRAINING_FORMS
+    assert {r.flat_form() for r in trained} == TRAINING_FORMS
     assert len(trained.rules) == 5
     enumerated = extract_andor(aot, cutset)
-    assert enumerated.flat_forms() == TRAINING_FORMS | EXTRA_ANDOR_FORMS
+    assert {r.flat_form() for r in enumerated} == TRAINING_FORMS | EXTRA_ANDOR_FORMS
     assert len(enumerated.rules) == 7
 
 

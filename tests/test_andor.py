@@ -1,9 +1,14 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
-from treecut.andor import index_treebank
+from treecut.andor import dump, index_treebank
 from treecut.entropy import Slot
+from treecut.grammar import parse_treebank
+
+from test_properties import reference_dump
 
 # The toy index, transcribed by hand from the four training trees.
 # Keys are node ids; values are (category, parent slot, arc counts).
@@ -92,3 +97,31 @@ def test_lexical_alternative_recorded_with_counts(aot):
     assert set(n6.arcs) == {"lex", "np_det_n"}
     assert n6.arc_counts["lex"] == 1
     assert [r for r, _ in n6.sorted_arcs()] == ["lex", "np_det_n"]
+
+
+def test_dump_of_a_deep_chain_streams_its_lines(inventory):
+    # the dump indents each or-node by its depth, so a chain's dump grows
+    # with the square of its depth: 45.4 MB at 1,500 levels.  Its lines
+    # come one at a time, so writing it holds only a few of them.
+    depth = 1500
+    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
+    text = (
+        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
+        + " (vp_v (lex left)))"
+    )
+    aot = index_treebank(parse_treebank(text, inventory), inventory)
+    tracemalloc.start()
+    try:
+        size = sum(len(line) for line in dump(aot))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 45_000_000
+    assert peak < size / 10
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + depth)  # the oracle recurses once per level
+    try:
+        want = reference_dump(aot)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "".join(dump(aot)) == want

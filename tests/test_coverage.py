@@ -108,7 +108,7 @@ def test_weighted_stats_skips_untileable(toy_rules, treebank, inventory):
 
 
 def test_render_stats(toy_rules):
-    out = render_stats(reduction_stats(toy_rules), "unweighted")
+    out = "".join(render_stats(reduction_stats(toy_rules), "unweighted"))
     lines = out.splitlines()
     assert lines[0] == "# unweighted"
     assert lines[1] == "reduction_length\tcount\tpercent"

@@ -185,8 +185,8 @@ def test_select_iterative_restrictions_need_table(aot):
 
 def test_cutnode_set_helpers(aot):
     cutset = closure(frozenset({"n3", "n4", "n6", "n9"}), aot)
-    assert cutset.is_cut("n3") and cutset.is_cut("n9")
-    assert not cutset.is_cut("n1")
+    assert cutset.class_of("n3").cut and cutset.class_of("n9").cut
+    assert not cutset.class_of("n1").cut
     assert cutset.class_of("n6") is cutset.class_of("n3")
     grouping = cutset.grouping()
     assert {m.node_id for m in grouping["n3"]} == {"n3", "n4", "n6", "n9"}
@@ -195,7 +195,7 @@ def test_cutnode_set_helpers(aot):
 
 def test_render_cut_classes(aot, table, mixed_scores):
     cutset = select_by_threshold(1.0, aot, table, mixed_scores)
-    out = render_cut_classes(cutset, mixed_scores)
+    out = "".join(render_cut_classes(cutset, mixed_scores))
     assert out == "n3\tnp\t{n3 n4 n6 n9}\t1.7600\n"
     none = closure(frozenset(), aot)
-    assert render_cut_classes(none, mixed_scores) == "(no cut classes)\n"
+    assert "".join(render_cut_classes(none, mixed_scores)) == "(no cut classes)\n"

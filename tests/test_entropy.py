@@ -126,13 +126,13 @@ def test_unseen_rule_slots_read_zero_and_render_starred():
     unseen = Slot("vp_v_np", 2)
     assert not table.is_seen(unseen)
     assert table.value(unseen) == 0.0
-    rendered = render_entropy_table(table)
+    rendered = "".join(render_entropy_table(table))
     row = [l for l in rendered.splitlines() if l.startswith("vp_v_np")][0]
     assert row.split("\t")[1:] == ["0.00*", "0.00*", "0.00*"]
 
 
 def test_render_table_matches_published_layout(table):
-    lines = render_entropy_table(table).splitlines()
+    lines = "".join(render_entropy_table(table)).splitlines()
     assert lines[0] == "rule\tLHS\tRHS1\tRHS2"
     rows = {l.split("\t")[0]: l.split("\t")[1:] for l in lines[1:]}
     assert rows["np_det_n"] == ["1.33", "0.00", "0.00"]

@@ -28,6 +28,8 @@ from treecut.extraction import (
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
 
+from conftest import chunk_keys
+
 
 @pytest.fixture(scope="module")
 def toy_cut(aot, table, mixed_scores):
@@ -79,8 +81,9 @@ def test_rule_names_are_stable_digests(training_rules):
 def test_andor_extraction_is_superset(treebank, aot, toy_cut, training_rules):
     enumerated = extract_andor(aot, toy_cut)
     assert len(enumerated) == 7
-    assert training_rules.chunk_keys() <= enumerated.chunk_keys()
-    extra = enumerated.flat_forms() - training_rules.flat_forms()
+    assert chunk_keys(training_rules) <= chunk_keys(enumerated)
+    extra = {r.flat_form() for r in enumerated}
+    extra -= {r.flat_form() for r in training_rules}
     assert extra == {"s => pron v prep np", "s => det n v np"}
     assert all(r.support == 0 for r in enumerated)
 
@@ -90,9 +93,9 @@ def test_empty_cutset_training_yields_whole_trees(treebank, aot):
     assert len(rules) == 4
     assert all(r.lhs == "s" for r in rules)
     assert all(r.support == 1 for r in rules)
-    assert "s => pron v det n" in rules.flat_forms()
+    assert "s => pron v det n" in {r.flat_form() for r in rules}
     # the bare-word np under tree 2's pp stays a lexical slot
-    assert "s => pron v det n prep np" in rules.flat_forms()
+    assert "s => pron v det n prep np" in {r.flat_form() for r in rules}
 
 
 def test_empty_cutset_andor_enumerates_all_shapes(treebank, aot):
@@ -100,14 +103,14 @@ def test_empty_cutset_andor_enumerates_all_shapes(treebank, aot):
     enumerated = extract_andor(aot, cutset)
     trained = extract_training(treebank.training, aot, cutset)
     assert len(enumerated) == 8
-    assert trained.chunk_keys() <= enumerated.chunk_keys()
+    assert chunk_keys(trained) <= chunk_keys(enumerated)
 
 
 def test_lexical_arc_becomes_slot_alternative(aot):
     # With only n9 cut, n6 stays inline and its observed bare word shows
     # up as a (lex np) alternative inside np_np_pp chunks.
     enumerated = extract_andor(aot, closure(frozenset({"n9"}), aot))
-    keys = enumerated.chunk_keys()
+    keys = chunk_keys(enumerated)
     assert any("(lex np)" in k for k in keys)
     assert any("(np_det_n (lex det) (lex n))" in k for k in keys)
 
@@ -122,8 +125,10 @@ def test_single_arc_index_modes_agree():
     cutset = closure(frozenset({n1.node_id}), aot)
     trained = extract_training(trees, aot, cutset)
     enumerated = extract_andor(aot, cutset)
-    assert trained.chunk_keys() == enumerated.chunk_keys()
-    assert trained.flat_forms() == enumerated.flat_forms()
+    assert chunk_keys(trained) == chunk_keys(enumerated)
+    assert {r.flat_form() for r in trained} == {
+        r.flat_form() for r in enumerated
+    }
 
 
 def test_cut_tree_rejects_unindexed_tree(aot, inventory, toy_cut):
@@ -181,15 +186,18 @@ def test_collector_drops_empty_chunks():
     aot = index_treebank(trees, inv)
     rules = extract_training(trees, aot, closure(frozenset(), aot))
     assert len(rules) == 0
+    assert "".join(render_rule_file(rules)) == "\n"
 
 
 def test_rule_file_round_trip(training_rules):
     # every rules.txt opens with a "# config:" line, which parsing skips
-    text = "# toy rules\n" + render_rule_file(training_rules)
+    text = "# toy rules\n" + "".join(render_rule_file(training_rules))
     parsed = parse_rule_file(text)
     assert len(parsed) == len(training_rules)
-    assert parsed.chunk_keys() == training_rules.chunk_keys()
-    assert parsed.flat_forms() == training_rules.flat_forms()
+    assert chunk_keys(parsed) == chunk_keys(training_rules)
+    assert {r.flat_form() for r in parsed} == {
+        r.flat_form() for r in training_rules
+    }
     assert {r.name for r in parsed} == {r.name for r in training_rules}
     assert {r.name: r.support for r in parsed} == {
         r.name: r.support for r in training_rules
@@ -298,7 +306,7 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
     assert (rule.rhs, rule.support) == (body, 3)
     # the rule file reads back and validates without recursion too
     (again,) = validate_rules(
-        parse_rule_file(render_rule_file(RuleSet([rule]))), aot.inventory
+        parse_rule_file("".join(render_rule_file(RuleSet([rule])))), aot.inventory
     )
     assert (render_chunk(again.chunk), again.rhs) == (render_chunk(chunk), body)
 

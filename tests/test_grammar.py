@@ -136,15 +136,18 @@ def test_lex_takes_exactly_one_word(inventory):
     "text, err, message",
     [
         # a list's own checks come before its children's
-        ("(() (lex x))", TreebankFormatError, "line 0: expression head must be a rule id"),
-        ("((bogus) (lex x))", TreebankFormatError, "line 0: expression head must be a rule id"),
+        ("(() (lex x))", TreebankFormatError, "line 1: expression head must be a rule id"),
+        ("((bogus) (lex x))", TreebankFormatError, "line 1: expression head must be a rule id"),
+        ("(\n(\n\n(bogus)) (lex x))", TreebankFormatError, "line 2: expression head must be a rule id"),
         ("(lex ())", ArityMismatchError, "line 1: 'lex' takes exactly one word"),
         ("(lex\n(bogus))", ArityMismatchError, "line 1: 'lex' takes exactly one word"),
         ("(bogus ())", UnknownRuleIdError, "line 1: unknown rule id 'bogus'"),
         ("(np_pron (lex a) ())", ArityMismatchError, "line 1: 'np_pron' expects 1 children, got 2"),
         # children in order, each child's own faults before its category
         ("(s_np_vp (vp_v (lex a))\n())", CategoryMismatchError, "line 1: child 1 of 's_np_vp' has category 'vp', expected 'np'"),
-        ("(s_np_vp (np_pron ())\n(bogus))", TreebankFormatError, "line 0: empty '()' expression"),
+        ("(s_np_vp (np_pron ())\n(bogus))", TreebankFormatError, "line 1: empty '()' expression"),
+        ("(s_np_vp\n(np_pron\n  # a comment\n\n ( ))\n(bogus))", TreebankFormatError, "line 5: empty '()' expression"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex x)))\n\n\n()", TreebankFormatError, "line 4: empty '()' expression"),
         # every text error before any tree error
         ("(bogus)\n(lex x))", TreebankFormatError, "line 2: unbalanced ')'"),
         ('(bogus)\n"x', TreebankFormatError, "line 2: unterminated quoted symbol"),
@@ -336,6 +339,12 @@ def test_word_blind_loader_reads_other_layouts_word_for_word(inventory, text):
         ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n  (lex I)",
          "line 3: a complete parse cannot be a bare lexical lookup"),
         ("(s_np_vp (np_pron (lex I)) (vp_v (lex left))))", "line 1: unbalanced ')'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n(s_np_vp (np_pron ()) (vp_v (lex x)))",
+         "line 3: empty '()' expression"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(s_np_vp\n\n (np_pron ( )) (vp_v (lex x)))",
+         "line 4: empty '()' expression"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n\n((np_pron (lex I)) (vp_v (lex x)))",
+         "line 4: expression head must be a rule id"),
     ],
 )
 def test_word_blind_loader_reports_faults_word_for_word(inventory, text, message):

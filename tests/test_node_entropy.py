@@ -149,7 +149,7 @@ def test_unified_rejects_category_mix(table):
 
 
 def test_render_scores_in_index_order(aot, mixed_scores):
-    lines = render_node_entropies(aot, mixed_scores).splitlines()
+    lines = "".join(render_node_entropies(aot, mixed_scores)).splitlines()
     assert lines[0] == "node\tcategory\tentropy"
     assert lines[1] == "root\ts\t0.0000"
     assert lines[2] == "n1\tnp\t0.8900"

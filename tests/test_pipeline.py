@@ -60,12 +60,10 @@ def test_reports_reuse_the_chosen_tiling(
     fresh = evaluate_coverage(result.rules, test)
     assert result.coverage.verdicts == fresh.verdicts == [True, False]
     assert (tmp_path / "out" / "coverage.tsv").read_text().splitlines()[1:] == (
-        render_coverage(fresh).splitlines()
+        "".join(render_coverage(fresh)).splitlines()
     )
-    stats = render_stats(
-        reduction_stats(result.rules, weighted=True, tilings=fresh.tilings),
-        "weighted",
-    )
+    stats = reduction_stats(result.rules, weighted=True, tilings=fresh.tilings)
+    stats = "".join(render_stats(stats, "weighted"))
     assert "# skipped untileable trees: 1" in stats
     written = (tmp_path / "out" / "reduction_stats.tsv").read_text()
     assert written.split("\n", 1)[1] == stats

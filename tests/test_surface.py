@@ -3,10 +3,13 @@
 No module of the package imports another's underscore-prefixed names,
 and every name ``treecut.__all__`` exports resolves.  Each setting is
 decided in one place: the reading precision is a property of the phrase
-table, and ``PipelineConfig`` is the one config class.
+table, and ``PipelineConfig`` is the one config class.  Every report is
+rendered as a stream of lines.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import treecut
@@ -63,3 +66,28 @@ def test_only_the_table_builder_and_rounding_take_a_precision():
 def test_pipeline_config_is_the_only_exported_config():
     configs = [name for name in treecut.__all__ if name.endswith("Config")]
     assert configs == ["PipelineConfig"]
+
+
+# Every report file's renderer; render_chunk and render_tree render one
+# expression, not a report.
+REPORT_RENDERERS = [
+    "entropy.render_entropy_table",
+    "node_entropy.render_node_entropies",
+    "andor.dump",
+    "pipeline.render_threshold_report",
+    "cutnodes.render_cut_classes",
+    "extraction.render_rule_file",
+    "coverage.render_stats",
+    "coverage.render_coverage",
+]
+
+
+def test_every_report_renderer_yields_its_lines():
+    # a report is written as it is rendered, never joined whole in memory
+    joined = []
+    for dotted in REPORT_RENDERERS:
+        module, name = dotted.split(".")
+        renderer = getattr(importlib.import_module(f"treecut.{module}"), name)
+        if not inspect.isgeneratorfunction(renderer):
+            joined.append(dotted)
+    assert joined == []
