@@ -17,8 +17,7 @@ arcs are lexical are numbered ``t1``, ``t2``, ...
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from treecut.entropy import Slot
-from treecut.grammar import LEX, Internal, RuleInventory, shape_groups
+from treecut.grammar import LEX, Internal, RuleInventory, Slot, shape_groups
 
 
 class PathNotInIndexError(Exception):
@@ -29,9 +28,6 @@ class PathNotInIndexError(Exception):
 class AndNode:
     rule: str
     children: list
-
-    def __iter__(self):
-        return iter(self.children)
 
 
 @dataclass

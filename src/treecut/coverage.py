@@ -154,42 +154,6 @@ def covers(rules: RuleSet, tree) -> Tiling | None:
     return evaluate_coverage(rules, [tree]).tilings[0]
 
 
-def validate_tiling(tiling: Tiling, tree) -> bool:
-    """Re-walk a tiling to confirm it really derives *tree*.
-
-    Unlike the tiler, this checks each frontier's category against the
-    rule that fills it.
-    """
-    index = RuleIndex({id(r): r for r in tiling.applications()}.values())
-    stack = [(tiling, tree, None)]
-    while stack:
-        tiling, tree, category = stack.pop()
-        if tiling.rule is None:
-            if tree.__class__ is not LexLeaf:
-                return False
-            continue
-        if category is not None and tiling.rule.lhs != category:
-            return False
-        matches = [f for r, f in index.retrieve(tree) if r is tiling.rule]
-        if not matches or len(matches[0]) != len(tiling.children):
-            return False
-        stack.extend(
-            zip(tiling.children, matches[0], _frontier_categories(tiling.rule.chunk))
-        )
-    return True
-
-
-def _frontier_categories(chunk) -> list[str]:
-    out, stack = [], [chunk]
-    while stack:
-        piece = stack.pop()
-        if piece.__class__ is Frontier:
-            out.append(piece.category)
-        elif piece.__class__ is not LexSlot:
-            stack += piece.children[::-1]
-    return out
-
-
 @dataclass
 class CoverageReport:
     verdicts: list[bool]

@@ -20,8 +20,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from treecut.andor import AndOrTree, OrNode
-from treecut.entropy import PhraseEntropyTable, Slot
-from treecut.grammar import LEX
+from treecut.entropy import PhraseEntropyTable
+from treecut.grammar import LEX, Slot
 from treecut.node_entropy import (
     EntropyScheme,
     NodeEntropyMap,
@@ -88,15 +88,6 @@ class CutnodeSet:
 
     def class_of(self, node_id: str) -> EquivalenceClass:
         return self.node_to_class[node_id]
-
-    def grouping(self) -> dict[str, list[OrNode]]:
-        """Node id to its class's members; a class's members share one list."""
-        grouping = {}
-        for cls in self.classes:
-            members = list(cls.members)
-            for m in members:
-                grouping[m.node_id] = members
-        return grouping
 
 
 def singleton_cutnodes(cut_ids: frozenset[str], aot: AndOrTree) -> CutnodeSet:
@@ -356,7 +347,7 @@ def select_iterative(
     def step(cut_ids: frozenset, i: int) -> frozenset:
         current = closure(cut_ids, aot)
         scores = compute_node_entropies(
-            aot, None, EntropyScheme.ARC_FREQUENCY, grouping=current.grouping()
+            aot, None, EntropyScheme.ARC_FREQUENCY, current.classes
         )
         seeds = _threshold_seeds(scores, s_min, aot)
         if not restrictions:

@@ -13,35 +13,21 @@ not off the trees: its arcs already count how often each rule fills
 each slot of each rule.
 
 Tables are reported at two decimal places.  A table carries the
-precision it is read at; ``published_value`` gives that reading, which
-node scoring reuses so that reported scores and selection thresholds
-agree exactly with the printed table.
+precision it is read at, and ``PhraseEntropyTable.weighted_sum`` is the
+one place that applies it: slot readings and node scores all go through
+it, so they agree exactly with the arithmetic of the printed table.
 """
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import TYPE_CHECKING
 
-from treecut.grammar import LEX, RuleInventory
-
-if TYPE_CHECKING:  # andor imports Slot from here
-    from treecut.andor import AndOrTree
+from treecut.andor import AndOrTree
+from treecut.grammar import LEX, RuleInventory, Slot
 
 ROOT_CONTEXT = "ROOT"
 LHS_POSITION = 0
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One attachment slot: position 0 is the LHS, k >= 1 the k-th RHS."""
-
-    rule: str
-    position: int
-
-    def label(self) -> str:
-        return "LHS" if self.position == LHS_POSITION else f"RHS{self.position}"
 
 
 def entropy(counts: dict[str, int]) -> float:
@@ -62,13 +48,6 @@ def quantize_decimal(value: float | Decimal, decimals: int) -> Decimal:
     return Decimal(value).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_EVEN)
 
 
-def quantize(value: float, decimals: int | None) -> float:
-    """Round half-to-even at *decimals* places; None means exact."""
-    if decimals is None:
-        return value
-    return float(quantize_decimal(value, decimals))
-
-
 @dataclass
 class PhraseEntropyTable:
     """Slot distributions and entropies, read at *decimals* places."""
@@ -87,12 +66,29 @@ class PhraseEntropyTable:
 
     def published_value(self, slot: Slot) -> float:
         """Entropy at the table's precision."""
-        return quantize(self.value(slot), self.decimals)
+        return self.weighted_sum([(slot, 1, 1)])
+
+    def weighted_sum(self, terms) -> float:
+        """Sum of ``count / total`` times the slot's entropy over the
+        ``(slot, count, total)`` *terms*, at the table's precision.
+
+        An exact table sums floats in order.  A rounded table rounds each
+        entropy, sums in ``Decimal`` and rounds the sum.
+        """
+        decimals = self.decimals
+        if decimals is None:
+            acc = 0.0
+            for slot, count, total in terms:
+                acc += count / total * self.value(slot)
+            return acc
+        acc = Decimal(0)
+        for slot, count, total in terms:
+            reading = quantize_decimal(self.value(slot), decimals)
+            acc += Decimal(count) / Decimal(total) * reading
+        return float(quantize_decimal(acc, decimals))
 
 
-def build_phrase_table(
-    aot: "AndOrTree", decimals: int | None = 2
-) -> PhraseEntropyTable:
+def build_phrase_table(aot: AndOrTree, decimals: int | None = 2) -> PhraseEntropyTable:
     """Sum the and-or index's arc counts per slot and take entropies.
 
     A slot's counts are the arc counts of the or-nodes that fill it:
@@ -144,7 +140,7 @@ def render_entropy_table(table: PhraseEntropyTable) -> Iterator[str]:
                 row.append("---")
                 continue
             slot = Slot(rule.rule_id, pos)
-            cell = f"{quantize(table.value(slot), 2):.2f}"
+            cell = f"{table.value(slot):.2f}"
             if not table.is_seen(slot):
                 cell += "*"
             row.append(cell)

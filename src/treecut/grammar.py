@@ -15,27 +15,28 @@ import gc
 import re
 from dataclasses import dataclass
 
-from treecut.sexpr import SexprError, item_line, quote_if_needed, read_all, token_line
+from treecut.sexpr import (
+    LineNumberedError,
+    SexprError,
+    item_line,
+    quote_if_needed,
+    read_all,
+    token_line,
+)
 
 LEX = "lex"
 
 
-class GrammarFormatError(Exception):
-    """Malformed grammar file line (carries the 1-based line number)."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class GrammarFormatError(LineNumberedError):
+    """Malformed grammar file line."""
 
 
 class DuplicateRuleIdError(GrammarFormatError):
     pass
 
 
-class TreebankFormatError(Exception):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class TreebankFormatError(LineNumberedError):
+    """Malformed or invalid treebank text."""
 
 
 class UnknownRuleIdError(TreebankFormatError):
@@ -79,6 +80,15 @@ class RuleInventory:
     def in_order(self) -> list[GrammarRule]:
         """Rules in the order the grammar file declares them."""
         return list(self.rules.values())
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One attachment slot of a rule: position 0 is the LHS, k >= 1 the
+    k-th RHS position."""
+
+    rule: str
+    position: int
 
 
 # Every shape id handed out in this process, keyed on (rule, *child
@@ -135,9 +145,6 @@ class Internal:
         if self.shape < 0:
             key = (self.rule, *(c.shape for c in self.children))
             object.__setattr__(self, "shape", intern_shape(key))
-
-    def __iter__(self):
-        return iter(self.children)
 
     def __eq__(self, other):
         if other.__class__ is not Internal:
@@ -316,7 +323,7 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
     try:
         trees = read_all(text, close)
     except SexprError as err:
-        raise TreebankFormatError(str(err).split(": ", 1)[1], err.line_no) from err
+        raise TreebankFormatError(err.message, err.line_no) from err
     finally:
         if collecting:
             gc.enable()

@@ -10,26 +10,20 @@ Three schemes:
   distribution, with counts pooled over the node's equivalence class
   under a given cutnode assignment.
 
-The first two read table entries at the table's precision and round
-the result the same way, so scores match the printed table arithmetic
-digit for digit; an exact table gives exact scores.
+The first two are weighted sums of table entries, which the table
+works out at its own precision (``PhraseEntropyTable.weighted_sum``),
+so scores match the printed table arithmetic digit for digit; an exact
+table gives exact scores.
 The root (and any unseen slot) scores 0 under rhs-local and mixed.
 """
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 
 from treecut.andor import AndOrTree, OrNode
-from treecut.entropy import (
-    LHS_POSITION,
-    PhraseEntropyTable,
-    Slot,
-    entropy,
-    quantize_decimal,
-)
-from treecut.grammar import LEX
+from treecut.entropy import LHS_POSITION, PhraseEntropyTable, entropy
+from treecut.grammar import LEX, Slot
 
 
 class EntropyScheme(str, Enum):
@@ -48,24 +42,17 @@ def node_entropy_mixed(node: OrNode, table: PhraseEntropyTable) -> float:
     if node.parent_slot is None:
         raise ValueError(f"{node.node_id} has no parent slot")
     total = node.visit_count
-    decimals = table.decimals
-    if decimals is None:
-        acc = table.value(node.parent_slot)
-        for rule, count in node.arc_counts.items():
-            if rule != LEX and total:
-                acc += (count / total) * table.value(Slot(rule, LHS_POSITION))
-        return acc
-    acc = quantize_decimal(table.value(node.parent_slot), decimals)
-    for rule, count in node.arc_counts.items():
-        if rule != LEX and total:
-            weight = Decimal(count) / Decimal(total)
-            lhs = table.value(Slot(rule, LHS_POSITION))
-            acc += weight * quantize_decimal(lhs, decimals)
-    return float(quantize_decimal(acc, decimals))
+    terms = [(node.parent_slot, 1, 1)]
+    terms += (
+        (Slot(rule, LHS_POSITION), count, total)
+        for rule, count in node.arc_counts.items()
+        if rule != LEX
+    )
+    return table.weighted_sum(terms)
 
 
 def node_entropy_arc_frequency(
-    node: OrNode, members: list[OrNode] | None = None
+    node: OrNode, members: Sequence[OrNode] | None = None
 ) -> float:
     """Arc-count entropy pooled over *members* (default: the node alone)."""
     pooled: dict[str, int] = {}
@@ -92,14 +79,9 @@ def unified_node_entropy(
     child_cat = inv[child_rule].lhs
     if slot_cat != child_cat:
         raise ValueError(f"slot category '{slot_cat}' vs rule category '{child_cat}'")
-    lhs_slot = Slot(child_rule, LHS_POSITION)
-    decimals = table.decimals
-    if decimals is None:
-        return table.value(parent_slot) + table.value(lhs_slot)
-    acc = quantize_decimal(table.value(parent_slot), decimals) + quantize_decimal(
-        table.value(lhs_slot), decimals
+    return table.weighted_sum(
+        [(parent_slot, 1, 1), (Slot(child_rule, LHS_POSITION), 1, 1)]
     )
-    return float(quantize_decimal(acc, decimals))
 
 
 @dataclass
@@ -120,31 +102,28 @@ def compute_node_entropies(
     aot: AndOrTree,
     table: PhraseEntropyTable | None,
     scheme: EntropyScheme,
-    grouping: dict[str, list[OrNode]] | None = None,
+    classes: Iterable | None = None,
 ) -> NodeEntropyMap:
     """Score every or-node.
 
-    ``grouping`` maps node ids to equivalence-class member lists and is
-    only consulted by the arc-frequency scheme; omitted, every node is
-    its own class.  Nodes that share one member list (as
-    ``CutnodeSet.grouping`` hands out) are pooled once and share the
-    score.  The other schemes require *table*.
+    *classes* is only read by the arc-frequency scheme: equivalence
+    classes that partition the or-nodes, such as ``CutnodeSet.classes``.
+    Each class is pooled once and every member gets its score; omitted,
+    every node is its own class.  The other schemes require *table*.
     """
     values: dict[str, float] = {}
-    pooled: dict[int, float] = {}
-    for node in aot.nodes():
-        if scheme is EntropyScheme.ARC_FREQUENCY:
-            members = grouping.get(node.node_id) if grouping else None
-            if not members:
+    if scheme is EntropyScheme.ARC_FREQUENCY:
+        if classes is None:
+            for node in aot.nodes():
                 values[node.node_id] = node_entropy_arc_frequency(node)
-                continue
-            score = pooled.get(id(members))
-            if score is None:
-                score = pooled[id(members)] = node_entropy_arc_frequency(
-                    node, members
-                )
-            values[node.node_id] = score
-        elif node.parent_slot is None:
+        else:
+            for cls in classes:
+                score = node_entropy_arc_frequency(cls.representative, cls.members)
+                for member in cls.members:
+                    values[member.node_id] = score
+        return NodeEntropyMap(scheme=scheme, values=values)
+    for node in aot.nodes():
+        if node.parent_slot is None:
             values[node.node_id] = 0.0
         elif scheme is EntropyScheme.RHS_LOCAL:
             values[node.node_id] = node_entropy_rhs_local(node, table)

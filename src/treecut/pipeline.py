@@ -37,15 +37,8 @@ from treecut.extraction import (
     extract_training,
     render_rule_file,
 )
-from treecut.grammar import (
-    GrammarFormatError,
-    RuleInventory,
-    Treebank,
-    TreebankFormatError,
-    parse_rule_inventory,
-    parse_shapes,
-)
-from treecut.sexpr import SexprError
+from treecut.grammar import RuleInventory, Treebank, parse_rule_inventory, parse_shapes
+from treecut.sexpr import LineNumberedError
 from treecut.node_entropy import (
     EntropyScheme,
     NodeEntropyMap,
@@ -128,9 +121,7 @@ def load_file(path: str, parse):
         raise InputError(
             f"{path}: not UTF-8 text (byte offset {exc.start})"
         ) from exc
-    except (
-        SexprError, GrammarFormatError, TreebankFormatError, RuleFileError
-    ) as exc:
+    except (LineNumberedError, RuleFileError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -238,7 +229,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     # ends and holds no cycles, so it is frozen before the collector is
     # back on: freezing also clears the young generation, so no
     # collection rescans the treebank just built.  unfreeze() thaws
-    # every frozen object, not only the treebank.
+    # every frozen object, not only the treebank, so it is called only
+    # when nothing was frozen before the run.
+    thaw = gc.get_freeze_count() == 0
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -250,7 +243,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     try:
         return _run(cfg, treebank)
     finally:
-        gc.unfreeze()
+        if thaw:
+            gc.unfreeze()
 
 
 def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:

@@ -20,12 +20,17 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 _DANGLING = re.compile(r'(?:[^"\\]|\\.)*\\', re.S)
 
 
-class SexprError(Exception):
-    """Raised on malformed input, carrying a 1-based line number."""
+class LineNumberedError(Exception):
+    """A fault in an input text: *message* at 1-based line *line_no*."""
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
+        self.message = message
         self.line_no = line_no
+
+
+class SexprError(LineNumberedError):
+    """Raised on malformed S-expression text."""
 
 
 def _line_at(text: str, offset: int) -> int:

@@ -69,15 +69,14 @@ def search_unimodal(
 ) -> ThresholdResult:
     """Grid scan for the coverage peak, then bisect its falling flank.
 
-    The grid step is 16 * delta_s over [0, s_high].  When the peak
-    itself misses the target the result is the peak, unattainable.
+    The grid step is 16 * delta_s over [0, s_high].  A grid that would
+    pass MAX_STEPS points is cut to MAX_STEPS // 2 even steps instead,
+    leaving bisection the rest of the probes.  When the peak itself
+    misses the target the result is the peak, unattainable.
     """
-    step = delta_s * 16
-    grid = [0.0]
-    while grid[-1] + step < s_high:
-        grid.append(grid[-1] + step)
-    if grid[-1] < s_high:
-        grid.append(s_high)
+    grid = _grid(s_high, delta_s * 16)
+    if len(grid) > MAX_STEPS:
+        grid = _grid(s_high, s_high / (MAX_STEPS // 2))[:MAX_STEPS]
     probes = [evaluate(t) for t in grid]
     steps = len(grid)
     peak = max(range(len(grid)), key=lambda i: (probes[i].coverage, -i))
@@ -91,6 +90,20 @@ def search_unimodal(
         c0, evaluate, delta_s, grid[last_ok], probes[last_ok],
         grid[miss], probes[miss].coverage, steps,
     )
+
+
+def _grid(s_high: float, step: float) -> list[float]:
+    """0, step, 2 * step, ... while below s_high, then s_high itself.
+
+    The scan stops past MAX_STEPS points, so a step too small to reach
+    s_high (or to grow the sum at all) still ends.
+    """
+    grid = [0.0]
+    while grid[-1] + step < s_high and len(grid) <= MAX_STEPS:
+        grid.append(grid[-1] + step)
+    if grid[-1] < s_high:
+        grid.append(s_high)
+    return grid
 
 
 def _narrow(c0, evaluate, delta_s, s_low, best, s_high, cov_high, steps):

@@ -96,6 +96,19 @@ def test_bisect_unattainable(capsys, tmp_path):
     assert "probes\t1" in out.splitlines()
 
 
+def test_run_search_on_a_fine_grid_keeps_to_the_probe_cap(capsys, tmp_path):
+    # the unimodal search's grid at this delta would have 17,251 points
+    code, out, _ = run_cli(
+        capsys, "run", *WITH_TEST, "--coverage", "0.9", "--restrictions",
+        "--delta-s", "1e-5", "--out", str(tmp_path),
+    )
+    assert code == 0
+    report = (tmp_path / "threshold.txt").read_text().splitlines()
+    probes = int([l for l in report if l.startswith("probes\t")][0].split("\t")[1])
+    assert probes <= 200
+    assert "attainable\tyes" in report
+
+
 def test_run_reports_are_deterministic(capsys, tmp_path):
     args = ["run", *WITH_TEST, "--threshold", "1.0"]
     code, out, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))

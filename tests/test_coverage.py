@@ -7,7 +7,6 @@ from treecut.coverage import (
     preference,
     reduction_stats,
     render_stats,
-    validate_tiling,
 )
 from treecut.cutnodes import select_by_threshold
 from treecut.extraction import (
@@ -19,6 +18,8 @@ from treecut.extraction import (
     extract_training,
 )
 from treecut.grammar import CategoryMismatchError, Internal, LexLeaf, parse_treebank
+
+from test_properties import validate_tiling
 
 
 @pytest.fixture(scope="module")

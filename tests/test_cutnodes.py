@@ -188,9 +188,10 @@ def test_cutnode_set_helpers(aot):
     assert cutset.class_of("n3").cut and cutset.class_of("n9").cut
     assert not cutset.class_of("n1").cut
     assert cutset.class_of("n6") is cutset.class_of("n3")
-    grouping = cutset.grouping()
-    assert {m.node_id for m in grouping["n3"]} == {"n3", "n4", "n6", "n9"}
-    assert [m.node_id for m in grouping["t1"]] == ["t1"]
+    assert {m.node_id for m in cutset.class_of("n3").members} == {
+        "n3", "n4", "n6", "n9"
+    }
+    assert [m.node_id for m in cutset.class_of("t1").members] == ["t1"]
 
 
 def test_render_cut_classes(aot, table, mixed_scores):

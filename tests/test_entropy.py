@@ -5,10 +5,10 @@ import pytest
 from treecut.andor import index_treebank
 from treecut.entropy import (
     ROOT_CONTEXT,
+    PhraseEntropyTable,
     Slot,
     build_phrase_table,
     entropy,
-    quantize,
     render_entropy_table,
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
@@ -106,12 +106,18 @@ def test_published_value_rounds_half_even(aot, table):
     assert exact.published_value(slot) == table.value(slot)
 
 
-def test_quantize():
-    assert quantize(0.5623351446188083, 2) == 0.56
-    assert quantize(1.0986122886681098, 2) == 1.10
-    assert quantize(0.125, 2) == 0.12
-    assert quantize(0.135, 2) == 0.14
-    assert quantize(0.73, None) == 0.73
+def reading(value, decimals):
+    """*value* read off a one-slot table kept at *decimals* places."""
+    slot = Slot("r", 1)
+    return PhraseEntropyTable(None, {}, {slot: value}, decimals).published_value(slot)
+
+
+def test_readings_round_half_even_at_the_table_precision():
+    assert reading(0.5623351446188083, 2) == 0.56
+    assert reading(1.0986122886681098, 2) == 1.10
+    assert reading(0.125, 2) == 0.12
+    assert reading(0.135, 2) == 0.14
+    assert reading(0.73, None) == 0.73
 
 
 def test_unseen_rule_slots_read_zero_and_render_starred():

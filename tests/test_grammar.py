@@ -20,6 +20,7 @@ from treecut.grammar import (
     parse_treebank,
     render_tree,
 )
+from treecut.sexpr import LineNumberedError, SexprError
 
 MINI = """\
 s_np_vp s -> np vp
@@ -158,6 +159,25 @@ def test_first_fault_is_found_root_first(inventory, text, err, message):
         parse_treebank(text, inventory)
     assert type(info.value) is err
     assert str(info.value) == message
+
+
+def test_line_numbered_errors_share_one_base(inventory, monkeypatch):
+    kinds = [SexprError, GrammarFormatError, TreebankFormatError]
+    for kind in kinds:
+        err = kind("a: b", 7)
+        assert isinstance(err, LineNumberedError)
+        assert (err.message, err.line_no, str(err)) == ("a: b", 7, "line 7: a: b")
+        assert [k for k in kinds if k is not kind and issubclass(kind, k)] == []
+
+    def failing_read(text, close):
+        raise SexprError("odd: text", 3)
+
+    # a text fault keeps its bare message and its line
+    monkeypatch.setattr(grammar, "read_all", failing_read)
+    with pytest.raises(TreebankFormatError) as info:
+        parse_treebank("(np_pron (lex a))", inventory)
+    assert type(info.value) is TreebankFormatError
+    assert (info.value.message, info.value.line_no) == ("odd: text", 3)
 
 
 def test_quoted_words_round_trip(inventory):

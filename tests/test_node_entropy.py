@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from treecut.cutnodes import EquivalenceClass
 from treecut.entropy import Slot, build_phrase_table
 from treecut.node_entropy import (
     EntropyScheme,
@@ -127,10 +128,15 @@ def test_arc_frequency_pools_class_members(aot):
     assert pooled == pytest.approx(expected)
 
 
-def test_arc_frequency_grouping_through_compute(aot):
-    grouping = {"n3": [aot["n3"], aot["n6"]], "n6": [aot["n3"], aot["n6"]]}
+def test_arc_frequency_classes_through_compute(aot):
+    pair = EquivalenceClass((aot["n3"], aot["n6"]), cut=False)
+    alone = [
+        EquivalenceClass((node,), cut=False)
+        for node in aot.nodes()
+        if node not in pair.members
+    ]
     scores = compute_node_entropies(
-        aot, None, EntropyScheme.ARC_FREQUENCY, grouping=grouping
+        aot, None, EntropyScheme.ARC_FREQUENCY, [pair, *alone]
     )
     assert scores["n3"] == scores["n6"]
     assert scores["n1"] == pytest.approx(0.5623351446188083)

@@ -97,9 +97,10 @@ def test_run_freezes_the_treebank_and_thaws_it(toy_dir, monkeypatch):
     assert gc.get_freeze_count() == before
 
 
+@pytest.mark.parametrize("host_frozen", [False, True], ids=["none", "host"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 def test_run_loads_with_the_collector_off_and_freezes_before_restoring_it(
-    toy_dir, monkeypatch, enabled
+    toy_dir, monkeypatch, enabled, host_frozen
 ):
     cfg = PipelineConfig(
         grammar_path=str(toy_dir / "grammar.txt"),
@@ -127,12 +128,23 @@ def test_run_loads_with_the_collector_off_and_freezes_before_restoring_it(
     monkeypatch.setattr(gc, "freeze", recording_freeze)
     monkeypatch.setattr(pipeline, "build_phrase_table", recording_build)
     was = gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    if host_frozen:
+        host = [[k] for k in range(1000)]  # objects the caller froze
+        freeze()
+    entry = gc.get_freeze_count()
     gc.enable() if enabled else gc.disable()
     try:
         run_pipeline(cfg)
         # the collector is off while loading and freezing, then as it was
         assert events == [("load", False), ("freeze", False), ("build", enabled)]
         assert gc.isenabled() == enabled
+        # the run thaws only when nothing was frozen on entry
+        if host_frozen:
+            assert entry >= len(host)
+            assert gc.get_freeze_count() >= entry
+        else:
+            assert gc.get_freeze_count() == 0
 
         events.clear()
         missing = PipelineConfig(
@@ -148,3 +160,4 @@ def test_run_loads_with_the_collector_off_and_freezes_before_restoring_it(
         assert gc.get_freeze_count() == before
     finally:
         gc.enable() if was else gc.disable()
+        gc.unfreeze()

@@ -8,10 +8,12 @@ from Hypothesis strategies, which shrink a failure to a minimal text.
 import copy
 import functools
 import importlib.util
+import math
 import pathlib
 import random
 import time
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,13 @@ from treecut.cutnodes import (
     closure,
     select_by_threshold,
 )
-from treecut.entropy import Slot, build_phrase_table, entropy
+from treecut.entropy import (
+    LHS_POSITION,
+    Slot,
+    build_phrase_table,
+    entropy,
+    render_entropy_table,
+)
 from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
@@ -72,7 +80,12 @@ from treecut.grammar import (
     render_tree,
     shape_groups,
 )
-from treecut.node_entropy import EntropyScheme, compute_node_entropies
+from treecut.node_entropy import (
+    EntropyScheme,
+    compute_node_entropies,
+    node_entropy_mixed,
+    unified_node_entropy,
+)
 from treecut.pipeline import PipelineConfig
 from treecut.sexpr import SexprError, quote_if_needed, read_all
 from treecut.threshold import (
@@ -318,6 +331,35 @@ def per_node_arc_scores(aot, cutset):
     return scores
 
 
+def reference_grouping(cutset):
+    """Node id to its class's members, one shared list per class: the
+    map that arc-frequency scoring used to pool through."""
+    grouping = {}
+    for cls in cutset.classes:
+        members = list(cls.members)
+        for m in members:
+            grouping[m.node_id] = members
+    return grouping
+
+
+def reference_grouped_arc_scores(aot, grouping):
+    """Arc-frequency scores node by node, pooling each member list of
+    *grouping* once through a memo keyed on the list's ``id``."""
+    values, pooled = {}, {}
+    for node in aot.nodes():
+        members = grouping.get(node.node_id) if grouping else None
+        if not members:
+            values[node.node_id] = node_entropy.node_entropy_arc_frequency(node)
+            continue
+        score = pooled.get(id(members))
+        if score is None:
+            score = pooled[id(members)] = node_entropy.node_entropy_arc_frequency(
+                node, members
+            )
+        values[node.node_id] = score
+    return values
+
+
 def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
     calls = []
     original = node_entropy.node_entropy_arc_frequency
@@ -327,31 +369,28 @@ def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
         return original(node, members)
 
     monkeypatch.setattr(node_entropy, "node_entropy_arc_frequency", counting)
-    for name, aot in oracle_corpora(treebank, count=25):
+    corpora = [*oracle_corpora(treebank, count=25), *bench_train_indices()]
+    for name, aot in corpora:
         rng = random.Random(f"pool-{name}")
         calls.clear()
         alone = compute_node_entropies(aot, None, EntropyScheme.ARC_FREQUENCY)
         assert alone.values == per_node_arc_scores(aot, None), name
         assert len(calls) == len(aot.node_index)
+        assert alone.values == reference_grouped_arc_scores(aot, None), name
         for cut_ids in random_cut_sets(rng, aot, count=4):
             cutset = closure(cut_ids, aot)
-            grouping = cutset.grouping()
-            for cls in cutset.classes:
-                assert all(
-                    grouping[m.node_id] is grouping[cls.representative.node_id]
-                    for m in cls.members
-                )
             calls.clear()
             pooled = compute_node_entropies(
-                aot, None, EntropyScheme.ARC_FREQUENCY, grouping=grouping
+                aot, None, EntropyScheme.ARC_FREQUENCY, cutset.classes
             )
             assert pooled.values == per_node_arc_scores(aot, cutset), name
-            assert len(calls) == len(cutset.classes)
-            # member lists that are not shared are pooled per node, same values
+            assert calls == [c.representative.node_id for c in cutset.classes]
+            # the same scores as pooling through a shared-list grouping,
+            # and as pooling lists that are not shared, once per node
+            grouping = reference_grouping(cutset)
+            assert pooled.values == reference_grouped_arc_scores(aot, grouping)
             unshared = {k: list(v) for k, v in grouping.items()}
-            assert compute_node_entropies(
-                aot, None, EntropyScheme.ARC_FREQUENCY, grouping=unshared
-            ).values == pooled.values
+            assert pooled.values == reference_grouped_arc_scores(aot, unshared)
 
 
 def test_one_cut_class_per_category():
@@ -1292,6 +1331,14 @@ FIXED_CORPORA = [
 ] + bench_corpus_texts()
 
 
+def bench_train_indices():
+    """The indices of the benchmark generator's small training corpora."""
+    for name, grammar, text in bench_corpus_texts():
+        if name.endswith("-train"):
+            inv = parse_rule_inventory(grammar, "s")
+            yield f"bench-{name}", index_treebank(parse_treebank(text, inv), inv)
+
+
 @pytest.mark.parametrize(
     "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
 )
@@ -1374,6 +1421,103 @@ def test_phrase_table_keeps_first_seen_order_on_random_corpora():
         assert_phrase_table_order(training, inv)
 
 
+def reference_decimal(value, decimals):
+    """*value* exactly, rounded half-to-even at *decimals* places."""
+    return Decimal(value).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_EVEN)
+
+
+def reference_quantize(value, decimals):
+    """A float rounded half-to-even at *decimals* places; None is exact."""
+    if decimals is None:
+        return value
+    return float(reference_decimal(value, decimals))
+
+
+def reference_node_entropy_mixed(node, table):
+    """The mixed score with its own exact and ``Decimal`` branches."""
+    total = node.visit_count
+    decimals = table.decimals
+    if decimals is None:
+        acc = table.value(node.parent_slot)
+        for rule, count in node.arc_counts.items():
+            if rule != LEX and total:
+                acc += (count / total) * table.value(Slot(rule, LHS_POSITION))
+        return acc
+    acc = reference_decimal(table.value(node.parent_slot), decimals)
+    for rule, count in node.arc_counts.items():
+        if rule != LEX and total:
+            weight = Decimal(count) / Decimal(total)
+            lhs = table.value(Slot(rule, LHS_POSITION))
+            acc += weight * reference_decimal(lhs, decimals)
+    return float(reference_decimal(acc, decimals))
+
+
+def reference_unified_node_entropy(parent_slot, child_rule, table):
+    """The unified score with its own exact and ``Decimal`` branches."""
+    lhs_slot = Slot(child_rule, LHS_POSITION)
+    decimals = table.decimals
+    if decimals is None:
+        return table.value(parent_slot) + table.value(lhs_slot)
+    acc = reference_decimal(table.value(parent_slot), decimals) + reference_decimal(
+        table.value(lhs_slot), decimals
+    )
+    return float(reference_decimal(acc, decimals))
+
+
+def reference_entropy_table_cells(table):
+    """Every cell of the entropy table, rounded before it is formatted."""
+    for rule in table.inventory.in_order():
+        for pos in range(rule.arity + 1):
+            value = reference_quantize(table.value(Slot(rule.rule_id, pos)), 2)
+            yield f"{value:.2f}"
+
+
+@pytest.mark.parametrize("decimals", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
+)
+def test_table_precision_agrees_with_two_branch_scores(grammar, text, decimals):
+    inv = parse_rule_inventory(grammar, "s")
+    aot = index_treebank(parse_treebank(text, inv), inv)
+    table = build_phrase_table(aot, decimals)
+    for rule in inv.in_order():
+        for pos in range(rule.arity + 1):
+            slot = Slot(rule.rule_id, pos)
+            want = reference_quantize(table.value(slot), decimals)
+            assert table.published_value(slot) == want, slot
+    local = compute_node_entropies(aot, table, EntropyScheme.RHS_LOCAL)
+    mixed = compute_node_entropies(aot, table, EntropyScheme.MIXED)
+    for node in aot.nodes()[1:]:
+        want = reference_node_entropy_mixed(node, table)
+        assert node_entropy_mixed(node, table) == want, node.node_id
+        assert mixed[node.node_id] == want, node.node_id
+        want = reference_quantize(table.value(node.parent_slot), decimals)
+        assert local[node.node_id] == want, node.node_id
+    pairs = 0
+    for rule in inv.in_order():
+        for k, category in enumerate(rule.rhs, start=1):
+            for child in inv.in_order():
+                if child.lhs == category:
+                    slot = Slot(rule.rule_id, k)
+                    got = unified_node_entropy(slot, child.rule_id, table)
+                    want = reference_unified_node_entropy(slot, child.rule_id, table)
+                    assert got == want, (slot, child.rule_id)
+                    pairs += 1
+    assert pairs
+    rows = "".join(render_entropy_table(table)).splitlines()[1:]
+    cells = [c.rstrip("*") for row in rows for c in row.split("\t")[1:] if c != "---"]
+    assert cells == list(reference_entropy_table_cells(table))
+
+
+def test_two_decimal_cells_match_the_rounded_value():
+    rng = random.Random(12000)
+    ties = [0.125, 0.135, 2.675, 0.005, 0.015, 0.025, 1.005, 0.0, math.log(3)]
+    grid = [k / 1000 for k in range(6000)] + [k / 8 for k in range(40)]
+    drawn = [rng.uniform(0, 5) for _ in range(20000)]
+    for value in ties + grid + drawn:
+        assert f"{value:.2f}" == f"{reference_quantize(value, 2):.2f}", value
+
+
 def reference_cut_tree(tree, aot, cutset):
     """The recursive cut_tree that the explicit-stack walk replaced."""
     pending = [(tree, aot.root)]
@@ -1432,6 +1576,43 @@ def reference_extract_training(training, aot, cutset):
         for tree in training
         for chunk in reference_cut_tree(tree, aot, cutset)
     ))
+
+
+def validate_tiling(tiling, tree):
+    """Re-walk a tiling to confirm it really derives *tree*.
+
+    Unlike the tiler, this checks each frontier's category against the
+    rule that fills it.
+    """
+    index = RuleIndex({id(r): r for r in tiling.applications()}.values())
+    stack = [(tiling, tree, None)]
+    while stack:
+        tiling, tree, category = stack.pop()
+        if tiling.rule is None:
+            if tree.__class__ is not LexLeaf:
+                return False
+            continue
+        if category is not None and tiling.rule.lhs != category:
+            return False
+        matches = [f for r, f in index.retrieve(tree) if r is tiling.rule]
+        if not matches or len(matches[0]) != len(tiling.children):
+            return False
+        stack.extend(
+            zip(tiling.children, matches[0], frontier_categories(tiling.rule.chunk))
+        )
+    return True
+
+
+def frontier_categories(chunk):
+    """The categories of a chunk's frontiers, left to right."""
+    out, stack = [], [chunk]
+    while stack:
+        piece = stack.pop()
+        if piece.__class__ is Frontier:
+            out.append(piece.category)
+        elif piece.__class__ is not LexSlot:
+            stack += piece.children[::-1]
+    return out
 
 
 def reference_covers(rules, tree):

@@ -3,8 +3,8 @@
 No module of the package imports another's underscore-prefixed names,
 and every name ``treecut.__all__`` exports resolves.  Each setting is
 decided in one place: the reading precision is a property of the phrase
-table, and ``PipelineConfig`` is the one config class.  Every report is
-rendered as a stream of lines.
+table, which alone applies it, and ``PipelineConfig`` is the one config
+class.  Every report is rendered as a stream of lines.
 """
 
 import ast
@@ -40,12 +40,42 @@ def test_no_module_imports_a_private_name_of_another():
     assert [hit for path in modules for hit in private_imports(path)] == []
 
 
+def package_imports(path: pathlib.Path) -> set[str]:
+    """The package's modules that *path* imports from, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {m.split(".")[1] for m in modules if m.startswith("treecut.")}
+    return found
+
+
+def test_modules_import_one_another_without_a_cycle():
+    graph = {
+        path.stem: package_imports(path)
+        for path in SRC.glob("*.py")
+        if path.stem != "__init__"
+    }
+    done: set[str] = set()
+    while len(done) < len(graph):
+        # the modules whose imports are all in place already
+        ready = {m for m, needs in graph.items() if m not in done and needs <= done}
+        assert ready, sorted(set(graph) - done)
+        done |= ready
+    # the slot type lives in grammar, and entropy still hands it out
+    assert importlib.import_module("treecut.entropy").Slot is treecut.grammar.Slot
+
+
 def test_every_exported_name_resolves():
     assert [name for name in treecut.__all__ if not hasattr(treecut, name)] == []
 
 
 # The functions that set or apply a precision, rather than read a table's.
-PRECISION_SETTERS = {"build_phrase_table", "quantize", "quantize_decimal"}
+PRECISION_SETTERS = {"build_phrase_table", "quantize_decimal"}
 
 
 def test_only_the_table_builder_and_rounding_take_a_precision():
@@ -60,6 +90,23 @@ def test_only_the_table_builder_and_rounding_take_a_precision():
                 p.arg == "decimals" for p in params
             ):
                 found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert found == []
+
+
+def test_only_the_phrase_table_module_does_decimal_arithmetic():
+    # the table applies its own precision; every other module reads it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "decimal" in modules and path.name != "entropy.py":
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from treecut.pipeline import PipelineConfig, SearchContext
-from treecut.threshold import ThresholdProbe, bisect, search_unimodal
+from treecut.threshold import MAX_STEPS, ThresholdProbe, bisect, search_unimodal
 
 
 def profile(fn):
@@ -78,6 +78,46 @@ def test_unimodal_constant_pass_returns_last_grid_point():
     assert result.attainable
     assert result.threshold == 1.0
     assert result.coverage_at_high == 1.0
+
+
+def full_grid(s_high, delta_s):
+    """Every point of the grid at step 16 * delta_s, however many."""
+    grid = [0.0]
+    while grid[-1] + 16 * delta_s < s_high:
+        grid.append(grid[-1] + 16 * delta_s)
+    if grid[-1] < s_high:
+        grid.append(s_high)
+    return grid
+
+
+def test_unimodal_grid_of_at_most_max_steps_points_is_scanned_whole():
+    # steps near 1/199 give grids of MAX_STEPS points and one more
+    sizes = set()
+    for delta_s in (0.01, 0.003, 1 / (16 * 199), 1 / (16 * 199.5), 1 / (16 * 200.5)):
+        grid = full_grid(1.0, delta_s)
+        sizes.add(len(grid))
+        evaluate = profile(lambda t: 1.0 - abs(t - 0.5))
+        result = search_unimodal(0.8, evaluate, 1.0, delta_s)
+        if len(grid) <= MAX_STEPS:
+            assert evaluate.calls[: len(grid)] == grid, delta_s
+        else:
+            assert len(evaluate.calls) <= MAX_STEPS, delta_s
+            assert evaluate.calls[:2] == [0.0, 1.0 / (MAX_STEPS // 2)], delta_s
+        assert result.steps == len(evaluate.calls) <= MAX_STEPS
+        assert result.threshold <= 0.7 < result.bracket_high
+    assert {MAX_STEPS, MAX_STEPS + 1} <= sizes
+
+
+@pytest.mark.parametrize("delta_s", [1e-5, 1e-300])
+def test_unimodal_search_on_a_fine_grid_keeps_to_max_steps(delta_s):
+    # at 1e-5 the grid would have 17,251 points; at 1e-300 adding a
+    # step soon stops growing the sum, so an uncapped scan never ends
+    evaluate = profile(lambda t: 1.0 - abs(t - 0.5))
+    result = search_unimodal(0.8, evaluate, 2.76, delta_s)
+    assert result.steps == len(evaluate.calls) <= MAX_STEPS
+    assert result.attainable
+    assert result.threshold <= 0.7 < result.bracket_high
+    assert abs(result.threshold - 0.7) <= max(delta_s, 1e-12)
 
 
 def test_toy_bisection_stops_under_first_boundary(
