@@ -580,17 +580,17 @@ def parse_rule_file(text: str) -> RuleSet:
 
     def finish(lines: list[str]) -> None:
         head = lines[0]
-        if ":" not in head or "=>" not in head:
+        name, _, flat = head.partition(":")
+        lhs, arrow, symbols = flat.partition("=>")
+        if not arrow:
             raise RuleFileError(f"malformed rule header: {head!r}")
-        name, flat = head.split(":", 1)
-        lhs, symbols = flat.split("=>", 1)
         support = 0
         body: list[str] = []
         for line in lines[1:]:
             stripped = line.strip()
             if stripped.startswith("support:"):
                 count = stripped.split(":", 1)[1].strip()
-                if not count.isdigit():
+                if not count.isdecimal():  # int() rejects some digits
                     raise RuleFileError(
                         f"rule {name.strip()!r}: support {count!r} is not a count"
                     )

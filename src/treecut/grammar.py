@@ -253,13 +253,16 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
 
     Each tree is built bottom-up while the text is read: every list is
     checked and folded into a node (or a fault) as soon as its ')' is
-    read, and each node's shape is interned as it is built.  Lookups of
-    one word share one ``LexLeaf``.
+    read, and each node's shape is interned as it is built.  Equal
+    subtrees of one call are one object: one ``LexLeaf`` per word, and
+    one ``Internal`` per rule and child objects.
     """
     rules = inv.rules
     lhs_of = {rule_id: rule.lhs for rule_id, rule in rules.items()}
-    # leaves are immutable, so every lookup of one word shares one leaf
+    # Children are folded first, so equal lists have identical children.
+    # No child's id is reused while the memo holds the node above it.
     leaves: dict[str, LexLeaf] = {}
+    nodes: dict[tuple, Internal] = {}
 
     def close(items: list, at: int):
         if not items:
@@ -279,6 +282,10 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
             if leaf is None:
                 leaf = leaves[word] = LexLeaf(word)
             return leaf
+        children = tuple(items[1:])
+        ident = (head, *map(id, children))
+        if ident in nodes:  # a list seen before passed every check below
+            return nodes[ident]
         rule = rules.get(head)
         if rule is None:
             return _Fault(UnknownRuleIdError, f"unknown rule id '{head}'", (at, 0))
@@ -314,7 +321,8 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                 return _bare_symbol(child, (at, k))
         shape = intern_shape(tuple(key))
         # the inventory's id string is shared by every node of the rule
-        return Internal(rule.rule_id, tuple(items[1:]), length, shape)
+        node = nodes[ident] = Internal(rule.rule_id, children, length, shape)
+        return node
 
     # The fold makes no cyclic garbage, but the collector would rescan
     # the growing treebank every time it grew by a quarter.

@@ -5,7 +5,6 @@ outputs are deterministic functions of the inputs and the config, so a
 rerun into the same directory rewrites byte-identical files.
 """
 
-import gc
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -225,30 +224,7 @@ class SearchContext:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.out_dir is not None:
         make_out_dir(cfg.out_dir)  # fail before the work, not after it
-    # Loading makes no cyclic garbage.  The treebank lives until the run
-    # ends and holds no cycles, so it is frozen before the collector is
-    # back on: freezing also clears the young generation, so no
-    # collection rescans the treebank just built.  unfreeze() thaws
-    # every frozen object, not only the treebank, so it is called only
-    # when nothing was frozen before the run.
-    thaw = gc.get_freeze_count() == 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        treebank = load_treebank(cfg)
-        gc.freeze()
-    finally:
-        if collecting:
-            gc.enable()
-    try:
-        return _run(cfg, treebank)
-    finally:
-        if thaw:
-            gc.unfreeze()
-
-
-def _run(cfg: PipelineConfig, treebank: Treebank) -> PipelineResult:
-    """Everything after loading: search, extraction, tiling and reports."""
+    treebank = load_treebank(cfg)
     aot = index_treebank(treebank.training, treebank.inventory)
     table = build_phrase_table(aot, cfg.decimals)
     scores = compute_node_entropies(aot, table, cfg.scheme)

@@ -70,12 +70,13 @@ def search_unimodal(
     """Grid scan for the coverage peak, then bisect its falling flank.
 
     The grid step is 16 * delta_s over [0, s_high].  A grid that would
-    pass MAX_STEPS points is cut to MAX_STEPS // 2 even steps instead,
-    leaving bisection the rest of the probes.  When the peak itself
-    misses the target the result is the peak, unattainable.
+    leave bisection fewer than the 5 probes that narrow one step below
+    delta_s is cut to MAX_STEPS // 2 even steps instead, leaving
+    bisection the rest of the probes.  When the peak itself misses the
+    target the result is the peak, unattainable.
     """
     grid = _grid(s_high, delta_s * 16)
-    if len(grid) > MAX_STEPS:
+    if len(grid) > MAX_STEPS - 5:
         grid = _grid(s_high, s_high / (MAX_STEPS // 2))[:MAX_STEPS]
     probes = [evaluate(t) for t in grid]
     steps = len(grid)

@@ -211,6 +211,9 @@ def test_rule_file_round_trip(training_rules):
         "np_x: np => det\n  (np_det_n (lex det) (lex n))\n",
         "np_x: np => det n\n",
         "np_x: np => det n\n  (np_det_n (lex det) (lex n))\n  support: many\n",
+        # a digit that int() does not read, and an arrow before the colon
+        "np_x: np => det n\n  (np_det_n (lex det) (lex n))\n  support: 4\u00b2\n",
+        "np_x => np: det n\n  (np_det_n (lex det) (lex n))\n",
     ],
 )
 def test_rule_file_rejects_malformed_records(text):

@@ -1,10 +1,11 @@
-"""run_pipeline reuses the search's tilings for its coverage and stats."""
+"""run_pipeline reuses the search's tilings for its coverage and stats,
+and leaves the garbage collector as it found it."""
 
 import gc
 
 import pytest
 
-from treecut import pipeline
+from treecut import grammar, pipeline
 from treecut.coverage import (
     evaluate_coverage,
     reduction_stats,
@@ -69,37 +70,9 @@ def test_reports_reuse_the_chosen_tiling(
     assert written.split("\n", 1)[1] == stats
 
 
-def test_run_freezes_the_treebank_and_thaws_it(toy_dir, monkeypatch):
-    cfg = PipelineConfig(
-        grammar_path=str(toy_dir / "grammar.txt"),
-        train_path=str(toy_dir / "train.txt"),
-        threshold=1.0,
-    )
-    frozen = []
-    build = pipeline.build_phrase_table
-
-    def recording_build(*args):
-        frozen.append(gc.get_freeze_count())
-        return build(*args)
-
-    monkeypatch.setattr(pipeline, "build_phrase_table", recording_build)
-    before = gc.get_freeze_count()
-    run_pipeline(cfg)
-    assert frozen[0] > before
-    assert gc.get_freeze_count() == before
-
-    def failing_index(*args):
-        raise RuntimeError("index failed")
-
-    monkeypatch.setattr(pipeline, "index_treebank", failing_index)
-    with pytest.raises(RuntimeError):
-        run_pipeline(cfg)
-    assert gc.get_freeze_count() == before
-
-
 @pytest.mark.parametrize("host_frozen", [False, True], ids=["none", "host"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_run_loads_with_the_collector_off_and_freezes_before_restoring_it(
+def test_run_leaves_the_collector_as_it_found_it(
     toy_dir, monkeypatch, enabled, host_frozen
 ):
     cfg = PipelineConfig(
@@ -107,57 +80,32 @@ def test_run_loads_with_the_collector_off_and_freezes_before_restoring_it(
         train_path=str(toy_dir / "train.txt"),
         threshold=1.0,
     )
-    events = []
-    load, build, freeze = (
-        pipeline.load_treebank, pipeline.build_phrase_table, gc.freeze
-    )
 
-    def recording_load(*args):
-        events.append(("load", gc.isenabled()))
-        return load(*args)
+    def failing(*args):
+        raise RuntimeError("failed")
 
-    def recording_freeze():
-        events.append(("freeze", gc.isenabled()))
-        freeze()
-
-    def recording_build(*args):
-        events.append(("build", gc.isenabled()))
-        return build(*args)
-
-    monkeypatch.setattr(pipeline, "load_treebank", recording_load)
-    monkeypatch.setattr(gc, "freeze", recording_freeze)
-    monkeypatch.setattr(pipeline, "build_phrase_table", recording_build)
     was = gc.isenabled()
     assert gc.get_freeze_count() == 0
     if host_frozen:
         host = [[k] for k in range(1000)]  # objects the caller froze
-        freeze()
+        gc.freeze()
+        assert gc.get_freeze_count() >= len(host)
     entry = gc.get_freeze_count()
     gc.enable() if enabled else gc.disable()
     try:
         run_pipeline(cfg)
-        # the collector is off while loading and freezing, then as it was
-        assert events == [("load", False), ("freeze", False), ("build", enabled)]
-        assert gc.isenabled() == enabled
-        # the run thaws only when nothing was frozen on entry
-        if host_frozen:
-            assert entry >= len(host)
-            assert gc.get_freeze_count() >= entry
-        else:
-            assert gc.get_freeze_count() == 0
-
-        events.clear()
-        missing = PipelineConfig(
-            grammar_path=cfg.grammar_path,
-            train_path=str(toy_dir / "missing.txt"),
-            threshold=1.0,
-        )
-        before = gc.get_freeze_count()
-        with pytest.raises(pipeline.InputError):
-            run_pipeline(missing)
-        assert events == [("load", False)]
-        assert gc.isenabled() == enabled
-        assert gc.get_freeze_count() == before
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, entry)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "index_treebank", failing)
+            with pytest.raises(RuntimeError):
+                run_pipeline(cfg)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, entry)
+        # the loader restores the collector it paused when its fold raises
+        with monkeypatch.context() as patch:
+            patch.setattr(grammar, "intern_shape", failing)
+            with pytest.raises(RuntimeError):
+                run_pipeline(cfg)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, entry)
     finally:
         gc.enable() if was else gc.disable()
         gc.unfreeze()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treecut import pipeline
@@ -884,11 +884,32 @@ def assert_lengths_are_yields(tree):
             stack.extend(node.children)
 
 
+def distinct_nodes(trees):
+    """Every node object under *trees*, once each, in no fixed order."""
+    nodes = {}
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            if node.__class__ is Internal:
+                stack.extend(node.children)
+    return list(nodes.values())
+
+
+def assert_equal_subtrees_are_one_object(trees):
+    first = {}
+    for node in distinct_nodes(trees):
+        assert first.setdefault(render_tree(node), node) is node
+
+
 def assert_loaders_agree(text, inv, require_top):
     want = load_outcome(reference_parse_treebank, text, inv, require_top)
     got = load_outcome(parse_treebank, text, inv, require_top)
     assert got == want
     if isinstance(want, list):
+        assert list(map(render_tree, got)) == list(map(render_tree, want))
+        assert_equal_subtrees_are_one_object(got)
         for tree in got:
             assert_lengths_are_yields(tree)
 
@@ -1098,6 +1119,8 @@ def test_word_blind_loader_agrees_with_the_loader(fault, data):
         lambda t, inv, require_top: parse_shapes(t, inv), text, LOADER_GRAMMAR, True
     )
     assert blind_outcome(got) == blind_outcome(want)
+    if isinstance(got, list):
+        assert_equal_subtrees_are_one_object(got)
 
 
 def test_unterminated_quote_is_found_in_linear_time():
@@ -1368,6 +1391,48 @@ def test_word_blind_loader_folds_each_corpus_line_text_once(grammar, text, monke
     assert len(folded) == 1
     assert len(folded[0].split("\n")) == shapes
     assert len({id(tree) for tree in got}) == shapes
+
+
+def unshared_fold(text):
+    """The trees of a valid treebank *text* with a new node for every
+    list, leaves too: the unshared reference for the sharing loader."""
+
+    def close(items, at):
+        if items[0] == LEX:
+            return LexLeaf(items[1])
+        return Internal(items[0], tuple(items[1:]))
+
+    return read_all(text, close)
+
+
+# a chain of equal pp subtrees, each under a distinct np_np_pp
+CHAIN_DEPTH = 300
+CHAIN = (
+    "(s_np_vp " + "(np_np_pp " * CHAIN_DEPTH + "(np_pron (lex I))"
+    + " (pp_prep_np (lex to) (np_num (lex ten))))" * CHAIN_DEPTH
+    + " (vp_v (lex left)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "grammar, text",
+    [c[1:] for c in FIXED_CORPORA] + [((TOY_DIR / "grammar.txt").read_text(), CHAIN)],
+    ids=[c[0] for c in FIXED_CORPORA] + ["chain"],
+)
+def test_loader_shares_every_equal_subtree(grammar, text):
+    inv = parse_rule_inventory(grammar, "s")
+    want = unshared_fold(text)
+    got = parse_treebank(text, inv)
+    assert got == want
+    assert list(map(render_tree, got)) == list(map(render_tree, want))
+    blind = parse_shapes(text, inv)
+    assert blind_outcome(blind) == blind_outcome(want)
+    for trees in (got, blind):
+        assert_equal_subtrees_are_one_object(trees)
+        assert len(distinct_nodes(trees)) < len(distinct_nodes(want))
+    # without its words, a subtree is its shape: one object per shape
+    internal = [n for n in distinct_nodes(blind) if n.__class__ is Internal]
+    assert len(internal) == len({n.shape for n in internal})
 
 
 def reference_walk(tree, parent_context, table):
@@ -1979,6 +2044,12 @@ def shared_subtree_treebanks(draw):
     trees = [
         NP_FRAMES[f](nps[k], draw(st.sampled_from(vps))) for f, k in picks
     ]
+    # two frames can still give one root shape: the first frame with an
+    # np_pron subtree and a vp_v_np over an np_pron is the second frame
+    first, second = parse_treebank(
+        sexpr_text(trees[0]) + sexpr_text(trees[1]), LOADER_GRAMMAR
+    )
+    assume(first.shape != second.shape)
     return nps[0], "".join(sexpr_text(t) + "\n" for t in trees)
 
 

@@ -3,8 +3,9 @@
 No module of the package imports another's underscore-prefixed names,
 and every name ``treecut.__all__`` exports resolves.  Each setting is
 decided in one place: the reading precision is a property of the phrase
-table, which alone applies it, and ``PipelineConfig`` is the one config
-class.  Every report is rendered as a stream of lines.
+table, which alone applies it, ``PipelineConfig`` is the one config
+class, and only the treebank loader touches the garbage collector.
+Every report is rendered as a stream of lines.
 """
 
 import ast
@@ -93,21 +94,35 @@ def test_only_the_table_builder_and_rounding_take_a_precision():
     assert found == []
 
 
+def imported_modules(path: pathlib.Path) -> set[str]:
+    """Every module *path* imports, or imports names from, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module or "")
+    return found
+
+
 def test_only_the_phrase_table_module_does_decimal_arithmetic():
     # the table applies its own precision; every other module reads it
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if "decimal" in modules and path.name != "entropy.py":
-                found.append(f"{path.name}:{node.lineno}")
+    found = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "decimal" in imported_modules(path) and path.name != "entropy.py"
+    ]
     assert found == []
+
+
+def test_only_the_loader_sets_a_collector_policy():
+    # parse_treebank pauses the collector while it folds a text; no
+    # other module turns it off, freezes or thaws objects
+    found = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "gc" in imported_modules(path) and path.name != "grammar.py"
+    ]
+    assert found == []
+    assert "gc" in imported_modules(SRC / "grammar.py")
 
 
 def test_pipeline_config_is_the_only_exported_config():

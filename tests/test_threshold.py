@@ -91,21 +91,26 @@ def full_grid(s_high, delta_s):
 
 
 def test_unimodal_grid_of_at_most_max_steps_points_is_scanned_whole():
-    # steps near 1/199 give grids of MAX_STEPS points and one more
+    # A grid is scanned whole when it leaves bisection the 5 probes that
+    # narrow one grid step, 16 * delta_s, below delta_s.  Steps near
+    # 1/194 give grids just inside and outside that cut-off, and steps
+    # near 1/199 grids of MAX_STEPS points and more.
     sizes = set()
-    for delta_s in (0.01, 0.003, 1 / (16 * 199), 1 / (16 * 199.5), 1 / (16 * 200.5)):
+    near = (193, 193.5, 194.5, 199, 199.5, 200.5)
+    for delta_s in (0.01, 0.003, *(1 / (16 * k) for k in near)):
         grid = full_grid(1.0, delta_s)
         sizes.add(len(grid))
         evaluate = profile(lambda t: 1.0 - abs(t - 0.5))
         result = search_unimodal(0.8, evaluate, 1.0, delta_s)
-        if len(grid) <= MAX_STEPS:
+        if len(grid) <= MAX_STEPS - 5:
             assert evaluate.calls[: len(grid)] == grid, delta_s
         else:
             assert len(evaluate.calls) <= MAX_STEPS, delta_s
             assert evaluate.calls[:2] == [0.0, 1.0 / (MAX_STEPS // 2)], delta_s
         assert result.steps == len(evaluate.calls) <= MAX_STEPS
         assert result.threshold <= 0.7 < result.bracket_high
-    assert {MAX_STEPS, MAX_STEPS + 1} <= sizes
+        assert result.bracket_high - result.threshold < delta_s, delta_s
+    assert {MAX_STEPS - 5, MAX_STEPS - 4, MAX_STEPS, MAX_STEPS + 1} <= sizes
 
 
 @pytest.mark.parametrize("delta_s", [1e-5, 1e-300])
