@@ -125,10 +125,11 @@ def _assign_ids(root: OrNode) -> dict[str, OrNode]:
 def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
     """Merge the training trees into one and-or tree.
 
-    Indexing reads no words, so each distinct root shape is inserted
-    once with its multiplicity.  A repeated shape would add no or-node
-    or arc that its first tree did not, so every arc is still created
-    in the order a tree-by-tree merge would create it.
+    Indexing reads no words, so each distinct root object is inserted
+    once with its multiplicity (see ``shape_groups``).  A repeated tree
+    would add no or-node or arc that its first occurrence did not, so
+    every arc is still created in the order a tree-by-tree merge would
+    create it.
     """
     root = OrNode(category=inv.top, parent_slot=None)
     arc_order: list = []

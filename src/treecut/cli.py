@@ -125,6 +125,12 @@ def _check_flags(cfg: PipelineConfig) -> None:
         raise FlagError(
             f"--delta-s must be a finite number above 0, got {delta_s}"
         )
+    if cfg.max_iterations < 1:
+        raise FlagError(
+            f"--max-iterations must be at least 1, got {cfg.max_iterations}"
+        )
+    if cfg.max_chunks < 0:
+        raise FlagError(f"--max-chunks must be at least 0, got {cfg.max_chunks}")
 
 
 def _config(args) -> PipelineConfig:

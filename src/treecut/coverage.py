@@ -11,10 +11,10 @@ is ``lex`` and a frontier is a wildcard that skips one whole subtree.
 Retrieval at a node walks the node only as deep as the deepest chunk and
 yields every matching rule with its frontier subtrees.
 
-A tiling reads only a subtree's word-blind shape, and a child's shape id
-is always below its parent's, so one pass over the test set's distinct
-shapes in increasing id tiles each shape once from tilings already made.
-Among alternatives a shape takes the first rule whose frontiers are all
+A tiling reads only a subtree's word-blind shape, and the loader builds
+each shape of a file as one object, so each distinct node of the test
+set is tiled once, children before parents, from tilings already made.
+Among alternatives a node takes the first rule whose frontiers are all
 tiled, in the order longest reduction first, then rule name, so reported
 tilings are stable.  Frontier categories are not checked: a validated
 rule's frontier category is the category of its slot, which the loader
@@ -75,6 +75,8 @@ def preference(rule: SpecializedRule) -> tuple:
 # edge of a frontier, the rules whose chunk ends at the node, and the
 # rules still to be sorted into the node's edges.
 _ANY, _END, _PENDING = object(), object(), object()
+# the tiler's stack mark above a node whose children it is tiling
+_TILE = object()
 
 
 class RuleIndex:
@@ -170,34 +172,37 @@ def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
     """Tile every tree; an empty test set counts as (vacuously) covered.
 
     The rules are indexed once per call and every distinct internal
-    shape of *trees* is tiled once, in increasing shape id: a shape's
-    subtrees have lower ids, so each frontier's tiling is already made.
-    Trees of one shape share their tiling.
+    node of *trees* is tiled once, children first, on an explicit stack,
+    so each frontier's tiling is already made.  Trees that are one
+    object share their tiling.
     """
     index = RuleIndex(rules)
-    nodes = {}
-    stack = [t for t in trees if t.__class__ is not LexLeaf]
+    # id(node) -> its tiling, None from the time the node is first met
+    tilings: dict[int, Tiling | None] = {}
+    # nodes to meet, and each met node under _TILE, which comes off the
+    # stack once every child pushed above it is tiled
+    stack = list(trees)
     while stack:
         node = stack.pop()
-        if node.shape not in nodes:
-            nodes[node.shape] = node
-            stack.extend(c for c in node.children if c.__class__ is not LexLeaf)
-    tilings: dict[int, Tiling | None] = {}
-    for shape in sorted(nodes):
-        tilings[shape] = None
-        for rule, frontiers in index.retrieve(nodes[shape]):
+        if node is not _TILE:
+            if node.__class__ is not LexLeaf and id(node) not in tilings:
+                tilings[id(node)] = None
+                stack += (node, _TILE, *node.children)
+            continue
+        node = stack.pop()
+        for rule, frontiers in index.retrieve(node):
             children = []
             for sub in frontiers:
-                child = LEXICON if sub.__class__ is LexLeaf else tilings[sub.shape]
+                child = LEXICON if sub.__class__ is LexLeaf else tilings[id(sub)]
                 if child is None:
                     break
                 children.append(child)
             else:
-                tilings[shape] = Tiling(rule, tuple(children))
+                tilings[id(node)] = Tiling(rule, tuple(children))
                 break
     report = CoverageReport([], [])
     for tree in trees:
-        tiling = LEXICON if tree.__class__ is LexLeaf else tilings[tree.shape]
+        tiling = LEXICON if tree.__class__ is LexLeaf else tilings[id(tree)]
         report.verdicts.append(tiling is not None)
         report.tilings.append(tiling)
     return report

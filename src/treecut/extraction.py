@@ -18,8 +18,9 @@ hash-conses them, so equal chunks are one object and each distinct
 chunk is rendered and named once.  Training mode also memoises the
 cutting itself: a subtree's piece, and the chunk roots cut below it,
 depend only on the subtree's word-blind shape and its or-node's cut
-class, so a ``ChunkMemo`` builds each distinct ``(shape, class)`` once,
-however many trees and or-nodes reach it.
+class.  The loader builds each shape of a file as one object, so a
+``ChunkMemo`` builds each distinct ``(node, class)`` once, however many
+trees and or-nodes reach it.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
 from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
-from treecut.sexpr import read_all
+from treecut.sexpr import SexprError, read_all
 
 TRAINING_CUT = "training"
 ANDOR_ENUM = "andor"
@@ -204,7 +205,7 @@ class _Collector:
 
 
 class _Position:
-    """One (subtree shape, or-node class) that training trees reach.
+    """One (subtree node, or-node class) that training trees reach.
 
     ``node`` and ``or_node`` are its first occurrence, from which it is
     built.  Once built, ``piece`` is the subtree's chunk piece and
@@ -232,7 +233,7 @@ class ChunkMemo:
     its word-blind shape and on the class of its or-node: the closure
     equates the children of equated or-nodes along each rule, so every
     position below lies in the same class, with the same cut flag and
-    category, from any member.  So each ``(shape, class)`` is built
+    category, from any member.  So each ``(node, class)`` is built
     once, as one ``_Position``, whether a chunk is rooted there or it is
     inlined into a larger chunk, and every piece is hash-consed.  The
     cut set must be coherent, as ``closure`` and ``singleton_cutnodes``
@@ -248,7 +249,7 @@ class ChunkMemo:
 
     def at(self, node: Internal, or_node: OrNode) -> _Position:
         """The position of *node* at *or_node*, built with all below it."""
-        key = (node.shape, id(self.cutset.node_to_class[or_node.node_id]))
+        key = (id(node), id(self.cutset.node_to_class[or_node.node_id]))
         top = self.positions.get(key)
         if top is None:
             top = self.positions[key] = _Position(node, or_node)
@@ -279,7 +280,7 @@ class ChunkMemo:
             if child.__class__ is LexLeaf:
                 parts.append(leaf(Frontier if cls.cut else LexSlot, child_or.category))
                 continue
-            key = (child.shape, id(cls))
+            key = (id(child), id(cls))
             sub = positions.get(key)
             if sub is None:
                 sub = positions[key] = _Position(child, child_or)
@@ -343,9 +344,9 @@ def extract_training(
     """Union of per-tree chunks, deduplicated, with occurrence support.
 
     Cutting reads only a tree's word-blind shape, so each distinct root
-    shape is cut once and its chunks count once for every tree of that
-    shape.  One ``ChunkMemo`` serves every root shape, so each distinct
-    (subtree shape, class) is built once, equal chunks are one object,
+    node is cut once and its chunks count once for every tree that is
+    that object.  One ``ChunkMemo`` serves every root, so each distinct
+    (subtree node, class) is built once, equal chunks are one object,
     and each distinct chunk is rendered and named once.
     """
     collector = _Collector(aot.inventory)
@@ -576,17 +577,17 @@ def _close_chunk(items: list, at: int):
 def parse_rule_file(text: str) -> RuleSet:
     """Inverse of render_rule_file; flat lines are cross-checked."""
     rules: list[SpecializedRule] = []
-    record: list[str] = []
+    record: list[tuple[int, str]] = []  # (file line number, line)
 
-    def finish(lines: list[str]) -> None:
-        head = lines[0]
+    def finish(lines: list[tuple[int, str]]) -> None:
+        head = lines[0][1]
         name, _, flat = head.partition(":")
         lhs, arrow, symbols = flat.partition("=>")
         if not arrow:
             raise RuleFileError(f"malformed rule header: {head!r}")
         support = 0
-        body: list[str] = []
-        for line in lines[1:]:
+        body: list[tuple[int, str]] = []
+        for line_no, line in lines[1:]:
             stripped = line.strip()
             if stripped.startswith("support:"):
                 count = stripped.split(":", 1)[1].strip()
@@ -596,8 +597,11 @@ def parse_rule_file(text: str) -> RuleSet:
                     )
                 support = int(count)
             else:
-                body.append(line)
-        exprs = read_all("\n".join(body), _close_chunk)
+                body.append((line_no, line))
+        try:
+            exprs = read_all("\n".join(line for _, line in body), _close_chunk)
+        except SexprError as err:  # numbered from the body's first line
+            raise SexprError(err.message, body[err.line_no - 1][0]) from err
         if len(exprs) != 1:
             raise RuleFileError(f"rule {name.strip()!r} needs exactly one chunk")
         chunk = exprs[0]
@@ -620,7 +624,7 @@ def parse_rule_file(text: str) -> RuleSet:
             )
         rules.append(rule)
 
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.strip().startswith("#"):
             continue
         if not raw.strip():
@@ -628,7 +632,7 @@ def parse_rule_file(text: str) -> RuleSet:
                 finish(record)
                 record = []
         else:
-            record.append(raw)
+            record.append((line_no, raw))
     if record:
         finish(record)
     return RuleSet(rules)

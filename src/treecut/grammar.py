@@ -91,21 +91,6 @@ class Slot:
     position: int
 
 
-# Every shape id handed out in this process, keyed on (rule, *child
-# shapes).  Ids are only ever added, so equal keys keep one id for the
-# life of the process and trees from different files share ids.
-_SHAPES: dict[tuple, int] = {}
-
-
-def intern_shape(key: tuple) -> int:
-    """The shape id of ``(rule, *child shapes)``, assigned on first sight.
-
-    Ids start at 1 (0 is a lexical lookup) and a new id is one more than
-    the last, so a child's id is always lower than its parent's.
-    """
-    return _SHAPES.setdefault(key, len(_SHAPES) + 1)
-
-
 @dataclass(frozen=True, slots=True)
 class LexLeaf:
     """A lexical lookup yielding one word."""
@@ -114,8 +99,6 @@ class LexLeaf:
 
     # yield length: a lexical lookup spans one word
     length = 1
-    # shape id: every lexical lookup has the same word-blind shape
-    shape = 0
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -123,51 +106,46 @@ class Internal:
     """An application of a grammar rule to child subtrees.
 
     ``length`` is the yield length, the number of lexical lookups the
-    node dominates.  ``shape`` is a word-blind shape id: two nodes have
-    the same id exactly when they apply the same rules in the same
-    places and differ at most in their words (see ``intern_shape``).
-    The loader passes both in; when they are left out they are worked
-    out from the children's.
+    node dominates.  The loader passes it in; when it is left out it is
+    worked out from the children's.
 
-    Trees are equal when their rules and words are.  ``==``, ``hash``
-    and ``repr`` walk with a stack, so their depth is bounded by memory,
-    not by the interpreter's recursion limit.
+    Trees are equal when their rules and words are.  The loader builds
+    equal subtrees of one call as one object, so ``==`` skips any pair
+    of subtrees that are one object.  ``==`` and ``repr`` walk with a
+    stack, so their depth is bounded by memory, not by the interpreter's
+    recursion limit, and ``hash`` reads only the root.
     """
 
     rule: str
     children: tuple
     length: int = -1
-    shape: int = -1
 
     def __post_init__(self):
         if self.length < 0:
             object.__setattr__(self, "length", sum(c.length for c in self.children))
-        if self.shape < 0:
-            key = (self.rule, *(c.shape for c in self.children))
-            object.__setattr__(self, "shape", intern_shape(key))
 
     def __eq__(self, other):
         if other.__class__ is not Internal:
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        # Equal shapes apply the same rules in the same places, so only
-        # the words, at the leaves, can differ.
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            for x, y in zip(a.children, b.children):
-                if x is y:
-                    continue
-                if x.__class__ is LexLeaf:
-                    if x.word != y.word:
-                        return False
-                else:
-                    stack.append((x, y))
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is LexLeaf:
+                if a.word != b.word:
+                    return False
+            elif (a.rule != b.rule or a.length != b.length
+                  or len(a.children) != len(b.children)):
+                return False
+            else:
+                stack.extend(zip(a.children, b.children))
         return True
 
     def __hash__(self):
-        return hash((self.rule, self.shape, self.length))
+        return hash((self.rule, self.length))
 
     def __repr__(self):
         return f"Internal({render_tree(self)})"
@@ -177,17 +155,18 @@ ParseTree = Internal | LexLeaf
 
 
 def shape_groups(trees: list) -> list[list]:
-    """``[first tree, multiplicity]`` per distinct root shape of *trees*.
+    """``[first tree, multiplicity]`` per distinct tree object of *trees*.
 
-    Groups come in the order their shapes are first seen.  Word-blind
+    Groups come in the order their objects are first seen.  The loader
+    builds each word-blind shape of a file as one object, so word-blind
     stages work on each group's first tree once and weight it by the
     multiplicity.
     """
     groups: dict[int, list] = {}
     for tree in trees:
-        group = groups.get(tree.shape)
+        group = groups.get(id(tree))
         if group is None:
-            groups[tree.shape] = [tree, 1]
+            groups[id(tree)] = [tree, 1]
         else:
             group[1] += 1
     return list(groups.values())
@@ -253,16 +232,21 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
 
     Each tree is built bottom-up while the text is read: every list is
     checked and folded into a node (or a fault) as soon as its ')' is
-    read, and each node's shape is interned as it is built.  Equal
-    subtrees of one call are one object: one ``LexLeaf`` per word, and
-    one ``Internal`` per rule and child objects.
+    read.  Equal subtrees of one call are one object: one ``LexLeaf``
+    per word, and one ``Internal`` per rule and child objects.
     """
+    return _fold(text, inv, require_top, {})
+
+
+def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None):
+    """``parse_treebank`` with *leaves* as its word-to-leaf memo; with
+    *leaves* None every word is read as one ``LexLeaf("_")``."""
     rules = inv.rules
     lhs_of = {rule_id: rule.lhs for rule_id, rule in rules.items()}
     # Children are folded first, so equal lists have identical children.
     # No child's id is reused while the memo holds the node above it.
-    leaves: dict[str, LexLeaf] = {}
     nodes: dict[tuple, Internal] = {}
+    blank = LexLeaf("_")
 
     def close(items: list, at: int):
         if not items:
@@ -277,6 +261,8 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                 return _Fault(
                     ArityMismatchError, f"'{LEX}' takes exactly one word", (at, 0)
                 )
+            if leaves is None:
+                return blank
             word = items[1]
             leaf = leaves.get(word)
             if leaf is None:
@@ -297,7 +283,6 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                 (at, 0),
             )
         length = 0
-        key = [rule.rule_id]
         for k, want in enumerate(rhs, start=1):
             child = items[k]
             kind = child.__class__
@@ -311,17 +296,14 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
                         (at, 0),
                     )
                 length += child.length
-                key.append(child.shape)
             elif kind is LexLeaf:
                 length += 1
-                key.append(0)
             elif kind is _Fault:
                 return child
             else:
                 return _bare_symbol(child, (at, k))
-        shape = intern_shape(tuple(key))
         # the inventory's id string is shared by every node of the rule
-        node = nodes[ident] = Internal(rule.rule_id, children, length, shape)
+        node = nodes[ident] = Internal(rule.rule_id, children, length)
         return node
 
     # The fold makes no cyclic garbage, but the collector would rescan
@@ -361,20 +343,21 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
     return trees
 
 
-# A lexical lookup of one bare word, written as the renderers write it.
-_LEX_WORD = re.compile(rf'\({LEX} [^\s()"#]+\)')
+# A lexical lookup of one bare word within a line, spaced in any way.
+_LEX_WORD = re.compile(rf'\([^\S\n]*{LEX}[^\S\n]+[^\s()"#]+[^\S\n]*\)')
 
 
 def parse_shapes(text: str, inv: RuleInventory) -> list:
     """``parse_treebank(text, inv, require_top=True)`` without the words.
 
     Nothing after loading reads a word, and a treebank repeats few
-    word-blind trees many times.  So when every line that is not blank
-    or a whole-line comment holds one tree, each bare word is read as
-    ``_``, each distinct line is folded once, and every line with that
-    text gets the same tree object.  Any other text, and any text with
-    a fault, is parsed word for word by ``parse_treebank``, so errors
-    keep their class, message and line.
+    word-blind trees many times.  So every word is read as ``_``, and
+    each word-blind subtree of the text is one object.  When every line
+    that is not blank or a whole-line comment holds one tree, each
+    distinct line is folded once by ``parse_treebank`` and every line
+    with that text gets the same tree object.  Any other text, and any
+    text with a fault, is folded as a whole, so errors keep the class,
+    message and line ``parse_treebank`` gives them.
     """
     if '"' not in text:
         lines = (line.strip() for line in _LEX_WORD.sub(f"({LEX} _)", text).split("\n"))
@@ -392,7 +375,7 @@ def parse_shapes(text: str, inv: RuleInventory) -> list:
             if trees is not None and len(trees) == len(distinct):
                 tree_of = dict(zip(distinct, trees))
                 return [tree_of[line] for line in kept]
-    return parse_treebank(text, inv, require_top=True)
+    return _fold(text, inv, True, None)
 
 
 def _bare_symbol(word: str, where: tuple) -> _Fault:

@@ -141,7 +141,7 @@ def make_out_dir(path: str) -> None:
 def load_trees(path: str, inv: RuleInventory) -> list:
     """The complete parses in the treebank file *path*, without their words.
 
-    Lines with equal word-blind text share one tree (see
+    Each word-blind subtree of the file is one object (see
     ``grammar.parse_shapes``); no stage after loading reads a word.
     """
     return load_file(path, lambda text: parse_shapes(text, inv))

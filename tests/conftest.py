@@ -5,7 +5,7 @@ import pytest
 from treecut.andor import index_treebank
 from treecut.entropy import build_phrase_table
 from treecut.extraction import render_chunk
-from treecut.grammar import Treebank, parse_rule_inventory, parse_treebank
+from treecut.grammar import LexLeaf, Treebank, parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -15,6 +15,24 @@ TOY = ROOT / "corpora" / "toy"
 def chunk_keys(rules) -> frozenset[str]:
     """Every rule's chunk, rendered: what makes two rules the same rule."""
     return frozenset(render_chunk(r.chunk) for r in rules)
+
+
+def blind(tree) -> str:
+    """The word-blind rendering of *tree*, each lexical lookup as ``(lex)``:
+    what makes two subtrees the same shape."""
+    parts = []
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, LexLeaf):
+            parts.append(" (lex)")
+        else:
+            parts.append(" (" + item.rule)
+            stack.append(")")
+            stack.extend(reversed(item.children))
+    return "".join(parts)[1:]
 
 
 @pytest.fixture(scope="session")

@@ -377,6 +377,18 @@ def test_stats_weighted_rejects_rules_that_do_not_fit_the_grammar(capsys, tmp_pa
     assert "2\t1\t100.0" in out
 
 
+def test_stats_names_the_file_line_of_a_chunk_fault(capsys, tmp_path):
+    rules_file = tmp_path / "r2.txt"
+    rules_file.write_text(
+        "np_a: np => pron\n  (np_pron (lex pron))\n  support: 1\n\n"
+        "np_b: np => num\n  (np_num (lex num)))\n  support: 2\n"
+    )
+    code, out, err = run_cli(capsys, "stats", "--rules", str(rules_file))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {rules_file}: line 6: unbalanced ')'\n"
+
+
 def test_chunk_cap_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "extract", "--threshold", "1.0", "--mode", "andor",
@@ -397,14 +409,31 @@ def test_chunk_cap_exits_one(capsys):
         (["--coverage", "0.9", "--delta-s", "0"], "--delta-s"),
         (["--coverage", "0.9", "--delta-s", "-0.5"], "--delta-s"),
         (["--coverage", "0.9", "--delta-s", "nan"], "--delta-s"),
+        # counts that can never work
+        (["--threshold", "0.2", "--restrictions", "--max-iterations", "-3"],
+         "--max-iterations"),
+        (["--threshold", "0.2", "--scheme", "arc-frequency", "--max-iterations", "0"],
+         "--max-iterations"),
+        (["--threshold", "1.0", "--mode", "andor", "--max-chunks", "-1"],
+         "--max-chunks"),
+        (["--coverage", "0.9", "--max-chunks", "-100"], "--max-chunks"),
     ],
 )
 def test_run_rejects_bad_search_flags_before_work(capsys, tmp_path, flags, named):
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "run", *WITH_TEST, *flags, "--out", str(out))
+    code, stdout, err = run_cli(capsys, "run", *WITH_TEST, *flags, "--out", str(out))
     assert code == 1
-    assert named in err
+    assert stdout == ""
+    assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_smallest_working_counts_are_accepted():
+    args = build_parser().parse_args(
+        ["run", *CORPUS, "--threshold", "1.0", "--out", "o",
+         "--max-iterations", "1", "--max-chunks", "0"]
+    )
+    assert (_config(args).max_iterations, _config(args).max_chunks) == (1, 0)
 
 
 @pytest.mark.parametrize(
@@ -414,6 +443,9 @@ def test_run_rejects_bad_search_flags_before_work(capsys, tmp_path, flags, named
         (["bisect", "--coverage", "1.0", "--delta-s", "0"], "--delta-s"),
         (["cut", "--threshold", "nan"], "--threshold"),
         (["extract", "--threshold=-inf"], "--threshold"),
+        (["cut", "--threshold", "0.2", "--max-iterations", "0"], "--max-iterations"),
+        (["extract", "--threshold", "1.0", "--max-chunks", "-1"], "--max-chunks"),
+        (["bisect", "--coverage", "0.9", "--max-chunks", "-1"], "--max-chunks"),
     ],
 )
 def test_subcommands_reject_bad_search_flags(capsys, args, named):

@@ -17,7 +17,13 @@ from treecut.extraction import (
     SpecializedRule,
     extract_training,
 )
-from treecut.grammar import CategoryMismatchError, Internal, LexLeaf, parse_treebank
+from treecut.grammar import (
+    CategoryMismatchError,
+    Internal,
+    LexLeaf,
+    parse_shapes,
+    parse_treebank,
+)
 
 from test_properties import validate_tiling
 
@@ -137,15 +143,17 @@ def test_memo_handles_shared_categories(inventory):
     assert validate_tiling(tiling, trees[0])
 
 
-def test_trees_of_one_shape_share_their_tiling(toy_rules, treebank, inventory):
-    # the test tree's shape with other words
-    again = parse_treebank(
-        "(s_np_vp (np_pron (lex She)) (vp_v_np (lex paid) (np_np_pp"
+def test_trees_of_one_shape_share_their_tiling(toy_rules, toy_dir, inventory):
+    # the test tree, and its shape with other words, in one word-blind load
+    trees = parse_shapes(
+        (toy_dir / "test.txt").read_text()
+        + "(s_np_vp (np_pron (lex She)) (vp_v_np (lex paid) (np_np_pp"
         " (np_det_n (lex the) (lex fare)) (pp_prep_np (lex of) (np_np_pp"
         " (np_det_n (lex the) (lex trip)) (pp_prep_np (lex to) (lex Rome)))))))",
         inventory,
     )
-    report = evaluate_coverage(toy_rules, treebank.test + again)
+    again = trees[1:]
+    report = evaluate_coverage(toy_rules, trees)
     assert report.tilings[1] is report.tilings[0]
     assert covers(toy_rules, again[0]) == report.tilings[0]
     assert validate_tiling(report.tilings[0], again[0])

@@ -26,9 +26,15 @@ from treecut.extraction import (
     rule_name,
     validate_rules,
 )
-from treecut.grammar import parse_rule_inventory, parse_treebank
+from treecut.grammar import (
+    parse_rule_inventory,
+    parse_shapes,
+    parse_treebank,
+    render_tree,
+)
+from treecut.sexpr import SexprError
 
-from conftest import chunk_keys
+from conftest import blind, chunk_keys
 
 
 @pytest.fixture(scope="module")
@@ -221,15 +227,50 @@ def test_rule_file_rejects_malformed_records(text):
         parse_rule_file(text)
 
 
-def test_each_root_shape_is_cut_once(treebank, aot, toy_cut, monkeypatch):
-    # the first tree's shape again, with other words
-    again = parse_treebank(
-        "(s_np_vp (np_pron (lex you))"
-        " (vp_v_np (lex saw) (np_det_n (lex a) (lex seat))))",
-        treebank.inventory,
+TWO_RULES = [
+    "# two rules",
+    "np_a: np => pron",
+    "  (np_pron (lex pron))",
+    "",
+    "np_b: np => num",
+    "  (np_num (lex num))",
+    "  support: 2",
+]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({5: "  (np_num (lex num)))"}, "line 6: unbalanced ')'"),
+        ({5: "  (np_num", 6: "  support: 2", 7: "   (lex num)))"},
+         "line 8: unbalanced ')'"),
+        ({5: "  (np_num", 6: "  support: 2", 7: "   (lex num)"},
+         "line 6: unclosed '('"),
+        ({5: '  (np_num (lex "num))'}, "line 6: unterminated quoted symbol"),
+    ],
+)
+def test_chunk_faults_name_their_line_in_the_file(edits, message):
+    # support lines may sit between the body lines of a chunk
+    lines = list(TWO_RULES)
+    for k, line in edits.items():
+        lines[k:k + 1] = [line]
+    with pytest.raises(SexprError) as info:
+        parse_rule_file("\n".join(lines) + "\n")
+    assert str(info.value) == message
+
+
+def test_each_root_shape_is_cut_once(toy_dir, treebank, aot, toy_cut, monkeypatch):
+    # the training trees, the first two again, and the first tree's shape
+    # again with other words, in one word-blind load
+    text = (
+        (toy_dir / "train.txt").read_text()
+        + "".join(render_tree(tree) + "\n" for tree in treebank.training[:2])
+        + "(s_np_vp (np_pron (lex you))"
+        " (vp_v_np (lex saw) (np_det_n (lex a) (lex seat))))\n"
     )
-    training = treebank.training + treebank.training[:2] + again
-    shapes = {tree.shape for tree in training}
+    training = parse_shapes(text, treebank.inventory)
+    assert len(training) == len(treebank.training) + 3
+    shapes = {blind(tree) for tree in training}
     assert len(shapes) < len(training)
     cut = []
     original = extraction.cut_tree

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 
@@ -21,6 +22,8 @@ from treecut.grammar import (
     render_tree,
 )
 from treecut.sexpr import LineNumberedError, SexprError
+
+from conftest import blind
 
 MINI = """\
 s_np_vp s -> np vp
@@ -213,15 +216,19 @@ def test_hand_built_trees_sum_their_yield(inventory):
         (Internal("np_pron", (LexLeaf("I"),)), Internal("vp_v", (LexLeaf("left"),))),
     )
     assert tree.length == 2
-    # yield and shape are derived data: passed in, as the loader does, or
-    # worked out, they give equal trees, and repr shows neither
-    assert tree == Internal("s_np_vp", tree.children, length=2, shape=tree.shape)
-    assert "length" not in repr(tree) and "shape" not in repr(tree)
-    # a hand-built tree gets the shape id the loader gives its shape
+    # yield is derived data: passed in, as the loader does, or worked
+    # out, it gives equal trees, and repr does not show it
+    assert tree == Internal("s_np_vp", tree.children, length=2)
+    assert "length" not in repr(tree)
+    # a node holds its rule, its children and its yield, and nothing that
+    # ties it to other trees: a hand-built tree and a loaded one with the
+    # same shape are told apart by their words alone
+    assert [f.name for f in dataclasses.fields(Internal)] == [
+        "rule", "children", "length"
+    ]
     loaded = parse_treebank("(s_np_vp (np_pron (lex we)) (vp_v (lex go)))", inventory)
-    assert tree.shape == loaded[0].shape
-    assert tree.children[0].shape < tree.shape
-    assert LexLeaf("I").shape == 0
+    assert blind(tree) == blind(loaded[0]) and tree != loaded[0]
+    assert blind(LexLeaf("I")) == blind(LexLeaf("_")) == "(lex)"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -327,8 +334,20 @@ def test_word_blind_loader_shares_one_tree_per_line_text(inventory):
         (Internal("np_pron", (LexLeaf("_"),)), Internal("vp_v", (LexLeaf("_"),))),
     )
     words = parse_treebank(text, inventory, require_top=True)
-    assert [t.shape for t in (first, second, third)] == [t.shape for t in words]
+    assert [blind(t) for t in (first, second, third)] == [blind(t) for t in words]
     assert [t.length for t in (first, second, third)] == [2, 2, 3]
+
+
+def test_word_blind_loader_blanks_words_however_spaced(inventory):
+    text = (
+        "(s_np_vp (np_pron (lex I )) (vp_v (lex left)))\n"
+        "( s_np_vp (np_pron ( lex\tWe)) (vp_v (lex  came)))\n"
+    )
+    first, second = parse_shapes(text, inventory)
+    assert first is second
+    assert first == parse_treebank(
+        "(s_np_vp (np_pron (lex _)) (vp_v (lex _)))", inventory
+    )[0]
 
 
 @pytest.mark.parametrize(
@@ -343,10 +362,15 @@ def test_word_blind_loader_shares_one_tree_per_line_text(inventory):
         "(s_np_vp (np_pron (lex I)) (vp_v (lex left))) # a comment",
     ],
 )
-def test_word_blind_loader_reads_other_layouts_word_for_word(inventory, text):
-    assert parse_shapes(text, inventory) == parse_treebank(
-        text, inventory, require_top=True
-    )
+def test_word_blind_loader_reads_other_layouts_without_words(inventory, text):
+    got = parse_shapes(text, inventory)
+    want = parse_treebank(text, inventory, require_top=True)
+    assert [blind(t) for t in got] == [blind(t) for t in want]
+    # every word is read as one "_" leaf, so equal shapes are one object
+    blank = parse_treebank("(s_np_vp (np_pron (lex _)) (vp_v (lex _)))", inventory)
+    assert got == blank * len(want)
+    assert all(tree is got[0] for tree in got)
+    assert got[0].children[0].children[0] is got[0].children[1].children[0]
 
 
 @pytest.mark.parametrize(

@@ -102,7 +102,7 @@ def test_run_leaves_the_collector_as_it_found_it(
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, entry)
         # the loader restores the collector it paused when its fold raises
         with monkeypatch.context() as patch:
-            patch.setattr(grammar, "intern_shape", failing)
+            patch.setattr(grammar, "Internal", failing)
             with pytest.raises(RuntimeError):
                 run_pipeline(cfg)
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, entry)

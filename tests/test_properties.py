@@ -11,15 +11,18 @@ import importlib.util
 import math
 import pathlib
 import random
+import re
+import shutil
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treecut import pipeline
+from treecut import cli, pipeline
 from treecut.andor import (
     AndNode,
     AndOrTree,
@@ -94,7 +97,7 @@ from treecut.threshold import (
     search_unimodal,
 )
 
-from conftest import chunk_keys
+from conftest import blind, chunk_keys
 
 ROOT_DIR = pathlib.Path(__file__).resolve().parent.parent
 TOY_DIR = ROOT_DIR / "corpora" / "toy"
@@ -903,6 +906,14 @@ def assert_equal_subtrees_are_one_object(trees):
         assert first.setdefault(render_tree(node), node) is node
 
 
+def assert_equal_shapes_are_one_object(trees):
+    """Every word is ``_``, and equal word-blind subtrees are one object."""
+    first = {}
+    for node in distinct_nodes(trees):
+        assert node.__class__ is Internal or node.word == "_"
+        assert first.setdefault(blind(node), node) is node
+
+
 def assert_loaders_agree(text, inv, require_top):
     want = load_outcome(reference_parse_treebank, text, inv, require_top)
     got = load_outcome(parse_treebank, text, inv, require_top)
@@ -1097,7 +1108,7 @@ LAYOUT_BREAKS = ["\n"] * 3 + ["\r\n", "\n\n", "\n \t\n", "\n# a (comment\n", " "
 def blind_outcome(outcome):
     """Each tree's shape and length, or the class and message of the error."""
     if isinstance(outcome, list):
-        return [(tree.shape, tree.length) for tree in outcome]
+        return [(blind(tree), tree.length) for tree in outcome]
     return outcome
 
 
@@ -1105,8 +1116,8 @@ def blind_outcome(outcome):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_word_blind_loader_agrees_with_the_loader(fault, data):
-    # one gap or quote anywhere sends a text down the word-for-word path,
-    # so half of the texts draw neither
+    # one gap or quote anywhere sends a text down the whole-text fold, so
+    # half of the texts draw neither
     gaps = data.draw(st.sampled_from([[""], LAYOUT_GAPS]))
     quote = data.draw(st.sampled_from([st.just(False), st.integers(0, 29).map(
         lambda k: k == 0
@@ -1120,7 +1131,8 @@ def test_word_blind_loader_agrees_with_the_loader(fault, data):
     )
     assert blind_outcome(got) == blind_outcome(want)
     if isinstance(got, list):
-        assert_equal_subtrees_are_one_object(got)
+        # on either path, every word-blind subtree is one object
+        assert_equal_shapes_are_one_object(got)
 
 
 def test_unterminated_quote_is_found_in_linear_time():
@@ -1322,7 +1334,7 @@ def test_tree_equality_agrees_with_the_dataclass_reference():
                 if same:
                     assert hash(a) == hash(b), seed
                     seen["equal copies"] += a is not b
-                elif a.shape == b.shape:
+                elif blind(a) == blind(b):
                     seen["same shape, other words"] += 1
     assert all(seen.values()), seen
 
@@ -1387,7 +1399,7 @@ def test_word_blind_loader_folds_each_corpus_line_text_once(grammar, text, monke
     assert blind_outcome(got) == blind_outcome(want)
     # the corpora write each word-blind shape as one line text, so the
     # fast path folds one line per distinct shape and shares its tree
-    shapes = len({tree.shape for tree in want})
+    shapes = len({blind(tree) for tree in want})
     assert len(folded) == 1
     assert len(folded[0].split("\n")) == shapes
     assert len({id(tree) for tree in got}) == shapes
@@ -1425,14 +1437,98 @@ def test_loader_shares_every_equal_subtree(grammar, text):
     got = parse_treebank(text, inv)
     assert got == want
     assert list(map(render_tree, got)) == list(map(render_tree, want))
-    blind = parse_shapes(text, inv)
-    assert blind_outcome(blind) == blind_outcome(want)
-    for trees in (got, blind):
+    blind_trees = parse_shapes(text, inv)
+    assert blind_outcome(blind_trees) == blind_outcome(want)
+    for trees in (got, blind_trees):
         assert_equal_subtrees_are_one_object(trees)
         assert len(distinct_nodes(trees)) < len(distinct_nodes(want))
     # without its words, a subtree is its shape: one object per shape
-    internal = [n for n in distinct_nodes(blind) if n.__class__ is Internal]
-    assert len(internal) == len({n.shape for n in internal})
+    internal = [n for n in distinct_nodes(blind_trees) if n.__class__ is Internal]
+    assert len(internal) == len({blind(n) for n in internal})
+
+
+def pretty(text):
+    """*text*, one tree a line, with every tree over several lines: each
+    list after a tree's first on its own line, indented by its depth,
+    and the text's first word quoted."""
+    out = []
+    for line in text.split("\n"):
+        depth = 0
+        for ch in line:
+            if ch == "(":
+                if depth:
+                    out.append("\n" + "  " * depth)
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            out.append(ch)
+        out.append("\n")
+    return re.sub(rf"\({LEX} ([^\s()]+)\)", rf'({LEX} "\1")', "".join(out), count=1)
+
+
+def corpus_pair(corpus):
+    """(grammar, training text, test text) of a fixed corpus, one tree a line."""
+    if corpus == "toy":
+        names = ("grammar", "train", "test")
+        return tuple((TOY_DIR / f"{name}.txt").read_text() for name in names)
+    gen = bench_gen()
+    training, test = gen.generate(corpus, 150, 50, 4.0)
+    return gen.grammar_text(corpus), *(
+        "".join(gen.render(t) + "\n" for t in trees) for trees in (training, test)
+    )
+
+
+# flag sets of `treecut run` that take every stage, the and-or
+# enumeration and the iterative selection included
+RUN_FLAGS = [
+    ["--coverage", "0.9", "--weighted"],
+    ["--threshold", "1.0", "--mode", "andor"],
+    ["--scheme", "arc-frequency", "--restrictions", "--threshold", "0.2"],
+]
+
+
+def run_reports(directory, flags, capsys, monkeypatch):
+    """Exit code, stdout, stderr and every report of `treecut run` on the
+    corpus files in *directory*, named relative to it."""
+    monkeypatch.chdir(directory)
+    code = cli.main([
+        "run", "--grammar", "grammar.txt", "--train", "train.txt",
+        "--test", "test.txt", *flags, "--out", "out",
+    ])
+    out, err = capsys.readouterr()
+    reports = {p.name: p.read_bytes() for p in sorted((directory / "out").iterdir())}
+    shutil.rmtree(directory / "out")
+    return code, out, err, reports
+
+
+@pytest.mark.parametrize("corpus", ["toy", "layered"])
+def test_pretty_printed_corpora_load_and_run_as_one_tree_a_line(
+    corpus, tmp_path, capsys, monkeypatch
+):
+    grammar, train, test = corpus_pair(corpus)
+    inv = parse_rule_inventory(grammar, "s")
+    for role, text in (("train", train), ("test", test)):
+        assert '"' in pretty(text) and len(pretty(text).split("\n")) > 2 * len(
+            text.split("\n")
+        )
+        lines, several = parse_shapes(text, inv), parse_shapes(pretty(text), inv)
+        # the whole-text fold makes every word-blind subtree one object,
+        # as the one-line fold does
+        assert_equal_shapes_are_one_object(several)
+        assert [blind(t) for t in several] == [blind(t) for t in lines]
+        assert len(distinct_nodes(several)) == len(distinct_nodes(lines)), role
+        assert len({id(t) for t in several}) == len({blind(t) for t in several})
+    texts = {"lines": (train, test), "several": (pretty(train), pretty(test))}
+    for name, (train_text, test_text) in texts.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "grammar.txt").write_text(grammar)
+        (tmp_path / name / "train.txt").write_text(train_text)
+        (tmp_path / name / "test.txt").write_text(test_text)
+    for flags in RUN_FLAGS:
+        want = run_reports(tmp_path / "lines", flags, capsys, monkeypatch)
+        got = run_reports(tmp_path / "several", flags, capsys, monkeypatch)
+        assert want[0] == 0 and len(want[3]) == 8, flags
+        assert got == want, flags
 
 
 def reference_walk(tree, parent_context, table):
@@ -1775,11 +1871,13 @@ def test_shape_keyed_work_agrees_on_bench_corpora(corpus):
     inv = parse_rule_inventory(gen.grammar_text(corpus), "s")
 
     def load(trees):
-        return parse_treebank("".join(gen.render(t) + "\n" for t in trees), inv)
+        return parse_shapes("".join(gen.render(t) + "\n" for t in trees), inv)
 
     training, test = load(training), load(test)
-    # the generator repeats shapes, which is what per-shape work saves
-    assert len({t.shape for t in training}) < len(training)
+    # the generator repeats shapes, which is what per-shape work saves:
+    # the loader makes each one object
+    assert len({blind(t) for t in training}) < len(training)
+    assert len({id(t) for t in training}) == len({blind(t) for t in training})
     assert_shape_keyed_work_agrees(inv, training, test, random.Random(2))
 
 
@@ -1960,13 +2058,6 @@ def copy_with_words(tree, rng):
     return Internal(tree.rule, tuple(copy_with_words(c, rng) for c in tree.children))
 
 
-def blind(tree):
-    """The word-blind rendering of *tree*."""
-    if isinstance(tree, LexLeaf):
-        return "(lex)"
-    return "(" + " ".join([tree.rule, *map(blind, tree.children)]) + ")"
-
-
 def all_nodes(tree):
     out = [tree]
     for child in getattr(tree, "children", ()):
@@ -2049,21 +2140,21 @@ def shared_subtree_treebanks(draw):
     first, second = parse_treebank(
         sexpr_text(trees[0]) + sexpr_text(trees[1]), LOADER_GRAMMAR
     )
-    assume(first.shape != second.shape)
+    assume(blind(first) != blind(second))
     return nps[0], "".join(sexpr_text(t) + "\n" for t in trees)
 
 
 def or_nodes_of_shape(training, aot, shape):
-    """The or-nodes at which some training subtree of *shape* sits, and
-    the root shapes above them."""
+    """The or-nodes at which some training subtree of *shape*, a word-blind
+    rendering, sits, and the root shapes above them."""
     at, roots = set(), set()
     for tree in training:
         stack = [(tree, aot.root)]
         while stack:
             node, or_node = stack.pop()
-            if node.shape == shape:
+            if blind(node) == shape:
                 at.add(or_node)
-                roots.add(tree.shape)
+                roots.add(blind(tree))
             if isinstance(node, Internal):
                 stack.extend(zip(node.children, or_node.arcs[node.rule].children))
     return at, roots
@@ -2073,9 +2164,9 @@ def or_nodes_of_shape(training, aot, shape):
 @given(corpus=shared_subtree_treebanks(), seed=st.integers())
 def test_shape_keyed_work_agrees_when_a_subtree_recurs_across_one_class(corpus, seed):
     first, text = corpus
-    training = parse_treebank(text, LOADER_GRAMMAR, require_top=True)
+    training = parse_shapes(text, LOADER_GRAMMAR)
     aot = index_treebank(training, LOADER_GRAMMAR)
-    (shape,) = {n.shape for n in parse_treebank(sexpr_text(first), LOADER_GRAMMAR)}
+    (shape,) = {blind(n) for n in parse_treebank(sexpr_text(first), LOADER_GRAMMAR)}
     at, roots = or_nodes_of_shape(training, aot, shape)
     assert len(at) >= 2 and len(roots) >= 2
     # cutting every np joins those or-nodes into one class, whether the
@@ -2120,7 +2211,7 @@ def test_subtrees_that_differ_only_below_a_cut_give_one_rule(inventory):
     chunks = [cut_tree(tree, aot, cutset, memo) for tree in training]
     # the subject-np trees give one root chunk, the object-np trees give
     # one np chunk, each from two shapes
-    assert training[0].shape != training[2].shape
+    assert blind(training[0]) != blind(training[2])
     assert chunks[0][0] is chunks[2][0]
     assert chunks[1][1] is chunks[3][1]
     assert render_chunk(chunks[1][1]) == (
@@ -2139,19 +2230,39 @@ def test_subtrees_that_differ_only_below_a_cut_give_one_rule(inventory):
 @given(text=repeated_shape_treebanks(), seed=st.integers())
 def test_equal_shapes_are_equal_word_blind_renderings(text, seed):
     rng = random.Random(seed)
-    trees = parse_treebank(text, LOADER_GRAMMAR)
-    # hand-built copies are interned in the same table as loaded trees
-    copies = [copy_with_words(t, rng) for t in trees]
-    nodes = [n for t in trees + copies for n in all_nodes(t)]
-    by_shape, by_rendering = {}, {}
+    # copies with other words, loaded in the same text as the trees
+    copies = [copy_with_words(t, rng) for t in parse_treebank(text, LOADER_GRAMMAR)]
+    text += "".join(render_tree(t) + "\n" for t in copies)
+    trees = parse_shapes(text, LOADER_GRAMMAR)
+    nodes = [n for t in trees for n in all_nodes(t)]
+    by_object, by_rendering = {}, {}
     for node in nodes:
-        by_shape.setdefault(node.shape, set()).add(blind(node))
-        by_rendering.setdefault(blind(node), set()).add(node.shape)
-        for child in getattr(node, "children", ()):
-            assert child.shape < node.shape
-    assert all(len(r) == 1 for r in by_shape.values())
+        by_object.setdefault(id(node), set()).add(blind(node))
+        by_rendering.setdefault(blind(node), set()).add(id(node))
+    assert all(len(r) == 1 for r in by_object.values())
     assert all(len(s) == 1 for s in by_rendering.values())
-    assert by_rendering["(lex)"] == {0}
+    assert len(by_rendering["(lex)"]) == 1
+    assert_tiled_once_children_first(trees)
+
+
+def assert_tiled_once_children_first(trees):
+    """The tiler retrieves rules at each distinct internal node of *trees*
+    once, and at each internal child before its parent."""
+    order = []
+    retrieve = RuleIndex.retrieve
+
+    def recording(index, node):
+        order.append(node)
+        return retrieve(index, node)
+
+    with mock.patch.object(RuleIndex, "retrieve", recording):
+        evaluate_coverage(RuleSet([]), trees)
+    internal = [n for n in distinct_nodes(trees) if n.__class__ is Internal]
+    assert sorted(map(id, order)) == sorted(map(id, internal))
+    place = {id(node): k for k, node in enumerate(order)}
+    for node in order:
+        for child in node.children:
+            assert child.__class__ is LexLeaf or place[id(child)] < place[id(node)]
 
 
 def reference_insert(root, tree, inv):
@@ -2214,15 +2325,16 @@ def or_node_record(node):
 
 
 def assert_set_up_agrees(training, inv):
-    """Per-shape phrase table and index give the per-tree ones."""
+    """Per-shape phrase table and index give the per-tree ones, on
+    word-blind *training* trees from one load."""
     groups = shape_groups(training)
     assert sum(n for _, n in groups) == len(training)
     first = {}
     for tree in training:
-        first.setdefault(tree.shape, tree)
+        first.setdefault(blind(tree), tree)
     # each group is the first tree of its shape, in first-seen order
     assert [(id(tree), n) for tree, n in groups] == [
-        (id(tree), sum(t.shape == shape for t in training))
+        (id(tree), sum(blind(t) == shape for t in training))
         for shape, tree in first.items()
     ]
 
@@ -2240,7 +2352,7 @@ def assert_set_up_agrees(training, inv):
 )
 def test_set_up_agrees_with_per_tree_references_on_corpora(grammar, text):
     inv = parse_rule_inventory(grammar, "s")
-    assert_set_up_agrees(parse_treebank(text, inv), inv)
+    assert_set_up_agrees(parse_shapes(text, inv), inv)
 
 
 def test_set_up_agrees_with_per_tree_references_on_random_corpora():
@@ -2248,14 +2360,16 @@ def test_set_up_agrees_with_per_tree_references_on_random_corpora():
         rng = random.Random(11000 + seed)
         inv, training = gen_corpus(rng, rng.randint(1, 10))
         copies = [copy_with_words(rng.choice(training), rng) for _ in range(6)]
-        if seed % 4 == 0:  # a bare lexical root is shape 0 and has no slots
+        if seed % 4 == 0:  # a bare lexical root has no slots
             copies.append(LexLeaf(rng.choice(WORDS)))
         for tree in copies:
             training.insert(rng.randint(0, len(training)), tree)
-        assert_set_up_agrees(training, inv)
+        # read back without words in one load, so that shapes are objects
+        text = "".join(blind(t).replace("(lex)", "(lex _)") + "\n" for t in training)
+        assert_set_up_agrees(parse_treebank(text, inv), inv)
 
 
 @settings(max_examples=60, deadline=None)
 @given(text=repeated_shape_treebanks())
 def test_set_up_agrees_with_per_tree_references_on_repeated_shapes(text):
-    assert_set_up_agrees(parse_treebank(text, LOADER_GRAMMAR), LOADER_GRAMMAR)
+    assert_set_up_agrees(parse_shapes(text, LOADER_GRAMMAR), LOADER_GRAMMAR)

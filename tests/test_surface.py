@@ -5,13 +5,18 @@ and every name ``treecut.__all__`` exports resolves.  Each setting is
 decided in one place: the reading precision is a property of the phrase
 table, which alone applies it, ``PipelineConfig`` is the one config
 class, and only the treebank loader touches the garbage collector.
-Every report is rendered as a stream of lines.
+Every report is rendered as a stream of lines, and a run keeps no
+state in the package's modules.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import treecut
 
@@ -153,3 +158,56 @@ def test_every_report_renderer_yields_its_lines():
         if not inspect.isgeneratorfunction(renderer):
             joined.append(dotted)
     assert joined == []
+
+
+# Runs treecut in a fresh interpreter and prints, as its last line, the
+# size of every module-level dict, list and set of the package before
+# and after each run, with the run's exit code.
+STATE_PROBE = """
+import importlib, json, pkgutil, sys
+import treecut
+from treecut.cli import main
+
+modules = [importlib.import_module("treecut." + m.name)
+           for m in pkgutil.iter_modules(treecut.__path__)]
+
+def sizes():
+    return {
+        f"{module.__name__}.{name}": len(value)
+        for module in modules for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and not name.startswith("__")
+    }
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    before = sizes()
+    code = main(argv)
+    runs.append([code, before, sizes()])
+print(json.dumps([len(modules), runs]))
+"""
+
+
+def test_a_run_leaves_no_state_in_the_package(tmp_path):
+    toy = SRC.parent.parent / "corpora" / "toy"
+    corpus = [
+        "--grammar", str(toy / "grammar.txt"), "--train", str(toy / "train.txt"),
+        "--test", str(toy / "test.txt"),
+    ]
+    argvs = [
+        ["run", *corpus, "--coverage", "0.9", "--out", str(tmp_path / "a")],
+        ["run", *corpus, "--threshold", "1.0", "--mode", "andor",
+         "--out", str(tmp_path / "b")],
+        ["run", *corpus, "--scheme", "arc-frequency", "--restrictions",
+         "--threshold", "0.2", "--out", str(tmp_path / "c")],
+    ]
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", STATE_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    count, runs = json.loads(done.stdout.splitlines()[-1])
+    assert count == len(list(SRC.glob("*.py"))) - 1  # all but __init__
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    for _, before, after in runs:
+        assert after == before
