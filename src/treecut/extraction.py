@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
 from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
-from treecut.sexpr import SexprError, read_all
+from treecut.sexpr import LineNumberedError, SexprError, item_line, read_all, token_line
 
 TRAINING_CUT = "training"
 ANDOR_ENUM = "andor"
@@ -43,7 +43,11 @@ class ChunkExplosionError(Exception):
 
 
 class RuleFileError(Exception):
-    pass
+    """A rule set that is malformed, or that a grammar does not type."""
+
+
+class RuleFileFormatError(RuleFileError, LineNumberedError):
+    """A malformed record of a rule file, at the line in fault."""
 
 
 @dataclass(frozen=True)
@@ -551,40 +555,54 @@ def render_rule_file(rules: RuleSet) -> Iterator[str]:
         yield f"  support: {rule.support}\n"
 
 
+@dataclass(frozen=True, slots=True)
+class _ChunkFault:
+    """A chunk list that failed its check, standing in for its piece."""
+
+    message: str
+    at: int  # token index of the list's '(' in the chunk text
+
+
 def _close_chunk(items: list, at: int):
     """Fold one list of a chunk text into its piece when its ')' is read.
 
-    A list that fails its own check becomes the RuleFileError to raise;
-    one that passes but holds a faulty list passes on its first, so the
-    error is the first a walk from the chunk's root would meet.  Bare
-    symbols below the root are frontiers.
+    A list that fails its own check becomes a fault; one that passes but
+    holds a faulty list passes on its first, so the error is the first a
+    walk from the chunk's root would meet.  Bare symbols below the root
+    are frontiers.
     """
     if not items or items[0].__class__ is not str:
-        return RuleFileError("malformed chunk expression")
+        return _ChunkFault("malformed chunk expression", at)
     head = items[0]
     if head == "lex":
         if len(items) != 2 or items[1].__class__ is not str:
-            return RuleFileError("lex slot takes exactly one category")
+            return _ChunkFault("lex slot takes exactly one category", at)
         return LexSlot(items[1])
     children = []
     for item in items[1:]:
-        if item.__class__ is RuleFileError:
+        if item.__class__ is _ChunkFault:
             return item
         children.append(Frontier(item) if item.__class__ is str else item)
     return Apply(head, tuple(children))
 
 
 def parse_rule_file(text: str) -> RuleSet:
-    """Inverse of render_rule_file; flat lines are cross-checked."""
+    """Inverse of render_rule_file; flat lines are cross-checked.
+
+    Every fault names its line in *text*: the header's for a malformed
+    header, a missing chunk or a flat line that does not match its
+    chunk; the support line's for a bad count; and the chunk's own lines
+    for the rest.
+    """
     rules: list[SpecializedRule] = []
     record: list[tuple[int, str]] = []  # (file line number, line)
 
     def finish(lines: list[tuple[int, str]]) -> None:
-        head = lines[0][1]
+        header_no, head = lines[0]
         name, _, flat = head.partition(":")
         lhs, arrow, symbols = flat.partition("=>")
         if not arrow:
-            raise RuleFileError(f"malformed rule header: {head!r}")
+            raise RuleFileFormatError(f"malformed rule header: {head!r}", header_no)
         support = 0
         body: list[tuple[int, str]] = []
         for line_no, line in lines[1:]:
@@ -592,23 +610,33 @@ def parse_rule_file(text: str) -> RuleSet:
             if stripped.startswith("support:"):
                 count = stripped.split(":", 1)[1].strip()
                 if not count.isdecimal():  # int() rejects some digits
-                    raise RuleFileError(
-                        f"rule {name.strip()!r}: support {count!r} is not a count"
+                    raise RuleFileFormatError(
+                        f"rule {name.strip()!r}: support {count!r} is not a count",
+                        line_no,
                     )
                 support = int(count)
             else:
                 body.append((line_no, line))
+        chunk_text = "\n".join(line for _, line in body)
         try:
-            exprs = read_all("\n".join(line for _, line in body), _close_chunk)
+            exprs = read_all(chunk_text, _close_chunk)
         except SexprError as err:  # numbered from the body's first line
             raise SexprError(err.message, body[err.line_no - 1][0]) from err
         if len(exprs) != 1:
-            raise RuleFileError(f"rule {name.strip()!r} needs exactly one chunk")
+            where = body[item_line(chunk_text, None, 1) - 1][0] if exprs else header_no
+            raise RuleFileFormatError(
+                f"rule {name.strip()!r} needs exactly one chunk", where
+            )
         chunk = exprs[0]
-        if chunk.__class__ is RuleFileError:
-            raise chunk
+        if chunk.__class__ is _ChunkFault:
+            raise RuleFileFormatError(
+                chunk.message, body[token_line(chunk_text, chunk.at) - 1][0]
+            )
         if chunk.__class__ is not Apply:
-            raise RuleFileError(f"rule {name.strip()!r} chunk must be an application")
+            raise RuleFileFormatError(
+                f"rule {name.strip()!r} chunk must be an application",
+                body[item_line(chunk_text, None, 0) - 1][0],
+            )
         rule = SpecializedRule(
             name=name.strip(),
             lhs=lhs.strip(),
@@ -618,9 +646,10 @@ def parse_rule_file(text: str) -> RuleSet:
         )
         declared = tuple(symbols.split())
         if declared != rule.rhs:
-            raise RuleFileError(
+            raise RuleFileFormatError(
                 f"rule {rule.name!r}: flat line {declared} does not match "
-                f"chunk {rule.rhs}"
+                f"chunk {rule.rhs}",
+                header_no,
             )
         rules.append(rule)
 

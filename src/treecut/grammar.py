@@ -9,6 +9,18 @@ not be declared.
 Treebank files hold one parse tree per S-expression: ``(rule child...)``
 for an application of ``rule``, ``(lex word)`` for a lexical lookup.
 Both internal applications and lexical lookups may fill any slot.
+
+The loader checks and builds each distinct list text once.  A text with
+no '"', '#' or NUL character is peeled in rounds.  Each round is one
+regex substitution over the text: it finds the innermost lists, the
+ones that hold no list, folds each list text not seen before into its
+node, and writes a placeholder symbol in place of every such list.
+Rounds stop when no list is left or when a round shrinks the text by
+less than a tenth, so a deep chain costs a few rounds, not its depth.
+The token reader, ``sexpr.read_all``, then reads what is left, seeing
+each placeholder as its node.  Any fault sends the whole original text
+through the token reader alone, so every error keeps its class, message
+and line.
 """
 
 import gc
@@ -230,10 +242,11 @@ class _Fault:
 def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> list:
     """Parse every tree in a treebank file, validating against *inv*.
 
-    Each tree is built bottom-up while the text is read: every list is
-    checked and folded into a node (or a fault) as soon as its ')' is
-    read.  Equal subtrees of one call are one object: one ``LexLeaf``
-    per word, and one ``Internal`` per rule and child objects.
+    Each tree is built bottom-up: every list is checked and folded into
+    a node (or a fault) once its items are, each distinct list text once
+    (see the module docstring).  Equal subtrees of one call are one
+    object: one ``LexLeaf`` per word, and one ``Internal`` per rule and
+    child objects.
     """
     return _fold(text, inv, require_top, {})
 
@@ -311,7 +324,9 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        trees = read_all(text, close)
+        trees = _peel(text, close)
+        if trees is None:
+            trees = read_all(text, close)
     except SexprError as err:
         raise TreebankFormatError(err.message, err.line_no) from err
     finally:
@@ -341,6 +356,77 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
                     item_line(text, None, k),
                 )
     return trees
+
+
+# An innermost list, one that holds no list, and the text inside it.  The
+# lookahead and backreference keep the regex from backtracking into the
+# text when a '(' follows it, as a possessive ``*+`` would on Python 3.11.
+_INNERMOST = re.compile(r"\((?=([^()]*))\1\)")
+# Opens every placeholder symbol of a peeled list; a text that holds it
+# is not peeled.
+_HOLE = "\x00"
+# Peeling ends after a round that leaves more than this share of its text.
+_KEEP = 0.9
+
+
+class _Unpeelable(Exception):
+    """A peeled list failed its checks: the text is folded token by token."""
+
+
+def _peel(text: str, close) -> list | None:
+    """The items of *text* folded by *close*, each distinct list text once.
+
+    Each round is one ``re.sub`` over the text.  It folds each innermost
+    list text not seen before and writes a placeholder symbol in place of
+    every innermost list: ``\\x00<n>``, one per node, spaced off from its
+    neighbours.  Rounds end when no '(' is left or when a round leaves
+    more than ``_KEEP`` of its text, so all rounds together scan at most
+    ``1 / (1 - _KEEP)`` times the text.  What is left is read by
+    ``read_all``, whose *close* sees each placeholder as its node.
+    Returns None, so that the caller folds the text token by token, for
+    text with a '"', a '#' or ``_HOLE`` or with unequal counts of '('
+    and ')', and for text where a list fails its checks, a ')' comes
+    before its '(', or an item is not a list.
+    """
+    if ('"' in text or "#" in text or _HOLE in text
+            or text.count("(") != text.count(")")):
+        return None
+    node_of: dict[str, object] = {}  # placeholder symbol -> node
+    named: dict[int, str] = {}  # id(node) -> its spaced placeholder
+    names: dict[str, str] = {}  # list text -> its spaced placeholder
+
+    def resolve(items) -> list:
+        return list(map(node_of.get, items, items))
+
+    def placeholder(match) -> str:
+        inner = match[1]
+        name = names.get(inner)
+        if name is None:
+            node = close(resolve(inner.split()), -1)
+            if node.__class__ is _Fault:
+                raise _Unpeelable
+            name = named.get(id(node))
+            if name is None:
+                symbol = f"{_HOLE}{len(named)}"
+                node_of[symbol] = node
+                name = named[id(node)] = f" {symbol} "
+            names[inner] = name
+        return name
+
+    try:
+        while "(" in text:
+            rest = _INNERMOST.sub(placeholder, text)
+            done = len(rest) > _KEEP * len(text)
+            text = rest
+            if done:
+                break
+        items = resolve(read_all(text, lambda items, at: close(resolve(items), at)))
+    except (_Unpeelable, SexprError):
+        return None
+    for item in items:
+        if item.__class__ is not Internal and item.__class__ is not LexLeaf:
+            return None
+    return items
 
 
 # A lexical lookup of one bare word within a line, spaced in any way.

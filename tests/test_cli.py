@@ -389,6 +389,20 @@ def test_stats_names_the_file_line_of_a_chunk_fault(capsys, tmp_path):
     assert err == f"error: {rules_file}: line 6: unbalanced ')'\n"
 
 
+
+def test_stats_names_the_file_line_of_a_rule_header_fault(capsys, tmp_path):
+    rules_file = tmp_path / "r1.txt"
+    rules_file.write_text(
+        "np_a: np => pron\n  (np_pron (lex pron))\n  support: 1\n\n"
+        "np_c00342fc: np  num\n  (np_num (lex num))\n  support: 2\n"
+    )
+    code, out, err = run_cli(capsys, "stats", "--rules", str(rules_file))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {rules_file}: line 5: malformed rule header: 'np_c00342fc: np  num'\n"
+    )
+
 def test_chunk_cap_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "extract", "--threshold", "1.0", "--mode", "andor",

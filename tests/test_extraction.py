@@ -14,6 +14,7 @@ from treecut.extraction import (
     Frontier,
     LexSlot,
     RuleFileError,
+    RuleFileFormatError,
     RuleSet,
     SpecializedRule,
     cut_tree,
@@ -258,6 +259,37 @@ def test_chunk_faults_name_their_line_in_the_file(edits, message):
         parse_rule_file("\n".join(lines) + "\n")
     assert str(info.value) == message
 
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({4: "np_b np num"}, "line 5: malformed rule header: 'np_b np num'"),
+        ({6: "  support: two"}, "line 7: rule 'np_b': support 'two' is not a count"),
+        ({4: "np_b: np => pron"},
+         "line 5: rule 'np_b': flat line ('pron',) does not match chunk ('num',)"),
+        # a second chunk, here after the support line
+        ({6: "  support: 2", 7: "  (np_num (lex num))"},
+         "line 8: rule 'np_b' needs exactly one chunk"),
+        # no chunk at all: the header is at fault
+        ({5: "  support: 2", 6: None}, "line 5: rule 'np_b' needs exactly one chunk"),
+        ({5: "  np_num"}, "line 6: rule 'np_b' chunk must be an application"),
+        # a chunk list at fault names the line of its '('
+        ({5: "  (np_num", 6: "  support: 2", 7: "   (lex num num))"},
+         "line 8: lex slot takes exactly one category"),
+        ({5: "  (np_num", 6: "   (np_det_n ((lex det)) (lex n)))"},
+         "line 7: malformed chunk expression"),
+    ],
+)
+def test_rule_record_faults_name_their_line_in_the_file(edits, message):
+    lines = list(TWO_RULES)
+    for k, line in sorted(edits.items(), reverse=True):
+        lines[k:k + 1] = [] if line is None else [line]
+    with pytest.raises(RuleFileFormatError) as info:
+        parse_rule_file("\n".join(lines) + "\n")
+    assert isinstance(info.value, RuleFileError)
+    assert str(info.value) == message
+    assert info.value.line_no == int(message.split(":")[0].split()[1])
 
 def test_each_root_shape_is_cut_once(toy_dir, treebank, aot, toy_cut, monkeypatch):
     # the training trees, the first two again, and the first tree's shape

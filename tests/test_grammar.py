@@ -23,7 +23,7 @@ from treecut.grammar import (
 )
 from treecut.sexpr import LineNumberedError, SexprError
 
-from conftest import blind
+from conftest import TOY, blind
 
 MINI = """\
 s_np_vp s -> np vp
@@ -419,3 +419,158 @@ def test_a_parse_that_is_not_complete_is_reported_at_its_line(text, err, message
             load(text, inv)
         assert type(info.value) is err
         assert str(info.value) == message
+
+
+def load_outcome(load, text, inventory):
+    """The trees of one load, or the class, message and line of its error."""
+    try:
+        return load(text, inventory)
+    except TreebankFormatError as err:
+        return type(err), str(err), err.line_no
+
+
+def token_fold_outcome(load, text, inventory, monkeypatch):
+    """``load_outcome`` with peeling off: every list is read token by token."""
+    with monkeypatch.context() as patch:
+        patch.setattr(grammar, "_peel", lambda text, close: None)
+        return load_outcome(load, text, inventory)
+
+
+GOOD = "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))"
+PP = " (pp_prep_np (lex to) (np_num (lex ten))))"
+COMPLETE = [
+    lambda text, inv: parse_treebank(text, inv, require_top=True),
+    parse_shapes,
+]
+
+
+@pytest.mark.parametrize("load", COMPLETE, ids=["words", "word-blind"])
+@pytest.mark.parametrize(
+    "text, err, message, line",
+    [
+        # an unknown rule id five levels deep, after lists that peel cleanly
+        (GOOD + "\n" + GOOD + "\n(s_np_vp " + "(np_np_pp " * 4 + "\n(bogus (lex I))"
+         + PP * 4 + " (vp_v (lex left)))",
+         UnknownRuleIdError, "unknown rule id 'bogus'", 4),
+        # an arity fault in an inner list
+        (GOOD + "\n(s_np_vp (np_np_pp (np_det_n (lex the))" + PP + " (vp_v (lex a)))",
+         ArityMismatchError, "'np_det_n' expects 2 children, got 1", 2),
+        # a stray ')' after peeled lists, with as many '(' as ')' ...
+        (GOOD + "\n" + GOOD + ")\n(np_pron (lex I)",
+         TreebankFormatError, "unbalanced ')'", 2),
+        # ... and with one ')' too many
+        (GOOD + "\n" + GOOD + "\n" + GOOD + ")\n",
+         TreebankFormatError, "unbalanced ')'", 3),
+        # a bare symbol at the top level, between peeled trees
+        (GOOD + "\n  stray\n" + GOOD,
+         TreebankFormatError, "bare symbol 'stray' outside a rule application", 2),
+        # a text holding the placeholder character, where a peeled list
+        # would have stood in for the symbol
+        (GOOD + "\n(s_np_vp \x000 (vp_v (lex left)))",
+         TreebankFormatError, "bare symbol '\x000' outside a rule application", 2),
+    ],
+    ids=["deep-unknown-rule", "inner-arity", "stray-paren-balanced", "stray-paren",
+         "top-bare-symbol", "placeholder-character"],
+)
+def test_faults_met_late_or_never_by_peeling_keep_class_message_and_line(
+    inventory, monkeypatch, load, text, err, message, line
+):
+    want = (err, f"line {line}: {message}", line)
+    assert token_fold_outcome(load, text, inventory, monkeypatch) == want
+    assert load_outcome(load, text, inventory) == want
+
+
+def test_words_that_hold_the_placeholder_character_are_words(inventory):
+    text = GOOD + "\n(s_np_vp (np_pron (lex \x000)) (vp_v (lex \x001)))\n"
+    _, tree = parse_treebank(text, inventory, require_top=True)
+    assert [child.children[0].word for child in tree.children] == ["\x000", "\x001"]
+
+
+def test_lists_that_touch_their_neighbours_are_peeled(inventory, monkeypatch):
+    # no space between a head or a list and the list after it
+    text = GOOD.replace(" (", "(") + "\n" + GOOD + "\n"
+    want = token_fold_outcome(parse_shapes, text, inventory, monkeypatch)
+    read = []
+    read_all = grammar.read_all
+
+    def recording_read_all(text, close):
+        read.append(text)
+        return read_all(text, close)
+
+    monkeypatch.setattr(grammar, "read_all", recording_read_all)
+    got = parse_shapes(text, inventory)
+    assert got == want and got[0] is got[1]
+    # one read, of the placeholders of the two peeled trees
+    assert len(read) == 1 and "(" not in read[0]
+
+
+class CountingRegex:
+    """Stands in for the innermost-list regex and counts the characters
+    each peeling round scans."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.scanned = []
+
+    def sub(self, repl, text):
+        self.scanned.append(len(text))
+        return self.pattern.sub(repl, text)
+
+
+# one comb tooth per spine level; tooth i is a chain of i t_t lists, so
+# each round peels one list of every tooth still standing: a little of
+# the text
+COMB_GRAMMAR = "s_c s -> c\nc_ct c -> c t\nc_w c -> w\nt_t t -> t\nt_w t -> w\n"
+TEETH = 200
+COMB = (
+    "(s_c " + "(c_ct " * TEETH + "(c_w (lex x))"
+    + "".join(" " + "(t_t " * i + "(t_w (lex x))" + ")" * i + ")" for i in range(TEETH))
+    + ")\n"
+)
+DEEP_CHAIN = (
+    "(s_np_vp " + "(np_np_pp " * 10_000 + "(np_pron (lex I))" + PP * 10_000
+    + " (vp_v (lex left)))\n"
+)
+TOY_GRAMMAR = (TOY / "grammar.txt").read_text()
+# the toy training parses, without the comment line peeling skips
+TOY_TRAIN = "".join(
+    line for line in (TOY / "train.txt").read_text().splitlines(True)
+    if not line.startswith("#")
+)
+
+
+@pytest.mark.parametrize(
+    "grammar_text, text, count",
+    [
+        (TOY_GRAMMAR, DEEP_CHAIN, 4),
+        (COMB_GRAMMAR, COMB, 1),
+        (TOY_GRAMMAR, TOY_TRAIN, 6),
+    ],
+    ids=["chain", "comb", "toy"],
+)
+def test_peeling_scans_a_bounded_multiple_of_the_text(
+    grammar_text, text, count, monkeypatch
+):
+    inv = parse_rule_inventory(grammar_text, "s")
+    want = token_fold_outcome(parse_treebank, text, inv, monkeypatch)
+    assert isinstance(want, list)
+    rounds = CountingRegex(grammar._INNERMOST)
+    handed_off = []
+    read_all = grammar.read_all
+
+    def recording_read_all(text, close):
+        handed_off.append(len(text))
+        return read_all(text, close)
+
+    monkeypatch.setattr(grammar, "_INNERMOST", rounds)
+    monkeypatch.setattr(grammar, "read_all", recording_read_all)
+    assert load_outcome(parse_treebank, text, inv) == want
+    assert len(rounds.scanned) == count
+    # every round but the last leaves at most _KEEP of its text, so the
+    # rounds scan at most 1 / (1 - _KEEP) texts; the token reader then
+    # reads the rest once
+    for before, after in zip(rounds.scanned, rounds.scanned[1:]):
+        assert after <= grammar._KEEP * before
+    assert len(handed_off) == 1
+    bound = 1 / (1 - grammar._KEEP) + 1
+    assert sum(rounds.scanned) + handed_off[0] <= bound * len(text)

@@ -57,6 +57,7 @@ from treecut.extraction import (
     Frontier,
     LexSlot,
     RuleFileError,
+    RuleFileFormatError,
     RuleSet,
     SpecializedRule,
     cut_tree,
@@ -1253,6 +1254,8 @@ def test_rule_file_chunks_agree_with_the_recursive_builder(root, extra, second):
     got = chunk_outcome(
         lambda b: parse_rule_file(f"r: x => {flat}\n  {b}\n").rules[0].chunk, body
     )
+    if not isinstance(want, Apply):  # the file names the chunk's line, line 2
+        want = RuleFileFormatError, f"line 2: {want[1]}"
     assert got == want
 
 
@@ -1445,6 +1448,77 @@ def test_loader_shares_every_equal_subtree(grammar, text):
     # without its words, a subtree is its shape: one object per shape
     internal = [n for n in distinct_nodes(blind_trees) if n.__class__ is Internal]
     assert len(internal) == len({blind(n) for n in internal})
+
+
+def token_fold():
+    """Peeling off: the loader reads every list of a text token by token."""
+    return mock.patch("treecut.grammar._peel", lambda text, close: None)
+
+
+def node_counts(trees):
+    """Distinct ``Internal`` objects and distinct ``LexLeaf`` objects."""
+    nodes = distinct_nodes(trees)
+    internal = sum(node.__class__ is Internal for node in nodes)
+    return internal, len(nodes) - internal
+
+
+COMPLETE_LOADERS = {
+    "words": parse_treebank,
+    "word-blind": lambda text, inv, require_top: parse_shapes(text, inv),
+}
+
+
+def assert_peeling_agrees(text, inv):
+    """Both loaders give with peeling what they give token by token: the
+    same trees, as many distinct nodes, or the same error and line."""
+    for name, load in COMPLETE_LOADERS.items():
+        with token_fold():
+            want = load_outcome(load, text, inv, True)
+        got = load_outcome(load, text, inv, True)
+        assert got == want
+        if name == "words":
+            assert got == load_outcome(reference_parse_treebank, text, inv, True)
+        if isinstance(want, list):
+            assert node_counts(got) == node_counts(want)
+            if name == "word-blind" and got:
+                assert node_counts(got)[1] == 1
+
+
+@pytest.mark.parametrize(
+    "grammar, text", [c[1:] for c in FIXED_CORPORA], ids=[c[0] for c in FIXED_CORPORA]
+)
+def test_peeled_load_agrees_with_the_token_fold_on_corpora(grammar, text):
+    assert_peeling_agrees(text, parse_rule_inventory(grammar, "s"))
+
+
+def test_peeled_load_of_the_fixed_large_corpus_keeps_its_sharing():
+    # corpus 0 of seed 1 of the benchmark's fixed-large workload
+    gen = bench_gen()
+    training, _ = gen.generate("toy", 20_000, 100, "1.0")
+    inv = parse_rule_inventory(gen.grammar_text("toy"), "s")
+    text = "".join(gen.render(tree) + "\n" for tree in training)
+    with token_fold():
+        want = parse_shapes(text, inv)
+    got = parse_shapes(text, inv)
+    assert node_counts(got) == node_counts(want) == (6_854, 1)
+    assert got == want
+
+
+# Texts that peel: no comment, no quote, and words that look like
+# placeholder symbols without their opening character.
+PEEL_GAPS = [" "] * 6 + ["", "  ", "\t", "\r\n", "\n", " \t\r\n  ", "\x0b", "\u3000"]
+PEEL_BREAKS = ["\n"] * 3 + ["\r\n", "\n\n", "\t\n", " "]
+PEEL_FAULTS = [None, *LIST_FAULTS, *TOP_FAULTS, "unbalanced", "unclosed"]
+
+
+@pytest.mark.parametrize("fault", PEEL_FAULTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_peeled_load_agrees_with_the_token_fold(fault, data):
+    text, _ = data.draw(loader_texts(
+        [fault], "a0_\x01", PEEL_GAPS, PEEL_BREAKS, quote=st.just(False), copies=6
+    ))
+    assert_peeling_agrees(text, LOADER_GRAMMAR)
 
 
 def pretty(text):
