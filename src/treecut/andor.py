@@ -30,7 +30,7 @@ class AndNode:
     children: list
 
 
-@dataclass
+@dataclass(eq=False)
 class OrNode:
     category: str
     parent_slot: Slot | None
@@ -46,12 +46,6 @@ class OrNode:
 
     def sorted_arcs(self) -> list[tuple[str, AndNode]]:
         return sorted(self.arcs.items())
-
-    def __hash__(self):
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
 
 @dataclass

@@ -158,14 +158,16 @@ def covers(rules: RuleSet, tree) -> Tiling | None:
 
 @dataclass
 class CoverageReport:
-    verdicts: list[bool]
-    tilings: list
+    tilings: list  # each tree's preferred tiling, None when it has none
+
+    @property
+    def verdicts(self) -> list[bool]:
+        return [tiling is not None for tiling in self.tilings]
 
     @property
     def fraction(self) -> float:
-        if not self.verdicts:
-            return 1.0
-        return sum(self.verdicts) / len(self.verdicts)
+        verdicts = self.verdicts
+        return sum(verdicts) / len(verdicts) if verdicts else 1.0
 
 
 def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
@@ -200,12 +202,9 @@ def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
             else:
                 tilings[id(node)] = Tiling(rule, tuple(children))
                 break
-    report = CoverageReport([], [])
-    for tree in trees:
-        tiling = LEXICON if tree.__class__ is LexLeaf else tilings[id(tree)]
-        report.verdicts.append(tiling is not None)
-        report.tilings.append(tiling)
-    return report
+    return CoverageReport(
+        [LEXICON if tree.__class__ is LexLeaf else tilings[id(tree)] for tree in trees]
+    )
 
 
 BUCKETS = ("1", "2", "3", "4+")

@@ -65,15 +65,18 @@ class EquivalenceClass:
 class CutnodeSet:
     """A full partition of the or-nodes with some classes marked cut.
 
-    ``closure`` memoises its results per index and hands the same
-    instance to every caller that closes an equal cut set, so a closed
-    ``CutnodeSet`` is shared and must never be mutated.
+    ``classes`` are held in representative (``seq``) order, however they
+    are passed in, and ``cut_classes`` keeps that order.  ``closure``
+    memoises its results per index and hands the same instance to every
+    caller that closes an equal cut set, so a closed ``CutnodeSet`` is
+    shared and must never be mutated.
     """
 
     classes: tuple[EquivalenceClass, ...]
     node_to_class: dict[str, EquivalenceClass] = field(init=False)
 
     def __post_init__(self):
+        self.classes = tuple(sorted(self.classes, key=lambda c: c.members[0].seq))
         self.node_to_class = {
             m.node_id: cls for cls in self.classes for m in cls.members
         }
@@ -229,7 +232,7 @@ def neighbor_conflicts(
     def class_entropy(cls: EquivalenceClass) -> float:
         return max(scores[m.node_id] for m in cls.members)
 
-    cut = sorted(cutset.cut_classes(), key=lambda c: c.representative.seq)
+    cut = cutset.cut_classes()
     if not cut:
         return []
     lhs_of: dict[str, list[EquivalenceClass]] = {}
@@ -361,7 +364,7 @@ def select_iterative(
 
 def render_cut_classes(cutset: CutnodeSet, scores: NodeEntropyMap) -> Iterator[str]:
     """One line per cut class: representative, category, members, peak score."""
-    classes = sorted(cutset.cut_classes(), key=lambda c: c.representative.seq)
+    classes = cutset.cut_classes()
     if not classes:
         yield "(no cut classes)\n"
     for cls in classes:

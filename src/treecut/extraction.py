@@ -21,6 +21,10 @@ depend only on the subtree's word-blind shape and its or-node's cut
 class.  The loader builds each shape of a file as one object, so a
 ``ChunkMemo`` builds each distinct ``(node, class)`` once, however many
 trees and or-nodes reach it.
+
+``parse_rule_file`` folds each chunk with ``sexpr.read_all``; a chunk
+list at fault becomes a ``sexpr.Fault``, the one stand-in for a piece
+at fault, raised at its line in the file.
 """
 
 import hashlib
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
 from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
-from treecut.sexpr import LineNumberedError, SexprError, item_line, read_all, token_line
+from treecut.sexpr import Fault, LineNumberedError, SexprError, read_all
 
 TRAINING_CUT = "training"
 ANDOR_ENUM = "andor"
@@ -496,7 +500,7 @@ def extract_andor(
 
     collector = _Collector(aot.inventory)
     roots = [class_of(aot.root)]
-    for cls in sorted(cutset.cut_classes(), key=lambda c: c.representative.seq):
+    for cls in cutset.cut_classes():
         if cls is not roots[0]:
             roots.append(cls)
     for cls in roots:
@@ -555,32 +559,24 @@ def render_rule_file(rules: RuleSet) -> Iterator[str]:
         yield f"  support: {rule.support}\n"
 
 
-@dataclass(frozen=True, slots=True)
-class _ChunkFault:
-    """A chunk list that failed its check, standing in for its piece."""
-
-    message: str
-    at: int  # token index of the list's '(' in the chunk text
-
-
 def _close_chunk(items: list, at: int):
     """Fold one list of a chunk text into its piece when its ')' is read.
 
-    A list that fails its own check becomes a fault; one that passes but
-    holds a faulty list passes on its first, so the error is the first a
-    walk from the chunk's root would meet.  Bare symbols below the root
-    are frontiers.
+    A list that fails its own check becomes a ``Fault`` at its '('; one
+    that passes but holds a faulty list passes on its first, so the error
+    is the first a walk from the chunk's root would meet.  Bare symbols
+    below the root are frontiers.
     """
     if not items or items[0].__class__ is not str:
-        return _ChunkFault("malformed chunk expression", at)
+        return Fault(RuleFileFormatError, "malformed chunk expression", at)
     head = items[0]
     if head == "lex":
         if len(items) != 2 or items[1].__class__ is not str:
-            return _ChunkFault("lex slot takes exactly one category", at)
+            return Fault(RuleFileFormatError, "lex slot takes exactly one category", at)
         return LexSlot(items[1])
     children = []
     for item in items[1:]:
-        if item.__class__ is _ChunkFault:
+        if item.__class__ is Fault:
             return item
         children.append(Frontier(item) if item.__class__ is str else item)
     return Apply(head, tuple(children))
@@ -603,6 +599,7 @@ def parse_rule_file(text: str) -> RuleSet:
         lhs, arrow, symbols = flat.partition("=>")
         if not arrow:
             raise RuleFileFormatError(f"malformed rule header: {head!r}", header_no)
+        name = name.strip()
         support = 0
         body: list[tuple[int, str]] = []
         for line_no, line in lines[1:]:
@@ -611,34 +608,34 @@ def parse_rule_file(text: str) -> RuleSet:
                 count = stripped.split(":", 1)[1].strip()
                 if not count.isdecimal():  # int() rejects some digits
                     raise RuleFileFormatError(
-                        f"rule {name.strip()!r}: support {count!r} is not a count",
+                        f"rule {name!r}: support {count!r} is not a count",
                         line_no,
                     )
                 support = int(count)
             else:
                 body.append((line_no, line))
         chunk_text = "\n".join(line for _, line in body)
+
+        def file_line(chunk_line: int) -> int:
+            return body[chunk_line - 1][0]
+
         try:
             exprs = read_all(chunk_text, _close_chunk)
         except SexprError as err:  # numbered from the body's first line
-            raise SexprError(err.message, body[err.line_no - 1][0]) from err
-        if len(exprs) != 1:
-            where = body[item_line(chunk_text, None, 1) - 1][0] if exprs else header_no
-            raise RuleFileFormatError(
-                f"rule {name.strip()!r} needs exactly one chunk", where
-            )
+            raise SexprError(err.message, file_line(err.line_no)) from err
+        one_chunk = f"rule {name!r} needs exactly one chunk"
+        if not exprs:  # the header is at fault
+            raise RuleFileFormatError(one_chunk, header_no)
         chunk = exprs[0]
-        if chunk.__class__ is _ChunkFault:
-            raise RuleFileFormatError(
-                chunk.message, body[token_line(chunk_text, chunk.at) - 1][0]
-            )
-        if chunk.__class__ is not Apply:
-            raise RuleFileFormatError(
-                f"rule {name.strip()!r} chunk must be an application",
-                body[item_line(chunk_text, None, 0) - 1][0],
-            )
+        if len(exprs) > 1:
+            chunk = Fault(RuleFileFormatError, one_chunk, None, 1)
+        elif chunk.__class__ not in (Apply, Fault):
+            message = f"rule {name!r} chunk must be an application"
+            chunk = Fault(RuleFileFormatError, message, None, 0)
+        if chunk.__class__ is Fault:
+            raise chunk.kind(chunk.message, file_line(chunk.line(chunk_text)))
         rule = SpecializedRule(
-            name=name.strip(),
+            name=name,
             lhs=lhs.strip(),
             chunk=chunk,
             rhs=flat_rhs(chunk),

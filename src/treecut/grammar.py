@@ -21,6 +21,10 @@ The token reader, ``sexpr.read_all``, then reads what is left, seeing
 each placeholder as its node.  Any fault sends the whole original text
 through the token reader alone, so every error keeps its class, message
 and line.
+
+A list that fails its checks folds into a ``sexpr.Fault``, the one
+stand-in for a node at fault.  Text errors come first, then a list's
+own checks before its children's, children in order.
 """
 
 import gc
@@ -28,12 +32,11 @@ import re
 from dataclasses import dataclass
 
 from treecut.sexpr import (
+    Fault,
     LineNumberedError,
     SexprError,
-    item_line,
     quote_if_needed,
     read_all,
-    token_line,
 )
 
 LEX = "lex"
@@ -218,32 +221,11 @@ def parse_rule_inventory(text: str, top: str) -> RuleInventory:
     return RuleInventory(rules, top)
 
 
-@dataclass(frozen=True, slots=True)
-class _Fault:
-    """A list that failed its checks, standing in for its tree.
-
-    Faults are reported as a walk from each root would meet them: all
-    text errors first, then a list's own checks before its children's,
-    children in order.  A list whose own checks pass but holds a faulty
-    child therefore passes on that child's fault, and a fault is raised
-    only once the whole text has been read.
-    """
-
-    kind: type
-    message: str
-    where: tuple  # (at, k) of item_line, or (at, None) for the list's '('
-
-    def error(self, text: str) -> TreebankFormatError:
-        at, k = self.where
-        line = token_line(text, at) if k is None else item_line(text, at, k)
-        return self.kind(self.message, line)
-
-
 def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> list:
     """Parse every tree in a treebank file, validating against *inv*.
 
     Each tree is built bottom-up: every list is checked and folded into
-    a node (or a fault) once its items are, each distinct list text once
+    a node (or a ``Fault``) once its items are, each distinct list text once
     (see the module docstring).  Equal subtrees of one call are one
     object: one ``LexLeaf`` per word, and one ``Internal`` per rule and
     child objects.
@@ -263,17 +245,15 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
 
     def close(items: list, at: int):
         if not items:
-            return _Fault(TreebankFormatError, "empty '()' expression", (at, None))
+            return Fault(TreebankFormatError, "empty '()' expression", at)
         head = items[0]
         if head.__class__ is not str:
-            return _Fault(
-                TreebankFormatError, "expression head must be a rule id", (at, 0)
-            )
+            message = "expression head must be a rule id"
+            return Fault(TreebankFormatError, message, at, 0)
         if head == LEX:
             if len(items) != 2 or items[1].__class__ is not str:
-                return _Fault(
-                    ArityMismatchError, f"'{LEX}' takes exactly one word", (at, 0)
-                )
+                message = f"'{LEX}' takes exactly one word"
+                return Fault(ArityMismatchError, message, at, 0)
             if leaves is None:
                 return blank
             word = items[1]
@@ -287,13 +267,14 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
             return nodes[ident]
         rule = rules.get(head)
         if rule is None:
-            return _Fault(UnknownRuleIdError, f"unknown rule id '{head}'", (at, 0))
+            return Fault(UnknownRuleIdError, f"unknown rule id '{head}'", at, 0)
         rhs = rule.rhs
         if len(items) - 1 != len(rhs):
-            return _Fault(
+            return Fault(
                 ArityMismatchError,
                 f"'{head}' expects {len(rhs)} children, got {len(items) - 1}",
-                (at, 0),
+                at,
+                0,
             )
         length = 0
         for k, want in enumerate(rhs, start=1):
@@ -302,19 +283,20 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
             if kind is Internal:
                 got = lhs_of[child.rule]
                 if got != want:
-                    return _Fault(
+                    return Fault(
                         CategoryMismatchError,
                         f"child {k} of '{head}' has category "
                         f"'{got}', expected '{want}'",
-                        (at, 0),
+                        at,
+                        0,
                     )
                 length += child.length
             elif kind is LexLeaf:
                 length += 1
-            elif kind is _Fault:
+            elif kind is Fault:
                 return child
             else:
-                return _bare_symbol(child, (at, k))
+                return _bare_symbol(child, at, k)
         # the inventory's id string is shared by every node of the rule
         node = nodes[ident] = Internal(rule.rule_id, children, length)
         return node
@@ -334,27 +316,21 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
             gc.enable()
     for k, tree in enumerate(trees):
         kind = tree.__class__
-        if kind is _Fault:
+        if kind is Fault:
             raise tree.error(text)
         if kind is str:
-            raise _bare_symbol(tree, (None, k)).error(text)
+            raise _bare_symbol(tree, None, k).error(text)
         if require_top:
+            error_class, message = TreebankFormatError, None
             if kind is LexLeaf:
-                raise TreebankFormatError(
-                    "a complete parse cannot be a bare lexical lookup",
-                    item_line(text, None, k),
-                )
-            root_lhs = lhs_of[tree.rule]
-            if root_lhs != inv.top:
-                raise CategoryMismatchError(
-                    f"root category '{root_lhs}' is not '{inv.top}'",
-                    item_line(text, None, k),
-                )
-            if tree.length == 0:
-                raise TreebankFormatError(
-                    "a complete parse must span at least one word",
-                    item_line(text, None, k),
-                )
+                message = "a complete parse cannot be a bare lexical lookup"
+            elif lhs_of[tree.rule] != inv.top:
+                error_class = CategoryMismatchError
+                message = f"root category '{lhs_of[tree.rule]}' is not '{inv.top}'"
+            elif tree.length == 0:
+                message = "a complete parse must span at least one word"
+            if message is not None:
+                raise Fault(error_class, message, None, k).error(text)
     return trees
 
 
@@ -403,7 +379,7 @@ def _peel(text: str, close) -> list | None:
         name = names.get(inner)
         if name is None:
             node = close(resolve(inner.split()), -1)
-            if node.__class__ is _Fault:
+            if node.__class__ is Fault:
                 raise _Unpeelable
             name = named.get(id(node))
             if name is None:
@@ -464,9 +440,9 @@ def parse_shapes(text: str, inv: RuleInventory) -> list:
     return _fold(text, inv, True, None)
 
 
-def _bare_symbol(word: str, where: tuple) -> _Fault:
-    return _Fault(
-        TreebankFormatError, f"bare symbol '{word}' outside a rule application", where
+def _bare_symbol(word: str, at: int | None, k: int) -> Fault:
+    return Fault(
+        TreebankFormatError, f"bare symbol '{word}' outside a rule application", at, k
     )
 
 

@@ -5,9 +5,14 @@ characters other than whitespace, parentheses, double quotes and ``#``;
 double-quoted symbols may contain those characters (with ``\\`` escapes
 for ``"`` and ``\\``).  ``#`` outside quotes starts a comment running to
 end of line.
+
+A fold of ``read_all`` returns a ``Fault``, the one stand-in for a list
+at fault, and only this module turns a fault's place into a line.
 """
 
 import re
+from dataclasses import dataclass
+from itertools import islice
 
 # One token per match, in text order: a parenthesis, a bare symbol, a
 # quoted symbol or a comment.  A '"' that no closing quote ends takes the
@@ -55,24 +60,18 @@ def _unterminated(text: str, offset: int) -> SexprError:
     return SexprError("unterminated quoted symbol", _line_at(text, offset))
 
 
-def token_line(text: str, index: int) -> int:
+def _token_line(text: str, index: int) -> int:
     """Line of the *index*-th token of *text* (0-based, comments counted)."""
-    for i, match in enumerate(_TOKEN.finditer(text)):
-        if i == index:
-            return _line_at(text, match.start())
-    raise IndexError(index)
+    return _line_at(text, next(islice(_TOKEN.finditer(text), index, None)).start())
 
 
-def item_line(text: str, at: int | None, k: int) -> int:
+def _item_line(text: str, at: int | None, k: int) -> int:
     """Line of the *k*-th item of the list whose '(' is token *at*.
 
     With *at* None the items are the top-level expressions.  Only error
     reporting needs this, so it rescans the text.
     """
-    matches = _TOKEN.finditer(text)
-    if at is not None:
-        for _ in range(at + 1):
-            next(matches)
+    matches = islice(_TOKEN.finditer(text), 0 if at is None else at + 1, None)
     depth = 0
     count = 0
     for match in matches:
@@ -90,6 +89,32 @@ def item_line(text: str, at: int | None, k: int) -> int:
     raise IndexError(k)
 
 
+@dataclass(frozen=True, slots=True)
+class Fault:
+    """A list that failed its check, standing in for its value.
+
+    A fold passes on the first fault among a list's items, so the fault
+    that reaches the top is the first a walk from the root would meet.
+    Its place is the list whose '(' is token *at* (see ``read_all``);
+    with *k* set it is that list's *k*-th item instead, and *at* None
+    then means the top level.
+    """
+
+    kind: type  # a LineNumberedError
+    message: str
+    at: int | None
+    k: int | None = None
+
+    def line(self, text: str) -> int:
+        """The line of the fault's place in *text*."""
+        if self.k is None:
+            return _token_line(text, self.at)
+        return _item_line(text, self.at, self.k)
+
+    def error(self, text: str) -> LineNumberedError:
+        return self.kind(self.message, self.line(text))
+
+
 def _keep(items: list, at: int) -> list:
     return items
 
@@ -99,8 +124,8 @@ def read_all(text: str, close=_keep) -> list:
 
     Atoms are plain strings.  Each list becomes ``close(items, at)`` as
     soon as its ')' is read, where *at* is the index of its '(' among the
-    text's tokens (see ``token_line`` and ``item_line``); by default it
-    stays a list.  Raises SexprError on unbalanced parentheses and
+    text's tokens (a ``Fault`` names a list by it); by default it stays
+    a list.  Raises SexprError on unbalanced parentheses and
     unterminated quoted symbols.
     """
     stack: list[list] = []  # the item lists of the open lists
@@ -114,7 +139,7 @@ def read_all(text: str, close=_keep) -> list:
             items = []
         elif head == ")":
             if not stack:
-                raise SexprError("unbalanced ')'", token_line(text, index))
+                raise SexprError("unbalanced ')'", _token_line(text, index))
             done = close(items, opens.pop())
             items = stack.pop()
             items.append(done)
@@ -125,7 +150,7 @@ def read_all(text: str, close=_keep) -> list:
         elif head != "#":
             items.append(token)
     if stack:
-        raise SexprError("unclosed '('", token_line(text, opens[-1]))
+        raise SexprError("unclosed '('", _token_line(text, opens[-1]))
     return items
 
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from treecut.andor import index_treebank
 from treecut.cutnodes import (
     MAX_ITERATIONS,
+    CutnodeSet,
     IterationLimitError,
     _iterate,
     closure,
@@ -200,3 +203,21 @@ def test_render_cut_classes(aot, table, mixed_scores):
     assert out == "n3\tnp\t{n3 n4 n6 n9}\t1.7600\n"
     none = closure(frozenset(), aot)
     assert "".join(render_cut_classes(none, mixed_scores)) == "(no cut classes)\n"
+
+
+def test_cut_classes_come_in_representative_order(aot):
+    every = frozenset(node.node_id for node in aot.nodes())
+    closed = closure(every, aot)
+    shuffled = list(closed.classes)
+    random.Random(0).shuffle(shuffled)
+    hand_built = CutnodeSet(tuple(shuffled))
+    sets = [closed, singleton_cutnodes(every, aot), hand_built]
+    assert len(closed.cut_classes()) > 1
+    assert [cls.representative.seq for cls in shuffled] != sorted(
+        cls.representative.seq for cls in shuffled
+    )
+    for cutset in sets:
+        for classes in (cutset.classes, cutset.cut_classes()):
+            seqs = [cls.representative.seq for cls in classes]
+            assert seqs == sorted(seqs)
+    assert hand_built.classes == closed.classes
