@@ -1,7 +1,7 @@
 """Grammar specialization by cutting treebank parses at entropy peaks."""
 
 from treecut.andor import AndOrTree, OrNode, index_treebank
-from treecut.coverage import covers, evaluate_coverage, reduction_stats
+from treecut.coverage import evaluate_coverage, reduction_stats
 from treecut.cutnodes import (
     CutnodeSet,
     EquivalenceClass,
@@ -58,7 +58,6 @@ __all__ = [
     "build_phrase_table",
     "closure",
     "compute_node_entropies",
-    "covers",
     "entropy",
     "evaluate_coverage",
     "extract_andor",

@@ -151,11 +151,6 @@ class RuleIndex:
         return [(rule, frontiers) for (_, rule), frontiers in found]
 
 
-def covers(rules: RuleSet, tree) -> Tiling | None:
-    """The preferred tiling of *tree*, or None when it has none."""
-    return evaluate_coverage(rules, [tree]).tilings[0]
-
-
 @dataclass
 class CoverageReport:
     tilings: list  # each tree's preferred tiling, None when it has none

@@ -115,18 +115,13 @@ class Fault:
         return self.kind(self.message, self.line(text))
 
 
-def _keep(items: list, at: int) -> list:
-    return items
-
-
-def read_all(text: str, close=_keep) -> list:
+def read_all(text: str, close) -> list:
     """Parse every top-level expression in *text*.
 
     Atoms are plain strings.  Each list becomes ``close(items, at)`` as
     soon as its ')' is read, where *at* is the index of its '(' among the
-    text's tokens (a ``Fault`` names a list by it); by default it stays
-    a list.  Raises SexprError on unbalanced parentheses and
-    unterminated quoted symbols.
+    text's tokens (a ``Fault`` names a list by it).  Raises SexprError on
+    unbalanced parentheses and unterminated quoted symbols.
     """
     stack: list[list] = []  # the item lists of the open lists
     opens: list[int] = []  # token index of each open list's '('

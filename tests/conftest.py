@@ -1,43 +1,13 @@
-import pathlib
-
 import pytest
 
 from treecut.andor import index_treebank
+from treecut.cutnodes import select_by_threshold
 from treecut.entropy import build_phrase_table
-from treecut.extraction import render_chunk
-from treecut.grammar import LexLeaf, Treebank, parse_rule_inventory, parse_treebank
+from treecut.extraction import extract_training
+from treecut.grammar import Treebank, parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-TOY = ROOT / "corpora" / "toy"
-
-
-def chunk_keys(rules) -> frozenset[str]:
-    """Every rule's chunk, rendered: what makes two rules the same rule."""
-    return frozenset(render_chunk(r.chunk) for r in rules)
-
-
-def blind(tree) -> str:
-    """The word-blind rendering of *tree*, each lexical lookup as ``(lex)``:
-    what makes two subtrees the same shape."""
-    parts = []
-    stack = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, LexLeaf):
-            parts.append(" (lex)")
-        else:
-            parts.append(" (" + item.rule)
-            stack.append(")")
-            stack.extend(reversed(item.children))
-    return "".join(parts)[1:]
-
-
-@pytest.fixture(scope="session")
-def toy_dir():
-    return TOY
+from oracles import DEEP, TOY, chain_text
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +35,22 @@ def aot(treebank):
 @pytest.fixture(scope="session")
 def mixed_scores(aot, table):
     return compute_node_entropies(aot, table, EntropyScheme.MIXED)
+
+
+@pytest.fixture(scope="session")
+def deep_chain(inventory):
+    """One DEEP-level np_np_pp chain and its index."""
+    (tree,) = parse_treebank(chain_text(DEEP), inventory, require_top=True)
+    return tree, index_treebank([tree], inventory)
+
+
+@pytest.fixture(scope="session")
+def toy_cut(aot, table, mixed_scores):
+    """The toy cut set at threshold 1.0."""
+    return select_by_threshold(1.0, aot, table, mixed_scores)
+
+
+@pytest.fixture(scope="session")
+def toy_rules(treebank, aot, toy_cut):
+    """The training rules of the toy cut set."""
+    return extract_training(treebank.training, aot, toy_cut)

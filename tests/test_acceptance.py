@@ -12,18 +12,30 @@ from pathlib import Path
 
 from treecut.andor import index_treebank
 from treecut.coverage import evaluate_coverage
-from treecut.cutnodes import select_by_threshold
+from treecut.cutnodes import closure, select_by_threshold
 from treecut.entropy import Slot, build_phrase_table
-from treecut.extraction import extract_andor, extract_training
+from treecut.extraction import (
+    ChunkExplosionError,
+    RuleSet,
+    extract_andor,
+    extract_training,
+)
 from treecut.grammar import parse_rule_inventory, parse_treebank
 from treecut.node_entropy import unified_node_entropy
-from treecut.pipeline import PipelineConfig, SearchContext, run_pipeline
-from treecut.pipeline import load_treebank
+from treecut.pipeline import SearchContext, load_treebank, run_pipeline
 from treecut.threshold import bisect
 
-import test_properties as props
-
-TOY = Path(__file__).resolve().parent.parent / "corpora" / "toy"
+from oracles import (
+    brute_covers,
+    chunk_keys,
+    corpus_texts,
+    covers,
+    gen_root,
+    mixed_set_up,
+    random_rule_subsets,
+    seeded_corpora,
+    toy_config,
+)
 
 TOLERANCE = 0.005
 
@@ -87,12 +99,9 @@ def _verdict(label: str):
 
 
 def _toy():
-    inv = parse_rule_inventory((TOY / "grammar.txt").read_text(), top="s")
-    training = parse_treebank(
-        (TOY / "train.txt").read_text(), inv, require_top=True
-    )
-    test = parse_treebank((TOY / "test.txt").read_text(), inv, require_top=True)
-    return inv, training, test
+    grammar, *texts = corpus_texts("toy")
+    inv = parse_rule_inventory(grammar, top="s")
+    return inv, *(parse_treebank(text, inv, require_top=True) for text in texts)
 
 
 @_verdict("1. phrase entropy table matches all published cells within 0.005")
@@ -122,7 +131,7 @@ def test_entropy_table_published_values():
 @_verdict("2. mixed node scores match all nine published annotations")
 def test_node_scores_published_values():
     inv, training, _ = _toy()
-    aot, table, scores = props.mixed_set_up(training, inv)
+    aot, table, scores = mixed_set_up(training, inv)
     for node_id, expected in NODE_EXPECTED.items():
         got = scores.values[node_id]
         assert abs(got - expected) <= TOLERANCE, (node_id, got)
@@ -142,7 +151,7 @@ def test_node_scores_published_values():
 @_verdict("3. threshold 1.00 cuts exactly {n3, n4, n6, n9}")
 def test_threshold_one_selection():
     inv, training, _ = _toy()
-    aot, table, scores = props.mixed_set_up(training, inv)
+    aot, table, scores = mixed_set_up(training, inv)
     cutset = select_by_threshold(1.00, aot, table, scores)
     assert set(cutset.cut_node_ids()) == CUT_AT_ONE
 
@@ -150,7 +159,7 @@ def test_threshold_one_selection():
 @_verdict("4. extraction yields the 5 training forms, plus 2 more enumerated")
 def test_extraction_rule_sets():
     inv, training, _ = _toy()
-    aot, table, scores = props.mixed_set_up(training, inv)
+    aot, table, scores = mixed_set_up(training, inv)
     cutset = select_by_threshold(1.00, aot, table, scores)
     trained = extract_training(training, aot, cutset)
     assert {r.flat_form() for r in trained} == TRAINING_FORMS
@@ -163,17 +172,12 @@ def test_extraction_rule_sets():
 @_verdict("5. training rules cover the test tree; bisection stays below 1.08")
 def test_coverage_and_bisection():
     inv, training, test = _toy()
-    aot, table, scores = props.mixed_set_up(training, inv)
+    aot, table, scores = mixed_set_up(training, inv)
     cutset = select_by_threshold(1.00, aot, table, scores)
     rules = extract_training(training, aot, cutset)
     assert evaluate_coverage(rules, test).fraction == 1.0
 
-    cfg = PipelineConfig(
-        grammar_path=str(TOY / "grammar.txt"),
-        train_path=str(TOY / "train.txt"),
-        test_path=str(TOY / "test.txt"),
-        coverage_target=1.0,
-    )
+    cfg = toy_config(coverage_target=1.0)
     treebank = load_treebank(cfg)
     context = SearchContext(treebank, aot, table, cfg, scores)
     result = bisect(1.0, context.probe, scores.max_value() + 1.0, cfg.delta_s)
@@ -190,16 +194,115 @@ def test_unified_diagnostic():
     assert abs(got - 2.43) <= TOLERANCE
 
 
+# The randomized invariants of check 7, each over seeded generated corpora.
+
+
+def closure_is_idempotent_and_monotone():
+    for seed, rng, inv, training in seeded_corpora(0, 200, 1, 8):
+        aot = index_treebank(training, inv)
+        ids = [n.node_id for n in aot.nodes()]
+        small = frozenset(i for i in ids if rng.random() < 0.2)
+        extra = frozenset(i for i in ids if rng.random() < 0.2)
+        large = small | extra
+
+        once = closure(small, aot)
+        again = closure(once.cut_node_ids(), aot)
+        assert once.cut_node_ids() == again.cut_node_ids(), seed
+        assert {
+            frozenset(m.node_id for m in c.members) for c in once.cut_classes()
+        } == {
+            frozenset(m.node_id for m in c.members) for c in again.cut_classes()
+        }, seed
+
+        assert once.cut_node_ids() <= closure(large, aot).cut_node_ids(), seed
+
+
+def one_cut_class_per_category():
+    for seed, rng, inv, training in seeded_corpora(1000, 60, 1, 6):
+        aot = index_treebank(training, inv)
+        ids = frozenset(
+            n.node_id for n in aot.nodes() if rng.random() < 0.3
+        )
+        cats = [c.category for c in closure(ids, aot).cut_classes()]
+        assert len(cats) == len(set(cats)), seed
+
+
+def coverage_is_antitone_in_threshold():
+    for seed, rng, inv, training in seeded_corpora(4000, 60, 2, 8):
+        test = [gen_root(rng, inv) for _ in range(4)]
+        aot, table, scores = mixed_set_up(training, inv)
+        fractions = []
+        previous_ids = None
+        for threshold in (0.0, 0.3, 0.7, 1.2, 2.5):
+            cutset = select_by_threshold(threshold, aot, table, scores)
+            if previous_ids is not None:
+                assert cutset.cut_node_ids() <= previous_ids, (seed, threshold)
+            previous_ids = cutset.cut_node_ids()
+            rules = extract_training(training, aot, cutset)
+            fractions.append(evaluate_coverage(rules, test).fraction)
+        assert fractions == sorted(fractions, reverse=True), (seed, fractions)
+
+
+def training_rules_cover_their_own_corpus():
+    for seed, rng, inv, training in seeded_corpora(3000, 80, 1, 6):
+        aot, table, scores = mixed_set_up(training, inv)
+        threshold = rng.choice([0.0, 0.3, 0.8])
+        cutset = select_by_threshold(threshold, aot, table, scores)
+        rules = extract_training(training, aot, cutset)
+        report = evaluate_coverage(rules, training)
+        assert report.fraction == 1.0, seed
+
+
+def covers_agrees_with_the_exhaustive_tiler():
+    cases = 0
+    for seed, kept, trees in random_rule_subsets():
+        subset = RuleSet(kept)
+        for tree in trees:
+            got = covers(subset, tree) is not None
+            want = brute_covers(kept, tree)
+            assert got == want, seed
+            cases += 1
+    assert cases >= 500
+
+
+def extracted_rules_never_have_empty_bodies():
+    for seed, rng, inv, training in seeded_corpora(2000, 80, 1, 6):
+        aot, table, scores = mixed_set_up(training, inv)
+        threshold = rng.choice([0.0, 0.2, 0.5, 1.0])
+        cutset = select_by_threshold(threshold, aot, table, scores)
+        rules = extract_training(training, aot, cutset)
+        assert all(r.reduction_length > 0 for r in rules), seed
+        assert all(len(r.rhs) == r.reduction_length for r in rules), seed
+
+
+def training_chunks_are_enumerated():
+    skipped = 0
+    for seed, rng, inv, training in seeded_corpora(5000, 80, 1, 6):
+        aot, table, scores = mixed_set_up(training, inv)
+        threshold = rng.choice([0.0, 0.4, 0.9])
+        cutset = select_by_threshold(threshold, aot, table, scores)
+        trained = extract_training(training, aot, cutset)
+        try:
+            enumerated = extract_andor(aot, cutset)
+        except ChunkExplosionError:
+            # class merging can fold an ancestor onto a descendant,
+            # which the enumerator refuses
+            skipped += 1
+            continue
+        assert chunk_keys(trained) <= chunk_keys(enumerated), seed
+    assert skipped < 8
+
+
 @_verdict("7. randomized invariants hold (closure, coverage, tiling, bodies)")
 def test_randomized_invariants():
     started = time.perf_counter()
-    props.test_closure_idempotent_and_monotone_on_random_corpora()
-    props.test_one_cut_class_per_category()
-    props.test_coverage_antitone_in_threshold()
-    props.test_training_rules_cover_their_own_corpus()
-    props.test_covers_agrees_with_exhaustive_tiler()
-    props.test_extracted_rules_never_have_empty_bodies()
-    props.test_training_chunks_subset_of_enumerated()
+    closure_is_idempotent_and_monotone()
+    one_cut_class_per_category()
+    coverage_is_antitone_in_threshold()
+    training_rules_cover_their_own_corpus()
+    covers_agrees_with_the_exhaustive_tiler()
+    extracted_rules_never_have_empty_bodies()
+    training_chunks_are_enumerated()
     assert time.perf_counter() - started < 60.0
 
 
@@ -211,14 +314,7 @@ def test_deterministic_reports():
         outs = []
         for name in ("first", "second"):
             out = Path(scratch) / name
-            cfg = PipelineConfig(
-                grammar_path=str(TOY / "grammar.txt"),
-                train_path=str(TOY / "train.txt"),
-                test_path=str(TOY / "test.txt"),
-                coverage_target=1.0,
-                out_dir=str(out),
-            )
-            run_pipeline(cfg)
+            run_pipeline(toy_config(coverage_target=1.0, out_dir=str(out)))
             outs.append(out)
         first, second = outs
         names = sorted(p.name for p in first.iterdir())

@@ -8,7 +8,7 @@ from treecut.andor import dump, index_treebank
 from treecut.entropy import Slot
 from treecut.grammar import parse_treebank
 
-from test_properties import reference_dump
+from oracles import chain_text, reference_dump
 
 # The toy index, transcribed by hand from the four training trees.
 # Keys are node ids; values are (category, parent slot, arc counts).
@@ -104,12 +104,7 @@ def test_dump_of_a_deep_chain_streams_its_lines(inventory):
     # with the square of its depth: 45.4 MB at 1,500 levels.  Its lines
     # come one at a time, so writing it holds only a few of them.
     depth = 1500
-    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
-    text = (
-        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
-        + " (vp_v (lex left)))"
-    )
-    aot = index_treebank(parse_treebank(text, inventory), inventory)
+    aot = index_treebank(parse_treebank(chain_text(depth), inventory), inventory)
     tracemalloc.start()
     try:
         size = sum(len(line) for line in dump(aot))

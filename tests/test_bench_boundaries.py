@@ -7,8 +7,6 @@ rename or rerouting here, without running the benchmark.
 """
 
 import importlib
-import importlib.util
-import pathlib
 import sys
 
 import pytest
@@ -16,16 +14,10 @@ import pytest
 import treecut.cli
 from treecut.grammar import parse_rule_inventory, parse_treebank
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH = ROOT / "bench"
-TOY = ROOT / "corpora" / "toy"
+from oracles import TOY, load_bench_module
 
-
-def load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# the toy corpus files, as the benchmark's run_argv takes them
+TOY_PATHS = {role: str(TOY / f"{role}.txt") for role in ("grammar", "train", "test")}
 
 
 @pytest.fixture(scope="module")
@@ -71,34 +63,33 @@ def install_counters(monkeypatch, child):
     return calls, spans
 
 
+def install_bench_tracer(monkeypatch, child):
+    """The benchmark's own tracer at every layer boundary, undone at
+    teardown: every callable a treecut module binds is saved first."""
+    for name, module in list(sys.modules.items()):
+        if name == "treecut" or name.startswith("treecut."):
+            for attr, value in list(vars(module).items()):
+                if callable(value):
+                    monkeypatch.setattr(module, attr, value)
+    tracer = child.Tracer(child.HostClock())
+    child.install(tracer, child.LAYERS)
+    return tracer
+
+
 def test_toy_search_tiles_the_test_set_once_per_partition(
     bench, monkeypatch, tmp_path, capsys
 ):
     # the bench reads evaluate_coverage's arguments as (rules, trees);
     # if their meaning moved, its tiling counts would silently skew
     child, run = bench
-    tracer = child.Tracer(child.HostClock())
-    for module_name, func_name, _, hook in child.LAYERS:
-        if hook not in (child._selected, child._tiled):
-            continue
-        original = getattr(sys.modules[f"treecut.{module_name}"], func_name)
-
-        def hooked(*args, _original=original, _hook=hook, **kwargs):
-            result = _original(*args, **kwargs)
-            _hook(tracer, args, result)
-            return result
-
-        rebind(monkeypatch, original, hooked)
+    tracer = install_bench_tracer(monkeypatch, child)
     test = tmp_path / "test.txt"
     test.write_text((TOY / "test.txt").read_text() + (TOY / "train.txt").read_text())
-    code = treecut.cli.main([
-        "run",
-        "--grammar", str(TOY / "grammar.txt"),
-        "--train", str(TOY / "train.txt"),
-        "--test", str(test),
-        "--out", str(tmp_path / "out"),
-        *run.WORKLOADS["bisect-mixed"]["flags"],
-    ])
+    code = treecut.cli.main(run.run_argv(
+        {**TOY_PATHS, "test": str(test)},
+        run.WORKLOADS["bisect-mixed"]["flags"],
+        str(tmp_path / "out"),
+    ))
     capsys.readouterr()
     assert code == 0
     inv = parse_rule_inventory((TOY / "grammar.txt").read_text(), "s")
@@ -112,14 +103,9 @@ def test_arc_restricted_run_crosses_its_stages(bench, monkeypatch, tmp_path, cap
     child, run = bench
     workload = run.WORKLOADS["arc-restricted"]
     calls, spans = install_counters(monkeypatch, child)
-    code = treecut.cli.main([  # looked up now, so its wrapper is called
-        "run",
-        "--grammar", str(TOY / "grammar.txt"),
-        "--train", str(TOY / "train.txt"),
-        "--test", str(TOY / "test.txt"),
-        "--out", str(tmp_path / "out"),
-        *workload["flags"],
-    ])
+    code = treecut.cli.main(  # looked up now, so its wrapper is called
+        run.run_argv(TOY_PATHS, workload["flags"], str(tmp_path / "out"))
+    )
     capsys.readouterr()
     assert code == 0
     for name in (
@@ -132,19 +118,6 @@ def test_arc_restricted_run_crosses_its_stages(bench, monkeypatch, tmp_path, cap
         assert calls.get(name), name
     missing = [s for s in ["select", "evaluate"] + workload["spans"] if not spans.get(s)]
     assert not missing
-
-
-def install_bench_tracer(monkeypatch, child):
-    """The benchmark's own tracer at every layer boundary, undone at
-    teardown: every callable a treecut module binds is saved first."""
-    for name, module in list(sys.modules.items()):
-        if name == "treecut" or name.startswith("treecut."):
-            for attr, value in list(vars(module).items()):
-                if callable(value):
-                    monkeypatch.setattr(module, attr, value)
-    tracer = child.Tracer(child.HostClock())
-    child.install(tracer, child.LAYERS)
-    return tracer
 
 
 @pytest.mark.parametrize("name", ["bisect-mixed", "fixed-large", "arc-restricted"])

@@ -1,4 +1,3 @@
-import pathlib
 import sys
 
 import pytest
@@ -6,12 +5,18 @@ import pytest
 from treecut.cli import _config, build_parser, main
 from treecut.pipeline import PipelineConfig
 
-TOY = pathlib.Path(__file__).resolve().parent.parent / "corpora" / "toy"
+from oracles import TOY, chain_text
+
 CORPUS = [
     "--grammar", str(TOY / "grammar.txt"),
     "--train", str(TOY / "train.txt"),
 ]
 WITH_TEST = CORPUS + ["--test", str(TOY / "test.txt")]
+# every report of `treecut run` with a test set, sorted by name
+REPORTS = [
+    "andor_index.txt", "coverage.tsv", "cutnodes.txt", "entropy_table.tsv",
+    "node_entropy.tsv", "reduction_stats.tsv", "rules.txt", "threshold.txt",
+]
 
 
 def run_cli(capsys, *args):
@@ -117,16 +122,7 @@ def test_run_reports_are_deterministic(capsys, tmp_path):
     code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b"))
     assert code == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert names == [
-        "andor_index.txt",
-        "coverage.tsv",
-        "cutnodes.txt",
-        "entropy_table.tsv",
-        "node_entropy.tsv",
-        "reduction_stats.tsv",
-        "rules.txt",
-        "threshold.txt",
-    ]
+    assert names == REPORTS
     for name in names:
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
@@ -147,12 +143,8 @@ def test_run_without_test_set_writes_reports_for_a_deep_chain(
     # deeper than the recursion limit; andor_index.txt indents each
     # or-node by its depth, so its size grows with the square of it
     depth = sys.getrecursionlimit() + 500
-    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
     train = tmp_path / "train.txt"
-    train.write_text(
-        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
-        + " (vp_v (lex left)))\n"
-    )
+    train.write_text(chain_text(depth))
     out = tmp_path / "out"
     code, _, _ = run_cli(
         capsys, "run", "--grammar", str(TOY / "grammar.txt"), "--train", str(train),
@@ -160,13 +152,7 @@ def test_run_without_test_set_writes_reports_for_a_deep_chain(
     )
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "andor_index.txt",
-        "cutnodes.txt",
-        "entropy_table.tsv",
-        "node_entropy.tsv",
-        "reduction_stats.tsv",
-        "rules.txt",
-        "threshold.txt",
+        name for name in REPORTS if name != "coverage.tsv"
     ]
     # the config line, then one line per or-node and one per arc: the
     # chain's or-nodes each have a single arc
@@ -181,17 +167,10 @@ def test_run_tiles_a_test_chain_deeper_than_the_recursion_limit(
 ):
     # training holds a two-level chain; the test chain nests the same
     # np_np_pp and pp_prep_np levels far deeper than the recursion limit
-    def chain(depth):
-        pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
-        return (
-            "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
-            + " (vp_v (lex left)))\n"
-        )
-
     depth = sys.getrecursionlimit() + 500
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
-    train.write_text((TOY / "train.txt").read_text() + chain(2))
-    test.write_text(chain(depth))
+    train.write_text((TOY / "train.txt").read_text() + chain_text(2))
+    test.write_text(chain_text(depth))
     out = tmp_path / "out"
     code, _, _ = run_cli(
         capsys, "run", "--grammar", str(TOY / "grammar.txt"), "--train", str(train),
@@ -214,12 +193,8 @@ def test_rules_of_a_chain_deeper_than_the_recursion_limit_read_back(
 ):
     # one training tree cuts nowhere, so its one rule is the whole chain
     depth = sys.getrecursionlimit() + 500
-    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
     train = tmp_path / "train.txt"
-    train.write_text(
-        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
-        + " (vp_v (lex left)))\n"
-    )
+    train.write_text(chain_text(depth))
     grammar = ["--grammar", str(TOY / "grammar.txt")]
     out = tmp_path / "out"
     code, _, _ = run_cli(
@@ -248,12 +223,7 @@ def test_rules_of_a_chain_deeper_than_the_recursion_limit_read_back(
 
 # a chain with words, and a wordless a-chain under each of two roots
 DEEP_CHAINS = {
-    "np_np_pp": (
-        (TOY / "grammar.txt").read_text(),
-        lambda depth: "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))"
-        + " (pp_prep_np (lex to) (np_num (lex ten))))" * depth
-        + " (vp_v (lex left)))\n",
-    ),
+    "np_np_pp": ((TOY / "grammar.txt").read_text(), chain_text),
     "wordless": (
         "s_a s -> a\na_a a -> a\na_aa a -> a a\na_w a -> w\na_none a ->\n",
         lambda depth: "(s_a (a_aa {0} (a_w (lex x))))\n"
@@ -389,7 +359,6 @@ def test_stats_names_the_file_line_of_a_chunk_fault(capsys, tmp_path):
     assert err == f"error: {rules_file}: line 6: unbalanced ')'\n"
 
 
-
 def test_stats_names_the_file_line_of_a_rule_header_fault(capsys, tmp_path):
     rules_file = tmp_path / "r1.txt"
     rules_file.write_text(
@@ -402,6 +371,7 @@ def test_stats_names_the_file_line_of_a_rule_header_fault(capsys, tmp_path):
     assert err == (
         f"error: {rules_file}: line 5: malformed rule header: 'np_c00342fc: np  num'\n"
     )
+
 
 def test_chunk_cap_exits_one(capsys):
     code, _, err = run_cli(

@@ -1,14 +1,14 @@
 import pytest
 
+from treecut.andor import index_treebank
 from treecut.coverage import (
     RuleIndex,
-    covers,
     evaluate_coverage,
     preference,
     reduction_stats,
     render_stats,
 )
-from treecut.cutnodes import select_by_threshold
+from treecut.cutnodes import closure, select_by_threshold
 from treecut.extraction import (
     Apply,
     Frontier,
@@ -25,13 +25,7 @@ from treecut.grammar import (
     parse_treebank,
 )
 
-from test_properties import validate_tiling
-
-
-@pytest.fixture(scope="module")
-def toy_rules(treebank, aot, table, mixed_scores):
-    cutset = select_by_threshold(1.0, aot, table, mixed_scores)
-    return extract_training(treebank.training, aot, cutset)
+from oracles import TOY, covers, validate_tiling
 
 
 def by_flat(rules):
@@ -131,9 +125,6 @@ def test_memo_handles_shared_categories(inventory):
         "(vp_v_np (lex saw) (np_det_n (lex the) (lex dog))))",
         inventory,
     )
-    from treecut.andor import index_treebank
-    from treecut.cutnodes import closure
-
     aot = index_treebank(trees, inventory)
     n_obj = [n for n in aot.nodes() if n.category == "np"]
     cutset = closure(frozenset(n.node_id for n in n_obj), aot)
@@ -143,10 +134,10 @@ def test_memo_handles_shared_categories(inventory):
     assert validate_tiling(tiling, trees[0])
 
 
-def test_trees_of_one_shape_share_their_tiling(toy_rules, toy_dir, inventory):
+def test_trees_of_one_shape_share_their_tiling(toy_rules, inventory):
     # the test tree, and its shape with other words, in one word-blind load
     trees = parse_shapes(
-        (toy_dir / "test.txt").read_text()
+        (TOY / "test.txt").read_text()
         + "(s_np_vp (np_pron (lex She)) (vp_v_np (lex paid) (np_np_pp"
         " (np_det_n (lex the) (lex fare)) (pp_prep_np (lex of) (np_np_pp"
         " (np_det_n (lex the) (lex trip)) (pp_prep_np (lex to) (lex Rome)))))))",

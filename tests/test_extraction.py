@@ -5,7 +5,7 @@ import pytest
 
 from treecut import extraction
 from treecut.andor import PathNotInIndexError, index_treebank
-from treecut.cutnodes import closure, select_by_threshold
+from treecut.cutnodes import closure
 from treecut.entropy import Slot
 from treecut.extraction import (
     Apply,
@@ -35,17 +35,7 @@ from treecut.grammar import (
 )
 from treecut.sexpr import SexprError
 
-from conftest import blind, chunk_keys
-
-
-@pytest.fixture(scope="module")
-def toy_cut(aot, table, mixed_scores):
-    return select_by_threshold(1.0, aot, table, mixed_scores)
-
-
-@pytest.fixture(scope="module")
-def training_rules(treebank, aot, toy_cut):
-    return extract_training(treebank.training, aot, toy_cut)
+from oracles import DEEP, TOY, blind, chunk_keys
 
 
 # Hand-walked chunks for the four training trees with the object-side
@@ -62,35 +52,35 @@ EXPECTED_TRAINING = {
 }
 
 
-def test_training_extraction_exact_rules(training_rules):
-    assert len(training_rules) == 5
+def test_training_extraction_exact_rules(toy_rules):
+    assert len(toy_rules) == 5
     got = {
-        render_chunk(r.chunk): (r.flat_form(), r.support) for r in training_rules
+        render_chunk(r.chunk): (r.flat_form(), r.support) for r in toy_rules
     }
     assert got == EXPECTED_TRAINING
 
 
-def test_det_n_support_counts_every_occurrence(training_rules):
-    by_flat = {r.flat_form(): r for r in training_rules}
+def test_det_n_support_counts_every_occurrence(toy_rules):
+    by_flat = {r.flat_form(): r for r in toy_rules}
     assert by_flat["np => det n"].support == 4
     assert by_flat["np => np prep np"].support == 2
     assert by_flat["s => pron v np"].support == 3
 
 
-def test_rule_names_are_stable_digests(training_rules):
-    for rule in training_rules:
+def test_rule_names_are_stable_digests(toy_rules):
+    for rule in toy_rules:
         assert rule.name == rule_name(rule.lhs, rule.chunk)
         assert rule.name.startswith(rule.lhs + "_")
-    by_flat = {r.flat_form(): r.name for r in training_rules}
+    by_flat = {r.flat_form(): r.name for r in toy_rules}
     assert by_flat["np => det n"] == "np_a3f29ca6"
 
 
-def test_andor_extraction_is_superset(treebank, aot, toy_cut, training_rules):
+def test_andor_extraction_is_superset(treebank, aot, toy_cut, toy_rules):
     enumerated = extract_andor(aot, toy_cut)
     assert len(enumerated) == 7
-    assert chunk_keys(training_rules) <= chunk_keys(enumerated)
+    assert chunk_keys(toy_rules) <= chunk_keys(enumerated)
     extra = {r.flat_form() for r in enumerated}
-    extra -= {r.flat_form() for r in training_rules}
+    extra -= {r.flat_form() for r in toy_rules}
     assert extra == {"s => pron v prep np", "s => det n v np"}
     assert all(r.support == 0 for r in enumerated)
 
@@ -160,8 +150,8 @@ def test_flat_rhs_and_render():
     assert render_chunk(chunk) == "(np_np_pp np (pp_prep_np (lex prep) np))"
 
 
-def test_validate_rules_passes_extracted(training_rules, inventory):
-    validate_rules(training_rules, inventory)
+def test_validate_rules_passes_extracted(toy_rules, inventory):
+    validate_rules(toy_rules, inventory)
 
 
 def test_validate_rules_rejects_bad_chunks(inventory):
@@ -196,18 +186,18 @@ def test_collector_drops_empty_chunks():
     assert "".join(render_rule_file(rules)) == "\n"
 
 
-def test_rule_file_round_trip(training_rules):
+def test_rule_file_round_trip(toy_rules):
     # every rules.txt opens with a "# config:" line, which parsing skips
-    text = "# toy rules\n" + "".join(render_rule_file(training_rules))
+    text = "# toy rules\n" + "".join(render_rule_file(toy_rules))
     parsed = parse_rule_file(text)
-    assert len(parsed) == len(training_rules)
-    assert chunk_keys(parsed) == chunk_keys(training_rules)
+    assert len(parsed) == len(toy_rules)
+    assert chunk_keys(parsed) == chunk_keys(toy_rules)
     assert {r.flat_form() for r in parsed} == {
-        r.flat_form() for r in training_rules
+        r.flat_form() for r in toy_rules
     }
-    assert {r.name for r in parsed} == {r.name for r in training_rules}
+    assert {r.name for r in parsed} == {r.name for r in toy_rules}
     assert {r.name: r.support for r in parsed} == {
-        r.name: r.support for r in training_rules
+        r.name: r.support for r in toy_rules
     }
 
 
@@ -291,11 +281,11 @@ def test_rule_record_faults_name_their_line_in_the_file(edits, message):
     assert str(info.value) == message
     assert info.value.line_no == int(message.split(":")[0].split()[1])
 
-def test_each_root_shape_is_cut_once(toy_dir, treebank, aot, toy_cut, monkeypatch):
+def test_each_root_shape_is_cut_once(treebank, aot, toy_cut, monkeypatch):
     # the training trees, the first two again, and the first tree's shape
     # again with other words, in one word-blind load
     text = (
-        (toy_dir / "train.txt").read_text()
+        (TOY / "train.txt").read_text()
         + "".join(render_tree(tree) + "\n" for tree in treebank.training[:2])
         + "(s_np_vp (np_pron (lex you))"
         " (vp_v_np (lex saw) (np_det_n (lex a) (lex seat))))\n"
@@ -318,21 +308,6 @@ def test_each_root_shape_is_cut_once(toy_dir, treebank, aot, toy_cut, monkeypatc
             key = render_chunk(chunk)
             want[key] = want.get(key, 0) + 1
     assert {render_chunk(r.chunk): r.support for r in rules} == want
-
-
-DEEP = 10_000
-
-
-@pytest.fixture(scope="module")
-def deep_chain(inventory):
-    """One DEEP-level np_np_pp chain and its index."""
-    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
-    text = (
-        "(s_np_vp " + "(np_np_pp " * DEEP + "(np_pron (lex I))" + pp * DEEP
-        + " (vp_v (lex left)))\n"
-    )
-    (tree,) = parse_treebank(text, inventory, require_top=True)
-    return tree, index_treebank([tree], inventory)
 
 
 def test_deep_chain_is_cut_at_every_np(deep_chain):

@@ -8,7 +8,6 @@ names the file, and ``treecut run`` returns 0, 1 or 2, with an
 
 import contextlib
 import io
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +18,10 @@ from treecut.extraction import RuleFileError, parse_rule_file, validate_rules
 from treecut.grammar import parse_rule_inventory
 from treecut.pipeline import InputError, load_file, load_trees
 
-TOY = pathlib.Path(__file__).resolve().parent.parent / "corpora" / "toy"
-GRAMMAR = (TOY / "grammar.txt").read_text()
+from oracles import TOY, corpus_texts
+
+GRAMMAR, TRAIN, TEST = corpus_texts("toy")
 INVENTORY = parse_rule_inventory(GRAMMAR, "s")
-TRAIN = (TOY / "train.txt").read_text()
-TEST = (TOY / "test.txt").read_text()
 
 # Fragments an edit inserts: delimiters, escapes, rule ids of the toy
 # grammar and of none, and characters that are digits or space only to

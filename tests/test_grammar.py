@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from treecut import grammar
-from treecut.andor import index_treebank
 from treecut.entropy import Slot, build_phrase_table
 from treecut.grammar import (
     ArityMismatchError,
@@ -23,7 +22,16 @@ from treecut.grammar import (
 )
 from treecut.sexpr import LineNumberedError, SexprError
 
-from conftest import TOY, blind
+from oracles import (
+    COMPLETE_LOADERS,
+    DEEP,
+    LOADER_GRAMMAR,
+    blind,
+    chain_text,
+    corpus_texts,
+    load_outcome,
+    token_fold_outcome,
+)
 
 MINI = """\
 s_np_vp s -> np vp
@@ -68,8 +76,8 @@ def test_duplicate_rule_id_rejected():
     assert info.value.line_no == 4
 
 
-def test_treebank_round_trip(inventory, toy_dir):
-    text = (toy_dir / "train.txt").read_text()
+def test_treebank_round_trip(inventory):
+    text = corpus_texts("toy")[1]
     trees = parse_treebank(text, inventory)
     rendered = "".join(render_tree(t) + "\n" for t in trees)
     assert parse_treebank(rendered, inventory) == trees
@@ -258,25 +266,17 @@ def test_loader_pauses_the_collector_and_restores_it(inventory, enabled, monkeyp
     assert collecting == [False, False, False]
 
 
-def test_deep_chain_loads_counts_and_indexes(inventory):
-    depth = 10_000
-    pp = " (pp_prep_np (lex to) (np_num (lex ten))))"
-    text = (
-        "(s_np_vp " + "(np_np_pp " * depth + "(np_pron (lex I))" + pp * depth
-        + " (vp_v (lex left)))\n"
-    )
-    (tree,) = parse_treebank(text, inventory, require_top=True)
-    assert tree.length == 2 * depth + 2
-
-    aot = index_treebank([tree], inventory)
+def test_deep_chain_loads_counts_and_indexes(deep_chain):
+    tree, aot = deep_chain
+    assert tree.length == 2 * DEEP + 2
     table = build_phrase_table(aot)
     lhs = table.distributions[Slot("np_np_pp", 0)]
-    assert lhs == {"s_np_vp/1": 1, "np_np_pp/1": depth - 1}
-    assert table.distributions[Slot("pp_prep_np", 2)] == {"np_num": depth}
+    assert lhs == {"s_np_vp/1": 1, "np_np_pp/1": DEEP - 1}
+    assert table.distributions[Slot("pp_prep_np", 2)] == {"np_num": DEEP}
 
     # per chain level: np, pp, prep, np, num; then np_pron's np and pron,
     # and the root, vp and v
-    assert len(aot.node_index) == 5 * depth + 5
+    assert len(aot.node_index) == 5 * DEEP + 5
     assert aot["root"].visit_count == 1
 
 
@@ -374,35 +374,22 @@ def test_word_blind_loader_reads_other_layouts_without_words(inventory, text):
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(bogus (lex x))",
-         "line 2: unknown rule id 'bogus'"),
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(np_pron (lex I))",
-         "line 2: root category 'np' is not 's'"),
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n  (lex I)",
-         "line 3: a complete parse cannot be a bare lexical lookup"),
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left))))", "line 1: unbalanced ')'"),
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n(s_np_vp (np_pron ()) (vp_v (lex x)))",
-         "line 3: empty '()' expression"),
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(s_np_vp\n\n (np_pron ( )) (vp_v (lex x)))",
-         "line 4: empty '()' expression"),
-        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n\n((np_pron (lex I)) (vp_v (lex x)))",
-         "line 4: expression head must be a rule id"),
-    ],
-)
-def test_word_blind_loader_reports_faults_word_for_word(inventory, text, message):
-    with pytest.raises(TreebankFormatError) as want:
-        parse_treebank(text, inventory, require_top=True)
-    with pytest.raises(TreebankFormatError) as got:
-        parse_shapes(text, inventory)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value) == message
-
-
-@pytest.mark.parametrize(
     "text, err, message",
     [
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(bogus (lex x))",
+         UnknownRuleIdError, "line 2: unknown rule id 'bogus'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(np_pron (lex I))",
+         CategoryMismatchError, "line 2: root category 'np' is not 's'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n  (lex I)",
+         TreebankFormatError, "line 3: a complete parse cannot be a bare lexical lookup"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left))))",
+         TreebankFormatError, "line 1: unbalanced ')'"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n(s_np_vp (np_pron ()) (vp_v (lex x)))",
+         TreebankFormatError, "line 3: empty '()' expression"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n(s_np_vp\n\n (np_pron ( )) (vp_v (lex x)))",
+         TreebankFormatError, "line 4: empty '()' expression"),
+        ("(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n\n\n((np_pron (lex I)) (vp_v (lex x)))",
+         TreebankFormatError, "line 4: expression head must be a rule id"),
         ("(s_np_vp (np_det_n (lex a) (lex b)) (vp_v (lex c)))\n(np_none)",
          CategoryMismatchError, "line 2: root category 'np' is not 's'"),
         ("(s_np_vp (np_det_n (lex a) (lex b)) (vp_v (lex c)))\n  # a comment\n(lex a)",
@@ -412,39 +399,22 @@ def test_word_blind_loader_reports_faults_word_for_word(inventory, text, message
          TreebankFormatError, "line 4: a complete parse must span at least one word"),
     ],
 )
-def test_a_parse_that_is_not_complete_is_reported_at_its_line(text, err, message):
-    inv = parse_rule_inventory(MINI + "np_none np ->\nvp_none vp ->\n", "s")
-    for load in (parse_shapes, lambda t, i: parse_treebank(t, i, require_top=True)):
+def test_both_loaders_report_a_fault_at_its_line(text, err, message):
+    # the word-blind loader reports what the loader with words does
+    for load in COMPLETE_LOADERS.values():
         with pytest.raises(err) as info:
-            load(text, inv)
+            load(text, LOADER_GRAMMAR)
         assert type(info.value) is err
         assert str(info.value) == message
 
 
-def load_outcome(load, text, inventory):
-    """The trees of one load, or the class, message and line of its error."""
-    try:
-        return load(text, inventory)
-    except TreebankFormatError as err:
-        return type(err), str(err), err.line_no
-
-
-def token_fold_outcome(load, text, inventory, monkeypatch):
-    """``load_outcome`` with peeling off: every list is read token by token."""
-    with monkeypatch.context() as patch:
-        patch.setattr(grammar, "_peel", lambda text, close: None)
-        return load_outcome(load, text, inventory)
-
-
 GOOD = "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))"
 PP = " (pp_prep_np (lex to) (np_num (lex ten))))"
-COMPLETE = [
-    lambda text, inv: parse_treebank(text, inv, require_top=True),
-    parse_shapes,
-]
 
 
-@pytest.mark.parametrize("load", COMPLETE, ids=["words", "word-blind"])
+@pytest.mark.parametrize(
+    "load", list(COMPLETE_LOADERS.values()), ids=list(COMPLETE_LOADERS)
+)
 @pytest.mark.parametrize(
     "text, err, message, line",
     [
@@ -473,10 +443,10 @@ COMPLETE = [
          "top-bare-symbol", "placeholder-character"],
 )
 def test_faults_met_late_or_never_by_peeling_keep_class_message_and_line(
-    inventory, monkeypatch, load, text, err, message, line
+    inventory, load, text, err, message, line
 ):
     want = (err, f"line {line}: {message}", line)
-    assert token_fold_outcome(load, text, inventory, monkeypatch) == want
+    assert token_fold_outcome(load, text, inventory) == want
     assert load_outcome(load, text, inventory) == want
 
 
@@ -489,7 +459,7 @@ def test_words_that_hold_the_placeholder_character_are_words(inventory):
 def test_lists_that_touch_their_neighbours_are_peeled(inventory, monkeypatch):
     # no space between a head or a list and the list after it
     text = GOOD.replace(" (", "(") + "\n" + GOOD + "\n"
-    want = token_fold_outcome(parse_shapes, text, inventory, monkeypatch)
+    want = token_fold_outcome(parse_shapes, text, inventory)
     read = []
     read_all = grammar.read_all
 
@@ -527,22 +497,17 @@ COMB = (
     + "".join(" " + "(t_t " * i + "(t_w (lex x))" + ")" * i + ")" for i in range(TEETH))
     + ")\n"
 )
-DEEP_CHAIN = (
-    "(s_np_vp " + "(np_np_pp " * 10_000 + "(np_pron (lex I))" + PP * 10_000
-    + " (vp_v (lex left)))\n"
-)
-TOY_GRAMMAR = (TOY / "grammar.txt").read_text()
+TOY_GRAMMAR, TOY_TEXT, _ = corpus_texts("toy")
 # the toy training parses, without the comment line peeling skips
 TOY_TRAIN = "".join(
-    line for line in (TOY / "train.txt").read_text().splitlines(True)
-    if not line.startswith("#")
+    line for line in TOY_TEXT.splitlines(True) if not line.startswith("#")
 )
 
 
 @pytest.mark.parametrize(
     "grammar_text, text, count",
     [
-        (TOY_GRAMMAR, DEEP_CHAIN, 4),
+        (TOY_GRAMMAR, chain_text(DEEP), 4),
         (COMB_GRAMMAR, COMB, 1),
         (TOY_GRAMMAR, TOY_TRAIN, 6),
     ],
@@ -552,7 +517,7 @@ def test_peeling_scans_a_bounded_multiple_of_the_text(
     grammar_text, text, count, monkeypatch
 ):
     inv = parse_rule_inventory(grammar_text, "s")
-    want = token_fold_outcome(parse_treebank, text, inv, monkeypatch)
+    want = token_fold_outcome(parse_treebank, text, inv)
     assert isinstance(want, list)
     rounds = CountingRegex(grammar._INNERMOST)
     handed_off = []

@@ -12,15 +12,17 @@ from treecut.coverage import (
     render_coverage,
     render_stats,
 )
-from treecut.pipeline import PipelineConfig, run_pipeline
+from treecut.pipeline import run_pipeline
+
+from oracles import TOY, toy_config
 
 UNTILEABLE = "(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))\n"
 
 
 @pytest.fixture
-def test_file(tmp_path, toy_dir):
+def test_file(tmp_path):
     path = tmp_path / "test.txt"
-    path.write_text((toy_dir / "test.txt").read_text() + UNTILEABLE)
+    path.write_text((TOY / "test.txt").read_text() + UNTILEABLE)
     return path
 
 
@@ -28,7 +30,7 @@ def test_file(tmp_path, toy_dir):
     "goal", [{"threshold": 1.0}, {"coverage_target": 0.5}], ids=["fixed", "search"]
 )
 def test_reports_reuse_the_chosen_tiling(
-    toy_dir, test_file, tmp_path, monkeypatch, goal
+    test_file, tmp_path, monkeypatch, goal
 ):
     tiled = []
     evaluate = pipeline.evaluate_coverage
@@ -45,12 +47,8 @@ def test_reports_reuse_the_chosen_tiling(
         return cutnodes
 
     monkeypatch.setattr(pipeline, "select_by_threshold", recording_select)
-    cfg = PipelineConfig(
-        grammar_path=str(toy_dir / "grammar.txt"),
-        train_path=str(toy_dir / "train.txt"),
-        test_path=str(test_file),
-        weighted_stats=True,
-        out_dir=str(tmp_path / "out"),
+    cfg = toy_config(
+        test_path=str(test_file), weighted_stats=True, out_dir=str(tmp_path / "out"),
         **goal,
     )
     result = run_pipeline(cfg)
@@ -73,13 +71,9 @@ def test_reports_reuse_the_chosen_tiling(
 @pytest.mark.parametrize("host_frozen", [False, True], ids=["none", "host"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 def test_run_leaves_the_collector_as_it_found_it(
-    toy_dir, monkeypatch, enabled, host_frozen
+    monkeypatch, enabled, host_frozen
 ):
-    cfg = PipelineConfig(
-        grammar_path=str(toy_dir / "grammar.txt"),
-        train_path=str(toy_dir / "train.txt"),
-        threshold=1.0,
-    )
+    cfg = toy_config(test_path=None, threshold=1.0)
 
     def failing(*args):
         raise RuntimeError("failed")

@@ -6,7 +6,7 @@ decided in one place: the reading precision is a property of the phrase
 table, which alone applies it, ``PipelineConfig`` is the one config
 class, and only the treebank loader touches the garbage collector.
 Every report is rendered as a stream of lines, and a run keeps no
-state in the package's modules.
+state in the package's modules.  No test file imports a test module.
 """
 
 import ast
@@ -48,16 +48,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 def package_imports(path: pathlib.Path) -> set[str]:
     """The package's modules that *path* imports from, at any depth."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        elif isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        else:
-            continue
-        found |= {m.split(".")[1] for m in modules if m.startswith("treecut.")}
-    return found
+    return {
+        m.split(".")[1] for m in imported_modules(path) if m.startswith("treecut.")
+    }
 
 
 def test_modules_import_one_another_without_a_cycle():
@@ -108,6 +101,20 @@ def imported_modules(path: pathlib.Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             found.add(node.module or "")
     return found
+
+
+def test_no_test_file_imports_a_test_module():
+    # oracles and shared helpers live in oracles.py and fixtures in
+    # conftest.py; no test module reaches into another for them
+    tests = pathlib.Path(__file__).resolve().parent
+    local = {path.stem for path in tests.glob("*.py")} - {"conftest", "oracles"}
+    found = [
+        f"{path.name}: {module}"
+        for path in sorted(tests.glob("*.py"))
+        for module in imported_modules(path)
+        if module.split(".")[0] in local
+    ]
+    assert found == []
 
 
 def test_only_the_phrase_table_module_does_decimal_arithmetic():
