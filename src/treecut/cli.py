@@ -1,22 +1,27 @@
 """Command line front end.
 
+Every command that reads a training corpus starts from
+``pipeline.set_up``; ``cut`` stops after selection, ``extract`` after
+extraction, and ``bisect`` and ``run`` go on through ``run_pipeline``.
+
 Exit codes: 0 on success, 2 when a requested coverage target is
-unattainable, and 1 for every error in HANDLED_ERRORS: a bad flag,
-unreadable or malformed input, or an unwritable report directory.
+unattainable, and 1 for every other fault: an error in HANDLED_ERRORS
+(a bad, missing or malformed flag, unreadable or malformed input, or an
+unwritable report directory) or a stdout that cannot be written.
 Commands raise them and ``main`` alone prints them and returns 1.
 """
 
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
-from treecut.andor import index_treebank
 from treecut.andor import dump as dump_index
 from treecut.coverage import evaluate_coverage, reduction_stats
 from treecut.coverage import render_coverage, render_stats
 from treecut.cutnodes import IterationLimitError, render_cut_classes
-from treecut.entropy import build_phrase_table, render_entropy_table
+from treecut.entropy import render_entropy_table
 from treecut.extraction import (
     ANDOR_ENUM,
     TRAINING_CUT,
@@ -26,26 +31,22 @@ from treecut.extraction import (
     render_rule_file,
     validate_rules,
 )
-from treecut.node_entropy import (
-    EntropyScheme,
-    compute_node_entropies,
-    render_node_entropies,
-)
+from treecut.node_entropy import EntropyScheme, render_node_entropies
 from treecut.pipeline import (
     InputError,
     OutputError,
     PipelineConfig,
     load_file,
-    load_treebank,
     load_trees,
     render_threshold_report,
     run_pipeline,
+    set_up,
 )
 from treecut.grammar import parse_rule_inventory
 
 
 class FlagError(Exception):
-    """A command-line value is out of range; the message names the flag."""
+    """A flag is missing, malformed or out of range; the message names it."""
 
 
 HANDLED_ERRORS = (
@@ -56,6 +57,13 @@ HANDLED_ERRORS = (
     ChunkExplosionError,
     IterationLimitError,
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are flag errors, which exit 1."""
+
+    def error(self, message):
+        raise FlagError(message)
 
 
 def _flag(p, *names, **kwargs):
@@ -144,17 +152,12 @@ def _config(args) -> PipelineConfig:
 
 
 def cmd_entropy_table(args) -> int:
-    cfg = _config(args)
-    treebank = load_treebank(cfg)
-    aot = index_treebank(treebank.training, treebank.inventory)
-    sys.stdout.writelines(render_entropy_table(build_phrase_table(aot)))
+    sys.stdout.writelines(render_entropy_table(set_up(_config(args)).table))
     return 0
 
 
 def cmd_index(args) -> int:
-    cfg = _config(args)
-    treebank = load_treebank(cfg)
-    aot = index_treebank(treebank.training, treebank.inventory)
+    aot = set_up(_config(args)).aot
     if args.dump:
         sys.stdout.writelines(dump_index(aot))
         return 0
@@ -167,18 +170,16 @@ def cmd_index(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    cfg = _config(args)
-    treebank = load_treebank(cfg)
-    aot = index_treebank(treebank.training, treebank.inventory)
-    table = build_phrase_table(aot, cfg.decimals)
-    scores = compute_node_entropies(aot, table, cfg.scheme)
-    sys.stdout.writelines(render_node_entropies(aot, scores))
+    context = set_up(_config(args))
+    sys.stdout.writelines(render_node_entropies(context.aot, context.scores))
     return 0
 
 
 def cmd_cut(args) -> int:
-    result = run_pipeline(_config(args))
-    sys.stdout.writelines(render_cut_classes(result.cutnodes, result.scores))
+    cfg = _config(args)
+    context = set_up(cfg)
+    cutnodes = context.select(cfg.threshold)
+    sys.stdout.writelines(render_cut_classes(cutnodes, context.scores))
     return 0
 
 
@@ -190,9 +191,11 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    result = run_pipeline(_config(args))
-    validate_rules(result.rules, result.treebank.inventory)
-    sys.stdout.writelines(render_rule_file(result.rules))
+    cfg = _config(args)
+    context = set_up(cfg)
+    rules = context.extract(context.select(cfg.threshold))
+    validate_rules(rules, context.treebank.inventory)
+    sys.stdout.writelines(render_rule_file(rules))
     return 0
 
 
@@ -242,7 +245,7 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treecut",
         description="Specialize a treebank grammar by cutting its parses "
         "at high-entropy phrase nodes.",
@@ -319,12 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)
+        code = args.handler(args)
+        sys.stdout.flush()  # a fault in writing shows here, not at exit
     except HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # Every file a command opens names its own faults, so this is
+        # stdout's: a closed pipe or a full disk.  Stdout then points at
+        # the null device, where the interpreter's last flush succeeds.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

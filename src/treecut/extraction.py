@@ -514,15 +514,15 @@ def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
     Returns *rules*; raises RuleFileError on the first violation.
     """
 
-    def grammar_rule(rule_id: str):
+    def grammar_rule(rule_id: str, name: str):
         if rule_id not in inv:
-            raise RuleFileError(f"unknown rule id '{rule_id}'")
+            raise RuleFileError(f"rule '{name}': unknown rule id '{rule_id}'")
         return inv[rule_id]
 
     for rule in rules:
         if rule.reduction_length == 0:
             raise RuleFileError(f"rule '{rule.name}' has an empty body")
-        if grammar_rule(rule.chunk.rule).lhs != rule.lhs:
+        if grammar_rule(rule.chunk.rule, rule.name).lhs != rule.lhs:
             raise RuleFileError(f"rule '{rule.name}' lhs mismatch")
         # each piece with the category its slot wants, in preorder
         stack = [(rule.chunk, rule.lhs)]
@@ -531,17 +531,20 @@ def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
             if chunk.__class__ is not Apply:
                 if chunk.category != expected_cat:
                     raise RuleFileError(
-                        f"leaf category '{chunk.category}', slot wants '{expected_cat}'"
+                        f"rule '{rule.name}': leaf category '{chunk.category}', "
+                        f"slot wants '{expected_cat}'"
                     )
                 continue
-            grammar = grammar_rule(chunk.rule)
+            grammar = grammar_rule(chunk.rule, rule.name)
             if grammar.lhs != expected_cat:
                 raise RuleFileError(
-                    f"'{chunk.rule}' has category '{grammar.lhs}', slot wants "
-                    f"'{expected_cat}'"
+                    f"rule '{rule.name}': '{chunk.rule}' has category "
+                    f"'{grammar.lhs}', slot wants '{expected_cat}'"
                 )
             if len(chunk.children) != grammar.arity:
-                raise RuleFileError(f"'{chunk.rule}' arity {grammar.arity} violated")
+                raise RuleFileError(
+                    f"rule '{rule.name}': '{chunk.rule}' arity {grammar.arity} violated"
+                )
             stack.extend(reversed(list(zip(chunk.children, grammar.rhs))))
     return rules
 

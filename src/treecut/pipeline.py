@@ -1,6 +1,8 @@
 """End-to-end run: load corpora, pick cutnodes, extract rules, score them.
 
-The pipeline is a thin sequencing layer over the other modules.  All
+``set_up`` builds what every command starts from: the corpus, its index,
+the phrase table and the node scores.  ``run_pipeline`` goes on from
+there to the threshold, the rules, the coverage and the reports.  All
 outputs are deterministic functions of the inputs and the config, so a
 rerun into the same directory rewrites byte-identical files.
 """
@@ -73,10 +75,7 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    treebank: Treebank
-    table: PhraseEntropyTable
-    aot: AndOrTree
-    scores: NodeEntropyMap
+    context: "SearchContext"
     threshold: float
     search: ThresholdResult | None
     cutnodes: CutnodeSet
@@ -162,14 +161,6 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     return Treebank(inv, training, test)
 
 
-def extract_rules(
-    treebank: Treebank, aot: AndOrTree, cutnodes: CutnodeSet, cfg: PipelineConfig
-) -> RuleSet:
-    if cfg.mode == ANDOR_ENUM:
-        return extract_andor(aot, cutnodes, max_chunks=cfg.max_chunks)
-    return extract_training(treebank.training, aot, cutnodes)
-
-
 def partition_key(cutnodes: CutnodeSet) -> tuple:
     """Every class's member seqs and cut flag: all that extraction reads."""
     return tuple(
@@ -208,12 +199,17 @@ class SearchContext:
             threshold, self.aot, self.table, self.scores, **settings
         )
 
+    def extract(self, cutnodes: CutnodeSet) -> RuleSet:
+        if self.cfg.mode == ANDOR_ENUM:
+            return extract_andor(self.aot, cutnodes, max_chunks=self.cfg.max_chunks)
+        return extract_training(self.treebank.training, self.aot, cutnodes)
+
     def probe(self, threshold: float) -> ThresholdProbe:
         cutnodes = self.select(threshold)
         key = partition_key(cutnodes)
         seen = self.memo.get(key)
         if seen is None:
-            rules = extract_rules(self.treebank, self.aot, cutnodes, self.cfg)
+            rules = self.extract(cutnodes)
             seen = self.memo[key] = (
                 rules, evaluate_coverage(rules, self.treebank.test)
             )
@@ -221,20 +217,26 @@ class SearchContext:
         return ThresholdProbe(cutnodes, report.fraction, rules, report)
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    if cfg.out_dir is not None:
-        make_out_dir(cfg.out_dir)  # fail before the work, not after it
+def set_up(cfg: PipelineConfig) -> SearchContext:
+    """Load the corpus and build its index, the phrase table at
+    *cfg.decimals* and the node scores under *cfg.scheme*."""
     treebank = load_treebank(cfg)
     aot = index_treebank(treebank.training, treebank.inventory)
     table = build_phrase_table(aot, cfg.decimals)
     scores = compute_node_entropies(aot, table, cfg.scheme)
-    context = SearchContext(treebank, aot, table, cfg, scores)
+    return SearchContext(treebank, aot, table, cfg, scores)
+
+
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
+    if cfg.out_dir is not None:
+        make_out_dir(cfg.out_dir)  # fail before the work, not after it
+    context = set_up(cfg)
 
     search = None
     if cfg.coverage_target is not None:
         find = search_unimodal if cfg.neighbor_restrictions else bisect
         search = find(
-            cfg.coverage_target, context.probe, scores.max_value() + 1.0,
+            cfg.coverage_target, context.probe, context.scores.max_value() + 1.0,
             cfg.delta_s,
         )
         threshold, probe = search.threshold, search.probe
@@ -250,8 +252,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         report = None  # coverage.tsv is written only for a given test file
 
     result = PipelineResult(
-        treebank, table, aot, scores, threshold, search, cutnodes, rules,
-        report, stats, search is None or search.attainable,
+        context, threshold, search, cutnodes, rules, report, stats,
+        search is None or search.attainable,
     )
     if cfg.out_dir is not None:
         result.written = write_reports(result, cfg)
@@ -284,12 +286,13 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
     """Write every report file into the existing *cfg.out_dir*, each line
     as its renderer yields it; returns the paths in write order."""
     header = config_line(cfg) + "\n"
+    context = result.context
     files = {
-        "entropy_table.tsv": render_entropy_table(result.table),
-        "node_entropy.tsv": render_node_entropies(result.aot, result.scores),
-        "andor_index.txt": dump(result.aot),
+        "entropy_table.tsv": render_entropy_table(context.table),
+        "node_entropy.tsv": render_node_entropies(context.aot, context.scores),
+        "andor_index.txt": dump(context.aot),
         "threshold.txt": render_threshold_report(result, cfg),
-        "cutnodes.txt": render_cut_classes(result.cutnodes, result.scores),
+        "cutnodes.txt": render_cut_classes(result.cutnodes, context.scores),
         "rules.txt": render_rule_file(result.rules),
         "reduction_stats.tsv": render_stats(
             result.stats, "weighted" if cfg.weighted_stats else "unweighted"

@@ -903,26 +903,29 @@ def reference_rule_chunk(body):
     return chunk
 
 
-def reference_check(chunk, expected_cat, inv):
+def reference_check(chunk, expected_cat, inv, name):
     """The recursive chunk check of ``validate_rules`` before it walked
-    with a stack."""
+    with a stack; *name* is the rule the chunk belongs to."""
+    where = f"rule '{name}'"
     if isinstance(chunk, (LexSlot, Frontier)):
         if expected_cat is not None and chunk.category != expected_cat:
             raise RuleFileError(
-                f"leaf category '{chunk.category}', slot wants '{expected_cat}'"
+                f"{where}: leaf category '{chunk.category}', "
+                f"slot wants '{expected_cat}'"
             )
         return
     if chunk.rule not in inv:
-        raise RuleFileError(f"unknown rule id '{chunk.rule}'")
+        raise RuleFileError(f"{where}: unknown rule id '{chunk.rule}'")
     rule = inv[chunk.rule]
     if expected_cat is not None and rule.lhs != expected_cat:
         raise RuleFileError(
-            f"'{chunk.rule}' has category '{rule.lhs}', slot wants '{expected_cat}'"
+            f"{where}: '{chunk.rule}' has category '{rule.lhs}', "
+            f"slot wants '{expected_cat}'"
         )
     if len(chunk.children) != rule.arity:
-        raise RuleFileError(f"'{chunk.rule}' arity {rule.arity} violated")
+        raise RuleFileError(f"{where}: '{chunk.rule}' arity {rule.arity} violated")
     for cat, child in zip(rule.rhs, chunk.children):
-        reference_check(child, cat, inv)
+        reference_check(child, cat, inv, name)
 
 
 def reference_validate(rules, inv):
@@ -930,10 +933,12 @@ def reference_validate(rules, inv):
         if rule.reduction_length == 0:
             raise RuleFileError(f"rule '{rule.name}' has an empty body")
         if rule.chunk.rule not in inv:
-            raise RuleFileError(f"unknown rule id '{rule.chunk.rule}'")
+            raise RuleFileError(
+                f"rule '{rule.name}': unknown rule id '{rule.chunk.rule}'"
+            )
         if inv[rule.chunk.rule].lhs != rule.lhs:
             raise RuleFileError(f"rule '{rule.name}' lhs mismatch")
-        reference_check(rule.chunk, None, inv)
+        reference_check(rule.chunk, None, inv, rule.name)
     return rules
 
 

@@ -1,11 +1,14 @@
+import os
+import subprocess
 import sys
 
 import pytest
 
+from treecut import pipeline
 from treecut.cli import _config, build_parser, main
 from treecut.pipeline import PipelineConfig
 
-from oracles import TOY, chain_text
+from oracles import ROOT, TOY, chain_text, corpus_texts
 
 CORPUS = [
     "--grammar", str(TOY / "grammar.txt"),
@@ -526,3 +529,110 @@ def test_flags_not_given_leave_the_config_defaults(command, required, fields):
         [command, "--grammar", "g.txt", "--train", "t.txt", *required]
     )
     assert _config(args) == PipelineConfig("g.txt", "t.txt", **fields)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["cut", "--grammar", "g", "--train", "t", "--threshold", "abc"],
+         "--threshold"),
+        (["cut", "--grammar", "g", "--train", "t"], "--threshold"),
+        (["cut", "--grammar", "g", "--train", "t", "--threshold", "1.0",
+          "--scheme", "bogus"], "--scheme"),
+        ([], "command"),
+    ],
+    ids=["malformed", "missing", "bad-choice", "no-subcommand"],
+)
+def test_usage_errors_exit_one_naming_the_argument(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage: treecut" in capsys.readouterr().out
+
+
+def treecut_in_child(*args, stdout):
+    """``treecut *args`` in a fresh interpreter writing to *stdout*."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "treecut.cli", *args], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+
+
+def test_a_closed_stdout_pipe_exits_one():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head -1` does once it has read its line
+    try:
+        done = treecut_in_child("index", "--dump", *CORPUS, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_one():
+    with open("/dev/full", "w") as full:
+        done = treecut_in_child("cut", "--threshold", "1.0", *CORPUS, stdout=full)
+    assert done.returncode == 1
+    assert done.stderr == "error: stdout: No space left on device\n"
+
+
+# each command that prints one report, and the file of `run` it prints
+ONE_REPORT = [
+    (["cut", "--threshold", "1.0"], "cutnodes.txt"),
+    (["extract", "--threshold", "1.0"], "rules.txt"),
+    (["entropy-table"], "entropy_table.tsv"),
+    (["entropy"], "node_entropy.tsv"),
+    (["index", "--dump"], "andor_index.txt"),
+]
+# stages a command must not reach, by command
+NOT_RUN = {
+    "cut": ["extract_training", "extract_andor", "evaluate_coverage"],
+    "extract": ["evaluate_coverage"],
+}
+
+
+@pytest.mark.parametrize("corpus", ["toy", "gen-toy"])
+def test_one_report_commands_print_runs_file_and_stop_after_it(
+    capsys, tmp_path, monkeypatch, corpus
+):
+    flags = []
+    for role, text in zip(("grammar", "train", "test"), corpus_texts(corpus)):
+        path = tmp_path / f"{role}.txt"
+        path.write_text(text)
+        flags += [f"--{role}", str(path)]
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "run", *flags, "--threshold", "1.0", "--out", str(out_dir)
+    )
+    assert code == 0
+
+    calls = {}
+
+    def counting(name, stage):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in NOT_RUN["cut"]:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    for command, report in ONE_REPORT:
+        calls.clear()
+        code, out, _ = run_cli(capsys, *command, *flags)
+        assert code == 0
+        header, body = (out_dir / report).read_text().split("\n", 1)
+        assert header.startswith("# config: ")
+        assert out == body, command
+        stopped = NOT_RUN.get(command[0], [])
+        assert not any(calls.get(name) for name in stopped), (command, calls)

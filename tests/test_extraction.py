@@ -154,19 +154,27 @@ def test_validate_rules_passes_extracted(toy_rules, inventory):
     validate_rules(toy_rules, inventory)
 
 
-def test_validate_rules_rejects_bad_chunks(inventory):
-    bad_cat = Apply("np_det_n", (LexSlot("det"), LexSlot("x")))
-    rule = SpecializedRule("np_bad", "np", bad_cat, flat_rhs(bad_cat), 0)
-    with pytest.raises(RuleFileError):
-        validate_rules(RuleSet([rule]), inventory)
-    bad_arity = Apply("np_det_n", (LexSlot("det"),))
-    rule = SpecializedRule("np_bad2", "np", bad_arity, flat_rhs(bad_arity), 0)
-    with pytest.raises(RuleFileError):
-        validate_rules(RuleSet([rule]), inventory)
-    unknown = Apply("np_missing", (LexSlot("det"),))
-    rule = SpecializedRule("np_bad3", "np", unknown, flat_rhs(unknown), 0)
-    with pytest.raises(RuleFileError, match="unknown rule id"):
-        validate_rules(RuleSet([rule]), inventory)
+@pytest.mark.parametrize(
+    "chunk, fault",
+    [
+        (Apply("np_det_n", (LexSlot("det"), LexSlot("x"))),
+         "leaf category 'x', slot wants 'n'"),
+        (Apply("np_det_n", (LexSlot("det"),)), "'np_det_n' arity 2 violated"),
+        (Apply("np_missing", (LexSlot("det"),)), "unknown rule id 'np_missing'"),
+        (Apply("np_det_n", (
+            LexSlot("det"), Apply("pp_prep_np", (LexSlot("prep"), Frontier("np")))
+        )), "'pp_prep_np' has category 'pp', slot wants 'n'"),
+    ],
+)
+def test_validate_rules_rejects_bad_chunks_naming_the_rule(inventory, chunk, fault):
+    fine = Apply("np_det_n", (LexSlot("det"), LexSlot("n")))
+    rules = RuleSet([
+        SpecializedRule("np_fine", "np", fine, flat_rhs(fine), 0),
+        SpecializedRule("np_bad", "np", chunk, flat_rhs(chunk), 0),
+    ])
+    with pytest.raises(RuleFileError) as info:
+        validate_rules(rules, inventory)
+    assert str(info.value) == f"rule 'np_bad': {fault}"
 
 
 def test_validate_rules_rejects_empty_body():

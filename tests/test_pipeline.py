@@ -52,7 +52,7 @@ def test_reports_reuse_the_chosen_tiling(
         **goal,
     )
     result = run_pipeline(cfg)
-    test = result.treebank.test
+    test = result.context.treebank.test
     # the test set is tiled once per distinct partition, and never again
     assert len(tiled) == len(selected) * len(test)
 

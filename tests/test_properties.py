@@ -288,19 +288,19 @@ SEARCHES = [
 
 def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
     selected, extracted = [], []
-    select, extract = pipeline.select_by_threshold, pipeline.extract_rules
+    select, extract = pipeline.select_by_threshold, pipeline.SearchContext.extract
 
     def counting_select(*args, **kwargs):
         cutnodes = select(*args, **kwargs)
         selected.append(pipeline.partition_key(cutnodes))
         return cutnodes
 
-    def counting_extract(treebank, aot, cutnodes, cfg):
+    def counting_extract(context, cutnodes):
         extracted.append(pipeline.partition_key(cutnodes))
-        return extract(treebank, aot, cutnodes, cfg)
+        return extract(context, cutnodes)
 
     monkeypatch.setattr(pipeline, "select_by_threshold", counting_select)
-    monkeypatch.setattr(pipeline, "extract_rules", counting_extract)
+    monkeypatch.setattr(pipeline.SearchContext, "extract", counting_extract)
 
     corpora = [(treebank, 1.0)]
     for _, rng, inv, training in seeded_corpora(7000, 25, 2, 8):
