@@ -12,7 +12,6 @@ from treecut.cutnodes import (
 )
 from treecut.entropy import PhraseEntropyTable, Slot, build_phrase_table, entropy
 from treecut.extraction import (
-    RuleSet,
     SpecializedRule,
     extract_andor,
     extract_training,
@@ -49,7 +48,6 @@ __all__ = [
     "PhraseEntropyTable",
     "PipelineConfig",
     "RuleInventory",
-    "RuleSet",
     "Slot",
     "SpecializedRule",
     "ThresholdResult",

@@ -24,7 +24,7 @@ has checked against the subtree filling it.
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from treecut.extraction import Frontier, LexSlot, RuleSet, SpecializedRule
+from treecut.extraction import Frontier, LexSlot, SpecializedRule
 from treecut.grammar import LEX, LexLeaf
 
 
@@ -165,7 +165,7 @@ class CoverageReport:
         return sum(verdicts) / len(verdicts) if verdicts else 1.0
 
 
-def evaluate_coverage(rules: RuleSet, trees: list) -> CoverageReport:
+def evaluate_coverage(rules: list[SpecializedRule], trees: list) -> CoverageReport:
     """Tile every tree; an empty test set counts as (vacuously) covered.
 
     The rules are indexed once per call and every distinct internal
@@ -226,7 +226,7 @@ class ReductionStats:
 
 
 def reduction_stats(
-    rules: RuleSet, weighted: bool = False, tilings: list | tuple = ()
+    rules: list[SpecializedRule], weighted: bool = False, tilings: list | tuple = ()
 ) -> ReductionStats:
     """Reduction-length histogram over buckets 1, 2, 3 and 4+.
 

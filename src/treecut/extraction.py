@@ -11,7 +11,9 @@ boundary there could never be re-filled.
 
 Two modes: ``training`` cuts exactly the observed trees, ``andor``
 enumerates every arc combination the index supports.  Training chunks
-are always a subset of the enumerated ones.
+are always a subset of the enumerated ones.  Rules are a plain list of
+``SpecializedRule``, and both modes name theirs in one function,
+``_named_rules``.
 
 Both modes build their pieces through one ``_Pieces`` per call, which
 hash-conses them, so equal chunks are one object and each distinct
@@ -28,6 +30,7 @@ at fault, raised at its line in the file.
 """
 
 import hashlib
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -140,17 +143,6 @@ class SpecializedRule:
         return f"{self.lhs} => {' '.join(self.rhs)}"
 
 
-@dataclass
-class RuleSet:
-    rules: list[SpecializedRule]
-
-    def __iter__(self):
-        return iter(self.rules)
-
-    def __len__(self):
-        return len(self.rules)
-
-
 class _Pieces:
     """Hash-consed chunk pieces: each distinct piece is built once.
 
@@ -179,37 +171,21 @@ class _Pieces:
         return piece
 
 
-class _Collector:
-    """Support per chunk; rules are named once per distinct chunk.
+def _named_rules(support: dict, inv: RuleInventory) -> list[SpecializedRule]:
+    """The rules of *support*, a map ``id(chunk) -> [chunk, support]``.
 
-    Chunks are keyed on identity, so they must all come from one
-    ``_Pieces``.
+    Each distinct chunk is named once, a chunk spanning no slot is no
+    rule, and the rules come sorted by lhs and name.  Chunks are keyed
+    on identity, so they must all come from one ``_Pieces``.
     """
-
-    def __init__(self, inv: RuleInventory):
-        self.inv = inv
-        self.support: dict[int, list] = {}  # id(chunk) -> [chunk, support]
-
-    def add(self, chunks, occurrences: int) -> None:
-        """Count each of *chunks* *occurrences* times."""
-        support = self.support
-        for chunk in chunks:
-            entry = support.get(id(chunk))
-            if entry is None:
-                support[id(chunk)] = [chunk, occurrences]
-            else:
-                entry[1] += occurrences
-
-    def result(self) -> RuleSet:
-        rules = []
-        for chunk, support in self.support.values():
-            rhs = flat_rhs(chunk)
-            if rhs:  # a chunk spanning no slot is no rule
-                lhs = self.inv[chunk.rule].lhs
-                rules.append(
-                    SpecializedRule(rule_name(lhs, chunk), lhs, chunk, rhs, support)
-                )
-        return RuleSet(sorted(rules, key=lambda r: (r.lhs, r.name)))
+    rules = []
+    for chunk, count in support.values():
+        rhs = flat_rhs(chunk)
+        if rhs:
+            lhs = inv[chunk.rule].lhs
+            rules.append(SpecializedRule(rule_name(lhs, chunk), lhs, chunk, rhs, count))
+    rules.sort(key=lambda r: (r.lhs, r.name))
+    return rules
 
 
 class _Position:
@@ -348,7 +324,7 @@ def cut_tree(
 
 def extract_training(
     training: list, aot: AndOrTree, cutset: CutnodeSet
-) -> RuleSet:
+) -> list[SpecializedRule]:
     """Union of per-tree chunks, deduplicated, with occurrence support.
 
     Cutting reads only a tree's word-blind shape, so each distinct root
@@ -357,11 +333,17 @@ def extract_training(
     (subtree node, class) is built once, equal chunks are one object,
     and each distinct chunk is rendered and named once.
     """
-    collector = _Collector(aot.inventory)
+    support: dict[int, list] = {}  # id(chunk) -> [chunk, support]
     memo = ChunkMemo(cutset)
     for tree, n in shape_groups(training):
-        collector.add(cut_tree(tree, aot, cutset, memo), n)
-    return collector.result()
+        for chunk in cut_tree(tree, aot, cutset, memo):
+            # most chunks are seen before, and setdefault would make a list
+            entry = support.get(id(chunk))
+            if entry is None:
+                support[id(chunk)] = [chunk, n]
+            else:
+                entry[1] += n
+    return _named_rules(support, aot.inventory)
 
 
 def _run_calls(call):
@@ -391,7 +373,7 @@ def extract_andor(
     aot: AndOrTree,
     cutset: CutnodeSet,
     max_chunks: int = DEFAULT_MAX_CHUNKS,
-) -> RuleSet:
+) -> list[SpecializedRule]:
     """Every chunk shape the index supports for the cut classes.
 
     Chunk roots are the root's class and every cut class; lexical arcs
@@ -498,17 +480,20 @@ def extract_andor(
         memo[key] = out
         return out
 
-    collector = _Collector(aot.inventory)
+    support: dict[int, list] = {}
     roots = [class_of(aot.root)]
     for cls in cutset.cut_classes():
         if cls is not roots[0]:
             roots.append(cls)
     for cls in roots:
-        collector.add(_run_calls(expansions(cls)), 0)
-    return collector.result()
+        for chunk in _run_calls(expansions(cls)):
+            support.setdefault(id(chunk), [chunk, 0])
+    return _named_rules(support, aot.inventory)
 
 
-def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
+def validate_rules(
+    rules: list[SpecializedRule], inv: RuleInventory
+) -> list[SpecializedRule]:
     """Check every chunk against the inventory's arities and categories.
 
     Returns *rules*; raises RuleFileError on the first violation.
@@ -549,10 +534,10 @@ def validate_rules(rules: RuleSet, inv: RuleInventory) -> RuleSet:
     return rules
 
 
-def render_rule_file(rules: RuleSet) -> Iterator[str]:
+def render_rule_file(rules: list[SpecializedRule]) -> Iterator[str]:
     """One record per rule, a blank line between records: flat line,
     indented chunk, support line.  No rules render as one empty line."""
-    if not rules.rules:
+    if not rules:
         yield "\n"
     for k, rule in enumerate(rules):
         if k:
@@ -585,8 +570,15 @@ def _close_chunk(items: list, at: int):
     return Apply(head, tuple(children))
 
 
-def parse_rule_file(text: str) -> RuleSet:
-    """Inverse of render_rule_file; flat lines are cross-checked.
+# Ends the name of a rule header, ``<name>: <lhs> => <body...>``: the
+# first ':' before whitespace.  A category may hold ':' or '=>', never
+# whitespace, so the rest splits into the lhs, '=>' and the body.
+_NAME_END = re.compile(r":\s")
+
+
+def parse_rule_file(text: str) -> list[SpecializedRule]:
+    """Inverse of render_rule_file, rules in file order; flat lines are
+    cross-checked.
 
     Every fault names its line in *text*: the header's for a malformed
     header, a missing chunk or a flat line that does not match its
@@ -598,9 +590,9 @@ def parse_rule_file(text: str) -> RuleSet:
 
     def finish(lines: list[tuple[int, str]]) -> None:
         header_no, head = lines[0]
-        name, _, flat = head.partition(":")
-        lhs, arrow, symbols = flat.partition("=>")
-        if not arrow:
+        name, *flat = _NAME_END.split(head, 1)
+        tokens = flat[0].split() if flat else []
+        if len(tokens) < 2 or tokens[1] != "=>":
             raise RuleFileFormatError(f"malformed rule header: {head!r}", header_no)
         name = name.strip()
         support = 0
@@ -639,12 +631,12 @@ def parse_rule_file(text: str) -> RuleSet:
             raise chunk.kind(chunk.message, file_line(chunk.line(chunk_text)))
         rule = SpecializedRule(
             name=name,
-            lhs=lhs.strip(),
+            lhs=tokens[0],
             chunk=chunk,
             rhs=flat_rhs(chunk),
             support=support,
         )
-        declared = tuple(symbols.split())
+        declared = tuple(tokens[2:])
         if declared != rule.rhs:
             raise RuleFileFormatError(
                 f"rule {rule.name!r}: flat line {declared} does not match "
@@ -664,4 +656,4 @@ def parse_rule_file(text: str) -> RuleSet:
             record.append((line_no, raw))
     if record:
         finish(record)
-    return RuleSet(rules)
+    return rules

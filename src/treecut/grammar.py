@@ -1,10 +1,12 @@
 """Context-free rule inventories and lexicalized parse trees.
 
 A grammar file declares one rule per line, ``<rule_id> <lhs> -> <rhs...>``.
-Categories are bare case-sensitive symbols; a category that never occurs
-as a left-hand side is terminal and is filled by lexical lookups.  The
-rule id ``lex`` is reserved for the lexical lookup pseudo-rule and may
-not be declared.
+Rule ids and categories are bare case-sensitive symbols: runs of
+characters other than whitespace, '(', ')', '"' and '#', the last of
+which starts a comment.  So each can be written unquoted into a tree or
+a rule-file chunk.  A category that never occurs as a left-hand side is
+terminal and is filled by lexical lookups.  The rule id ``lex`` is
+reserved for the lexical lookup pseudo-rule and may not be declared.
 
 Treebank files hold one parse tree per S-expression: ``(rule child...)``
 for an application of ``rule``, ``(lex word)`` for a lexical lookup.
@@ -196,6 +198,10 @@ class Treebank:
     test: list
 
 
+# A character that a symbol written into an S-expression may not hold.
+_DELIMITER = re.compile(r'[()"]')
+
+
 def parse_rule_inventory(text: str, top: str) -> RuleInventory:
     """Parse a grammar file; ``top`` names the root category of complete parses."""
     rules: dict[str, GrammarRule] = {}
@@ -211,6 +217,12 @@ def parse_rule_inventory(text: str, top: str) -> RuleInventory:
             raise GrammarFormatError(
                 "expected '<rule_id> <lhs> -> <rhs ...>'", line_no
             )
+        for symbol in tokens:
+            delimiter = _DELIMITER.search(symbol)
+            if delimiter:
+                raise GrammarFormatError(
+                    f"symbol '{symbol}' holds '{delimiter[0]}'", line_no
+                )
         rule_id, lhs = tokens[0], tokens[1]
         rhs = tuple(tokens[arrow + 1:])
         if rule_id == LEX:

@@ -33,7 +33,7 @@ from treecut.extraction import (
     DEFAULT_MAX_CHUNKS,
     TRAINING_CUT,
     RuleFileError,
-    RuleSet,
+    SpecializedRule,
     extract_andor,
     extract_training,
     render_rule_file,
@@ -79,7 +79,7 @@ class PipelineResult:
     threshold: float
     search: ThresholdResult | None
     cutnodes: CutnodeSet
-    rules: RuleSet
+    rules: list[SpecializedRule]
     coverage: CoverageReport | None
     stats: ReductionStats
     attainable: bool
@@ -109,10 +109,11 @@ class InputError(Exception):
 
 
 def load_file(path: str, parse):
-    """*parse* applied to the text of *path*; InputError names the file."""
+    """*parse* applied to the text of *path*, a leading byte-order mark
+    left out; InputError names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse(handle.read())
+            return parse(handle.read().removeprefix("\ufeff"))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -199,7 +200,7 @@ class SearchContext:
             threshold, self.aot, self.table, self.scores, **settings
         )
 
-    def extract(self, cutnodes: CutnodeSet) -> RuleSet:
+    def extract(self, cutnodes: CutnodeSet) -> list[SpecializedRule]:
         if self.cfg.mode == ANDOR_ENUM:
             return extract_andor(self.aot, cutnodes, max_chunks=self.cfg.max_chunks)
         return extract_training(self.treebank.training, self.aot, cutnodes)

@@ -46,7 +46,6 @@ from treecut.extraction import (
     Frontier,
     LexSlot,
     RuleFileError,
-    RuleSet,
     SpecializedRule,
     cut_tree,
     extract_andor,
@@ -1276,9 +1275,10 @@ def reference_cut_tree(tree, aot, cutset):
 
 
 def reference_collect(inv, chunks):
-    """The rule set of ``(chunk, occurrences)`` pairs, told apart by
-    their rendered text, so the chunks need not be hash-consed: the
-    first of equal texts is named and every pair adds to its support.
+    """The rules of ``(chunk, occurrences)`` pairs, sorted by lhs and
+    name, told apart by their rendered text, so the chunks need not be
+    hash-consed: the first of equal texts is named and every pair adds
+    to its support.
     """
     rules = {}
     for chunk, occurrences in chunks:
@@ -1293,7 +1293,7 @@ def reference_collect(inv, chunks):
                 rule_name(lhs, chunk), lhs, chunk, rhs
             )
         rule.support += occurrences
-    return RuleSet(sorted(rules.values(), key=lambda r: (r.lhs, r.name)))
+    return sorted(rules.values(), key=lambda r: (r.lhs, r.name))
 
 
 def reference_extract_training(training, aot, cutset):

@@ -16,7 +16,6 @@ from treecut.cutnodes import closure, select_by_threshold
 from treecut.entropy import Slot, build_phrase_table
 from treecut.extraction import (
     ChunkExplosionError,
-    RuleSet,
     extract_andor,
     extract_training,
 )
@@ -163,10 +162,10 @@ def test_extraction_rule_sets():
     cutset = select_by_threshold(1.00, aot, table, scores)
     trained = extract_training(training, aot, cutset)
     assert {r.flat_form() for r in trained} == TRAINING_FORMS
-    assert len(trained.rules) == 5
+    assert len(trained) == 5
     enumerated = extract_andor(aot, cutset)
     assert {r.flat_form() for r in enumerated} == TRAINING_FORMS | EXTRA_ANDOR_FORMS
-    assert len(enumerated.rules) == 7
+    assert len(enumerated) == 7
 
 
 @_verdict("5. training rules cover the test tree; bisection stays below 1.08")
@@ -256,9 +255,8 @@ def training_rules_cover_their_own_corpus():
 def covers_agrees_with_the_exhaustive_tiler():
     cases = 0
     for seed, kept, trees in random_rule_subsets():
-        subset = RuleSet(kept)
         for tree in trees:
-            got = covers(subset, tree) is not None
+            got = covers(kept, tree) is not None
             want = brute_covers(kept, tree)
             assert got == want, seed
             cases += 1

@@ -170,6 +170,25 @@ def chunk_roots(index, tree, cut):
     return count
 
 
+def run_small_fixed_large(bench, monkeypatch, tmp_path, capsys):
+    """A 300/30-tree corpus of fixed-large's kind, run with its flags
+    under the benchmark's tracer: its one probe extracts once.  Returns
+    the generated training trees, the tracer and the report directory."""
+    child, run = bench
+    workload = run.WORKLOADS["fixed-large"]
+    training, test = child.gen.generate(workload["corpus"], 300, 30, 4.0)
+    paths = child.gen.write_corpus(
+        str(tmp_path / "corpus"), workload["corpus"], training, test
+    )
+    tracer = install_bench_tracer(monkeypatch, child)
+    out = tmp_path / "out"
+    code = treecut.cli.main(run.run_argv(paths, workload["flags"], str(out)))
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["probes"] == 1
+    return training, tracer, out
+
+
 def test_fixed_large_counts_the_chunk_roots_of_each_root_shape(
     bench, monkeypatch, tmp_path, capsys
 ):
@@ -178,20 +197,14 @@ def test_fixed_large_counts_the_chunk_roots_of_each_root_shape(
     # They are counted here from the generated trees and the reported cut
     # classes alone, so a rerouted or skewed counter shows.
     child, run = bench
+    training, tracer, out = run_small_fixed_large(bench, monkeypatch, tmp_path, capsys)
     workload = run.WORKLOADS["fixed-large"]
-    training, test = child.gen.generate(workload["corpus"], 300, 30, 4.0)
-    paths = child.gen.write_corpus(
-        str(tmp_path / "corpus"), workload["corpus"], training, test
-    )
-    tracer = install_bench_tracer(monkeypatch, child)
-    out = str(tmp_path / "out")
-    code = treecut.cli.main(run.run_argv(paths, workload["flags"], out))
-    capsys.readouterr()
-    assert code == 0
     rhs_of = {rid: rhs for rid, _, rhs in child.gen.GRAMMARS[workload["corpus"]]}
     index = child.check.Index(training, rhs_of, "s")
     cut = {
-        index.by_id[m] for _, members in child.check.cut_classes(out) for m in members
+        index.by_id[m]
+        for _, members in child.check.cut_classes(str(out))
+        for m in members
     }
     shapes = {blind(tree): tree for tree in training}
     assert len(shapes) < len(training)
@@ -199,3 +212,17 @@ def test_fixed_large_counts_the_chunk_roots_of_each_root_shape(
     want = sum(chunk_roots(index, tree, cut) for tree in shapes.values())
     assert want > len(shapes)
     assert tracer.counts["chunks"] == want
+
+
+def test_fixed_large_counts_the_trees_and_rules_of_its_extraction(
+    bench, monkeypatch, tmp_path, capsys
+):
+    # the extraction hook reads extract_training's arguments as
+    # (training trees, ...) and its result as the list of rules; each
+    # count is checked against the corpus and the rule file written
+    training, tracer, out = run_small_fixed_large(bench, monkeypatch, tmp_path, capsys)
+    assert tracer.counts["trees_extracted"] == len(training)
+    lines = (out / "rules.txt").read_text().splitlines()
+    records = sum(line.startswith("  support: ") for line in lines)
+    assert records > 1
+    assert tracer.counts["rules"] == records

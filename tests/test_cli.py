@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -327,6 +328,64 @@ def test_evaluate_and_stats_round_trip(capsys, tmp_path):
     assert "3\t3\t60.0" in out
 
 
+def run_then_evaluate(capsys, out, grammar, train, test, rules=None):
+    """`run --threshold 1.0` into *out*, then `evaluate` on its rule file,
+    or on *rules* when given: evaluate's outcome, and run's coverage.tsv
+    without its config line."""
+    code, _, err = run_cli(
+        capsys, "run", "--grammar", str(grammar), "--train", str(train),
+        "--test", str(test), "--threshold", "1.0", "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    outcome = run_cli(
+        capsys, "evaluate", "--grammar", str(grammar),
+        "--rules", str(rules or out / "rules.txt"), "--test", str(test),
+    )
+    return outcome, (out / "coverage.tsv").read_text().split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("category", ["n:p", "n=>p"])
+def test_a_rule_file_reads_back_when_a_category_holds_a_header_separator(
+    capsys, tmp_path, category
+):
+    # a rule header is '<name>: <lhs> => <body>', and a category may hold
+    # ':' or '=>': here every np of the toy grammar is renamed
+    grammar = tmp_path / "grammar.txt"
+    grammar.write_text(re.sub(r"\bnp\b", category, (TOY / "grammar.txt").read_text()))
+    out = tmp_path / "out"
+    (code, evaluated, err), coverage = run_then_evaluate(
+        capsys, out, grammar, TOY / "train.txt", TOY / "test.txt"
+    )
+    assert f"{category}_" in (out / "rules.txt").read_text()
+    assert (code, err) == (0, "")
+    assert evaluated == coverage
+
+
+@pytest.mark.parametrize("marked", ["grammar", "train", "test", "rules"])
+def test_a_byte_order_mark_at_the_start_of_an_input_is_ignored(
+    capsys, tmp_path, marked
+):
+    # the grammar, both treebanks and the rule file are each read with
+    # a leading U+FEFF, and every outcome is the one without it
+    plain, marks = tmp_path / "plain", tmp_path / "marked"
+    files = {role: TOY / f"{role}.txt" for role in ("grammar", "train", "test")}
+    run_then_evaluate(capsys, plain, *files.values())
+    files["rules"] = plain / "rules.txt"
+    with_bom = tmp_path / f"{marked}.txt"
+    with_bom.write_text("\ufeff" + files[marked].read_text())
+    files[marked] = with_bom
+    (code, evaluated, err), coverage = run_then_evaluate(
+        capsys, marks, files["grammar"], files["train"], files["test"],
+        rules=files["rules"],
+    )
+    assert (code, err) == (0, "")
+    assert evaluated == coverage
+    for name in REPORTS:  # all but the config line, which names the files
+        assert (marks / name).read_text().split("\n", 1)[1] == (
+            (plain / name).read_text().split("\n", 1)[1]
+        ), name
+
+
 def test_stats_weighted_requires_corpus(capsys, tmp_path):
     rules_file = tmp_path / "rules.txt"
     rules_file.write_text("np_x: np => det n\n  (np_det_n (lex det) (lex n))\n")
@@ -456,6 +515,20 @@ def test_non_utf8_input_exits_one(capsys, tmp_path, which):
     assert code == 1
     assert str(bad) in err
     assert "UTF-8" in err
+
+
+def test_non_utf8_input_after_a_byte_order_mark_names_its_byte_in_the_file(
+    capsys, tmp_path
+):
+    grammar = tmp_path / "grammar.txt"
+    text = "\ufeff" + (TOY / "grammar.txt").read_text()
+    grammar.write_bytes(text.encode() + "# café\n".encode("latin-1"))
+    code, _, err = run_cli(
+        capsys, "entropy-table", "--grammar", str(grammar),
+        "--train", str(TOY / "train.txt"),
+    )
+    assert code == 1
+    assert f"{grammar}: not UTF-8 text (byte offset {len(text.encode()) + 5})" in err
 
 
 def test_evaluate_rejects_rule_with_wrong_arity(capsys, tmp_path):

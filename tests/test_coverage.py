@@ -13,7 +13,6 @@ from treecut.extraction import (
     Apply,
     Frontier,
     LexSlot,
-    RuleSet,
     SpecializedRule,
     extract_training,
 )
@@ -72,7 +71,7 @@ def test_training_self_coverage(toy_rules, treebank):
 
 def test_uncovered_without_np_rules(toy_rules, treebank):
     flats = by_flat(toy_rules)
-    partial = RuleSet([flats["np => num"], flats["s => det n v prep np"]])
+    partial = [flats["np => num"], flats["s => det n v prep np"]]
     report = evaluate_coverage(partial, treebank.test)
     assert report.fraction == 0.0
     assert covers(partial, treebank.test[0]) is None
@@ -100,7 +99,7 @@ def test_weighted_stats(toy_rules, treebank):
 
 def test_weighted_stats_skips_untileable(toy_rules, treebank, inventory):
     flats = by_flat(toy_rules)
-    partial = RuleSet([flats["np => num"]])
+    partial = [flats["np => num"]]
     tilings = evaluate_coverage(partial, treebank.test).tilings
     stats = reduction_stats(partial, weighted=True, tilings=tilings)
     assert stats.skipped == 1
@@ -179,6 +178,6 @@ def test_covers_does_not_check_categories_of_hand_built_trees(inventory):
     vp_rule = SpecializedRule("vp_x", "vp", Apply("vp_v", (LexSlot("v"),)), ("v",))
     # the tiler trusts the rules' frontier categories to fit the tree, so
     # it fills the np frontier with the vp rule; validation catches it
-    tiling = covers(RuleSet([s_rule, vp_rule]), tree)
+    tiling = covers([s_rule, vp_rule], tree)
     assert tiling.applications() == [s_rule, vp_rule, vp_rule]
     assert not validate_tiling(tiling, tree)

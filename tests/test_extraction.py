@@ -15,7 +15,6 @@ from treecut.extraction import (
     LexSlot,
     RuleFileError,
     RuleFileFormatError,
-    RuleSet,
     SpecializedRule,
     cut_tree,
     extract_andor,
@@ -168,10 +167,10 @@ def test_validate_rules_passes_extracted(toy_rules, inventory):
 )
 def test_validate_rules_rejects_bad_chunks_naming_the_rule(inventory, chunk, fault):
     fine = Apply("np_det_n", (LexSlot("det"), LexSlot("n")))
-    rules = RuleSet([
+    rules = [
         SpecializedRule("np_fine", "np", fine, flat_rhs(fine), 0),
         SpecializedRule("np_bad", "np", chunk, flat_rhs(chunk), 0),
-    ])
+    ]
     with pytest.raises(RuleFileError) as info:
         validate_rules(rules, inventory)
     assert str(info.value) == f"rule 'np_bad': {fault}"
@@ -182,7 +181,7 @@ def test_validate_rules_rejects_empty_body():
     chunk = Apply("x_e", ())
     rule = SpecializedRule("x_empty", "x", chunk, flat_rhs(chunk), 0)
     with pytest.raises(RuleFileError):
-        validate_rules(RuleSet([rule]), inv)
+        validate_rules([rule], inv)
 
 
 def test_collector_drops_empty_chunks():
@@ -263,6 +262,12 @@ def test_chunk_faults_name_their_line_in_the_file(edits, message):
     "edits, message",
     [
         ({4: "np_b np num"}, "line 5: malformed rule header: 'np_b np num'"),
+        # the name ends at a ':' before whitespace, and '=>' is a token
+        # of its own after exactly one lhs
+        ({4: "np_b:np => num"}, "line 5: malformed rule header: 'np_b:np => num'"),
+        ({4: "np_b: np=>num"}, "line 5: malformed rule header: 'np_b: np=>num'"),
+        ({4: "np_b: np n => num"},
+         "line 5: malformed rule header: 'np_b: np n => num'"),
         ({6: "  support: two"}, "line 7: rule 'np_b': support 'two' is not a count"),
         ({4: "np_b: np => pron"},
          "line 5: rule 'np_b': flat line ('pron',) does not match chunk ('num',)"),
@@ -365,7 +370,7 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
     assert (rule.rhs, rule.support) == (body, 3)
     # the rule file reads back and validates without recursion too
     (again,) = validate_rules(
-        parse_rule_file("".join(render_rule_file(RuleSet([rule])))), aot.inventory
+        parse_rule_file("".join(render_rule_file([rule]))), aot.inventory
     )
     assert (render_chunk(again.chunk), again.rhs) == (render_chunk(chunk), body)
 

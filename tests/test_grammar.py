@@ -69,6 +69,21 @@ def test_grammar_format_errors(line, err, lineno):
     assert f"line {lineno}" in str(info.value)
 
 
+@pytest.mark.parametrize("delimiter", ["(", ")", '"'])
+@pytest.mark.parametrize("line", [
+    "n{}p s -> np vp", "np_pron n{}p -> pron", "vp_v vp -> v n{}p",
+])
+def test_a_symbol_holding_an_s_expression_delimiter_is_rejected(line, delimiter):
+    # such a rule id or category could not be written into a tree or a
+    # rule-file chunk, so the grammar names it on its own line
+    symbol = f"n{delimiter}p"
+    with pytest.raises(GrammarFormatError) as info:
+        parse_rule_inventory(MINI + line.format(delimiter) + "\n", "s")
+    assert (info.value.line_no, info.value.message) == (
+        4, f"symbol '{symbol}' holds '{delimiter}'"
+    )
+
+
 def test_duplicate_rule_id_rejected():
     text = MINI + "s_np_vp s -> np vp\n"
     with pytest.raises(DuplicateRuleIdError) as info:

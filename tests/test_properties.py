@@ -34,7 +34,6 @@ from treecut.extraction import (
     Frontier,
     LexSlot,
     RuleFileFormatError,
-    RuleSet,
     SpecializedRule,
     cut_tree,
     extract_andor,
@@ -42,6 +41,8 @@ from treecut.extraction import (
     flat_rhs,
     parse_rule_file,
     render_chunk,
+    render_rule_file,
+    rule_name,
     validate_rules,
 )
 from treecut.grammar import (
@@ -402,17 +403,45 @@ def test_rule_file_chunks_agree_with_the_recursive_builder(root, extra, second):
     want = chunk_outcome(reference_rule_chunk, body)
     flat = " ".join(flat_rhs(want)) if isinstance(want, Apply) else ""
     got = chunk_outcome(
-        lambda b: parse_rule_file(f"r: x => {flat}\n  {b}\n").rules[0].chunk, body
+        lambda b: parse_rule_file(f"r: x => {flat}\n  {b}\n")[0].chunk, body
     )
     if not isinstance(want, Apply):  # the file names the chunk's line, line 2
         want = RuleFileFormatError, f"line 2: {want[1]}"
     assert got == want
 
 
+# Every symbol a grammar accepts: no whitespace, '(', ')', '"' or '#'.
+# One character in two is one a rule header is split at.
+grammar_symbols = st.text(
+    st.sampled_from(":=>") | st.characters(
+        blacklist_categories=("Z", "C"), blacklist_characters='()"#'
+    ),
+    min_size=1,
+    max_size=6,
+)
+rule_ids = grammar_symbols.filter(lambda symbol: symbol != LEX)
+chunk_leaves = st.builds(LexSlot, grammar_symbols) | st.builds(Frontier, grammar_symbols)
+
+
+def applications(children):
+    return st.builds(Apply, rule_ids, st.lists(children, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lhs=grammar_symbols,
+    chunk=applications(st.recursive(chunk_leaves, applications, max_leaves=6)),
+    support=st.integers(0, 99),
+)
+def test_every_rule_a_rule_file_renders_reads_back(lhs, chunk, support):
+    rule = SpecializedRule(rule_name(lhs, chunk), lhs, chunk, flat_rhs(chunk), support)
+    assert parse_rule_file("".join(render_rule_file([rule]))) == [rule]
+
+
 @settings(max_examples=300, deadline=None)
 @given(chunk=toy_chunks(), lhs=st.sampled_from(["np", "np", "np", "pp"]))
 def test_validate_rules_agrees_with_the_recursive_check(chunk, lhs):
-    rules = RuleSet([SpecializedRule("r", lhs, chunk, flat_rhs(chunk))])
+    rules = [SpecializedRule("r", lhs, chunk, flat_rhs(chunk))]
     assert chunk_outcome(
         lambda r: validate_rules(r, TOY_INVENTORY), rules
     ) == chunk_outcome(lambda r: reference_validate(r, TOY_INVENTORY), rules)
@@ -877,7 +906,7 @@ def assert_tiled_once_children_first(trees):
         return retrieve(index, node)
 
     with mock.patch.object(RuleIndex, "retrieve", recording):
-        evaluate_coverage(RuleSet([]), trees)
+        evaluate_coverage([], trees)
     internal = [n for n in distinct_nodes(trees) if n.__class__ is Internal]
     assert sorted(map(id, order)) == sorted(map(id, internal))
     place = {id(node): k for k, node in enumerate(order)}

@@ -6,7 +6,8 @@ decided in one place: the reading precision is a property of the phrase
 table, which alone applies it, ``PipelineConfig`` is the one config
 class, and only the treebank loader touches the garbage collector.
 Every report is rendered as a stream of lines, and a run keeps no
-state in the package's modules.  No test file imports a test module.
+state in the package's modules.  No test file imports a test module,
+and no public name of the package is reached by the tests alone.
 """
 
 import ast
@@ -67,6 +68,41 @@ def test_modules_import_one_another_without_a_cycle():
         done |= ready
     # the slot type lives in grammar, and entropy still hands it out
     assert importlib.import_module("treecut.entropy").Slot is treecut.grammar.Slot
+
+
+def referenced_names(path: pathlib.Path) -> set[str]:
+    """Every name *path* loads, reads as an attribute or imports, and
+    every string constant: the benchmark names the functions it wraps
+    by string."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # each top-level public def or class of the package is exported, or
+    # referenced by the package or the benchmark
+    bench = SRC.parent.parent / "bench"
+    reached = set(treecut.__all__)
+    for path in [*SRC.glob("*.py"), *bench.glob("*.py")]:
+        reached |= referenced_names(path)
+    found = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in reached
+    ]
+    assert found == []
 
 
 def test_every_exported_name_resolves():
