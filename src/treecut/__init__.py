@@ -15,6 +15,7 @@ from treecut.extraction import (
     SpecializedRule,
     extract_andor,
     extract_training,
+    name_rules,
     parse_rule_file,
     render_rule_file,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "extract_andor",
     "extract_training",
     "index_treebank",
+    "name_rules",
     "neighbor_conflicts",
     "parse_rule_file",
     "parse_rule_inventory",

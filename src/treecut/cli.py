@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every command that reads a training corpus starts from
-``pipeline.set_up``; ``cut`` stops after selection, ``extract`` after
-extraction, and ``bisect`` and ``run`` go on through ``run_pipeline``.
+``pipeline.set_up``; ``cut`` stops after selection, ``bisect`` after
+``choose_threshold``, ``extract`` after extraction and naming, and
+``run`` goes on through ``run_pipeline``.
 
 Exit codes: 0 on success, 2 when a requested coverage target is
 unattainable, and 1 for every other fault: an error in HANDLED_ERRORS
@@ -27,6 +28,7 @@ from treecut.extraction import (
     TRAINING_CUT,
     ChunkExplosionError,
     RuleFileError,
+    name_rules,
     parse_rule_file,
     render_rule_file,
     validate_rules,
@@ -36,6 +38,7 @@ from treecut.pipeline import (
     InputError,
     OutputError,
     PipelineConfig,
+    choose_threshold,
     load_file,
     load_trees,
     render_threshold_report,
@@ -185,15 +188,16 @@ def cmd_cut(args) -> int:
 
 def cmd_bisect(args) -> int:
     cfg = _config(args)
-    result = run_pipeline(cfg)
-    sys.stdout.writelines(render_threshold_report(result, cfg))
-    return 0 if result.attainable else 2
+    threshold, search, cutnodes = choose_threshold(set_up(cfg))
+    sys.stdout.writelines(render_threshold_report(threshold, search, cutnodes, cfg))
+    return 0 if search.attainable else 2
 
 
 def cmd_extract(args) -> int:
     cfg = _config(args)
     context = set_up(cfg)
-    rules = context.extract(context.select(cfg.threshold))
+    chunks = context.extract(cfg.threshold, context.select(cfg.threshold))
+    rules = name_rules(chunks, context.treebank.inventory)
     validate_rules(rules, context.treebank.inventory)
     sys.stdout.writelines(render_rule_file(rules))
     return 0
@@ -208,18 +212,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    rules = load_file(args.rules, parse_rule_file)
     tilings = []
     if args.weighted:
         if not (args.grammar and args.test):
             raise FlagError("--weighted needs --grammar and --test")
         inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
-        trees = load_trees(args.test, inv)
-        try:  # the tiler takes the rules to be well typed for the grammar
-            validate_rules(rules, inv)
-        except RuleFileError as exc:
-            raise InputError(f"{args.rules}: {exc}") from exc
-        tilings = evaluate_coverage(rules, trees).tilings
+        # the tiler takes the rules to be well typed for the grammar
+        rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
+        tilings = evaluate_coverage(rules, load_trees(args.test, inv)).tilings
+    else:
+        rules = load_file(args.rules, parse_rule_file)
     stats = reduction_stats(rules, weighted=args.weighted, tilings=tilings)
     sys.stdout.writelines(
         render_stats(stats, "weighted" if args.weighted else "unweighted")
@@ -238,7 +240,7 @@ def cmd_run(args) -> int:
     print(f"rules\t{len(result.rules)}")
     if result.coverage is not None:
         print(f"coverage\t{result.coverage.fraction:.6f}")
-    if not result.attainable:
+    if result.search is not None and not result.search.attainable:
         print("coverage target unattainable", file=sys.stderr)
         return 2
     return 0

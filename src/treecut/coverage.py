@@ -14,11 +14,12 @@ yields every matching rule with its frontier subtrees.
 A tiling reads only a subtree's word-blind shape, and the loader builds
 each shape of a file as one object, so each distinct node of the test
 set is tiled once, children before parents, from tilings already made.
-Among alternatives a node takes the first rule whose frontiers are all
-tiled, in the order longest reduction first, then rule name, so reported
-tilings are stable.  Frontier categories are not checked: a validated
-rule's frontier category is the category of its slot, which the loader
-has checked against the subtree filling it.
+Among alternatives a node takes the first candidate whose frontiers are
+all tiled; whether it has one does not depend on their order.
+``evaluate_coverage`` ranks rules longest reduction first, then by name,
+so reported tilings are stable.  Frontier categories are not checked:
+a validated rule's frontier category is the category of its slot,
+which the loader has checked against the subtree filling it.
 """
 
 from collections.abc import Iterator
@@ -36,7 +37,7 @@ class Tiling:
     deep as a test tree can be compared and printed.
     """
 
-    rule: SpecializedRule | None
+    rule: SpecializedRule | None  # under ``tile``, the applied pair's second item
     children: tuple = ()
 
     def _preorder(self):
@@ -80,11 +81,12 @@ _TILE = object()
 
 
 class RuleIndex:
-    """A discrimination tree over the rules' chunks, as nested dicts.
+    """A discrimination tree over *ranked* chunks, as nested dicts.
 
-    A chunk ends at a node that holds ``(rank, rule)`` under ``_END``,
-    rank being the rule's place in the tiler's preference.  Chunks are
-    taken to have their rules' grammar arities, as validated rules do.
+    *ranked* holds ``(chunk, rule)`` pairs in the order the tiler tries
+    them.  A chunk ends at a node that holds ``(rank, rule)`` under
+    ``_END``, rank being the pair's place in *ranked*.  Chunks are taken
+    to have their grammar arities, as validated rules' chunks do.
 
     Retrieval reads only a small part of the tree, so a node is built
     when retrieval first reaches it: until then it holds its rules
@@ -92,9 +94,8 @@ class RuleIndex:
     still has to match.
     """
 
-    def __init__(self, rules):
-        ranked = sorted(rules, key=preference)
-        self.root = {_PENDING: [(k, r, (r.chunk, None)) for k, r in enumerate(ranked)]}
+    def __init__(self, ranked):
+        self.root = {_PENDING: [(k, r, (c, None)) for k, (c, r) in enumerate(ranked)]}
 
     @staticmethod
     def _build(trie: dict) -> None:
@@ -118,7 +119,7 @@ class RuleIndex:
             step[_PENDING].append((rank, rule, rest))
 
     def retrieve(self, node) -> list[tuple[SpecializedRule, tuple]]:
-        """Every rule whose chunk matches at *node*, in preference order.
+        """Every rule whose chunk matches at *node*, in rank order.
 
         Each comes with its frontier subtrees, left to right.  The walk
         keeps the subtrees still to match as a linked list, ``(subtree,
@@ -166,14 +167,22 @@ class CoverageReport:
 
 
 def evaluate_coverage(rules: list[SpecializedRule], trees: list) -> CoverageReport:
-    """Tile every tree; an empty test set counts as (vacuously) covered.
+    """Tile every tree under the preference; an empty test set counts as
+    (vacuously) covered."""
+    ranked = sorted(rules, key=preference)
+    return tile([(rule.chunk, rule) for rule in ranked], trees)
 
-    The rules are indexed once per call and every distinct internal
+
+def tile(ranked, trees: list) -> CoverageReport:
+    """The tilings of *trees* under *ranked*, ``(chunk, rule)`` pairs
+    tried in order.
+
+    The chunks are indexed once per call and every distinct internal
     node of *trees* is tiled once, children first, on an explicit stack,
     so each frontier's tiling is already made.  Trees that are one
     object share their tiling.
     """
-    index = RuleIndex(rules)
+    index = RuleIndex(ranked)
     # id(node) -> its tiling, None from the time the node is first met
     tilings: dict[int, Tiling | None] = {}
     # nodes to meet, and each met node under _TILE, which comes off the

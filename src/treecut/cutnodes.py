@@ -331,7 +331,7 @@ def select_by_threshold(
 def select_iterative(
     s_min: float,
     aot: AndOrTree,
-    table: PhraseEntropyTable | None = None,
+    table: PhraseEntropyTable,
     *,
     restrictions: bool = False,
     max_iterations: int = MAX_ITERATIONS,
@@ -342,10 +342,8 @@ def select_iterative(
     classes.  Stops on a fixpoint, an exact revisit, or a near-cycle
     (symmetric difference under NEAR_CYCLE_FRACTION of the sizes),
     returning the earlier member of the detected pair.  Neighbor
-    restrictions, when enabled, need the phrase table for slot ranking.
+    restrictions, when enabled, rank slots by the phrase *table*.
     """
-    if restrictions and table is None:
-        raise ValueError("neighbor restrictions need the phrase entropy table")
 
     def step(cut_ids: frozenset, i: int) -> frozenset:
         current = closure(cut_ids, aot)

@@ -11,18 +11,19 @@ boundary there could never be re-filled.
 
 Two modes: ``training`` cuts exactly the observed trees, ``andor``
 enumerates every arc combination the index supports.  Training chunks
-are always a subset of the enumerated ones.  Rules are a plain list of
-``SpecializedRule``, and both modes name theirs in one function,
-``_named_rules``.
+are always a subset of the enumerated ones.  Both modes return the
+distinct chunks that span a slot, each with its support, in first-seen
+order: what a coverage verdict needs.  Rules are a plain list of
+``SpecializedRule``, and ``name_rules`` alone builds them from chunks,
+so only the chunks a report prints are rendered and named.
 
 Both modes build their pieces through one ``_Pieces`` per call, which
-hash-conses them, so equal chunks are one object and each distinct
-chunk is rendered and named once.  Training mode also memoises the
-cutting itself: a subtree's piece, and the chunk roots cut below it,
-depend only on the subtree's word-blind shape and its or-node's cut
-class.  The loader builds each shape of a file as one object, so a
-``ChunkMemo`` builds each distinct ``(node, class)`` once, however many
-trees and or-nodes reach it.
+hash-conses them, so equal chunks are one object.  Training mode also
+memoises the cutting itself: a subtree's piece, and the chunk roots cut
+below it, depend only on the subtree's word-blind shape and its
+or-node's cut class.  The loader builds each shape of a file as one
+object, so a ``ChunkMemo`` builds each distinct ``(node, class)`` once,
+however many trees and or-nodes reach it.
 
 ``parse_rule_file`` folds each chunk with ``sexpr.read_all``; a chunk
 list at fault becomes a ``sexpr.Fault``, the one stand-in for a piece
@@ -47,6 +48,10 @@ DEFAULT_MAX_CHUNKS = 100000
 
 class ChunkExplosionError(Exception):
     """Enumeration exceeded the chunk cap or hit recursive classes."""
+
+
+class ChunkCapError(ChunkExplosionError):
+    """Enumeration exceeded the chunk cap."""
 
 
 class RuleFileError(Exception):
@@ -171,19 +176,15 @@ class _Pieces:
         return piece
 
 
-def _named_rules(support: dict, inv: RuleInventory) -> list[SpecializedRule]:
-    """The rules of *support*, a map ``id(chunk) -> [chunk, support]``.
-
-    Each distinct chunk is named once, a chunk spanning no slot is no
-    rule, and the rules come sorted by lhs and name.  Chunks are keyed
-    on identity, so they must all come from one ``_Pieces``.
-    """
+def name_rules(chunks, inv: RuleInventory) -> list[SpecializedRule]:
+    """The rules of *chunks*, ``[chunk, support]`` pairs as extraction
+    returns them, each named once and sorted by lhs and name."""
     rules = []
-    for chunk, count in support.values():
-        rhs = flat_rhs(chunk)
-        if rhs:
-            lhs = inv[chunk.rule].lhs
-            rules.append(SpecializedRule(rule_name(lhs, chunk), lhs, chunk, rhs, count))
+    for chunk, count in chunks:
+        lhs = inv[chunk.rule].lhs
+        rules.append(
+            SpecializedRule(rule_name(lhs, chunk), lhs, chunk, flat_rhs(chunk), count)
+        )
     rules.sort(key=lambda r: (r.lhs, r.name))
     return rules
 
@@ -302,19 +303,16 @@ def _arc(node: Internal, or_node: OrNode) -> list:
 
 
 def cut_tree(
-    tree: Internal, aot: AndOrTree, cutset: CutnodeSet, memo: ChunkMemo | None = None
+    tree: Internal, aot: AndOrTree, cutset: CutnodeSet, memo: ChunkMemo
 ) -> list[Apply]:
     """Chunks of one training tree under the cutnode assignment.
 
     The first chunk is rooted at the tree root; one more per frontier
-    whose subtree spans at least one word, breadth first.  A *memo* for
-    this cut set, shared across calls, builds each distinct chunk root
-    and inlined subtree once (see ``ChunkMemo``); without one, each call
-    starts afresh.
+    whose subtree spans at least one word, breadth first.  The *memo*
+    for this cut set, shared across calls, builds each distinct chunk
+    root and inlined subtree once (see ``ChunkMemo``).
     """
-    if memo is None:
-        memo = ChunkMemo(cutset)
-    elif memo.cutset is not cutset:
+    if memo.cutset is not cutset:
         raise ValueError("the memo was built under another cut set")
     pending = [memo.at(tree, aot.root)]
     for at in pending:  # grows while it is walked
@@ -322,16 +320,15 @@ def cut_tree(
     return [at.piece for at in pending]
 
 
-def extract_training(
-    training: list, aot: AndOrTree, cutset: CutnodeSet
-) -> list[SpecializedRule]:
-    """Union of per-tree chunks, deduplicated, with occurrence support.
+def extract_training(training: list, aot: AndOrTree, cutset: CutnodeSet) -> list:
+    """Union of per-tree chunks, deduplicated, with occurrence support:
+    the ``[chunk, support]`` pairs that span a slot, in first-seen order
+    (a chunk spanning none is no rule).
 
     Cutting reads only a tree's word-blind shape, so each distinct root
     node is cut once and its chunks count once for every tree that is
     that object.  One ``ChunkMemo`` serves every root, so each distinct
-    (subtree node, class) is built once, equal chunks are one object,
-    and each distinct chunk is rendered and named once.
+    (subtree node, class) is built once and equal chunks are one object.
     """
     support: dict[int, list] = {}  # id(chunk) -> [chunk, support]
     memo = ChunkMemo(cutset)
@@ -343,7 +340,7 @@ def extract_training(
                 support[id(chunk)] = [chunk, n]
             else:
                 entry[1] += n
-    return _named_rules(support, aot.inventory)
+    return [entry for entry in support.values() if flat_rhs(entry[0])]
 
 
 def _run_calls(call):
@@ -373,13 +370,15 @@ def extract_andor(
     aot: AndOrTree,
     cutset: CutnodeSet,
     max_chunks: int = DEFAULT_MAX_CHUNKS,
-) -> list[SpecializedRule]:
-    """Every chunk shape the index supports for the cut classes.
+) -> list:
+    """Every chunk shape the index supports for the cut classes, as
+    ``[chunk, 0]`` pairs that span a slot, in first-seen order.
 
     Chunk roots are the root's class and every cut class; lexical arcs
     never root a chunk.  Bodies are enumerated once per class and
-    reused.  Raises ChunkExplosionError past *max_chunks* or when class
-    merging has produced a self-recursive structure.  The walks below
+    reused.  Raises ChunkCapError past *max_chunks*, and
+    ChunkExplosionError when class merging has produced a self-recursive
+    structure.  The walks below
     are written as recursion, but each sub-call is a generator that
     ``_run_calls`` keeps on its own stack.  Pieces are hash-consed, so
     a repeated alternative or chunk is the same object.
@@ -397,7 +396,7 @@ def extract_andor(
     def spend(n: int = 1) -> None:
         budget["left"] -= n
         if budget["left"] < 0:
-            raise ChunkExplosionError(f"more than {max_chunks} chunks")
+            raise ChunkCapError(f"more than {max_chunks} chunks")
 
     wordless_memo: dict[int, list[Apply]] = {}
 
@@ -488,7 +487,7 @@ def extract_andor(
     for cls in roots:
         for chunk in _run_calls(expansions(cls)):
             support.setdefault(id(chunk), [chunk, 0])
-    return _named_rules(support, aot.inventory)
+    return [entry for entry in support.values() if flat_rhs(entry[0])]
 
 
 def validate_rules(

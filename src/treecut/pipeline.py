@@ -1,10 +1,11 @@
 """End-to-end run: load corpora, pick cutnodes, extract rules, score them.
 
 ``set_up`` builds what every command starts from: the corpus, its index,
-the phrase table and the node scores.  ``run_pipeline`` goes on from
-there to the threshold, the rules, the coverage and the reports.  All
-outputs are deterministic functions of the inputs and the config, so a
-rerun into the same directory rewrites byte-identical files.
+the phrase table and the node scores.  ``choose_threshold`` goes on to
+the threshold and its cut set, and ``run_pipeline`` to the named rules,
+the coverage and the reports.  All outputs are deterministic functions
+of the inputs and the config, so a rerun into the same directory
+rewrites byte-identical files.
 """
 
 import os
@@ -12,14 +13,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from treecut.andor import AndOrTree, dump, index_treebank
-from treecut.coverage import (
-    CoverageReport,
-    ReductionStats,
-    evaluate_coverage,
-    reduction_stats,
-    render_coverage,
-    render_stats,
-)
+from treecut.coverage import CoverageReport, ReductionStats, evaluate_coverage
+from treecut.coverage import reduction_stats, render_coverage, render_stats, tile
 from treecut.cutnodes import (
     MAX_ITERATIONS,
     CutnodeSet,
@@ -28,16 +23,10 @@ from treecut.cutnodes import (
     select_iterative,
 )
 from treecut.entropy import PhraseEntropyTable, build_phrase_table, render_entropy_table
-from treecut.extraction import (
-    ANDOR_ENUM,
-    DEFAULT_MAX_CHUNKS,
-    TRAINING_CUT,
-    RuleFileError,
-    SpecializedRule,
-    extract_andor,
-    extract_training,
-    render_rule_file,
-)
+from treecut.extraction import ANDOR_ENUM, DEFAULT_MAX_CHUNKS, TRAINING_CUT
+from treecut.extraction import ChunkCapError, RuleFileError, SpecializedRule
+from treecut.extraction import extract_andor, extract_training, name_rules
+from treecut.extraction import render_rule_file
 from treecut.grammar import RuleInventory, Treebank, parse_rule_inventory, parse_shapes
 from treecut.sexpr import LineNumberedError
 from treecut.node_entropy import (
@@ -46,12 +35,7 @@ from treecut.node_entropy import (
     compute_node_entropies,
     render_node_entropies,
 )
-from treecut.threshold import (
-    ThresholdProbe,
-    ThresholdResult,
-    bisect,
-    search_unimodal,
-)
+from treecut.threshold import ThresholdProbe, ThresholdResult, bisect, search_unimodal
 
 
 @dataclass
@@ -82,7 +66,6 @@ class PipelineResult:
     rules: list[SpecializedRule]
     coverage: CoverageReport | None
     stats: ReductionStats
-    attainable: bool
     written: list[str] = field(default_factory=list)
 
 
@@ -175,10 +158,10 @@ class SearchContext:
 
     Under the mixed and rhs-local schemes node scores do not depend on
     the threshold, so coverage is a step function of it and a search
-    keeps landing on partitions it has already seen.  Rules in both
+    keeps landing on partitions it has already seen.  Chunks in both
     extraction modes depend only on the closed partition, so *probe*
-    extracts and tiles once per distinct partition and serves repeats
-    from its memo.
+    extracts and tiles once per distinct partition, unnamed and in the
+    order found, and *memo* keeps each one's chunks and coverage.
     """
 
     treebank: Treebank
@@ -200,22 +183,24 @@ class SearchContext:
             threshold, self.aot, self.table, self.scores, **settings
         )
 
-    def extract(self, cutnodes: CutnodeSet) -> list[SpecializedRule]:
-        if self.cfg.mode == ANDOR_ENUM:
+    def extract(self, threshold: float, cutnodes: CutnodeSet) -> list:
+        """The ``[chunk, support]`` pairs of *cutnodes*, chosen at *threshold*."""
+        if self.cfg.mode != ANDOR_ENUM:
+            return extract_training(self.treebank.training, self.aot, cutnodes)
+        try:
             return extract_andor(self.aot, cutnodes, max_chunks=self.cfg.max_chunks)
-        return extract_training(self.treebank.training, self.aot, cutnodes)
+        except ChunkCapError as exc:
+            raise ChunkCapError(
+                f"{exc} at threshold {threshold:.6f}; --max-chunks sets the cap"
+            ) from exc
 
     def probe(self, threshold: float) -> ThresholdProbe:
         cutnodes = self.select(threshold)
         key = partition_key(cutnodes)
-        seen = self.memo.get(key)
-        if seen is None:
-            rules = self.extract(cutnodes)
-            seen = self.memo[key] = (
-                rules, evaluate_coverage(rules, self.treebank.test)
-            )
-        rules, report = seen
-        return ThresholdProbe(cutnodes, report.fraction, rules, report)
+        if key not in self.memo:
+            chunks = self.extract(threshold, cutnodes)
+            self.memo[key] = (chunks, tile(chunks, self.treebank.test).fraction)
+        return ThresholdProbe(cutnodes, self.memo[key][1])
 
 
 def set_up(cfg: PipelineConfig) -> SearchContext:
@@ -228,33 +213,35 @@ def set_up(cfg: PipelineConfig) -> SearchContext:
     return SearchContext(treebank, aot, table, cfg, scores)
 
 
+def choose_threshold(context: SearchContext) -> tuple:
+    """The threshold, the search that found it (None for a fixed one)
+    and its cut set."""
+    cfg = context.cfg
+    if cfg.coverage_target is None:
+        threshold = cfg.threshold if cfg.threshold is not None else 0.0
+        return threshold, None, context.select(threshold)
+    find = search_unimodal if cfg.neighbor_restrictions else bisect
+    s_high = context.scores.max_value() + 1.0
+    search = find(cfg.coverage_target, context.probe, s_high, cfg.delta_s)
+    return search.threshold, search, search.probe.cutnodes
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.out_dir is not None:
         make_out_dir(cfg.out_dir)  # fail before the work, not after it
     context = set_up(cfg)
-
-    search = None
-    if cfg.coverage_target is not None:
-        find = search_unimodal if cfg.neighbor_restrictions else bisect
-        search = find(
-            cfg.coverage_target, context.probe, context.scores.max_value() + 1.0,
-            cfg.delta_s,
-        )
-        threshold, probe = search.threshold, search.probe
-    else:
-        threshold = cfg.threshold if cfg.threshold is not None else 0.0
-        probe = context.probe(threshold)
-    cutnodes, rules, report = probe.cutnodes, probe.rules, probe.report
-
-    stats = reduction_stats(
-        rules, weighted=cfg.weighted_stats, tilings=report.tilings
-    )
+    threshold, search, cutnodes = choose_threshold(context)
+    # a search extracted its partition already; a fixed threshold has not
+    seen = context.memo.get(partition_key(cutnodes))
+    chunks = context.extract(threshold, cutnodes) if seen is None else seen[0]
+    rules = name_rules(chunks, context.treebank.inventory)
+    report = evaluate_coverage(rules, context.treebank.test)
+    stats = reduction_stats(rules, weighted=cfg.weighted_stats, tilings=report.tilings)
     if cfg.test_path is None:
         report = None  # coverage.tsv is written only for a given test file
 
     result = PipelineResult(
-        context, threshold, search, cutnodes, rules, report, stats,
-        search is None or search.attainable,
+        context, threshold, search, cutnodes, rules, report, stats
     )
     if cfg.out_dir is not None:
         result.written = write_reports(result, cfg)
@@ -262,25 +249,27 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
 
 def render_threshold_report(
-    result: PipelineResult, cfg: PipelineConfig
+    threshold: float,
+    search: ThresholdResult | None,
+    cutnodes: CutnodeSet,
+    cfg: PipelineConfig,
 ) -> Iterator[str]:
     """threshold.txt's lines: the search's outcome, or the fixed threshold."""
-    if result.search is None:
+    if search is None:
         yield "mode\tfixed\n"
-        yield f"threshold\t{result.threshold:.6f}\n"
+        yield f"threshold\t{threshold:.6f}\n"
     else:
-        s = result.search
         yield "mode\tsearch\n"
         yield f"target\t{cfg.coverage_target:.6f}\n"
-        yield f"attainable\t{'yes' if s.attainable else 'no'}\n"
-        yield f"threshold\t{s.threshold:.6f}\n"
-        yield f"coverage\t{s.probe.coverage:.6f}\n"
-        if s.bracket_high is not None:
-            yield f"bracket_high\t{s.bracket_high:.6f}\n"
-            yield f"coverage_at_bracket_high\t{s.coverage_at_high:.6f}\n"
-        yield f"probes\t{s.steps}\n"
-    yield f"cut_classes\t{len(result.cutnodes.cut_classes())}\n"
-    yield f"cut_nodes\t{len(result.cutnodes.cut_node_ids())}\n"
+        yield f"attainable\t{'yes' if search.attainable else 'no'}\n"
+        yield f"threshold\t{search.threshold:.6f}\n"
+        yield f"coverage\t{search.probe.coverage:.6f}\n"
+        if search.bracket_high is not None:
+            yield f"bracket_high\t{search.bracket_high:.6f}\n"
+            yield f"coverage_at_bracket_high\t{search.coverage_at_high:.6f}\n"
+        yield f"probes\t{search.steps}\n"
+    yield f"cut_classes\t{len(cutnodes.cut_classes())}\n"
+    yield f"cut_nodes\t{len(cutnodes.cut_node_ids())}\n"
 
 
 def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
@@ -292,7 +281,9 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
         "entropy_table.tsv": render_entropy_table(context.table),
         "node_entropy.tsv": render_node_entropies(context.aot, context.scores),
         "andor_index.txt": dump(context.aot),
-        "threshold.txt": render_threshold_report(result, cfg),
+        "threshold.txt": render_threshold_report(
+            result.threshold, result.search, result.cutnodes, cfg
+        ),
         "cutnodes.txt": render_cut_classes(result.cutnodes, context.scores),
         "rules.txt": render_rule_file(result.rules),
         "reduction_stats.tsv": render_stats(

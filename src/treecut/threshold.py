@@ -6,9 +6,9 @@ bisection sound.  With neighbor restrictions the profile is no longer
 monotone, only peaked, so a coarse grid locates the peak first and
 bisection then sharpens the decreasing flank.
 
-Both searches probe a single callable from threshold to (cutnodes,
-coverage, rules, report), so they are independent of how probes are
-produced.  Every call counts as one search step, whether or not the
+Both searches probe a single callable from threshold to its cut set and
+coverage, so they are independent of how probes are produced and need
+no rules.  Every call counts as one search step, whether or not the
 callable served it from a cache.
 """
 
@@ -24,8 +24,6 @@ class ThresholdProbe:
 
     cutnodes: CutnodeSet
     coverage: float
-    rules: object = None
-    report: object = None
 
 
 Evaluator = Callable[[float], ThresholdProbe]

@@ -3,7 +3,7 @@ import pytest
 from treecut.andor import index_treebank
 from treecut.cutnodes import select_by_threshold
 from treecut.entropy import build_phrase_table
-from treecut.extraction import extract_training
+from treecut.extraction import extract_training, name_rules
 from treecut.grammar import Treebank, parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
 
@@ -53,4 +53,4 @@ def toy_cut(aot, table, mixed_scores):
 @pytest.fixture(scope="session")
 def toy_rules(treebank, aot, toy_cut):
     """The training rules of the toy cut set."""
-    return extract_training(treebank.training, aot, toy_cut)
+    return name_rules(extract_training(treebank.training, aot, toy_cut), aot.inventory)

@@ -13,6 +13,7 @@ from one another.
 
 import copy
 import functools
+import hashlib
 import importlib.util
 import pathlib
 import random
@@ -41,6 +42,7 @@ from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
     Apply,
+    ChunkCapError,
     ChunkExplosionError,
     ChunkMemo,
     Frontier,
@@ -51,8 +53,8 @@ from treecut.extraction import (
     extract_andor,
     extract_training,
     flat_rhs,
+    name_rules,
     render_chunk,
-    rule_name,
 )
 from treecut.grammar import (
     LEX,
@@ -305,7 +307,7 @@ def random_rule_subsets():
         aot, table, scores = mixed_set_up(training, inv)
         threshold = rng.choice([0.0, 0.5])
         cutset = select_by_threshold(threshold, aot, table, scores)
-        full = extract_training(training, aot, cutset)
+        full = training_rules(training, aot, cutset)
         kept = [r for r in full if rng.random() > 0.4]
         trees = training + [gen_root(rng, inv) for _ in range(3)]
         cases.append((seed, kept, trees))
@@ -1244,6 +1246,17 @@ def reference_closure(cut_ids, aot):
 # --- Extraction: the per-tree and recursive versions ----------------------
 
 
+def training_rules(training, aot, cutset):
+    """The rules of ``extract_training``'s chunks, named as a run names
+    them."""
+    return name_rules(extract_training(training, aot, cutset), aot.inventory)
+
+
+def andor_rules(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
+    """The rules of ``extract_andor``'s chunks, named as a run names them."""
+    return name_rules(extract_andor(aot, cutset, max_chunks), aot.inventory)
+
+
 def reference_cut_tree(tree, aot, cutset):
     """The recursive cut_tree that the explicit-stack walk replaced."""
     pending = [(tree, aot.root)]
@@ -1289,8 +1302,9 @@ def reference_collect(inv, chunks):
             if not rhs:
                 continue
             lhs = inv[chunk.rule].lhs
+            digest = hashlib.sha1(reference_render_chunk(chunk).encode())
             rule = rules[key] = SpecializedRule(
-                rule_name(lhs, chunk), lhs, chunk, rhs
+                f"{lhs}_{digest.hexdigest()[:8]}", lhs, chunk, rhs
             )
         rule.support += occurrences
     return sorted(rules.values(), key=lambda r: (r.lhs, r.name))
@@ -1333,7 +1347,7 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
     def spend(n=1):
         budget["left"] -= n
         if budget["left"] < 0:
-            raise ChunkExplosionError(f"more than {max_chunks} chunks")
+            raise ChunkCapError(f"more than {max_chunks} chunks")
 
     wordless_memo = {}
 
@@ -1551,10 +1565,10 @@ def assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=4, chosen=
         memo = ChunkMemo(cutset)
         for tree in training:
             want = reference_cut_tree(tree, aot, cutset)
-            assert cut_tree(tree, aot, cutset) == want
+            assert cut_tree(tree, aot, cutset, ChunkMemo(cutset)) == want
             # one memo across the trees serves what a fresh cut builds
             assert cut_tree(tree, aot, cutset, memo) == want
-        rules = extract_training(training, aot, cutset)
+        rules = training_rules(training, aot, cutset)
         assert rule_records(rules) == rule_records(
             reference_extract_training(training, aot, cutset)
         )
@@ -1570,7 +1584,8 @@ def assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=4, chosen=
 
 
 def reference_probe(treebank, aot, table, cfg):
-    """Plain evaluator: fresh scores, extraction and tiling on every call."""
+    """Plain evaluator: fresh scores, extraction, naming and preferred
+    tiling on every call."""
 
     def probe(threshold):
         scores = compute_node_entropies(aot, table, cfg.scheme)
@@ -1580,10 +1595,10 @@ def reference_probe(treebank, aot, table, cfg):
             max_iterations=cfg.max_iterations,
         )
         if cfg.mode == ANDOR_ENUM:
-            rules = extract_andor(aot, cutnodes, max_chunks=cfg.max_chunks)
+            rules = andor_rules(aot, cutnodes, max_chunks=cfg.max_chunks)
         else:
-            rules = extract_training(treebank.training, aot, cutnodes)
+            rules = training_rules(treebank.training, aot, cutnodes)
         report = evaluate_coverage(rules, treebank.test)
-        return ThresholdProbe(cutnodes, report.fraction, rules, report)
+        return ThresholdProbe(cutnodes, report.fraction)
 
     return probe

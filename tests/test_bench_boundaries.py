@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import treecut.cli
+from treecut import pipeline
 from treecut.grammar import parse_rule_inventory, parse_treebank
 
 from oracles import TOY, load_bench_module
@@ -83,6 +84,12 @@ def test_toy_search_tiles_the_test_set_once_per_partition(
     # if their meaning moved, its tiling counts would silently skew
     child, run = bench
     tracer = install_bench_tracer(monkeypatch, child)
+    verdicts = []
+    tile = pipeline.tile
+    monkeypatch.setattr(
+        pipeline, "tile",
+        lambda chunks, trees: verdicts.append(len(trees)) or tile(chunks, trees),
+    )
     test = tmp_path / "test.txt"
     test.write_text((TOY / "test.txt").read_text() + (TOY / "train.txt").read_text())
     code = treecut.cli.main(run.run_argv(
@@ -95,7 +102,10 @@ def test_toy_search_tiles_the_test_set_once_per_partition(
     inv = parse_rule_inventory((TOY / "grammar.txt").read_text(), "s")
     test_size = len(parse_treebank(test.read_text(), inv))
     assert len(tracer.cutsets) > 1
-    assert tracer.counts["trees_tiled"] == len(tracer.cutsets) * test_size
+    # one verdict tiling per distinct partition, unwrapped by the bench,
+    # then one preferred tiling of the reported rules
+    assert verdicts == [test_size] * len(tracer.cutsets)
+    assert tracer.counts["trees_tiled"] == test_size
     assert tracer.counts.get("repeat_evaluations", 0) == 0
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from treecut import pipeline
+from treecut import cli, pipeline
 from treecut.cli import _config, build_parser, main
 from treecut.pipeline import PipelineConfig
 
@@ -442,6 +442,75 @@ def test_chunk_cap_exits_one(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_chunk_cap_of_a_probe_names_the_flag_and_the_threshold(
+    capsys, tmp_path, monkeypatch
+):
+    # threshold 0 enumerates 20 chunks or fewer; the second probe, at the
+    # top of the bracket, passes the cap and ends the search
+    probes = []
+    probe = pipeline.SearchContext.probe
+    monkeypatch.setattr(
+        pipeline.SearchContext, "probe",
+        lambda context, t: probes.append(t) or probe(context, t),
+    )
+    code, out, err = run_cli(
+        capsys, "run", *WITH_TEST, "--mode", "andor", "--coverage", "0.9",
+        "--max-chunks", "20", "--out", str(tmp_path / "out"),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: more than 20 chunks at threshold 2.760000; "
+        "--max-chunks sets the cap\n"
+    )
+    assert probes == [0.0, 2.76]
+
+
+# what each command that names rules runs: how often it names them, and
+# whether it tiles under the preference and computes stats
+NAMING = [
+    (["run", "--threshold", "1.0"], 1, True),
+    (["run", "--coverage", "0.9"], 1, True),
+    (["extract", "--threshold", "1.0"], 1, False),
+    (["bisect", "--coverage", "0.9"], 0, False),
+]
+
+
+@pytest.mark.parametrize(
+    "command, names, reports", NAMING,
+    ids=["run-fixed", "run-search", "extract", "bisect"],
+)
+def test_rules_are_named_once_per_report_and_never_in_a_probe(
+    capsys, tmp_path, monkeypatch, command, names, reports
+):
+    calls, probing = [], []
+    probe = pipeline.SearchContext.probe
+
+    def marked_probe(context, threshold):
+        probing.append(threshold)
+        try:
+            return probe(context, threshold)
+        finally:
+            probing.pop()
+
+    def counting(name, stage):
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(probing)))
+            return stage(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline.SearchContext, "probe", marked_probe)
+    for module in (cli, pipeline):
+        for name in ("name_rules", "evaluate_coverage", "reduction_stats"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    out = ["--out", str(tmp_path / "out")] if command[0] == "run" else []
+    code, _, _ = run_cli(capsys, *command, *WITH_TEST, *out)
+    assert code == 0
+    assert calls.count(("name_rules", False)) == names
+    assert not any(in_probe for _, in_probe in calls)
+    assert (("evaluate_coverage", False) in calls) == reports
+    assert (("reduction_stats", False) in calls) == reports
 
 
 @pytest.mark.parametrize(

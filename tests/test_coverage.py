@@ -14,7 +14,6 @@ from treecut.extraction import (
     Frontier,
     LexSlot,
     SpecializedRule,
-    extract_training,
 )
 from treecut.grammar import (
     CategoryMismatchError,
@@ -24,7 +23,7 @@ from treecut.grammar import (
     parse_treebank,
 )
 
-from oracles import TOY, covers, validate_tiling
+from oracles import TOY, covers, training_rules, validate_tiling
 
 
 def by_flat(rules):
@@ -127,7 +126,7 @@ def test_memo_handles_shared_categories(inventory):
     aot = index_treebank(trees, inventory)
     n_obj = [n for n in aot.nodes() if n.category == "np"]
     cutset = closure(frozenset(n.node_id for n in n_obj), aot)
-    rules = extract_training(trees, aot, cutset)
+    rules = training_rules(trees, aot, cutset)
     tiling = covers(rules, trees[0])
     assert tiling is not None
     assert validate_tiling(tiling, trees[0])
@@ -154,9 +153,10 @@ def test_retrieval_prefers_longer_reductions(treebank, aot, table, mixed_scores)
     pooled = {}
     for threshold in (0.0, 1.0, 9.0):
         cutset = select_by_threshold(threshold, aot, table, mixed_scores)
-        for rule in extract_training(treebank.training, aot, cutset):
+        for rule in training_rules(treebank.training, aot, cutset):
             pooled[rule.name] = rule
-    index = RuleIndex(pooled.values())
+    ranked = sorted(pooled.values(), key=preference)
+    index = RuleIndex([(rule.chunk, rule) for rule in ranked])
     lengths = set()
     for tree in treebank.training:
         keys = [preference(rule) for rule, _ in index.retrieve(tree)]

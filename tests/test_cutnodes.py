@@ -169,19 +169,17 @@ def test_iterate_limit():
     assert len(info.value.last) == 10
 
 
-def test_select_iterative_toy_fixpoint(aot):
-    cutset = select_iterative(0.60, aot)
+def test_select_iterative_toy_fixpoint(aot, table):
+    cutset = select_iterative(0.60, aot, table)
     assert cut_ids(cutset) == {"n3", "n6"}
     assert len(cutset.cut_classes()) == 1
 
 
-def test_select_iterative_high_threshold_is_empty(aot):
-    assert cut_ids(select_iterative(5.0, aot)) == set()
+def test_select_iterative_high_threshold_is_empty(aot, table):
+    assert cut_ids(select_iterative(5.0, aot, table)) == set()
 
 
-def test_select_iterative_restrictions_need_table(aot):
-    with pytest.raises(ValueError):
-        select_iterative(0.60, aot, restrictions=True)
+def test_select_iterative_restrictions_take_an_empty_table(aot):
     empty = build_phrase_table(index_treebank([], aot.inventory))
     select_iterative(0.60, aot, empty, restrictions=True)
 

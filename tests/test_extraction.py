@@ -20,6 +20,7 @@ from treecut.extraction import (
     extract_andor,
     extract_training,
     flat_rhs,
+    name_rules,
     parse_rule_file,
     render_chunk,
     render_rule_file,
@@ -34,7 +35,7 @@ from treecut.grammar import (
 )
 from treecut.sexpr import SexprError
 
-from oracles import DEEP, TOY, blind, chunk_keys
+from oracles import DEEP, TOY, andor_rules, blind, chunk_keys, training_rules
 
 
 # Hand-walked chunks for the four training trees with the object-side
@@ -74,8 +75,24 @@ def test_rule_names_are_stable_digests(toy_rules):
     assert by_flat["np => det n"] == "np_a3f29ca6"
 
 
+def test_extraction_returns_unnamed_chunks_in_first_seen_order(
+    treebank, aot, toy_cut, toy_rules
+):
+    pairs = extract_training(treebank.training, aot, toy_cut)
+    memo, seen = ChunkMemo(toy_cut), []
+    for tree in treebank.training:
+        for chunk in cut_tree(tree, aot, toy_cut, memo):
+            if chunk not in seen:
+                seen.append(chunk)
+    assert [chunk for chunk, _ in pairs] == seen
+    # naming sorts them by lhs and name, and keeps each support
+    assert name_rules(pairs, aot.inventory) == toy_rules
+    assert [r.name for r in toy_rules] == sorted(r.name for r in toy_rules)
+    assert all(support == 0 for _, support in extract_andor(aot, toy_cut))
+
+
 def test_andor_extraction_is_superset(treebank, aot, toy_cut, toy_rules):
-    enumerated = extract_andor(aot, toy_cut)
+    enumerated = andor_rules(aot, toy_cut)
     assert len(enumerated) == 7
     assert chunk_keys(toy_rules) <= chunk_keys(enumerated)
     extra = {r.flat_form() for r in enumerated}
@@ -85,7 +102,7 @@ def test_andor_extraction_is_superset(treebank, aot, toy_cut, toy_rules):
 
 
 def test_empty_cutset_training_yields_whole_trees(treebank, aot):
-    rules = extract_training(treebank.training, aot, closure(frozenset(), aot))
+    rules = training_rules(treebank.training, aot, closure(frozenset(), aot))
     assert len(rules) == 4
     assert all(r.lhs == "s" for r in rules)
     assert all(r.support == 1 for r in rules)
@@ -96,8 +113,8 @@ def test_empty_cutset_training_yields_whole_trees(treebank, aot):
 
 def test_empty_cutset_andor_enumerates_all_shapes(treebank, aot):
     cutset = closure(frozenset(), aot)
-    enumerated = extract_andor(aot, cutset)
-    trained = extract_training(treebank.training, aot, cutset)
+    enumerated = andor_rules(aot, cutset)
+    trained = training_rules(treebank.training, aot, cutset)
     assert len(enumerated) == 8
     assert chunk_keys(trained) <= chunk_keys(enumerated)
 
@@ -105,7 +122,7 @@ def test_empty_cutset_andor_enumerates_all_shapes(treebank, aot):
 def test_lexical_arc_becomes_slot_alternative(aot):
     # With only n9 cut, n6 stays inline and its observed bare word shows
     # up as a (lex np) alternative inside np_np_pp chunks.
-    enumerated = extract_andor(aot, closure(frozenset({"n9"}), aot))
+    enumerated = andor_rules(aot, closure(frozenset({"n9"}), aot))
     keys = chunk_keys(enumerated)
     assert any("(lex np)" in k for k in keys)
     assert any("(np_det_n (lex det) (lex n))" in k for k in keys)
@@ -119,8 +136,8 @@ def test_single_arc_index_modes_agree():
     aot = index_treebank(trees, inv)
     n1 = [n for n in aot.nodes() if n.category == "np"][0]
     cutset = closure(frozenset({n1.node_id}), aot)
-    trained = extract_training(trees, aot, cutset)
-    enumerated = extract_andor(aot, cutset)
+    trained = training_rules(trees, aot, cutset)
+    enumerated = andor_rules(aot, cutset)
     assert chunk_keys(trained) == chunk_keys(enumerated)
     assert {r.flat_form() for r in trained} == {
         r.flat_form() for r in enumerated
@@ -132,12 +149,12 @@ def test_cut_tree_rejects_unindexed_tree(aot, inventory, toy_cut):
         "(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))", inventory
     )[0]
     with pytest.raises(PathNotInIndexError):
-        cut_tree(tree, aot, toy_cut)
+        cut_tree(tree, aot, toy_cut, ChunkMemo(toy_cut))
 
 
 def test_chunk_cap_raises(aot, toy_cut):
     with pytest.raises(ChunkExplosionError):
-        extract_andor(aot, toy_cut, max_chunks=3)
+        andor_rules(aot, toy_cut, max_chunks=3)
 
 
 def test_flat_rhs_and_render():
@@ -188,7 +205,7 @@ def test_collector_drops_empty_chunks():
     inv = parse_rule_inventory("s_x s -> x\nx_e x ->\n", "s")
     trees = parse_treebank("(s_x (x_e))", inv)
     aot = index_treebank(trees, inv)
-    rules = extract_training(trees, aot, closure(frozenset(), aot))
+    rules = training_rules(trees, aot, closure(frozenset(), aot))
     assert len(rules) == 0
     assert "".join(render_rule_file(rules)) == "\n"
 
@@ -312,12 +329,12 @@ def test_each_root_shape_is_cut_once(treebank, aot, toy_cut, monkeypatch):
     monkeypatch.setattr(
         extraction, "cut_tree", lambda *args: cut.append(args[0]) or original(*args)
     )
-    rules = extract_training(training, aot, toy_cut)
+    rules = training_rules(training, aot, toy_cut)
     assert len(cut) == len(shapes)
     # support counts every tree, cut or not
     want = {}
     for tree in training:
-        for chunk in original(tree, aot, toy_cut):
+        for chunk in original(tree, aot, toy_cut, ChunkMemo(toy_cut)):
             key = render_chunk(chunk)
             want[key] = want.get(key, 0) + 1
     assert {render_chunk(r.chunk): r.support for r in rules} == want
@@ -327,7 +344,7 @@ def test_deep_chain_is_cut_at_every_np(deep_chain):
     tree, aot = deep_chain
     nps = frozenset(n.node_id for n in aot.nodes() if n.category == "np")
     cutset = closure(nps, aot)
-    chunks = cut_tree(tree, aot, cutset)
+    chunks = cut_tree(tree, aot, cutset, ChunkMemo(cutset))
     assert len(chunks) == 2 * DEEP + 2
     # the root chunk, then each level's chunk and its pp's np in turn
     assert render_chunk(chunks[0]) == "(s_np_vp np (vp_v (lex v)))"
@@ -335,7 +352,7 @@ def test_deep_chain_is_cut_at_every_np(deep_chain):
     assert [render_chunk(c) for c in chunks[1:4]] == [
         level, level, "(np_num (lex num))"
     ]
-    rules = extract_training([tree, tree], aot, cutset)
+    rules = training_rules([tree, tree], aot, cutset)
     assert {r.flat_form(): r.support for r in rules} == {
         "s => np v": 2,
         "np => np prep np": 2 * DEEP,
@@ -346,7 +363,8 @@ def test_deep_chain_is_cut_at_every_np(deep_chain):
 
 def test_deep_chain_is_cut_without_recursion(deep_chain):
     tree, aot = deep_chain
-    (chunk,) = cut_tree(tree, aot, closure(frozenset(), aot))
+    cutset = closure(frozenset(), aot)
+    (chunk,) = cut_tree(tree, aot, cutset, ChunkMemo(cutset))
     # walk the one chunk down its np spine; == would recurse
     assert chunk.rule == "s_np_vp"
     node = chunk.children[0]
@@ -366,7 +384,7 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
     )
     body = ("pron",) + ("prep", "num") * DEEP + ("v",)
     assert flat_rhs(chunk) == body
-    (rule,) = extract_training([tree] * 3, aot, closure(frozenset(), aot))
+    (rule,) = training_rules([tree] * 3, aot, cutset)
     assert (rule.rhs, rule.support) == (body, 3)
     # the rule file reads back and validates without recursion too
     (again,) = validate_rules(
@@ -394,8 +412,8 @@ def test_deep_spine_with_a_cut_child_at_every_level_is_cut_in_linear_space(
     sys.setrecursionlimit(200)
     tracemalloc.start()
     try:
-        chunks = cut_tree(tree, aot, cutset)
-        rules = extract_training([tree, tree], aot, cutset)
+        chunks = cut_tree(tree, aot, cutset, ChunkMemo(cutset))
+        rules = training_rules([tree, tree], aot, cutset)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -414,7 +432,8 @@ def test_deep_spine_with_a_cut_child_at_every_level_is_cut_in_linear_space(
 def test_a_memo_serves_one_cut_set_only(treebank, aot, toy_cut):
     memo = ChunkMemo(toy_cut)
     tree = treebank.training[0]
-    assert cut_tree(tree, aot, toy_cut, memo) == cut_tree(tree, aot, toy_cut)
+    fresh = cut_tree(tree, aot, toy_cut, ChunkMemo(toy_cut))
+    assert cut_tree(tree, aot, toy_cut, memo) == fresh
     with pytest.raises(ValueError):
         cut_tree(tree, aot, closure(frozenset(), aot), memo)
 
@@ -432,4 +451,5 @@ def test_a_memo_recovers_from_a_tree_the_index_does_not_hold(
         with pytest.raises(PathNotInIndexError):
             cut_tree(unindexed, aot, toy_cut, memo)
     for tree in treebank.training:
-        assert cut_tree(tree, aot, toy_cut, memo) == cut_tree(tree, aot, toy_cut)
+        fresh = cut_tree(tree, aot, toy_cut, ChunkMemo(toy_cut))
+        assert cut_tree(tree, aot, toy_cut, memo) == fresh

@@ -1,5 +1,6 @@
-"""run_pipeline reuses the search's tilings for its coverage and stats,
-and leaves the garbage collector as it found it."""
+"""run_pipeline extracts each partition once and tiles the reported
+rules once, for both its coverage and its stats, and leaves the garbage
+collector as it found it."""
 
 import gc
 
@@ -32,11 +33,20 @@ def test_file(tmp_path):
 def test_reports_reuse_the_chosen_tiling(
     test_file, tmp_path, monkeypatch, goal
 ):
-    tiled = []
-    evaluate = pipeline.evaluate_coverage
+    tiled, verdicts, extracted = [], [], []
+    evaluate, tile = pipeline.evaluate_coverage, pipeline.tile
+    extract = pipeline.SearchContext.extract
     monkeypatch.setattr(
         pipeline, "evaluate_coverage",
-        lambda rules, trees: tiled.extend(trees) or evaluate(rules, trees),
+        lambda rules, trees: tiled.append(len(trees)) or evaluate(rules, trees),
+    )
+    monkeypatch.setattr(
+        pipeline, "tile",
+        lambda chunks, trees: verdicts.append(len(trees)) or tile(chunks, trees),
+    )
+    monkeypatch.setattr(
+        pipeline.SearchContext, "extract",
+        lambda context, *args: extracted.append(args) or extract(context, *args),
     )
     selected = set()
     select = pipeline.select_by_threshold
@@ -53,8 +63,11 @@ def test_reports_reuse_the_chosen_tiling(
     )
     result = run_pipeline(cfg)
     test = result.context.treebank.test
-    # the test set is tiled once per distinct partition, and never again
-    assert len(tiled) == len(selected) * len(test)
+    # each distinct partition is extracted once; a search tiles each for
+    # its verdict, and the reported rules are tiled once, preferred
+    assert len(extracted) == len(selected)
+    assert verdicts == [len(test)] * (len(selected) if result.search else 0)
+    assert tiled == [len(test)]
 
     fresh = evaluate_coverage(result.rules, test)
     assert result.coverage.verdicts == fresh.verdicts == [True, False]

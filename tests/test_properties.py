@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from treecut import cli, node_entropy, pipeline
 from treecut.andor import index_treebank
-from treecut.coverage import RuleIndex, evaluate_coverage
+from treecut.coverage import RuleIndex, evaluate_coverage, preference, tile
 from treecut.cutnodes import closure
 from treecut.entropy import Slot, build_phrase_table, render_entropy_table
 from treecut.extraction import (
@@ -36,8 +36,6 @@ from treecut.extraction import (
     RuleFileFormatError,
     SpecializedRule,
     cut_tree,
-    extract_andor,
-    extract_training,
     flat_rhs,
     parse_rule_file,
     render_chunk,
@@ -74,6 +72,7 @@ from oracles import (
     TOY_INVENTORY,
     WORDS,
     andor_outcome,
+    andor_rules,
     as_dataclass,
     assert_equal_shapes_are_one_object,
     assert_equal_subtrees_are_one_object,
@@ -125,6 +124,7 @@ from oracles import (
     shared_subtree_treebanks,
     token_fold_outcome,
     toy_chunks,
+    training_rules,
     tree_of,
     unshared_fold,
 )
@@ -234,7 +234,8 @@ def lex_slot_faces_internal(chunk, node):
 def test_retrieval_agrees_with_the_linear_matcher():
     seen = {"lex frontier": 0, "lex slot on a phrase": 0, "wordless piece": 0}
     for seed, kept, trees in random_rule_subsets():
-        index = RuleIndex(kept)
+        ranked = sorted(kept, key=preference)
+        index = RuleIndex([(rule.chunk, rule) for rule in ranked])
         by_root = by_root_rule(kept)
         stack = list(trees)
         while stack:
@@ -262,6 +263,18 @@ def test_retrieval_agrees_with_the_linear_matcher():
     assert all(seen.values()), seen
 
 
+def test_verdicts_do_not_depend_on_the_order_of_the_candidates():
+    # a probe tiles its chunks in the order extraction found them
+    mixed = 0
+    for seed, kept, trees in random_rule_subsets():
+        want = evaluate_coverage(kept, trees).verdicts
+        candidates = [(rule.chunk, rule) for rule in kept]
+        random.Random(seed).shuffle(candidates)
+        assert tile(candidates, trees).verdicts == want, seed
+        mixed += 0 < sum(want) < len(want)
+    assert mixed >= 10, mixed
+
+
 def search_outcome(c0, evaluate, cfg, s_high_init):
     """Everything a search reports, or the error that stopped it."""
     search = search_unimodal if cfg.neighbor_restrictions else bisect
@@ -272,7 +285,6 @@ def search_outcome(c0, evaluate, cfg, s_high_init):
     return (
         r.threshold, r.probe.coverage, r.attainable, r.bracket_high,
         r.coverage_at_high, r.steps, sorted(r.probe.cutnodes.cut_node_ids()),
-        [rule.name for rule in r.probe.rules], r.probe.report.verdicts,
     )
 
 
@@ -296,9 +308,9 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
         selected.append(pipeline.partition_key(cutnodes))
         return cutnodes
 
-    def counting_extract(context, cutnodes):
+    def counting_extract(context, threshold, cutnodes):
         extracted.append(pipeline.partition_key(cutnodes))
-        return extract(context, cutnodes)
+        return extract(context, threshold, cutnodes)
 
     monkeypatch.setattr(pipeline, "select_by_threshold", counting_select)
     monkeypatch.setattr(pipeline.SearchContext, "extract", counting_extract)
@@ -333,6 +345,56 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
             repeats += len(selected) - len(extracted)
     assert searches >= 100
     assert repeats >= 500  # the memo served many probes
+
+
+# goals of `treecut run`, as config fields, whose reported rules are
+# checked: a fixed threshold names what it extracts, a search what its
+# memo holds
+REPORTED_GOALS = [
+    {"threshold": 1.0},
+    {"threshold": 1.0, "mode": ANDOR_ENUM},
+    {"coverage_target": 0.9},
+    {"coverage_target": 0.9, "neighbor_restrictions": True},
+]
+
+
+def assert_reports_the_reference_rules(directory, grammar, train, test, goals):
+    """Every run's rules, with their names, supports and order, are the
+    reference rules of the partition it reports."""
+    paths = {}
+    for role, text in (("grammar", grammar), ("train", train), ("test", test)):
+        paths[f"{role}_path"] = directory / f"{role}.txt"
+        paths[f"{role}_path"].write_text(text)
+    for goal in goals:
+        result = pipeline.run_pipeline(PipelineConfig(**paths, **goal))
+        aot, cutnodes = result.context.aot, result.cutnodes
+        if result.context.cfg.mode == ANDOR_ENUM:
+            want = reference_extract_andor(aot, cutnodes)
+        else:
+            want = reference_extract_training(
+                result.context.treebank.training, aot, cutnodes
+            )
+        assert want, goal
+        assert rule_records(result.rules) == rule_records(want), goal
+
+
+@pytest.mark.parametrize("grammar, text", FIXED_CORPORA)
+def test_reported_rules_are_the_reference_rules_on_corpora(grammar, text, tmp_path):
+    assert_reports_the_reference_rules(tmp_path, grammar, text, text, REPORTED_GOALS)
+
+
+@pytest.mark.parametrize("name", ["bisect-mixed", "arc-restricted"])
+def test_reported_rules_are_the_reference_rules_on_bench_corpora(name, tmp_path):
+    # corpus 0 of seed 1 of the workload, with the workload's flags
+    corpus, train, test, goal = {
+        "bisect-mixed": ("gen-toy", 1000, 200, {"coverage_target": 0.9}),
+        "arc-restricted": ("gen-layered", 4000, 100, {
+            "scheme": EntropyScheme.ARC_FREQUENCY, "neighbor_restrictions": True,
+            "threshold": 0.2,
+        }),
+    }[name]
+    texts = corpus_texts(corpus, train, test, "1.0")
+    assert_reports_the_reference_rules(tmp_path, *texts, [goal])
 
 
 # --- The one-pass loader against the two-pass one it replaced ----------
@@ -776,13 +838,13 @@ def test_extract_andor_agrees_with_the_recursive_enumerator():
             cutset = closure(cut_ids, aot)
             max_chunks = rng.choice([0, 1, 3, 10, 50, DEFAULT_MAX_CHUNKS])
             want = andor_outcome(reference_extract_andor, aot, cutset, max_chunks)
-            got = andor_outcome(extract_andor, aot, cutset, max_chunks)
+            got = andor_outcome(andor_rules, aot, cutset, max_chunks)
             assert got == want, (seed, sorted(cut_ids), max_chunks)
             if isinstance(want, list):
                 seen["rules"] += 1
                 seen["wordless piece"] += any(
                     has_wordless_piece(rule.chunk)
-                    for rule in extract_andor(aot, cutset, max_chunks)
+                    for rule in andor_rules(aot, cutset, max_chunks)
                 )
             elif want[1].startswith("more than"):
                 seen["chunk cap"] += 1
@@ -868,7 +930,7 @@ def test_subtrees_that_differ_only_below_a_cut_give_one_rule(inventory):
     assert render_chunk(chunks[1][1]) == (
         "(np_np_pp (np_pron (lex pron)) (pp_prep_np (lex prep) np))"
     )
-    rules = extract_training(training, aot, cutset)
+    rules = training_rules(training, aot, cutset)
     assert rule_records(rules) == rule_records(
         reference_extract_training(training, aot, cutset)
     )

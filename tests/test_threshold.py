@@ -1,6 +1,6 @@
 import pytest
 
-from treecut.pipeline import PipelineConfig, SearchContext
+from treecut.pipeline import PipelineConfig, SearchContext, partition_key
 from treecut.threshold import MAX_STEPS, ThresholdProbe, bisect, search_unimodal
 
 
@@ -10,7 +10,7 @@ def profile(fn):
 
     def evaluate(t):
         calls.append(t)
-        return ThresholdProbe(cutnodes=f"cut@{t}", coverage=fn(t), rules=None)
+        return ThresholdProbe(cutnodes=f"cut@{t}", coverage=fn(t))
 
     evaluate.calls = calls
     return evaluate
@@ -129,7 +129,8 @@ def test_toy_bisection_stops_under_first_boundary(
     treebank, aot, table, mixed_scores
 ):
     cfg = PipelineConfig(grammar_path="", train_path="")
-    evaluate = SearchContext(treebank, aot, table, cfg, mixed_scores).probe
+    context = SearchContext(treebank, aot, table, cfg, mixed_scores)
+    evaluate = context.probe
     result = bisect(1.0, evaluate, 2.76, 0.01)
     assert result.attainable
     assert result.threshold < 1.08
@@ -137,4 +138,5 @@ def test_toy_bisection_stops_under_first_boundary(
     # Re-verify both bracket ends independently.
     assert evaluate(result.threshold).coverage == 1.0
     assert evaluate(1.08).coverage < 1.0
-    assert result.probe.rules is not None and len(result.probe.rules) == 5
+    chunks, _ = context.memo[partition_key(result.probe.cutnodes)]
+    assert len(chunks) == 5
