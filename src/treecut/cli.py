@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every command that reads a training corpus starts from
-``pipeline.set_up``; ``cut`` stops after selection, ``bisect`` after
-``choose_threshold``, ``extract`` after extraction and naming, and
-``run`` goes on through ``run_pipeline``.
+``pipeline.set_up``; ``cut`` stops after selection, ``extract`` after
+extraction and naming, ``bisect`` after ``choose_threshold``, and
+``run`` goes on through ``run_pipeline``.  Each takes the flags of the
+stages it runs, from STAGES, and its goal flags, from COMMANDS.
 
 Exit codes: 0 on success, 2 when a requested coverage target is
 unattainable, and 1 for every other fault: an error in HANDLED_ERRORS
@@ -67,61 +68,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise FlagError(message)
-
-
-def _flag(p, *names, **kwargs):
-    """A flag that fills the PipelineConfig field its dest names.  A flag
-    not given stays unset, so the config's defaults are the only ones."""
-    p.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
-
-
-def _add_corpus_args(p):
-    _flag(p, "--grammar", dest="grammar_path", metavar="GRAMMAR",
-          required=True, help="grammar rule file")
-    _flag(p, "--train", dest="train_path", metavar="TRAIN", required=True,
-          help="training treebank")
-    _flag(p, "--test", dest="test_path", metavar="TEST",
-          help="held-out treebank")
-    _flag(p, "--top", help=f"root category (default: {PipelineConfig.top})")
-
-
-def _add_scoring_args(p):
-    _flag(
-        p,
-        "--scheme",
-        choices=[s.value for s in EntropyScheme],
-        help=f"node scoring scheme (default: {PipelineConfig.scheme.value})",
-    )
-    _flag(
-        p,
-        "--exact",
-        dest="decimals",
-        action="store_const",
-        const=None,
-        help="score with full float precision instead of 2 decimals",
-    )
-    _flag(
-        p,
-        "--restrictions",
-        dest="neighbor_restrictions",
-        action="store_true",
-        help="resolve neighboring-cut conflicts",
-    )
-
-
-def _add_extract_args(p):
-    _flag(
-        p,
-        "--mode",
-        choices=[TRAINING_CUT, ANDOR_ENUM],
-        help=f"chunk source (default: {PipelineConfig.mode})",
-    )
-    _flag(
-        p,
-        "--max-chunks",
-        type=int,
-        help="abort andor enumeration past this many chunks",
-    )
 
 
 def _check_flags(cfg: PipelineConfig) -> None:
@@ -203,29 +149,33 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def _load_scored(args) -> tuple:
+    """The rule file, checked against the grammar, and the test trees:
+    the grammar is read first, then the rule file, then the test file."""
     inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
+    # the tiler takes the rules to be well typed for the grammar
     rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
-    test = load_trees(args.test, inv)
-    sys.stdout.writelines(render_coverage(evaluate_coverage(rules, test)))
+    return rules, load_trees(args.test, inv)
+
+
+def cmd_evaluate(args) -> int:
+    sys.stdout.writelines(render_coverage(evaluate_coverage(*_load_scored(args))))
     return 0
 
 
 def cmd_stats(args) -> int:
-    tilings = []
     if args.weighted:
         if not (args.grammar and args.test):
             raise FlagError("--weighted needs --grammar and --test")
-        inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
-        # the tiler takes the rules to be well typed for the grammar
-        rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
-        tilings = evaluate_coverage(rules, load_trees(args.test, inv)).tilings
+        rules, test = _load_scored(args)
+        tilings = evaluate_coverage(rules, test).tilings
     else:
-        rules = load_file(args.rules, parse_rule_file)
+        for flag in ("grammar", "test"):
+            if getattr(args, flag) is not None:
+                raise FlagError(f"--{flag} needs --weighted")
+        rules, tilings = load_file(args.rules, parse_rule_file), []
     stats = reduction_stats(rules, weighted=args.weighted, tilings=tilings)
-    sys.stdout.writelines(
-        render_stats(stats, "weighted" if args.weighted else "unweighted")
-    )
+    sys.stdout.writelines(render_stats(stats))
     return 0
 
 
@@ -246,6 +196,71 @@ def cmd_run(args) -> int:
     return 0
 
 
+# The stages a corpus command runs, in order, each with the flags its
+# work reads.  A command takes the flags of every stage up to the last
+# one it runs, and its own goal flags.  A flag fills the PipelineConfig
+# field its dest names; one not given stays unset, so the config's
+# defaults are the only ones.
+STAGES = [
+    ("load", [
+        ("--grammar", dict(dest="grammar_path", metavar="GRAMMAR", required=True,
+                           help="grammar rule file")),
+        ("--train", dict(dest="train_path", metavar="TRAIN", required=True,
+                         help="training treebank")),
+        ("--top", dict(help=f"root category (default: {PipelineConfig.top})")),
+    ]),
+    ("score", [
+        ("--scheme", dict(
+            choices=[s.value for s in EntropyScheme],
+            help=f"node scoring scheme (default: {PipelineConfig.scheme.value})",
+        )),
+        ("--exact", dict(dest="decimals", action="store_const", const=None,
+                         help="score with full float precision instead of 2 decimals")),
+    ]),
+    ("select", [
+        ("--restrictions", dict(dest="neighbor_restrictions", action="store_true",
+                                help="resolve neighboring-cut conflicts")),
+        ("--max-iterations", dict(type=int)),
+    ]),
+    ("extract", [
+        ("--mode", dict(choices=[TRAINING_CUT, ANDOR_ENUM],
+                        help=f"chunk source (default: {PipelineConfig.mode})")),
+        ("--max-chunks", dict(type=int,
+                              help="abort andor enumeration past this many chunks")),
+    ]),
+    ("search", [
+        ("--test", dict(dest="test_path", metavar="TEST", help="held-out treebank")),
+        ("--delta-s", dict(type=float)),
+    ]),
+    ("report", [
+        ("--weighted", dict(dest="weighted_stats", action="store_true")),
+        ("--out", dict(dest="out_dir", metavar="OUT", required=True,
+                       help="report directory")),
+    ]),
+]
+THRESHOLD = dict(type=float)
+COVERAGE = dict(dest="coverage_target", metavar="COVERAGE", type=float)
+
+# Each corpus command: its handler, help, the last stage it runs and its
+# goal flags.  `run` takes both goals and checks that it got exactly one.
+COMMANDS = [
+    ("entropy-table", cmd_entropy_table, "print the phrase entropy table",
+     "load", []),
+    ("index", cmd_index, "summarize or dump the parse index", "load",
+     [("--dump", dict(action="store_true", default=False,
+                      help="print the full index"))]),
+    ("entropy", cmd_entropy, "print per-node entropy scores", "score", []),
+    ("cut", cmd_cut, "select cutnode classes at a threshold", "select",
+     [("--threshold", dict(THRESHOLD, required=True))]),
+    ("extract", cmd_extract, "extract specialized rules", "extract",
+     [("--threshold", dict(THRESHOLD, required=True))]),
+    ("bisect", cmd_bisect, "search the threshold for a coverage target", "search",
+     [("--coverage", dict(COVERAGE, required=True))]),
+    ("run", cmd_run, "full pipeline writing report files", "report",
+     [("--threshold", THRESHOLD), ("--coverage", COVERAGE)]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="treecut",
@@ -253,43 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
         "at high-entropy phrase nodes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("entropy-table", help="print the phrase entropy table")
-    _add_corpus_args(p)
-    p.set_defaults(handler=cmd_entropy_table)
-
-    p = sub.add_parser("index", help="summarize or dump the parse index")
-    _add_corpus_args(p)
-    p.add_argument("--dump", action="store_true", help="print the full index")
-    p.set_defaults(handler=cmd_index)
-
-    p = sub.add_parser("entropy", help="print per-node entropy scores")
-    _add_corpus_args(p)
-    _add_scoring_args(p)
-    p.set_defaults(handler=cmd_entropy)
-
-    p = sub.add_parser("cut", help="select cutnode classes at a threshold")
-    _add_corpus_args(p)
-    _add_scoring_args(p)
-    _flag(p, "--threshold", type=float, required=True)
-    _flag(p, "--max-iterations", type=int)
-    p.set_defaults(handler=cmd_cut)
-
-    p = sub.add_parser("bisect", help="search the threshold for a coverage target")
-    _add_corpus_args(p)
-    _add_scoring_args(p)
-    _add_extract_args(p)
-    _flag(p, "--coverage", dest="coverage_target", metavar="COVERAGE",
-          type=float, required=True)
-    _flag(p, "--delta-s", type=float)
-    p.set_defaults(handler=cmd_bisect)
-
-    p = sub.add_parser("extract", help="extract specialized rules")
-    _add_corpus_args(p)
-    _add_scoring_args(p)
-    _add_extract_args(p)
-    _flag(p, "--threshold", type=float, required=True)
-    p.set_defaults(handler=cmd_extract)
+    order = [stage for stage, _ in STAGES]
+    for command, handler, summary, last, goals in COMMANDS:
+        p = sub.add_parser(command, help=summary)
+        stages = STAGES[: order.index(last) + 1]
+        for name, kwargs in [f for _, flags in stages for f in flags] + goals:
+            p.add_argument(name, **{"default": argparse.SUPPRESS, **kwargs})
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("evaluate", help="score a rule file against a treebank")
     p.add_argument("--grammar", required=True)
@@ -305,20 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", default=PipelineConfig.top)
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(handler=cmd_stats)
-
-    p = sub.add_parser("run", help="full pipeline writing report files")
-    _add_corpus_args(p)
-    _add_scoring_args(p)
-    _add_extract_args(p)
-    _flag(p, "--threshold", type=float)
-    _flag(p, "--coverage", dest="coverage_target", metavar="COVERAGE",
-          type=float)
-    _flag(p, "--delta-s", type=float)
-    _flag(p, "--max-iterations", type=int)
-    _flag(p, "--weighted", dest="weighted_stats", action="store_true")
-    _flag(p, "--out", dest="out_dir", metavar="OUT", required=True,
-          help="report directory")
-    p.set_defaults(handler=cmd_run)
 
     return parser
 

@@ -221,6 +221,7 @@ def _bucket(length: int) -> str:
 @dataclass
 class ReductionStats:
     counts: dict[str, int]
+    weighted: bool = False
     skipped: int = 0
 
     @property
@@ -255,7 +256,7 @@ def reduction_stats(
             continue
         for rule in tiling.applications():
             counts[_bucket(rule.reduction_length)] += 1
-    return ReductionStats(counts, skipped=skipped)
+    return ReductionStats(counts, weighted=True, skipped=skipped)
 
 
 def render_coverage(report: CoverageReport) -> Iterator[str]:
@@ -267,8 +268,8 @@ def render_coverage(report: CoverageReport) -> Iterator[str]:
     yield f"fraction\t{report.fraction:.6f}\t\n"
 
 
-def render_stats(stats: ReductionStats, title: str) -> Iterator[str]:
-    yield f"# {title}\n"
+def render_stats(stats: ReductionStats) -> Iterator[str]:
+    yield f"# {'weighted' if stats.weighted else 'unweighted'}\n"
     yield "reduction_length\tcount\tpercent\n"
     pct = stats.percentages()
     for bucket in BUCKETS:

@@ -313,15 +313,17 @@ def select_by_threshold(
 ) -> CutnodeSet:
     """Cut every node scoring strictly above *s_min*, then close.
 
-    Nodes without lexical yield never seed a cut.  Valid for the
-    rhs-local and mixed schemes; arc-frequency needs select_iterative.
-    *scores* do not depend on the threshold, so a caller probing many
-    thresholds computes them once.  *max_iterations* bounds the rounds
-    of neighbor restrictions.
+    Nodes without lexical yield never seed a cut.  Under the rhs-local
+    and mixed schemes *scores* do not depend on the threshold, so a
+    caller probing many thresholds computes them once.  Arc-frequency
+    scores shift with the assignment, so under that scheme *scores*
+    only name it and the work is select_iterative's.  *max_iterations*
+    bounds the rounds of neighbor restrictions and of iterated selection.
     """
     if scores.scheme is EntropyScheme.ARC_FREQUENCY:
-        raise ValueError("arc-frequency scores shift with the assignment; "
-                         "use select_iterative")
+        return select_iterative(
+            s_min, aot, table, restrictions=restrictions, max_iterations=max_iterations
+        )
     seeds = _threshold_seeds(scores, s_min, aot)
     if not restrictions:
         return closure(seeds, aot)

@@ -20,7 +20,6 @@ from treecut.cutnodes import (
     CutnodeSet,
     render_cut_classes,
     select_by_threshold,
-    select_iterative,
 )
 from treecut.entropy import PhraseEntropyTable, build_phrase_table, render_entropy_table
 from treecut.extraction import ANDOR_ENUM, DEFAULT_MAX_CHUNKS, TRAINING_CUT
@@ -172,15 +171,10 @@ class SearchContext:
     memo: dict = field(default_factory=dict, init=False)
 
     def select(self, threshold: float) -> CutnodeSet:
-        cfg = self.cfg
-        settings = dict(
-            restrictions=cfg.neighbor_restrictions,
-            max_iterations=cfg.max_iterations,
-        )
-        if cfg.scheme is EntropyScheme.ARC_FREQUENCY:
-            return select_iterative(threshold, self.aot, self.table, **settings)
         return select_by_threshold(
-            threshold, self.aot, self.table, self.scores, **settings
+            threshold, self.aot, self.table, self.scores,
+            restrictions=self.cfg.neighbor_restrictions,
+            max_iterations=self.cfg.max_iterations,
         )
 
     def extract(self, threshold: float, cutnodes: CutnodeSet) -> list:
@@ -286,9 +280,7 @@ def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
         ),
         "cutnodes.txt": render_cut_classes(result.cutnodes, context.scores),
         "rules.txt": render_rule_file(result.rules),
-        "reduction_stats.tsv": render_stats(
-            result.stats, "weighted" if cfg.weighted_stats else "unweighted"
-        ),
+        "reduction_stats.tsv": render_stats(result.stats),
     }
     if result.coverage is not None:
         files["coverage.tsv"] = render_coverage(result.coverage)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -505,7 +506,8 @@ def test_rules_are_named_once_per_report_and_never_in_a_probe(
         for name in ("name_rules", "evaluate_coverage", "reduction_stats"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     out = ["--out", str(tmp_path / "out")] if command[0] == "run" else []
-    code, _, _ = run_cli(capsys, *command, *WITH_TEST, *out)
+    corpus = CORPUS if command[0] == "extract" else WITH_TEST
+    code, _, _ = run_cli(capsys, *command, *corpus, *out)
     assert code == 0
     assert calls.count(("name_rules", False)) == names
     assert not any(in_probe for _, in_probe in calls)
@@ -559,12 +561,16 @@ def test_smallest_working_counts_are_accepted():
         (["cut", "--threshold", "nan"], "--threshold"),
         (["extract", "--threshold=-inf"], "--threshold"),
         (["cut", "--threshold", "0.2", "--max-iterations", "0"], "--max-iterations"),
+        (["extract", "--threshold", "1.0", "--max-iterations", "0"],
+         "--max-iterations"),
+        (["bisect", "--coverage", "0.9", "--max-iterations", "0"], "--max-iterations"),
         (["extract", "--threshold", "1.0", "--max-chunks", "-1"], "--max-chunks"),
         (["bisect", "--coverage", "0.9", "--max-chunks", "-1"], "--max-chunks"),
     ],
 )
 def test_subcommands_reject_bad_search_flags(capsys, args, named):
-    code, out, err = run_cli(capsys, *args, *WITH_TEST)
+    corpus = WITH_TEST if args[0] == "bisect" else CORPUS
+    code, out, err = run_cli(capsys, *args, *corpus)
     assert code == 1
     assert named in err
     assert out == ""
@@ -682,13 +688,32 @@ def test_flags_not_given_leave_the_config_defaults(command, required, fields):
         (["cut", "--grammar", "g", "--train", "t", "--threshold", "1.0",
           "--scheme", "bogus"], "--scheme"),
         ([], "command"),
+        # a flag of a stage the command does not run
+        (["entropy-table", *CORPUS, "--test", "x.txt"], "--test"),
+        (["index", *CORPUS, "--test", "x.txt"], "--test"),
+        (["entropy", *CORPUS, "--test", "x.txt"], "--test"),
+        (["cut", *CORPUS, "--threshold", "1.0", "--test", "x.txt"], "--test"),
+        (["extract", *CORPUS, "--threshold", "1.0", "--test", "x.txt"], "--test"),
+        (["entropy", *CORPUS, "--restrictions"], "--restrictions"),
+        (["cut", *CORPUS, "--threshold", "1.0", "--mode", "andor"], "--mode"),
+        (["extract", *CORPUS, "--threshold", "1.0", "--delta-s", "1"], "--delta-s"),
+        (["bisect", *CORPUS, "--coverage", "0.9", "--out", "o"], "--out"),
     ],
-    ids=["malformed", "missing", "bad-choice", "no-subcommand"],
+    ids=["malformed", "missing", "bad-choice", "no-subcommand",
+         "test-to-entropy-table", "test-to-index", "test-to-entropy", "test-to-cut",
+         "test-to-extract", "restrictions-to-entropy", "mode-to-cut",
+         "delta-s-to-extract", "out-to-bisect"],
 )
-def test_usage_errors_exit_one_naming_the_argument(capsys, argv, named):
+def test_usage_errors_exit_one_naming_the_argument(capsys, monkeypatch, argv, named):
+    opened = []
+    real_open = open
+    monkeypatch.setattr(
+        "builtins.open",
+        lambda path, *args, **kwargs: opened.append(path)
+        or real_open(path, *args, **kwargs),
+    )
     code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert out == ""
+    assert (code, out, opened) == (1, "", [])  # before any file is opened
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
 
@@ -698,6 +723,119 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert info.value.code == 0
     assert "usage: treecut" in capsys.readouterr().out
+
+
+# the flags of the stages up to each one, in the order the method runs them
+LOAD = ["--grammar", "--train", "--top"]
+SCORE = LOAD + ["--scheme", "--exact"]
+SELECT = SCORE + ["--restrictions", "--max-iterations"]
+EXTRACT = SELECT + ["--mode", "--max-chunks"]
+SEARCH = EXTRACT + ["--test", "--delta-s"]
+REPORT = SEARCH + ["--weighted", "--out"]
+# each command's option strings: its stages' flags, then its goal flags
+OPTIONS = {
+    "entropy-table": LOAD,
+    "index": LOAD + ["--dump"],
+    "entropy": SCORE,
+    "cut": SELECT + ["--threshold"],
+    "extract": EXTRACT + ["--threshold"],
+    "bisect": SEARCH + ["--coverage"],
+    "run": REPORT + ["--threshold", "--coverage"],
+    "evaluate": ["--grammar", "--rules", "--test", "--top"],
+    "stats": ["--rules", "--grammar", "--test", "--top", "--weighted"],
+}
+REQUIRED = {
+    "entropy-table": [], "index": [], "entropy": [], "cut": ["--threshold"],
+    "extract": ["--threshold"], "bisect": ["--coverage"], "run": ["--out"],
+}
+
+
+def parsed_options():
+    """Each subcommand's flag actions, in the order the parser lists them."""
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    return {
+        command: [a for a in p._actions if a.option_strings != ["-h", "--help"]]
+        for command, p in commands.items()
+    }
+
+
+def test_each_command_takes_its_stages_flags_and_its_goal_flags():
+    parsed = parsed_options()
+    assert sorted(parsed) == sorted(OPTIONS)
+    for command, actions in parsed.items():
+        assert [o for a in actions for o in a.option_strings] == OPTIONS[command]
+        if command in REQUIRED:
+            required = [a.option_strings[0] for a in actions if a.required]
+            assert required == ["--grammar", "--train", *REQUIRED[command]], command
+
+
+FLAG = re.compile(r"--[a-z-]+")
+
+
+def readme_flag_table():
+    """README's stage table: each stage's flags, and each command's
+    stages, in column order, and goal flags."""
+    text = (ROOT / "README.md").read_text()
+    lines = text[text.index("| stage | flags |"):].split("\n\n")[0].splitlines()
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    commands = [cell.strip("`") for cell in rows[0][2:]]
+    stages, ticks, goals = [], {c: [] for c in commands}, {}
+    for stage, flags, *cells in rows[2:]:
+        if stage == "goal":
+            goals = {c: FLAG.findall(cell) for c, cell in zip(commands, cells)}
+            continue
+        stages.append((stage, FLAG.findall(flags)))
+        for command, cell in zip(commands, cells):
+            if cell == "\u2713":
+                ticks[command].append(stage)
+    return stages, ticks, goals
+
+
+def test_readme_flag_table_matches_the_parser():
+    stages, ticks, goals = readme_flag_table()
+    assert [(name, [f[0] for f in flags]) for name, flags in cli.STAGES] == stages
+    order, flags_of = [name for name, _ in stages], dict(stages)
+    parsed = parsed_options()
+    assert sorted(ticks) == sorted(set(parsed) - {"evaluate", "stats"})
+    for command, ran in ticks.items():
+        assert ran == order[: len(ran)], command  # a prefix of the stages
+        taken = [f for stage in ran for f in flags_of[stage]] + goals[command]
+        assert taken == [o for a in parsed[command] for o in a.option_strings]
+
+
+@pytest.mark.parametrize("iterations", ["1", "2"])
+def test_bisect_and_extract_honour_max_iterations(capsys, tmp_path, iterations):
+    # on the toy corpus one round of iterated selection never settles,
+    # and two do; each command fails or prints as `run` with its flags
+    flags = ["--scheme", "arc-frequency", "--restrictions",
+             "--max-iterations", iterations]
+    for command, goal, report in [
+        ("bisect", ["--coverage", "0.9"], "threshold.txt"),
+        ("extract", ["--threshold", "0.6"], "rules.txt"),
+    ]:
+        out = tmp_path / command
+        want, _, want_err = run_cli(
+            capsys, "run", *WITH_TEST, *flags, *goal, "--out", str(out)
+        )
+        corpus = WITH_TEST if command == "bisect" else CORPUS
+        code, text, err = run_cli(capsys, command, *corpus, *flags, *goal)
+        assert (code, err) == (want, want_err), command
+        body = (out / report).read_text().split("\n", 1)[1] if code == 0 else ""
+        assert text == body, command
+    assert code == (1 if iterations == "1" else 0)
+
+
+@pytest.mark.parametrize("flag", ["--grammar", "--test"])
+def test_stats_without_weighted_rejects_its_corpus_flags(capsys, tmp_path, flag):
+    rules_file = tmp_path / "rules.txt"
+    rules_file.write_text("np_x: np => det n\n  (np_det_n (lex det) (lex n))\n")
+    code, out, err = run_cli(
+        capsys, "stats", "--rules", str(rules_file), flag, str(TOY / "test.txt")
+    )
+    assert (code, out, err) == (1, "", f"error: {flag} needs --weighted\n")
 
 
 def treecut_in_child(*args, stdout):
@@ -753,9 +891,10 @@ def test_one_report_commands_print_runs_file_and_stop_after_it(
         path = tmp_path / f"{role}.txt"
         path.write_text(text)
         flags += [f"--{role}", str(path)]
+    flags, test = flags[:4], flags[4:]  # none of these commands tiles a test set
     out_dir = tmp_path / "out"
     code, _, _ = run_cli(
-        capsys, "run", *flags, "--threshold", "1.0", "--out", str(out_dir)
+        capsys, "run", *flags, *test, "--threshold", "1.0", "--out", str(out_dir)
     )
     assert code == 0
 

@@ -107,12 +107,14 @@ def test_weighted_stats_skips_untileable(toy_rules, treebank, inventory):
 
 
 def test_render_stats(toy_rules):
-    out = "".join(render_stats(reduction_stats(toy_rules), "unweighted"))
+    out = "".join(render_stats(reduction_stats(toy_rules)))
     lines = out.splitlines()
     assert lines[0] == "# unweighted"
     assert lines[1] == "reduction_length\tcount\tpercent"
     assert lines[2] == "1\t1\t20.0"
     assert lines[5] == "4+\t1\t20.0"
+    weighted = reduction_stats(toy_rules, weighted=True, tilings=[])
+    assert next(render_stats(weighted)) == "# weighted\n"
 
 
 def test_memo_handles_shared_categories(inventory):

@@ -112,10 +112,24 @@ def test_select_threshold_templates(aot, table, mixed_scores):
     }
 
 
-def test_select_threshold_rejects_arc_frequency(aot, table, mixed_scores):
+@pytest.mark.parametrize("restrictions", [False, True], ids=["plain", "restricted"])
+def test_select_threshold_hands_arc_frequency_to_iterative(aot, table, restrictions):
+    # arc-frequency scores only name the scheme: the partition, and the
+    # iteration limit, are select_iterative's
     arc_scores = compute_node_entropies(aot, None, EntropyScheme.ARC_FREQUENCY)
-    with pytest.raises(ValueError):
-        select_by_threshold(1.0, aot, table, arc_scores)
+
+    def partition(cutset):
+        return [(member_ids(cls), cls.cut) for cls in cutset.classes]
+
+    for threshold in (0.2, 0.6, 1.0, 5.0):
+        settings = dict(restrictions=restrictions, max_iterations=2)
+        assert partition(
+            select_by_threshold(threshold, aot, table, arc_scores, **settings)
+        ) == partition(select_iterative(threshold, aot, table, **settings))
+    with pytest.raises(IterationLimitError):
+        select_by_threshold(
+            0.6, aot, table, arc_scores, restrictions=restrictions, max_iterations=1
+        )
 
 
 def test_neighbor_conflicts_first_round(aot, table, mixed_scores):

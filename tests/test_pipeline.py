@@ -75,7 +75,7 @@ def test_reports_reuse_the_chosen_tiling(
         "".join(render_coverage(fresh)).splitlines()
     )
     stats = reduction_stats(result.rules, weighted=True, tilings=fresh.tilings)
-    stats = "".join(render_stats(stats, "weighted"))
+    stats = "".join(render_stats(stats))
     assert "# skipped untileable trees: 1" in stats
     written = (tmp_path / "out" / "reduction_stats.tsv").read_text()
     assert written.split("\n", 1)[1] == stats
