@@ -1,10 +1,11 @@
 """Command line front end.
 
 Every command that reads a training corpus starts from
-``pipeline.set_up``; ``cut`` stops after selection, ``extract`` after
-extraction and naming, ``bisect`` after ``choose_threshold``, and
-``run`` goes on through ``run_pipeline``.  Each takes the flags of the
-stages it runs, from STAGES, and its goal flags, from COMMANDS.
+``pipeline.set_up``.  Each one but ``run`` prints the one report that
+COMMANDS names for it, rendered by ``pipeline.REPORTS`` as ``run``
+writes it, and the context computes only the stages that report reads.
+``run`` writes them all through ``run_pipeline``.  Each takes the flags
+of the stages it runs, from STAGES, and its goal flags, from COMMANDS.
 
 Exit codes: 0 on success, 2 when a requested coverage target is
 unattainable, and 1 for every other fault: an error in HANDLED_ERRORS
@@ -19,30 +20,26 @@ import math
 import os
 import sys
 
-from treecut.andor import dump as dump_index
 from treecut.coverage import evaluate_coverage, reduction_stats
 from treecut.coverage import render_coverage, render_stats
-from treecut.cutnodes import IterationLimitError, render_cut_classes
-from treecut.entropy import render_entropy_table
+from treecut.cutnodes import IterationLimitError
 from treecut.extraction import (
     ANDOR_ENUM,
     TRAINING_CUT,
     ChunkExplosionError,
     RuleFileError,
-    name_rules,
     parse_rule_file,
-    render_rule_file,
     validate_rules,
 )
-from treecut.node_entropy import EntropyScheme, render_node_entropies
+from treecut.node_entropy import EntropyScheme
 from treecut.pipeline import (
+    REPORTS,
     InputError,
     OutputError,
     PipelineConfig,
-    choose_threshold,
+    SearchContext,
     load_file,
     load_trees,
-    render_threshold_report,
     run_pipeline,
     set_up,
 )
@@ -88,6 +85,11 @@ def _check_flags(cfg: PipelineConfig) -> None:
         )
     if cfg.max_chunks < 0:
         raise FlagError(f"--max-chunks must be at least 0, got {cfg.max_chunks}")
+    # with no test trees, every probe reads full coverage and no tree is weighed
+    if coverage is not None and cfg.test_path is None:
+        raise FlagError("--coverage needs --test")
+    if cfg.weighted_stats and cfg.test_path is None:
+        raise FlagError("--weighted needs --test")
 
 
 def _config(args) -> PipelineConfig:
@@ -100,16 +102,24 @@ def _config(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_entropy_table(args) -> int:
-    sys.stdout.writelines(render_entropy_table(set_up(_config(args)).table))
-    return 0
+def _unattainable(context: SearchContext) -> bool:
+    """Whether the command searched for a coverage target it cannot reach."""
+    return context.cfg.coverage_target is not None and not context.choice[1].attainable
+
+
+def cmd_report(args) -> int:
+    """Print the command's report, as `run` writes it without its header."""
+    context = set_up(_config(args))
+    if args.report == "rules.txt":  # `extract` checks the rules it prints
+        validate_rules(context.rules, context.treebank.inventory)
+    sys.stdout.writelines(REPORTS[args.report](context))
+    return 2 if _unattainable(context) else 0
 
 
 def cmd_index(args) -> int:
-    aot = set_up(_config(args)).aot
     if args.dump:
-        sys.stdout.writelines(dump_index(aot))
-        return 0
+        return cmd_report(args)
+    aot = set_up(_config(args)).aot
     phrase = sum(1 for n in aot.node_index if n.startswith("n"))
     lexical = sum(1 for n in aot.node_index if n.startswith("t"))
     print(f"or_nodes\t{len(aot.node_index)}")
@@ -118,41 +128,11 @@ def cmd_index(args) -> int:
     return 0
 
 
-def cmd_entropy(args) -> int:
-    context = set_up(_config(args))
-    sys.stdout.writelines(render_node_entropies(context.aot, context.scores))
-    return 0
-
-
-def cmd_cut(args) -> int:
-    cfg = _config(args)
-    context = set_up(cfg)
-    cutnodes = context.select(cfg.threshold)
-    sys.stdout.writelines(render_cut_classes(cutnodes, context.scores))
-    return 0
-
-
-def cmd_bisect(args) -> int:
-    cfg = _config(args)
-    threshold, search, cutnodes = choose_threshold(set_up(cfg))
-    sys.stdout.writelines(render_threshold_report(threshold, search, cutnodes, cfg))
-    return 0 if search.attainable else 2
-
-
-def cmd_extract(args) -> int:
-    cfg = _config(args)
-    context = set_up(cfg)
-    chunks = context.extract(cfg.threshold, context.select(cfg.threshold))
-    rules = name_rules(chunks, context.treebank.inventory)
-    validate_rules(rules, context.treebank.inventory)
-    sys.stdout.writelines(render_rule_file(rules))
-    return 0
-
-
 def _load_scored(args) -> tuple:
     """The rule file, checked against the grammar, and the test trees:
     the grammar is read first, then the rule file, then the test file."""
-    inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, args.top))
+    top = PipelineConfig.top if args.top is None else args.top
+    inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, top))
     # the tiler takes the rules to be well typed for the grammar
     rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
     return rules, load_trees(args.test, inv)
@@ -170,7 +150,7 @@ def cmd_stats(args) -> int:
         rules, test = _load_scored(args)
         tilings = evaluate_coverage(rules, test).tilings
     else:
-        for flag in ("grammar", "test"):
+        for flag in ("grammar", "test", "top"):
             if getattr(args, flag) is not None:
                 raise FlagError(f"--{flag} needs --weighted")
         rules, tilings = load_file(args.rules, parse_rule_file), []
@@ -183,14 +163,14 @@ def cmd_run(args) -> int:
     cfg = _config(args)
     if (cfg.threshold is None) == (cfg.coverage_target is None):
         raise FlagError("pass exactly one of --threshold / --coverage")
-    result = run_pipeline(cfg)
-    for path in result.written:
+    context, written = run_pipeline(cfg)
+    for path in written:
         print(f"wrote {path}")
-    print(f"threshold\t{result.threshold:.6f}")
-    print(f"rules\t{len(result.rules)}")
-    if result.coverage is not None:
-        print(f"coverage\t{result.coverage.fraction:.6f}")
-    if result.search is not None and not result.search.attainable:
+    print(f"threshold\t{context.choice[0]:.6f}")
+    print(f"rules\t{len(context.rules)}")
+    if cfg.test_path is not None:
+        print(f"coverage\t{context.coverage.fraction:.6f}")
+    if _unattainable(context):
         print("coverage target unattainable", file=sys.stderr)
         return 2
     return 0
@@ -241,22 +221,25 @@ STAGES = [
 THRESHOLD = dict(type=float)
 COVERAGE = dict(dest="coverage_target", metavar="COVERAGE", type=float)
 
-# Each corpus command: its handler, help, the last stage it runs and its
-# goal flags.  `run` takes both goals and checks that it got exactly one.
+# Each corpus command: its handler, the report it prints (`index` under
+# --dump), help, the last stage it runs and its goal flags.  `run` takes
+# both goals and checks that it got exactly one.
 COMMANDS = [
-    ("entropy-table", cmd_entropy_table, "print the phrase entropy table",
-     "load", []),
-    ("index", cmd_index, "summarize or dump the parse index", "load",
-     [("--dump", dict(action="store_true", default=False,
-                      help="print the full index"))]),
-    ("entropy", cmd_entropy, "print per-node entropy scores", "score", []),
-    ("cut", cmd_cut, "select cutnode classes at a threshold", "select",
+    ("entropy-table", cmd_report, "entropy_table.tsv",
+     "print the phrase entropy table", "load", []),
+    ("index", cmd_index, "andor_index.txt", "summarize or dump the parse index",
+     "load", [("--dump", dict(action="store_true", default=False,
+                              help="print the full index"))]),
+    ("entropy", cmd_report, "node_entropy.tsv", "print per-node entropy scores",
+     "score", []),
+    ("cut", cmd_report, "cutnodes.txt", "select cutnode classes at a threshold",
+     "select", [("--threshold", dict(THRESHOLD, required=True))]),
+    ("extract", cmd_report, "rules.txt", "extract specialized rules", "extract",
      [("--threshold", dict(THRESHOLD, required=True))]),
-    ("extract", cmd_extract, "extract specialized rules", "extract",
-     [("--threshold", dict(THRESHOLD, required=True))]),
-    ("bisect", cmd_bisect, "search the threshold for a coverage target", "search",
+    ("bisect", cmd_report, "threshold.txt",
+     "search the threshold for a coverage target", "search",
      [("--coverage", dict(COVERAGE, required=True))]),
-    ("run", cmd_run, "full pipeline writing report files", "report",
+    ("run", cmd_run, None, "full pipeline writing report files", "report",
      [("--threshold", THRESHOLD), ("--coverage", COVERAGE)]),
 ]
 
@@ -269,25 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     order = [stage for stage, _ in STAGES]
-    for command, handler, summary, last, goals in COMMANDS:
+    for command, handler, report, summary, last, goals in COMMANDS:
         p = sub.add_parser(command, help=summary)
         stages = STAGES[: order.index(last) + 1]
         for name, kwargs in [f for _, flags in stages for f in flags] + goals:
             p.add_argument(name, **{"default": argparse.SUPPRESS, **kwargs})
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, report=report)
 
     p = sub.add_parser("evaluate", help="score a rule file against a treebank")
     p.add_argument("--grammar", required=True)
     p.add_argument("--rules", required=True, help="rule file to evaluate")
     p.add_argument("--test", required=True)
-    p.add_argument("--top", default=PipelineConfig.top)
+    p.add_argument("--top")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("stats", help="reduction-length histogram of a rule file")
     p.add_argument("--rules", required=True)
     p.add_argument("--grammar")
     p.add_argument("--test")
-    p.add_argument("--top", default=PipelineConfig.top)
+    p.add_argument("--top")
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(handler=cmd_stats)
 

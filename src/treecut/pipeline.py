@@ -1,16 +1,18 @@
 """End-to-end run: load corpora, pick cutnodes, extract rules, score them.
 
 ``set_up`` builds what every command starts from: the corpus, its index,
-the phrase table and the node scores.  ``choose_threshold`` goes on to
-the threshold and its cut set, and ``run_pipeline`` to the named rules,
-the coverage and the reports.  All outputs are deterministic functions
-of the inputs and the config, so a rerun into the same directory
-rewrites byte-identical files.
+the phrase table and the node scores.  The ``SearchContext`` it returns
+computes the rest of a run on first read: the threshold and its cut set,
+the named rules, their coverage and their stats.  ``REPORTS`` renders
+each report file from a context, and ``run_pipeline`` writes them all.
+All outputs are deterministic functions of the inputs and the config,
+so a rerun into the same directory rewrites byte-identical files.
 """
 
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from treecut.andor import AndOrTree, dump, index_treebank
 from treecut.coverage import CoverageReport, ReductionStats, evaluate_coverage
@@ -34,7 +36,7 @@ from treecut.node_entropy import (
     compute_node_entropies,
     render_node_entropies,
 )
-from treecut.threshold import ThresholdProbe, ThresholdResult, bisect, search_unimodal
+from treecut.threshold import ThresholdProbe, bisect, search_unimodal
 
 
 @dataclass
@@ -54,18 +56,6 @@ class PipelineConfig:
     max_iterations: int = MAX_ITERATIONS
     weighted_stats: bool = False
     out_dir: str | None = None
-
-
-@dataclass
-class PipelineResult:
-    context: "SearchContext"
-    threshold: float
-    search: ThresholdResult | None
-    cutnodes: CutnodeSet
-    rules: list[SpecializedRule]
-    coverage: CoverageReport | None
-    stats: ReductionStats
-    written: list[str] = field(default_factory=list)
 
 
 def config_line(cfg: PipelineConfig) -> str:
@@ -110,16 +100,6 @@ class OutputError(Exception):
     """A report directory or file could not be written; the message names it."""
 
 
-def make_out_dir(path: str) -> None:
-    """Create the report directory, or raise OutputError naming it."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise OutputError(
-            f"{path}: cannot create report directory ({exc.strerror or exc})"
-        ) from exc
-
-
 def load_trees(path: str, inv: RuleInventory) -> list:
     """The complete parses in the treebank file *path*, without their words.
 
@@ -153,7 +133,12 @@ def partition_key(cutnodes: CutnodeSet) -> tuple:
 
 @dataclass
 class SearchContext:
-    """The threshold-independent work of one run, shared by its probes.
+    """One run: the fields ``set_up`` fills, and each later stage,
+    computed on first read and kept, so a command computes only what its
+    report reads.  ``choice`` is the threshold, the search that found it
+    (None for a fixed one) and its cut set; ``rules`` names the chosen
+    partition's chunks; ``coverage`` tiles the test set with them under
+    the preference, and ``stats`` counts their reduction lengths.
 
     Under the mixed and rhs-local schemes node scores do not depend on
     the threshold, so coverage is a step function of it and a search
@@ -196,6 +181,35 @@ class SearchContext:
             self.memo[key] = (chunks, tile(chunks, self.treebank.test).fraction)
         return ThresholdProbe(cutnodes, self.memo[key][1])
 
+    @cached_property
+    def choice(self) -> tuple:
+        cfg = self.cfg
+        if cfg.coverage_target is None:
+            threshold = cfg.threshold if cfg.threshold is not None else 0.0
+            return threshold, None, self.select(threshold)
+        find = search_unimodal if cfg.neighbor_restrictions else bisect
+        s_high = self.scores.max_value() + 1.0
+        search = find(cfg.coverage_target, self.probe, s_high, cfg.delta_s)
+        return search.threshold, search, search.probe.cutnodes
+
+    @cached_property
+    def rules(self) -> list[SpecializedRule]:
+        threshold, _, cutnodes = self.choice
+        # a search extracted its partition already; a fixed threshold has not
+        seen = self.memo.get(partition_key(cutnodes))
+        chunks = self.extract(threshold, cutnodes) if seen is None else seen[0]
+        return name_rules(chunks, self.treebank.inventory)
+
+    @cached_property
+    def coverage(self) -> CoverageReport:
+        return evaluate_coverage(self.rules, self.treebank.test)
+
+    @cached_property
+    def stats(self) -> ReductionStats:
+        return reduction_stats(
+            self.rules, weighted=self.cfg.weighted_stats, tilings=self.coverage.tilings
+        )
+
 
 def set_up(cfg: PipelineConfig) -> SearchContext:
     """Load the corpus and build its index, the phrase table at
@@ -207,54 +221,32 @@ def set_up(cfg: PipelineConfig) -> SearchContext:
     return SearchContext(treebank, aot, table, cfg, scores)
 
 
-def choose_threshold(context: SearchContext) -> tuple:
-    """The threshold, the search that found it (None for a fixed one)
-    and its cut set."""
-    cfg = context.cfg
-    if cfg.coverage_target is None:
-        threshold = cfg.threshold if cfg.threshold is not None else 0.0
-        return threshold, None, context.select(threshold)
-    find = search_unimodal if cfg.neighbor_restrictions else bisect
-    s_high = context.scores.max_value() + 1.0
-    search = find(cfg.coverage_target, context.probe, s_high, cfg.delta_s)
-    return search.threshold, search, search.probe.cutnodes
-
-
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    if cfg.out_dir is not None:
-        make_out_dir(cfg.out_dir)  # fail before the work, not after it
+def run_pipeline(cfg: PipelineConfig) -> tuple[SearchContext, list[str]]:
+    """Every stage of a run, then, given *cfg.out_dir*, its reports:
+    the context and the paths written."""
+    if cfg.out_dir is not None:  # fail before the work, not after it
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise OutputError(
+                f"{cfg.out_dir}: cannot create report directory ({reason})"
+            ) from exc
     context = set_up(cfg)
-    threshold, search, cutnodes = choose_threshold(context)
-    # a search extracted its partition already; a fixed threshold has not
-    seen = context.memo.get(partition_key(cutnodes))
-    chunks = context.extract(threshold, cutnodes) if seen is None else seen[0]
-    rules = name_rules(chunks, context.treebank.inventory)
-    report = evaluate_coverage(rules, context.treebank.test)
-    stats = reduction_stats(rules, weighted=cfg.weighted_stats, tilings=report.tilings)
-    if cfg.test_path is None:
-        report = None  # coverage.tsv is written only for a given test file
-
-    result = PipelineResult(
-        context, threshold, search, cutnodes, rules, report, stats
-    )
-    if cfg.out_dir is not None:
-        result.written = write_reports(result, cfg)
-    return result
+    context.stats  # reads every other stage; the reports only render
+    written = [] if cfg.out_dir is None else write_reports(context)
+    return context, written
 
 
-def render_threshold_report(
-    threshold: float,
-    search: ThresholdResult | None,
-    cutnodes: CutnodeSet,
-    cfg: PipelineConfig,
-) -> Iterator[str]:
+def render_threshold_report(context: SearchContext) -> Iterator[str]:
     """threshold.txt's lines: the search's outcome, or the fixed threshold."""
+    threshold, search, cutnodes = context.choice
     if search is None:
         yield "mode\tfixed\n"
         yield f"threshold\t{threshold:.6f}\n"
     else:
         yield "mode\tsearch\n"
-        yield f"target\t{cfg.coverage_target:.6f}\n"
+        yield f"target\t{context.cfg.coverage_target:.6f}\n"
         yield f"attainable\t{'yes' if search.attainable else 'no'}\n"
         yield f"threshold\t{search.threshold:.6f}\n"
         yield f"coverage\t{search.probe.coverage:.6f}\n"
@@ -266,31 +258,35 @@ def render_threshold_report(
     yield f"cut_nodes\t{len(cutnodes.cut_node_ids())}\n"
 
 
-def write_reports(result: PipelineResult, cfg: PipelineConfig) -> list[str]:
-    """Write every report file into the existing *cfg.out_dir*, each line
-    as its renderer yields it; returns the paths in write order."""
+# Every report file and its renderer over a run's context: `run` writes
+# them all, and each one-report command prints one.
+REPORTS = {
+    "andor_index.txt": lambda run: dump(run.aot),
+    "coverage.tsv": lambda run: render_coverage(run.coverage),
+    "cutnodes.txt": lambda run: render_cut_classes(run.choice[2], run.scores),
+    "entropy_table.tsv": lambda run: render_entropy_table(run.table),
+    "node_entropy.tsv": lambda run: render_node_entropies(run.aot, run.scores),
+    "reduction_stats.tsv": lambda run: render_stats(run.stats),
+    "rules.txt": lambda run: render_rule_file(run.rules),
+    "threshold.txt": render_threshold_report,
+}
+
+
+def write_reports(context: SearchContext) -> list[str]:
+    """Write every report into the existing ``cfg.out_dir``, each line as
+    its renderer yields it, and coverage.tsv only for a given test file;
+    returns the paths in write order."""
+    cfg = context.cfg
     header = config_line(cfg) + "\n"
-    context = result.context
-    files = {
-        "entropy_table.tsv": render_entropy_table(context.table),
-        "node_entropy.tsv": render_node_entropies(context.aot, context.scores),
-        "andor_index.txt": dump(context.aot),
-        "threshold.txt": render_threshold_report(
-            result.threshold, result.search, result.cutnodes, cfg
-        ),
-        "cutnodes.txt": render_cut_classes(result.cutnodes, context.scores),
-        "rules.txt": render_rule_file(result.rules),
-        "reduction_stats.tsv": render_stats(result.stats),
-    }
-    if result.coverage is not None:
-        files["coverage.tsv"] = render_coverage(result.coverage)
     written = []
-    for name in sorted(files):
+    for name in sorted(REPORTS):
+        if name == "coverage.tsv" and cfg.test_path is None:
+            continue
         path = os.path.join(cfg.out_dir, name)
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(header)
-                handle.writelines(files[name])
+                handle.writelines(REPORTS[name](context))
         except OSError as exc:
             raise OutputError(f"{path}: {exc.strerror or exc}") from exc
         written.append(path)

@@ -24,6 +24,19 @@ REPORTS = [
 ]
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The paths passed to ``open`` while the test runs."""
+    paths = []
+    real_open = open
+    monkeypatch.setattr(
+        "builtins.open",
+        lambda path, *args, **kwargs: paths.append(path)
+        or real_open(path, *args, **kwargs),
+    )
+    return paths
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -502,9 +515,8 @@ def test_rules_are_named_once_per_report_and_never_in_a_probe(
         return wrapper
 
     monkeypatch.setattr(pipeline.SearchContext, "probe", marked_probe)
-    for module in (cli, pipeline):
-        for name in ("name_rules", "evaluate_coverage", "reduction_stats"):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in ("name_rules", "evaluate_coverage", "reduction_stats"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     out = ["--out", str(tmp_path / "out")] if command[0] == "run" else []
     corpus = CORPUS if command[0] == "extract" else WITH_TEST
     code, _, _ = run_cli(capsys, *command, *corpus, *out)
@@ -543,6 +555,43 @@ def test_run_rejects_bad_search_flags_before_work(capsys, tmp_path, flags, named
     assert stdout == ""
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--coverage", "0.9"], "--coverage"),
+        (["bisect", "--coverage", "0.9"], "--coverage"),
+        (["run", "--threshold", "1.0", "--weighted"], "--weighted"),
+    ],
+    ids=["run-coverage", "bisect-coverage", "run-weighted"],
+)
+def test_flags_that_read_the_test_set_need_one(capsys, tmp_path, opened, argv, flag):
+    # with no test trees a search reads full coverage at any threshold,
+    # and weighted stats count nothing
+    out = tmp_path / "out"
+    report = ["--out", str(out)] if argv[0] == "run" else []
+    code, stdout, err = run_cli(capsys, *argv, *CORPUS, *report)
+    assert (code, stdout, err) == (1, "", f"error: {flag} needs --test\n")
+    assert opened == []
+    assert not out.exists()
+
+
+def test_every_report_is_rendered_by_the_one_report_table(capsys, tmp_path):
+    named = [report for _, _, report, *_ in cli.COMMANDS if report is not None]
+    assert len(named) == len(cli.COMMANDS) - 1  # all but `run`
+    assert set(named) <= set(pipeline.REPORTS)
+    assert sorted(pipeline.REPORTS) == REPORTS
+    without_test = [name for name in REPORTS if name != "coverage.tsv"]
+    for corpus, want in [(WITH_TEST, REPORTS), (CORPUS, without_test)]:
+        out = tmp_path / str(len(corpus))
+        code, stdout, _ = run_cli(
+            capsys, "run", *corpus, "--threshold", "1.0", "--out", str(out)
+        )
+        assert code == 0
+        assert sorted(path.name for path in out.iterdir()) == want
+        wrote = [f"wrote {out / name}" for name in want]
+        assert stdout.splitlines()[: len(want)] == wrote
 
 
 def test_smallest_working_counts_are_accepted():
@@ -667,7 +716,8 @@ def test_unwritable_report_file_exits_one(capsys, tmp_path):
         ("index", [], {}),
         ("entropy", [], {}),
         ("cut", ["--threshold", "1.5"], {"threshold": 1.5}),
-        ("bisect", ["--coverage", "0.5"], {"coverage_target": 0.5}),
+        ("bisect", ["--coverage", "0.5", "--test", "x.txt"],
+         {"coverage_target": 0.5, "test_path": "x.txt"}),
         ("extract", ["--threshold", "1.5"], {"threshold": 1.5}),
         ("run", ["--out", "reports"], {"out_dir": "reports"}),
     ],
@@ -704,14 +754,7 @@ def test_flags_not_given_leave_the_config_defaults(command, required, fields):
          "test-to-extract", "restrictions-to-entropy", "mode-to-cut",
          "delta-s-to-extract", "out-to-bisect"],
 )
-def test_usage_errors_exit_one_naming_the_argument(capsys, monkeypatch, argv, named):
-    opened = []
-    real_open = open
-    monkeypatch.setattr(
-        "builtins.open",
-        lambda path, *args, **kwargs: opened.append(path)
-        or real_open(path, *args, **kwargs),
-    )
+def test_usage_errors_exit_one_naming_the_argument(capsys, opened, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, opened) == (1, "", [])  # before any file is opened
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -828,13 +871,12 @@ def test_bisect_and_extract_honour_max_iterations(capsys, tmp_path, iterations):
     assert code == (1 if iterations == "1" else 0)
 
 
-@pytest.mark.parametrize("flag", ["--grammar", "--test"])
+@pytest.mark.parametrize("flag", ["--grammar", "--test", "--top"])
 def test_stats_without_weighted_rejects_its_corpus_flags(capsys, tmp_path, flag):
     rules_file = tmp_path / "rules.txt"
     rules_file.write_text("np_x: np => det n\n  (np_det_n (lex det) (lex n))\n")
-    code, out, err = run_cli(
-        capsys, "stats", "--rules", str(rules_file), flag, str(TOY / "test.txt")
-    )
+    value = "zz" if flag == "--top" else str(TOY / "test.txt")
+    code, out, err = run_cli(capsys, "stats", "--rules", str(rules_file), flag, value)
     assert (code, out, err) == (1, "", f"error: {flag} needs --weighted\n")
 
 
@@ -867,18 +909,21 @@ def test_a_full_stdout_exits_one():
     assert done.stderr == "error: stdout: No space left on device\n"
 
 
-# each command that prints one report, and the file of `run` it prints
+# each command that prints one report, and the file of `run` it prints:
+# `run` under the command's goal, or under --threshold 1.0 if it has none
 ONE_REPORT = [
     (["cut", "--threshold", "1.0"], "cutnodes.txt"),
     (["extract", "--threshold", "1.0"], "rules.txt"),
     (["entropy-table"], "entropy_table.tsv"),
     (["entropy"], "node_entropy.tsv"),
     (["index", "--dump"], "andor_index.txt"),
+    (["bisect", "--coverage", "0.9"], "threshold.txt"),
 ]
 # stages a command must not reach, by command
 NOT_RUN = {
     "cut": ["extract_training", "extract_andor", "evaluate_coverage"],
     "extract": ["evaluate_coverage"],
+    "bisect": ["evaluate_coverage"],
 }
 
 
@@ -891,12 +936,15 @@ def test_one_report_commands_print_runs_file_and_stop_after_it(
         path = tmp_path / f"{role}.txt"
         path.write_text(text)
         flags += [f"--{role}", str(path)]
-    flags, test = flags[:4], flags[4:]  # none of these commands tiles a test set
-    out_dir = tmp_path / "out"
-    code, _, _ = run_cli(
-        capsys, "run", *flags, *test, "--threshold", "1.0", "--out", str(out_dir)
-    )
-    assert code == 0
+    flags, test = flags[:4], flags[4:]  # of these commands only bisect tiles
+    runs = {}
+    for goal in (["--threshold", "1.0"], ["--coverage", "0.9"]):
+        out_dir = tmp_path / goal[0].strip("-")
+        code, _, _ = run_cli(
+            capsys, "run", *flags, *test, *goal, "--out", str(out_dir)
+        )
+        runs[goal[0]] = code, out_dir
+    assert runs["--threshold"][0] == 0
 
     calls = {}
 
@@ -910,8 +958,10 @@ def test_one_report_commands_print_runs_file_and_stop_after_it(
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     for command, report in ONE_REPORT:
         calls.clear()
-        code, out, _ = run_cli(capsys, *command, *flags)
-        assert code == 0
+        want, out_dir = runs["--coverage" if "--coverage" in command else "--threshold"]
+        corpus = flags + test if command[0] == "bisect" else flags
+        code, out, _ = run_cli(capsys, *command, *corpus)
+        assert code == want, command
         header, body = (out_dir / report).read_text().split("\n", 1)
         assert header.startswith("# config: ")
         assert out == body, command

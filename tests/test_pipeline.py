@@ -61,20 +61,20 @@ def test_reports_reuse_the_chosen_tiling(
         test_path=str(test_file), weighted_stats=True, out_dir=str(tmp_path / "out"),
         **goal,
     )
-    result = run_pipeline(cfg)
-    test = result.context.treebank.test
+    context, _ = run_pipeline(cfg)
+    test = context.treebank.test
     # each distinct partition is extracted once; a search tiles each for
     # its verdict, and the reported rules are tiled once, preferred
     assert len(extracted) == len(selected)
-    assert verdicts == [len(test)] * (len(selected) if result.search else 0)
+    assert verdicts == [len(test)] * (len(selected) if context.choice[1] else 0)
     assert tiled == [len(test)]
 
-    fresh = evaluate_coverage(result.rules, test)
-    assert result.coverage.verdicts == fresh.verdicts == [True, False]
+    fresh = evaluate_coverage(context.rules, test)
+    assert context.coverage.verdicts == fresh.verdicts == [True, False]
     assert (tmp_path / "out" / "coverage.tsv").read_text().splitlines()[1:] == (
         "".join(render_coverage(fresh)).splitlines()
     )
-    stats = reduction_stats(result.rules, weighted=True, tilings=fresh.tilings)
+    stats = reduction_stats(context.rules, weighted=True, tilings=fresh.tilings)
     stats = "".join(render_stats(stats))
     assert "# skipped untileable trees: 1" in stats
     written = (tmp_path / "out" / "reduction_stats.tsv").read_text()

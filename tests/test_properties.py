@@ -366,16 +366,14 @@ def assert_reports_the_reference_rules(directory, grammar, train, test, goals):
         paths[f"{role}_path"] = directory / f"{role}.txt"
         paths[f"{role}_path"].write_text(text)
     for goal in goals:
-        result = pipeline.run_pipeline(PipelineConfig(**paths, **goal))
-        aot, cutnodes = result.context.aot, result.cutnodes
-        if result.context.cfg.mode == ANDOR_ENUM:
+        context, _ = pipeline.run_pipeline(PipelineConfig(**paths, **goal))
+        aot, cutnodes = context.aot, context.choice[2]
+        if context.cfg.mode == ANDOR_ENUM:
             want = reference_extract_andor(aot, cutnodes)
         else:
-            want = reference_extract_training(
-                result.context.treebank.training, aot, cutnodes
-            )
+            want = reference_extract_training(context.treebank.training, aot, cutnodes)
         assert want, goal
-        assert rule_records(result.rules) == rule_records(want), goal
+        assert rule_records(context.rules) == rule_records(want), goal
 
 
 @pytest.mark.parametrize("grammar, text", FIXED_CORPORA)
