@@ -200,7 +200,10 @@ STAGES = [
     ("select", [
         ("--restrictions", dict(dest="neighbor_restrictions", action="store_true",
                                 help="resolve neighboring-cut conflicts")),
-        ("--max-iterations", dict(type=int)),
+        ("--max-iterations", dict(type=int, help=(
+            "rounds an arc-frequency selection may take to settle "
+            f"(default: {PipelineConfig.max_iterations})"
+        ))),
     ]),
     ("extract", [
         ("--mode", dict(choices=[TRAINING_CUT, ANDOR_ENUM],
@@ -210,10 +213,16 @@ STAGES = [
     ]),
     ("search", [
         ("--test", dict(dest="test_path", metavar="TEST", help="held-out treebank")),
-        ("--delta-s", dict(type=float)),
+        ("--delta-s", dict(type=float, help=(
+            "bracket width at which the threshold search stops "
+            f"(default: {PipelineConfig.delta_s:g})"
+        ))),
     ]),
     ("report", [
-        ("--weighted", dict(dest="weighted_stats", action="store_true")),
+        ("--weighted", dict(
+            dest="weighted_stats", action="store_true",
+            help="count reduction lengths over the test set's tilings, not over rules",
+        )),
         ("--out", dict(dest="out_dir", metavar="OUT", required=True,
                        help="report directory")),
     ]),

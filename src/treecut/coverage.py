@@ -17,16 +17,23 @@ set is tiled once, children before parents, from tilings already made.
 Among alternatives a node takes the first candidate whose frontiers are
 all tiled; whether it has one does not depend on their order.
 ``evaluate_coverage`` ranks rules longest reduction first, then by name,
-so reported tilings are stable.  Frontier categories are not checked:
-a validated rule's frontier category is the category of its slot,
-which the loader has checked against the subtree filling it.
+so reported tilings are stable; a run tiles its reported rules so once.
+Frontier categories are not checked: a validated rule's frontier
+category is the category of its slot, which the loader has checked
+against the subtree filling it.
+
+A coverage search needs only each probe's verdicts.  It keeps one
+``VerdictTable`` over the test set for the whole run: each chunk new to
+the run is matched against the test nodes once, and a probe's verdicts
+are then one children-first pass over the candidates those matches
+left, keeping the candidates whose chunks its partition holds.
 """
 
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from treecut.extraction import Frontier, LexSlot, SpecializedRule
-from treecut.grammar import LEX, LexLeaf
+from treecut.grammar import LEX, Internal, LexLeaf
 
 
 @dataclass(slots=True)
@@ -76,8 +83,8 @@ def preference(rule: SpecializedRule) -> tuple:
 # edge of a frontier, the rules whose chunk ends at the node, and the
 # rules still to be sorted into the node's edges.
 _ANY, _END, _PENDING = object(), object(), object()
-# the tiler's stack mark above a node whose children it is tiling
-_TILE = object()
+# the stack mark above a node whose children are being listed
+_LISTED = object()
 
 
 class RuleIndex:
@@ -175,27 +182,18 @@ def evaluate_coverage(rules: list[SpecializedRule], trees: list) -> CoverageRepo
 
 def tile(ranked, trees: list) -> CoverageReport:
     """The tilings of *trees* under *ranked*, ``(chunk, rule)`` pairs
-    tried in order.
+    tried in order: the preferred tiling of a report, made once a run.
 
     The chunks are indexed once per call and every distinct internal
-    node of *trees* is tiled once, children first, on an explicit stack,
-    so each frontier's tiling is already made.  Trees that are one
-    object share their tiling.
+    node of *trees* is tiled once, children first, so each frontier's
+    tiling is already made.  Trees that are one object share their
+    tiling.  A search's probes need only verdicts, which
+    ``VerdictTable`` gives without tiling.
     """
     index = RuleIndex(ranked)
-    # id(node) -> its tiling, None from the time the node is first met
-    tilings: dict[int, Tiling | None] = {}
-    # nodes to meet, and each met node under _TILE, which comes off the
-    # stack once every child pushed above it is tiled
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        if node is not _TILE:
-            if node.__class__ is not LexLeaf and id(node) not in tilings:
-                tilings[id(node)] = None
-                stack += (node, _TILE, *node.children)
-            continue
-        node = stack.pop()
+    tilings: dict[int, Tiling | None] = {}  # id(node) -> its tiling
+    for node in _internal_nodes(trees):
+        tilings[id(node)] = None
         for rule, frontiers in index.retrieve(node):
             children = []
             for sub in frontiers:
@@ -209,6 +207,81 @@ def tile(ranked, trees: list) -> CoverageReport:
     return CoverageReport(
         [LEXICON if tree.__class__ is LexLeaf else tilings[id(tree)] for tree in trees]
     )
+
+
+def _internal_nodes(trees: list) -> list:
+    """The distinct internal nodes of *trees*, each once, children first."""
+    nodes = []
+    met: set[int] = set()
+    # nodes to meet, and each met node under _LISTED, which comes off
+    # the stack once every child pushed above it is listed
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if node is _LISTED:
+            nodes.append(stack.pop())
+        elif node.__class__ is not LexLeaf and id(node) not in met:
+            met.add(id(node))
+            stack += (node, _LISTED, *node.children)
+    return nodes
+
+
+class VerdictTable:
+    """One coverage search's verdicts over the test set *trees*.
+
+    The distinct internal nodes of *trees* are listed once, children
+    first.  Each keeps its candidates: ``(id of chunk, frontier nodes)``
+    for every chunk met in the run that matches there, a frontier node
+    given by its place in the list and a lexical one left out, since
+    the lexicon always fills it.  A partition's chunks are retrieved
+    only when they are new to the run, against a ``RuleIndex`` of the
+    new ones alone and only at the nodes of their root rules, so a chunk
+    that several partitions yield, one object under a shared
+    ``extraction.Pieces``, is matched once.
+
+    A node is covered when one of its candidates' chunks is in the
+    partition and every frontier node of it is covered, as ``tile``
+    decides it; whether it has one does not depend on their order.
+    """
+
+    def __init__(self, trees: list):
+        self.trees = trees
+        self.nodes = _internal_nodes(trees)
+        self.place = {id(node): k for k, node in enumerate(self.nodes)}
+        self.by_rule: dict[str, list[int]] = {}  # rule -> places of its nodes
+        for k, node in enumerate(self.nodes):
+            self.by_rule.setdefault(node.rule, []).append(k)
+        self.candidates: list[list] = [[] for _ in self.nodes]
+        self.known: dict[int, object] = {}  # id(chunk) -> chunk, kept alive
+
+    def fraction(self, chunks) -> float:
+        """The share of the trees that *chunks*, ``[chunk, support]``
+        pairs as extraction returns them, tile; 1.0 for no trees."""
+        self._retrieve([c for c, _ in chunks if id(c) not in self.known])
+        chosen = {id(c) for c, _ in chunks}
+        covered: list[bool] = []
+        for candidates in self.candidates:
+            for chunk_id, subs in candidates:
+                if chunk_id in chosen and all([covered[k] for k in subs]):
+                    covered.append(True)
+                    break
+            else:
+                covered.append(False)
+        place = self.place
+        tiled = [
+            tree.__class__ is LexLeaf or covered[place[id(tree)]] for tree in self.trees
+        ]
+        return sum(tiled) / len(tiled) if tiled else 1.0
+
+    def _retrieve(self, new: list) -> None:
+        """Add the candidates of the chunks *new* to the run."""
+        self.known.update((id(c), c) for c in new)
+        index, place = RuleIndex([(c, c) for c in new]), self.place
+        for rule in dict.fromkeys(c.rule for c in new):
+            for k in self.by_rule.get(rule, ()):
+                for chunk, frontiers in index.retrieve(self.nodes[k]):
+                    subs = [place[id(f)] for f in frontiers if f.__class__ is Internal]
+                    self.candidates[k].append((id(chunk), subs))
 
 
 BUCKETS = ("1", "2", "3", "4+")

@@ -17,13 +17,18 @@ order: what a coverage verdict needs.  Rules are a plain list of
 ``SpecializedRule``, and ``name_rules`` alone builds them from chunks,
 so only the chunks a report prints are rendered and named.
 
-Both modes build their pieces through one ``_Pieces`` per call, which
-hash-conses them, so equal chunks are one object.  Training mode also
-memoises the cutting itself: a subtree's piece, and the chunk roots cut
-below it, depend only on the subtree's word-blind shape and its
-or-node's cut class.  The loader builds each shape of a file as one
-object, so a ``ChunkMemo`` builds each distinct ``(node, class)`` once,
-however many trees and or-nodes reach it.
+Both modes build their pieces through a ``Pieces`` store, which
+hash-conses them, so equal chunks built through one store are one
+object.  Each call makes its own store unless it is given one; a
+coverage search hands one store to every extraction it makes, so a
+chunk that several partitions share is one object across them, and
+the search's ``coverage.VerdictTable`` matches it once per run.
+
+Training mode also memoises the cutting itself: a subtree's piece, and
+the chunk roots cut below it, depend only on the subtree's word-blind
+shape and its or-node's cut class.  The loader builds each shape of a
+file as one object, so a ``ChunkMemo`` builds each distinct ``(node,
+class)`` once, however many trees and or-nodes reach it.
 
 ``parse_rule_file`` folds each chunk with ``sexpr.read_all``; a chunk
 list at fault becomes a ``sexpr.Fault``, the one stand-in for a piece
@@ -148,12 +153,12 @@ class SpecializedRule:
         return f"{self.lhs} => {' '.join(self.rhs)}"
 
 
-class _Pieces:
+class Pieces:
     """Hash-consed chunk pieces: each distinct piece is built once.
 
     ``LexSlot`` and ``Frontier`` are kept per category and ``Apply`` per
     rule and child objects.  Every child is itself a piece built here, so
-    two pieces built through one ``_Pieces`` are equal exactly when they
+    two pieces built through one ``Pieces`` are equal exactly when they
     are one object.  Keys hold the children's ids, never an ``Apply``'s
     own hash, which would walk the whole piece.
     """
@@ -224,13 +229,15 @@ class ChunkMemo:
     cut set must be coherent, as ``closure`` and ``singleton_cutnodes``
     give, and the trees must be ones the index holds: a subtree met
     again under another member of its class is not looked up in the
-    index again.
+    index again.  Positions belong to one cut set, but the *pieces*
+    store may be shared with other memos: a piece that another
+    partition built already is then that same object.
     """
 
-    def __init__(self, cutset: CutnodeSet):
+    def __init__(self, cutset: CutnodeSet, *, pieces: Pieces | None = None):
         self.cutset = cutset
         self.positions: dict[tuple, _Position] = {}
-        self.pieces = _Pieces()
+        self.pieces = Pieces() if pieces is None else pieces
 
     def at(self, node: Internal, or_node: OrNode) -> _Position:
         """The position of *node* at *or_node*, built with all below it."""
@@ -320,7 +327,9 @@ def cut_tree(
     return [at.piece for at in pending]
 
 
-def extract_training(training: list, aot: AndOrTree, cutset: CutnodeSet) -> list:
+def extract_training(
+    training: list, aot: AndOrTree, cutset: CutnodeSet, *, pieces: Pieces | None = None
+) -> list:
     """Union of per-tree chunks, deduplicated, with occurrence support:
     the ``[chunk, support]`` pairs that span a slot, in first-seen order
     (a chunk spanning none is no rule).
@@ -328,19 +337,28 @@ def extract_training(training: list, aot: AndOrTree, cutset: CutnodeSet) -> list
     Cutting reads only a tree's word-blind shape, so each distinct root
     node is cut once and its chunks count once for every tree that is
     that object.  One ``ChunkMemo`` serves every root, so each distinct
-    (subtree node, class) is built once and equal chunks are one object.
+    (subtree node, class) is built once and equal chunks are one object,
+    built through *pieces* when it is given.
+
+    A chunk spans a slot exactly when its root's subtree spans a word,
+    and a chunk rooted below a tree root always does, since only a cut
+    child with words roots one.  So only a wordless tree's root chunk,
+    the one chunk such a tree has, is left out, and no chunk is walked.
     """
     support: dict[int, list] = {}  # id(chunk) -> [chunk, support]
-    memo = ChunkMemo(cutset)
+    memo = ChunkMemo(cutset, pieces=pieces)
     for tree, n in shape_groups(training):
-        for chunk in cut_tree(tree, aot, cutset, memo):
+        chunks = cut_tree(tree, aot, cutset, memo)
+        if tree.length == 0:
+            continue
+        for chunk in chunks:
             # most chunks are seen before, and setdefault would make a list
             entry = support.get(id(chunk))
             if entry is None:
                 support[id(chunk)] = [chunk, n]
             else:
                 entry[1] += n
-    return [entry for entry in support.values() if flat_rhs(entry[0])]
+    return list(support.values())
 
 
 def _run_calls(call):
@@ -370,6 +388,8 @@ def extract_andor(
     aot: AndOrTree,
     cutset: CutnodeSet,
     max_chunks: int = DEFAULT_MAX_CHUNKS,
+    *,
+    pieces: Pieces | None = None,
 ) -> list:
     """Every chunk shape the index supports for the cut classes, as
     ``[chunk, 0]`` pairs that span a slot, in first-seen order.
@@ -380,11 +400,12 @@ def extract_andor(
     ChunkExplosionError when class merging has produced a self-recursive
     structure.  The walks below
     are written as recursion, but each sub-call is a generator that
-    ``_run_calls`` keeps on its own stack.  Pieces are hash-consed, so
-    a repeated alternative or chunk is the same object.
+    ``_run_calls`` keeps on its own stack.  Pieces are hash-consed,
+    through *pieces* when it is given, so a repeated alternative or
+    chunk is the same object.
     """
     budget = {"left": max_chunks}
-    pieces = _Pieces()
+    pieces = Pieces() if pieces is None else pieces
     memo: dict[int, list[Apply]] = {}
     # classes whose expansion has begun: a finished one is served from
     # memo first, so one met here again is still on the walk's path

@@ -16,7 +16,8 @@ from functools import cached_property
 
 from treecut.andor import AndOrTree, dump, index_treebank
 from treecut.coverage import CoverageReport, ReductionStats, evaluate_coverage
-from treecut.coverage import reduction_stats, render_coverage, render_stats, tile
+from treecut.coverage import VerdictTable, reduction_stats, render_coverage
+from treecut.coverage import render_stats
 from treecut.cutnodes import (
     MAX_ITERATIONS,
     CutnodeSet,
@@ -25,7 +26,7 @@ from treecut.cutnodes import (
 )
 from treecut.entropy import PhraseEntropyTable, build_phrase_table, render_entropy_table
 from treecut.extraction import ANDOR_ENUM, DEFAULT_MAX_CHUNKS, TRAINING_CUT
-from treecut.extraction import ChunkCapError, RuleFileError, SpecializedRule
+from treecut.extraction import ChunkCapError, Pieces, RuleFileError, SpecializedRule
 from treecut.extraction import extract_andor, extract_training, name_rules
 from treecut.extraction import render_rule_file
 from treecut.grammar import RuleInventory, Treebank, parse_rule_inventory, parse_shapes
@@ -113,14 +114,18 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     """Read and validate the grammar and tree files.
 
     Raises InputError, with the offending path and line in the message,
-    for unreadable or malformed files and for a training file without
-    trees.
+    for unreadable or malformed files, for a training file without
+    trees, and for a test file without trees when a coverage target or
+    weighted stats read it: no tree would be tiled, so every probe
+    would read full coverage and no application would be counted.
     """
     inv = load_file(cfg.grammar_path, lambda t: parse_rule_inventory(t, cfg.top))
     training = load_trees(cfg.train_path, inv)
     if not training:
         raise InputError(f"{cfg.train_path}: no training trees")
     test = [] if cfg.test_path is None else load_trees(cfg.test_path, inv)
+    if not test and (cfg.coverage_target is not None or cfg.weighted_stats):
+        raise InputError(f"{cfg.test_path}: no test trees")
     return Treebank(inv, training, test)
 
 
@@ -144,8 +149,11 @@ class SearchContext:
     the threshold, so coverage is a step function of it and a search
     keeps landing on partitions it has already seen.  Chunks in both
     extraction modes depend only on the closed partition, so *probe*
-    extracts and tiles once per distinct partition, unnamed and in the
-    order found, and *memo* keeps each one's chunks and coverage.
+    extracts once per distinct partition, unnamed and in the order
+    found, and *memo* keeps each one's chunks and coverage.  Every
+    extraction of the run builds its chunks through the one *pieces*
+    store, so a chunk that partitions share is one object, and the one
+    ``verdicts`` table matches it against the test set once.
     """
 
     treebank: Treebank
@@ -154,6 +162,7 @@ class SearchContext:
     cfg: PipelineConfig
     scores: NodeEntropyMap
     memo: dict = field(default_factory=dict, init=False)
+    pieces: Pieces = field(default_factory=Pieces, init=False)
 
     def select(self, threshold: float) -> CutnodeSet:
         return select_by_threshold(
@@ -165,9 +174,13 @@ class SearchContext:
     def extract(self, threshold: float, cutnodes: CutnodeSet) -> list:
         """The ``[chunk, support]`` pairs of *cutnodes*, chosen at *threshold*."""
         if self.cfg.mode != ANDOR_ENUM:
-            return extract_training(self.treebank.training, self.aot, cutnodes)
+            return extract_training(
+                self.treebank.training, self.aot, cutnodes, pieces=self.pieces
+            )
         try:
-            return extract_andor(self.aot, cutnodes, max_chunks=self.cfg.max_chunks)
+            return extract_andor(
+                self.aot, cutnodes, max_chunks=self.cfg.max_chunks, pieces=self.pieces
+            )
         except ChunkCapError as exc:
             raise ChunkCapError(
                 f"{exc} at threshold {threshold:.6f}; --max-chunks sets the cap"
@@ -178,8 +191,12 @@ class SearchContext:
         key = partition_key(cutnodes)
         if key not in self.memo:
             chunks = self.extract(threshold, cutnodes)
-            self.memo[key] = (chunks, tile(chunks, self.treebank.test).fraction)
+            self.memo[key] = (chunks, self.verdicts.fraction(chunks))
         return ThresholdProbe(cutnodes, self.memo[key][1])
+
+    @cached_property
+    def verdicts(self) -> VerdictTable:
+        return VerdictTable(self.treebank.test)
 
     @cached_property
     def choice(self) -> tuple:

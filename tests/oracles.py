@@ -35,7 +35,7 @@ from treecut.andor import (
     dump,
     index_treebank,
 )
-from treecut.coverage import Tiling, evaluate_coverage
+from treecut.coverage import Tiling, evaluate_coverage, tile
 from treecut.cutnodes import CutnodeSet, EquivalenceClass, closure, select_by_threshold
 from treecut.entropy import LHS_POSITION, Slot, build_phrase_table, entropy
 from treecut.extraction import (
@@ -71,7 +71,7 @@ from treecut.grammar import (
     shape_groups,
 )
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
-from treecut.pipeline import PipelineConfig
+from treecut.pipeline import PipelineConfig, SearchContext, partition_key
 from treecut.sexpr import SexprError, quote_if_needed, read_all
 from treecut.threshold import ThresholdProbe
 
@@ -1602,3 +1602,55 @@ def reference_probe(treebank, aot, table, cfg):
         return ThresholdProbe(cutnodes, report.fraction)
 
     return probe
+
+
+def search_context(bank, cfg):
+    """A run's context over the Treebank *bank*, set up under *cfg*."""
+    aot = index_treebank(bank.training, bank.inventory)
+    table = build_phrase_table(aot, cfg.decimals)
+    scores = compute_node_entropies(aot, table, cfg.scheme)
+    return SearchContext(bank, aot, table, cfg, scores)
+
+
+def assert_probes_agree_with_fresh_paths(context):
+    """Run *context*'s search; each distinct partition it probed agrees
+    with the fresh per-call paths.
+
+    Its ``[chunk, support]`` pairs, built through the run's one store,
+    are a fresh extraction's, and name the reference rules; its verdict
+    fraction is a fresh tiling's; and equal chunks of the whole run are
+    one object.  Returns the partitions checked: a search stopped by
+    the chunk cap checks those it probed before.
+    """
+    cfg, bank, aot = context.cfg, context.treebank, context.aot
+    probed = {}
+    select = context.select
+
+    def recording_select(threshold):
+        cutnodes = select(threshold)
+        probed.setdefault(partition_key(cutnodes), cutnodes)
+        return cutnodes
+
+    context.select = recording_select
+    try:
+        context.choice
+    except ChunkExplosionError:
+        pass
+    one_object = {}
+    for key, cutnodes in probed.items():
+        if key not in context.memo:  # the probe the cap stopped
+            continue
+        chunks, fraction = context.memo[key]
+        if cfg.mode == ANDOR_ENUM:
+            fresh = extract_andor(aot, cutnodes, cfg.max_chunks)
+            want = reference_extract_andor(aot, cutnodes, cfg.max_chunks)
+        else:
+            fresh = extract_training(bank.training, aot, cutnodes)
+            want = reference_extract_training(bank.training, aot, cutnodes)
+        records = [(render_chunk(c), n) for c, n in chunks]
+        assert records == [(render_chunk(c), n) for c, n in fresh]
+        assert rule_records(name_rules(chunks, aot.inventory)) == rule_records(want)
+        assert fraction == tile(fresh, bank.test).fraction
+        for (chunk, _), (text, _) in zip(chunks, records):
+            assert one_object.setdefault(text, chunk) is chunk
+    return sum(key in context.memo for key in probed)

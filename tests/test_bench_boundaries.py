@@ -85,10 +85,10 @@ def test_toy_search_tiles_the_test_set_once_per_partition(
     child, run = bench
     tracer = install_bench_tracer(monkeypatch, child)
     verdicts = []
-    tile = pipeline.tile
+    fraction = pipeline.VerdictTable.fraction
     monkeypatch.setattr(
-        pipeline, "tile",
-        lambda chunks, trees: verdicts.append(len(trees)) or tile(chunks, trees),
+        pipeline.VerdictTable, "fraction",
+        lambda table, chunks: verdicts.append(len(table.trees)) or fraction(table, chunks),
     )
     test = tmp_path / "test.txt"
     test.write_text((TOY / "test.txt").read_text() + (TOY / "train.txt").read_text())
@@ -102,7 +102,7 @@ def test_toy_search_tiles_the_test_set_once_per_partition(
     inv = parse_rule_inventory((TOY / "grammar.txt").read_text(), "s")
     test_size = len(parse_treebank(test.read_text(), inv))
     assert len(tracer.cutsets) > 1
-    # one verdict tiling per distinct partition, unwrapped by the bench,
+    # one verdict pass per distinct partition, unwrapped by the bench,
     # then one preferred tiling of the reported rules
     assert verdicts == [test_size] * len(tracer.cutsets)
     assert tracer.counts["trees_tiled"] == test_size

@@ -577,6 +577,47 @@ def test_flags_that_read_the_test_set_need_one(capsys, tmp_path, opened, argv, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--coverage", "0.9"],
+        ["bisect", "--coverage", "0.9"],
+        ["run", "--threshold", "1.0", "--weighted"],
+    ],
+    ids=["run-coverage", "bisect-coverage", "run-weighted"],
+)
+@pytest.mark.parametrize(
+    "text", ["", "\n# no trees here\n\n"], ids=["empty", "comments"]
+)
+def test_flags_that_read_the_test_set_reject_one_without_trees(
+    capsys, tmp_path, argv, text
+):
+    # a test set without trees is no better than none: a search would
+    # answer from it with full coverage, and weighted stats with zeros
+    test = tmp_path / "test.txt"
+    test.write_text(text)
+    out = tmp_path / "out"
+    report = ["--out", str(out)] if argv[0] == "run" else []
+    code, stdout, err = run_cli(capsys, *argv, *CORPUS, "--test", str(test), *report)
+    assert (code, stdout, err) == (1, "", f"error: {test}: no test trees\n")
+    assert not (out / "threshold.txt").exists()
+
+
+def test_a_test_set_without_trees_still_serves_a_fixed_threshold(capsys, tmp_path):
+    test = tmp_path / "test.txt"
+    test.write_text("# no trees here\n")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        capsys, "run", *CORPUS, "--test", str(test), "--threshold", "1.0",
+        "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    assert stdout.endswith("coverage\t1.000000\n")
+    assert (out / "coverage.tsv").read_text().splitlines()[1:] == [
+        "tree\tcovered\tapplications", "fraction\t1.000000\t",
+    ]
+
+
 def test_every_report_is_rendered_by_the_one_report_table(capsys, tmp_path):
     named = [report for _, _, report, *_ in cli.COMMANDS if report is not None]
     assert len(named) == len(cli.COMMANDS) - 1  # all but `run`

@@ -34,15 +34,15 @@ def test_reports_reuse_the_chosen_tiling(
     test_file, tmp_path, monkeypatch, goal
 ):
     tiled, verdicts, extracted = [], [], []
-    evaluate, tile = pipeline.evaluate_coverage, pipeline.tile
+    evaluate, fraction = pipeline.evaluate_coverage, pipeline.VerdictTable.fraction
     extract = pipeline.SearchContext.extract
     monkeypatch.setattr(
         pipeline, "evaluate_coverage",
         lambda rules, trees: tiled.append(len(trees)) or evaluate(rules, trees),
     )
     monkeypatch.setattr(
-        pipeline, "tile",
-        lambda chunks, trees: verdicts.append(len(trees)) or tile(chunks, trees),
+        pipeline.VerdictTable, "fraction",
+        lambda table, chunks: verdicts.append(len(table.trees)) or fraction(table, chunks),
     )
     monkeypatch.setattr(
         pipeline.SearchContext, "extract",
@@ -63,8 +63,8 @@ def test_reports_reuse_the_chosen_tiling(
     )
     context, _ = run_pipeline(cfg)
     test = context.treebank.test
-    # each distinct partition is extracted once; a search tiles each for
-    # its verdict, and the reported rules are tiled once, preferred
+    # each distinct partition is extracted once; a search takes one
+    # verdict pass for each, and the reported rules are tiled once, preferred
     assert len(extracted) == len(selected)
     assert verdicts == [len(test)] * (len(selected) if context.choice[1] else 0)
     assert tiled == [len(test)]

@@ -33,10 +33,13 @@ from treecut.extraction import (
     ChunkMemo,
     Frontier,
     LexSlot,
+    Pieces,
     RuleFileFormatError,
     SpecializedRule,
     cut_tree,
+    extract_training,
     flat_rhs,
+    name_rules,
     parse_rule_file,
     render_chunk,
     render_rule_file,
@@ -79,6 +82,7 @@ from oracles import (
     assert_loader_outcome_is,
     assert_loaders_agree,
     assert_phrase_table_order,
+    assert_probes_agree_with_fresh_paths,
     assert_set_up_agrees,
     assert_shape_keyed_work_agrees,
     blind,
@@ -119,6 +123,7 @@ from oracles import (
     reference_validate,
     repeated_shape_treebanks,
     rule_records,
+    search_context,
     seeded_corpora,
     sexpr_text,
     shared_subtree_treebanks,
@@ -345,6 +350,91 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
             repeats += len(selected) - len(extracted)
     assert searches >= 100
     assert repeats >= 500  # the memo served many probes
+
+
+# searches, as config fields, whose every probe is checked against the
+# fresh per-call paths: both extraction modes, with and without
+# restrictions, and a chunk cap the reference enumerator meets quickly
+SHARED_SEARCHES = [
+    {"mode": mode, "neighbor_restrictions": restrictions, "max_chunks": 2000}
+    for mode in (TRAINING_CUT, ANDOR_ENUM)
+    for restrictions in (False, True)
+]
+
+
+def probes_checked(bank, c0, searches=SHARED_SEARCHES):
+    """Partitions of *bank*'s searches for *c0* checked against the fresh
+    paths, per extraction mode."""
+    checked = {TRAINING_CUT: 0, ANDOR_ENUM: 0}
+    for fields in searches:
+        cfg = PipelineConfig(
+            grammar_path="", train_path="", coverage_target=c0, **fields
+        )
+        checked[cfg.mode] += assert_probes_agree_with_fresh_paths(
+            search_context(bank, cfg)
+        )
+    return checked
+
+
+@pytest.mark.parametrize("grammar, text", FIXED_CORPORA)
+def test_shared_store_and_verdicts_agree_with_fresh_paths_on_corpora(grammar, text):
+    # half the trees train and half test, so coverage moves with the
+    # threshold and a search probes more than its two ends
+    inv = parse_rule_inventory(grammar, "s")
+    trees = parse_shapes(text, inv)
+    checked = probes_checked(Treebank(inv, trees[::2], trees[1::2]), 0.9)
+    assert min(checked.values()) >= 4, checked
+
+
+def test_shared_store_and_verdicts_agree_with_fresh_paths_on_random_corpora():
+    checked = {TRAINING_CUT: 0, ANDOR_ENUM: 0}
+    for _, rng, inv, training in seeded_corpora(9000, 20, 2, 12):
+        test = [gen_root(rng, inv) for _ in range(6)]
+        c0 = rng.choice([0.5, 0.75, 0.9, 1.0])
+        for mode, n in probes_checked(Treebank(inv, training, test), c0).items():
+            checked[mode] += n
+    assert min(checked.values()) >= 60, checked
+
+
+def test_shared_store_and_verdicts_agree_with_fresh_paths_on_the_bench_corpus():
+    # corpus 0 of seed 1 of bisect-mixed; its andor search stops at the
+    # chunk cap, after the partitions it checks
+    grammar, train, test = corpus_texts("gen-toy", 1000, 200, "1.0")
+    inv = parse_rule_inventory(grammar, "s")
+    bank = Treebank(inv, parse_shapes(train, inv), parse_shapes(test, inv))
+    searches = [{"mode": TRAINING_CUT}, {"mode": ANDOR_ENUM}]
+    checked = probes_checked(bank, 0.9, searches)
+    assert checked[TRAINING_CUT] >= 5 and checked[ANDOR_ENUM] >= 1, checked
+
+
+WORDLESS_GRAMMAR = parse_rule_inventory(
+    "s_x s -> x\ns_xw s -> x w\nx_e x ->\nx_w x -> w\n", "s"
+)
+
+
+def test_a_wordless_tree_roots_no_rule_under_a_shared_store():
+    # the loader rejects a parse without words, but a hand-built one is
+    # cut like any other: its one chunk spans no slot and is no rule
+    def s_x(x):
+        return Internal("s_x", (x,))
+
+    empty, word = Internal("x_e", ()), Internal("x_w", (LexLeaf("po"),))
+    training = [
+        s_x(empty), s_x(word), Internal("s_xw", (empty, LexLeaf("ki"))),
+        Internal("s_xw", (word, LexLeaf("ra"))), s_x(empty),
+    ]
+    aot = index_treebank(training, WORDLESS_GRAMMAR)
+    rng = random.Random(5)
+    for cut_ids in random_cut_sets(rng, aot):
+        cutset = closure(cut_ids, aot)
+        chunks = extract_training(training, aot, cutset, pieces=Pieces())
+        assert all(flat_rhs(chunk) for chunk, _ in chunks)
+        want = reference_extract_training(training, aot, cutset)
+        got = name_rules(chunks, WORDLESS_GRAMMAR)
+        assert rule_records(got) == rule_records(want), sorted(cut_ids)
+    bank = Treebank(WORDLESS_GRAMMAR, training, training[1:4])
+    checked = probes_checked(bank, 0.9)
+    assert min(checked.values()) >= 2, checked
 
 
 # goals of `treecut run`, as config fields, whose reported rules are
