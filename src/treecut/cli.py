@@ -130,12 +130,16 @@ def cmd_index(args) -> int:
 
 def _load_scored(args) -> tuple:
     """The rule file, checked against the grammar, and the test trees:
-    the grammar is read first, then the rule file, then the test file."""
+    the grammar is read first, then the rule file, then the test file,
+    which must hold a tree to tile."""
     top = PipelineConfig.top if args.top is None else args.top
     inv = load_file(args.grammar, lambda t: parse_rule_inventory(t, top))
     # the tiler takes the rules to be well typed for the grammar
     rules = load_file(args.rules, lambda t: validate_rules(parse_rule_file(t), inv))
-    return rules, load_trees(args.test, inv)
+    test = load_trees(args.test, inv)
+    if not test:
+        raise InputError(f"{args.test}: no test trees")
+    return rules, test
 
 
 def cmd_evaluate(args) -> int:
@@ -208,8 +212,10 @@ STAGES = [
     ("extract", [
         ("--mode", dict(choices=[TRAINING_CUT, ANDOR_ENUM],
                         help=f"chunk source (default: {PipelineConfig.mode})")),
-        ("--max-chunks", dict(type=int,
-                              help="abort andor enumeration past this many chunks")),
+        ("--max-chunks", dict(type=int, help=(
+            "abort andor enumeration past this many chunks "
+            f"(default: {PipelineConfig.max_chunks})"
+        ))),
     ]),
     ("search", [
         ("--test", dict(dest="test_path", metavar="TEST", help="held-out treebank")),
@@ -227,8 +233,9 @@ STAGES = [
                        help="report directory")),
     ]),
 ]
-THRESHOLD = dict(type=float)
-COVERAGE = dict(dest="coverage_target", metavar="COVERAGE", type=float)
+THRESHOLD = dict(type=float, help="cut the nodes scoring above this")
+COVERAGE = dict(dest="coverage_target", metavar="COVERAGE", type=float,
+                help="test-set coverage in [0, 1] to search the threshold for")
 
 # Each corpus command: its handler, the report it prints (`index` under
 # --dump), help, the last stage it runs and its goal flags.  `run` takes
@@ -269,18 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, report=report)
 
     p = sub.add_parser("evaluate", help="score a rule file against a treebank")
-    p.add_argument("--grammar", required=True)
+    p.add_argument("--grammar", required=True, help="grammar rule file")
     p.add_argument("--rules", required=True, help="rule file to evaluate")
-    p.add_argument("--test", required=True)
-    p.add_argument("--top")
+    p.add_argument("--test", required=True, help="treebank to tile")
+    p.add_argument("--top", help=f"root category (default: {PipelineConfig.top})")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("stats", help="reduction-length histogram of a rule file")
-    p.add_argument("--rules", required=True)
-    p.add_argument("--grammar")
-    p.add_argument("--test")
-    p.add_argument("--top")
-    p.add_argument("--weighted", action="store_true")
+    p.add_argument("--rules", required=True, help="rule file to count")
+    p.add_argument("--grammar", help="grammar rule file, with --weighted")
+    p.add_argument("--test", help="treebank to tile, with --weighted")
+    p.add_argument("--top", help=(
+        f"root category, with --weighted (default: {PipelineConfig.top})"
+    ))
+    p.add_argument("--weighted", action="store_true",
+                   help="count rule applications in the test set's tilings")
     p.set_defaults(handler=cmd_stats)
 
     return parser

@@ -4,36 +4,31 @@ A tree is covered when it can be tiled: some rule's chunk matches at the
 root, every frontier is tiled by a rule in turn, and every lexical slot
 lines up with a lexical lookup.  A frontier also accepts a bare lexical
 lookup directly, since the lexicon is always available at parse time.
-
-The rules are compiled into a discrimination tree over each chunk's
-preorder symbols: an inlined application is its rule id, a lexical slot
-is ``lex`` and a frontier is a wildcard that skips one whole subtree.
-Retrieval at a node walks the node only as deep as the deepest chunk and
-yields every matching rule with its frontier subtrees.
-
-A tiling reads only a subtree's word-blind shape, and the loader builds
-each shape of a file as one object, so each distinct node of the test
-set is tiled once, children before parents, from tilings already made.
-Among alternatives a node takes the first candidate whose frontiers are
-all tiled; whether it has one does not depend on their order.
-``evaluate_coverage`` ranks rules longest reduction first, then by name,
-so reported tilings are stable; a run tiles its reported rules so once.
 Frontier categories are not checked: a validated rule's frontier
 category is the category of its slot, which the loader has checked
 against the subtree filling it.
 
-A coverage search needs only each probe's verdicts.  It keeps one
-``VerdictTable`` over the test set for the whole run: each chunk new to
-the run is matched against the test nodes once, and a probe's verdicts
-are then one children-first pass over the candidates those matches
-left, keeping the candidates whose chunks its partition holds.
+Chunks are matched through a ``RuleIndex``, a discrimination tree over
+each chunk's preorder symbols: an inlined application is its rule id, a
+lexical slot is ``lex`` and a frontier is a wildcard that skips one
+whole subtree.  A ``VerdictTable`` lists the distinct internal nodes of
+a test set once, children first (the loader builds each word-blind
+shape of a file as one object), and keeps at each node the chunks it
+has met that match there; a coverage search keeps one table for its
+whole run, so each chunk is matched once.  One children-first pass
+over those candidates gives both a probe's verdicts and a report's
+preferred tilings: ``evaluate_coverage`` ranks rules longest reduction
+first, then by name, so reported tilings are stable.  No part of
+tiling recurses, so test trees may nest deeper than the interpreter's
+recursion limit.
 """
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from treecut.extraction import Frontier, LexSlot, SpecializedRule
-from treecut.grammar import LEX, Internal, LexLeaf
+from treecut.grammar import LEX, LexLeaf
 
 
 @dataclass(slots=True)
@@ -44,7 +39,7 @@ class Tiling:
     deep as a test tree can be compared and printed.
     """
 
-    rule: SpecializedRule | None  # under ``tile``, the applied pair's second item
+    rule: SpecializedRule | None
     children: tuple = ()
 
     def _preorder(self):
@@ -80,35 +75,33 @@ def preference(rule: SpecializedRule) -> tuple:
 
 
 # Keys of a discrimination-tree node besides the symbols: the wildcard
-# edge of a frontier, the rules whose chunk ends at the node, and the
-# rules still to be sorted into the node's edges.
+# edge of a frontier, the chunks that end at the node, and the chunks
+# still to be sorted into the node's edges.
 _ANY, _END, _PENDING = object(), object(), object()
 # the stack mark above a node whose children are being listed
 _LISTED = object()
 
 
 class RuleIndex:
-    """A discrimination tree over *ranked* chunks, as nested dicts.
+    """A discrimination tree over *chunks*, as nested dicts.
 
-    *ranked* holds ``(chunk, rule)`` pairs in the order the tiler tries
-    them.  A chunk ends at a node that holds ``(rank, rule)`` under
-    ``_END``, rank being the pair's place in *ranked*.  Chunks are taken
-    to have their grammar arities, as validated rules' chunks do.
+    A chunk ends at a node that holds it under ``_END``.  Chunks are
+    taken to have their grammar arities, as validated rules' chunks do.
 
     Retrieval reads only a small part of the tree, so a node is built
-    when retrieval first reaches it: until then it holds its rules
+    when retrieval first reaches it: until then it holds its chunks
     under ``_PENDING``, each with the linked list of chunk pieces it
     still has to match.
     """
 
-    def __init__(self, ranked):
-        self.root = {_PENDING: [(k, r, (c, None)) for k, (c, r) in enumerate(ranked)]}
+    def __init__(self, chunks):
+        self.root = {_PENDING: [(c, (c, None)) for c in chunks]}
 
     @staticmethod
     def _build(trie: dict) -> None:
-        for rank, rule, todo in trie.pop(_PENDING):
+        for chunk, todo in trie.pop(_PENDING):
             if todo is None:
-                trie.setdefault(_END, []).append((rank, rule))
+                trie.setdefault(_END, []).append(chunk)
                 continue
             piece, rest = todo
             kind = piece.__class__
@@ -123,10 +116,10 @@ class RuleIndex:
             step = trie.get(key)
             if step is None:
                 step = trie[key] = {_PENDING: []}
-            step[_PENDING].append((rank, rule, rest))
+            step[_PENDING].append((chunk, rest))
 
-    def retrieve(self, node) -> list[tuple[SpecializedRule, tuple]]:
-        """Every rule whose chunk matches at *node*, in rank order.
+    def retrieve(self, node) -> list[tuple]:
+        """Every chunk that matches at *node*, in no set order.
 
         Each comes with its frontier subtrees, left to right.  The walk
         keeps the subtrees still to match as a linked list, ``(subtree,
@@ -140,7 +133,7 @@ class RuleIndex:
             if _PENDING in trie:
                 self._build(trie)
             if todo is None:
-                found += [(entry, frontiers) for entry in trie.get(_END, ())]
+                found += [(chunk, frontiers) for chunk in trie.get(_END, ())]
                 continue
             sub, rest = todo
             wild = trie.get(_ANY)
@@ -155,8 +148,12 @@ class RuleIndex:
                         rest = (child, rest)
             if step is not None:
                 states.append((step, rest, frontiers))
-        found.sort(key=lambda match: match[0][0])
-        return [(rule, frontiers) for (_, rule), frontiers in found]
+        return found
+
+
+def _share(verdicts: list[bool]) -> float:
+    """The share of true verdicts; no trees count as (vacuously) covered."""
+    return sum(verdicts) / len(verdicts) if verdicts else 1.0
 
 
 @dataclass
@@ -169,118 +166,105 @@ class CoverageReport:
 
     @property
     def fraction(self) -> float:
-        verdicts = self.verdicts
-        return sum(verdicts) / len(verdicts) if verdicts else 1.0
+        return _share(self.verdicts)
 
 
 def evaluate_coverage(rules: list[SpecializedRule], trees: list) -> CoverageReport:
     """Tile every tree under the preference; an empty test set counts as
     (vacuously) covered."""
-    ranked = sorted(rules, key=preference)
-    return tile([(rule.chunk, rule) for rule in ranked], trees)
-
-
-def tile(ranked, trees: list) -> CoverageReport:
-    """The tilings of *trees* under *ranked*, ``(chunk, rule)`` pairs
-    tried in order: the preferred tiling of a report, made once a run.
-
-    The chunks are indexed once per call and every distinct internal
-    node of *trees* is tiled once, children first, so each frontier's
-    tiling is already made.  Trees that are one object share their
-    tiling.  A search's probes need only verdicts, which
-    ``VerdictTable`` gives without tiling.
-    """
-    index = RuleIndex(ranked)
-    tilings: dict[int, Tiling | None] = {}  # id(node) -> its tiling
-    for node in _internal_nodes(trees):
-        tilings[id(node)] = None
-        for rule, frontiers in index.retrieve(node):
-            children = []
-            for sub in frontiers:
-                child = LEXICON if sub.__class__ is LexLeaf else tilings[id(sub)]
-                if child is None:
-                    break
-                children.append(child)
-            else:
-                tilings[id(node)] = Tiling(rule, tuple(children))
-                break
-    return CoverageReport(
-        [LEXICON if tree.__class__ is LexLeaf else tilings[id(tree)] for tree in trees]
-    )
-
-
-def _internal_nodes(trees: list) -> list:
-    """The distinct internal nodes of *trees*, each once, children first."""
-    nodes = []
-    met: set[int] = set()
-    # nodes to meet, and each met node under _LISTED, which comes off
-    # the stack once every child pushed above it is listed
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        if node is _LISTED:
-            nodes.append(stack.pop())
-        elif node.__class__ is not LexLeaf and id(node) not in met:
-            met.add(id(node))
-            stack += (node, _LISTED, *node.children)
-    return nodes
+    return VerdictTable(trees).tilings(rules)
 
 
 class VerdictTable:
-    """One coverage search's verdicts over the test set *trees*.
+    """The distinct nodes of the test set *trees*, and the chunks that
+    match at each.
 
-    The distinct internal nodes of *trees* are listed once, children
-    first.  Each keeps its candidates: ``(id of chunk, frontier nodes)``
-    for every chunk met in the run that matches there, a frontier node
-    given by its place in the list and a lexical one left out, since
-    the lexicon always fills it.  A partition's chunks are retrieved
-    only when they are new to the run, against a ``RuleIndex`` of the
-    new ones alone and only at the nodes of their root rules, so a chunk
-    that several partitions yield, one object under a shared
-    ``extraction.Pieces``, is matched once.
+    ``nodes`` lists the distinct internal nodes once, children first,
+    after a leading None: place 0 stands for the lexicon, which tiles
+    every lexical leaf.  Each node keeps its candidates: ``(id of chunk,
+    places of its frontier nodes)`` for every chunk the table has met
+    that matches there.  Chunks are retrieved only when they are new to
+    the table, against a ``RuleIndex`` of the new ones alone and only
+    at the nodes of their root rules, so a chunk that a search's
+    partitions share, one object under a shared ``extraction.Pieces``,
+    is matched once.
 
-    A node is covered when one of its candidates' chunks is in the
-    partition and every frontier node of it is covered, as ``tile``
-    decides it; whether it has one does not depend on their order.
+    A node is tiled by a candidate whose chunk is chosen and whose
+    frontier nodes are all tiled; whether it has one does not depend on
+    their order, only which tiling it gets.
     """
 
     def __init__(self, trees: list):
         self.trees = trees
-        self.nodes = _internal_nodes(trees)
-        self.place = {id(node): k for k, node in enumerate(self.nodes)}
+        self.nodes: list = [None]
+        self.place: dict[int, int] = {}  # id(node) -> its place in nodes
         self.by_rule: dict[str, list[int]] = {}  # rule -> places of its nodes
-        for k, node in enumerate(self.nodes):
-            self.by_rule.setdefault(node.rule, []).append(k)
+        # nodes to meet, and each met node under _LISTED, which comes off
+        # the stack once every child pushed above it is listed
+        stack = list(trees)
+        while stack:
+            node = stack.pop()
+            if node is _LISTED:
+                node = stack.pop()
+                self.place[id(node)] = len(self.nodes)
+                self.by_rule.setdefault(node.rule, []).append(len(self.nodes))
+                self.nodes.append(node)
+            elif node.__class__ is LexLeaf:
+                self.place[id(node)] = 0
+            elif id(node) not in self.place:
+                stack += (node, _LISTED, *node.children)
         self.candidates: list[list] = [[] for _ in self.nodes]
         self.known: dict[int, object] = {}  # id(chunk) -> chunk, kept alive
 
     def fraction(self, chunks) -> float:
         """The share of the trees that *chunks*, ``[chunk, support]``
-        pairs as extraction returns them, tile; 1.0 for no trees."""
-        self._retrieve([c for c, _ in chunks if id(c) not in self.known])
-        chosen = {id(c) for c, _ in chunks}
-        covered: list[bool] = []
-        for candidates in self.candidates:
-            for chunk_id, subs in candidates:
-                if chunk_id in chosen and all([covered[k] for k in subs]):
-                    covered.append(True)
-                    break
-            else:
-                covered.append(False)
-        place = self.place
-        tiled = [
-            tree.__class__ is LexLeaf or covered[place[id(tree)]] for tree in self.trees
-        ]
-        return sum(tiled) / len(tiled) if tiled else 1.0
+        pairs as extraction returns them, tile."""
+        self._add(c for c, _ in chunks)
+        chosen = self._choose(dict.fromkeys((id(c) for c, _ in chunks), 0))
+        return _share([chosen[self.place[id(tree)]] is not None for tree in self.trees])
 
-    def _retrieve(self, new: list) -> None:
-        """Add the candidates of the chunks *new* to the run."""
-        self.known.update((id(c), c) for c in new)
-        index, place = RuleIndex([(c, c) for c in new]), self.place
-        for rule in dict.fromkeys(c.rule for c in new):
+    def tilings(self, rules: list[SpecializedRule]) -> CoverageReport:
+        """Each tree's preferred tiling under *rules*: at each node, the
+        candidate of the rule that comes first under ``preference``."""
+        ranked = sorted(rules, key=preference)
+        self._add(rule.chunk for rule in ranked)
+        rank: dict[int, int] = {}  # a chunk under two rules takes the first
+        for k, rule in enumerate(ranked):
+            rank.setdefault(id(rule.chunk), k)
+        made = [LEXICON]
+        for pick in islice(self._choose(rank), 1, None):
+            made.append(
+                None if pick is None
+                else Tiling(ranked[pick[0]], tuple(made[k] for k in pick[1]))
+            )
+        return CoverageReport([made[self.place[id(tree)]] for tree in self.trees])
+
+    def _choose(self, rank: dict[int, int]) -> list:
+        """The one children-first pass over the nodes: at each, ``(rank,
+        frontier places)`` of the candidate ranked first in *rank*, ``id
+        of chunk -> rank``, among those whose chunk is ranked and whose
+        frontier nodes are all tiled; None when there is none."""
+        chosen: list = [(0, ())]  # the lexicon
+        for candidates in islice(self.candidates, 1, None):
+            best = None
+            for chunk_id, subs in candidates:
+                k = rank.get(chunk_id)
+                if k is None or (best is not None and k >= best[0]):
+                    continue
+                if all([chosen[s] for s in subs]):
+                    best = k, subs
+            chosen.append(best)
+        return chosen
+
+    def _add(self, chunks) -> None:
+        """Add the candidates of *chunks* new to the table."""
+        new = {id(c): c for c in chunks if id(c) not in self.known}
+        self.known.update(new)
+        index, place = RuleIndex(new.values()), self.place
+        for rule in dict.fromkeys(c.rule for c in new.values()):
             for k in self.by_rule.get(rule, ()):
                 for chunk, frontiers in index.retrieve(self.nodes[k]):
-                    subs = [place[id(f)] for f in frontiers if f.__class__ is Internal]
+                    subs = [place[id(f)] for f in frontiers]
                     self.candidates[k].append((id(chunk), subs))
 
 

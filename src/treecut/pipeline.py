@@ -153,7 +153,9 @@ class SearchContext:
     found, and *memo* keeps each one's chunks and coverage.  Every
     extraction of the run builds its chunks through the one *pieces*
     store, so a chunk that partitions share is one object, and the one
-    ``verdicts`` table matches it against the test set once.
+    ``verdicts`` table matches it against the test set once.  The
+    reported tilings come from ``evaluate_coverage``, once a run, which
+    tiles with a table of its own in the same children-first pass.
     """
 
     treebank: Treebank

@@ -35,7 +35,7 @@ from treecut.andor import (
     dump,
     index_treebank,
 )
-from treecut.coverage import Tiling, evaluate_coverage, tile
+from treecut.coverage import Tiling, evaluate_coverage
 from treecut.cutnodes import CutnodeSet, EquivalenceClass, closure, select_by_threshold
 from treecut.entropy import LHS_POSITION, Slot, build_phrase_table, entropy
 from treecut.extraction import (
@@ -1618,9 +1618,10 @@ def assert_probes_agree_with_fresh_paths(context):
 
     Its ``[chunk, support]`` pairs, built through the run's one store,
     are a fresh extraction's, and name the reference rules; its verdict
-    fraction is a fresh tiling's; and equal chunks of the whole run are
-    one object.  Returns the partitions checked: a search stopped by
-    the chunk cap checks those it probed before.
+    fraction is that of the fresh rules' preferred tilings, each of
+    which the per-tree reference tiler gives; and equal chunks of the
+    whole run are one object.  Returns the partitions checked: a search
+    stopped by the chunk cap checks those it probed before.
     """
     cfg, bank, aot = context.cfg, context.treebank, context.aot
     probed = {}
@@ -1650,7 +1651,11 @@ def assert_probes_agree_with_fresh_paths(context):
         records = [(render_chunk(c), n) for c, n in chunks]
         assert records == [(render_chunk(c), n) for c, n in fresh]
         assert rule_records(name_rules(chunks, aot.inventory)) == rule_records(want)
-        assert fraction == tile(fresh, bank.test).fraction
+        rules = name_rules(fresh, aot.inventory)
+        report = evaluate_coverage(rules, bank.test)
+        assert fraction == report.fraction
+        for tree, tiling in zip(bank.test, report.tilings):
+            assert tiling == reference_covers(rules, tree)
         for (chunk, _), (text, _) in zip(chunks, records):
             assert one_object.setdefault(text, chunk) is chunk
     return sum(key in context.memo for key in probed)

@@ -603,6 +603,28 @@ def test_flags_that_read_the_test_set_reject_one_without_trees(
     assert not (out / "threshold.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["evaluate"], ["stats", "--weighted"]], ids=["evaluate", "stats"]
+)
+@pytest.mark.parametrize(
+    "text", ["", "\n# no trees here\n\n"], ids=["empty", "comments"]
+)
+def test_scoring_a_rule_file_rejects_a_test_set_without_trees(
+    capsys, tmp_path, command, text
+):
+    # evaluate would read full coverage, and weighted stats zeros
+    _, rules, _ = run_cli(capsys, "extract", "--threshold", "1.0", *CORPUS)
+    rules_file = tmp_path / "rules.txt"
+    rules_file.write_text(rules)
+    test = tmp_path / "test.txt"
+    test.write_text(text)
+    code, stdout, err = run_cli(
+        capsys, *command, "--grammar", str(TOY / "grammar.txt"),
+        "--rules", str(rules_file), "--test", str(test),
+    )
+    assert (code, stdout, err) == (1, "", f"error: {test}: no test trees\n")
+
+
 def test_a_test_set_without_trees_still_serves_a_fixed_threshold(capsys, tmp_path):
     test = tmp_path / "test.txt"
     test.write_text("# no trees here\n")
@@ -876,6 +898,16 @@ def readme_flag_table():
             if cell == "\u2713":
                 ticks[command].append(stage)
     return stages, ticks, goals
+
+
+def test_every_flag_has_a_help_text():
+    parsed = parsed_options()
+    assert [
+        (command, a.option_strings[0])
+        for command, actions in parsed.items()
+        for a in actions
+        if not a.help
+    ] == []
 
 
 def test_readme_flag_table_matches_the_parser():

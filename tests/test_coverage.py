@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from treecut.andor import index_treebank
 from treecut.coverage import (
-    RuleIndex,
+    VerdictTable,
     evaluate_coverage,
     preference,
     reduction_stats,
+    render_coverage,
     render_stats,
 )
 from treecut.cutnodes import closure, select_by_threshold
@@ -14,6 +17,8 @@ from treecut.extraction import (
     Frontier,
     LexSlot,
     SpecializedRule,
+    parse_rule_file,
+    render_rule_file,
 )
 from treecut.grammar import (
     CategoryMismatchError,
@@ -23,7 +28,14 @@ from treecut.grammar import (
     parse_treebank,
 )
 
-from oracles import TOY, covers, training_rules, validate_tiling
+from oracles import (
+    TOY,
+    brute_match,
+    covers,
+    reference_covers,
+    training_rules,
+    validate_tiling,
+)
 
 
 def by_flat(rules):
@@ -150,21 +162,67 @@ def test_trees_of_one_shape_share_their_tiling(toy_rules, inventory):
     assert validate_tiling(report.tilings[0], again[0])
 
 
-def test_retrieval_prefers_longer_reductions(treebank, aot, table, mixed_scores):
-    # pool the rules of three cuts, so several chunks match at one node
+def met_backwards(rules, trees):
+    """A verdict table over *trees* that has met the chunks of *rules*
+    last preferred first, as a search's probe may."""
+    table = VerdictTable(trees)
+    table.fraction([[r.chunk, r.support] for r in sorted(rules, key=preference)][::-1])
+    return table
+
+
+def test_tilings_prefer_longer_reductions(treebank, aot, table, mixed_scores):
+    # pool the rules of three cuts, so several chunks tile one root
     pooled = {}
     for threshold in (0.0, 1.0, 9.0):
         cutset = select_by_threshold(threshold, aot, table, mixed_scores)
         for rule in training_rules(treebank.training, aot, cutset):
             pooled[rule.name] = rule
-    ranked = sorted(pooled.values(), key=preference)
-    index = RuleIndex([(rule.chunk, rule) for rule in ranked])
-    lengths = set()
-    for tree in treebank.training:
-        keys = [preference(rule) for rule, _ in index.retrieve(tree)]
-        assert keys == sorted(keys)
-        lengths.update(-length for length, _ in keys)
-    assert len(lengths) > 1
+    rules = list(pooled.values())
+    report = evaluate_coverage(rules, treebank.training)
+    # the preference, not the order in which chunks were met, decides
+    assert met_backwards(rules, treebank.training).tilings(rules) == report
+    choices = 0
+    for tree, tiling in zip(treebank.training, report.tilings):
+        assert tiling == reference_covers(rules, tree)
+        fits = []
+        for rule in rules:
+            frontiers = []
+            if brute_match(rule.chunk, tree, frontiers) and all(
+                covers(rules, sub) is not None for sub, _ in frontiers
+            ):
+                fits.append(rule)
+        assert tiling.rule is min(fits, key=preference)
+        choices += len({rule.reduction_length for rule in fits}) > 1
+    assert choices > 0
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one object", "one text"])
+def test_rules_of_one_chunk_apply_the_first_under_the_preference(
+    toy_rules, treebank, shared
+):
+    # each rule again under a name that sorts before and one that sorts
+    # after its own, with its very chunk object or with the same text
+    copies = [
+        replace(rule, name=prefix + rule.name)
+        for prefix in ("a", "z") for rule in toy_rules
+    ]
+    if not shared:
+        copies = parse_rule_file("".join(render_rule_file(copies)))
+        assert copies[0].chunk is not toy_rules[0].chunk
+    plain = evaluate_coverage(toy_rules, treebank.test).tilings[0].applications()
+    for rules in (toy_rules + copies, copies + toy_rules, copies[::-1] + toy_rules):
+        for report in (
+            evaluate_coverage(rules, treebank.test),
+            met_backwards(rules, treebank.test).tilings(rules),
+        ):
+            applied = report.tilings[0].applications()
+            assert [r.name for r in applied] == ["a" + r.name for r in plain]
+            assert [r.rhs for r in applied] == [r.rhs for r in plain]
+    # the report counts the same applications as with one rule per chunk
+    report = evaluate_coverage(toy_rules + copies, treebank.test)
+    assert list(render_coverage(report)) == [
+        "tree\tcovered\tapplications\n", "0\tyes\t5\n", "fraction\t1.000000\t\n"
+    ]
 
 
 def test_covers_does_not_check_categories_of_hand_built_trees(inventory):

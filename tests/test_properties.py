@@ -12,6 +12,7 @@ import random
 import re
 import shutil
 import time
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from treecut import cli, node_entropy, pipeline
 from treecut.andor import index_treebank
-from treecut.coverage import RuleIndex, evaluate_coverage, preference, tile
+from treecut.coverage import RuleIndex, VerdictTable, evaluate_coverage
 from treecut.cutnodes import closure
 from treecut.entropy import Slot, build_phrase_table, render_entropy_table
 from treecut.extraction import (
@@ -239,8 +240,7 @@ def lex_slot_faces_internal(chunk, node):
 def test_retrieval_agrees_with_the_linear_matcher():
     seen = {"lex frontier": 0, "lex slot on a phrase": 0, "wordless piece": 0}
     for seed, kept, trees in random_rule_subsets():
-        ranked = sorted(kept, key=preference)
-        index = RuleIndex([(rule.chunk, rule) for rule in ranked])
+        index = RuleIndex([rule.chunk for rule in kept])
         by_root = by_root_rule(kept)
         stack = list(trees)
         while stack:
@@ -248,35 +248,38 @@ def test_retrieval_agrees_with_the_linear_matcher():
             if isinstance(node, LexLeaf):
                 continue
             stack.extend(node.children)
-            want = []
+            want = Counter()
             for rule in by_root.get(node.rule, []):
                 frontiers = []
                 if brute_match(rule.chunk, node, frontiers):
                     subs = [sub for sub, _ in frontiers]
-                    want.append((rule.name, [id(sub) for sub in subs]))
+                    want[id(rule.chunk), tuple(map(id, subs))] += 1
                     seen["lex frontier"] += any(isinstance(t, LexLeaf) for t in subs)
                     seen["wordless piece"] += has_wordless_piece(rule.chunk)
                 else:
                     seen["lex slot on a phrase"] += lex_slot_faces_internal(
                         rule.chunk, node
                     )
-            got = [
-                (rule.name, [id(sub) for sub in frontiers])
-                for rule, frontiers in index.retrieve(node)
-            ]
+            # retrieval returns its matches in no set order
+            got = Counter(
+                (id(chunk), tuple(map(id, frontiers)))
+                for chunk, frontiers in index.retrieve(node)
+            )
             assert got == want, seed
     assert all(seen.values()), seen
 
 
 def test_verdicts_do_not_depend_on_the_order_of_the_candidates():
-    # a probe tiles its chunks in the order extraction found them
+    # a probe's chunks come in the order extraction found them
     mixed = 0
     for seed, kept, trees in random_rule_subsets():
-        want = evaluate_coverage(kept, trees).verdicts
-        candidates = [(rule.chunk, rule) for rule in kept]
-        random.Random(seed).shuffle(candidates)
-        assert tile(candidates, trees).verdicts == want, seed
-        mixed += 0 < sum(want) < len(want)
+        report = evaluate_coverage(kept, trees)
+        chunks = [[rule.chunk, rule.support] for rule in kept]
+        random.Random(seed).shuffle(chunks)
+        assert VerdictTable(trees).fraction(chunks) == report.fraction, seed
+        verdicts = [VerdictTable([tree]).fraction(chunks) for tree in trees]
+        assert verdicts == [float(v) for v in report.verdicts], seed
+        mixed += 0 < sum(verdicts) < len(verdicts)
     assert mixed >= 10, mixed
 
 
@@ -1046,21 +1049,15 @@ def test_equal_shapes_are_equal_word_blind_renderings(text, seed):
 
 
 def assert_tiled_once_children_first(trees):
-    """The tiler retrieves rules at each distinct internal node of *trees*
-    once, and at each internal child before its parent."""
-    order = []
-    retrieve = RuleIndex.retrieve
-
-    def recording(index, node):
-        order.append(node)
-        return retrieve(index, node)
-
-    with mock.patch.object(RuleIndex, "retrieve", recording):
-        evaluate_coverage([], trees)
+    """The verdict table lists each distinct internal node of *trees*
+    once, after the lexicon's place, and each internal child before its
+    parent."""
+    nodes = VerdictTable(trees).nodes
+    assert nodes[0] is None
     internal = [n for n in distinct_nodes(trees) if n.__class__ is Internal]
-    assert sorted(map(id, order)) == sorted(map(id, internal))
-    place = {id(node): k for k, node in enumerate(order)}
-    for node in order:
+    assert sorted(map(id, nodes[1:])) == sorted(map(id, internal))
+    place = {id(node): k for k, node in enumerate(nodes)}
+    for node in nodes[1:]:
         for child in node.children:
             assert child.__class__ is LexLeaf or place[id(child)] < place[id(node)]
 

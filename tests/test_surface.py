@@ -8,6 +8,7 @@ class, and only the treebank loader touches the garbage collector.
 Every report is rendered as a stream of lines, and a run keeps no
 state in the package's modules.  No test file imports a test module,
 and no public name of the package is reached by the tests alone.
+README's library example runs as written.
 """
 
 import ast
@@ -103,6 +104,15 @@ def test_every_public_name_is_reached_outside_the_tests():
         and node.name not in reached
     ]
     assert found == []
+
+
+def test_readme_library_example_runs(capsys, monkeypatch):
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Library use\n"):]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(SRC.parent.parent)  # it reads the toy corpus by path
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1.0\n"
 
 
 def test_every_exported_name_resolves():
