@@ -30,7 +30,7 @@ class AndNode:
     children: list
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class OrNode:
     category: str
     parent_slot: Slot | None
@@ -46,6 +46,9 @@ class OrNode:
 
     def sorted_arcs(self) -> list[tuple[str, AndNode]]:
         return sorted(self.arcs.items())
+
+    def __repr__(self) -> str:  # one line: the fields reach the whole index
+        return f"OrNode({self.node_id}, {self.category})"
 
 
 @dataclass

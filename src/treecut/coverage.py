@@ -27,8 +27,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
-from treecut.extraction import Frontier, LexSlot, SpecializedRule
-from treecut.grammar import LEX, LexLeaf
+from treecut.extraction import SpecializedRule
+from treecut.grammar import LEX, Frontier, LexLeaf, LexSlot
 
 
 @dataclass(slots=True)

@@ -73,7 +73,7 @@ class CutnodeSet:
     """
 
     classes: tuple[EquivalenceClass, ...]
-    node_to_class: dict[str, EquivalenceClass] = field(init=False)
+    node_to_class: dict[str, EquivalenceClass] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.classes = tuple(sorted(self.classes, key=lambda c: c.members[0].seq))

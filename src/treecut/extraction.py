@@ -1,13 +1,14 @@
 """Extraction of specialized rules from cut parse trees.
 
-A specialized rule is a chunk: a connected piece of tree structure whose
-leaves are lexical slots (``(lex cat)``, filled by lexicon lookup) and
-frontiers (bare category symbols, filled by another rule or by a direct
-lexicon lookup).  Cutting happens at child positions whose or-node class
-is cut.  A cut child that is itself a lexical lookup becomes a frontier
-with no subrule of its own, so no degenerate one-word rules are emitted;
-a cut child spanning no words at all stays inline, since a chunk
-boundary there could never be re-filled.
+A specialized rule is a chunk: a connected piece of tree structure, a
+``grammar.Internal`` fragment whose leaves are lexical slots
+(``LexSlot``, written ``(lex cat)``, filled by lexicon lookup) and
+frontiers (``Frontier``, bare category symbols, filled by another rule
+or by a direct lexicon lookup).  Cutting happens at child positions
+whose or-node class is cut.  A cut child that is itself a lexical
+lookup becomes a frontier with no subrule of its own, so no degenerate
+one-word rules are emitted; a cut child spanning no words at all stays
+inline, since a chunk boundary there could never be re-filled.
 
 Two modes: ``training`` cuts exactly the observed trees, ``andor``
 enumerates every arc combination the index supports.  Training chunks
@@ -42,7 +43,9 @@ from dataclasses import dataclass
 
 from treecut.andor import AndOrTree, OrNode, PathNotInIndexError
 from treecut.cutnodes import CutnodeSet
-from treecut.grammar import LEX, Internal, LexLeaf, RuleInventory, shape_groups
+from treecut.grammar import (
+    LEX, Frontier, Internal, LexLeaf, LexSlot, RuleInventory, render_tree, shape_groups
+)
 from treecut.sexpr import Fault, LineNumberedError, SexprError, read_all
 
 TRAINING_CUT = "training"
@@ -67,73 +70,21 @@ class RuleFileFormatError(RuleFileError, LineNumberedError):
     """A malformed record of a rule file, at the line in fault."""
 
 
-@dataclass(frozen=True)
-class LexSlot:
-    """A lexical lookup kept inside the chunk; category of the slot."""
-
-    category: str
-
-
-@dataclass(frozen=True)
-class Frontier:
-    """An open position to be filled by a rule of this category."""
-
-    category: str
-
-
-@dataclass(frozen=True)
-class Apply:
-    """An inlined application of a grammar rule."""
-
-    rule: str
-    children: tuple
-
-
-ChunkTree = Apply | LexSlot | Frontier
-
-
-def render_chunk(chunk: ChunkTree) -> str:
-    """Canonical S-expression: identity, hashing and file format."""
-    kind = chunk.__class__
-    if kind is LexSlot:
-        return f"(lex {chunk.category})"
-    if kind is Frontier:
-        return chunk.category
-    # every part after the root's opens with its separating space; the
-    # stack holds the chunks still to render and the ")" that close them
-    parts = ["(" + chunk.rule]
-    stack: list = [")", *reversed(chunk.children)]
-    while stack:
-        item = stack.pop()
-        kind = item.__class__
-        if kind is Apply:
-            parts.append(" (" + item.rule)
-            stack.append(")")
-            stack.extend(reversed(item.children))
-        elif kind is LexSlot:
-            parts.append(" (lex " + item.category + ")")
-        elif kind is Frontier:
-            parts.append(" " + item.category)
-        else:
-            parts.append(item)
-    return "".join(parts)
-
-
-def flat_rhs(chunk: ChunkTree) -> tuple[str, ...]:
+def flat_rhs(chunk) -> tuple[str, ...]:
     """Left-to-right leaf categories: the flattened rule body."""
     out: list[str] = []
     stack = [chunk]
     while stack:
         node = stack.pop()
-        if node.__class__ is Apply:
+        if node.__class__ is Internal:
             stack.extend(reversed(node.children))
         else:
             out.append(node.category)
     return tuple(out)
 
 
-def rule_name(lhs: str, chunk: ChunkTree) -> str:
-    digest = hashlib.sha1(render_chunk(chunk).encode()).hexdigest()[:8]
+def rule_name(lhs: str, chunk: Internal) -> str:
+    digest = hashlib.sha1(render_tree(chunk).encode()).hexdigest()[:8]
     return f"{lhs}_{digest}"
 
 
@@ -141,7 +92,7 @@ def rule_name(lhs: str, chunk: ChunkTree) -> str:
 class SpecializedRule:
     name: str
     lhs: str
-    chunk: Apply
+    chunk: Internal
     rhs: tuple[str, ...]
     support: int = 0
 
@@ -156,22 +107,22 @@ class SpecializedRule:
 class Pieces:
     """Hash-consed chunk pieces: each distinct piece is built once.
 
-    ``LexSlot`` and ``Frontier`` are kept per category and ``Apply`` per
-    rule and child objects.  Every child is itself a piece built here, so
-    two pieces built through one ``Pieces`` are equal exactly when they
-    are one object.  Keys hold the children's ids, never an ``Apply``'s
-    own hash, which would walk the whole piece.
+    ``LexSlot`` and ``Frontier`` are kept per category and ``Internal``
+    per rule and child objects.  Every child is itself a piece built
+    here, so two pieces built through one ``Pieces`` are equal exactly
+    when they are one object.  Keys hold the children's ids, never the
+    children, whose ``==`` would walk them.
     """
 
     def __init__(self):
-        self.applies: dict[tuple, Apply] = {}
+        self.applies: dict[tuple, Internal] = {}
         self.leaves: dict[tuple, LexSlot | Frontier] = {}
 
-    def apply(self, rule: str, children) -> Apply:
+    def apply(self, rule: str, children) -> Internal:
         key = (rule, *map(id, children))
         piece = self.applies.get(key)
         if piece is None:
-            piece = self.applies[key] = Apply(rule, tuple(children))
+            piece = self.applies[key] = Internal(rule, tuple(children))
         return piece
 
     def leaf(self, kind: type, category: str) -> LexSlot | Frontier:
@@ -311,7 +262,7 @@ def _arc(node: Internal, or_node: OrNode) -> list:
 
 def cut_tree(
     tree: Internal, aot: AndOrTree, cutset: CutnodeSet, memo: ChunkMemo
-) -> list[Apply]:
+) -> list[Internal]:
     """Chunks of one training tree under the cutnode assignment.
 
     The first chunk is rooted at the tree root; one more per frontier
@@ -406,7 +357,7 @@ def extract_andor(
     """
     budget = {"left": max_chunks}
     pieces = Pieces() if pieces is None else pieces
-    memo: dict[int, list[Apply]] = {}
+    memo: dict[int, list[Internal]] = {}
     # classes whose expansion has begun: a finished one is served from
     # memo first, so one met here again is still on the walk's path
     started: set[int] = set()
@@ -419,7 +370,7 @@ def extract_andor(
         if budget["left"] < 0:
             raise ChunkCapError(f"more than {max_chunks} chunks")
 
-    wordless_memo: dict[int, list[Apply]] = {}
+    wordless_memo: dict[int, list[Internal]] = {}
 
     def wordless_pieces(node: OrNode):
         """Expansions at this index position spanning no words.
@@ -430,7 +381,7 @@ def extract_andor(
         """
         if node.seq in wordless_memo:
             return wordless_memo[node.seq]
-        out: list[Apply] = []
+        out: list[Internal] = []
         for rule, and_node in node.sorted_arcs():
             if rule == LEX:
                 continue
@@ -451,7 +402,7 @@ def extract_andor(
         if cls.cut:
             # a boundary at a wordless expansion could never be
             # re-filled, so those shapes stay available inline
-            alts: list[ChunkTree] = [pieces.leaf(Frontier, node.category)]
+            alts: list = [pieces.leaf(Frontier, node.category)]
             seen: set[int] = set()
             for member in cls.members:
                 for piece in (yield wordless_pieces(member)):
@@ -474,7 +425,7 @@ def extract_andor(
                 f"recursive class structure at {cls.representative.node_id}"
             )
         started.add(key)
-        out: list[Apply] = []
+        out: list[Internal] = []
         seen_shapes: set[tuple] = set()
         for member in cls.members:
             for rule, and_node in member.sorted_arcs():
@@ -508,7 +459,7 @@ def extract_andor(
     for cls in roots:
         for chunk in _run_calls(expansions(cls)):
             support.setdefault(id(chunk), [chunk, 0])
-    return [entry for entry in support.values() if flat_rhs(entry[0])]
+    return [entry for entry in support.values() if entry[0].length]
 
 
 def validate_rules(
@@ -533,7 +484,7 @@ def validate_rules(
         stack = [(rule.chunk, rule.lhs)]
         while stack:
             chunk, expected_cat = stack.pop()
-            if chunk.__class__ is not Apply:
+            if chunk.__class__ is not Internal:
                 if chunk.category != expected_cat:
                     raise RuleFileError(
                         f"rule '{rule.name}': leaf category '{chunk.category}', "
@@ -563,7 +514,7 @@ def render_rule_file(rules: list[SpecializedRule]) -> Iterator[str]:
         if k:
             yield "\n"
         yield f"{rule.name}: {rule.flat_form()}\n"
-        yield f"  {render_chunk(rule.chunk)}\n"
+        yield f"  {render_tree(rule.chunk)}\n"
         yield f"  support: {rule.support}\n"
 
 
@@ -587,7 +538,7 @@ def _close_chunk(items: list, at: int):
         if item.__class__ is Fault:
             return item
         children.append(Frontier(item) if item.__class__ is str else item)
-    return Apply(head, tuple(children))
+    return Internal(head, tuple(children))
 
 
 # Ends the name of a rule header, ``<name>: <lhs> => <body...>``: the
@@ -644,7 +595,7 @@ def parse_rule_file(text: str) -> list[SpecializedRule]:
         chunk = exprs[0]
         if len(exprs) > 1:
             chunk = Fault(RuleFileFormatError, one_chunk, None, 1)
-        elif chunk.__class__ not in (Apply, Fault):
+        elif chunk.__class__ not in (Internal, Fault):
             message = f"rule {name!r} chunk must be an application"
             chunk = Fault(RuleFileFormatError, message, None, 0)
         if chunk.__class__ is Fault:

@@ -10,7 +10,10 @@ reserved for the lexical lookup pseudo-rule and may not be declared.
 
 Treebank files hold one parse tree per S-expression: ``(rule child...)``
 for an application of ``rule``, ``(lex word)`` for a lexical lookup.
-Both internal applications and lexical lookups may fill any slot.
+Both internal applications and lexical lookups may fill any slot.  A
+chunk (see ``extraction``) is a fragment of such a tree: the same
+``Internal`` applications, with ``LexSlot`` and ``Frontier`` leaves
+where a tree has a ``LexLeaf``, and ``render_tree`` writes both.
 
 The loader checks and builds each distinct list text once.  A text with
 no '"', '#' or NUL character is peeled in rounds.  Each round is one
@@ -114,23 +117,45 @@ class LexLeaf:
 
     word: str
 
-    # yield length: a lexical lookup spans one word
+    # every leaf, LexSlot and Frontier too, counts one in Internal.length
+    length = 1
+
+
+@dataclass(frozen=True, slots=True)
+class LexSlot:
+    """A chunk's lexical slot, filled by a lexicon lookup of its category."""
+
+    category: str
+
+    length = 1
+
+
+@dataclass(frozen=True, slots=True)
+class Frontier:
+    """A chunk's open position, filled by a rule or a lexicon lookup."""
+
+    category: str
+
     length = 1
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Internal:
-    """An application of a grammar rule to child subtrees.
+    """An application of a grammar rule to children: a node of a parse
+    tree, whose leaves are ``LexLeaf``, or of a chunk, whose leaves are
+    ``LexSlot`` and ``Frontier``.
 
-    ``length`` is the yield length, the number of lexical lookups the
-    node dominates.  The loader passes it in; when it is left out it is
-    worked out from the children's.
+    ``length`` is the number of leaves below the node: in a tree the
+    lexical lookups it dominates (its yield length), in a chunk the
+    symbols of the rule body (its reduction length).  The loader passes
+    it in; when it is left out it is worked out from the children's.
 
-    Trees are equal when their rules and words are.  The loader builds
-    equal subtrees of one call as one object, so ``==`` skips any pair
-    of subtrees that are one object.  ``==`` and ``repr`` walk with a
-    stack, so their depth is bounded by memory, not by the interpreter's
-    recursion limit, and ``hash`` reads only the root.
+    Nodes are equal when their rules and leaves are, a leaf by its own
+    ``==``.  The loader and ``extraction.Pieces`` build equal subtrees
+    as one object, so ``==`` skips any pair of subtrees that are one
+    object.  ``==`` and ``repr`` walk with a stack, so their depth is
+    bounded by memory, not by the interpreter's recursion limit, and
+    ``hash`` reads only the root.
     """
 
     rule: str
@@ -151,8 +176,8 @@ class Internal:
                 continue
             if a.__class__ is not b.__class__:
                 return False
-            if a.__class__ is LexLeaf:
-                if a.word != b.word:
+            if a.__class__ is not Internal:
+                if a != b:
                     return False
             elif (a.rule != b.rule or a.length != b.length
                   or len(a.children) != len(b.children)):
@@ -166,9 +191,6 @@ class Internal:
 
     def __repr__(self):
         return f"Internal({render_tree(self)})"
-
-
-ParseTree = Internal | LexLeaf
 
 
 def shape_groups(trees: list) -> list[list]:
@@ -458,8 +480,10 @@ def _bare_symbol(word: str, at: int | None, k: int) -> Fault:
     )
 
 
-def render_tree(tree: ParseTree) -> str:
-    """Single-line S-expression form; inverse of parse_treebank."""
+def render_tree(tree) -> str:
+    """Single-line S-expression form of a tree or a chunk: the inverse of
+    ``parse_treebank`` and of a rule file's chunk reader.  A chunk's text
+    is also its rule's identity, hashed into the rule name."""
     # every part opens with its separating space, the root's too; the
     # stack holds the subtrees still to render and the ")" that close them
     parts = []
@@ -473,6 +497,10 @@ def render_tree(tree: ParseTree) -> str:
             stack.extend(reversed(item.children))
         elif kind is LexLeaf:
             parts.append(f" ({LEX} {quote_if_needed(item.word)})")
+        elif kind is LexSlot:
+            parts.append(f" ({LEX} {item.category})")
+        elif kind is Frontier:
+            parts.append(" " + item.category)
         else:
             parts.append(item)
     return "".join(parts)[1:]

@@ -41,12 +41,9 @@ from treecut.entropy import LHS_POSITION, Slot, build_phrase_table, entropy
 from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
-    Apply,
     ChunkCapError,
     ChunkExplosionError,
     ChunkMemo,
-    Frontier,
-    LexSlot,
     RuleFileError,
     SpecializedRule,
     cut_tree,
@@ -54,14 +51,15 @@ from treecut.extraction import (
     extract_training,
     flat_rhs,
     name_rules,
-    render_chunk,
 )
 from treecut.grammar import (
     LEX,
     ArityMismatchError,
     CategoryMismatchError,
+    Frontier,
     Internal,
     LexLeaf,
+    LexSlot,
     TreebankFormatError,
     UnknownRuleIdError,
     parse_rule_inventory,
@@ -108,7 +106,7 @@ def blind(tree) -> str:
 
 def chunk_keys(rules) -> frozenset[str]:
     """Every rule's chunk, rendered: what makes two rules the same rule."""
-    return frozenset(render_chunk(r.chunk) for r in rules)
+    return frozenset(render_tree(r.chunk) for r in rules)
 
 
 def sexpr_text(expr):
@@ -500,7 +498,7 @@ def toy_chunks(draw, depth=0):
     arity = TOY_INVENTORY[rule].arity if rule in TOY_INVENTORY else 2
     arity += draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
     children = [draw(toy_chunks(depth + 1)) for _ in range(arity)]
-    return Apply(rule, tuple(children))
+    return Internal(rule, tuple(children))
 
 
 @st.composite
@@ -891,7 +889,7 @@ def reference_chunk_from_sexpr(expr):
         if len(expr) != 2 or not isinstance(expr[1], str):
             raise RuleFileError("lex slot takes exactly one category")
         return LexSlot(expr[1])
-    return Apply(head, tuple(reference_chunk_from_sexpr(e) for e in expr[1:]))
+    return Internal(head, tuple(reference_chunk_from_sexpr(e) for e in expr[1:]))
 
 
 def reference_rule_chunk(body):
@@ -899,7 +897,7 @@ def reference_rule_chunk(body):
     if len(exprs) != 1:
         raise RuleFileError("rule 'r' needs exactly one chunk")
     chunk = reference_chunk_from_sexpr(exprs[0])
-    if not isinstance(chunk, Apply):
+    if not isinstance(chunk, Internal):
         raise RuleFileError("rule 'r' chunk must be an application")
     return chunk
 
@@ -1280,7 +1278,7 @@ def reference_cut_tree(tree, aot, cutset):
                 pending.append((child, child_or))
             else:
                 parts.append(build(child, child_or))
-        return Apply(node.rule, tuple(parts))
+        return Internal(node.rule, tuple(parts))
 
     while pending:
         chunks.append(build(*pending.pop(0)))
@@ -1295,7 +1293,7 @@ def reference_collect(inv, chunks):
     """
     rules = {}
     for chunk, occurrences in chunks:
-        key = render_chunk(chunk)
+        key = render_tree(chunk)
         rule = rules.get(key)
         if rule is None:
             rhs = flat_rhs(chunk)
@@ -1320,7 +1318,8 @@ def reference_extract_training(training, aot, cutset):
 
 
 def reference_render_chunk(chunk):
-    """The recursive render_chunk that the explicit-stack walk replaced."""
+    """The recursive chunk renderer that render_tree's explicit-stack walk
+    replaced."""
     if isinstance(chunk, LexSlot):
         return f"(lex {chunk.category})"
     if isinstance(chunk, Frontier):
@@ -1366,7 +1365,7 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
                 ]
                 if combos:
                     spend(len(combos))
-            out.extend(Apply(rule, combo) for combo in combos)
+            out.extend(Internal(rule, combo) for combo in combos)
         wordless_memo[node.seq] = out
         return out
 
@@ -1418,7 +1417,7 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
                     ]
                     spend(len(combos))
                 for combo in combos:
-                    out.append(Apply(rule, combo))
+                    out.append(Internal(rule, combo))
         memo[key] = out
         return out
 
@@ -1437,11 +1436,11 @@ def andor_outcome(extract, aot, cutset, max_chunks):
         rules = extract(aot, cutset, max_chunks=max_chunks)
     except ChunkExplosionError as exc:
         return type(exc), str(exc)
-    return [(r.name, r.lhs, render_chunk(r.chunk), r.rhs, r.support) for r in rules]
+    return [(r.name, r.lhs, render_tree(r.chunk), r.rhs, r.support) for r in rules]
 
 
 def has_wordless_piece(chunk):
-    return isinstance(chunk, Apply) and (
+    return isinstance(chunk, Internal) and (
         not chunk.children or any(has_wordless_piece(c) for c in chunk.children)
     )
 
@@ -1551,9 +1550,10 @@ def validate_tiling(tiling, tree):
 
 def rule_records(rules):
     for rule in rules:
-        assert render_chunk(rule.chunk) == reference_render_chunk(rule.chunk)
+        assert render_tree(rule.chunk) == reference_render_chunk(rule.chunk)
         assert rule.rhs == flat_rhs(rule.chunk) == reference_flat_rhs(rule.chunk)
-    return [(r.name, render_chunk(r.chunk), r.support) for r in rules]
+        assert rule.chunk.length == len(rule.rhs)
+    return [(r.name, render_tree(r.chunk), r.support) for r in rules]
 
 
 def assert_shape_keyed_work_agrees(inv, training, test, rng, cut_sets=4, chosen=()):
@@ -1648,8 +1648,8 @@ def assert_probes_agree_with_fresh_paths(context):
         else:
             fresh = extract_training(bank.training, aot, cutnodes)
             want = reference_extract_training(bank.training, aot, cutnodes)
-        records = [(render_chunk(c), n) for c, n in chunks]
-        assert records == [(render_chunk(c), n) for c, n in fresh]
+        records = [(render_tree(c), n) for c, n in chunks]
+        assert records == [(render_tree(c), n) for c, n in fresh]
         assert rule_records(name_rules(chunks, aot.inventory)) == rule_records(want)
         rules = name_rules(fresh, aot.inventory)
         report = evaluate_coverage(rules, bank.test)

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from treecut.andor import dump, index_treebank
+from treecut.cutnodes import closure
 from treecut.entropy import Slot
 from treecut.grammar import parse_treebank
 
@@ -120,3 +121,23 @@ def test_dump_of_a_deep_chain_streams_its_lines(inventory):
     finally:
         sys.setrecursionlimit(limit)
     assert "".join(dump(aot)) == want
+
+
+def test_reprs_of_a_chain_index_are_linear_in_its_size(inventory):
+    # an or-node's fields reach the whole index below it, so its repr
+    # names only the node; what holds or-nodes then prints in linear
+    # space, without recursion
+    depth = 300
+    aot = index_treebank(parse_treebank(chain_text(depth), inventory), inventory)
+    nps = frozenset(n.node_id for n in aot.nodes() if n.category == "np")
+    values = [aot, closure(frozenset(), aot), closure(nps, aot)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        texts = [repr(aot.root), repr(aot["n1"].arcs["np_np_pp"])]
+        sizes = [len(repr(value)) for value in values]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert texts[0] == "OrNode(root, s)"
+    assert texts[1].startswith("AndNode(rule='np_np_pp', children=[OrNode(n2, np), ")
+    assert max(sizes) < 200 * len(aot.node_index)

@@ -13,22 +13,22 @@ from treecut.coverage import (
 )
 from treecut.cutnodes import closure, select_by_threshold
 from treecut.extraction import (
-    Apply,
-    Frontier,
-    LexSlot,
     SpecializedRule,
     parse_rule_file,
     render_rule_file,
 )
 from treecut.grammar import (
     CategoryMismatchError,
+    Frontier,
     Internal,
     LexLeaf,
+    LexSlot,
     parse_shapes,
     parse_treebank,
 )
 
 from oracles import (
+    DEEP,
     TOY,
     brute_match,
     covers,
@@ -233,11 +233,26 @@ def test_covers_does_not_check_categories_of_hand_built_trees(inventory):
     with pytest.raises(CategoryMismatchError):
         parse_treebank("(s_np_vp (vp_v (lex left)) (vp_v (lex left)))", inventory)
     s_rule = SpecializedRule(
-        "s_x", "s", Apply("s_np_vp", (Frontier("np"), Frontier("vp"))), ("np", "vp")
+        "s_x", "s", Internal("s_np_vp", (Frontier("np"), Frontier("vp"))), ("np", "vp")
     )
-    vp_rule = SpecializedRule("vp_x", "vp", Apply("vp_v", (LexSlot("v"),)), ("v",))
+    vp_rule = SpecializedRule("vp_x", "vp", Internal("vp_v", (LexSlot("v"),)), ("v",))
     # the tiler trusts the rules' frontier categories to fit the tree, so
     # it fills the np frontier with the vp rule; validation catches it
     tiling = covers([s_rule, vp_rule], tree)
     assert tiling.applications() == [s_rule, vp_rule, vp_rule]
     assert not validate_tiling(tiling, tree)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["one deep chunk", "np cut"])
+def test_reports_of_two_extractions_of_a_deep_chain_compare(deep_chain, cut):
+    # one rule for the whole chain, or a tiling DEEP levels deep; each
+    # extraction builds its own chunk objects, compared by a walk
+    tree, aot = deep_chain
+    nps = frozenset(n.node_id for n in aot.nodes() if n.category == "np" and cut)
+    cutset = closure(nps, aot)
+    a, b = (evaluate_coverage(training_rules([tree], aot, cutset), [tree])
+            for _ in range(2))
+    assert a.tilings[0].rule.chunk is not b.tilings[0].rule.chunk
+    assert a.tilings[0] == b.tilings[0]
+    assert a == b
+    assert len(a.tilings[0].applications()) == (2 * DEEP + 2 if cut else 1)

@@ -8,11 +8,9 @@ from treecut.andor import PathNotInIndexError, index_treebank
 from treecut.cutnodes import closure
 from treecut.entropy import Slot
 from treecut.extraction import (
-    Apply,
     ChunkExplosionError,
     ChunkMemo,
-    Frontier,
-    LexSlot,
+    Pieces,
     RuleFileError,
     RuleFileFormatError,
     SpecializedRule,
@@ -22,12 +20,15 @@ from treecut.extraction import (
     flat_rhs,
     name_rules,
     parse_rule_file,
-    render_chunk,
     render_rule_file,
     rule_name,
     validate_rules,
 )
 from treecut.grammar import (
+    Frontier,
+    Internal,
+    LexLeaf,
+    LexSlot,
     parse_rule_inventory,
     parse_shapes,
     parse_treebank,
@@ -55,7 +56,7 @@ EXPECTED_TRAINING = {
 def test_training_extraction_exact_rules(toy_rules):
     assert len(toy_rules) == 5
     got = {
-        render_chunk(r.chunk): (r.flat_form(), r.support) for r in toy_rules
+        render_tree(r.chunk): (r.flat_form(), r.support) for r in toy_rules
     }
     assert got == EXPECTED_TRAINING
 
@@ -158,12 +159,45 @@ def test_chunk_cap_raises(aot, toy_cut):
 
 
 def test_flat_rhs_and_render():
-    chunk = Apply(
+    chunk = Internal(
         "np_np_pp",
-        (Frontier("np"), Apply("pp_prep_np", (LexSlot("prep"), Frontier("np")))),
+        (Frontier("np"), Internal("pp_prep_np", (LexSlot("prep"), Frontier("np")))),
     )
     assert flat_rhs(chunk) == ("np", "prep", "np")
-    assert render_chunk(chunk) == "(np_np_pp np (pp_prep_np (lex prep) np))"
+    assert chunk.length == 3
+    assert render_tree(chunk) == "(np_np_pp np (pp_prep_np (lex prep) np))"
+
+
+def test_chunk_leaves_compare_by_kind_and_category():
+    def np_pron(leaf):
+        return Internal("np_pron", (leaf,))
+
+    slot = np_pron(LexSlot("pron"))
+    assert slot == np_pron(LexSlot("pron"))
+    assert hash(slot) == hash(np_pron(LexSlot("pron")))
+    for other in (Frontier("pron"), LexLeaf("pron"), LexSlot("n")):
+        assert slot != np_pron(other)
+    assert LexSlot("np") != Frontier("np")
+
+
+def test_chunks_deeper_than_the_recursion_limit_compare_hash_and_print():
+    # equal chunks of two stores are two objects, compared by a walk
+    depth = 5000
+
+    def chain(pieces, leaf):
+        chunk = pieces.leaf(leaf, "np")
+        for _ in range(depth):
+            pp = pieces.apply("pp_prep_np", (pieces.leaf(LexSlot, "prep"), chunk))
+            chunk = pieces.apply("np_np_pp", (pieces.leaf(Frontier, "np"), pp))
+        return chunk
+
+    a, b = chain(Pieces(), Frontier), chain(Pieces(), Frontier)
+    c = chain(Pieces(), LexSlot)
+    assert a is not b and a.length == 2 * depth + 1
+    assert a == b and a != c
+    assert hash(a) == hash(b)
+    level = "(np_np_pp np (pp_prep_np (lex prep) "
+    assert repr(a) == "Internal(" + level * depth + "np" + "))" * depth + ")"
 
 
 def test_validate_rules_passes_extracted(toy_rules, inventory):
@@ -173,17 +207,17 @@ def test_validate_rules_passes_extracted(toy_rules, inventory):
 @pytest.mark.parametrize(
     "chunk, fault",
     [
-        (Apply("np_det_n", (LexSlot("det"), LexSlot("x"))),
+        (Internal("np_det_n", (LexSlot("det"), LexSlot("x"))),
          "leaf category 'x', slot wants 'n'"),
-        (Apply("np_det_n", (LexSlot("det"),)), "'np_det_n' arity 2 violated"),
-        (Apply("np_missing", (LexSlot("det"),)), "unknown rule id 'np_missing'"),
-        (Apply("np_det_n", (
-            LexSlot("det"), Apply("pp_prep_np", (LexSlot("prep"), Frontier("np")))
+        (Internal("np_det_n", (LexSlot("det"),)), "'np_det_n' arity 2 violated"),
+        (Internal("np_missing", (LexSlot("det"),)), "unknown rule id 'np_missing'"),
+        (Internal("np_det_n", (
+            LexSlot("det"), Internal("pp_prep_np", (LexSlot("prep"), Frontier("np")))
         )), "'pp_prep_np' has category 'pp', slot wants 'n'"),
     ],
 )
 def test_validate_rules_rejects_bad_chunks_naming_the_rule(inventory, chunk, fault):
-    fine = Apply("np_det_n", (LexSlot("det"), LexSlot("n")))
+    fine = Internal("np_det_n", (LexSlot("det"), LexSlot("n")))
     rules = [
         SpecializedRule("np_fine", "np", fine, flat_rhs(fine), 0),
         SpecializedRule("np_bad", "np", chunk, flat_rhs(chunk), 0),
@@ -195,7 +229,7 @@ def test_validate_rules_rejects_bad_chunks_naming_the_rule(inventory, chunk, fau
 
 def test_validate_rules_rejects_empty_body():
     inv = parse_rule_inventory("s_x s -> x\nx_e x ->\n", "s")
-    chunk = Apply("x_e", ())
+    chunk = Internal("x_e", ())
     rule = SpecializedRule("x_empty", "x", chunk, flat_rhs(chunk), 0)
     with pytest.raises(RuleFileError):
         validate_rules([rule], inv)
@@ -335,9 +369,9 @@ def test_each_root_shape_is_cut_once(treebank, aot, toy_cut, monkeypatch):
     want = {}
     for tree in training:
         for chunk in original(tree, aot, toy_cut, ChunkMemo(toy_cut)):
-            key = render_chunk(chunk)
+            key = render_tree(chunk)
             want[key] = want.get(key, 0) + 1
-    assert {render_chunk(r.chunk): r.support for r in rules} == want
+    assert {render_tree(r.chunk): r.support for r in rules} == want
 
 
 def test_deep_chain_is_cut_at_every_np(deep_chain):
@@ -347,9 +381,9 @@ def test_deep_chain_is_cut_at_every_np(deep_chain):
     chunks = cut_tree(tree, aot, cutset, ChunkMemo(cutset))
     assert len(chunks) == 2 * DEEP + 2
     # the root chunk, then each level's chunk and its pp's np in turn
-    assert render_chunk(chunks[0]) == "(s_np_vp np (vp_v (lex v)))"
+    assert render_tree(chunks[0]) == "(s_np_vp np (vp_v (lex v)))"
     level = "(np_np_pp np (pp_prep_np (lex prep) np))"
-    assert [render_chunk(c) for c in chunks[1:4]] == [
+    assert [render_tree(c) for c in chunks[1:4]] == [
         level, level, "(np_num (lex num))"
     ]
     rules = training_rules([tree, tree], aot, cutset)
@@ -365,7 +399,7 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
     tree, aot = deep_chain
     cutset = closure(frozenset(), aot)
     (chunk,) = cut_tree(tree, aot, cutset, ChunkMemo(cutset))
-    # walk the one chunk down its np spine; == would recurse
+    # the one chunk holds the whole chain: walk it down its np spine
     assert chunk.rule == "s_np_vp"
     node = chunk.children[0]
     for _ in range(DEEP):
@@ -377,20 +411,28 @@ def test_deep_chain_is_cut_without_recursion(deep_chain):
         node = node.children[0]
     assert (node.rule, node.children) == ("np_pron", (LexSlot("pron"),))
 
-    assert render_chunk(chunk) == (
+    assert render_tree(chunk) == (
         "(s_np_vp " + "(np_np_pp " * DEEP + "(np_pron (lex pron))"
         + " (pp_prep_np (lex prep) (np_num (lex num))))" * DEEP
         + " (vp_v (lex v)))"
     )
     body = ("pron",) + ("prep", "num") * DEEP + ("v",)
-    assert flat_rhs(chunk) == body
+    assert flat_rhs(chunk) == body and chunk.length == len(body)
     (rule,) = training_rules([tree] * 3, aot, cutset)
     assert (rule.rhs, rule.support) == (body, 3)
+    # another extraction builds other objects, which compare by a walk
+    (other,) = training_rules([tree] * 3, aot, cutset)
+    assert other.chunk is not chunk and other == rule
+    assert repr(rule) == (
+        f"SpecializedRule(name={rule.name!r}, lhs='s', chunk=Internal("
+        f"{render_tree(chunk)}), rhs={body!r}, support=3)"
+    )
     # the rule file reads back and validates without recursion too
     (again,) = validate_rules(
         parse_rule_file("".join(render_rule_file([rule]))), aot.inventory
     )
-    assert (render_chunk(again.chunk), again.rhs) == (render_chunk(chunk), body)
+    assert (render_tree(again.chunk), again.rhs) == (render_tree(chunk), body)
+
 
 
 def test_deep_spine_with_a_cut_child_at_every_level_is_cut_in_linear_space(
@@ -404,10 +446,10 @@ def test_deep_spine_with_a_cut_child_at_every_level_is_cut_in_linear_space(
     cutset = closure(objects, aot)
 
     def refuse(*args):
-        raise AssertionError("an Apply was hashed or compared; that recurses")
+        raise AssertionError("a piece was hashed or compared; the store keys on ids")
 
-    monkeypatch.setattr(Apply, "__hash__", refuse)
-    monkeypatch.setattr(Apply, "__eq__", refuse)
+    monkeypatch.setattr(Internal, "__hash__", refuse)
+    monkeypatch.setattr(Internal, "__eq__", refuse)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     tracemalloc.start()
@@ -423,7 +465,7 @@ def test_deep_spine_with_a_cut_child_at_every_level_is_cut_in_linear_space(
     assert peak < 40 * 2**20
     assert len(chunks) == DEEP + 1
     assert all(chunk is chunks[1] for chunk in chunks[1:])
-    assert render_chunk(chunks[1]) == "(np_num (lex num))"
+    assert render_tree(chunks[1]) == "(np_num (lex num))"
     body = ("pron",) + ("prep", "np") * DEEP + ("v",)
     assert flat_rhs(chunks[0]) == body
     assert {(r.rhs, r.support) for r in rules} == {(body, 2), (("num",), 2 * DEEP)}

@@ -29,11 +29,8 @@ from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
     TRAINING_CUT,
-    Apply,
     ChunkExplosionError,
     ChunkMemo,
-    Frontier,
-    LexSlot,
     Pieces,
     RuleFileFormatError,
     SpecializedRule,
@@ -42,15 +39,16 @@ from treecut.extraction import (
     flat_rhs,
     name_rules,
     parse_rule_file,
-    render_chunk,
     render_rule_file,
     rule_name,
     validate_rules,
 )
 from treecut.grammar import (
     LEX,
+    Frontier,
     Internal,
     LexLeaf,
+    LexSlot,
     Treebank,
     TreebankFormatError,
     parse_rule_inventory,
@@ -554,11 +552,11 @@ def test_unterminated_quote_is_found_in_linear_time():
 def test_rule_file_chunks_agree_with_the_recursive_builder(root, extra, second):
     body = " ".join(sexpr_text(e) for e in ([root, extra] if second else [root]))
     want = chunk_outcome(reference_rule_chunk, body)
-    flat = " ".join(flat_rhs(want)) if isinstance(want, Apply) else ""
+    flat = " ".join(flat_rhs(want)) if isinstance(want, Internal) else ""
     got = chunk_outcome(
         lambda b: parse_rule_file(f"r: x => {flat}\n  {b}\n")[0].chunk, body
     )
-    if not isinstance(want, Apply):  # the file names the chunk's line, line 2
+    if not isinstance(want, Internal):  # the file names the chunk's line, line 2
         want = RuleFileFormatError, f"line 2: {want[1]}"
     assert got == want
 
@@ -577,7 +575,7 @@ chunk_leaves = st.builds(LexSlot, grammar_symbols) | st.builds(Frontier, grammar
 
 
 def applications(children):
-    return st.builds(Apply, rule_ids, st.lists(children, max_size=3).map(tuple))
+    return st.builds(Internal, rule_ids, st.lists(children, max_size=3).map(tuple))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1018,14 +1016,14 @@ def test_subtrees_that_differ_only_below_a_cut_give_one_rule(inventory):
     assert blind(training[0]) != blind(training[2])
     assert chunks[0][0] is chunks[2][0]
     assert chunks[1][1] is chunks[3][1]
-    assert render_chunk(chunks[1][1]) == (
+    assert render_tree(chunks[1][1]) == (
         "(np_np_pp (np_pron (lex pron)) (pp_prep_np (lex prep) np))"
     )
     rules = training_rules(training, aot, cutset)
     assert rule_records(rules) == rule_records(
         reference_extract_training(training, aot, cutset)
     )
-    by_body = {render_chunk(r.chunk): r.support for r in rules}
+    by_body = {render_tree(r.chunk): r.support for r in rules}
     assert by_body["(np_np_pp (np_pron (lex pron)) (pp_prep_np (lex prep) np))"] == 2
     assert len(by_body) == len(rules)
 

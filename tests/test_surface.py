@@ -188,8 +188,7 @@ def test_pipeline_config_is_the_only_exported_config():
     assert configs == ["PipelineConfig"]
 
 
-# Every report file's renderer; render_chunk and render_tree render one
-# expression, not a report.
+# Every report file's renderer; render_tree renders one expression, not a report.
 REPORT_RENDERERS = [
     "entropy.render_entropy_table",
     "node_entropy.render_node_entropies",
