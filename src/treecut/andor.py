@@ -72,14 +72,20 @@ class AndOrTree:
         return list(self.node_index.values())
 
 
-def _insert(
-    root: OrNode, tree, inv: RuleInventory, weight: int, arc_order: list
-) -> None:
-    """Merge one tree into the index *weight* times over, visiting its
-    nodes in preorder; each new arc is appended to *arc_order*."""
+def _insert(root: OrNode, tree, inv: RuleInventory, arc_order: list, pairs: dict):
+    """Walk *tree* at *root* in preorder, creating the arcs it needs, and
+    record each (or-node, subtree) pair in *pairs* with weight 0.  A pair
+    met before is skipped: its subtree adds no arc there that it did
+    not add the first time.  Each new arc is appended to *arc_order*."""
     stack = [(root, tree)]
     while stack:
         node, tree = stack.pop()
+        group = pairs.get(node)
+        if group is None:
+            group = pairs[node] = {}
+        elif id(tree) in group:
+            continue
+        group[id(tree)] = [tree, 0]
         if tree.length > 0:
             node.has_lexical_yield = True
         rule = tree.rule if tree.__class__ is Internal else LEX
@@ -90,8 +96,8 @@ def _insert(
                 for k, cat in enumerate(inv[rule].rhs, start=1)
             ]
             and_node = node.arcs[rule] = AndNode(rule, children)
+            node.arc_counts[rule] = 0
             arc_order.append((node, rule))
-        node.arc_counts[rule] = node.arc_counts.get(rule, 0) + weight
         if rule != LEX:
             stack.extend(reversed(list(zip(and_node.children, tree.children))))
 
@@ -122,16 +128,28 @@ def _assign_ids(root: OrNode) -> dict[str, OrNode]:
 def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
     """Merge the training trees into one and-or tree.
 
-    Indexing reads no words, so each distinct root object is inserted
-    once with its multiplicity (see ``shape_groups``).  A repeated tree
-    would add no or-node or arc that its first occurrence did not, so
-    every arc is still created in the order a tree-by-tree merge would
-    create it.
+    The work is bounded by the distinct (or-node, subtree object) pairs.
+    The loader builds each word-blind subtree as one object, so a first
+    pass walks each distinct root object (see ``shape_groups``) and skips
+    any pair met before: it adds no or-node or arc, so the arcs come in
+    the order a tree-by-tree merge creates them.  A second pass moves the
+    multiplicities down, parent or-nodes first, into the arc counts.
     """
     root = OrNode(category=inv.top, parent_slot=None)
     arc_order: list = []
+    # or-node -> {id(subtree): [subtree, weight]}; an or-node is first
+    # reached after its parent, so the keys list parents first
+    pairs: dict[OrNode, dict[int, list]] = {}
     for tree, n in shape_groups(training):
-        _insert(root, tree, inv, n, arc_order)
+        _insert(root, tree, inv, arc_order, pairs)
+        pairs[root][id(tree)][1] += n
+    for node, group in pairs.items():  # parents first: each weight is whole
+        for tree, weight in group.values():
+            rule = tree.rule if tree.__class__ is Internal else LEX
+            node.arc_counts[rule] += weight
+            if rule != LEX:
+                for child, subtree in zip(node.arcs[rule].children, tree.children):
+                    pairs[child][id(subtree)][1] += weight
     return AndOrTree(root, _assign_ids(root), inv, arc_order)
 
 

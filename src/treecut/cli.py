@@ -38,6 +38,7 @@ from treecut.pipeline import (
     OutputError,
     PipelineConfig,
     SearchContext,
+    collector_paused,
     load_file,
     load_trees,
     run_pipeline,
@@ -299,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.handler(args)
+        with collector_paused():
+            code = args.handler(args)
         sys.stdout.flush()  # a fault in writing shows here, not at exit
     except HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,10 @@ chunk (see ``extraction``) is a fragment of such a tree: the same
 where a tree has a ``LexLeaf``, and ``render_tree`` writes both.
 
 The loader checks and builds each distinct list text once.  A text with
-no '"', '#' or NUL character is peeled in rounds.  Each round is one
-regex substitution over the text: it finds the innermost lists, the
-ones that hold no list, folds each list text not seen before into its
-node, and writes a placeholder symbol in place of every such list.
+no '"', '#' or NUL character is peeled in rounds.  Each round splits
+the text at its innermost lists, the ones that hold no list, folds each
+distinct list text not seen before into its node, and joins the text
+back with a placeholder symbol in place of every such list.
 Rounds stop when no list is left or when a round shrinks the text by
 less than a tenth, so a deep chain costs a few rounds, not its depth.
 The token reader, ``sexpr.read_all``, then reads what is left, seeing
@@ -32,7 +32,6 @@ stand-in for a node at fault.  Text errors come first, then a list's
 own checks before its children's, children in order.
 """
 
-import gc
 import re
 from dataclasses import dataclass
 
@@ -335,19 +334,12 @@ def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None)
         node = nodes[ident] = Internal(rule.rule_id, children, length)
         return node
 
-    # The fold makes no cyclic garbage, but the collector would rescan
-    # the growing treebank every time it grew by a quarter.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         trees = _peel(text, close)
         if trees is None:
             trees = read_all(text, close)
     except SexprError as err:
         raise TreebankFormatError(err.message, err.line_no) from err
-    finally:
-        if collecting:
-            gc.enable()
     for k, tree in enumerate(trees):
         kind = tree.__class__
         if kind is Fault:
@@ -377,20 +369,21 @@ _INNERMOST = re.compile(r"\((?=([^()]*))\1\)")
 _HOLE = "\x00"
 # Peeling ends after a round that leaves more than this share of its text.
 _KEEP = 0.9
-
-
-class _Unpeelable(Exception):
-    """A peeled list failed its checks: the text is folded token by token."""
+# A round splits the text in blocks of this many characters and a little
+# more, so that the parts it holds at once stay few however long the text.
+_BLOCK = 1 << 16
 
 
 def _peel(text: str, close) -> list | None:
     """The items of *text* folded by *close*, each distinct list text once.
 
-    Each round is one ``re.sub`` over the text.  It folds each innermost
-    list text not seen before and writes a placeholder symbol in place of
-    every innermost list: ``\\x00<n>``, one per node, spaced off from its
-    neighbours.  Rounds end when no '(' is left or when a round leaves
-    more than ``_KEEP`` of its text, so all rounds together scan at most
+    Each round splits the text at its innermost lists, a block of about
+    ``_BLOCK`` characters at a time, cut before a '('.  It folds each
+    list text not seen before, in the order first seen, and joins the
+    text back with a placeholder symbol in place of every innermost
+    list: ``\\x00<n>``, one per node, spaced off from its neighbours.
+    Rounds end when no '(' is left or when a round leaves more than
+    ``_KEEP`` of its text, so all rounds together scan at most
     ``1 / (1 - _KEEP)`` times the text.  What is left is read by
     ``read_all``, whose *close* sees each placeholder as its node.
     Returns None, so that the caller folds the text token by token, for
@@ -408,30 +401,38 @@ def _peel(text: str, close) -> list | None:
     def resolve(items) -> list:
         return list(map(node_of.get, items, items))
 
-    def placeholder(match) -> str:
-        inner = match[1]
-        name = names.get(inner)
-        if name is None:
-            node = close(resolve(inner.split()), -1)
-            if node.__class__ is Fault:
-                raise _Unpeelable
-            name = named.get(id(node))
-            if name is None:
-                symbol = f"{_HOLE}{len(named)}"
-                node_of[symbol] = node
-                name = named[id(node)] = f" {symbol} "
-            names[inner] = name
-        return name
-
+    while "(" in text:
+        pieces = []
+        start = 0
+        while start < len(text):
+            # no innermost list holds a '(' but its first character
+            end = text.find("(", start + _BLOCK)
+            if end < 0:
+                end = len(text)
+            parts = _INNERMOST.split(text[start:end])  # text, list text, ...
+            for inner in dict.fromkeys(parts[1::2]):
+                if inner in names:
+                    continue
+                node = close(resolve(inner.split()), -1)
+                if node.__class__ is Fault:
+                    return None
+                name = named.get(id(node))
+                if name is None:
+                    symbol = f"{_HOLE}{len(named)}"
+                    node_of[symbol] = node
+                    name = named[id(node)] = f" {symbol} "
+                names[inner] = name
+            parts[1::2] = map(names.__getitem__, parts[1::2])
+            pieces.append("".join(parts))
+            start = end
+        rest = "".join(pieces)
+        done = len(rest) > _KEEP * len(text)
+        text = rest
+        if done:
+            break
     try:
-        while "(" in text:
-            rest = _INNERMOST.sub(placeholder, text)
-            done = len(rest) > _KEEP * len(text)
-            text = rest
-            if done:
-                break
         items = resolve(read_all(text, lambda items, at: close(resolve(items), at)))
-    except (_Unpeelable, SexprError):
+    except SexprError:
         return None
     for item in items:
         if item.__class__ is not Internal and item.__class__ is not LexLeaf:

@@ -9,8 +9,10 @@ All outputs are deterministic functions of the inputs and the config,
 so a rerun into the same directory rewrites byte-identical files.
 """
 
+import gc
 import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -240,9 +242,25 @@ def set_up(cfg: PipelineConfig) -> SearchContext:
     return SearchContext(treebank, aot, table, cfg, scores)
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, and restore the state it was
+    found in, also when an error is raised.  A command builds a heap that
+    lives to its end and makes almost no cyclic garbage, so a collection
+    would only rescan the treebank, the index and the chunks."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@collector_paused()
 def run_pipeline(cfg: PipelineConfig) -> tuple[SearchContext, list[str]]:
     """Every stage of a run, then, given *cfg.out_dir*, its reports:
-    the context and the paths written."""
+    the context and the paths written, with the collector paused."""
     if cfg.out_dir is not None:  # fail before the work, not after it
         try:
             os.makedirs(cfg.out_dir, exist_ok=True)

@@ -976,8 +976,9 @@ def reference_phrase_table(training):
     return dists, {slot: entropy(d) for slot, d in dists.items()}
 
 
-def reference_insert(root, tree, inv):
-    """The per-tree merge that index_treebank replaced: one tree, weight 1."""
+def reference_insert(root, tree, inv, order):
+    """The per-tree merge that index_treebank replaced: one tree, weight
+    1, visiting every node; each new arc is appended to *order*."""
     stack = [(root, tree)]
     while stack:
         node, tree = stack.pop()
@@ -991,6 +992,7 @@ def reference_insert(root, tree, inv):
                 for k, cat in enumerate(inv[rule].rhs, start=1)
             ]
             and_node = node.arcs[rule] = AndNode(rule, children)
+            order.append((node, rule))
         node.arc_counts[rule] = node.arc_counts.get(rule, 0) + 1
         if rule != LEX:
             stack.extend(reversed(list(zip(and_node.children, tree.children))))
@@ -998,9 +1000,10 @@ def reference_insert(root, tree, inv):
 
 def reference_index_treebank(training, inv):
     root = OrNode(category=inv.top, parent_slot=None)
+    order = []
     for tree in training:
-        reference_insert(root, tree, inv)
-    return AndOrTree(root=root, node_index=_assign_ids(root), inventory=inv)
+        reference_insert(root, tree, inv, order)
+    return AndOrTree(root, _assign_ids(root), inv, order)
 
 
 def reference_dump(aot):
@@ -1062,12 +1065,22 @@ def assert_set_up_agrees(training, inv):
     ]
 
     assert_phrase_table_order(training, inv)
+    aot, want = assert_index_agrees(training, inv)
+    assert "".join(dump(aot)) == reference_dump(want)
+
+
+def assert_index_agrees(training, inv):
+    """``index_treebank`` gives the per-tree merge's or-nodes, arc counts
+    and arc creation order; returns both indexes."""
     aot = index_treebank(training, inv)
     want = reference_index_treebank(training, inv)
     assert [or_node_record(n) for n in aot.nodes()] == [
         or_node_record(n) for n in want.nodes()
     ]
-    assert "".join(dump(aot)) == reference_dump(want)
+    assert [(node.node_id, rule) for node, rule in aot.arc_order] == [
+        (node.node_id, rule) for node, rule in want.arc_order
+    ]
+    return aot, want
 
 
 def reference_decimal(value, decimals):

@@ -7,9 +7,9 @@ import pytest
 from treecut.andor import dump, index_treebank
 from treecut.cutnodes import closure
 from treecut.entropy import Slot
-from treecut.grammar import parse_treebank
+from treecut.grammar import parse_shapes, parse_treebank
 
-from oracles import chain_text, reference_dump
+from oracles import DEEP, assert_index_agrees, chain_text, reference_dump
 
 # The toy index, transcribed by hand from the four training trees.
 # Keys are node ids; values are (category, parent slot, arc counts).
@@ -98,6 +98,34 @@ def test_lexical_alternative_recorded_with_counts(aot):
     assert set(n6.arcs) == {"lex", "np_det_n"}
     assert n6.arc_counts["lex"] == 1
     assert [r for r, _ in n6.sorted_arcs()] == ["lex", "np_det_n"]
+
+
+def test_a_shared_subtree_counts_every_parent_shape(inventory):
+    # one vp subtree object fills the vp slot under two root shapes, 3
+    # and 5 times: its pair is indexed once, and its arcs count all 8
+    a = "(s_np_vp (np_pron (lex _)) (vp_v (lex _)))\n"
+    b = "(s_np_vp (np_det_n (lex _) (lex _)) (vp_v (lex _)))\n"
+    training = parse_shapes(a * 3 + b * 5, inventory)
+    assert training[0].children[1] is training[3].children[1]
+    aot, _ = assert_index_agrees(training, inventory)
+    assert aot.root.arc_counts == {"s_np_vp": 8}
+    assert aot.root.arcs["s_np_vp"].children[0].arc_counts == {
+        "np_pron": 3, "np_det_n": 5,
+    }
+    vp = aot.root.arcs["s_np_vp"].children[1]
+    assert vp.arc_counts == {"vp_v": 8}
+    assert vp.arcs["vp_v"].children[0].arc_counts == {"lex": 8}
+
+
+def test_a_chain_deeper_than_the_recursion_limit_indexes_as_per_tree(
+    deep_chain, inventory
+):
+    tree, aot = deep_chain
+    assert len(aot.node_index) == 5 * DEEP + 5  # five or-nodes a level
+    # the same chain object twice, and once more as a separate object
+    (again,) = parse_treebank(chain_text(DEEP), inventory, require_top=True)
+    aot, _ = assert_index_agrees([tree, again, tree], inventory)
+    assert all(node.visit_count == 3 for node in aot.nodes())
 
 
 def test_dump_of_a_deep_chain_streams_its_lines(inventory):

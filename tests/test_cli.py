@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import re
 import subprocess
@@ -117,6 +118,44 @@ def test_bisect_unattainable(capsys, tmp_path):
     assert code == 2
     assert "attainable\tno" in out
     assert "probes\t1" in out.splitlines()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["run", *WITH_TEST, "--threshold", "1.0", "--out", "{out}"], 0),
+        (["bisect", *WITH_TEST, "--coverage", "0.9"], 0),
+        (["run", *CORPUS[:2], "--train", "{hard}.none", "--threshold", "1.0",
+          "--out", "{out}"], 1),
+        (["bisect", "--coverage", "1.0", *CORPUS, "--test", "{hard}"], 2),
+    ],
+    ids=["run", "bisect", "input-error", "unattainable"],
+)
+def test_a_command_runs_with_the_collector_paused_and_restores_it(
+    capsys, monkeypatch, tmp_path, enabled, argv, want
+):
+    hard = tmp_path / "hard.txt"
+    hard.write_text("(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))\n")
+    argv = [a.format(out=tmp_path / "out", hard=hard) for a in argv]
+    collecting = []
+    load_treebank = pipeline.load_treebank
+
+    def recording_load_treebank(cfg):
+        collecting.append(gc.isenabled())
+        return load_treebank(cfg)
+
+    monkeypatch.setattr(pipeline, "load_treebank", recording_load_treebank)
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        code = main(argv)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+    assert code == want
+    assert collecting == [False]
 
 
 def test_run_search_on_a_fine_grid_keeps_to_the_probe_cap(capsys, tmp_path):

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import sys
 
 import pytest
@@ -30,6 +29,7 @@ from oracles import (
     chain_text,
     corpus_texts,
     load_outcome,
+    node_counts,
     token_fold_outcome,
 )
 
@@ -254,33 +254,6 @@ def test_hand_built_trees_sum_their_yield(inventory):
     assert blind(LexLeaf("I")) == blind(LexLeaf("_")) == "(lex)"
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_loader_pauses_the_collector_and_restores_it(inventory, enabled, monkeypatch):
-    collecting = []
-    read_all = grammar.read_all
-
-    def recording_read_all(*args):
-        collecting.append(gc.isenabled())
-        return read_all(*args)
-
-    monkeypatch.setattr(grammar, "read_all", recording_read_all)
-    was = gc.isenabled()
-    gc.enable() if enabled else gc.disable()
-    try:
-        text = "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))\n"
-        parse_treebank(text, inventory)
-        assert gc.isenabled() == enabled
-        with pytest.raises(UnknownRuleIdError):
-            parse_treebank(text + "(bogus)", inventory)
-        assert gc.isenabled() == enabled
-        with pytest.raises(TreebankFormatError):
-            parse_treebank(text + "(", inventory)
-        assert gc.isenabled() == enabled
-    finally:
-        gc.enable() if was else gc.disable()
-    assert collecting == [False, False, False]
-
-
 def test_deep_chain_loads_counts_and_indexes(deep_chain):
     tree, aot = deep_chain
     assert tree.length == 2 * DEEP + 2
@@ -497,9 +470,9 @@ class CountingRegex:
         self.pattern = pattern
         self.scanned = []
 
-    def sub(self, repl, text):
+    def split(self, text):
         self.scanned.append(len(text))
-        return self.pattern.sub(repl, text)
+        return self.pattern.split(text)
 
 
 # one comb tooth per spine level; tooth i is a chain of i t_t lists, so
@@ -544,6 +517,8 @@ def test_peeling_scans_a_bounded_multiple_of_the_text(
 
     monkeypatch.setattr(grammar, "_INNERMOST", rounds)
     monkeypatch.setattr(grammar, "read_all", recording_read_all)
+    # one block a round, so each scan the double counts is a round's
+    monkeypatch.setattr(grammar, "_BLOCK", len(text))
     assert load_outcome(parse_treebank, text, inv) == want
     assert len(rounds.scanned) == count
     # every round but the last leaves at most _KEEP of its text, so the
@@ -554,3 +529,34 @@ def test_peeling_scans_a_bounded_multiple_of_the_text(
     assert len(handed_off) == 1
     bound = 1 / (1 - grammar._KEEP) + 1
     assert sum(rounds.scanned) + handed_off[0] <= bound * len(text)
+
+
+@pytest.mark.parametrize("block", [1, 40, 200])
+@pytest.mark.parametrize(
+    "grammar_text, text",
+    [(TOY_GRAMMAR, chain_text(300)), (COMB_GRAMMAR, COMB), (TOY_GRAMMAR, TOY_TRAIN)],
+    ids=["chain", "comb", "toy"],
+)
+def test_peeling_in_blocks_peels_what_one_block_peels(
+    grammar_text, text, block, monkeypatch
+):
+    # a block ends before a '(', so it cuts no innermost list: each round
+    # peels every one, and the token reader is handed the same text
+    inv = parse_rule_inventory(grammar_text, "s")
+    want = token_fold_outcome(parse_treebank, text, inv)
+    rounds = CountingRegex(grammar._INNERMOST)
+    handed_off = []
+    read_all = grammar.read_all
+
+    def recording_read_all(text, close):
+        handed_off.append(text)
+        return read_all(text, close)
+
+    monkeypatch.setattr(grammar, "_INNERMOST", rounds)
+    monkeypatch.setattr(grammar, "read_all", recording_read_all)
+    for size in (len(text), block):
+        monkeypatch.setattr(grammar, "_BLOCK", size)
+        got = load_outcome(parse_treebank, text, inv)
+        assert got == want and node_counts(got) == node_counts(want)
+    assert handed_off[0] == handed_off[1]
+    assert rounds.scanned[0] == len(text) > max(rounds.scanned[1:])

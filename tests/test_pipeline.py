@@ -107,7 +107,7 @@ def test_run_leaves_the_collector_as_it_found_it(
             with pytest.raises(RuntimeError):
                 run_pipeline(cfg)
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, entry)
-        # the loader restores the collector it paused when its fold raises
+        # and when the loader's fold raises
         with monkeypatch.context() as patch:
             patch.setattr(grammar, "Internal", failing)
             with pytest.raises(RuntimeError):

@@ -4,7 +4,7 @@ No module of the package imports another's underscore-prefixed names,
 and every name ``treecut.__all__`` exports resolves.  Each setting is
 decided in one place: the reading precision is a property of the phrase
 table, which alone applies it, ``PipelineConfig`` is the one config
-class, and only the treebank loader touches the garbage collector.
+class, and only the pipeline touches the garbage collector.
 Every report is rendered as a stream of lines, and a run keeps no
 state in the package's modules.  No test file imports a test module,
 and no public name of the package is reached by the tests alone.
@@ -172,15 +172,14 @@ def test_only_the_phrase_table_module_does_decimal_arithmetic():
     assert found == []
 
 
-def test_only_the_loader_sets_a_collector_policy():
-    # parse_treebank pauses the collector while it folds a text; no
+def test_only_the_pipeline_sets_a_collector_policy():
+    # pipeline.collector_paused pauses the collector once per command; no
     # other module turns it off, freezes or thaws objects
     found = [
         path.name for path in sorted(SRC.glob("*.py"))
-        if "gc" in imported_modules(path) and path.name != "grammar.py"
+        if "gc" in imported_modules(path)
     ]
-    assert found == []
-    assert "gc" in imported_modules(SRC / "grammar.py")
+    assert found == ["pipeline.py"]
 
 
 def test_pipeline_config_is_the_only_exported_config():
