@@ -54,15 +54,18 @@ class OrNode:
 @dataclass
 class AndOrTree:
     """The index, every arc ``(or-node, rule)`` in the order it was
-    created (``entropy.build_phrase_table`` sums them), and the closed
-    partitions ``cutnodes.closure`` memoised for it, keyed on the cut
-    set."""
+    created (``entropy.build_phrase_table`` sums them), and what
+    ``cutnodes.closure`` keeps for it: the closed partitions, keyed on
+    each cut set closed and on each closed result's own cut set, and
+    ``closure_arrays``, the or-nodes' arcs, categories and lexical-yield
+    flags by ``seq``, built on the first closure."""
 
     root: OrNode
     node_index: dict[str, OrNode]
     inventory: RuleInventory
     arc_order: list = field(default_factory=list, compare=False, repr=False)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
+    closure_arrays: tuple | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, node_id: str) -> OrNode:
         return self.node_index[node_id]

@@ -30,13 +30,18 @@ from treecut.node_entropy import (
 
 
 class IterationLimitError(Exception):
-    """Iterated selection failed to settle; carries the last two iterates."""
+    """Iterated selection failed to settle; carries the last two iterates.
 
-    def __init__(self, previous: frozenset, last: frozenset):
-        super().__init__(
+    *where*, when given, ends the message: the caller's threshold and
+    the flag that sets the limit.
+    """
+
+    def __init__(self, previous: frozenset, last: frozenset, where: str = ""):
+        message = (
             f"no fixpoint or near-cycle after limit; last sizes "
             f"{len(previous)} and {len(last)}"
         )
+        super().__init__(f"{message} {where}" if where else message)
         self.previous = previous
         self.last = last
 
@@ -108,31 +113,63 @@ def closure(cut_ids, aot: AndOrTree) -> CutnodeSet:
     Idempotent and monotone in the cut set.  Classes whose members all
     lack lexical yield are demoted to uncut at the end.  Results are
     memoised per index on the cut set, so equal cut sets given as any
-    iterable of node ids share one ``CutnodeSet``.
+    iterable of node ids share one ``CutnodeSet``.  A result is also
+    filed under its own cut node ids when they hold every seed: it has
+    one cut class per category and a seed in each, so it is the least
+    coherent assignment over those ids too.  A seed without lexical
+    yield whose class is demoted leaves that key out.
     """
     key = frozenset(cut_ids)
     cutset = aot.closures.get(key)
     if cutset is None:
         cutset = aot.closures[key] = _close(key, aot)
+        closed = cutset.cut_node_ids()
+        if key <= closed:
+            aot.closures.setdefault(closed, cutset)
     return cutset
+
+
+def _closure_arrays(aot: AndOrTree) -> tuple[list, list, list]:
+    """Per or-node ``seq``: its non-lexical rules mapped to the tuples
+    of their child seqs, its category, and whether it has lexical yield.
+
+    None of them changes for an index, so they are built on its first
+    closure and kept on it.
+    """
+    if aot.closure_arrays is None:
+        nodes = aot.nodes()
+        aot.closure_arrays = (
+            [
+                {
+                    rule: tuple([child.seq for child in and_node.children])
+                    for rule, and_node in node.arcs.items()
+                    if rule != LEX
+                }
+                for node in nodes
+            ],
+            [node.category for node in nodes],
+            [node.has_lexical_yield for node in nodes],
+        )
+    return aot.closure_arrays
 
 
 def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
     """Worklist congruence closure over a union-find of node seqs.
 
-    Each class root keeps a table from rule to one and-node of its
-    members.  Merging two classes walks the smaller table; a rule found
-    in both tables queues its child pairs for merging (congruence);
-    lexical arcs have no children, so they never queue a pair.
-    Every class holds a single category, so joining all cutnodes of a
-    category up front leaves at most one cut class per category, and a
-    cut flag ORed on each union is all promotion needs.
+    Each class root keeps a table from non-lexical rule to the child
+    seqs of one of its members' arcs, read off the index's
+    ``_closure_arrays``.  Merging two classes walks the smaller table;
+    a rule found in both tables queues its child pairs for merging
+    (congruence).  Lexical arcs have no children, so the tables leave
+    them out.  Every class holds a single category, so joining all
+    cutnodes of a category up front leaves at most one cut class per
+    category, and a cut flag ORed on each union is all promotion needs.
     """
-    nodes = aot.nodes()
-    parent = list(range(len(nodes)))
+    arcs, categories, lexical = _closure_arrays(aot)
+    parent = list(range(len(arcs)))
     tables: dict[int, dict] = {}  # merged roots only; others read their arcs
-    cut = [False] * len(nodes)
-    pending: list[tuple[OrNode, OrNode]] = []
+    cut = [False] * len(arcs)
+    pending: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -140,46 +177,45 @@ def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
             x = parent[x]
         return x
 
-    def table(root: int) -> dict:
-        own = tables.get(root)
-        return nodes[root].arcs if own is None else own
-
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra == rb:
             return
-        if len(table(ra)) < len(table(rb)):
-            ra, rb = rb, ra
+        into, table = tables.get(ra, arcs[ra]), tables.get(rb, arcs[rb])
+        if len(into) < len(table):
+            ra, rb, into, table = rb, ra, table, into
         parent[rb] = ra
         cut[ra] = cut[ra] or cut[rb]
-        into = tables.get(ra)
-        if into is None:
-            into = tables[ra] = dict(nodes[ra].arcs)
-        for rule, and_node in table(rb).items():
-            seen = into.get(rule)
-            if seen is None:
-                into[rule] = and_node
-            else:
-                pending.extend(zip(seen.children, and_node.children))
+        if table:
+            if ra not in tables:
+                into = tables[ra] = dict(into)
+            for rule, children in table.items():
+                seen = into.get(rule)
+                if seen is None:
+                    into[rule] = children
+                else:
+                    pending.extend(zip(seen, children))
         tables.pop(rb, None)
 
     first_of: dict[str, int] = {}
     for node_id in cut_ids:
-        node = aot[node_id]
-        union(first_of.setdefault(node.category, node.seq), node.seq)
-        cut[find(node.seq)] = True
+        seq = aot[node_id].seq
+        union(first_of.setdefault(categories[seq], seq), seq)
+        cut[find(seq)] = True
     while pending:
-        a, b = pending.pop()
-        union(a.seq, b.seq)
+        union(*pending.pop())
 
-    members: dict[int, list[OrNode]] = {}
-    for node in nodes:
-        members.setdefault(find(node.seq), []).append(node)
-    classes = []
-    for root, group in members.items():
-        is_cut = cut[root] and any(m.has_lexical_yield for m in group)
-        classes.append(EquivalenceClass(tuple(group), is_cut))
-    return CutnodeSet(tuple(classes))
+    groups: dict[int, list[int]] = {}
+    for seq in range(len(arcs)):
+        groups.setdefault(find(seq), []).append(seq)
+    nodes = aot.nodes()
+    return CutnodeSet(tuple(
+        EquivalenceClass(
+            tuple([nodes[seq] for seq in group]),
+            cut[root] and any(lexical[seq] for seq in group),
+        )
+        for root, group in groups.items()
+    ))
 
 
 def near_cycle(prev: frozenset, nxt: frozenset, fraction: float) -> bool:
@@ -223,56 +259,69 @@ def neighbor_conflicts(
     """Classes to remove so no rule has both neighboring boundaries cut.
 
     For each rule r, k* is its lowest-entropy RHS slot (ties: lowest
-    index).  Cutting both an attachment of r (a node with an r arc) and
-    an occupant of Slot(r, k*) conflicts; the class with the lower
-    entropy loses, where a class scores the maximum of its members.
-    Conflicts are processed in rule-id order, then representative order.
+    index; ``PhraseEntropyTable.tightest_slot``).  Cutting both an
+    attachment of r (a node with an r arc) and an occupant of
+    Slot(r, k*) conflicts; the class with the lower entropy loses,
+    where a class scores the maximum of its members, ties to the lower
+    representative.  Conflicts are processed greedily in rule-id order,
+    then attachment and occupant in representative order.  Each class
+    is ranked once; an attachment that loses stops its scan, and an
+    occupant that loses leaves the rule's list of live occupants.
     """
-
-    def class_entropy(cls: EquivalenceClass) -> float:
-        return max(scores[m.node_id] for m in cls.members)
-
     cut = cutset.cut_classes()
     if not cut:
         return []
+    arcs = _closure_arrays(aot)[0]
     lhs_of: dict[str, list[EquivalenceClass]] = {}
     occupant_of: dict[Slot, list[EquivalenceClass]] = {}
-    for cls in cut:
-        seen_rules = set()
-        seen_slots = set()
+    for cls in cut:  # one class at a time: a list holding cls ends in it
         for m in cls.members:
-            for rule in m.arcs:
-                if rule != LEX and rule not in seen_rules:
-                    seen_rules.add(rule)
-                    lhs_of.setdefault(rule, []).append(cls)
-            if m.parent_slot is not None and m.parent_slot not in seen_slots:
-                seen_slots.add(m.parent_slot)
-                occupant_of.setdefault(m.parent_slot, []).append(cls)
+            for rule in arcs[m.seq]:
+                attached = lhs_of.setdefault(rule, [])
+                if not attached or attached[-1] is not cls:
+                    attached.append(cls)
+            if m.parent_slot is not None:
+                occupants = occupant_of.setdefault(m.parent_slot, [])
+                if not occupants or occupants[-1] is not cls:
+                    occupants.append(cls)
+
+    values = scores.values
+    ranks: dict[int, tuple[float, int]] = {}  # representative seq -> rank
+
+    def rank(cls: EquivalenceClass) -> tuple[float, int]:
+        seq = cls.members[0].seq
+        found = ranks.get(seq)
+        if found is None:
+            found = ranks[seq] = (max(values[m.node_id] for m in cls.members), seq)
+        return found
 
     removed: dict[int, EquivalenceClass] = {}
-    for rule in sorted(set(lhs_of)):
-        grammar_rule = aot.inventory[rule]
-        if grammar_rule.arity == 0:
+    for rule in sorted(lhs_of):
+        arity = aot.inventory[rule].arity
+        if arity == 0:
             continue
-        k_star = min(
-            range(1, grammar_rule.arity + 1),
-            key=lambda k: (table.published_value(Slot(rule, k)), k),
-        )
-        slot = Slot(rule, k_star)
-        for lhs_cls in lhs_of.get(rule, []):
-            for occ_cls in occupant_of.get(slot, []):
-                if lhs_cls.representative.seq in removed:
-                    continue
-                if occ_cls.representative.seq in removed:
-                    continue
-                if lhs_cls is occ_cls:
-                    removed[lhs_cls.representative.seq] = lhs_cls
-                    continue
-                loser = min(
-                    (lhs_cls, occ_cls),
-                    key=lambda c: (class_entropy(c), c.representative.seq),
-                )
-                removed[loser.representative.seq] = loser
+        live = [
+            cls
+            for cls in occupant_of.get(table.tightest_slot(rule, arity), ())
+            if cls.members[0].seq not in removed
+        ]
+        for lhs_cls in lhs_of[rule]:
+            if not live:
+                break
+            if lhs_cls.members[0].seq in removed:
+                continue
+            lhs_rank = rank(lhs_cls)
+            lost = 0  # occupants, from the front, that rank below lhs_cls
+            for occ_cls in live:
+                if occ_cls is lhs_cls or rank(occ_cls) > lhs_rank:
+                    break
+                removed[occ_cls.members[0].seq] = occ_cls
+                lost += 1
+            if lost == len(live):
+                live = []
+            else:
+                removed[lhs_cls.members[0].seq] = lhs_cls
+                live = [cls for cls in live[lost:] if cls is not lhs_cls]
     return [removed[seq] for seq in sorted(removed)]
 
 

@@ -20,7 +20,7 @@ it, so they agree exactly with the arithmetic of the printed table.
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from treecut.andor import AndOrTree
@@ -50,12 +50,15 @@ def quantize_decimal(value: float | Decimal, decimals: int) -> Decimal:
 
 @dataclass
 class PhraseEntropyTable:
-    """Slot distributions and entropies, read at *decimals* places."""
+    """Slot distributions and entropies, read at *decimals* places, and
+    each rule's tightest RHS slot, filled in as ``tightest_slot`` reads
+    them."""
 
     inventory: RuleInventory
     distributions: dict[Slot, dict[str, int]]
     entropies: dict[Slot, float]
     decimals: int | None
+    tightest: dict[str, Slot] = field(default_factory=dict, compare=False, repr=False)
 
     def is_seen(self, slot: Slot) -> bool:
         return slot in self.entropies
@@ -67,6 +70,19 @@ class PhraseEntropyTable:
     def published_value(self, slot: Slot) -> float:
         """Entropy at the table's precision."""
         return self.weighted_sum([(slot, 1, 1)])
+
+    def tightest_slot(self, rule_id: str, arity: int) -> Slot:
+        """The RHS slot of *rule_id*, of *arity* at least 1, with the
+        lowest published entropy, ties to the lowest position.  It
+        depends only on the table, so each rule's is worked out once."""
+        slot = self.tightest.get(rule_id)
+        if slot is None:
+            position = min(
+                range(1, arity + 1),
+                key=lambda k: (self.published_value(Slot(rule_id, k)), k),
+            )
+            slot = self.tightest[rule_id] = Slot(rule_id, position)
+        return slot
 
     def weighted_sum(self, terms) -> float:
         """Sum of ``count / total`` times the slot's entropy over the

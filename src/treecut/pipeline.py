@@ -23,6 +23,7 @@ from treecut.coverage import render_stats
 from treecut.cutnodes import (
     MAX_ITERATIONS,
     CutnodeSet,
+    IterationLimitError,
     render_cut_classes,
     select_by_threshold,
 )
@@ -169,11 +170,17 @@ class SearchContext:
     pieces: Pieces = field(default_factory=Pieces, init=False)
 
     def select(self, threshold: float) -> CutnodeSet:
-        return select_by_threshold(
-            threshold, self.aot, self.table, self.scores,
-            restrictions=self.cfg.neighbor_restrictions,
-            max_iterations=self.cfg.max_iterations,
-        )
+        try:
+            return select_by_threshold(
+                threshold, self.aot, self.table, self.scores,
+                restrictions=self.cfg.neighbor_restrictions,
+                max_iterations=self.cfg.max_iterations,
+            )
+        except IterationLimitError as exc:
+            raise IterationLimitError(
+                exc.previous, exc.last,
+                f"at threshold {threshold:.6f}; --max-iterations sets the limit",
+            ) from exc
 
     def extract(self, threshold: float, cutnodes: CutnodeSet) -> list:
         """The ``[chunk, support]`` pairs of *cutnodes*, chosen at *threshold*."""

@@ -37,7 +37,13 @@ from treecut.andor import (
 )
 from treecut.coverage import Tiling, evaluate_coverage
 from treecut.cutnodes import CutnodeSet, EquivalenceClass, closure, select_by_threshold
-from treecut.entropy import LHS_POSITION, Slot, build_phrase_table, entropy
+from treecut.entropy import (
+    LHS_POSITION,
+    PhraseEntropyTable,
+    Slot,
+    build_phrase_table,
+    entropy,
+)
 from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
@@ -68,7 +74,7 @@ from treecut.grammar import (
     render_tree,
     shape_groups,
 )
-from treecut.node_entropy import EntropyScheme, compute_node_entropies
+from treecut.node_entropy import EntropyScheme, NodeEntropyMap, compute_node_entropies
 from treecut.pipeline import PipelineConfig, SearchContext, partition_key
 from treecut.sexpr import SexprError, quote_if_needed, read_all
 from treecut.threshold import ThresholdProbe
@@ -1252,6 +1258,71 @@ def reference_closure(cut_ids, aot):
             is_cut = False
         classes.append(EquivalenceClass(members, is_cut))
     return CutnodeSet(tuple(classes))
+
+
+def reference_neighbor_conflicts(
+    cutset: CutnodeSet,
+    aot: AndOrTree,
+    table: PhraseEntropyTable,
+    scores: NodeEntropyMap,
+) -> list[EquivalenceClass]:
+    """Classes to remove so no rule has both neighboring boundaries cut.
+
+    For each rule r, k* is its lowest-entropy RHS slot (ties: lowest
+    index).  Cutting both an attachment of r (a node with an r arc) and
+    an occupant of Slot(r, k*) conflicts; the class with the lower
+    entropy loses, where a class scores the maximum of its members.
+    Conflicts are processed in rule-id order, then representative order.
+
+    The plain version: it scores a class on every comparison, works out
+    each rule's k* on every call and tests every occupant again.
+    """
+
+    def class_entropy(cls: EquivalenceClass) -> float:
+        return max(scores[m.node_id] for m in cls.members)
+
+    cut = cutset.cut_classes()
+    if not cut:
+        return []
+    lhs_of: dict[str, list[EquivalenceClass]] = {}
+    occupant_of: dict[Slot, list[EquivalenceClass]] = {}
+    for cls in cut:
+        seen_rules = set()
+        seen_slots = set()
+        for m in cls.members:
+            for rule in m.arcs:
+                if rule != LEX and rule not in seen_rules:
+                    seen_rules.add(rule)
+                    lhs_of.setdefault(rule, []).append(cls)
+            if m.parent_slot is not None and m.parent_slot not in seen_slots:
+                seen_slots.add(m.parent_slot)
+                occupant_of.setdefault(m.parent_slot, []).append(cls)
+
+    removed: dict[int, EquivalenceClass] = {}
+    for rule in sorted(set(lhs_of)):
+        grammar_rule = aot.inventory[rule]
+        if grammar_rule.arity == 0:
+            continue
+        k_star = min(
+            range(1, grammar_rule.arity + 1),
+            key=lambda k: (table.published_value(Slot(rule, k)), k),
+        )
+        slot = Slot(rule, k_star)
+        for lhs_cls in lhs_of.get(rule, []):
+            for occ_cls in occupant_of.get(slot, []):
+                if lhs_cls.representative.seq in removed:
+                    continue
+                if occ_cls.representative.seq in removed:
+                    continue
+                if lhs_cls is occ_cls:
+                    removed[lhs_cls.representative.seq] = lhs_cls
+                    continue
+                loser = min(
+                    (lhs_cls, occ_cls),
+                    key=lambda c: (class_entropy(c), c.representative.seq),
+                )
+                removed[loser.representative.seq] = loser
+    return [removed[seq] for seq in sorted(removed)]
 
 
 # --- Extraction: the per-tree and recursive versions ----------------------

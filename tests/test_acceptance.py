@@ -19,7 +19,7 @@ from treecut.extraction import (
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
 from treecut.node_entropy import unified_node_entropy
-from treecut.pipeline import SearchContext, load_treebank, run_pipeline
+from treecut.pipeline import SearchContext, load_treebank, partition_key, run_pipeline
 from treecut.threshold import bisect
 
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     gen_root,
     mixed_set_up,
     random_rule_subsets,
+    reference_closure,
     seeded_corpora,
     toy_config,
     training_rules,
@@ -212,6 +213,9 @@ def closure_is_idempotent_and_monotone():
         } == {
             frozenset(m.node_id for m in c.members) for c in again.cut_classes()
         }, seed
+        # the memo may serve `again`; the plain fixpoint must agree
+        fresh = reference_closure(once.cut_node_ids(), aot)
+        assert partition_key(again) == partition_key(fresh), seed
 
         assert once.cut_node_ids() <= closure(large, aot).cut_node_ids(), seed
 

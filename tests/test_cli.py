@@ -983,6 +983,28 @@ def test_bisect_and_extract_honour_max_iterations(capsys, tmp_path, iterations):
     assert code == (1 if iterations == "1" else 0)
 
 
+@pytest.mark.parametrize("command", ["run", "bisect", "cut", "extract"])
+def test_the_iteration_limit_error_names_the_threshold_and_the_flag(
+    capsys, tmp_path, command
+):
+    # one round of restricted arc-frequency selection at threshold 0
+    # never settles on the toy corpus; bisect probes 0 first
+    goal = {
+        "run": ["--threshold", "0.0", "--out", str(tmp_path / "out")],
+        "bisect": ["--coverage", "0.9"],
+    }.get(command, ["--threshold", "0.0"])
+    corpus = WITH_TEST if command in ("run", "bisect") else CORPUS
+    code, out, err = run_cli(
+        capsys, command, *corpus, "--scheme", "arc-frequency", "--restrictions",
+        "--max-iterations", "1", *goal,
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: no fixpoint or near-cycle after limit; last sizes 0 and 4 "
+        "at threshold 0.000000; --max-iterations sets the limit\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--grammar", "--test", "--top"])
 def test_stats_without_weighted_rejects_its_corpus_flags(capsys, tmp_path, flag):
     rules_file = tmp_path / "rules.txt"

@@ -19,6 +19,9 @@ from treecut.cutnodes import (
 from treecut.entropy import build_phrase_table
 from treecut.grammar import parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
+from treecut.pipeline import partition_key
+
+from oracles import reference_closure
 
 
 def cut_ids(cutset):
@@ -68,6 +71,9 @@ def test_closure_idempotent_on_toy(aot):
     assert [member_ids(c) for c in first.classes] == [
         member_ids(c) for c in second.classes
     ]
+    # the memo may serve `second`; the plain fixpoint must agree
+    fresh = reference_closure(first.cut_node_ids(), aot)
+    assert partition_key(second) == partition_key(fresh)
 
 
 def test_closure_monotone_on_toy(aot):

@@ -146,3 +146,17 @@ def test_render_table_matches_published_layout(table):
     assert rows["pp_prep_np"] == ["0.64", "0.00", "1.10"]
     assert rows["np_pron"] == ["0.00", "0.00", "---"]
     assert len(rows) == 9
+
+
+def test_tightest_slot_is_the_lowest_reading_and_is_kept_out_of_equality(aot):
+    # pp_prep_np reads 0.00 and 1.10 on its RHS, s_np_vp ties at 0.56
+    table = build_phrase_table(aot)
+    assert table.tightest_slot("pp_prep_np", 2) == Slot("pp_prep_np", 1)
+    assert table.tightest_slot("s_np_vp", 2) == Slot("s_np_vp", 1)
+    one_slot = PhraseEntropyTable(None, {}, {Slot("r", 1): 0.5}, 2)
+    assert one_slot.tightest_slot("r", 3) == Slot("r", 2)  # unseen reads 0
+    assert table.tightest == {
+        "pp_prep_np": Slot("pp_prep_np", 1), "s_np_vp": Slot("s_np_vp", 1)
+    }
+    fresh = build_phrase_table(aot)
+    assert table == fresh and repr(table) == repr(fresh)

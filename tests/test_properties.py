@@ -20,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecut import cli, node_entropy, pipeline
+from treecut import cli, cutnodes, node_entropy, pipeline
 from treecut.andor import index_treebank
 from treecut.coverage import RuleIndex, VerdictTable, evaluate_coverage
-from treecut.cutnodes import closure
+from treecut.cutnodes import closure, neighbor_conflicts, singleton_cutnodes
 from treecut.entropy import Slot, build_phrase_table, render_entropy_table
 from treecut.extraction import (
     ANDOR_ENUM,
@@ -58,6 +58,7 @@ from treecut.grammar import (
 )
 from treecut.node_entropy import (
     EntropyScheme,
+    NodeEntropyMap,
     compute_node_entropies,
     node_entropy_mixed,
     unified_node_entropy,
@@ -112,6 +113,7 @@ from oracles import (
     reference_extract_training,
     reference_grouped_arc_scores,
     reference_grouping,
+    reference_neighbor_conflicts,
     reference_node_entropy_mixed,
     reference_parse_treebank,
     reference_probe,
@@ -184,6 +186,88 @@ def test_indices_with_equal_node_ids_keep_their_own_memo(treebank):
     assert pipeline.partition_key(closure(frozenset(), other)) == (
         pipeline.partition_key(reference_closure(frozenset(), other))
     )
+    # nor are the arrays a closure reads: each index has its own, read
+    # off its own or-nodes
+    arrays = [aot.closure_arrays for aot in (first, second, other)]
+    assert arrays[0] == arrays[1]
+    for one, two in ((arrays[0], arrays[1]), (arrays[0], arrays[2])):
+        assert all(a is not b for a, b in zip(one, two))
+        assert all(a is not b for a, b in zip(one[0], two[0]))
+    assert [len(a) for a in arrays[2]] == [len(other.node_index)] * 3
+
+
+def test_a_closed_cut_set_is_served_its_own_closure(treebank, monkeypatch):
+    # closure files its result under the result's own cut ids exactly
+    # when they hold every seed, and keeps an entry already there; a
+    # seed without lexical yield is demoted and leaves the cut ids, so
+    # they are closed afresh, to the plain fixpoint's partition
+    closed_keys = []
+    close = cutnodes._close
+    monkeypatch.setattr(
+        cutnodes, "_close", lambda key, aot: closed_keys.append(key) or close(key, aot)
+    )
+    served = fresh = kept = 0
+    for name, aot in oracle_corpora(treebank):
+        rng = random.Random(f"closed-{name}")
+        yieldless = {i for i, n in aot.node_index.items() if not n.has_lexical_yield}
+        drawn = list(random_cut_sets(rng, aot))
+        for cut_ids in drawn + [ids | yieldless for ids in drawn if yieldless]:
+            aot.closures.clear()
+            got = closure(cut_ids, aot)
+            closed = got.cut_node_ids()
+            holds_seeds = cut_ids <= closed
+            assert (aot.closures.get(closed) is got) is holds_seeds, name
+            closed_keys.clear()
+            again = closure(closed, aot)
+            want = pipeline.partition_key(reference_closure(closed, aot))
+            assert pipeline.partition_key(again) == want, (name, sorted(cut_ids))
+            if holds_seeds:
+                assert again is got and closed_keys == [], name
+                served += 1
+                continue
+            assert any(not aot[i].has_lexical_yield for i in cut_ids - closed)
+            assert again is not got and closed_keys == [closed], name
+            fresh += 1
+            # a closed set already memoised keeps its own entry
+            aot.closures.clear()
+            first = closure(closed, aot)
+            assert closure(cut_ids, aot) is not first
+            assert aot.closures[closed] is first
+            kept += 1
+    assert served >= 500 and fresh >= 20 and kept == fresh
+
+
+def test_neighbor_conflicts_agree_with_the_reference(treebank):
+    # the same class objects, in the same order, on the first restricted
+    # round's singleton classes and on closed classes, under the mixed
+    # and arc-frequency scores and under scores drawn from three values,
+    # so that peaks tie and the representative breaks the tie
+    compared = conflicted = tied = 0
+    for name, aot in oracle_corpora(treebank):
+        rng = random.Random(f"conflicts-{name}")
+        table = build_phrase_table(aot)
+        drawn = {i: rng.choice([0.0, 0.5, 1.0]) for i in aot.node_index}
+        score_maps = [
+            compute_node_entropies(aot, table, EntropyScheme.MIXED),
+            compute_node_entropies(aot, None, EntropyScheme.ARC_FREQUENCY),
+            NodeEntropyMap(EntropyScheme.MIXED, drawn),
+        ]
+        for cut_ids in random_cut_sets(rng, aot, count=8):
+            for cutset in (singleton_cutnodes(cut_ids, aot), closure(cut_ids, aot)):
+                for scores in score_maps:
+                    want = reference_neighbor_conflicts(cutset, aot, table, scores)
+                    got = neighbor_conflicts(cutset, aot, table, scores)
+                    assert len(got) == len(want), (name, sorted(cut_ids))
+                    assert all(g is w for g, w in zip(got, want)), name
+                    peaks = [
+                        max(scores[m.node_id] for m in cls.members)
+                        for cls in cutset.cut_classes()
+                    ]
+                    compared += 1
+                    conflicted += bool(want)
+                    tied += bool(want) and len(set(peaks)) < len(peaks)
+    assert compared == 31 * 11 * 2 * 3
+    assert conflicted >= 1000 and tied >= 700
 
 
 def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
