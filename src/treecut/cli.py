@@ -214,8 +214,9 @@ STAGES = [
         ("--mode", dict(choices=[TRAINING_CUT, ANDOR_ENUM],
                         help=f"chunk source (default: {PipelineConfig.mode})")),
         ("--max-chunks", dict(type=int, help=(
-            "abort andor enumeration past this many chunks "
-            f"(default: {PipelineConfig.max_chunks})"
+            "abort andor enumeration past this many partial products of "
+            "alternatives, wordless expansions included, not only emitted "
+            f"chunks (default: {PipelineConfig.max_chunks})"
         ))),
     ]),
     ("search", [

@@ -94,9 +94,6 @@ class CutnodeSet:
             m.node_id for c in self.classes if c.cut for m in c.members
         )
 
-    def class_of(self, node_id: str) -> EquivalenceClass:
-        return self.node_to_class[node_id]
-
 
 def singleton_cutnodes(cut_ids: frozenset[str], aot: AndOrTree) -> CutnodeSet:
     """Every node its own class; no closure applied."""
@@ -242,14 +239,6 @@ def _iterate(step, initial: frozenset, max_iterations: int) -> frozenset:
     raise IterationLimitError(history[-2] if len(history) > 1 else initial, history[-1])
 
 
-def _threshold_seeds(scores: NodeEntropyMap, s_min: float, aot: AndOrTree) -> frozenset[str]:
-    return frozenset(
-        node.node_id
-        for node in aot.nodes()
-        if node.has_lexical_yield and scores[node.node_id] > s_min
-    )
-
-
 def neighbor_conflicts(
     cutset: CutnodeSet,
     aot: AndOrTree,
@@ -325,18 +314,27 @@ def neighbor_conflicts(
     return [removed[seq] for seq in sorted(removed)]
 
 
-def _restricted_fixpoint(
-    seeds: frozenset[str],
+def _settle(
+    scores: NodeEntropyMap,
+    s_min: float,
     aot: AndOrTree,
     table: PhraseEntropyTable,
-    scores: NodeEntropyMap,
+    restrictions: bool,
     max_iterations: int,
 ) -> CutnodeSet:
-    """Alternate conflict removal and closure until both settle.
+    """Close the nodes with lexical yield scoring strictly above *s_min*.
 
-    The first conflict round sees the seeds as singleton classes, before
-    any equating; later rounds see closed assignments.
+    Under *restrictions*, alternate conflict removal and closure until
+    both settle.  The first conflict round sees those seeds as singleton
+    classes, before any equating; later rounds see closed assignments.
     """
+    seeds = frozenset(
+        node.node_id
+        for node in aot.nodes()
+        if node.has_lexical_yield and scores[node.node_id] > s_min
+    )
+    if not restrictions:
+        return closure(seeds, aot)
 
     def step(cut_ids: frozenset, i: int) -> frozenset:
         current = (
@@ -373,10 +371,7 @@ def select_by_threshold(
         return select_iterative(
             s_min, aot, table, restrictions=restrictions, max_iterations=max_iterations
         )
-    seeds = _threshold_seeds(scores, s_min, aot)
-    if not restrictions:
-        return closure(seeds, aot)
-    return _restricted_fixpoint(seeds, aot, table, scores, max_iterations)
+    return _settle(scores, s_min, aot, table, restrictions, max_iterations)
 
 
 def select_iterative(
@@ -397,15 +392,11 @@ def select_iterative(
     """
 
     def step(cut_ids: frozenset, i: int) -> frozenset:
-        current = closure(cut_ids, aot)
         scores = compute_node_entropies(
-            aot, None, EntropyScheme.ARC_FREQUENCY, current.classes
+            aot, None, EntropyScheme.ARC_FREQUENCY, closure(cut_ids, aot).classes
         )
-        seeds = _threshold_seeds(scores, s_min, aot)
-        if not restrictions:
-            return closure(seeds, aot).cut_node_ids()
-        return _restricted_fixpoint(
-            seeds, aot, table, scores, max_iterations
+        return _settle(
+            scores, s_min, aot, table, restrictions, max_iterations
         ).cut_node_ids()
 
     return closure(_iterate(step, frozenset(), max_iterations), aot)

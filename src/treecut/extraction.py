@@ -346,31 +346,36 @@ def extract_andor(
     ``[chunk, 0]`` pairs that span a slot, in first-seen order.
 
     Chunk roots are the root's class and every cut class; lexical arcs
-    never root a chunk.  Bodies are enumerated once per class and
-    reused.  Raises ChunkCapError past *max_chunks*, and
-    ChunkExplosionError when class merging has produced a self-recursive
-    structure.  The walks below
+    never root a chunk.  A class's bodies, and an index position's
+    wordless expansions, are each built once, as the product of one
+    alternative per child slot.  Every partial product of that
+    multiplication counts against *max_chunks*, wordless expansions
+    included; past it, ChunkCapError.  ChunkExplosionError means class
+    merging has produced a self-recursive structure.  The walks below
     are written as recursion, but each sub-call is a generator that
     ``_run_calls`` keeps on its own stack.  Pieces are hash-consed,
     through *pieces* when it is given, so a repeated alternative or
     chunk is the same object.
     """
-    budget = {"left": max_chunks}
     pieces = Pieces() if pieces is None else pieces
-    memo: dict[int, list[Internal]] = {}
+    class_of = cutset.node_to_class
+    left = max_chunks
+    bodies: dict[int, list[Internal]] = {}
+    wordless: dict[int, list[Internal]] = {}
     # classes whose expansion has begun: a finished one is served from
-    # memo first, so one met here again is still on the walk's path
+    # bodies first, so one met here again is still on the walk's path
     started: set[int] = set()
 
-    def class_of(node: OrNode):
-        return cutset.class_of(node.node_id)
-
-    def spend(n: int = 1) -> None:
-        budget["left"] -= n
-        if budget["left"] < 0:
-            raise ChunkCapError(f"more than {max_chunks} chunks")
-
-    wordless_memo: dict[int, list[Internal]] = {}
+    def combine(rule: str, slots: list) -> list[Internal]:
+        """*rule* applied to every pick of one alternative per slot."""
+        nonlocal left
+        combos: list[tuple] = [()]
+        for alternatives in slots:
+            combos = [prefix + (alt,) for prefix in combos for alt in alternatives]
+            left -= len(combos)
+            if left < 0:
+                raise ChunkCapError(f"more than {max_chunks} chunks")
+        return [pieces.apply(rule, combo) for combo in combos]
 
     def wordless_pieces(node: OrNode):
         """Expansions at this index position spanning no words.
@@ -379,47 +384,35 @@ def extract_andor(
         finite tree, so this terminates even when class merging is
         cyclic.
         """
-        if node.seq in wordless_memo:
-            return wordless_memo[node.seq]
-        out: list[Internal] = []
-        for rule, and_node in node.sorted_arcs():
-            if rule == LEX:
-                continue
-            combos: list[tuple] = [()]
-            for child in and_node.children:
-                alternatives = yield wordless_pieces(child)
-                combos = [
-                    prefix + (alt,) for prefix in combos for alt in alternatives
-                ]
-                if combos:
-                    spend(len(combos))
-            out.extend(pieces.apply(rule, combo) for combo in combos)
-        wordless_memo[node.seq] = out
-        return out
+        if node.seq not in wordless:
+            out: list[Internal] = []
+            for rule, and_node in node.sorted_arcs():
+                if rule != LEX:
+                    slots = []
+                    for child in and_node.children:
+                        slots.append((yield wordless_pieces(child)))
+                    out += combine(rule, slots)
+            wordless[node.seq] = out
+        return wordless[node.seq]
 
     def position_alternatives(node: OrNode):
-        cls = class_of(node)
+        cls = class_of[node.node_id]
         if cls.cut:
             # a boundary at a wordless expansion could never be
             # re-filled, so those shapes stay available inline
-            alts: list = [pieces.leaf(Frontier, node.category)]
-            seen: set[int] = set()
+            inline: dict[int, Internal] = {}
             for member in cls.members:
                 for piece in (yield wordless_pieces(member)):
-                    if id(piece) not in seen:
-                        seen.add(id(piece))
-                        alts.append(piece)
-            return alts
-        alts = []
-        if any(LEX == rule for m in cls.members for rule in m.arcs):
-            alts.append(pieces.leaf(LexSlot, node.category))
-        alts.extend((yield expansions(cls)))
-        return alts
+                    inline.setdefault(id(piece), piece)
+            return [pieces.leaf(Frontier, node.category), *inline.values()]
+        lexical = any(LEX in member.arcs for member in cls.members)
+        lex = [pieces.leaf(LexSlot, node.category)] if lexical else []
+        return lex + (yield expansions(cls))
 
     def expansions(cls):
         key = cls.representative.seq
-        if key in memo:
-            return memo[key]
+        if key in bodies:
+            return bodies[key]
         if key in started:
             raise ChunkExplosionError(
                 f"recursive class structure at {cls.representative.node_id}"
@@ -432,33 +425,22 @@ def extract_andor(
                 if rule == LEX:
                     continue
                 shape = (rule,) + tuple(
-                    class_of(c).representative.seq for c in and_node.children
+                    class_of[c.node_id].representative.seq for c in and_node.children
                 )
                 if shape in seen_shapes:
                     continue
                 seen_shapes.add(shape)
                 slots = []
-                for c in and_node.children:
-                    slots.append((yield position_alternatives(c)))
-                combos: list[tuple] = [()]
-                for alternatives in slots:
-                    combos = [
-                        prefix + (alt,) for prefix in combos for alt in alternatives
-                    ]
-                    spend(len(combos))
-                for combo in combos:
-                    out.append(pieces.apply(rule, combo))
-        memo[key] = out
+                for child in and_node.children:
+                    slots.append((yield position_alternatives(child)))
+                out += combine(rule, slots)
+        bodies[key] = out
         return out
 
-    support: dict[int, list] = {}
-    roots = [class_of(aot.root)]
-    for cls in cutset.cut_classes():
-        if cls is not roots[0]:
-            roots.append(cls)
-    for cls in roots:
-        for chunk in _run_calls(expansions(cls)):
-            support.setdefault(id(chunk), [chunk, 0])
+    roots = dict.fromkeys([class_of[aot.root.node_id], *cutset.cut_classes()])
+    support = {
+        id(chunk): [chunk, 0] for cls in roots for chunk in _run_calls(expansions(cls))
+    }
     return [entry for entry in support.values() if entry[0].length]
 
 

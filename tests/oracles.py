@@ -36,7 +36,17 @@ from treecut.andor import (
     index_treebank,
 )
 from treecut.coverage import Tiling, evaluate_coverage
-from treecut.cutnodes import CutnodeSet, EquivalenceClass, closure, select_by_threshold
+from treecut.cutnodes import (
+    MAX_ITERATIONS,
+    CutnodeSet,
+    EquivalenceClass,
+    IterationLimitError,
+    _iterate,
+    closure,
+    neighbor_conflicts,
+    select_by_threshold,
+    singleton_cutnodes,
+)
 from treecut.entropy import (
     LHS_POSITION,
     PhraseEntropyTable,
@@ -1144,7 +1154,7 @@ def per_node_arc_scores(aot, cutset):
     """Each node's arc counts pooled over its class, one node at a time."""
     scores = {}
     for node in aot.nodes():
-        members = cutset.class_of(node.node_id).members if cutset else (node,)
+        members = cutset.node_to_class[node.node_id].members if cutset else (node,)
         pooled = {}
         for member in members:
             for rule, count in member.arc_counts.items():
@@ -1325,6 +1335,85 @@ def reference_neighbor_conflicts(
     return [removed[seq] for seq in sorted(removed)]
 
 
+def reference_threshold_seeds(scores, s_min, aot):
+    """The seeds of a threshold selection, as the selectors first took
+    them: the nodes with lexical yield scoring strictly above *s_min*."""
+    return frozenset(
+        node.node_id
+        for node in aot.nodes()
+        if node.has_lexical_yield and scores[node.node_id] > s_min
+    )
+
+
+def reference_restricted_fixpoint(seeds, aot, table, scores, max_iterations):
+    """Alternate conflict removal and closure until both settle.
+
+    The first conflict round sees the seeds as singleton classes, before
+    any equating; later rounds see closed assignments.
+    """
+
+    def step(cut_ids: frozenset, i: int) -> frozenset:
+        current = (
+            singleton_cutnodes(cut_ids, aot) if i == 0 else closure(cut_ids, aot)
+        )
+        conflicts = neighbor_conflicts(current, aot, table, scores)
+        dropped = frozenset(
+            m.node_id for cls in conflicts for m in cls.members
+        )
+        return closure(current.cut_node_ids() - dropped, aot).cut_node_ids()
+
+    return closure(_iterate(step, seeds, max_iterations), aot)
+
+
+def reference_select_by_threshold(
+    s_min, aot, table, scores, *, restrictions=False, max_iterations=MAX_ITERATIONS
+):
+    """The threshold selector as it was before the seeds, their closure
+    and the restricted fixpoint settled in one place."""
+    if scores.scheme is EntropyScheme.ARC_FREQUENCY:
+        return reference_select_iterative(
+            s_min, aot, table, restrictions=restrictions, max_iterations=max_iterations
+        )
+    seeds = reference_threshold_seeds(scores, s_min, aot)
+    if not restrictions:
+        return closure(seeds, aot)
+    return reference_restricted_fixpoint(seeds, aot, table, scores, max_iterations)
+
+
+def reference_select_iterative(
+    s_min, aot, table, *, restrictions=False, max_iterations=MAX_ITERATIONS
+):
+    """The iterated arc-frequency selector as it was before the seeds,
+    their closure and the restricted fixpoint settled in one place."""
+
+    def step(cut_ids: frozenset, i: int) -> frozenset:
+        current = closure(cut_ids, aot)
+        scores = compute_node_entropies(
+            aot, None, EntropyScheme.ARC_FREQUENCY, current.classes
+        )
+        seeds = reference_threshold_seeds(scores, s_min, aot)
+        if not restrictions:
+            return closure(seeds, aot).cut_node_ids()
+        return reference_restricted_fixpoint(
+            seeds, aot, table, scores, max_iterations
+        ).cut_node_ids()
+
+    return closure(_iterate(step, frozenset(), max_iterations), aot)
+
+
+def selection_outcome(select, s_min, aot, table, scores, restrictions, max_iterations):
+    """The closed partition *select* returns, or the class and message of
+    its IterationLimitError."""
+    try:
+        cutset = select(
+            s_min, aot, table, scores,
+            restrictions=restrictions, max_iterations=max_iterations,
+        )
+    except IterationLimitError as exc:
+        return type(exc), str(exc)
+    return cutset
+
+
 # --- Extraction: the per-tree and recursive versions ----------------------
 
 
@@ -1353,11 +1442,11 @@ def reference_cut_tree(tree, aot, cutset):
         parts = []
         for child, child_or in zip(node.children, and_node.children):
             if isinstance(child, LexLeaf):
-                if cutset.class_of(child_or.node_id).cut:
+                if cutset.node_to_class[child_or.node_id].cut:
                     parts.append(Frontier(child_or.category))
                 else:
                     parts.append(LexSlot(child_or.category))
-            elif cutset.class_of(child_or.node_id).cut and child.length > 0:
+            elif cutset.node_to_class[child_or.node_id].cut and child.length > 0:
                 parts.append(Frontier(child_or.category))
                 pending.append((child, child_or))
             else:
@@ -1425,7 +1514,7 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
     memo = {}
 
     def class_of(node):
-        return cutset.class_of(node.node_id)
+        return cutset.node_to_class[node.node_id]
 
     def spend(n=1):
         budget["left"] -= n
@@ -1521,6 +1610,39 @@ def andor_outcome(extract, aot, cutset, max_chunks):
     except ChunkExplosionError as exc:
         return type(exc), str(exc)
     return [(r.name, r.lhs, render_tree(r.chunk), r.rhs, r.support) for r in rules]
+
+
+def smallest_cap(extract, aot, cutset):
+    """The least ``max_chunks`` at which *extract* enumerates *cutset*'s
+    chunks; it must succeed under the default cap.  Success is monotone
+    in the cap, since every partial product only adds to the count."""
+    low, high = 0, DEFAULT_MAX_CHUNKS
+    extract(aot, cutset, max_chunks=high)
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            extract(aot, cutset, max_chunks=mid)
+        except ChunkCapError:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def empty_slot_index(alternatives):
+    """A hand-built index whose one rule ``s -> a b`` has a lexical slot
+    and *alternatives* - 1 wordless bodies at ``a``, and nothing at all
+    at ``b``: its partial products count, but it has no chunk."""
+    lines = ["s_a_b s -> a b"]
+    lines += [f"a_{k} a ->" for k in range(1, alternatives)]
+    inv = parse_rule_inventory("\n".join(lines) + "\n", "s")
+    a = OrNode("a", Slot("s_a_b", 1), has_lexical_yield=True)
+    a.arcs = {LEX: AndNode(LEX, [])}
+    a.arcs.update((r, AndNode(r, [])) for r in inv.rules if r != "s_a_b")
+    b = OrNode("b", Slot("s_a_b", 2))
+    root = OrNode("s", None, has_lexical_yield=True)
+    root.arcs = {"s_a_b": AndNode("s_a_b", [a, b])}
+    return AndOrTree(root, _assign_ids(root), inv)
 
 
 def has_wordless_piece(chunk):

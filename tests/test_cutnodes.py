@@ -45,10 +45,10 @@ def test_closure_congruence_aligns_children(aot):
     # Equating the np class aligns the dets and ns below its np_det_n
     # arcs, without cutting them.
     cutset = closure(frozenset({"n3", "n4", "n6", "n9"}), aot)
-    det_class = cutset.class_of("t5")
+    det_class = cutset.node_to_class["t5"]
     assert member_ids(det_class) == {"t5", "t7", "t10"}
     assert not det_class.cut
-    n_class = cutset.class_of("t6")
+    n_class = cutset.node_to_class["t6"]
     assert member_ids(n_class) == {"t6", "t8", "t11"}
     assert not n_class.cut
 
@@ -206,13 +206,13 @@ def test_select_iterative_restrictions_take_an_empty_table(aot):
 
 def test_cutnode_set_helpers(aot):
     cutset = closure(frozenset({"n3", "n4", "n6", "n9"}), aot)
-    assert cutset.class_of("n3").cut and cutset.class_of("n9").cut
-    assert not cutset.class_of("n1").cut
-    assert cutset.class_of("n6") is cutset.class_of("n3")
-    assert {m.node_id for m in cutset.class_of("n3").members} == {
+    assert cutset.node_to_class["n3"].cut and cutset.node_to_class["n9"].cut
+    assert not cutset.node_to_class["n1"].cut
+    assert cutset.node_to_class["n6"] is cutset.node_to_class["n3"]
+    assert {m.node_id for m in cutset.node_to_class["n3"].members} == {
         "n3", "n4", "n6", "n9"
     }
-    assert [m.node_id for m in cutset.class_of("t1").members] == ["t1"]
+    assert [m.node_id for m in cutset.node_to_class["t1"].members] == ["t1"]
 
 
 def test_render_cut_classes(aot, table, mixed_scores):

@@ -7,6 +7,7 @@ strategies, which shrink a failure to a minimal text.
 """
 
 import functools
+import itertools
 import math
 import random
 import re
@@ -29,12 +30,14 @@ from treecut.extraction import (
     ANDOR_ENUM,
     DEFAULT_MAX_CHUNKS,
     TRAINING_CUT,
+    ChunkCapError,
     ChunkExplosionError,
     ChunkMemo,
     Pieces,
     RuleFileFormatError,
     SpecializedRule,
     cut_tree,
+    extract_andor,
     extract_training,
     flat_rhs,
     name_rules,
@@ -95,6 +98,7 @@ from oracles import (
     copy_with_words,
     corpus_texts,
     distinct_nodes,
+    empty_slot_index,
     gen_corpus,
     gen_cyclic_root,
     gen_root,
@@ -120,14 +124,17 @@ from oracles import (
     reference_quantize,
     reference_render_tree,
     reference_rule_chunk,
+    reference_select_by_threshold,
     reference_unified_node_entropy,
     reference_validate,
     repeated_shape_treebanks,
     rule_records,
     search_context,
     seeded_corpora,
+    selection_outcome,
     sexpr_text,
     shared_subtree_treebanks,
+    smallest_cap,
     token_fold_outcome,
     toy_chunks,
     training_rules,
@@ -268,6 +275,44 @@ def test_neighbor_conflicts_agree_with_the_reference(treebank):
                     tied += bool(want) and len(set(peaks)) < len(peaks)
     assert compared == 31 * 11 * 2 * 3
     assert conflicted >= 1000 and tied >= 700
+
+
+def test_selection_agrees_with_the_reference_selectors(treebank):
+    # just below and just above each distinct score, under every scheme,
+    # with and without restrictions, and with an iteration limit that
+    # some fixpoints reach: the same closed partition, or the same error
+    seen = Counter()
+    for name, aot in oracle_corpora(treebank):
+        table = build_phrase_table(aot)
+        for scheme in EntropyScheme:
+            scores = compute_node_entropies(aot, table, scheme)
+            thresholds = sorted({
+                math.nextafter(v, direction)
+                for v in set(scores.values.values())
+                for direction in (-math.inf, math.inf)
+            })
+            for s_min, limit in itertools.product(
+                thresholds, (1, 2, cutnodes.MAX_ITERATIONS)
+            ):
+                outcomes = []
+                for restrictions in (False, True):
+                    args = (s_min, aot, table, scores, restrictions, limit)
+                    want = selection_outcome(reference_select_by_threshold, *args)
+                    got = selection_outcome(cutnodes.select_by_threshold, *args)
+                    where = (name, scheme, s_min, restrictions, limit)
+                    if isinstance(want, tuple):
+                        assert got == want, where
+                        seen["iteration limit"] += 1
+                    else:
+                        assert got is want, where
+                        seen[scheme, restrictions] += 1
+                    outcomes.append(want)
+                # the restricted fixpoint removed a conflicting class
+                unrestricted, restricted = outcomes
+                seen[scheme, "restrictions removed"] += not any(
+                    isinstance(o, tuple) for o in outcomes
+                ) and unrestricted is not restricted
+    assert min(seen.values()) >= 100, seen
 
 
 def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
@@ -1027,6 +1072,41 @@ def test_extract_andor_agrees_with_the_recursive_enumerator():
     assert min(seen.values()) >= 10, seen
 
 
+def test_the_chunk_cap_boundary_agrees_with_the_recursive_enumerator(treebank):
+    # the least cap that enumerates a cut set, and one less fails with
+    # the same message; every partial product counts, so the index whose
+    # second slot has no alternative needs a cap of 4 to emit no chunk
+    def assert_boundary(aot, cutset):
+        cap = smallest_cap(reference_extract_andor, aot, cutset)
+        assert smallest_cap(extract_andor, aot, cutset) == cap
+        want = andor_outcome(reference_extract_andor, aot, cutset, cap - 1)
+        assert want == (ChunkCapError, f"more than {cap - 1} chunks")
+        assert andor_outcome(andor_rules, aot, cutset, cap - 1) == want
+        return cap
+
+    empty = empty_slot_index(4)
+    for cut_ids in (frozenset(), frozenset(["n1"])):
+        cutset = singleton_cutnodes(cut_ids, empty)
+        assert cutset.node_to_class["n1"].cut == bool(cut_ids)
+        assert assert_boundary(empty, cutset) == 4
+        assert extract_andor(empty, cutset, 4) == []
+    caps, wordless = [], 0
+    for name, aot in itertools.islice(oracle_corpora(treebank), 9):
+        rng = random.Random(f"cap-{name}")
+        cut_sets = [frozenset(), frozenset(aot.node_index)]
+        if name != "toy":
+            cut_sets += random_cut_sets(rng, aot, count=3)
+        for cut_ids in cut_sets:
+            cutset = closure(cut_ids, aot)
+            try:
+                chunks = extract_andor(aot, cutset)
+            except ChunkExplosionError:  # recursive classes, or past the cap
+                continue
+            caps.append(assert_boundary(aot, cutset))
+            wordless += any(has_wordless_piece(chunk) for chunk, _ in chunks)
+    assert len(caps) >= 60 and min(caps) > 0 and wordless >= 10, (caps, wordless)
+
+
 @settings(max_examples=60, deadline=None)
 @given(text=repeated_shape_treebanks(), split=st.integers(1, 12), seed=st.integers())
 def test_shape_keyed_work_agrees_on_repeated_shapes(text, split, seed):
@@ -1066,7 +1146,7 @@ def test_shape_keyed_work_agrees_when_a_subtree_recurs_across_one_class(corpus, 
     # subtree is a chunk root there or, wordless, stays inline
     nps = frozenset(n.node_id for n in aot.nodes() if n.category == "np")
     cutset = closure(nps, aot)
-    assert len({id(cutset.class_of(n.node_id)) for n in at}) == 1
+    assert len({id(cutset.node_to_class[n.node_id]) for n in at}) == 1
     assert_shape_keyed_work_agrees(
         LOADER_GRAMMAR, training, [], random.Random(seed), cut_sets=3, chosen=[nps]
     )
