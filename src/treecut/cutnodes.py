@@ -72,9 +72,9 @@ class CutnodeSet:
 
     ``classes`` are held in representative (``seq``) order, however they
     are passed in, and ``cut_classes`` keeps that order.  ``closure``
-    memoises its results per index and hands the same instance to every
-    caller that closes an equal cut set, so a closed ``CutnodeSet`` is
-    shared and must never be mutated.
+    memoises its results per index and hands one instance to every
+    caller that closes to an equal partition (see ``closure``), so a
+    closed ``CutnodeSet`` is shared and must never be mutated.
     """
 
     classes: tuple[EquivalenceClass, ...]
@@ -110,19 +110,20 @@ def closure(cut_ids, aot: AndOrTree) -> CutnodeSet:
     Idempotent and monotone in the cut set.  Classes whose members all
     lack lexical yield are demoted to uncut at the end.  Results are
     memoised per index on the cut set, so equal cut sets given as any
-    iterable of node ids share one ``CutnodeSet``.  A result is also
-    filed under its own cut node ids when they hold every seed: it has
-    one cut class per category and a seed in each, so it is the least
-    coherent assignment over those ids too.  A seed without lexical
-    yield whose class is demoted leaves that key out.
+    iterable of node ids share one ``CutnodeSet``.  When the result's
+    cut node ids hold every seed, it has one cut class per category and
+    a seed in each, so it closes those ids too: the partition filed
+    under them is returned, and equal partitions are one object.  A
+    seed without lexical yield whose class is demoted leaves that out.
     """
     key = frozenset(cut_ids)
     cutset = aot.closures.get(key)
     if cutset is None:
-        cutset = aot.closures[key] = _close(key, aot)
+        cutset = _close(key, aot)
         closed = cutset.cut_node_ids()
         if key <= closed:
-            aot.closures.setdefault(closed, cutset)
+            cutset = aot.closures.setdefault(closed, cutset)
+        aot.closures[key] = cutset
     return cutset
 
 

@@ -46,7 +46,7 @@ from treecut.cutnodes import CutnodeSet
 from treecut.grammar import (
     LEX, Frontier, Internal, LexLeaf, LexSlot, RuleInventory, render_tree, shape_groups
 )
-from treecut.sexpr import Fault, LineNumberedError, SexprError, read_all
+from treecut.sexpr import LINE_BREAK, Fault, LineNumberedError, SexprError, read_all
 
 TRAINING_CUT = "training"
 ANDOR_ENUM = "andor"
@@ -598,7 +598,7 @@ def parse_rule_file(text: str) -> list[SpecializedRule]:
             )
         rules.append(rule)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(LINE_BREAK.split(text), start=1):
         if raw.strip().startswith("#"):
             continue
         if not raw.strip():

@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 
 from treecut.sexpr import (
+    LINE_BREAK,
     Fault,
     LineNumberedError,
     SexprError,
@@ -226,7 +227,7 @@ _DELIMITER = re.compile(r'[()"]')
 def parse_rule_inventory(text: str, top: str) -> RuleInventory:
     """Parse a grammar file; ``top`` names the root category of complete parses."""
     rules: dict[str, GrammarRule] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

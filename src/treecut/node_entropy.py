@@ -114,13 +114,13 @@ def compute_node_entropies(
     values: dict[str, float] = {}
     if scheme is EntropyScheme.ARC_FREQUENCY:
         if classes is None:
-            for node in aot.nodes():
-                values[node.node_id] = node_entropy_arc_frequency(node)
+            groups = ((node,) for node in aot.nodes())
         else:
-            for cls in classes:
-                score = node_entropy_arc_frequency(cls.representative, cls.members)
-                for member in cls.members:
-                    values[member.node_id] = score
+            groups = (cls.members for cls in classes)
+        for members in groups:
+            score = node_entropy_arc_frequency(members[0], members)
+            for member in members:
+                values[member.node_id] = score
         return NodeEntropyMap(scheme=scheme, values=values)
     for node in aot.nodes():
         if node.parent_slot is None:

@@ -132,13 +132,6 @@ def load_treebank(cfg: PipelineConfig) -> Treebank:
     return Treebank(inv, training, test)
 
 
-def partition_key(cutnodes: CutnodeSet) -> tuple:
-    """Every class's member seqs and cut flag: all that extraction reads."""
-    return tuple(
-        (tuple(m.seq for m in cls.members), cls.cut) for cls in cutnodes.classes
-    )
-
-
 @dataclass
 class SearchContext:
     """One run: the fields ``set_up`` fills, and each later stage,
@@ -153,12 +146,14 @@ class SearchContext:
     keeps landing on partitions it has already seen.  Chunks in both
     extraction modes depend only on the closed partition, so *probe*
     extracts once per distinct partition, unnamed and in the order
-    found, and *memo* keeps each one's chunks and coverage.  Every
-    extraction of the run builds its chunks through the one *pieces*
-    store, so a chunk that partitions share is one object, and the one
-    ``verdicts`` table matches it against the test set once.  The
-    reported tilings come from ``evaluate_coverage``, once a run, which
-    tiles with a table of its own in the same children-first pass.
+    found, and *memo* keeps each one's chunks and coverage, keyed on
+    the ``id`` of the one object the index holds for that partition
+    (see ``cutnodes.closure``).  Every extraction of the run builds its
+    chunks through the one *pieces* store, so a chunk that partitions
+    share is one object, and the one ``verdicts`` table matches it
+    against the test set once.  The reported tilings come from
+    ``evaluate_coverage``, once a run, which tiles with a table of its
+    own in the same children-first pass.
     """
 
     treebank: Treebank
@@ -199,11 +194,10 @@ class SearchContext:
 
     def probe(self, threshold: float) -> ThresholdProbe:
         cutnodes = self.select(threshold)
-        key = partition_key(cutnodes)
-        if key not in self.memo:
+        if id(cutnodes) not in self.memo:
             chunks = self.extract(threshold, cutnodes)
-            self.memo[key] = (chunks, self.verdicts.fraction(chunks))
-        return ThresholdProbe(cutnodes, self.memo[key][1])
+            self.memo[id(cutnodes)] = (chunks, self.verdicts.fraction(chunks))
+        return ThresholdProbe(cutnodes, self.memo[id(cutnodes)][1])
 
     @cached_property
     def verdicts(self) -> VerdictTable:
@@ -224,7 +218,7 @@ class SearchContext:
     def rules(self) -> list[SpecializedRule]:
         threshold, _, cutnodes = self.choice
         # a search extracted its partition already; a fixed threshold has not
-        seen = self.memo.get(partition_key(cutnodes))
+        seen = self.memo.get(id(cutnodes))
         chunks = self.extract(threshold, cutnodes) if seen is None else seen[0]
         return name_rules(chunks, self.treebank.inventory)
 

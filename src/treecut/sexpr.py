@@ -23,6 +23,8 @@ _TOKEN = re.compile(rf'[()]|[^\s()"#]+|{_QUOTED}|".*|#[^\n]*', re.S)
 _CLOSED = re.compile(_QUOTED, re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _DANGLING = re.compile(r'(?:[^"\\]|\\.)*\\', re.S)
+# The line breaks of universal newlines, unlike str.splitlines's many.
+LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 class LineNumberedError(Exception):

@@ -85,7 +85,7 @@ from treecut.grammar import (
     shape_groups,
 )
 from treecut.node_entropy import EntropyScheme, NodeEntropyMap, compute_node_entropies
-from treecut.pipeline import PipelineConfig, SearchContext, partition_key
+from treecut.pipeline import PipelineConfig, SearchContext
 from treecut.sexpr import SexprError, quote_if_needed, read_all
 from treecut.threshold import ThresholdProbe
 
@@ -185,6 +185,11 @@ def toy_config(**fields):
 
 # the depth of the deep chain: far beyond the interpreter's recursion limit
 DEEP = 10_000
+
+# str.splitlines breaks lines at these too; the grammar and rule-file
+# readers, like a file opened in universal-newline mode, break only at
+# "\n", "\r\n" and "\r", and read these as whitespace inside a line
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def chain_text(depth):
@@ -1215,6 +1220,14 @@ class ReferenceUnionFind:
         return True
 
 
+def partition_key(cutnodes):
+    """Every class's member seqs and cut flag: all that extraction reads,
+    comparable across indices and against ``reference_closure``."""
+    return tuple(
+        (tuple(m.seq for m in cls.members), cls.cut) for cls in cutnodes.classes
+    )
+
+
 def reference_closure(cut_ids, aot):
     """Plain fixpoint closure: rebuild every group each round, no memo."""
     nodes = sorted(aot.nodes(), key=lambda n: n.seq)
@@ -1835,7 +1848,7 @@ def assert_probes_agree_with_fresh_paths(context):
 
     def recording_select(threshold):
         cutnodes = select(threshold)
-        probed.setdefault(partition_key(cutnodes), cutnodes)
+        probed.setdefault(id(cutnodes), cutnodes)
         return cutnodes
 
     context.select = recording_select

@@ -19,7 +19,7 @@ from treecut.extraction import (
 )
 from treecut.grammar import parse_rule_inventory, parse_treebank
 from treecut.node_entropy import unified_node_entropy
-from treecut.pipeline import SearchContext, load_treebank, partition_key, run_pipeline
+from treecut.pipeline import SearchContext, load_treebank, run_pipeline
 from treecut.threshold import bisect
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     covers,
     gen_root,
     mixed_set_up,
+    partition_key,
     random_rule_subsets,
     reference_closure,
     seeded_corpora,

@@ -19,9 +19,8 @@ from treecut.cutnodes import (
 from treecut.entropy import build_phrase_table
 from treecut.grammar import parse_rule_inventory, parse_treebank
 from treecut.node_entropy import EntropyScheme, compute_node_entropies
-from treecut.pipeline import partition_key
 
-from oracles import reference_closure
+from oracles import partition_key, reference_closure
 
 
 def cut_ids(cutset):

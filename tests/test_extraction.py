@@ -36,7 +36,15 @@ from treecut.grammar import (
 )
 from treecut.sexpr import SexprError
 
-from oracles import DEEP, TOY, andor_rules, blind, chunk_keys, training_rules
+from oracles import (
+    DEEP,
+    NOT_LINE_BREAKS,
+    TOY,
+    andor_rules,
+    blind,
+    chunk_keys,
+    training_rules,
+)
 
 
 # Hand-walked chunks for the four training trees with the object-side
@@ -306,6 +314,45 @@ def test_chunk_faults_name_their_line_in_the_file(edits, message):
     with pytest.raises(SexprError) as info:
         parse_rule_file("\n".join(lines) + "\n")
     assert str(info.value) == message
+
+
+# a separator in the header, the chunk or the support line of np_b, and
+# the lines from *at* on replaced by *tail*, which holds a fault two
+# lines below the separator
+@pytest.mark.parametrize(
+    "k, line, at, tail, message",
+    [
+        (4, "np_b: np =>{}num", 6, ["  support: two"],
+         "line 7: rule 'np_b': support 'two' is not a count"),
+        (5, "  (np_num{}(lex num))", 7, ["  (np_num (lex num))"],
+         "line 8: rule 'np_b' needs exactly one chunk"),
+        (6, "  support:{}2", 7, ["", "np_c np num"],
+         "line 9: malformed rule header: 'np_c np num'"),
+    ],
+)
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_a_rule_file_reads_other_separators_as_whitespace(char, k, line, at, tail, message):
+    lines = list(TWO_RULES)
+    lines[k] = line.format(char)
+    spaced = list(TWO_RULES)
+    spaced[k] = line.format(" ")
+    assert parse_rule_file("\n".join(lines) + "\n") == parse_rule_file(
+        "\n".join(spaced) + "\n"
+    )
+    lines[at:] = tail
+    with pytest.raises(RuleFileError) as info:
+        parse_rule_file("\n".join(lines) + "\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_rule_file_breaks_lines_at_a_carriage_return(newline):
+    text = "\n".join(TWO_RULES) + "\n"
+    assert parse_rule_file(text.replace("\n", newline)) == parse_rule_file(text)
+    faulty = text.replace("support: 2", "support: two").replace("\n", newline)
+    with pytest.raises(RuleFileError) as info:
+        parse_rule_file(faulty)
+    assert str(info.value) == "line 7: rule 'np_b': support 'two' is not a count"
 
 
 

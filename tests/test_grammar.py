@@ -25,6 +25,7 @@ from oracles import (
     COMPLETE_LOADERS,
     DEEP,
     LOADER_GRAMMAR,
+    NOT_LINE_BREAKS,
     blind,
     chain_text,
     corpus_texts,
@@ -67,6 +68,33 @@ def test_grammar_format_errors(line, err, lineno):
         parse_rule_inventory(line + "\n", "s")
     assert info.value.line_no == lineno
     assert f"line {lineno}" in str(info.value)
+
+
+def rule_tuples(inv):
+    return [(r.rule_id, r.lhs, r.rhs) for r in inv.in_order()]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_a_grammar_line_reads_other_separators_as_whitespace(char):
+    text = MINI.replace("s -> np vp", f"s -> np{char}vp")
+    assert rule_tuples(parse_rule_inventory(text, "s")) == rule_tuples(
+        parse_rule_inventory(MINI, "s")
+    )
+    # a fault two lines below is named at its own line
+    with pytest.raises(GrammarFormatError) as info:
+        parse_rule_inventory(text.replace("vp -> v", "vp v"), "s")
+    assert str(info.value) == "line 3: missing '->'"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_grammar_breaks_lines_at_a_carriage_return(newline):
+    text = MINI.replace("\n", newline)
+    assert rule_tuples(parse_rule_inventory(text, "s")) == rule_tuples(
+        parse_rule_inventory(MINI, "s")
+    )
+    with pytest.raises(GrammarFormatError) as info:
+        parse_rule_inventory(text.replace("vp -> v", "vp v"), "s")
+    assert str(info.value) == "line 3: missing '->'"
 
 
 @pytest.mark.parametrize("delimiter", ["(", ")", '"'])

@@ -15,7 +15,7 @@ from treecut.coverage import (
 )
 from treecut.pipeline import run_pipeline
 
-from oracles import TOY, toy_config
+from oracles import TOY, partition_key, toy_config
 
 UNTILEABLE = "(s_np_vp (np_num (lex Nine)) (vp_v (lex left)))\n"
 
@@ -53,7 +53,7 @@ def test_reports_reuse_the_chosen_tiling(
 
     def recording_select(*args, **kwargs):
         cutnodes = select(*args, **kwargs)
-        selected.add(pipeline.partition_key(cutnodes))
+        selected.add(partition_key(cutnodes))
         return cutnodes
 
     monkeypatch.setattr(pipeline, "select_by_threshold", recording_select)

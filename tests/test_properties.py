@@ -108,6 +108,7 @@ from oracles import (
     loader_texts,
     node_counts,
     oracle_corpora,
+    partition_key,
     per_node_arc_scores,
     random_cut_sets,
     random_rule_subsets,
@@ -151,7 +152,7 @@ def test_closure_agrees_with_reference_closure(treebank):
             want = reference_closure(cut_ids, aot)
             got = closure(cut_ids, aot)
             # class order, member seqs and cut flags
-            assert pipeline.partition_key(got) == pipeline.partition_key(want), (
+            assert partition_key(got) == partition_key(want), (
                 name, sorted(cut_ids)
             )
             assert [c.members for c in got.classes] == [
@@ -182,7 +183,7 @@ def test_indices_with_equal_node_ids_keep_their_own_memo(treebank):
     ids = frozenset({"n3", "n4"})
     a, b = closure(ids, first), closure(ids, second)
     assert a is not b
-    assert pipeline.partition_key(a) == pipeline.partition_key(b)
+    assert partition_key(a) == partition_key(b)
     for cutset, aot in ((a, first), (b, second)):
         for cls in cutset.classes:
             assert all(m is aot[m.node_id] for m in cls.members)
@@ -190,8 +191,8 @@ def test_indices_with_equal_node_ids_keep_their_own_memo(treebank):
     other_inv, other_training = gen_corpus(random.Random(8001), 6)
     other = index_treebank(other_training, other_inv)
     assert closure(frozenset(), other) is not closure(frozenset(), first)
-    assert pipeline.partition_key(closure(frozenset(), other)) == (
-        pipeline.partition_key(reference_closure(frozenset(), other))
+    assert partition_key(closure(frozenset(), other)) == (
+        partition_key(reference_closure(frozenset(), other))
     )
     # nor are the arrays a closure reads: each index has its own, read
     # off its own or-nodes
@@ -205,9 +206,9 @@ def test_indices_with_equal_node_ids_keep_their_own_memo(treebank):
 
 def test_a_closed_cut_set_is_served_its_own_closure(treebank, monkeypatch):
     # closure files its result under the result's own cut ids exactly
-    # when they hold every seed, and keeps an entry already there; a
-    # seed without lexical yield is demoted and leaves the cut ids, so
-    # they are closed afresh, to the plain fixpoint's partition
+    # when they hold every seed, and then hands back an entry already
+    # there; a seed without lexical yield is demoted and leaves the cut
+    # ids, so they are closed afresh, to the plain fixpoint's partition
     closed_keys = []
     close = cutnodes._close
     monkeypatch.setattr(
@@ -226,16 +227,21 @@ def test_a_closed_cut_set_is_served_its_own_closure(treebank, monkeypatch):
             assert (aot.closures.get(closed) is got) is holds_seeds, name
             closed_keys.clear()
             again = closure(closed, aot)
-            want = pipeline.partition_key(reference_closure(closed, aot))
-            assert pipeline.partition_key(again) == want, (name, sorted(cut_ids))
+            want = partition_key(reference_closure(closed, aot))
+            assert partition_key(again) == want, (name, sorted(cut_ids))
             if holds_seeds:
                 assert again is got and closed_keys == [], name
+                # closed first, the seeds are served that partition
+                aot.closures.clear()
+                first = closure(closed, aot)
+                assert closure(cut_ids, aot) is first, name
                 served += 1
                 continue
             assert any(not aot[i].has_lexical_yield for i in cut_ids - closed)
             assert again is not got and closed_keys == [closed], name
             fresh += 1
-            # a closed set already memoised keeps its own entry
+            # a closed set already memoised keeps its own entry, and
+            # the seeds keep a partition of their own
             aot.closures.clear()
             first = closure(closed, aot)
             assert closure(cut_ids, aot) is not first
@@ -277,6 +283,15 @@ def test_neighbor_conflicts_agree_with_the_reference(treebank):
     assert conflicted >= 1000 and tied >= 700
 
 
+def around_each_score(scores):
+    """Thresholds just below and just above each distinct score, ascending."""
+    return sorted({
+        math.nextafter(v, direction)
+        for v in set(scores.values.values())
+        for direction in (-math.inf, math.inf)
+    })
+
+
 def test_selection_agrees_with_the_reference_selectors(treebank):
     # just below and just above each distinct score, under every scheme,
     # with and without restrictions, and with an iteration limit that
@@ -286,13 +301,8 @@ def test_selection_agrees_with_the_reference_selectors(treebank):
         table = build_phrase_table(aot)
         for scheme in EntropyScheme:
             scores = compute_node_entropies(aot, table, scheme)
-            thresholds = sorted({
-                math.nextafter(v, direction)
-                for v in set(scores.values.values())
-                for direction in (-math.inf, math.inf)
-            })
             for s_min, limit in itertools.product(
-                thresholds, (1, 2, cutnodes.MAX_ITERATIONS)
+                around_each_score(scores), (1, 2, cutnodes.MAX_ITERATIONS)
             ):
                 outcomes = []
                 for restrictions in (False, True):
@@ -313,6 +323,75 @@ def test_selection_agrees_with_the_reference_selectors(treebank):
                     isinstance(o, tuple) for o in outcomes
                 ) and unrestricted is not restricted
     assert min(seen.values()) >= 100, seen
+
+
+def test_equal_partitions_are_one_object(treebank, monkeypatch):
+    # just below and just above each distinct score, under every scheme,
+    # with and without restrictions: a partition selection returns is
+    # the one object for it on its index, and closing its cut node ids
+    # hands it back
+    seen = Counter()
+    for name, aot in oracle_corpora(treebank):
+        table = build_phrase_table(aot)
+        one_object, selections = {}, 0
+        for scheme in EntropyScheme:
+            scores = compute_node_entropies(aot, table, scheme)
+            for s_min, restrictions in itertools.product(
+                around_each_score(scores), (False, True)
+            ):
+                args = (s_min, aot, table, scores, restrictions, cutnodes.MAX_ITERATIONS)
+                got = selection_outcome(cutnodes.select_by_threshold, *args)
+                if isinstance(got, tuple):  # the iteration limit
+                    continue
+                where = (name, scheme, s_min, restrictions)
+                assert one_object.setdefault(partition_key(got), got) is got, where
+                assert closure(got.cut_node_ids(), aot) is got, where
+                seen[scheme, restrictions] += 1
+                selections += 1
+        seen["repeated partitions"] += selections - len(one_object)
+    assert min(seen.values()) >= 100, seen
+
+    # a coverage search extracts each distinct partition exactly once,
+    # under every scheme, with and without restrictions
+    selected, extracted = [], []
+    select, extract = pipeline.select_by_threshold, pipeline.SearchContext.extract
+
+    def recording_select(*args, **kwargs):
+        cutnodes = select(*args, **kwargs)
+        selected.append(partition_key(cutnodes))
+        return cutnodes
+
+    def recording_extract(context, threshold, cutnodes):
+        extracted.append(partition_key(cutnodes))
+        return extract(context, threshold, cutnodes)
+
+    monkeypatch.setattr(pipeline, "select_by_threshold", recording_select)
+    monkeypatch.setattr(pipeline.SearchContext, "extract", recording_extract)
+    banks = [treebank] + [
+        Treebank(inv, training, [gen_root(rng, inv) for _ in range(4)])
+        for _, rng, inv, training in seeded_corpora(7100, 8, 2, 8)
+    ]
+    searches = repeats = 0
+    for bank, scheme, restrictions in itertools.product(
+        banks, EntropyScheme, (False, True)
+    ):
+        cfg = PipelineConfig(
+            grammar_path="", train_path="", scheme=scheme,
+            neighbor_restrictions=restrictions, coverage_target=0.9,
+        )
+        selected.clear()
+        extracted.clear()
+        try:
+            search_context(bank, cfg).choice
+        except cutnodes.IterationLimitError:
+            continue
+        assert len(extracted) == len(set(extracted)) == len(set(selected)), (
+            bank.training, scheme, restrictions,
+        )
+        searches += 1
+        repeats += len(selected) - len(extracted)
+    assert searches >= 40
+    assert repeats >= 100
 
 
 def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
@@ -440,11 +519,11 @@ def test_search_context_agrees_with_reference_evaluator(treebank, monkeypatch):
 
     def counting_select(*args, **kwargs):
         cutnodes = select(*args, **kwargs)
-        selected.append(pipeline.partition_key(cutnodes))
+        selected.append(partition_key(cutnodes))
         return cutnodes
 
     def counting_extract(context, threshold, cutnodes):
-        extracted.append(pipeline.partition_key(cutnodes))
+        extracted.append(partition_key(cutnodes))
         return extract(context, threshold, cutnodes)
 
     monkeypatch.setattr(pipeline, "select_by_threshold", counting_select)

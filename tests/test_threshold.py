@@ -1,6 +1,6 @@
 import pytest
 
-from treecut.pipeline import PipelineConfig, SearchContext, partition_key
+from treecut.pipeline import PipelineConfig, SearchContext
 from treecut.threshold import MAX_STEPS, ThresholdProbe, bisect, search_unimodal
 
 
@@ -138,5 +138,5 @@ def test_toy_bisection_stops_under_first_boundary(
     # Re-verify both bracket ends independently.
     assert evaluate(result.threshold).coverage == 1.0
     assert evaluate(1.08).coverage < 1.0
-    chunks, _ = context.memo[partition_key(result.probe.cutnodes)]
+    chunks, _ = context.memo[id(result.probe.cutnodes)]
     assert len(chunks) == 5
