@@ -2,10 +2,10 @@
 
 The index merges every training tree into one alternating structure:
 an or-node collects the alternative expansions observed at one tree
-position (arcs labeled by rule id, ``lex`` included), and each arc leads
-to an and-node whose children are the or-nodes for that rule's RHS
-slots.  Arc traversal counts are kept so downstream scoring can weight
-alternatives by relative frequency.
+position, and its ``arcs`` map each rule id (``lex`` included) to the
+list of or-nodes for that rule's RHS slots, the and-node of the
+alternation (``[]`` for ``lex``).  Arc traversal counts are kept so
+downstream scoring can weight alternatives by relative frequency.
 
 Node ids are assigned after construction by a DFS that orders arcs by
 rule id, so any permutation of the training set produces the same ids:
@@ -24,17 +24,15 @@ class PathNotInIndexError(Exception):
     """A tree position has no matching or-node arc in the index."""
 
 
-@dataclass
-class AndNode:
-    rule: str
-    children: list
-
-
 @dataclass(eq=False, repr=False)
 class OrNode:
+    """One tree position: each rule seen there maps to its child or-nodes,
+    one per RHS slot.  Closures read ``arcs`` in place and never write
+    into them."""
+
     category: str
     parent_slot: Slot | None
-    arcs: dict[str, AndNode] = field(default_factory=dict)
+    arcs: dict[str, list["OrNode"]] = field(default_factory=dict)
     arc_counts: dict[str, int] = field(default_factory=dict)
     has_lexical_yield: bool = False
     node_id: str = ""
@@ -44,7 +42,7 @@ class OrNode:
     def visit_count(self) -> int:
         return sum(self.arc_counts.values())
 
-    def sorted_arcs(self) -> list[tuple[str, AndNode]]:
+    def sorted_arcs(self) -> list[tuple[str, list["OrNode"]]]:
         return sorted(self.arcs.items())
 
     def __repr__(self) -> str:  # one line: the fields reach the whole index
@@ -56,16 +54,14 @@ class AndOrTree:
     """The index, every arc ``(or-node, rule)`` in the order it was
     created (``entropy.build_phrase_table`` sums them), and what
     ``cutnodes.closure`` keeps for it: the closed partitions, keyed on
-    each cut set closed and on each closed result's own cut set, and
-    ``closure_arrays``, the or-nodes' arcs, categories and lexical-yield
-    flags by ``seq``, built on the first closure."""
+    each cut set closed and on each closed result's own cut set.  The
+    closure's union-find reads the or-nodes' own ``arcs``."""
 
     root: OrNode
     node_index: dict[str, OrNode]
     inventory: RuleInventory
     arc_order: list = field(default_factory=list, compare=False, repr=False)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
-    closure_arrays: tuple | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, node_id: str) -> OrNode:
         return self.node_index[node_id]
@@ -92,17 +88,16 @@ def _insert(root: OrNode, tree, inv: RuleInventory, arc_order: list, pairs: dict
         if tree.length > 0:
             node.has_lexical_yield = True
         rule = tree.rule if tree.__class__ is Internal else LEX
-        and_node = node.arcs.get(rule)
-        if and_node is None:
-            children = [] if rule == LEX else [
+        children = node.arcs.get(rule)
+        if children is None:
+            children = node.arcs[rule] = [] if rule == LEX else [
                 OrNode(category=cat, parent_slot=Slot(rule, k))
                 for k, cat in enumerate(inv[rule].rhs, start=1)
             ]
-            and_node = node.arcs[rule] = AndNode(rule, children)
             node.arc_counts[rule] = 0
             arc_order.append((node, rule))
         if rule != LEX:
-            stack.extend(reversed(list(zip(and_node.children, tree.children))))
+            stack.extend(reversed(list(zip(children, tree.children))))
 
 
 def _assign_ids(root: OrNode) -> dict[str, OrNode]:
@@ -122,8 +117,8 @@ def _assign_ids(root: OrNode) -> dict[str, OrNode]:
         index[node.node_id] = node
         stack.extend(
             child
-            for _, and_node in reversed(node.sorted_arcs())
-            for child in reversed(and_node.children)
+            for _, children in reversed(node.sorted_arcs())
+            for child in reversed(children)
         )
     return index
 
@@ -151,7 +146,7 @@ def index_treebank(training: list, inv: RuleInventory) -> AndOrTree:
             rule = tree.rule if tree.__class__ is Internal else LEX
             node.arc_counts[rule] += weight
             if rule != LEX:
-                for child, subtree in zip(node.arcs[rule].children, tree.children):
+                for child, subtree in zip(node.arcs[rule], tree.children):
                     pairs[child][id(subtree)][1] += weight
     return AndOrTree(root, _assign_ids(root), inv, arc_order)
 
@@ -169,8 +164,6 @@ def dump(aot: AndOrTree) -> Iterator[str]:
             continue
         flag = "" if node.has_lexical_yield else "  [no lexical yield]"
         yield f"{pad}{node.node_id} ({node.category}) visits={node.visit_count}{flag}\n"
-        for rule, and_node in reversed(node.sorted_arcs()):
-            stack.extend(
-                (child, depth + 2, None) for child in reversed(and_node.children)
-            )
+        for rule, children in reversed(node.sorted_arcs()):
+            stack.extend((child, depth + 2, None) for child in reversed(children))
             stack.append((node, depth, rule))

@@ -127,47 +127,25 @@ def closure(cut_ids, aot: AndOrTree) -> CutnodeSet:
     return cutset
 
 
-def _closure_arrays(aot: AndOrTree) -> tuple[list, list, list]:
-    """Per or-node ``seq``: its non-lexical rules mapped to the tuples
-    of their child seqs, its category, and whether it has lexical yield.
-
-    None of them changes for an index, so they are built on its first
-    closure and kept on it.
-    """
-    if aot.closure_arrays is None:
-        nodes = aot.nodes()
-        aot.closure_arrays = (
-            [
-                {
-                    rule: tuple([child.seq for child in and_node.children])
-                    for rule, and_node in node.arcs.items()
-                    if rule != LEX
-                }
-                for node in nodes
-            ],
-            [node.category for node in nodes],
-            [node.has_lexical_yield for node in nodes],
-        )
-    return aot.closure_arrays
-
-
 def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
     """Worklist congruence closure over a union-find of node seqs.
 
-    Each class root keeps a table from non-lexical rule to the child
-    seqs of one of its members' arcs, read off the index's
-    ``_closure_arrays``.  Merging two classes walks the smaller table;
-    a rule found in both tables queues its child pairs for merging
-    (congruence).  Lexical arcs have no children, so the tables leave
-    them out.  Every class holds a single category, so joining all
-    cutnodes of a category up front leaves at most one cut class per
-    category, and a cut flag ORed on each union is all promotion needs.
+    Each class root keeps a table from rule to the child or-nodes of one
+    of its members' arcs.  A root's table starts as that or-node's own
+    ``arcs`` dict and is copied only before a rule new to it is added,
+    so the index is never written.  Merging two classes walks the
+    smaller table; a rule found in both tables queues its child pairs
+    for merging (congruence).  Arcs without children (lexical or
+    nullary) equate nothing and are skipped.  Every class holds a single
+    category, so joining all cutnodes of a category up front leaves at
+    most one cut class per category, and a cut flag ORed on each union
+    is all promotion needs.
     """
-    arcs, categories, lexical = _closure_arrays(aot)
-    parent = list(range(len(arcs)))
-    tables: dict[int, dict] = {}  # merged roots only; others read their arcs
-    cut = [False] * len(arcs)
-    pending: list[tuple[int, int]] = []
+    nodes = aot.nodes()
+    parent = list(range(len(nodes)))
+    tables: dict[int, dict] = {}  # copied tables; other roots read their arcs
+    cut = [False] * len(nodes)
+    pending: list[tuple[OrNode, OrNode]] = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -179,17 +157,17 @@ def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
         ra, rb = find(a), find(b)
         if ra == rb:
             return
-        into, table = tables.get(ra, arcs[ra]), tables.get(rb, arcs[rb])
+        into, table = tables.get(ra, nodes[ra].arcs), tables.get(rb, nodes[rb].arcs)
         if len(into) < len(table):
             ra, rb, into, table = rb, ra, table, into
         parent[rb] = ra
         cut[ra] = cut[ra] or cut[rb]
-        if table:
-            if ra not in tables:
-                into = tables[ra] = dict(into)
-            for rule, children in table.items():
+        for rule, children in table.items():
+            if children:
                 seen = into.get(rule)
                 if seen is None:
+                    if ra not in tables:
+                        into = tables[ra] = dict(into)
                     into[rule] = children
                 else:
                     pending.extend(zip(seen, children))
@@ -197,20 +175,19 @@ def _close(cut_ids: frozenset, aot: AndOrTree) -> CutnodeSet:
 
     first_of: dict[str, int] = {}
     for node_id in cut_ids:
-        seq = aot[node_id].seq
-        union(first_of.setdefault(categories[seq], seq), seq)
-        cut[find(seq)] = True
+        node = aot[node_id]
+        union(first_of.setdefault(node.category, node.seq), node.seq)
+        cut[find(node.seq)] = True
     while pending:
-        union(*pending.pop())
+        a, b = pending.pop()
+        union(a.seq, b.seq)
 
-    groups: dict[int, list[int]] = {}
-    for seq in range(len(arcs)):
-        groups.setdefault(find(seq), []).append(seq)
-    nodes = aot.nodes()
+    groups: dict[int, list[OrNode]] = {}
+    for node in nodes:
+        groups.setdefault(find(node.seq), []).append(node)
     return CutnodeSet(tuple(
         EquivalenceClass(
-            tuple([nodes[seq] for seq in group]),
-            cut[root] and any(lexical[seq] for seq in group),
+            tuple(group), cut[root] and any(m.has_lexical_yield for m in group)
         )
         for root, group in groups.items()
     ))
@@ -250,10 +227,10 @@ def neighbor_conflicts(
 
     For each rule r, k* is its lowest-entropy RHS slot (ties: lowest
     index; ``PhraseEntropyTable.tightest_slot``).  Cutting both an
-    attachment of r (a node with an r arc) and an occupant of
-    Slot(r, k*) conflicts; the class with the lower entropy loses,
-    where a class scores the maximum of its members, ties to the lower
-    representative.  Conflicts are processed greedily in rule-id order,
+    attachment of r (a node whose own ``arcs`` hold r; ``lex`` is no
+    rule) and an occupant of Slot(r, k*) conflicts; the class with the
+    lower entropy loses, where a class scores the maximum of its
+    members, ties to the lower representative.  Conflicts are processed greedily in rule-id order,
     then attachment and occupant in representative order.  Each class
     is ranked once; an attachment that loses stops its scan, and an
     occupant that loses leaves the rule's list of live occupants.
@@ -261,12 +238,13 @@ def neighbor_conflicts(
     cut = cutset.cut_classes()
     if not cut:
         return []
-    arcs = _closure_arrays(aot)[0]
     lhs_of: dict[str, list[EquivalenceClass]] = {}
     occupant_of: dict[Slot, list[EquivalenceClass]] = {}
     for cls in cut:  # one class at a time: a list holding cls ends in it
         for m in cls.members:
-            for rule in arcs[m.seq]:
+            for rule in m.arcs:
+                if rule == LEX:
+                    continue
                 attached = lhs_of.setdefault(rule, [])
                 if not attached or attached[-1] is not cls:
                     attached.append(cls)

@@ -254,10 +254,10 @@ def _roots(at: _Position) -> list[_Position]:
 
 
 def _arc(node: Internal, or_node: OrNode) -> list:
-    and_node = or_node.arcs.get(node.rule)
-    if and_node is None:
+    children = or_node.arcs.get(node.rule)
+    if children is None:
         raise PathNotInIndexError(f"rule '{node.rule}' unseen at {or_node.node_id}")
-    return and_node.children
+    return children
 
 
 def cut_tree(
@@ -386,10 +386,10 @@ def extract_andor(
         """
         if node.seq not in wordless:
             out: list[Internal] = []
-            for rule, and_node in node.sorted_arcs():
+            for rule, children in node.sorted_arcs():
                 if rule != LEX:
                     slots = []
-                    for child in and_node.children:
+                    for child in children:
                         slots.append((yield wordless_pieces(child)))
                     out += combine(rule, slots)
             wordless[node.seq] = out
@@ -421,17 +421,17 @@ def extract_andor(
         out: list[Internal] = []
         seen_shapes: set[tuple] = set()
         for member in cls.members:
-            for rule, and_node in member.sorted_arcs():
+            for rule, children in member.sorted_arcs():
                 if rule == LEX:
                     continue
                 shape = (rule,) + tuple(
-                    class_of[c.node_id].representative.seq for c in and_node.children
+                    class_of[c.node_id].representative.seq for c in children
                 )
                 if shape in seen_shapes:
                     continue
                 seen_shapes.add(shape)
                 slots = []
-                for child in and_node.children:
+                for child in children:
                     slots.append((yield position_alternatives(child)))
                 out += combine(rule, slots)
         bodies[key] = out

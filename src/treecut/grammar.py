@@ -42,6 +42,7 @@ from treecut.sexpr import (
     SexprError,
     quote_if_needed,
     read_all,
+    universal_newlines,
 )
 
 LEX = "lex"
@@ -262,9 +263,10 @@ def parse_treebank(text: str, inv: RuleInventory, require_top: bool = False) -> 
     a node (or a ``Fault``) once its items are, each distinct list text once
     (see the module docstring).  Equal subtrees of one call are one
     object: one ``LexLeaf`` per word, and one ``Internal`` per rule and
-    child objects.
+    child objects.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (see
+    ``sexpr.universal_newlines``).
     """
-    return _fold(text, inv, require_top, {})
+    return _fold(universal_newlines(text), inv, require_top, {})
 
 
 def _fold(text: str, inv: RuleInventory, require_top: bool, leaves: dict | None):
@@ -457,6 +459,7 @@ def parse_shapes(text: str, inv: RuleInventory) -> list:
     text with a fault, is folded as a whole, so errors keep the class,
     message and line ``parse_treebank`` gives them.
     """
+    text = universal_newlines(text)
     if '"' not in text:
         lines = (line.strip() for line in _LEX_WORD.sub(f"({LEX} _)", text).split("\n"))
         kept = [line for line in lines if line and line[0] != "#"]

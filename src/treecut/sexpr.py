@@ -25,6 +25,9 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 _DANGLING = re.compile(r'(?:[^"\\]|\\.)*\\', re.S)
 # The line breaks of universal newlines, unlike str.splitlines's many.
 LINE_BREAK = re.compile(r"\r\n?|\n")
+# A comment or a quoted symbol, both kept as they are, or a "\r" line
+# break outside them; searched in text order, like _TOKEN.
+_KEPT_OR_CR = re.compile(rf'#[^\r\n]*|{_QUOTED}|".*|\r\n?', re.S)
 
 
 class LineNumberedError(Exception):
@@ -43,6 +46,16 @@ class SexprError(LineNumberedError):
 def _line_at(text: str, offset: int) -> int:
     """1-based line of the character at *offset*."""
     return text.count("\n", 0, offset) + 1
+
+
+def universal_newlines(text: str) -> str:
+    """*text* with each ``\\r\\n`` and bare ``\\r`` outside a quoted symbol
+    read as ``\\n``, as a file opened in universal-newline mode reads
+    them; copied only when it holds a ``\\r``.  A quoted ``\\r`` stays a
+    character of its word, so a rendered word reads back."""
+    if "\r" not in text:
+        return text
+    return _KEPT_OR_CR.sub(lambda m: "\n" if m[0][0] == "\r" else m[0], text)
 
 
 def _unquote(token: str) -> str:

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from treecut import node_entropy
 from treecut.andor import (
-    AndNode,
     AndOrTree,
     OrNode,
     PathNotInIndexError,
@@ -739,8 +738,38 @@ def reference_yield_length(tree):
     return sum(reference_yield_length(c) for c in tree.children)
 
 
+def reference_universal_newlines(text):
+    """The character loop for the loaders' line breaks: outside a quoted
+    symbol, comments included, ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    out = []
+    i, n = 0, len(text)
+    quoted = comment = False
+    while i < n:
+        ch = text[i]
+        if quoted:
+            if ch == "\\":
+                out.append(text[i:i + 2])
+                i += 2
+                continue
+            quoted = ch != '"'
+        elif ch == "\r":
+            comment = False
+            out.append("\n")
+            i += 2 if text[i + 1:i + 2] == "\n" else 1
+            continue
+        elif ch == "\n":
+            comment = False
+        elif not comment:
+            comment = ch == "#"
+            quoted = ch == '"'
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
 def reference_parse_treebank(text, inv, require_top=False):
     """Read every list first, then build and check each tree recursively."""
+    text = reference_universal_newlines(text)
     try:
         exprs = reference_read_all(text)
     except SexprError as err:
@@ -1006,17 +1035,16 @@ def reference_insert(root, tree, inv, order):
         if tree.length > 0:
             node.has_lexical_yield = True
         rule = tree.rule if isinstance(tree, Internal) else LEX
-        and_node = node.arcs.get(rule)
-        if and_node is None:
-            children = [] if rule == LEX else [
+        children = node.arcs.get(rule)
+        if children is None:
+            children = node.arcs[rule] = [] if rule == LEX else [
                 OrNode(category=cat, parent_slot=Slot(rule, k))
                 for k, cat in enumerate(inv[rule].rhs, start=1)
             ]
-            and_node = node.arcs[rule] = AndNode(rule, children)
             order.append((node, rule))
         node.arc_counts[rule] = node.arc_counts.get(rule, 0) + 1
         if rule != LEX:
-            stack.extend(reversed(list(zip(and_node.children, tree.children))))
+            stack.extend(reversed(list(zip(children, tree.children))))
 
 
 def reference_index_treebank(training, inv):
@@ -1037,9 +1065,9 @@ def reference_dump(aot):
         lines.append(
             f"{pad}{node.node_id} ({node.category}) visits={node.visit_count}{flag}"
         )
-        for rule, and_node in node.sorted_arcs():
+        for rule, children in node.sorted_arcs():
             lines.append(f"{pad}  -{rule} x{node.arc_counts[rule]}")
-            for child in and_node.children:
+            for child in children:
                 visit(child, depth + 2)
 
     visit(aot.root, 0)
@@ -1067,7 +1095,7 @@ def or_node_record(node):
         node.parent_slot,
         node.has_lexical_yield,
         list(node.arc_counts.items()),
-        [(rule, [c.node_id for c in a.children]) for rule, a in node.arcs.items()],
+        [(rule, [c.node_id for c in kids]) for rule, kids in node.arcs.items()],
     )
 
 
@@ -1254,14 +1282,14 @@ def reference_closure(cut_ids, aot):
                 continue
             arcs = {}
             for m in members:
-                for rule, and_node in m.arcs.items():
+                for rule, children in m.arcs.items():
                     if rule == LEX:
                         continue
                     first = arcs.get(rule)
                     if first is None:
-                        arcs[rule] = and_node.children
+                        arcs[rule] = children
                     else:
-                        for a, b in zip(first, and_node.children):
+                        for a, b in zip(first, children):
                             changed |= uf.union(a.seq, b.seq)
         # a class with one cutnode is cut as a whole
         for members in groups.values():
@@ -1447,13 +1475,13 @@ def reference_cut_tree(tree, aot, cutset):
     chunks = []
 
     def build(node, or_node):
-        and_node = or_node.arcs.get(node.rule)
-        if and_node is None:
+        child_ors = or_node.arcs.get(node.rule)
+        if child_ors is None:
             raise PathNotInIndexError(
                 f"rule '{node.rule}' unseen at {or_node.node_id}"
             )
         parts = []
-        for child, child_or in zip(node.children, and_node.children):
+        for child, child_or in zip(node.children, child_ors):
             if isinstance(child, LexLeaf):
                 if cutset.node_to_class[child_or.node_id].cut:
                     parts.append(Frontier(child_or.category))
@@ -1540,11 +1568,11 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
         if node.seq in wordless_memo:
             return wordless_memo[node.seq]
         out = []
-        for rule, and_node in node.sorted_arcs():
+        for rule, children in node.sorted_arcs():
             if rule == LEX:
                 continue
             combos = [()]
-            for child in and_node.children:
+            for child in children:
                 alternatives = wordless_pieces(child)
                 combos = [
                     prefix + (alt,) for prefix in combos for alt in alternatives
@@ -1584,18 +1612,16 @@ def reference_extract_andor(aot, cutset, max_chunks=DEFAULT_MAX_CHUNKS):
         out = []
         seen_shapes = set()
         for member in cls.members:
-            for rule, and_node in member.sorted_arcs():
+            for rule, children in member.sorted_arcs():
                 if rule == LEX:
                     continue
                 shape = (rule,) + tuple(
-                    class_of(c).representative.seq for c in and_node.children
+                    class_of(c).representative.seq for c in children
                 )
                 if shape in seen_shapes:
                     continue
                 seen_shapes.add(shape)
-                slots = [
-                    position_alternatives(c, stack) for c in and_node.children
-                ]
+                slots = [position_alternatives(c, stack) for c in children]
                 combos = [()]
                 for alternatives in slots:
                     combos = [
@@ -1650,11 +1676,11 @@ def empty_slot_index(alternatives):
     lines += [f"a_{k} a ->" for k in range(1, alternatives)]
     inv = parse_rule_inventory("\n".join(lines) + "\n", "s")
     a = OrNode("a", Slot("s_a_b", 1), has_lexical_yield=True)
-    a.arcs = {LEX: AndNode(LEX, [])}
-    a.arcs.update((r, AndNode(r, [])) for r in inv.rules if r != "s_a_b")
+    a.arcs = {LEX: []}
+    a.arcs.update((r, []) for r in inv.rules if r != "s_a_b")
     b = OrNode("b", Slot("s_a_b", 2))
     root = OrNode("s", None, has_lexical_yield=True)
-    root.arcs = {"s_a_b": AndNode("s_a_b", [a, b])}
+    root.arcs = {"s_a_b": [a, b]}
     return AndOrTree(root, _assign_ids(root), inv)
 
 

@@ -70,9 +70,9 @@ def test_lexical_yield_flags(aot):
 
 
 def test_arc_children_are_rhs_slots(aot):
-    and_node = aot["root"].arcs["s_np_vp"]
-    assert [c.node_id for c in and_node.children] == ["n1", "n2"]
-    assert [c.parent_slot for c in and_node.children] == [
+    children = aot["root"].arcs["s_np_vp"]
+    assert [c.node_id for c in children] == ["n1", "n2"]
+    assert [c.parent_slot for c in children] == [
         Slot("s_np_vp", 1),
         Slot("s_np_vp", 2),
     ]
@@ -109,12 +109,12 @@ def test_a_shared_subtree_counts_every_parent_shape(inventory):
     assert training[0].children[1] is training[3].children[1]
     aot, _ = assert_index_agrees(training, inventory)
     assert aot.root.arc_counts == {"s_np_vp": 8}
-    assert aot.root.arcs["s_np_vp"].children[0].arc_counts == {
+    assert aot.root.arcs["s_np_vp"][0].arc_counts == {
         "np_pron": 3, "np_det_n": 5,
     }
-    vp = aot.root.arcs["s_np_vp"].children[1]
+    vp = aot.root.arcs["s_np_vp"][1]
     assert vp.arc_counts == {"vp_v": 8}
-    assert vp.arcs["vp_v"].children[0].arc_counts == {"lex": 8}
+    assert vp.arcs["vp_v"][0].arc_counts == {"lex": 8}
 
 
 def test_a_chain_deeper_than_the_recursion_limit_indexes_as_per_tree(
@@ -167,5 +167,6 @@ def test_reprs_of_a_chain_index_are_linear_in_its_size(inventory):
     finally:
         sys.setrecursionlimit(limit)
     assert texts[0] == "OrNode(root, s)"
-    assert texts[1].startswith("AndNode(rule='np_np_pp', children=[OrNode(n2, np), ")
+    # an arc is the list of its child or-nodes, each printed by name
+    assert texts[1] == "[OrNode(n2, np), OrNode(n900, pp)]"
     assert max(sizes) < 200 * len(aot.node_index)

@@ -24,6 +24,7 @@ from treecut.sexpr import LineNumberedError, SexprError
 from oracles import (
     COMPLETE_LOADERS,
     DEEP,
+    FIXED_CORPORA,
     LOADER_GRAMMAR,
     NOT_LINE_BREAKS,
     blind,
@@ -95,6 +96,60 @@ def test_a_grammar_breaks_lines_at_a_carriage_return(newline):
     with pytest.raises(GrammarFormatError) as info:
         parse_rule_inventory(text.replace("vp -> v", "vp v"), "s")
     assert str(info.value) == "line 3: missing '->'"
+
+
+@pytest.mark.parametrize("load", COMPLETE_LOADERS.values(), ids=COMPLETE_LOADERS)
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_treebank_breaks_lines_at_a_carriage_return(inventory, load, newline):
+    # library text is read as a file in universal-newline mode reads it:
+    # a comment ends at the break, and a fault is named at its own line
+    tree = "(s_np_vp (np_pron (lex I)) (vp_v (lex left)))"
+    assert load(f"# c{newline}{tree}\n", inventory) == load(tree, inventory)
+    with pytest.raises(UnknownRuleIdError) as info:
+        load(tree + newline + tree.replace("np_pron", "np_prn"), inventory)
+    assert str(info.value) == "line 2: unknown rule id 'np_prn'"
+
+
+def test_a_quoted_carriage_return_stays_in_its_word(inventory):
+    # render_tree writes it inside quotes, and the loader reads it back
+    tree = Internal("s_np_vp", (
+        Internal("np_pron", (LexLeaf("a\rb"),)), Internal("vp_v", (LexLeaf("\r\n"),)),
+    ))
+    text = f"# c\r{render_tree(tree)}\r\n"
+    assert parse_treebank(text, inventory, require_top=True) == [tree]
+
+
+def sharing(trees):
+    """Every node of *trees* in preorder, as the order in which its
+    object was first visited."""
+    first: dict[int, int] = {}
+    out = []
+    stack = list(reversed(trees))
+    while stack:
+        node = stack.pop()
+        out.append(first.setdefault(id(node), len(first)))
+        if node.__class__ is Internal:
+            stack.extend(reversed(node.children))
+    return out
+
+
+@pytest.mark.parametrize("load", COMPLETE_LOADERS.values(), ids=COMPLETE_LOADERS)
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("grammar, text", FIXED_CORPORA)
+def test_corpora_read_alike_at_every_line_break(grammar, text, newline, load):
+    # the same trees, shared alike, and the same fault at the same line
+    inv = parse_rule_inventory(grammar, "s")
+    want = load(text, inv)
+    got = load(text.replace("\n", newline), inv)
+    assert got == want
+    assert sharing(got) == sharing(want)
+    lines = text.split("\n")
+    k = next(k for k in range(len(lines) // 2, len(lines)) if lines[k][:1] == "(")
+    lines[k:k + 1] = ["# a comment", "(unknown_rule" + lines[k][lines[k].index(" "):]]
+    faulty = "\n".join(lines)
+    want = load_outcome(load, faulty, inv)
+    assert want == (UnknownRuleIdError, f"line {k + 2}: unknown rule id 'unknown_rule'", k + 2)
+    assert load_outcome(load, faulty.replace("\n", newline), inv) == want
 
 
 @pytest.mark.parametrize("delimiter", ["(", ")", '"'])

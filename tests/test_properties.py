@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecut import cli, cutnodes, node_entropy, pipeline
-from treecut.andor import index_treebank
+from treecut.andor import dump, index_treebank
 from treecut.coverage import RuleIndex, VerdictTable, evaluate_coverage
 from treecut.cutnodes import closure, neighbor_conflicts, singleton_cutnodes
 from treecut.entropy import Slot, build_phrase_table, render_entropy_table
@@ -194,14 +194,6 @@ def test_indices_with_equal_node_ids_keep_their_own_memo(treebank):
     assert partition_key(closure(frozenset(), other)) == (
         partition_key(reference_closure(frozenset(), other))
     )
-    # nor are the arrays a closure reads: each index has its own, read
-    # off its own or-nodes
-    arrays = [aot.closure_arrays for aot in (first, second, other)]
-    assert arrays[0] == arrays[1]
-    for one, two in ((arrays[0], arrays[1]), (arrays[0], arrays[2])):
-        assert all(a is not b for a, b in zip(one, two))
-        assert all(a is not b for a, b in zip(one[0], two[0]))
-    assert [len(a) for a in arrays[2]] == [len(other.node_index)] * 3
 
 
 def test_a_closed_cut_set_is_served_its_own_closure(treebank, monkeypatch):
@@ -392,6 +384,51 @@ def test_equal_partitions_are_one_object(treebank, monkeypatch):
         repeats += len(selected) - len(extracted)
     assert searches >= 40
     assert repeats >= 100
+
+
+def index_snapshot(aot):
+    """Every or-node's arcs, as the list objects they hold and their
+    members, and the index's dump."""
+    arcs = [
+        [(rule, children, list(children)) for rule, children in node.arcs.items()]
+        for node in aot.nodes()
+    ]
+    return arcs, "".join(dump(aot))
+
+
+def assert_index_unchanged(aot, snapshot):
+    arcs, text = snapshot
+    assert len(aot.nodes()) == len(arcs)
+    for node, want in zip(aot.nodes(), arcs):
+        assert list(node.arcs) == [rule for rule, _, _ in want], node.node_id
+        for children, (_, same, members) in zip(node.arcs.values(), want):
+            assert children is same and children == members, node.node_id
+    assert "".join(dump(aot)) == text
+
+
+def test_closures_never_write_into_the_index(treebank):
+    # a class root's table starts as an or-node's own arcs dict, so a
+    # union that added a rule to it, or a child to an arc's list, would
+    # change the index that every later closure, extraction and dump
+    # reads: closures and selections under every scheme, with and
+    # without restrictions, leave each or-node's arcs as they were
+    unions = 0
+    for name, aot in oracle_corpora(treebank):
+        snapshot = index_snapshot(aot)
+        rng = random.Random(f"unwritten-{name}")
+        for cut_ids in random_cut_sets(rng, aot):
+            cutset = closure(cut_ids, aot)
+            unions += len(cutset.classes) < len(aot.node_index)
+        table = build_phrase_table(aot)
+        for scheme in EntropyScheme:
+            scores = compute_node_entropies(aot, table, scheme)
+            for s_min, restrictions in itertools.product(
+                around_each_score(scores), (False, True)
+            ):
+                args = (s_min, aot, table, scores, restrictions, cutnodes.MAX_ITERATIONS)
+                selection_outcome(cutnodes.select_by_threshold, *args)
+        assert_index_unchanged(aot, snapshot)
+    assert unions >= 250
 
 
 def test_arc_frequency_pools_once_per_class(treebank, monkeypatch):
@@ -1208,7 +1245,7 @@ def or_nodes_of_shape(training, aot, shape):
                 at.add(or_node)
                 roots.add(blind(tree))
             if isinstance(node, Internal):
-                stack.extend(zip(node.children, or_node.arcs[node.rule].children))
+                stack.extend(zip(node.children, or_node.arcs[node.rule]))
     return at, roots
 
 
